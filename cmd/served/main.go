@@ -18,6 +18,10 @@
 // swaps in a new snapshot while in-flight queries finish on the old one;
 // it loads whatever server-readable path the client names, so it is off by
 // default and should only be enabled on trusted listeners.
+//
+// Results are streamed in chunks of a few tens of KiB as their rows are
+// rendered, so there is no write timeout; a connection that stalls inside a
+// request header (readHeaderTimeout) or idles (idleTimeout) is closed.
 package main
 
 import (
@@ -157,11 +161,18 @@ func main() {
 	}
 }
 
+// Connection timeouts: what a client may hold open without sending. Neither
+// limits how long a query runs or how long its result takes to read.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serve runs the HTTP server on l until ctx is cancelled, then shuts down
 // gracefully (in-flight requests get up to 5s to finish). Factored out of
 // main so tests can drive it with a loopback listener.
 func serve(ctx context.Context, l net.Listener, svc *service.Service) error {
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
 	select {

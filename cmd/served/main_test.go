@@ -245,3 +245,64 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal("server still reachable after shutdown")
 	}
 }
+
+// TestServeDropsHalfSentHeader: a client that opens a connection, sends
+// part of a request header and stalls is disconnected after
+// readHeaderTimeout, and the server keeps serving.
+func TestServeDropsHalfSentHeader(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "data.nt")
+	if err := os.WriteFile(path, []byte("<http://x/a> <http://x/p> <http://x/b> .\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.Load(path, service.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, l, svc) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /query HTTP/1.1\r\nHost: x\r\nContent-Le")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start), err)
+	}
+	// net/http closes with nothing or with a bare 4xx, depending on where
+	// in the header the deadline struck; either way not with a result.
+	if len(got) != 0 && !bytes.HasPrefix(got, []byte("HTTP/1.1 4")) {
+		t.Fatalf("server answered a request it never received: %q", got)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection dropped after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+	resp, err := http.Get("http://" + l.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("healthz status %d after the drop", resp.StatusCode)
+	}
+}

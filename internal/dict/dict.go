@@ -31,9 +31,12 @@ const None ID = 0
 //
 // TryDecode returns (zero, false) for ids the base cannot resolve — on an
 // untrusted on-disk base that includes corrupt records, never a panic.
+// AppendTerm is TryDecode followed by Term.Append, without the Term: it
+// returns (dst, false) for the same ids.
 type Base interface {
 	Len() int
 	TryDecode(ID) (rdf.Term, bool)
+	AppendTerm(dst []byte, id ID, syn *rdf.Syntax) ([]byte, bool)
 	Lookup(rdf.Term) (ID, bool)
 }
 
@@ -137,6 +140,19 @@ func (d *Dict) TryDecode(id ID) (rdf.Term, bool) {
 		return rdf.Term{}, false
 	}
 	return d.terms[i-1], true
+}
+
+// AppendTerm appends the rendering of id's term in syntax syn to dst, or
+// returns (dst, false) if id is invalid; nothing is allocated beyond dst.
+func (d *Dict) AppendTerm(dst []byte, id ID, syn *rdf.Syntax) ([]byte, bool) {
+	if id != None && int(id) <= d.nbase {
+		return d.base.AppendTerm(dst, id, syn)
+	}
+	t, ok := d.TryDecode(id)
+	if !ok {
+		return dst, false
+	}
+	return t.Append(dst, syn), true
 }
 
 // Len returns the number of distinct terms encoded.

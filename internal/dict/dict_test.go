@@ -139,3 +139,31 @@ func TestEncodeIRIHelpers(t *testing.T) {
 		t.Fatalf("LookupIRI = (%d, %v), want (%d, true)", got, ok, id)
 	}
 }
+
+// TestAppendTermMatchesTryDecode: the append-style decode renders exactly
+// what TryDecode + Term.Append would, and reports the same ids invalid,
+// leaving dst as it was.
+func TestAppendTermMatchesTryDecode(t *testing.T) {
+	d := New()
+	for _, tm := range []rdf.Term{
+		rdf.NewIRI("http://x/a<b>"),
+		rdf.NewLangLiteral("say \"hi\"\n", "en"),
+		rdf.NewTypedLiteral("7", rdf.XSDInteger),
+		rdf.NewBlank("b0"),
+	} {
+		d.Encode(tm)
+	}
+	for _, syn := range []*rdf.Syntax{rdf.NTriples, rdf.JSON} {
+		for id := ID(0); int(id) <= d.Len()+1; id++ {
+			got, ok := d.AppendTerm([]byte("x"), id, syn)
+			tm, wantOK := d.TryDecode(id)
+			want := []byte("x")
+			if wantOK {
+				want = tm.Append(want, syn)
+			}
+			if ok != wantOK || string(got) != string(want) {
+				t.Fatalf("AppendTerm(%d) = %q, %v; want %q, %v", id, got, ok, want, wantOK)
+			}
+		}
+	}
+}

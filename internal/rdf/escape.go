@@ -1,61 +1,104 @@
 package rdf
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"unicode/utf8"
 )
 
-// escapeLiteral escapes a literal lexical form for N-Triples output.
-// N-Triples requires escaping of ", \, LF and CR; we additionally escape TAB
-// for readability. All other characters are emitted as UTF-8.
-func escapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+// Syntax is an output encoding of the N-Triples term grammar. The tables
+// hold the replacement of each ASCII byte ("" emits it as is) inside <...>,
+// inside "...", and in the parts N-Triples writes bare (blank-node labels,
+// language tags); every byte N-Triples or JSON escapes is ASCII.
+type Syntax struct {
+	quote          string // the literal delimiter
+	iri, lit, bare [utf8.RuneSelf]string
+	invalid        string // replaces a byte that is not UTF-8; "" emits it as is
 }
 
-// escapeIRI escapes characters not allowed inside <...> in N-Triples.
-func escapeIRI(s string) string {
-	if !strings.ContainsAny(s, "<>\"{}|^`\\\x00 \n\r\t") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch {
-		case r == '\\':
-			b.WriteString(`\\`)
-		case r <= 0x20 || strings.ContainsRune("<>\"{}|^`", r):
-			if r > 0xFFFF {
-				fmt.Fprintf(&b, `\U%08X`, r)
-			} else {
-				fmt.Fprintf(&b, `\u%04X`, r)
-			}
-		default:
-			b.WriteRune(r)
+// NTriples is the N-Triples syntax itself.
+var NTriples = ntriplesSyntax()
+
+// JSON is NTriples escaped, in the same pass, for the inside of a JSON
+// string (the quotes around it are the caller's). Only what JSON requires
+// is escaped — not <, > or & — and invalid UTF-8 becomes U+FFFD.
+var JSON = NTriples.jsonEscaped()
+
+func ntriplesSyntax() *Syntax {
+	syn := &Syntax{quote: `"`}
+	syn.lit['"'], syn.lit['\\'] = `\"`, `\\`
+	syn.lit['\n'], syn.lit['\r'], syn.lit['\t'] = `\n`, `\r`, `\t`
+	for b := range syn.iri {
+		if b <= 0x20 || strings.IndexByte("<>\"{}|^`", byte(b)) >= 0 {
+			syn.iri[b] = fmt.Sprintf(`\u%04X`, b)
 		}
 	}
-	return b.String()
+	syn.iri['\\'] = `\\`
+	return syn
+}
+
+// jsonEscaped derives the syntax that writes what syn writes, JSON-escaped.
+func (syn *Syntax) jsonEscaped() *Syntax {
+	esc := func(s string) string {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetEscapeHTML(false)
+		_ = enc.Encode(s) // a string always encodes
+		return b.String()[1 : b.Len()-2]
+	}
+	derive := func(from, to *[utf8.RuneSelf]string) {
+		for b, out := range from {
+			self := string(rune(b))
+			if out == "" {
+				out = self
+			}
+			if out = esc(out); out != self {
+				to[b] = out
+			}
+		}
+	}
+	js := &Syntax{quote: esc(syn.quote), invalid: esc("\xff")}
+	derive(&syn.iri, &js.iri)
+	derive(&syn.lit, &js.lit)
+	derive(&syn.bare, &js.bare)
+	return js
+}
+
+// escape appends s, replacing the bytes tab (or UTF-8 validity) singles out.
+func (syn *Syntax) escape(dst []byte, s string, tab *[utf8.RuneSelf]string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		var rep string
+		if b := s[i]; b < utf8.RuneSelf {
+			if rep = tab[b]; rep == "" {
+				i++
+				continue
+			}
+		} else {
+			if syn.invalid == "" {
+				i++
+				continue
+			}
+			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size > 1 {
+				i += size
+				continue
+			}
+			rep = syn.invalid
+		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, rep...)
+		i++
+		start = i
+	}
+	return append(dst, s[start:]...)
+}
+
+// AppendText appends s as syn writes what N-Triples leaves bare: for JSON,
+// as the content of a JSON string.
+func (syn *Syntax) AppendText(dst []byte, s string) []byte {
+	return syn.escape(dst, s, &syn.bare)
 }
 
 // Unescape decodes N-Triples string escapes (\t \b \n \r \f \" \' \\ \uXXXX

@@ -134,34 +134,37 @@ func (t Term) Compare(o Term) int {
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
-	var b strings.Builder
-	t.write(&b)
-	return b.String()
+	var buf [128]byte
+	return string(t.Append(buf[:0], NTriples))
 }
 
-func (t Term) write(b *strings.Builder) {
+// Append appends the term's N-Triples rendering, encoded as syn says, to
+// dst. It is the only renderer: String, Triple.String, the dictionary's
+// append-style decode and the service's result writer all end here.
+func (t Term) Append(dst []byte, syn *Syntax) []byte {
 	switch t.Kind {
 	case IRI:
-		b.WriteByte('<')
-		b.WriteString(escapeIRI(t.Value))
-		b.WriteByte('>')
+		dst = append(dst, '<')
+		dst = syn.escape(dst, t.Value, &syn.iri)
+		dst = append(dst, '>')
 	case Blank:
-		b.WriteString("_:")
-		b.WriteString(t.Value)
+		dst = append(dst, "_:"...)
+		dst = syn.escape(dst, t.Value, &syn.bare)
 	case Literal:
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
+		dst = append(dst, syn.quote...)
+		dst = syn.escape(dst, t.Value, &syn.lit)
+		dst = append(dst, syn.quote...)
 		switch {
 		case t.Lang != "":
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
+			dst = append(dst, '@')
+			dst = syn.escape(dst, t.Lang, &syn.bare)
 		case t.Datatype != "" && t.Datatype != XSDString:
-			b.WriteString("^^<")
-			b.WriteString(escapeIRI(t.Datatype))
-			b.WriteByte('>')
+			dst = append(dst, "^^<"...)
+			dst = syn.escape(dst, t.Datatype, &syn.iri)
+			dst = append(dst, '>')
 		}
 	}
+	return dst
 }
 
 // Key returns a canonical string key for the term, unique across kinds. It
@@ -178,14 +181,11 @@ func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple as an N-Triples line (without newline).
 func (t Triple) String() string {
-	var b strings.Builder
-	t.S.write(&b)
-	b.WriteByte(' ')
-	t.P.write(&b)
-	b.WriteByte(' ')
-	t.O.write(&b)
-	b.WriteString(" .")
-	return b.String()
+	var buf [256]byte
+	b := t.S.Append(buf[:0], NTriples)
+	b = t.P.Append(append(b, ' '), NTriples)
+	b = t.O.Append(append(b, ' '), NTriples)
+	return string(append(b, " ."...))
 }
 
 // Valid performs a shallow well-formedness check: subject is IRI or blank,

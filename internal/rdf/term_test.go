@@ -1,9 +1,11 @@
 package rdf
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func TestTermConstructors(t *testing.T) {
@@ -128,7 +130,7 @@ func TestEscapeUnescapeRoundTrip(t *testing.T) {
 		if !isValidUTF8ForTest(s) {
 			return true
 		}
-		got, err := Unescape(escapeLiteral(s))
+		got, err := Unescape(string(NTriples.escape(nil, s, &NTriples.lit)))
 		return err == nil && got == s
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -138,4 +140,28 @@ func TestEscapeUnescapeRoundTrip(t *testing.T) {
 
 func isValidUTF8ForTest(s string) bool {
 	return strings.ToValidUTF8(s, "") == s
+}
+
+// TestJSONSyntaxIsEscapedNTriples: for any term, the JSON syntax between
+// quotes is a valid JSON string that decodes to what encoding/json makes
+// of the N-Triples rendering (invalid UTF-8 included: both give U+FFFD).
+func TestJSONSyntaxIsEscapedNTriples(t *testing.T) {
+	f := func(kind uint8, value, lang, datatype string) bool {
+		tm := Term{Kind: Kind(kind % 3), Value: value, Lang: lang, Datatype: datatype}
+		quoted := append(tm.Append([]byte{'"'}, JSON), '"')
+		var got, want string
+		ref, err := json.Marshal(tm.String())
+		if err != nil || json.Unmarshal(ref, &want) != nil {
+			return false
+		}
+		return utf8.Valid(quoted) && json.Unmarshal(quoted, &got) == nil && got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"", "a\\b\"c", "\x00\x1f\x7f <>&{}|^`", "\xff\xfe", "tab\tnl\ncr\r", "\u2028 \U0001F600"} {
+		if !f(0, v, "", "") || !f(1, v, v, "") || !f(1, v, "", v) || !f(2, v, "", "") {
+			t.Fatalf("JSON syntax disagrees with encoding/json on %q", v)
+		}
+	}
 }

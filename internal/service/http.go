@@ -57,31 +57,6 @@ type executeRequest struct {
 	Explain string `json:"explain,omitempty"`
 }
 
-// resultPayload is one execution's JSON rendering. Rows are truncated to
-// MaxRows when requested; RowCount always reports the full result size.
-type resultPayload struct {
-	Vars          []string   `json:"vars"`
-	Rows          [][]string `json:"rows"`
-	RowCount      int        `json:"row_count"`
-	Truncated     bool       `json:"truncated,omitempty"`
-	Cout          float64    `json:"cout"`
-	Work          float64    `json:"work"`
-	Scanned       int        `json:"scanned"`
-	DurationUs    int64      `json:"duration_us"`
-	PlanSignature string     `json:"plan_signature"`
-	CacheHit      bool       `json:"cache_hit"`
-	Generation    uint64     `json:"generation"`
-	// ExplainAnalyze is the rendered EXPLAIN ANALYZE listing and Spans the
-	// span tree, both present only when the request asked for
-	// explain=analyze.
-	ExplainAnalyze string    `json:"explain_analyze,omitempty"`
-	Spans          *obs.Span `json:"spans,omitempty"`
-}
-
-type executeResponse struct {
-	Results []resultPayload `json:"results"`
-}
-
 type reloadRequest struct {
 	Path string `json:"path"`
 }
@@ -141,8 +116,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	defer out.Close()
-	writeJSON(w, http.StatusOK, payload(out, req.MaxRows))
+	writeResults(w, []*Outcome{out}, req.MaxRows, false)
 }
 
 // parseExplain maps a request's explain field to RunOptions.
@@ -208,8 +182,7 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		defer out.Close()
-		writeJSON(w, http.StatusOK, payload(out, req.MaxRows))
+		writeResults(w, []*Outcome{out}, req.MaxRows, false)
 		return
 	}
 	batch := req.Batch
@@ -230,17 +203,8 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp := executeResponse{Results: make([]resultPayload, len(outs))}
-	for i, out := range outs {
-		resp.Results[i] = payload(out, req.MaxRows)
-		out.Close()
-	}
-	if len(req.Batch) == 0 {
-		// Single-binding form: return the bare result object.
-		writeJSON(w, http.StatusOK, resp.Results[0])
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	// The single-binding form returns the bare result object.
+	writeResults(w, outs, req.MaxRows, len(req.Batch) > 0)
 }
 
 func (s *Service) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -324,39 +288,6 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Triples:    s.Store().Len(),
 		Generation: s.Generation(),
 	})
-}
-
-// payload renders an outcome, truncating rows to maxRows when positive.
-func payload(out *Outcome, maxRows int) resultPayload {
-	res := out.Result
-	vars := make([]string, len(res.Vars))
-	for i, v := range res.Vars {
-		vars[i] = "?" + string(v)
-	}
-	// Truncate before decoding so a small max_rows never pays to render a
-	// huge result.
-	raw := res.Rows
-	truncated := false
-	if maxRows > 0 && len(raw) > maxRows {
-		raw = raw[:maxRows]
-		truncated = true
-	}
-	rows := out.decodeRows(raw)
-	return resultPayload{
-		Vars:           vars,
-		Rows:           rows,
-		RowCount:       len(res.Rows),
-		Truncated:      truncated,
-		Cout:           res.Cout,
-		Work:           res.Work,
-		Scanned:        res.Scanned,
-		DurationUs:     res.Duration.Microseconds(),
-		PlanSignature:  out.Plan.Signature,
-		CacheHit:       out.CacheHit,
-		Generation:     out.Generation,
-		ExplainAnalyze: out.Analyze,
-		Spans:          out.Trace,
-	}
 }
 
 // parseBindingMap converts the JSON binding map (param name -> N-Triples

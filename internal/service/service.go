@@ -30,10 +30,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dict"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -275,10 +275,16 @@ func (s *Service) pinState() *snapState {
 // binding. Its canonical Text is the plan-cache key component shared with
 // identical ad-hoc queries.
 type Prepared struct {
-	Name   string
-	Text   string // canonical template text (tmpl.String())
-	Params []sparql.Param
-	tmpl   *sparql.Query
+	Name       string
+	Text       string // canonical template text (tmpl.String())
+	Params     []sparql.Param
+	tmpl       *sparql.Query
+	latencyKey string // the per-template histogram key, built once
+}
+
+// newPrepared wraps a parsed template; text is its canonical rendering.
+func newPrepared(name, text string, q *sparql.Query) *Prepared {
+	return &Prepared{Name: name, Text: text, Params: q.Params(), tmpl: q, latencyKey: "template:" + name}
 }
 
 // engineVariant names the engine configuration for plan-cache keying:
@@ -734,7 +740,7 @@ func (s *Service) Prepare(name, text string) (*Prepared, error) {
 	if err != nil {
 		return nil, badInput(err)
 	}
-	p := &Prepared{Name: name, Text: q.String(), Params: q.Params(), tmpl: q}
+	p := newPrepared(name, q.String(), q)
 	s.prepMu.Lock()
 	s.prepared[name] = p
 	s.prepMu.Unlock()
@@ -812,24 +818,20 @@ type runMeta struct {
 }
 
 // DecodedRows renders the result rows as N-Triples term strings using the
-// executing snapshot's dictionary.
-func (o *Outcome) DecodedRows() [][]string { return o.decodeRows(o.Result.Rows) }
-
-// decodeRows decodes a (possibly truncated) slice of the outcome's rows, so
-// response rendering never pays for rows it will not ship. Unbound cells
-// (the dict.None sentinel left by OPTIONAL) render as "UNDEF", matching
-// the SPARQL results vocabulary.
-func (o *Outcome) decodeRows(rows [][]dict.ID) [][]string {
+// executing snapshot's dictionary, through the appender the HTTP result
+// writer uses; unbound cells render as "UNDEF".
+func (o *Outcome) DecodedRows() [][]string {
 	d := o.Store.Dict()
-	out := make([][]string, len(rows))
-	for i, row := range rows {
+	var buf []byte
+	out := make([][]string, len(o.Result.Rows))
+	for i, row := range o.Result.Rows {
 		cells := make([]string, len(row))
 		for j, id := range row {
-			if t, ok := d.TryDecode(id); ok {
-				cells[j] = t.String()
-			} else {
-				cells[j] = "UNDEF"
+			var ok bool
+			if buf, ok = d.AppendTerm(buf[:0], id, rdf.NTriples); !ok {
+				buf = append(buf, "UNDEF"...)
 			}
+			cells[j] = string(buf)
 		}
 		out[i] = cells
 	}
@@ -848,7 +850,7 @@ func (s *Service) ExecuteWith(ctx context.Context, p *Prepared, b sparql.Binding
 	defer func() {
 		d := time.Since(start)
 		s.observe("execute", d, err)
-		s.observe("template:"+p.Name, d, err)
+		s.observe(p.latencyKey, d, err)
 	}()
 	release, err := s.admit(ctx)
 	if err != nil {
@@ -875,7 +877,7 @@ func (s *Service) ExecuteBatch(ctx context.Context, p *Prepared, bindings []spar
 	defer func() {
 		d := time.Since(start)
 		s.observe("execute", d, err)
-		s.observe("template:"+p.Name, d, err)
+		s.observe(p.latencyKey, d, err)
 	}()
 	release, err := s.admit(ctx)
 	if err != nil {

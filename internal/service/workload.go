@@ -39,7 +39,7 @@ func (w *WorkloadExecutor) ExecuteTemplate(tmpl *sparql.Query, b sparql.Binding)
 	w.mu.Lock()
 	p, ok := w.byText[text]
 	if !ok {
-		p = &Prepared{Name: text, Text: text, Params: tmpl.Params(), tmpl: tmpl}
+		p = newPrepared(text, text, tmpl)
 		w.byText[text] = p
 	}
 	w.mu.Unlock()

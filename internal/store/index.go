@@ -102,69 +102,83 @@ func sortByOrder(ts []IDTriple, o order) {
 
 // searchRange returns the half-open index range [lo, hi) of triples in idx
 // (sorted by o) matching pat. pat's bound positions must be a prefix of o's
-// sort key (guaranteed by orderFor). The binary searches are written as
-// explicit loops (not sort.Search closures) so the per-probe hot path —
-// one searchRange per Match/MatchBuf call — stays allocation-free.
+// sort key (guaranteed by orderFor). It is the one probe kernel behind
+// Match, MatchBuf, Count, Scan, ScanSeek, runFor and Delta.contains.
+//
+// The zero-padded prefix is the smallest sort key of the range; the prefix
+// plus one in its last bound component, carrying upward, the smallest key
+// above it. The lower bound is one binary search; the upper bound gallops
+// from it, because a probe's range is a handful of triples in hundreds of
+// thousands (ARCHITECTURE.md, "The probe kernel").
 func searchRange(idx []IDTriple, o order, pat Pattern) (lo, hi int) {
-	bounds, nb := prefixBounds(o, pat)
-	i, j := 0, len(idx)
+	k, nb := prefixBounds(o, pat)
+	if nb == 0 {
+		return 0, len(idx)
+	}
+	p := orderPositions[o]
+	lo = lowerBound(idx, p, 0, len(idx), k)
+	for i := nb - 1; ; i-- {
+		if i < 0 {
+			// Every bound component is MaxUint32: the increment carried
+			// out of the key, so nothing sorts above the prefix.
+			return lo, len(idx)
+		}
+		k[i]++
+		if k[i] != 0 {
+			break
+		}
+	}
+	pk, third := uint64(k[0])<<32|uint64(k[1]), k[2]
+	from := lo // every triple before from is below k
+	for step := 1; ; step <<= 1 {
+		probe := min(from+step-1, len(idx))
+		if probe == len(idx) || !keyBelow(&idx[probe], p, pk, third) {
+			return lo, lowerBound(idx, p, from, probe, k)
+		}
+		from = probe + 1
+	}
+}
+
+// lowerBound returns the first position in idx[i:j] whose sort key
+// (components in the order p lists) is >= k, or j when there is none. An
+// explicit loop, not a sort.Search closure: one runs per probe and per
+// leapfrog seek, so it must not allocate.
+func lowerBound(idx []IDTriple, p [3]int, i, j int, k [3]dict.ID) int {
+	pk, third := uint64(k[0])<<32|uint64(k[1]), k[2]
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if prefixLess(idx[h], o, bounds, nb) {
+		if keyBelow(&idx[h], p, pk, third) {
 			i = h + 1
 		} else {
 			j = h
 		}
 	}
-	lo = i
-	j = len(idx)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if !prefixGreater(idx[h], o, bounds, nb) {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return lo, i
+	return i
+}
+
+// keyBelow reports whether t's sort key, its components taken in the order
+// p lists, is below (pk, third): the first two components packed into one
+// word, the third compared only when the packed halves tie. p is a loop
+// invariant of the caller's search, so a component is an indexed load
+// from a local copy rather than a switch per component per step.
+func keyBelow(t *IDTriple, p [3]int, pk uint64, third dict.ID) bool {
+	c := [3]dict.ID{t.S, t.P, t.O}
+	tk := uint64(c[p[0]])<<32 | uint64(c[p[1]])
+	return tk < pk || (tk == pk && c[p[2]] < third)
 }
 
 // prefixBounds extracts the bound prefix values of pat under order o,
 // returning the component array and how many entries are meaningful.
 func prefixBounds(o order, pat Pattern) ([3]dict.ID, int) {
+	vals := [3]dict.ID{pat.S, pat.P, pat.O}
 	var out [3]dict.ID
 	n := 0
 	for _, pos := range orderPositions[o] {
-		v := positionValue(IDTriple{S: pat.S, P: pat.P, O: pat.O}, pos)
-		if v == dict.None {
+		if vals[pos] == dict.None {
 			break
 		}
-		out[n] = v
+		out[n] = vals[pos]
 		n++
 	}
 	return out, n
-}
-
-// prefixLess reports whether t's key prefix under o is strictly below the
-// first nb bound values.
-func prefixLess(t IDTriple, o order, bounds [3]dict.ID, nb int) bool {
-	for i, pos := range orderPositions[o][:nb] {
-		v := positionValue(t, pos)
-		if v != bounds[i] {
-			return v < bounds[i]
-		}
-	}
-	return false
-}
-
-// prefixGreater reports whether t's key prefix under o is strictly above
-// the first nb bound values.
-func prefixGreater(t IDTriple, o order, bounds [3]dict.ID, nb int) bool {
-	for i, pos := range orderPositions[o][:nb] {
-		v := positionValue(t, pos)
-		if v != bounds[i] {
-			return v > bounds[i]
-		}
-	}
-	return false
 }

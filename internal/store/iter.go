@@ -142,32 +142,9 @@ func (sc *Scan) SeekVar(v0, v1, v2 dict.ID) {
 }
 
 // seekRun returns the suffix of run starting at the first triple whose key
-// under o is >= k. Explicit binary search: a leapfrog join seeks in its
-// innermost loop, so this must not allocate.
+// under o is >= k.
 func seekRun(run []IDTriple, o order, k [3]dict.ID) []IDTriple {
-	i, j := 0, len(run)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if keyLess(run[h], o, k) {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return run[i:]
-}
-
-// keyLess reports whether t's full sort key under o is lexicographically
-// below k.
-func keyLess(t IDTriple, o order, k [3]dict.ID) bool {
-	a, b, c := key(t, o)
-	if a != k[0] {
-		return a < k[0]
-	}
-	if b != k[1] {
-		return b < k[1]
-	}
-	return c < k[2]
+	return run[lowerBound(run, orderPositions[o], 0, len(run), k):]
 }
 
 // Head returns the next undelivered triple without consuming it, or false

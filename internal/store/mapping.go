@@ -185,6 +185,16 @@ func (mt *mappedTerms) record(id dict.ID) ([]byte, bool) {
 	return mt.heap[lo:hi], true
 }
 
+// parsed is record followed by parseRecord: term id's kind and component
+// views into the heap, or false when either fails.
+func (mt *mappedTerms) parsed(id dict.ID) (kind rdf.Kind, value, lang, datatype []byte, ok bool) {
+	rec, ok := mt.record(id)
+	if !ok {
+		return 0, nil, nil, nil, false
+	}
+	return parseRecord(rec)
+}
+
 // parseRecord splits a term record into its kind and three component byte
 // views (no copying). It fails on truncated records, invalid kinds, and
 // records with trailing garbage.
@@ -246,26 +256,30 @@ func uvarint(b []byte) (uint64, int) {
 // through anything but the dictionary itself, whose lifecycle the Mapping
 // refcount covers).
 func (mt *mappedTerms) TryDecode(id dict.ID) (rdf.Term, bool) {
-	rec, ok := mt.record(id)
-	if !ok {
-		return rdf.Term{}, false
-	}
-	kind, value, lang, datatype, ok := parseRecord(rec)
+	kind, value, lang, datatype, ok := mt.parsed(id)
 	if !ok {
 		return rdf.Term{}, false
 	}
 	return rdf.Term{Kind: kind, Value: string(value), Lang: string(lang), Datatype: string(datatype)}, true
 }
 
+// AppendTerm renders term id straight from the mapped string heap: the
+// Term aliases the record's bytes and does not outlive the call.
+func (mt *mappedTerms) AppendTerm(dst []byte, id dict.ID, syn *rdf.Syntax) ([]byte, bool) {
+	kind, value, lang, datatype, ok := mt.parsed(id)
+	if !ok {
+		return dst, false
+	}
+	view := func(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+	t := rdf.Term{Kind: kind, Value: view(value), Lang: view(lang), Datatype: view(datatype)}
+	return t.Append(dst, syn), true
+}
+
 // compareRecord orders a raw term record against t with rdf.Term.Compare
 // semantics (Kind, Value, Datatype, Lang) without copying the record's
 // strings. The bool result is false for unparseable records.
 func (mt *mappedTerms) compareRecord(id dict.ID, t rdf.Term) (int, bool) {
-	rec, ok := mt.record(id)
-	if !ok {
-		return 0, false
-	}
-	kind, value, lang, datatype, ok := parseRecord(rec)
+	kind, value, lang, datatype, ok := mt.parsed(id)
 	if !ok {
 		return 0, false
 	}
