@@ -2,9 +2,7 @@ package repro
 
 // Compositional-algebra benchmarks: OPTIONAL, UNION and aggregation over
 // the same broad BSBM drill-down world as the parallel/columnar bench
-// families. Rows and the Work/Cout accounting are engine-invariant
-// (streaming vs columnar, any parallelism), so the custom metrics double
-// as a cross-engine consistency check inside the bench artifact.
+// families, reporting rows and the Work/Cout accounting as custom metrics.
 
 import (
 	"testing"
@@ -15,9 +13,9 @@ import (
 	"repro/internal/sparql"
 )
 
-// benchAlgebra times one algebra template against the shared BSBM world
-// on the given engine, reporting the engine-invariant result metrics.
-func benchAlgebra(b *testing.B, src string, mode exec.ExecMode) {
+// benchAlgebra times one algebra template against the shared BSBM world,
+// reporting the result metrics.
+func benchAlgebra(b *testing.B, src string) {
 	st, binding := benchParallelSetup(b)
 	tmpl, err := sparql.Parse(src)
 	if err != nil {
@@ -35,11 +33,10 @@ func benchAlgebra(b *testing.B, src string, mode exec.ExecMode) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := exec.Options{Mode: mode}
 	b.ResetTimer()
 	var res *exec.Result
 	for i := 0; i < b.N; i++ {
-		res, err = exec.Run(c, p, st, opts)
+		res, err = exec.Run(c, p, st, exec.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,36 +55,11 @@ SELECT ?product (COUNT(*) AS ?n) WHERE {
   ?offer bsbm:product ?product .
 } GROUP BY ?product HAVING(?n >= 2) ORDER BY ?product`
 
-// BenchmarkAlgebraOptionalStreaming times the Q5 optional-offers drill-down
-// (left join over the offer distribution) on the streaming engine.
-func BenchmarkAlgebraOptionalStreaming(b *testing.B) {
-	benchAlgebra(b, bsbm.QueryQ5Text, exec.Streaming)
-}
+// BenchmarkAlgebraOptionalColumnar times the Q5 optional-offers drill-down.
+func BenchmarkAlgebraOptionalColumnar(b *testing.B) { benchAlgebra(b, bsbm.QueryQ5Text) }
 
-// BenchmarkAlgebraOptionalColumnar is Q5 on the columnar engine.
-func BenchmarkAlgebraOptionalColumnar(b *testing.B) {
-	benchAlgebra(b, bsbm.QueryQ5Text, exec.Columnar)
-}
+// BenchmarkAlgebraUnionColumnar times the Q6 offers-or-reviews union.
+func BenchmarkAlgebraUnionColumnar(b *testing.B) { benchAlgebra(b, bsbm.QueryQ6Text) }
 
-// BenchmarkAlgebraUnionStreaming times the Q6 offers-or-reviews union on
-// the streaming engine.
-func BenchmarkAlgebraUnionStreaming(b *testing.B) {
-	benchAlgebra(b, bsbm.QueryQ6Text, exec.Streaming)
-}
-
-// BenchmarkAlgebraUnionColumnar is Q6 on the columnar engine.
-func BenchmarkAlgebraUnionColumnar(b *testing.B) {
-	benchAlgebra(b, bsbm.QueryQ6Text, exec.Columnar)
-}
-
-// BenchmarkAlgebraAggregateStreaming times grouped aggregation with
-// HAVING on the streaming engine.
-func BenchmarkAlgebraAggregateStreaming(b *testing.B) {
-	benchAlgebra(b, aggregateText, exec.Streaming)
-}
-
-// BenchmarkAlgebraAggregateColumnar is the grouped aggregation on the
-// columnar engine.
-func BenchmarkAlgebraAggregateColumnar(b *testing.B) {
-	benchAlgebra(b, aggregateText, exec.Columnar)
-}
+// BenchmarkAlgebraAggregateColumnar times grouped aggregation with HAVING.
+func BenchmarkAlgebraAggregateColumnar(b *testing.B) { benchAlgebra(b, aggregateText) }

@@ -8,9 +8,7 @@ package repro
 // materialize a large pairwise intermediate, the leapfrog triejoin's
 // measured Cout/Work are asymptotically smaller — reported as custom
 // metrics so the single-core CI box verifies the advantage without
-// trusting wall clock. BenchmarkExecColumnar1/2/8 mirror the
-// BenchmarkExecParallel family on the columnar engine; rows and
-// accounting are bit-identical across the three.
+// trusting wall clock.
 
 import (
 	"bytes"
@@ -65,7 +63,7 @@ func BenchmarkColumnarFilter(b *testing.B) {
 	}
 	st := sb.Build()
 	src := `SELECT * WHERE { ?s <http://x/value> ?x . FILTER(?x >= 5000) FILTER(?x < 15000) }`
-	run := benchRunQuery(b, st, src, exec.Options{Mode: exec.Columnar})
+	run := benchRunQuery(b, st, src, exec.Options{})
 	b.ResetTimer()
 	var res *exec.Result
 	for i := 0; i < b.N; i++ {
@@ -129,7 +127,7 @@ func benchLeapfrogStar(b *testing.B, k int) {
 	st := buildBenchStarStore(b, k, 1200, 40)
 	src := starQuerySrc(k)
 	binary := benchRunQuery(b, st, src, exec.Options{})()
-	run := benchRunQuery(b, st, src, exec.Options{Mode: exec.Columnar, Leapfrog: true})
+	run := benchRunQuery(b, st, src, exec.Options{Leapfrog: true})
 	b.ResetTimer()
 	var res *exec.Result
 	for i := 0; i < b.N; i++ {
@@ -158,51 +156,9 @@ func BenchmarkLeapfrogStar3(b *testing.B) { benchLeapfrogStar(b, 3) }
 // while the triejoin emits the 40 results directly.
 func BenchmarkLeapfrogStar5(b *testing.B) { benchLeapfrogStar(b, 5) }
 
-// benchExecColumnar times plan execution of the same broad BSBM Q3
-// drill-down as benchExecParallel, but on the columnar engine. Rows and
-// Work/Cout/Scanned are bit-identical to the streaming family and across
-// the 1/2/8 parallelism settings — only wall clock changes.
-func benchExecColumnar(b *testing.B, par int) {
-	st, binding := benchParallelSetup(b)
-	bound, err := bsbm.Q3().Bind(binding)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := plan.Compile(bound, st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := plan.Optimize(c, plan.NewEstimator(st))
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := exec.Options{Mode: exec.Columnar, Parallelism: par}
-	b.ResetTimer()
-	var res *exec.Result
-	for i := 0; i < b.N; i++ {
-		res, err = exec.Run(c, p, st, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Rows)), "rows")
-	b.ReportMetric(res.Work, "work")
-	b.ReportMetric(float64(res.Kernels.Batches), "batches")
-	b.ReportMetric(float64(res.Morsels), "morsels")
-}
-
-// BenchmarkExecColumnar1 is the serial columnar baseline.
-func BenchmarkExecColumnar1(b *testing.B) { benchExecColumnar(b, 1) }
-
-// BenchmarkExecColumnar2 runs the columnar pipeline on up to 2 workers.
-func BenchmarkExecColumnar2(b *testing.B) { benchExecColumnar(b, 2) }
-
-// BenchmarkExecColumnar8 runs the columnar pipeline on up to 8 workers.
-func BenchmarkExecColumnar8(b *testing.B) { benchExecColumnar(b, 8) }
-
-// BenchmarkExecColumnarMapped runs the serial columnar drill-down over an
+// BenchmarkExecColumnarMapped runs the serial drill-down over an
 // mmap-style v4-backed store instead of heap indexes: same plan, same rows
-// and accounting as BenchmarkExecColumnar1, with scans going through the
+// and accounting as BenchmarkExecParallel1, with scans going through the
 // bounds-checked mapped TripleSource. The gap between the two is the cost
 // of serving the hot path straight from a snapshot file.
 func BenchmarkExecColumnarMapped(b *testing.B) {
@@ -230,7 +186,7 @@ func BenchmarkExecColumnarMapped(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := exec.Options{Mode: exec.Columnar}
+	opts := exec.Options{}
 	b.ResetTimer()
 	var res *exec.Result
 	for i := 0; i < b.N; i++ {

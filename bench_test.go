@@ -476,7 +476,7 @@ func BenchmarkExecQ4Specific(b *testing.B) {
 	}
 }
 
-// --- Streaming vs materializing, serial vs parallel --------------------------
+// --- Plan execution ----------------------------------------------------------
 
 // benchExecQ4Engine times plan execution only (compile+optimize hoisted)
 // for one BSBM Q4 binding under the given engine options.
@@ -506,22 +506,10 @@ func benchExecQ4Engine(b *testing.B, opts exec.Options) {
 	b.ReportMetric(float64(rows), "rows")
 }
 
-// BenchmarkExecMaterializing is the old engine: every intermediate result
-// fully materialized.
-func BenchmarkExecMaterializing(b *testing.B) {
-	benchExecQ4Engine(b, exec.Options{Mode: exec.Materializing})
-}
-
-// BenchmarkExecStreaming is the batch-pull operator engine over the same
-// physical decisions — identical output, pipelined execution.
-func BenchmarkExecStreaming(b *testing.B) {
-	benchExecQ4Engine(b, exec.Options{Mode: exec.Streaming})
-}
-
-// BenchmarkExecStreamingPushFilters times the streaming engine with
-// single-variable filters evaluated below the joins (SNB Q3 carries a
-// FILTER, so the pruning is real).
-func BenchmarkExecStreamingPushFilters(b *testing.B) {
+// BenchmarkExecPushFilters times the engine with single-variable
+// filters evaluated below the joins (SNB Q3 carries a FILTER, so the
+// pruning is real).
+func BenchmarkExecPushFilters(b *testing.B) {
 	e := env(b)
 	dom, err := core.ExtractDomain(snb.Q3(), e.SNB)
 	if err != nil {
@@ -530,7 +518,7 @@ func BenchmarkExecStreamingPushFilters(b *testing.B) {
 	bindings := core.NewUniformSampler(dom, 2).Sample(20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := &workload.Runner{Store: e.SNB, Opts: exec.Options{Mode: exec.Streaming, PushFilters: true}}
+		r := &workload.Runner{Store: e.SNB, Opts: exec.Options{PushFilters: true}}
 		if _, err := r.Run(snb.Q3(), bindings); err != nil {
 			b.Fatal(err)
 		}

@@ -1,12 +1,9 @@
 package repro
 
-// Tracing-overhead benchmarks. BenchmarkExecTraceOff is the plain
-// streaming run of the shared BSBM Q4 binding; BenchmarkExecTraceOn is
-// the same execution with a span collector attached. Their delta in the
-// bench artifact is the measured cost of EXPLAIN ANALYZE tracing; the
-// Off/baseline pair must stay indistinguishable from the historical
-// BenchmarkExecStreaming numbers, which is what cmd/benchdiff -threshold
-// gates in CI.
+// Tracing-overhead benchmarks. BenchmarkExecTraceOff is the plain run of
+// the shared BSBM Q4 binding; BenchmarkExecTraceOn is the same execution
+// with a span collector attached. Their delta in the bench artifact is the
+// measured cost of EXPLAIN ANALYZE tracing.
 
 import (
 	"testing"
@@ -18,11 +15,11 @@ import (
 // BenchmarkExecTraceOff times the disabled path: options name no
 // collector, so the engine builds the exact pre-trace operator tree.
 func BenchmarkExecTraceOff(b *testing.B) {
-	benchExecQ4Engine(b, exec.Options{Mode: exec.Streaming})
+	benchExecQ4Engine(b, exec.Options{})
 }
 
 // BenchmarkExecTraceOn times the same run with per-operator span capture,
 // putting the instrumentation cost on record in the bench artifact.
 func BenchmarkExecTraceOn(b *testing.B) {
-	benchExecQ4Engine(b, exec.Options{Mode: exec.Streaming, Trace: &obs.Capture{}})
+	benchExecQ4Engine(b, exec.Options{Trace: &obs.Capture{}})
 }

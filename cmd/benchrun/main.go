@@ -28,26 +28,25 @@ func main() {
 	var (
 		dataset = flag.String("dataset", "bsbm", "dataset: bsbm | snb")
 		scale   = flag.String("scale", "test", "scale preset: test | default")
-		query   = flag.String("query", "q4", "query template: bsbm q1|q2|q3|q4|q5|q6, snb q1|q2|q3|q4 (q5/q6 and snb q4 use the compositional algebra and need a non-materializing engine)")
+		query   = flag.String("query", "q4", "query template: bsbm q1|q2|q3|q4|q5|q6, snb q1|q2|q3|q4")
 		mode    = flag.String("mode", "uniform", "sampling mode: uniform | curated")
 		groups  = flag.Int("groups", 4, "independent binding groups (uniform mode)")
 		n       = flag.Int("n", 100, "bindings per group / per class")
 		seed    = flag.Int64("seed", 1, "seed")
 		greedy  = flag.Bool("greedy", false, "use the greedy optimizer instead of DP")
 		merge   = flag.Bool("mergejoin", false, "use sort-merge joins for interior joins")
-		mat     = flag.Bool("materialize", false, "use the materializing engine instead of the streaming one")
-		push    = flag.Bool("pushfilters", false, "push single-variable filters below the joins (streaming engine)")
+		push    = flag.Bool("pushfilters", false, "push single-variable filters below the joins")
 		par     = flag.Int("parallelism", 1, "intra-query workers for morsel-driven parallel pipelines (1 = serial; measured work/Cout stay bit-identical at any setting)")
 		snap    = flag.String("snapshot", "", "load the store from this snapshot or N-Triples file instead of generating")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *dataset, *scale, *query, *mode, *snap, *groups, *n, *seed, *par, *greedy, *merge, *mat, *push); err != nil {
+	if err := run(os.Stdout, *dataset, *scale, *query, *mode, *snap, *groups, *n, *seed, *par, *greedy, *merge, *push); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64, parallelism int, greedy, merge, materialize, pushFilters bool) error {
+func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64, parallelism int, greedy, merge, pushFilters bool) error {
 	st, tmpl, name, err := load(dataset, scale, query, seed, snapshot)
 	if err != nil {
 		return err
@@ -55,9 +54,6 @@ func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n in
 	opts := exec.Options{PushFilters: pushFilters, Parallelism: parallelism}
 	if merge {
 		opts.Join = exec.SortMergeJoin
-	}
-	if materialize {
-		opts.Mode = exec.Materializing
 	}
 	r := &workload.Runner{Store: st, Opts: opts, UseGreedy: greedy}
 	dom, err := core.ExtractDomain(tmpl, st)

@@ -12,7 +12,7 @@ import (
 
 func TestUniformTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "bsbm", "test", "q4", "uniform", "", 3, 10, 1, 1, false, false, false, false); err != nil {
+	if err := run(&buf, "bsbm", "test", "q4", "uniform", "", 3, 10, 1, 1, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -25,7 +25,7 @@ func TestUniformTable(t *testing.T) {
 
 func TestCuratedTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "bsbm", "test", "q4", "curated", "", 2, 10, 1, 1, false, false, false, false); err != nil {
+	if err := run(&buf, "bsbm", "test", "q4", "curated", "", 2, 10, 1, 1, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -36,36 +36,28 @@ func TestCuratedTable(t *testing.T) {
 
 func TestGreedyAndMergeFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "snb", "test", "q2", "uniform", "", 2, 5, 1, 1, true, true, false, false); err != nil {
+	if err := run(&buf, "snb", "test", "q2", "uniform", "", 2, 5, 1, 1, true, true, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBadArgs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "bsbm", "test", "q4", "nope", "", 2, 5, 1, 1, false, false, false, false); err == nil {
+	if err := run(&buf, "bsbm", "test", "q4", "nope", "", 2, 5, 1, 1, false, false, false); err == nil {
 		t.Error("bad mode should fail")
 	}
-	if err := run(&buf, "marbles", "test", "q4", "uniform", "", 2, 5, 1, 1, false, false, false, false); err == nil {
+	if err := run(&buf, "marbles", "test", "q4", "uniform", "", 2, 5, 1, 1, false, false, false); err == nil {
 		t.Error("bad dataset should fail")
 	}
-	if err := run(&buf, "bsbm", "test", "q4", "uniform", "", 1, 5, 1, 1, false, false, false, false); err == nil {
+	if err := run(&buf, "bsbm", "test", "q4", "uniform", "", 1, 5, 1, 1, false, false, false); err == nil {
 		t.Error("single group should fail")
 	}
 }
 
 func TestEngineFlags(t *testing.T) {
-	// Materializing engine.
+	// Filter pushdown (snb q3 has a FILTER).
 	var buf bytes.Buffer
-	if err := run(&buf, "bsbm", "test", "q1", "uniform", "", 2, 5, 1, 1, false, false, true, false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Group 1") {
-		t.Fatalf("output wrong:\n%s", buf.String())
-	}
-	// Streaming with filter pushdown (snb q3 has a FILTER).
-	buf.Reset()
-	if err := run(&buf, "snb", "test", "q3", "uniform", "", 2, 5, 1, 1, false, false, false, true); err != nil {
+	if err := run(&buf, "snb", "test", "q3", "uniform", "", 2, 5, 1, 1, false, false, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Group 1") {
@@ -94,17 +86,17 @@ func TestSnapshotLoadedStoreMatchesGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var generated, loaded bytes.Buffer
-	if err := run(&generated, "bsbm", "test", "q4", "uniform", "", 2, 8, 1, 1, false, false, false, false); err != nil {
+	if err := run(&generated, "bsbm", "test", "q4", "uniform", "", 2, 8, 1, 1, false, false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&loaded, "bsbm", "test", "q4", "uniform", snap, 2, 8, 1, 1, false, false, false, false); err != nil {
+	if err := run(&loaded, "bsbm", "test", "q4", "uniform", snap, 2, 8, 1, 1, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	if generated.String() != loaded.String() {
 		t.Fatalf("snapshot-loaded output differs:\n--- generated ---\n%s\n--- loaded ---\n%s",
 			generated.String(), loaded.String())
 	}
-	if err := run(&loaded, "bsbm", "test", "q4", "uniform", "/nonexistent.snap", 2, 8, 1, 1, false, false, false, false); err == nil {
+	if err := run(&loaded, "bsbm", "test", "q4", "uniform", "/nonexistent.snap", 2, 8, 1, 1, false, false, false); err == nil {
 		t.Fatal("missing snapshot file should fail")
 	}
 }
@@ -114,10 +106,10 @@ func TestSnapshotLoadedStoreMatchesGenerated(t *testing.T) {
 // -parallelism; the whole report must therefore match the serial run's.
 func TestParallelismFlagOutputIdentical(t *testing.T) {
 	var serial, parallel bytes.Buffer
-	if err := run(&serial, "bsbm", "test", "q4", "uniform", "", 2, 8, 1, 1, false, false, false, false); err != nil {
+	if err := run(&serial, "bsbm", "test", "q4", "uniform", "", 2, 8, 1, 1, false, false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&parallel, "bsbm", "test", "q4", "uniform", "", 2, 8, 1, 8, false, false, false, false); err != nil {
+	if err := run(&parallel, "bsbm", "test", "q4", "uniform", "", 2, 8, 1, 8, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {

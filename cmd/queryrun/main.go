@@ -49,8 +49,6 @@ type config struct {
 	analyze     bool
 	greedy      bool
 	sampling    bool
-	materialize bool
-	engine      string
 	leapfrog    bool
 	mergeJoin   bool
 	pushFilters bool
@@ -72,11 +70,9 @@ func main() {
 	flag.BoolVar(&cfg.analyze, "analyze", false, "EXPLAIN ANALYZE: trace the execution and print the plan annotated with observed rows, wall time and Cout/Work/Scanned per operator")
 	flag.BoolVar(&cfg.greedy, "greedy", false, "use the greedy optimizer")
 	flag.BoolVar(&cfg.sampling, "sampling", false, "use the sampling cardinality estimator")
-	flag.BoolVar(&cfg.materialize, "materialize", false, "use the materializing engine instead of the streaming one")
-	flag.StringVar(&cfg.engine, "engine", "", "execution engine: streaming (default), materializing or columnar")
-	flag.BoolVar(&cfg.leapfrog, "leapfrog", false, "lower eligible star BGPs to the worst-case-optimal leapfrog triejoin (requires -engine columnar)")
+	flag.BoolVar(&cfg.leapfrog, "leapfrog", false, "lower eligible star BGPs to the worst-case-optimal leapfrog triejoin")
 	flag.BoolVar(&cfg.mergeJoin, "mergejoin", false, "use sort-merge joins for interior joins")
-	flag.BoolVar(&cfg.pushFilters, "pushfilters", false, "push single-variable filters below the joins (streaming engine)")
+	flag.BoolVar(&cfg.pushFilters, "pushfilters", false, "push single-variable filters below the joins")
 	flag.IntVar(&cfg.parallelism, "parallelism", 1, "intra-query workers for morsel-driven parallel pipelines (1 = serial; results are bit-identical at any setting)")
 	flag.IntVar(&cfg.maxRows, "maxrows", 50, "result rows to print (0 = all)")
 	flag.Var(&binds, "bind", "parameter binding name=term (repeatable)")
@@ -149,39 +145,16 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	opts := exec.Options{PushFilters: cfg.pushFilters, Parallelism: cfg.parallelism}
-	if cfg.materialize {
-		opts.Mode = exec.Materializing
-	}
-	switch cfg.engine {
-	case "":
-	case "streaming":
-		opts.Mode = exec.Streaming
-	case "materializing":
-		opts.Mode = exec.Materializing
-	case "columnar":
-		opts.Mode = exec.Columnar
-	default:
-		return fmt.Errorf("unknown -engine %q (want streaming, materializing or columnar)", cfg.engine)
-	}
-	if cfg.leapfrog && opts.Mode != exec.Columnar {
-		return fmt.Errorf("-leapfrog requires -engine columnar")
-	}
-	opts.Leapfrog = cfg.leapfrog
+	opts := exec.Options{PushFilters: cfg.pushFilters, Parallelism: cfg.parallelism, Leapfrog: cfg.leapfrog}
 	if cfg.mergeJoin {
 		opts.Join = exec.SortMergeJoin
 	}
 	if explain {
-		fmt.Fprintf(w, "%s\n", p)
-		// The physical tree is only printed for the engines that execute
-		// it; the materializing engine evaluates the logical tree directly.
-		if opts.Mode != exec.Materializing {
-			phys, err := plan.Lower(c, p, exec.PhysOptions(opts))
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "physical:\n%s", phys)
+		phys, err := plan.Lower(c, p, exec.PhysOptions(opts))
+		if err != nil {
+			return err
 		}
+		fmt.Fprintf(w, "%s\nphysical:\n%s", p, phys)
 	}
 	var capture *obs.Capture
 	if cfg.analyze {

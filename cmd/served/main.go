@@ -64,8 +64,7 @@ func main() {
 		par     = flag.Int("parallelism", 1, "per-query intra-query worker ceiling; extra workers are drawn from the shared -workers token pool (1 = serial, paper-experiment semantics)")
 		cache   = flag.Int("cache", 0, "plan cache entries (0 = 1024, negative = disabled)")
 		exact   = flag.Bool("exact-accounting", false, "drain LIMIT pipelines for paper-exact Cout/Work accounting instead of stopping early")
-		engine  = flag.String("engine", "streaming", "execution engine: streaming, materializing or columnar")
-		lf      = flag.Bool("leapfrog", false, "lower eligible star BGPs to the worst-case-optimal leapfrog triejoin (requires -engine columnar)")
+		lf      = flag.Bool("leapfrog", false, "lower eligible star BGPs to the worst-case-optimal leapfrog triejoin")
 		reload  = flag.Bool("allow-reload", false, "enable POST /reload (loads any server-readable path a client names)")
 		update  = flag.Bool("allow-update", false, "enable POST /update (SPARQL-Update INSERT DATA / DELETE DATA)")
 		upRun   = flag.String("updaterun", "", "SPARQL-Update text (or @file) applied once at startup before serving")
@@ -101,16 +100,6 @@ func main() {
 	}
 	if *exact {
 		opts.Exec = exec.Options{}
-	}
-	mode, err := service.ParseEngineMode(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "served:", err)
-		os.Exit(2)
-	}
-	opts.Exec.Mode = mode
-	if *lf && mode != exec.Columnar {
-		fmt.Fprintln(os.Stderr, "served: -leapfrog requires -engine columnar")
-		os.Exit(2)
 	}
 	opts.Exec.Leapfrog = *lf
 	svc, err := service.Load(*data, opts)

@@ -125,6 +125,22 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
+	// /stats names the one engine; the benchmark harness feeds engine.mode
+	// back through service.ParseEngineMode.
+	resp, err = http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats service.Stats
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil || stats.Engine.Mode != "columnar" {
+		t.Fatalf("/stats engine = %+v (err %v), want mode columnar", stats.Engine, err)
+	}
+	if _, err := service.ParseEngineMode(stats.Engine.Mode); err != nil {
+		t.Fatal(err)
+	}
+
 	// Prepare + execute round trip.
 	post := func(url, body string) (*http.Response, map[string]any) {
 		t.Helper()

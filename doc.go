@@ -7,10 +7,10 @@
 // zero-copy batch range scans (internal/store), a SPARQL-subset parser
 // with %parameter templates (internal/sparql), a Cout-based
 // dynamic-programming query optimizer and a physical-plan lowering from
-// logical join trees to operator trees (internal/plan), a streaming
-// iterator executor with exact intermediate-result accounting plus the
-// materializing reference engine it is golden-tested against
-// (internal/exec), scaled-down BSBM and LDBC-SNB/S3G2 data generators
+// logical join trees to operator trees (internal/plan), a columnar
+// batch executor with exact intermediate-result accounting, golden-tested
+// against frozen fixtures and a naive reference evaluator (internal/exec,
+// internal/experiments, internal/difftest), scaled-down BSBM and LDBC-SNB/S3G2 data generators
 // (internal/bsbm, internal/snb), statistics including Kolmogorov–Smirnov
 // and Pearson (internal/stats), and the paper's contribution — parameter
 // domain extraction, parallel per-binding plan analysis, clustering into
@@ -20,10 +20,10 @@
 // execution: plan.Compile and plan.Optimize produce the Cout-optimal join
 // tree, plan.Lower fixes the physical operator choices (index scans,
 // index-nested-loop probes, hash/merge/cross joins, filter placement), and
-// exec runs the operator tree either streaming (batch-pull iterators,
-// default) or fully materializing — both with bit-identical results and
-// Cout/Work/Scanned accounting. See ARCHITECTURE.md for the layer map and
-// where each counter is maintained.
+// exec pulls columnar batches through the operator tree, serially or
+// morsel-parallel with bit-identical results and Cout/Work/Scanned
+// accounting. See ARCHITECTURE.md for the layer map and where each counter
+// is maintained.
 //
 // Stores persist as binary snapshots, auto-detected by their 8-byte magic.
 // The version compatibility matrix:
@@ -48,6 +48,6 @@
 // JSON HTTP API by cmd/served.
 //
 // bench_test.go in this package regenerates every empirical result of the
-// paper as a testing.B benchmark (plus streaming-vs-materializing and
-// serial-vs-parallel comparisons); cmd/repro prints them as tables.
+// paper as a testing.B benchmark (plus serial-vs-parallel comparisons);
+// cmd/repro prints them as tables.
 package repro

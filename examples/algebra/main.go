@@ -1,11 +1,9 @@
 // Compositional-algebra walkthrough: OPTIONAL, UNION and aggregation over
-// a small social graph, engine bit-identity between the streaming and
-// columnar executors, the materializing baseline's typed rejection, and a
+// a small social graph, serial-vs-parallel bit-identity, and a
 // pattern-driven DELETE/INSERT WHERE update — the algebra layer end to end.
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 
@@ -94,28 +92,13 @@ func main() {
 	fmt.Println("\nGROUP BY post author, HAVING n >= 2:")
 	printRows(st, run(agg, st, exec.Options{}))
 
-	// --- Engine bit-identity ------------------------------------------
-	// The streaming and columnar engines produce the same rows, order and
-	// Cout/Work/Scanned accounting at any parallelism.
+	// --- Parallel bit-identity ---------------------------------------
+	// Morsel-driven execution produces the same rows, order and
+	// Cout/Work/Scanned accounting as the serial run.
 	a := run(optional, st, exec.Options{})
-	bres := run(optional, st, exec.Options{Mode: exec.Columnar, Parallelism: 4})
-	fmt.Printf("\nstreaming serial vs columnar parallel: rows %d/%d, Cout %.0f/%.0f, Work %.0f/%.0f\n",
+	bres := run(optional, st, exec.Options{Parallelism: 4})
+	fmt.Printf("\nserial vs parallel: rows %d/%d, Cout %.0f/%.0f, Work %.0f/%.0f\n",
 		len(a.Rows), len(bres.Rows), a.Cout, bres.Cout, a.Work, bres.Work)
-
-	// The materializing engine is a frozen pre-algebra baseline: it
-	// rejects composed queries with a typed error instead of guessing.
-	q := sparql.MustParse(optional)
-	c, err := plan.Compile(q, st)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p, err := plan.Optimize(c, plan.NewEstimator(st))
-	if err != nil {
-		log.Fatal(err)
-	}
-	_, err = exec.Run(c, p, st, exec.Options{Mode: exec.Materializing})
-	fmt.Printf("materializing engine: unsupported=%v (%v)\n",
-		errors.Is(err, exec.ErrUnsupportedConstruct), err)
 
 	// --- Pattern-driven update: DELETE/INSERT WHERE -------------------
 	// Retire the "knows" edges of minors and mark them instead; the WHERE

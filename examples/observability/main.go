@@ -42,7 +42,7 @@ func main() {
 	  ?offer <http://ex/price> ?price .
 	}`)
 	capture := &obs.Capture{}
-	res, _, err := exec.Query(q, st, exec.Options{Mode: exec.Columnar, Trace: capture})
+	res, _, err := exec.Query(q, st, exec.Options{Trace: capture})
 	if err != nil {
 		log.Fatal(err)
 	}

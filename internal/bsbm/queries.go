@@ -65,7 +65,7 @@ SELECT ?offer ?price WHERE {
 // of a type, with its offer prices where offers exist — products without
 // offers survive with an unbound ?price. The left join over the skewed
 // offer distribution is the compositional-algebra counterpart of Q1's
-// inner drill-down; the materializing baseline rejects it.
+// inner drill-down.
 const QueryQ5Text = `
 PREFIX bsbm: <http://bsbm.example.org/>
 SELECT ?product ?label ?price WHERE {

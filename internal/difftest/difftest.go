@@ -1,21 +1,18 @@
 // Package difftest implements the differential test harness for the query
-// engines and the updatable store: a seeded generator produces random
-// datasets, random update histories (ground INSERT DATA / DELETE DATA
-// plus pattern-driven DELETE/INSERT WHERE ops) and random BGP queries
-// (bounded patterns, filters, DISTINCT/ORDER BY/LIMIT/OFFSET
-// modifiers), and every query is executed through the full engine matrix —
-// Materializing, Streaming, and Streaming at Parallelism 2 and 8 — over
-// both the pristine store and the delta-overlaid store, with the overlay
-// additionally cross-checked against a store rebuilt from scratch over the
-// equivalent triple set. Algebra queries (OPTIONAL/UNION/aggregates) run
-// through the streaming and columnar cells only; the materializing
-// engine is the frozen paper baseline and must reject them with
-// exec.ErrUnsupportedConstruct, which the harness asserts. All executions of one (store, query) pair must be
-// byte-identical in rows AND accounting (Cout/Work/Scanned); the overlay
-// and the rebuilt store must also agree byte-for-byte with each other,
-// because the rebuilt reference shares the overlay's dictionary IDs and the
-// overlay's statistics are exact, so the optimizer provably picks the same
-// plan over either.
+// engine and the updatable store: a seeded generator produces random
+// datasets, random update histories (ground INSERT DATA / DELETE DATA plus
+// pattern-driven DELETE/INSERT WHERE ops) and random queries — BGPs with
+// filters and DISTINCT/ORDER BY/LIMIT/OFFSET modifiers, star BGPs, and
+// OPTIONAL/UNION/aggregate compositions — and every query runs serially and
+// at Parallelism 2 and 8 over the pristine store, the delta-overlaid store
+// and a store rebuilt from scratch over the equivalent triple set. The
+// three runs of one (store, query) pair must be byte-identical in rows AND
+// accounting (Cout/Work/Scanned), and their rows must match the naive
+// oracle (oracle.go), which evaluates the query straight from its AST. The
+// overlay and the rebuilt store must also agree byte-for-byte with each
+// other, because the rebuilt reference shares the overlay's dictionary IDs
+// and the overlay's statistics are exact, so the optimizer provably picks
+// the same plan over either.
 //
 // Everything is driven by a single int64 seed; a failing scenario reports
 // it, and setting DIFFTEST_SEED reruns exactly that scenario. When
@@ -24,11 +21,9 @@
 package difftest
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dict"
@@ -303,50 +298,87 @@ func Canonical(d *dict.Dict, res *exec.Result) string {
 	return sb.String()
 }
 
+// CheckOracle compares res, the engine's answer to q over st, with the
+// oracle's: the same variables and the same row multiset. Under OFFSET or
+// LIMIT the engine may return any window its ORDER BY admits, so a sliced
+// result is checked for its row count, containment in the oracle's unsliced
+// rows and — when every ORDER BY key is an output column — the sequence of
+// sort keys.
+func CheckOracle(q *sparql.Query, st store.Source, res *exec.Result) error {
+	want, err := evalQuery(st, q)
+	if err != nil {
+		return fmt.Errorf("oracle: %w", err)
+	}
+	vars := slices.Sorted(slices.Values(want.vars))
+	if got := slices.Sorted(slices.Values(res.Vars)); !slices.Equal(got, vars) {
+		return fmt.Errorf("oracle: vars %v, want %v", res.Vars, want.vars)
+	}
+	rows := make([]solution, len(res.Rows))
+	for i, row := range res.Rows {
+		rows[i] = solution{}
+		for j, id := range row {
+			if t, ok := st.Dict().TryDecode(id); ok {
+				rows[i][res.Vars[j]] = t
+			}
+		}
+	}
+	lo, hi := min(q.Offset, len(want.rows)), len(want.rows)
+	if n, ok := q.LimitCount(); ok {
+		hi = min(hi, lo+n)
+	}
+	if len(rows) != hi-lo {
+		return fmt.Errorf("oracle: %d rows, want %d", len(rows), hi-lo)
+	}
+	left := map[string]int{}
+	for _, s := range want.rows {
+		left[rowKey(s, vars)]++
+	}
+	for _, s := range rows {
+		k := rowKey(s, vars)
+		if left[k] == 0 {
+			return fmt.Errorf("oracle: row %q is not in the oracle's result (or appears too often)", k)
+		}
+		left[k]--
+	}
+	for _, k := range q.OrderBy {
+		if !slices.Contains(want.vars, k.Var) {
+			return nil
+		}
+	}
+	for i, s := range rows {
+		if w := want.rows[lo+i]; orderLess(s, w, q.OrderBy) || orderLess(w, s, q.OrderBy) {
+			return fmt.Errorf("oracle: row %d sorts as %q, want %q", i, rowKey(s, vars), rowKey(w, vars))
+		}
+	}
+	return nil
+}
+
 // EngineRun names one cell of the execution matrix.
 type EngineRun struct {
 	Name string
 	Opts exec.Options
 }
 
-// EngineMatrix is the cross-checked engine configurations: the
-// materializing reference, the serial streaming engine, streaming at
-// Parallelism 2 and 8 with a tiny morsel size so test-scale stores
-// genuinely split (including single-triple morsels), and the columnar
-// engine serial and parallel. Setting ENGINE_MODE to one of the engine
-// names promotes it to the front of the matrix, making it the reference
-// the others are diffed against — CI rotates it across the serial modes.
+// EngineMatrix is the cross-checked configurations: serial, and
+// Parallelism 2 and 8 with tiny morsels so test-scale stores genuinely
+// split (including single-triple morsels).
 func EngineMatrix() []EngineRun {
-	m := []EngineRun{
-		{Name: "materializing", Opts: exec.Options{Mode: exec.Materializing}},
-		{Name: "streaming", Opts: exec.Options{}},
-		{Name: "streaming-p2-m1", Opts: exec.Options{Parallelism: 2, MorselSize: 1}},
-		{Name: "streaming-p8-m16", Opts: exec.Options{Parallelism: 8, MorselSize: 16}},
-		{Name: "columnar", Opts: exec.Options{Mode: exec.Columnar}},
-		{Name: "columnar-p2-m1", Opts: exec.Options{Mode: exec.Columnar, Parallelism: 2, MorselSize: 1}},
-		{Name: "columnar-p8-m16", Opts: exec.Options{Mode: exec.Columnar, Parallelism: 8, MorselSize: 16}},
+	return []EngineRun{
+		{Name: "serial", Opts: exec.Options{}},
+		{Name: "p2-m1", Opts: exec.Options{Parallelism: 2, MorselSize: 1}},
+		{Name: "p8-m16", Opts: exec.Options{Parallelism: 8, MorselSize: 16}},
 	}
-	if mode := os.Getenv("ENGINE_MODE"); mode != "" {
-		for i := range m {
-			if m[i].Name == mode {
-				m[0], m[i] = m[i], m[0]
-				break
-			}
-		}
-	}
-	return m
 }
 
 // LeapfrogMatrix is the leapfrog triejoin configurations. Leapfrog emits
 // rows in trie order (not the binary plan's order) and accounts the
 // multiway join as one node, so these runs are compared byte-identically
-// only against each other; against the binary-plan reference they must
-// agree on the sorted row multiset.
+// only against each other, and against the oracle as a row multiset.
 func LeapfrogMatrix() []EngineRun {
 	return []EngineRun{
-		{Name: "leapfrog", Opts: exec.Options{Mode: exec.Columnar, Leapfrog: true}},
-		{Name: "leapfrog-p2-m1", Opts: exec.Options{Mode: exec.Columnar, Leapfrog: true, Parallelism: 2, MorselSize: 1}},
-		{Name: "leapfrog-p8-m16", Opts: exec.Options{Mode: exec.Columnar, Leapfrog: true, Parallelism: 8, MorselSize: 16}},
+		{Name: "leapfrog", Opts: exec.Options{Leapfrog: true}},
+		{Name: "leapfrog-p2-m1", Opts: exec.Options{Leapfrog: true, Parallelism: 2, MorselSize: 1}},
+		{Name: "leapfrog-p8-m16", Opts: exec.Options{Leapfrog: true, Parallelism: 8, MorselSize: 16}},
 	}
 }
 
@@ -354,9 +386,9 @@ func LeapfrogMatrix() []EngineRun {
 // all sharing the hub variable ?h, each with a distinct leaf variable or
 // constant at the other end — the shape the leapfrog triejoin lowers to a
 // single multiway node. Filters, DISTINCT, ORDER BY and projection are
-// generated as usual, but never LIMIT/OFFSET: those select a prefix of an
-// engine-dependent row order, which would break the multiset comparison
-// against the trie-ordered leapfrog result.
+// generated as usual, but never LIMIT/OFFSET: those select a prefix of a
+// plan-dependent row order, and the leapfrog cells are meant to be checked
+// against the oracle as whole multisets.
 func (sc *Scenario) GenStarQuery(rng *rand.Rand) (*sparql.Query, error) {
 	leafVars := []sparql.Var{"a", "b", "c", "d", "e", "f"}
 	nPat := 4 + rng.Intn(3)
@@ -420,78 +452,40 @@ func (sc *Scenario) GenStarQuery(rng *rand.Rand) (*sparql.Query, error) {
 	return parsed, nil
 }
 
-// CanonicalRows renders only the decoded result rows, sorted — the
-// order-insensitive multiset fingerprint used to compare trie-ordered
-// leapfrog output against the binary-plan reference.
-func CanonicalRows(d *dict.Dict, res *exec.Result) string {
-	lines := make([]string, 0, len(res.Rows))
-	var sb strings.Builder
-	for _, row := range res.Rows {
-		sb.Reset()
-		for j, id := range row {
-			if j > 0 {
-				sb.WriteByte('\t')
-			}
-			sb.WriteString(d.Decode(id).String())
-		}
-		lines = append(lines, sb.String())
-	}
-	sort.Strings(lines)
-	return fmt.Sprintf("vars=%v rows=%d\n%s\n", res.Vars, len(res.Rows), strings.Join(lines, "\n"))
-}
-
-// RunStarQuery executes a star query through the strict engine matrix
-// (all byte-identical) and the leapfrog matrix (byte-identical to each
-// other at Parallelism 1, 2 and 8; sorted-row-multiset identical to the
-// strict reference). It returns the strict canonical result.
+// RunStarQuery executes a star query through the engine matrix
+// (RunQuery) and the leapfrog matrix, whose cells must be byte-identical to
+// each other and agree with the oracle. It returns the engine matrix's
+// canonical result.
 func RunStarQuery(q *sparql.Query, st store.Source, label string) (string, error) {
 	ref, err := RunQuery(q, st, label)
 	if err != nil {
 		return "", err
 	}
-	var refRows string
-	var lfRef, lfRefName string
-	for _, er := range LeapfrogMatrix() {
-		res, _, err := exec.Query(q, st, er.Opts)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", label, er.Name, err)
-		}
-		got := Canonical(st.Dict(), res)
-		if lfRef == "" {
-			lfRef, lfRefName = got, er.Name
-			refRows = CanonicalRows(st.Dict(), res)
-			continue
-		}
-		if got != lfRef {
-			return "", fmt.Errorf("%s: engine %s diverges from %s\n--- %s\n%s\n--- %s\n%s",
-				label, er.Name, lfRefName, lfRefName, lfRef, er.Name, got)
-		}
-	}
-	// Multiset check against the strict matrix's serial streaming cell.
-	sres, _, err := exec.Query(q, st, exec.Options{})
-	if err != nil {
-		return "", fmt.Errorf("%s/streaming: %w", label, err)
-	}
-	if want := CanonicalRows(st.Dict(), sres); refRows != want {
-		return "", fmt.Errorf("%s: leapfrog row multiset diverges from streaming\n--- streaming\n%s\n--- leapfrog\n%s",
-			label, want, refRows)
+	if _, err := runMatrix(q, st, label, LeapfrogMatrix()); err != nil {
+		return "", err
 	}
 	return ref, nil
 }
 
-// RunQuery executes q over st with every engine configuration and checks
-// all results agree; it returns the canonical result, or an error naming
-// the first diverging engine pair.
+// RunQuery executes q over st with every engine configuration, checks all
+// results agree byte-for-byte and the first matches the oracle; it returns
+// the canonical result, or an error naming the first diverging cell.
 func RunQuery(q *sparql.Query, st store.Source, label string) (string, error) {
-	var ref string
-	var refName string
-	for _, er := range EngineMatrix() {
+	return runMatrix(q, st, label, EngineMatrix())
+}
+
+func runMatrix(q *sparql.Query, st store.Source, label string, matrix []EngineRun) (string, error) {
+	var ref, refName string
+	for _, er := range matrix {
 		res, _, err := exec.Query(q, st, er.Opts)
 		if err != nil {
 			return "", fmt.Errorf("%s/%s: %w", label, er.Name, err)
 		}
 		got := Canonical(st.Dict(), res)
 		if ref == "" {
+			if err := CheckOracle(q, st, res); err != nil {
+				return "", fmt.Errorf("%s/%s: %w", label, er.Name, err)
+			}
 			ref, refName = got, er.Name
 			continue
 		}
@@ -501,22 +495,6 @@ func RunQuery(q *sparql.Query, st store.Source, label string) (string, error) {
 		}
 	}
 	return ref, nil
-}
-
-// AlgebraEngineMatrix is the engine matrix for algebra queries
-// (OPTIONAL/UNION/aggregates): the streaming and columnar engines, serial
-// and at Parallelism 2 and 8. The materializing engine is excluded — it
-// is the frozen paper baseline and rejects these constructs with
-// exec.ErrUnsupportedConstruct, which RunAlgebraQuery asserts separately.
-func AlgebraEngineMatrix() []EngineRun {
-	return []EngineRun{
-		{Name: "streaming", Opts: exec.Options{}},
-		{Name: "streaming-p2-m1", Opts: exec.Options{Parallelism: 2, MorselSize: 1}},
-		{Name: "streaming-p8-m16", Opts: exec.Options{Parallelism: 8, MorselSize: 16}},
-		{Name: "columnar", Opts: exec.Options{Mode: exec.Columnar}},
-		{Name: "columnar-p2-m1", Opts: exec.Options{Mode: exec.Columnar, Parallelism: 2, MorselSize: 1}},
-		{Name: "columnar-p8-m16", Opts: exec.Options{Mode: exec.Columnar, Parallelism: 8, MorselSize: 16}},
-	}
 }
 
 // GenAlgebraQuery produces one random compositional query over the
@@ -579,30 +557,4 @@ func (sc *Scenario) GenAlgebraQuery(rng *rand.Rand) (*sparql.Query, error) {
 		return nil, fmt.Errorf("generated algebra query does not re-parse: %w\n%s", err, q.String())
 	}
 	return parsed, nil
-}
-
-// RunAlgebraQuery executes q through the algebra engine matrix and checks
-// all cells agree byte-identically in rows AND accounting; it also
-// asserts the materializing engine rejects q with ErrUnsupportedConstruct.
-func RunAlgebraQuery(q *sparql.Query, st store.Source, label string) (string, error) {
-	if _, _, err := exec.Query(q, st, exec.Options{Mode: exec.Materializing}); !errors.Is(err, exec.ErrUnsupportedConstruct) {
-		return "", fmt.Errorf("%s/materializing: error = %v, want ErrUnsupportedConstruct", label, err)
-	}
-	var ref, refName string
-	for _, er := range AlgebraEngineMatrix() {
-		res, _, err := exec.Query(q, st, er.Opts)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", label, er.Name, err)
-		}
-		got := Canonical(st.Dict(), res)
-		if ref == "" {
-			ref, refName = got, er.Name
-			continue
-		}
-		if got != ref {
-			return "", fmt.Errorf("%s: engine %s diverges from %s\n--- %s\n%s\n--- %s\n%s",
-				label, er.Name, refName, refName, ref, er.Name, got)
-		}
-	}
-	return ref, nil
 }

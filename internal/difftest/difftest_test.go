@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/dict"
 	"repro/internal/exec"
 	"repro/internal/store"
 )
@@ -56,11 +57,10 @@ func seedsUnderTest(t *testing.T) []int64 {
 }
 
 // TestDifferentialEngines is the harness entry point: for every scenario
-// seed it cross-checks the full engine matrix over the pristine store and
-// the delta-overlaid store, and checks the overlay against the
-// rebuilt-from-scratch reference — rows and accounting byte-identical
-// everywhere, which is the PR's acceptance criterion at Parallelism 1, 2
-// and 8.
+// seed it cross-checks the engine matrix (Parallelism 1, 2 and 8) and the
+// oracle over the pristine store and the delta-overlaid store, and checks
+// the overlay against the rebuilt-from-scratch reference — rows and
+// accounting byte-identical everywhere.
 func TestDifferentialEngines(t *testing.T) {
 	const queriesPerScenario = 30
 	for _, seed := range seedsUnderTest(t) {
@@ -96,11 +96,10 @@ func TestDifferentialEngines(t *testing.T) {
 }
 
 // TestDifferentialStarBGP cross-checks star-shaped BGPs — the shape the
-// leapfrog triejoin lowers to a single multiway node — across the strict
-// engine matrix (byte-identical) and the leapfrog matrix (byte-identical
-// to each other at Parallelism 1, 2 and 8, multiset-identical to the
-// binary-plan reference), over the pristine store, the delta overlay and
-// the rebuilt reference store.
+// leapfrog triejoin lowers to a single multiway node — across the engine
+// matrix and the leapfrog matrix (each byte-identical within itself at
+// Parallelism 1, 2 and 8, both matching the oracle), over the pristine
+// store, the delta overlay and the rebuilt reference store.
 func TestDifferentialStarBGP(t *testing.T) {
 	const queriesPerScenario = 15
 	for _, seed := range seedsUnderTest(t) {
@@ -220,11 +219,10 @@ func TestDifferentialSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDifferentialAlgebra cross-checks OPTIONAL/UNION/aggregate queries —
-// the compositional algebra the materializing baseline does not support —
-// across the streaming and columnar engines at Parallelism 1, 2 and 8,
-// over the pristine store, the delta overlay (whose history includes
-// pattern-driven WHERE updates) and the rebuilt reference store.
+// TestDifferentialAlgebra cross-checks OPTIONAL/UNION/aggregate queries
+// across the engine matrix and the oracle, over the pristine store, the
+// delta overlay (whose history includes pattern-driven WHERE updates) and
+// the rebuilt reference store.
 func TestDifferentialAlgebra(t *testing.T) {
 	const queriesPerScenario = 20
 	for _, seed := range seedsUnderTest(t) {
@@ -239,14 +237,14 @@ func TestDifferentialAlgebra(t *testing.T) {
 				reportFailure(t, sc, "", err)
 			}
 			text := q.String()
-			if _, err := RunAlgebraQuery(q, sc.Base, "pristine"); err != nil {
+			if _, err := RunQuery(q, sc.Base, "pristine"); err != nil {
 				reportFailure(t, sc, text, err)
 			}
-			ovl, err := RunAlgebraQuery(q, sc.Overlay, "overlay")
+			ovl, err := RunQuery(q, sc.Overlay, "overlay")
 			if err != nil {
 				reportFailure(t, sc, text, err)
 			}
-			reb, err := RunAlgebraQuery(q, sc.Rebuilt, "rebuilt")
+			reb, err := RunQuery(q, sc.Rebuilt, "rebuilt")
 			if err != nil {
 				reportFailure(t, sc, text, err)
 			}
@@ -275,7 +273,7 @@ func shardCountUnderTest(t *testing.T, seed int64) int {
 }
 
 // TestDifferentialSharded is the shard-count-invariance harness: for every
-// scenario the full engine matrix runs over subject-hash sharded views of
+// scenario the engine matrix runs over subject-hash sharded views of
 // the pristine store, the post-update overlay, and the fully compacted
 // post-update store, and every result — rows AND Cout/Work/Scanned
 // accounting — must be byte-identical to the single-store world. The
@@ -338,9 +336,9 @@ func TestDifferentialSharded(t *testing.T) {
 	}
 }
 
-// TestDifferentialShardedAlgebra runs the algebra matrix (OPTIONAL/UNION/
-// aggregates) and star-BGP leapfrog matrix over sharded views, checking
-// byte-identity against the single-store world.
+// TestDifferentialShardedAlgebra runs algebra queries (OPTIONAL/UNION/
+// aggregates) and star BGPs through the leapfrog matrix over sharded views,
+// checking byte-identity against the single-store world.
 func TestDifferentialShardedAlgebra(t *testing.T) {
 	const queriesPerScenario = 10
 	for _, seed := range seedsUnderTest(t) {
@@ -366,11 +364,11 @@ func TestDifferentialShardedAlgebra(t *testing.T) {
 				{"pristine", sc.Base, shBase},
 				{"overlay", sc.Overlay, shOverlay},
 			} {
-				want, err := RunAlgebraQuery(q, cell.single, cell.label)
+				want, err := RunQuery(q, cell.single, cell.label)
 				if err != nil {
 					reportFailure(t, sc, text, err)
 				}
-				got, err := RunAlgebraQuery(q, cell.sharded, cell.label+"-sharded")
+				got, err := RunQuery(q, cell.sharded, cell.label+"-sharded")
 				if err != nil {
 					reportFailure(t, sc, text, err)
 				}
@@ -431,10 +429,10 @@ func mappedWorld(t *testing.T, sc *Scenario) (base, overlay *store.Store) {
 }
 
 // TestDifferentialMappedBase is the mmap-backed cell of the matrix: every
-// engine configuration (streaming and columnar, serial and at Parallelism 2
-// and 8) over the pristine mapped store and over a Delta overlay whose base
-// is mapped memory must be byte-identical — rows AND accounting — to the
-// heap-backed reference world.
+// engine configuration (serial and at Parallelism 2 and 8) over the
+// pristine mapped store and over a Delta overlay whose base is mapped
+// memory must be byte-identical — rows AND accounting — to the heap-backed
+// reference world.
 func TestDifferentialMappedBase(t *testing.T) {
 	const queriesPerScenario = 15
 	for _, seed := range seedsUnderTest(t) {
@@ -479,5 +477,59 @@ func TestDifferentialMappedBase(t *testing.T) {
 					"mapped overlay diverges from heap overlay\n--- heap\n%s\n--- mapped\n%s", heapOvl, mapOvl))
 			}
 		}
+	}
+}
+
+// TestOracleRejectsCorruptResults guards against a vacuous oracle: on real
+// engine results (flat and algebra queries, no slice), corrupting one cell,
+// dropping one row or duplicating one row must each fail CheckOracle.
+func TestOracleRejectsCorruptResults(t *testing.T) {
+	checked := 0
+	for _, seed := range seedsUnderTest(t) {
+		sc, err := GenScenario(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qrng := rand.New(rand.NewSource(seed * 31))
+		for qi := 0; qi < 40; qi++ {
+			gen := sc.GenQuery
+			if qi%2 == 1 {
+				gen = sc.GenAlgebraQuery
+			}
+			q, err := gen(qrng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, limited := q.LimitCount(); limited || q.Offset > 0 {
+				continue
+			}
+			res, _, err := exec.Query(q, sc.Overlay, exec.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) == 0 || len(res.Vars) == 0 {
+				continue
+			}
+			if err := CheckOracle(q, sc.Overlay, res); err != nil {
+				t.Fatalf("seed %d: clean result rejected: %v", seed, err)
+			}
+			rows := res.Rows
+			cell := append([]dict.ID(nil), rows[0]...)
+			cell[0]++ // another term, or an unbound cell made bound
+			for name, corrupt := range map[string][][]dict.ID{
+				"corrupt cell":  append([][]dict.ID{cell}, rows[1:]...),
+				"dropped row":   rows[1:],
+				"duplicate row": append(append([][]dict.ID(nil), rows...), rows[0]),
+			} {
+				res.Rows = corrupt
+				if CheckOracle(q, sc.Overlay, res) == nil {
+					t.Fatalf("seed %d: %s accepted by the oracle\n%s", seed, name, q)
+				}
+			}
+			checked++
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d non-empty results checked", checked)
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -10,13 +9,9 @@ import (
 	"repro/internal/sparql"
 )
 
-// This file implements the compositional-algebra operators of the row
-// (streaming) engine plus the aggregation machinery shared with the
-// columnar engine: left outer hash join (OPTIONAL), ordered union with
-// unbound padding (UNION), and streaming hash aggregation (GROUP BY /
-// aggregates). The columnar twins live in colalgebra.go and apply the
-// exact same per-tuple accounting rules, so Rows, row order, Cout, Work
-// and Scanned stay bit-identical between the two engines.
+// This file implements the compositional-algebra operators: left outer
+// hash join (OPTIONAL), ordered union with unbound padding (UNION), and
+// hash aggregation (GROUP BY / aggregates).
 //
 // Unbound-variable semantics (fixed for this subset, deterministic):
 // an OPTIONAL left row without a match pads the right-only columns with
@@ -25,52 +20,66 @@ import (
 // the row in FILTER comparisons, sorts before every bound value in
 // ORDER BY, and is ignored by every aggregate except COUNT(*).
 
-// ErrUnsupportedConstruct is returned by the materializing engine for
-// queries using OPTIONAL, UNION or aggregation. The materializing engine
-// is the frozen paper baseline: it executes exactly the flat BGP + FILTER
-// shape the paper's experiments use, so the algebra extensions are
-// deliberately not implemented there.
-var ErrUnsupportedConstruct = errors.New(
-	"exec: the materializing engine does not support OPTIONAL/UNION/aggregation (frozen paper baseline)")
-
 // --- Left outer hash join (OPTIONAL) -----------------------------------------
 
-// leftJoin is the row kernel of the left outer join: a hash table is
-// built on the right side (the OPTIONAL group), then the left rows are
-// probed in order. A matching left row emits one output per match in
-// build insertion order; a non-matching one emits once with the
-// right-only columns unbound. With no shared variable the key is empty,
-// so every left row matches every right row (degenerate cross), which
-// keeps the operator total. Accounting mirrors hashJoin: +1 work per
-// build row, +1 per probe, +1 per emitted row; the caller charges the
+// leftJoin is the left outer hash join: a hash table is built on the right
+// side (the OPTIONAL group), then the left rows are probed in order. A
+// matching left row emits one output per match in build insertion order; a
+// non-matching one emits once with the right-only columns unbound. With no
+// shared variable the key is empty, so every left row matches every right
+// row (degenerate cross), which keeps the operator total. Accounting: +1
+// work per build row, per probe and per emitted row; the caller charges the
 // output size to Cout.
-func (ex *executor) leftJoin(l, r *relation) (*relation, error) {
-	shared := sharedCols(l, r)
-	vars, rightCopy := outputSchema(l, r)
+func (ex *executor) leftJoin(l, r *colRelation) (*colRelation, error) {
+	shared := sharedCols(l.vars, r.vars)
+	vars, extra := joinVars(l.vars, r.vars)
 	var keyBuf []byte
-	key := func(row []dict.ID, side int) string {
+	rKey := func(row int32) string {
 		keyBuf = keyBuf[:0]
 		for _, sc := range shared {
-			id := row[sc[side]]
+			id := r.cols[sc[1]][row]
 			keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 		}
 		return string(keyBuf)
 	}
-	table := make(map[string][][]dict.ID, len(r.rows))
-	for i, row := range r.rows {
+	lKey := func(row int) string {
+		keyBuf = keyBuf[:0]
+		for _, sc := range shared {
+			id := l.cols[sc[0]][row]
+			keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		}
+		return string(keyBuf)
+	}
+	table := make(map[string][]int32, r.n)
+	for i := 0; i < r.n; i++ {
 		if i%cancelCheckRows == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
 		}
-		k := key(row, 1)
-		table[k] = append(table[k], row)
+		k := rKey(int32(i))
+		table[k] = append(table[k], int32(i))
 	}
-	ex.work += float64(len(r.rows)) // build cost
-	pad := make([]dict.ID, len(rightCopy))
-	out := &relation{vars: vars}
+	ex.work += float64(r.n) // build cost
+	nl := len(l.vars)
+	out := &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
+	emit := func(lr int, rr int32, matched bool) {
+		for ci := 0; ci < nl; ci++ {
+			out.cols[ci] = append(out.cols[ci], l.cols[ci][lr])
+		}
+		for k, ci := range extra {
+			if matched {
+				out.cols[nl+k] = append(out.cols[nl+k], r.cols[ci][rr])
+			} else {
+				out.cols[nl+k] = append(out.cols[nl+k], dict.None)
+			}
+		}
+		out.n++
+		ex.work++ // emit cost
+		ex.kern.LeftJoinRows++
+	}
 	steps := 0
-	for _, lrow := range l.rows {
+	for i := 0; i < l.n; i++ {
 		steps++
 		if steps%cancelCheckRows == 0 {
 			if err := ex.cancelled(); err != nil {
@@ -78,56 +87,45 @@ func (ex *executor) leftJoin(l, r *relation) (*relation, error) {
 			}
 		}
 		ex.work++ // probe cost
-		matches := table[key(lrow, 0)]
+		ex.kern.HashProbeRows++
+		matches := table[lKey(i)]
 		if len(matches) == 0 {
-			nr := make([]dict.ID, 0, len(vars))
-			nr = append(nr, lrow...)
-			nr = append(nr, pad...)
-			out.rows = append(out.rows, nr)
-			ex.work++ // emit cost
-			ex.kern.LeftJoinRows++
+			emit(i, 0, false)
 			continue
 		}
-		for _, rrow := range matches {
-			out.rows = append(out.rows, combineRows(lrow, rrow, rightCopy, false, len(vars)))
-			ex.work++ // emit cost
-			ex.kern.LeftJoinRows++
+		for _, rr := range matches {
+			emit(i, rr, true)
 		}
 	}
 	return out, nil
 }
 
-// leftJoinOp is the streaming pipeline breaker for PhysLeftJoin: both
-// children are drained (the left side's order must be preserved, so the
-// left is buffered like any composite join input), the kernel runs once,
+// leftJoinOp is the pipeline breaker for PhysLeftJoin: both children are
+// drained (the left side's order must be preserved), the kernel runs once,
 // and the result streams out in batches.
 type leftJoinOp struct {
 	ex          *executor
 	left, right operator
 	joined      bool
 	outVars     []sparql.Var
-	rows        [][]dict.ID
-	pos         int
+	buffered
 }
 
 func (op *leftJoinOp) vars() []sparql.Var {
 	if op.outVars == nil {
-		op.outVars, _ = outputSchema(
-			&relation{vars: op.left.vars()},
-			&relation{vars: op.right.vars()},
-		)
+		op.outVars, _ = joinVars(op.left.vars(), op.right.vars())
 	}
 	return op.outVars
 }
 
-func (op *leftJoinOp) next() ([][]dict.ID, error) {
+func (op *leftJoinOp) next() (*colBatch, error) {
 	if !op.joined {
 		op.joined = true
-		l, err := drain(op.left)
+		l, err := op.ex.drain(op.left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := drain(op.right)
+		r, err := op.ex.drain(op.right)
 		if err != nil {
 			return nil, err
 		}
@@ -135,20 +133,11 @@ func (op *leftJoinOp) next() ([][]dict.ID, error) {
 		if err != nil {
 			return nil, err
 		}
-		op.ex.cout += float64(len(out.rows))
+		op.ex.cout += float64(out.n)
 		op.outVars = out.vars
-		op.rows = out.rows
+		op.out = out
 	}
-	if op.pos >= len(op.rows) {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > len(op.rows) {
-		end = len(op.rows)
-	}
-	batch := op.rows[op.pos:end]
-	op.pos = end
-	return batch, nil
+	return op.nextWindow(op.ex), nil
 }
 
 // --- Union -------------------------------------------------------------------
@@ -167,11 +156,11 @@ func unionColMaps(outVars []sparql.Var, kidVars [][]sparql.Var) [][]int {
 	return maps
 }
 
-// unionOp concatenates its children in order, streaming each child to
-// exhaustion before starting the next and padding columns the child does
-// not bind with dict.None. Accounting: +1 work per emitted row, and the
-// full output size counts toward Cout (the union materializes a new
-// intermediate result exactly like a join output).
+// unionOp streams each branch to exhaustion in order, gathering live
+// rows into dense batches over the union schema and padding columns the
+// branch does not bind with dict.None. Accounting: +1 work per emitted
+// row, and the full output size counts toward Cout (the union materializes
+// a new intermediate result exactly like a join output).
 type unionOp struct {
 	ex      *executor
 	kids    []operator
@@ -182,34 +171,44 @@ type unionOp struct {
 
 func (op *unionOp) vars() []sparql.Var { return op.outVars }
 
-func (op *unionOp) next() ([][]dict.ID, error) {
+func (op *unionOp) next() (*colBatch, error) {
 	for op.cur < len(op.kids) {
 		if err := op.ex.cancelled(); err != nil {
 			return nil, err
 		}
-		batch, err := op.kids[op.cur].next()
+		b, err := op.kids[op.cur].next()
 		if err != nil {
 			return nil, err
 		}
-		if batch == nil {
+		if b == nil {
 			op.cur++
 			continue
 		}
 		m := op.maps[op.cur]
-		out := make([][]dict.ID, len(batch))
-		for i, row := range batch {
-			nr := make([]dict.ID, len(op.outVars))
-			for j, ci := range m {
-				if ci >= 0 {
-					nr[j] = row[ci]
+		n := b.live()
+		cols := make([][]dict.ID, len(op.outVars))
+		for j, ci := range m {
+			col := make([]dict.ID, n) // zero-valued = dict.None padding
+			if ci >= 0 {
+				if b.sel != nil {
+					src := b.cols[ci]
+					for i, x := range b.sel {
+						col[i] = src[x]
+					}
+				} else {
+					copy(col, b.cols[ci][:n])
 				}
 			}
-			out[i] = nr
-			op.ex.work++ // emit cost
-			op.ex.kern.UnionRows++
+			cols[j] = col
 		}
-		op.ex.cout += float64(len(out))
-		return out, nil
+		if b.sel != nil {
+			op.ex.kern.GatherRows += n
+		}
+		op.ex.work += float64(n) // emit cost
+		op.ex.kern.UnionRows += n
+		op.ex.cout += float64(n)
+		op.ex.kern.Batches++
+		return &colBatch{schema: op.outVars, cols: cols, n: n}, nil
 	}
 	return nil, nil
 }
@@ -250,26 +249,22 @@ type aggState struct {
 	minID, maxID dict.ID          // winning input IDs (None = unset)
 }
 
-// aggregateRows is the one aggregation kernel both engines run: it groups
-// the n input rows (accessed through get, so rows and columns both
-// qualify) by the key columns, keeping groups in first-occurrence order,
-// and folds each aggregate. Accounting: +1 work per input row, +1 per
-// emitted group, and the group count toward Cout. Unbound inputs
-// (dict.None) are ignored by every aggregate; COUNT(*) counts rows
-// regardless. SUM and AVG fold numeric-coercible values only (input
-// order, so float accumulation is deterministic); MIN/MAX keep the
+// aggregateRows groups the input's rows by the key columns, keeping groups
+// in first-occurrence order, and folds each aggregate. Accounting: +1 work
+// per input row, +1 per emitted group, and the group count toward Cout.
+// Unbound inputs (dict.None) are ignored by every aggregate; COUNT(*)
+// counts rows regardless. SUM and AVG fold numeric-coercible values only
+// (input order, so float accumulation is deterministic); MIN/MAX keep the
 // winning input ID under compareOrder (first wins ties). Results are
-// interned into the store dictionary — Encode is idempotent, so both
-// engines obtain identical IDs on the same store.
-func aggregateRows(ex *executor, get func(row, col int) dict.ID, n int, keyCols []int, specs []aggSpec) ([][]dict.ID, error) {
+// interned into the store dictionary (Encode is idempotent).
+func aggregateRows(ex *executor, in *colRelation, keyCols []int, specs []aggSpec, outVars []sparql.Var) (*colRelation, error) {
 	d := ex.st.Dict()
-	global := len(keyCols) == 0
 	type group struct {
-		key []dict.ID
+		row int // first input row: its key columns are the group key
 		sts []aggState
 	}
-	newGroup := func(key []dict.ID) *group {
-		g := &group{key: key, sts: make([]aggState, len(specs))}
+	newGroup := func(row int) *group {
+		g := &group{row: row, sts: make([]aggState, len(specs))}
 		for i := range g.sts {
 			g.sts[i].sumInt = true
 			if specs[i].distinct {
@@ -280,48 +275,43 @@ func aggregateRows(ex *executor, get func(row, col int) dict.ID, n int, keyCols 
 	}
 	var groups []*group
 	index := map[string]*group{}
-	if global {
+	if len(keyCols) == 0 {
 		// Global aggregation always emits exactly one row, even over an
 		// empty input (COUNT = 0, SUM = 0, MIN/MAX/AVG unbound).
-		groups = append(groups, newGroup(nil))
+		groups = append(groups, newGroup(-1))
 	}
 	var keyBuf []byte
-	for r := 0; r < n; r++ {
+	for r := 0; r < in.n; r++ {
 		if r%cancelCheckRows == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
 		}
 		ex.work++ // aggregate input row
-		var g *group
-		if global {
-			g = groups[0]
+		var grp *group
+		if len(keyCols) == 0 {
+			grp = groups[0]
 		} else {
 			keyBuf = keyBuf[:0]
 			for _, kc := range keyCols {
-				id := get(r, kc)
+				id := in.cols[kc][r]
 				keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 			}
-			k := string(keyBuf)
 			var ok bool
-			if g, ok = index[k]; !ok {
-				key := make([]dict.ID, len(keyCols))
-				for i, kc := range keyCols {
-					key[i] = get(r, kc)
-				}
-				g = newGroup(key)
-				groups = append(groups, g)
-				index[k] = g
+			if grp, ok = index[string(keyBuf)]; !ok {
+				grp = newGroup(r)
+				groups = append(groups, grp)
+				index[string(keyBuf)] = grp
 			}
 		}
 		for i := range specs {
 			sp := &specs[i]
-			st := &g.sts[i]
+			st := &grp.sts[i]
 			if sp.col < 0 {
 				st.count++ // COUNT(*)
 				continue
 			}
-			id := get(r, sp.col)
+			id := in.cols[sp.col][r]
 			if id == dict.None {
 				continue
 			}
@@ -352,15 +342,16 @@ func aggregateRows(ex *executor, get func(row, col int) dict.ID, n int, keyCols 
 			}
 		}
 	}
-	out := make([][]dict.ID, 0, len(groups))
+	out := &colRelation{vars: outVars, cols: make([][]dict.ID, len(outVars)), n: len(groups)}
 	for _, g := range groups {
 		ex.work++ // emitted group
-		row := make([]dict.ID, 0, len(keyCols)+len(specs))
-		row = append(row, g.key...)
-		for i := range specs {
-			row = append(row, finishAgg(d, &specs[i], &g.sts[i]))
+		for i, kc := range keyCols {
+			out.cols[i] = append(out.cols[i], in.cols[kc][g.row])
 		}
-		out = append(out, row)
+		for i := range specs {
+			j := len(keyCols) + i
+			out.cols[j] = append(out.cols[j], finishAgg(d, &specs[i], &g.sts[i]))
+		}
 	}
 	ex.cout += float64(len(groups))
 	ex.kern.AggGroups += len(groups)
@@ -397,8 +388,8 @@ func finishAgg(d *dict.Dict, sp *aggSpec, st *aggState) dict.ID {
 	return dict.None
 }
 
-// aggOp is the streaming hash-aggregation pipeline breaker: drain the
-// input, run the shared kernel, stream the group rows.
+// aggOp is the hash-aggregation pipeline breaker: drain the input, run
+// aggregateRows, stream the group rows.
 type aggOp struct {
 	ex      *executor
 	child   operator
@@ -406,52 +397,21 @@ type aggOp struct {
 	keyCols []int
 	specs   []aggSpec
 	done    bool
-	rows    [][]dict.ID
-	pos     int
-}
-
-func newAggOp(ex *executor, child operator, groupBy []sparql.Var, aggs []sparql.Aggregate, outVars []sparql.Var) (*aggOp, error) {
-	in := child.vars()
-	keyCols := make([]int, len(groupBy))
-	for i, v := range groupBy {
-		ci := varIndexOf(in, v)
-		if ci < 0 {
-			return nil, fmt.Errorf("exec: GROUP BY unbound variable ?%s", v)
-		}
-		keyCols[i] = ci
-	}
-	specs, err := compileAggs(in, aggs)
-	if err != nil {
-		return nil, err
-	}
-	return &aggOp{ex: ex, child: child, outVars: outVars, keyCols: keyCols, specs: specs}, nil
+	buffered
 }
 
 func (op *aggOp) vars() []sparql.Var { return op.outVars }
 
-func (op *aggOp) next() ([][]dict.ID, error) {
+func (op *aggOp) next() (*colBatch, error) {
 	if !op.done {
 		op.done = true
-		rel, err := drain(op.child)
+		rel, err := op.ex.drain(op.child)
 		if err != nil {
 			return nil, err
 		}
-		rows, err := aggregateRows(op.ex,
-			func(r, c int) dict.ID { return rel.rows[r][c] },
-			len(rel.rows), op.keyCols, op.specs)
-		if err != nil {
+		if op.out, err = aggregateRows(op.ex, rel, op.keyCols, op.specs, op.outVars); err != nil {
 			return nil, err
 		}
-		op.rows = rows
 	}
-	if op.pos >= len(op.rows) {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > len(op.rows) {
-		end = len(op.rows)
-	}
-	batch := op.rows[op.pos:end]
-	op.pos = end
-	return batch, nil
+	return op.nextWindow(op.ex), nil
 }

@@ -1,13 +1,12 @@
 package exec
 
 import (
-	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dict"
-	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -74,30 +73,18 @@ var algebraQueries = []struct {
 	}`},
 }
 
-// TestAlgebraStreamingColumnarIdentical asserts the tentpole acceptance
-// criterion: for every algebra construct, the streaming and columnar
-// engines produce bit-identical rows, row order and Cout/Work/Scanned
-// accounting at Parallelism 1, 2 and 8.
+// TestAlgebraStreamingColumnarIdentical: for every algebra construct the
+// engine reproduces the frozen streaming/columnar rows and accounting, and
+// is bit-identical to that serial run at Parallelism 2 and 8.
 func TestAlgebraStreamingColumnarIdentical(t *testing.T) {
 	st := buildSocialStore(t)
 	for _, q := range algebraQueries {
 		t.Run(q.name, func(t *testing.T) {
-			ref := run(t, st, q.src, Options{Mode: Streaming})
-			for _, par := range []int{1, 2, 8} {
-				for _, mode := range []ExecMode{Streaming, Columnar} {
-					res := run(t, st, q.src, Options{Mode: mode, Parallelism: par, MorselSize: 2})
-					if !reflect.DeepEqual(res.Rows, ref.Rows) {
-						t.Fatalf("mode=%v par=%d rows diverge:\n%v\nwant\n%v",
-							mode, par, decodeRows(st, res), decodeRows(st, ref))
-					}
-					if !reflect.DeepEqual(res.Vars, ref.Vars) {
-						t.Fatalf("mode=%v par=%d vars = %v, want %v", mode, par, res.Vars, ref.Vars)
-					}
-					if res.Cout != ref.Cout || res.Work != ref.Work || res.Scanned != ref.Scanned {
-						t.Fatalf("mode=%v par=%d accounting (cout=%v work=%v scanned=%v) diverges from (%v %v %v)",
-							mode, par, res.Cout, res.Work, res.Scanned, ref.Cout, ref.Work, ref.Scanned)
-					}
-				}
+			ref := run(t, st, q.src, Options{})
+			assertFrozen(t, "algebra/"+q.name, st, ref)
+			for _, par := range []int{2, 8} {
+				res := run(t, st, q.src, Options{Parallelism: par, MorselSize: 2})
+				assertBitIdentical(t, fmt.Sprintf("par=%d", par), res, ref)
 			}
 		})
 	}
@@ -171,26 +158,5 @@ func TestAggregateSemantics(t *testing.T) {
 	want = []string{`"0"^^<http://www.w3.org/2001/XMLSchema#integer> | UNDEF`}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("empty aggregation rows = %v, want %v", got, want)
-	}
-}
-
-// TestMaterializingRejectsAlgebra pins the materializing engine as the
-// frozen paper baseline: algebra constructs return the typed error.
-func TestMaterializingRejectsAlgebra(t *testing.T) {
-	st := buildSocialStore(t)
-	for _, src := range []string{
-		`SELECT * WHERE { ?s <http://x/knows> ?o . OPTIONAL { ?o <http://x/age> ?a . } }`,
-		`SELECT * WHERE { { ?s <http://x/knows> ?o . } UNION { ?s <http://x/age> ?a . } }`,
-		`SELECT (COUNT(*) AS ?n) WHERE { ?s <http://x/knows> ?o . }`,
-	} {
-		_, _, err := Query(sparql.MustParse(src), st, Options{Mode: Materializing})
-		if !errors.Is(err, ErrUnsupportedConstruct) {
-			t.Fatalf("materializing error = %v, want ErrUnsupportedConstruct", err)
-		}
-	}
-	// Flat queries still work.
-	res := run(t, st, `SELECT * WHERE { ?s <http://x/knows> ?o . }`, Options{Mode: Materializing})
-	if len(res.Rows) != 3 {
-		t.Fatalf("flat materializing rows = %d, want 3", len(res.Rows))
 	}
 }

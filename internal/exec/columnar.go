@@ -10,25 +10,24 @@ import (
 	"repro/internal/store"
 )
 
-// This file implements the columnar engine: the same lowered physical plan
-// as the streaming engine, executed over dense per-variable column batches
-// with optional selection vectors instead of row slices. Filters refine a
+// This file implements the engine's operators over dense per-variable
+// column batches with optional selection vectors. Filters refine a
 // selection vector (with a per-ID verdict memo for column-vs-constant
 // comparisons), probes and joins append column-wise, and sorts permute an
 // index array instead of moving rows.
 //
-// Bit-identity argument: every operator applies the streaming engine's
-// per-tuple accounting rules to the same logical tuple stream (selection
-// vectors carry exactly the rows a streaming batch would carry), the hash
-// join uses the same build-side rule and probe order, the merge join sorts
-// a permutation array with the same comparator (identical comparator
-// outcomes at every step imply the identical final arrangement), and ORDER
-// BY uses a stable sort whose result is uniquely determined by keys plus
-// input order. Rows, row order, Cout, Work and Scanned are therefore
-// bit-identical to Streaming for the same options at every Parallelism —
-// which the golden and differential suites assert. KernelStats (batch and
-// kernel-row counts) describe the columnar schedule and are excluded from
-// that comparison.
+// Accounting is per tuple: every operator charges Cout, Work and Scanned
+// for each logical row it reads or emits, never per batch, so the totals
+// do not depend on batch boundaries, selection vectors or the morsel
+// schedule. The hash join builds on the smaller side and probes in input
+// order, the merge join sorts permutation arrays, and ORDER BY is a stable
+// sort, so row order is determined by the plan and the store's index order
+// alone. KernelStats (batch and kernel-row counts) describe the schedule
+// and are excluded from the golden comparison.
+
+// batchSize is the number of rows an operator emits per pull. Batches
+// amortize the per-call overhead while keeping pipeline memory bounded.
+const batchSize = 1024
 
 // colBatch is a batch of rows in columnar layout: one dense column per
 // schema variable, each of length n, plus an optional selection vector of
@@ -96,92 +95,124 @@ func (r *colRelation) window(lo, hi int) *colBatch {
 	return &colBatch{schema: r.vars, cols: cols, n: hi - lo}
 }
 
-// colOperator is the pull-based columnar operator interface. next returns
-// the next batch (never empty of live rows), or nil when exhausted.
-type colOperator interface {
+// buffered is the output side of a pipeline breaker: its fully
+// materialized result, streamed out in batchSize windows.
+type buffered struct {
+	out *colRelation
+	pos int
+}
+
+// nextWindow returns the next window of the buffered result, or nil once
+// it is exhausted (or was never produced).
+func (bf *buffered) nextWindow(ex *executor) *colBatch {
+	if bf.out == nil || bf.pos >= bf.out.n {
+		return nil
+	}
+	end := min(bf.pos+batchSize, bf.out.n)
+	b := bf.out.window(bf.pos, end)
+	bf.pos = end
+	ex.kern.Batches++
+	return b
+}
+
+// operator is the pull-based operator interface. next returns the next
+// batch (never empty of live rows), or nil when exhausted.
+type operator interface {
 	vars() []sparql.Var
 	next() (*colBatch, error)
 }
 
-// runColumnar lowers the plan (including the leapfrog option when enabled)
-// and drains the columnar operator tree into a row relation.
-func (ex *executor) runColumnar(c *plan.Compiled, p *plan.Plan) (*relation, error) {
+// PhysOptions returns the lowering options for opts — the single place
+// Options maps onto plan.PhysOptions, shared with EXPLAIN-style tooling so
+// the printed physical plan is the executed one.
+func PhysOptions(opts Options) plan.PhysOptions {
+	physJoin := plan.PhysJoinHash
+	if opts.Join == SortMergeJoin {
+		physJoin = plan.PhysJoinMerge
+	}
+	return plan.PhysOptions{Join: physJoin, PushFilters: opts.PushFilters, Leapfrog: opts.Leapfrog}
+}
+
+// run lowers the plan and drains the operator tree into result rows. The
+// rows of one batch are cut from a single backing array, each capped at its
+// width so an append to one row can never write into the next.
+func (ex *executor) run(c *plan.Compiled, p *plan.Plan) ([]sparql.Var, [][]dict.ID, error) {
 	phys, err := plan.Lower(c, p, PhysOptions(ex.opts))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	root, err := ex.colBuild(phys.Root)
+	root, err := ex.build(phys.Root)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := &relation{vars: root.vars()}
-	width := len(root.vars())
+	vars := root.vars()
+	w := len(vars)
+	var rows [][]dict.ID
 	for {
 		if err := ex.cancelled(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		b, err := root.next()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if b == nil {
-			return out, nil
+			return vars, rows, nil
 		}
-		if b.sel != nil {
-			for _, r := range b.sel {
-				row := make([]dict.ID, width)
-				for j := range b.cols {
-					row[j] = b.cols[j][r]
-				}
-				out.rows = append(out.rows, row)
+		n := b.live()
+		buf := make([]dict.ID, n*w)
+		for i := 0; i < n; i++ {
+			r := i
+			if b.sel != nil {
+				r = int(b.sel[i])
 			}
-			continue
-		}
-		for r := 0; r < b.n; r++ {
-			row := make([]dict.ID, width)
-			for j := range b.cols {
-				row[j] = b.cols[j][r]
+			row := buf[i*w : (i+1)*w : (i+1)*w]
+			for j, col := range b.cols {
+				row[j] = col[r]
 			}
-			out.rows = append(out.rows, row)
+			rows = append(rows, row)
 		}
 	}
 }
 
-// colBuild constructs the columnar operator for one physical node,
-// dispatching parallelism-eligible pipelines like the streaming build.
-func (ex *executor) colBuild(n *plan.PhysNode) (colOperator, error) {
+// build constructs the operator for one physical node. A node marked by
+// the lowering as the top of a parallelism-eligible pipeline becomes a
+// morsel-driven parallel operator when the run's Parallelism allows it;
+// everything else (and every node inside such a pipeline) is built by
+// buildNode.
+func (ex *executor) build(n *plan.PhysNode) (operator, error) {
 	if ex.trace != nil {
-		return ex.colBuildTraced(n)
+		return ex.buildTraced(n)
 	}
 	if ex.parallelism() > 1 && n.ParallelSource != nil {
-		return ex.newColParallelOp(n)
+		return ex.newParallelOp(n)
 	}
-	return ex.colBuildNode(n)
+	return ex.buildNode(n)
 }
 
-// colBuildNode constructs the serial columnar operator for one node.
-func (ex *executor) colBuildNode(n *plan.PhysNode) (colOperator, error) {
+// buildNode constructs the serial operator for one physical node.
+func (ex *executor) buildNode(n *plan.PhysNode) (operator, error) {
 	switch n.Op {
 	case plan.PhysIndexScan:
-		return newColScanOp(ex, n.Leaf), nil
+		return newScanOp(ex, n.Leaf), nil
 	case plan.PhysIndexProbe:
-		child, err := ex.colBuild(n.Left)
+		child, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		return &colProbeOp{ex: ex, child: child, plan: buildProbePlan(child.vars(), n.Leaf)}, nil
+		return &probeOp{ex: ex, child: child, plan: buildProbePlan(child.vars(), n.Leaf)}, nil
 	case plan.PhysHashJoin, plan.PhysMergeJoin, plan.PhysCross:
-		left, err := ex.colBuild(n.Left)
+		left, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		right, err := ex.colBuild(n.Right)
+		right, err := ex.build(n.Right)
 		if err != nil {
 			return nil, err
 		}
-		return &colJoinOp{ex: ex, op: n.Op, left: left, right: right}, nil
+		return &joinOp{ex: ex, op: n.Op, left: left, right: right}, nil
 	case plan.PhysFilter:
-		child, err := ex.colBuild(n.Left)
+		child, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
@@ -189,15 +220,15 @@ func (ex *executor) colBuildNode(n *plan.PhysNode) (colOperator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newColFilterOp(ex, child, cs), nil
+		return newFilterOp(ex, child, cs), nil
 	case plan.PhysOrder:
-		child, err := ex.colBuild(n.Left)
+		child, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		return &colOrderOp{ex: ex, child: child, keys: n.Keys}, nil
+		return &orderOp{ex: ex, child: child, keys: n.Keys}, nil
 	case plan.PhysProject:
-		child, err := ex.colBuild(n.Left)
+		child, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
@@ -209,45 +240,45 @@ func (ex *executor) colBuildNode(n *plan.PhysNode) (colOperator, error) {
 			}
 			cols[i] = ci
 		}
-		return &colProjectOp{child: child, outVars: n.Vars, cols: cols}, nil
+		return &projectOp{child: child, outVars: n.Vars, cols: cols}, nil
 	case plan.PhysDistinct:
-		child, err := ex.colBuild(n.Left)
+		child, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		return &colDistinctOp{ex: ex, child: child, seen: map[string]bool{}}, nil
+		return &distinctOp{ex: ex, child: child, seen: map[string]bool{}}, nil
 	case plan.PhysLimit:
-		child, err := ex.colBuild(n.Left)
+		child, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		return &colLimitOp{child: child, limit: n.Limit, offset: n.Offset, earlyStop: ex.opts.EarlyStop}, nil
+		return &limitOp{child: child, limit: n.Limit, offset: n.Offset, earlyStop: ex.opts.EarlyStop}, nil
 	case plan.PhysLeapfrog:
 		return newLeapfrogOp(ex, n), nil
 	case plan.PhysLeftJoin:
-		left, err := ex.colBuild(n.Left)
+		left, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		right, err := ex.colBuild(n.Right)
+		right, err := ex.build(n.Right)
 		if err != nil {
 			return nil, err
 		}
-		return &colLeftJoinOp{ex: ex, left: left, right: right}, nil
+		return &leftJoinOp{ex: ex, left: left, right: right}, nil
 	case plan.PhysUnion:
-		kids := make([]colOperator, len(n.Kids))
+		kids := make([]operator, len(n.Kids))
 		kidVars := make([][]sparql.Var, len(n.Kids))
 		for i, k := range n.Kids {
-			kid, err := ex.colBuild(k)
+			kid, err := ex.build(k)
 			if err != nil {
 				return nil, err
 			}
 			kids[i] = kid
 			kidVars[i] = kid.vars()
 		}
-		return &colUnionOp{ex: ex, kids: kids, outVars: n.Vars, maps: unionColMaps(n.Vars, kidVars)}, nil
+		return &unionOp{ex: ex, kids: kids, outVars: n.Vars, maps: unionColMaps(n.Vars, kidVars)}, nil
 	case plan.PhysAggregate:
-		child, err := ex.colBuild(n.Left)
+		child, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
 		}
@@ -264,14 +295,14 @@ func (ex *executor) colBuildNode(n *plan.PhysNode) (colOperator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &colAggOp{ex: ex, child: child, outVars: n.Vars, keyCols: keyCols, specs: specs}, nil
+		return &aggOp{ex: ex, child: child, outVars: n.Vars, keyCols: keyCols, specs: specs}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown physical operator %v", n.Op)
 	}
 }
 
-// drainCol pulls a columnar child to exhaustion into a dense relation.
-func (ex *executor) drainCol(child colOperator) (*colRelation, error) {
+// drain pulls a child to exhaustion into a dense relation.
+func (ex *executor) drain(child operator) (*colRelation, error) {
 	rel := &colRelation{vars: child.vars(), cols: make([][]dict.ID, len(child.vars()))}
 	for {
 		b, err := child.next()
@@ -285,12 +316,111 @@ func (ex *executor) drainCol(child colOperator) (*colRelation, error) {
 	}
 }
 
+// --- Shared leaf plumbing ----------------------------------------------------
+
+func varIndexOf(vars []sparql.Var, v sparql.Var) int {
+	for i, x := range vars {
+		if x == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// tripleValue extracts position pos (0=S,1=P,2=O) of t.
+func tripleValue(t store.IDTriple, pos int) dict.ID {
+	switch pos {
+	case 0:
+		return t.S
+	case 1:
+		return t.P
+	default:
+		return t.O
+	}
+}
+
+// scanPlan is the column-extraction plan of a leaf scan: one source
+// position per output column, plus equality checks between positions
+// holding the same (repeated) variable.
+type scanPlan struct {
+	srcs   []scanSrc
+	checks [][2]int
+}
+
+type scanSrc struct {
+	col int
+	pos int
+}
+
+// buildScanPlan derives the extraction plan for cp's output schema.
+func buildScanPlan(cp *plan.CompiledPattern, outVars []sparql.Var) scanPlan {
+	var sp scanPlan
+	posVar := [3]sparql.Var{cp.VarS, cp.VarP, cp.VarO}
+	for ci, v := range outVars {
+		first := -1
+		for pos, pv := range posVar {
+			if pv != v {
+				continue
+			}
+			if first == -1 {
+				first = pos
+				sp.srcs = append(sp.srcs, scanSrc{col: ci, pos: pos})
+			} else {
+				sp.checks = append(sp.checks, [2]int{first, pos})
+			}
+		}
+	}
+	return sp
+}
+
+// probePlan is the per-outer-row plan of an index nested-loop join:
+// which outer columns bind which pattern positions, which leaf positions
+// become new output columns, and which leaf-internal repeated variables
+// must agree.
+type probePlan struct {
+	pat      store.Pattern
+	outVars  []sparql.Var
+	bindings []probeBinding
+	newCols  []int    // leaf positions appended as new output columns
+	checks   [][2]int // leaf-internal repeated unshared variables
+}
+
+type probeBinding struct {
+	pos      int
+	outerCol int
+}
+
+// buildProbePlan derives the probe plan of cp driven by the outer schema.
+func buildProbePlan(outer []sparql.Var, cp *plan.CompiledPattern) probePlan {
+	pp := probePlan{pat: cp.Pat}
+	posVar := [3]sparql.Var{cp.VarS, cp.VarP, cp.VarO}
+	pp.outVars = append(pp.outVars, outer...)
+	firstPos := map[sparql.Var]int{}
+	for pos, v := range posVar {
+		if v == "" {
+			continue
+		}
+		if ci := varIndexOf(outer, v); ci >= 0 {
+			pp.bindings = append(pp.bindings, probeBinding{pos: pos, outerCol: ci})
+			continue
+		}
+		if fp, seen := firstPos[v]; seen {
+			pp.checks = append(pp.checks, [2]int{fp, pos})
+			continue
+		}
+		firstPos[v] = pos
+		pp.outVars = append(pp.outVars, v)
+		pp.newCols = append(pp.newCols, pos)
+	}
+	return pp
+}
+
 // --- IndexScan ---------------------------------------------------------------
 
-// colScanOp streams a triple pattern out of the store index, transposing
+// scanOp streams a triple pattern out of the store index, transposing
 // each triple batch into dense columns with one tight per-position loop per
 // output column.
-type colScanOp struct {
+type scanOp struct {
 	ex      *executor
 	outVars []sparql.Var
 	cursor  *store.Scan // nil for missing leaves (empty)
@@ -298,8 +428,8 @@ type colScanOp struct {
 	keep    []store.IDTriple
 }
 
-func newColScanOp(ex *executor, cp *plan.CompiledPattern) *colScanOp {
-	op := &colScanOp{ex: ex, outVars: cp.Vars()}
+func newScanOp(ex *executor, cp *plan.CompiledPattern) *scanOp {
+	op := &scanOp{ex: ex, outVars: cp.Vars()}
 	if cp.Missing {
 		return op
 	}
@@ -308,9 +438,9 @@ func newColScanOp(ex *executor, cp *plan.CompiledPattern) *colScanOp {
 	return op
 }
 
-func (op *colScanOp) vars() []sparql.Var { return op.outVars }
+func (op *scanOp) vars() []sparql.Var { return op.outVars }
 
-func (op *colScanOp) next() (*colBatch, error) {
+func (op *scanOp) next() (*colBatch, error) {
 	if op.cursor == nil {
 		return nil, nil
 	}
@@ -318,7 +448,7 @@ func (op *colScanOp) next() (*colBatch, error) {
 		if err := op.ex.cancelled(); err != nil {
 			return nil, err
 		}
-		triples := op.cursor.Next(streamBatch)
+		triples := op.cursor.Next(batchSize)
 		if triples == nil {
 			return nil, nil
 		}
@@ -372,18 +502,18 @@ func (op *colScanOp) next() (*colBatch, error) {
 
 // --- IndexNestedLoopProbe ----------------------------------------------------
 
-// colProbeOp probes the store per live input row and appends matches
+// probeOp probes the store per live input row and appends matches
 // column-wise, reusing one MatchBuf scratch for the overlay merge path.
-type colProbeOp struct {
+type probeOp struct {
 	ex      *executor
-	child   colOperator
+	child   operator
 	plan    probePlan
 	scratch []store.IDTriple
 }
 
-func (op *colProbeOp) vars() []sparql.Var { return op.plan.outVars }
+func (op *probeOp) vars() []sparql.Var { return op.plan.outVars }
 
-func (op *colProbeOp) next() (*colBatch, error) {
+func (op *probeOp) next() (*colBatch, error) {
 	for {
 		if err := op.ex.cancelled(); err != nil {
 			return nil, err
@@ -404,7 +534,7 @@ func (op *colProbeOp) next() (*colBatch, error) {
 	}
 }
 
-func (op *colProbeOp) probeBatch(in *colBatch) *colBatch {
+func (op *probeOp) probeBatch(in *colBatch) *colBatch {
 	pp := &op.plan
 	nin := len(in.schema)
 	outCols := make([][]dict.ID, len(pp.outVars))
@@ -477,20 +607,20 @@ func (op *colProbeOp) probeBatch(in *colBatch) *colBatch {
 
 // --- Filter ------------------------------------------------------------------
 
-// colFilterOp refines the selection vector. Column-vs-constant comparisons
+// filterOp refines the selection vector. Column-vs-constant comparisons
 // (the common FILTER shape) are memoized per dictionary ID, so each
 // distinct value is decoded and compared once per operator instead of once
 // per row.
-type colFilterOp struct {
+type filterOp struct {
 	ex      *executor
-	child   colOperator
+	child   operator
 	filters []compiledFilter
 	memoCol []int              // column a memoizable filter keys on, -1 otherwise
 	memo    []map[dict.ID]bool // per-filter verdict cache (nil when not memoizable)
 }
 
-func newColFilterOp(ex *executor, child colOperator, cs []compiledFilter) *colFilterOp {
-	op := &colFilterOp{ex: ex, child: child, filters: cs,
+func newFilterOp(ex *executor, child operator, cs []compiledFilter) *filterOp {
+	op := &filterOp{ex: ex, child: child, filters: cs,
 		memoCol: make([]int, len(cs)), memo: make([]map[dict.ID]bool, len(cs))}
 	for i, c := range cs {
 		col := -1
@@ -510,15 +640,16 @@ func newColFilterOp(ex *executor, child colOperator, cs []compiledFilter) *colFi
 	return op
 }
 
-func (op *colFilterOp) vars() []sparql.Var { return op.child.vars() }
+func (op *filterOp) vars() []sparql.Var { return op.child.vars() }
 
-func (op *colFilterOp) pass(d *dict.Dict, b *colBatch, r int32) bool {
+func (op *filterOp) pass(d *dict.Dict, b *colBatch, r int32) bool {
 	for i := range op.filters {
 		c := &op.filters[i]
 		if col := op.memoCol[i]; col >= 0 {
 			id := b.cols[col][r]
 			if id == dict.None {
-				// Unbound column: no comparison holds (see evalFilters).
+				// Unbound column (OPTIONAL padding, a UNION branch
+				// without the variable): no comparison holds.
 				return false
 			}
 			v, ok := op.memo[i][id]
@@ -560,7 +691,7 @@ func (op *colFilterOp) pass(d *dict.Dict, b *colBatch, r int32) bool {
 	return true
 }
 
-func (op *colFilterOp) next() (*colBatch, error) {
+func (op *filterOp) next() (*colBatch, error) {
 	d := op.ex.st.Dict()
 	for {
 		b, err := op.child.next()
@@ -599,8 +730,8 @@ func (op *colFilterOp) next() (*colBatch, error) {
 
 // --- Hash / sort-merge / cross joins -----------------------------------------
 
-// colSharedCols returns (leftCol, rightCol) pairs of same-variable columns.
-func colSharedCols(lvars, rvars []sparql.Var) [][2]int {
+// sharedCols returns (leftCol, rightCol) pairs of same-variable columns.
+func sharedCols(lvars, rvars []sparql.Var) [][2]int {
 	var out [][2]int
 	for li, v := range lvars {
 		if ri := varIndexOf(rvars, v); ri >= 0 {
@@ -610,18 +741,32 @@ func colSharedCols(lvars, rvars []sparql.Var) [][2]int {
 	return out
 }
 
-// colSrc names the source of one output column of a columnar join.
+// joinVars is the output schema of a binary join: every left variable,
+// then the right variables not already present, with the right column each
+// of those comes from.
+func joinVars(l, r []sparql.Var) (vars []sparql.Var, rightExtra []int) {
+	vars = append(vars, l...)
+	for ri, v := range r {
+		if varIndexOf(l, v) < 0 {
+			vars = append(vars, v)
+			rightExtra = append(rightExtra, ri)
+		}
+	}
+	return vars, rightExtra
+}
+
+// colSrc names the source of one output column of a join.
 type colSrc struct {
 	fromBuild bool
 	col       int
 }
 
-// colJoinLayout computes the output schema and per-column sources of a
-// hash join, preserving the streaming engine's left/right orientation
-// rules (schemaFor/combineRows) exactly.
-func colJoinLayout(build, probe *colRelation, swapped bool) ([]sparql.Var, []colSrc) {
+// joinLayout computes the output schema and per-column sources of a hash
+// join whose build side may have been swapped: the schema always keeps the
+// plan's left/right orientation.
+func joinLayout(build, probe *colRelation, swapped bool) ([]sparql.Var, []colSrc) {
 	if swapped {
-		vars, extra := outputSchema(&relation{vars: probe.vars}, &relation{vars: build.vars})
+		vars, extra := joinVars(probe.vars, build.vars)
 		src := make([]colSrc, 0, len(vars))
 		for i := range probe.vars {
 			src = append(src, colSrc{fromBuild: false, col: i})
@@ -631,7 +776,7 @@ func colJoinLayout(build, probe *colRelation, swapped bool) ([]sparql.Var, []col
 		}
 		return vars, src
 	}
-	vars, extra := outputSchema(&relation{vars: build.vars}, &relation{vars: probe.vars})
+	vars, extra := joinVars(build.vars, probe.vars)
 	src := make([]colSrc, 0, len(vars))
 	for i := range build.vars {
 		src = append(src, colSrc{fromBuild: true, col: i})
@@ -642,48 +787,44 @@ func colJoinLayout(build, probe *colRelation, swapped bool) ([]sparql.Var, []col
 	return vars, src
 }
 
-// colJoinOp is the columnar pipeline breaker for composite-composite
-// joins: drain both children, run the columnar kernel, stream windows.
-type colJoinOp struct {
+// joinOp is the pipeline breaker for composite-composite joins: drain both
+// children, run the join kernel, stream windows.
+type joinOp struct {
 	ex          *executor
 	op          plan.PhysOp
-	left, right colOperator
+	left, right operator
 	joined      bool
 	outVars     []sparql.Var
-	out         *colRelation
-	pos         int
+	buffered
 }
 
-func (op *colJoinOp) vars() []sparql.Var {
+func (op *joinOp) vars() []sparql.Var {
 	if op.outVars == nil {
-		op.outVars, _ = outputSchema(
-			&relation{vars: op.left.vars()},
-			&relation{vars: op.right.vars()},
-		)
+		op.outVars, _ = joinVars(op.left.vars(), op.right.vars())
 	}
 	return op.outVars
 }
 
-func (op *colJoinOp) next() (*colBatch, error) {
+func (op *joinOp) next() (*colBatch, error) {
 	if !op.joined {
 		op.joined = true
-		l, err := op.ex.drainCol(op.left)
+		l, err := op.ex.drain(op.left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := op.ex.drainCol(op.right)
+		r, err := op.ex.drain(op.right)
 		if err != nil {
 			return nil, err
 		}
 		var out *colRelation
-		shared := colSharedCols(l.vars, r.vars)
+		shared := sharedCols(l.vars, r.vars)
 		switch {
 		case op.op == plan.PhysCross || len(shared) == 0:
-			out, err = op.ex.colCross(l, r)
+			out, err = op.ex.crossProduct(l, r)
 		case op.op == plan.PhysMergeJoin:
-			out, err = op.ex.colMergeJoin(l, r, shared)
+			out, err = op.ex.mergeJoin(l, r, shared)
 		default:
-			out, err = op.ex.colHashJoin(l, r, shared)
+			out, err = op.ex.hashJoin(l, r, shared)
 		}
 		if err != nil {
 			return nil, err
@@ -692,24 +833,15 @@ func (op *colJoinOp) next() (*colBatch, error) {
 		op.outVars = out.vars
 		op.out = out
 	}
-	if op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+	return op.nextWindow(op.ex), nil
 }
 
-// colHashJoin is the columnar hash join: same build-side rule, same probe
-// order and same per-tuple accounting as the row kernel, with the probe
-// loop appending output column-wise and parallelized over the same probe
-// morsels.
-func (ex *executor) colHashJoin(l, r *colRelation, shared [][2]int) (*colRelation, error) {
+// hashJoin builds a hash table on the smaller input and probes it with the
+// other in input order, appending output column-wise. Accounting: +1 work
+// per build row, per probe and per emitted row. With Parallelism > 1 the
+// probe side is split into morsels that probe the shared read-only table
+// concurrently and merge in morsel order.
+func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, error) {
 	swapped := false
 	if r.n < l.n {
 		l, r = r, l
@@ -748,7 +880,7 @@ func (ex *executor) colHashJoin(l, r *colRelation, shared [][2]int) (*colRelatio
 		table[k] = append(table[k], int32(i))
 	}
 	ex.work += float64(l.n) // build cost
-	vars, srcs := colJoinLayout(l, r, swapped)
+	vars, srcs := joinLayout(l, r, swapped)
 	nBuildCols := 0
 	for _, s := range srcs {
 		if s.fromBuild {
@@ -801,12 +933,7 @@ func (ex *executor) colHashJoin(l, r *colRelation, shared [][2]int) (*colRelatio
 				return nil, err
 			}
 			ex.mergeMorsels(counters, workers)
-			for _, o := range outs {
-				for j := range out.cols {
-					out.cols[j] = append(out.cols[j], o.cols[j]...)
-				}
-				out.n += o.n
-			}
+			mergeOutputs(out, outs)
 			return out, nil
 		}
 	}
@@ -816,10 +943,10 @@ func (ex *executor) colHashJoin(l, r *colRelation, shared [][2]int) (*colRelatio
 	return out, nil
 }
 
-// colMergeJoin sorts permutation arrays over both inputs with the row
-// kernel's comparator (identical comparator outcomes give the identical
-// arrangement) and merges equal-key runs, emitting column-wise.
-func (ex *executor) colMergeJoin(l, r *colRelation, shared [][2]int) (out *colRelation, err error) {
+// mergeJoin sorts permutation arrays over both inputs by the join key and
+// merges equal-key runs, emitting column-wise. Accounting: +1 work per
+// sorted row (a linear proxy for the sort) and per emitted row.
+func (ex *executor) mergeJoin(l, r *colRelation, shared [][2]int) (out *colRelation, err error) {
 	defer recoverSortAbort(&err)
 	lCmp := func(a, b int32) int {
 		for _, sc := range shared {
@@ -868,7 +995,7 @@ func (ex *executor) colMergeJoin(l, r *colRelation, shared [][2]int) (out *colRe
 	sort.Slice(lperm, ex.lessWithCancel(func(i, j int) bool { return lCmp(lperm[i], lperm[j]) < 0 }))
 	sort.Slice(rperm, ex.lessWithCancel(func(i, j int) bool { return rCmp(rperm[i], rperm[j]) < 0 }))
 	ex.work += float64(l.n + r.n) // sort pass (linear proxy)
-	vars, extra := outputSchema(&relation{vars: l.vars}, &relation{vars: r.vars})
+	vars, extra := joinVars(l.vars, r.vars)
 	out = &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
 	nl := len(l.vars)
 	steps := 0
@@ -921,9 +1048,9 @@ func (ex *executor) colMergeJoin(l, r *colRelation, shared [][2]int) (out *colRe
 	return out, nil
 }
 
-// colCross is the columnar cross product.
-func (ex *executor) colCross(l, r *colRelation) (*colRelation, error) {
-	vars, extra := outputSchema(&relation{vars: l.vars}, &relation{vars: r.vars})
+// crossProduct is the cross product of two inputs sharing no variable.
+func (ex *executor) crossProduct(l, r *colRelation) (*colRelation, error) {
+	vars, extra := joinVars(l.vars, r.vars)
 	out := &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
 	nl := len(l.vars)
 	steps := 0
@@ -956,23 +1083,22 @@ func (ex *executor) colCross(l, r *colRelation) (*colRelation, error) {
 
 // --- Order (blocking) --------------------------------------------------------
 
-// colOrderOp drains its input and stable-sorts a permutation array by the
+// orderOp drains its input and stable-sorts a permutation array by the
 // ORDER BY keys, then gathers the columns once in sorted order.
-type colOrderOp struct {
+type orderOp struct {
 	ex     *executor
-	child  colOperator
+	child  operator
 	keys   []sparql.OrderKey
 	sorted bool
-	out    *colRelation
-	pos    int
+	buffered
 }
 
-func (op *colOrderOp) vars() []sparql.Var { return op.child.vars() }
+func (op *orderOp) vars() []sparql.Var { return op.child.vars() }
 
-func (op *colOrderOp) next() (*colBatch, error) {
+func (op *orderOp) next() (*colBatch, error) {
 	if !op.sorted {
 		op.sorted = true
-		rel, err := op.ex.drainCol(op.child)
+		rel, err := op.ex.drain(op.child)
 		if err != nil {
 			return nil, err
 		}
@@ -982,22 +1108,12 @@ func (op *colOrderOp) next() (*colBatch, error) {
 		op.ex.work += float64(rel.n)
 		op.out = rel
 	}
-	if op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+	return op.nextWindow(op.ex), nil
 }
 
 // sortRel permutes rel into ORDER BY order (stable, so the result is the
-// unique keys-then-input-order arrangement the row engines produce).
-func (op *colOrderOp) sortRel(rel *colRelation) (err error) {
+// unique keys-then-input-order arrangement).
+func (op *orderOp) sortRel(rel *colRelation) (err error) {
 	d := op.ex.st.Dict()
 	cols := make([]int, len(op.keys))
 	for i, k := range op.keys {
@@ -1044,17 +1160,17 @@ func (op *colOrderOp) sortRel(rel *colRelation) (err error) {
 
 // --- Project -----------------------------------------------------------------
 
-// colProjectOp reorders column references — a free operation in columnar
+// projectOp reorders column references — a free operation in columnar
 // layout (no per-row copying).
-type colProjectOp struct {
-	child   colOperator
+type projectOp struct {
+	child   operator
 	outVars []sparql.Var
 	cols    []int
 }
 
-func (op *colProjectOp) vars() []sparql.Var { return op.outVars }
+func (op *projectOp) vars() []sparql.Var { return op.outVars }
 
-func (op *colProjectOp) next() (*colBatch, error) {
+func (op *projectOp) next() (*colBatch, error) {
 	b, err := op.child.next()
 	if err != nil || b == nil {
 		return nil, err
@@ -1068,17 +1184,17 @@ func (op *colProjectOp) next() (*colBatch, error) {
 
 // --- Distinct ----------------------------------------------------------------
 
-// colDistinctOp keeps first occurrences, refining the selection vector.
-type colDistinctOp struct {
+// distinctOp keeps first occurrences, refining the selection vector.
+type distinctOp struct {
 	ex     *executor
-	child  colOperator
+	child  operator
 	seen   map[string]bool
 	keyBuf []byte
 }
 
-func (op *colDistinctOp) vars() []sparql.Var { return op.child.vars() }
+func (op *distinctOp) vars() []sparql.Var { return op.child.vars() }
 
-func (op *colDistinctOp) keep(b *colBatch, r int32) bool {
+func (op *distinctOp) keep(b *colBatch, r int32) bool {
 	op.keyBuf = op.keyBuf[:0]
 	for j := range b.cols {
 		id := b.cols[j][r]
@@ -1092,7 +1208,7 @@ func (op *colDistinctOp) keep(b *colBatch, r int32) bool {
 	return true
 }
 
-func (op *colDistinctOp) next() (*colBatch, error) {
+func (op *distinctOp) next() (*colBatch, error) {
 	for {
 		b, err := op.child.next()
 		if err != nil {
@@ -1127,10 +1243,15 @@ func (op *colDistinctOp) next() (*colBatch, error) {
 
 // --- Limit -------------------------------------------------------------------
 
-// colLimitOp replicates limitOp's offset/limit/drain semantics over live
-// row counts.
-type colLimitOp struct {
-	child     colOperator
+// limitOp skips the first offset live rows, then truncates the stream to
+// limit rows (limit < 0 means unlimited — an OFFSET-only modifier). By
+// default the child is still drained to exhaustion after the limit is
+// reached, so Cout/Work/Scanned equal the unlimited run's — the paper's
+// accounting. With Options.EarlyStop the drain is skipped and the pipeline
+// stops as soon as the limit is reached (the serving-mode default); rows
+// are unchanged, accounting reflects only the work actually done.
+type limitOp struct {
+	child     operator
 	limit     int
 	offset    int
 	earlyStop bool
@@ -1139,9 +1260,9 @@ type colLimitOp struct {
 	drained   bool
 }
 
-func (op *colLimitOp) vars() []sparql.Var { return op.child.vars() }
+func (op *limitOp) vars() []sparql.Var { return op.child.vars() }
 
-func (op *colLimitOp) next() (*colBatch, error) {
+func (op *limitOp) next() (*colBatch, error) {
 	for op.limit < 0 || op.emitted < op.limit {
 		b, err := op.child.next()
 		if err != nil {
@@ -1185,108 +1306,4 @@ func (op *colLimitOp) next() (*colBatch, error) {
 		}
 	}
 	return nil, nil
-}
-
-// --- Parallel pipeline operator ----------------------------------------------
-
-// colParallelOp is the columnar twin of parallelOp: the same precompiled
-// pipeline stages and morsel split, with columnar per-morsel chains whose
-// outputs merge column-wise in morsel order.
-type colParallelOp struct {
-	ex     *executor
-	source *plan.CompiledPattern
-	stages []pipeStage
-	nparts int
-	ran    bool
-	out    *colRelation
-	pos    int
-}
-
-func (ex *executor) newColParallelOp(top *plan.PhysNode) (colOperator, error) {
-	src := top.ParallelSource.Leaf
-	stages, err := compilePipeline(top)
-	if err != nil {
-		return nil, err
-	}
-	parts := ex.pipelineMorsels(src, len(stages))
-	if parts <= 1 {
-		return ex.colBuildNode(top)
-	}
-	return &colParallelOp{ex: ex, source: src, stages: stages, nparts: parts}, nil
-}
-
-// buildColMorselChain instantiates the columnar operator chain for one
-// morsel over the shared precompiled stages.
-func buildColMorselChain(wex *executor, stages []pipeStage, cursor *store.Scan) colOperator {
-	var op colOperator
-	for i := range stages {
-		st := &stages[i]
-		switch st.node.Op {
-		case plan.PhysIndexScan:
-			op = &colScanOp{ex: wex, outVars: st.outVars, cursor: cursor, plan: st.scan}
-		case plan.PhysIndexProbe:
-			op = &colProbeOp{ex: wex, child: op, plan: st.probe}
-		case plan.PhysFilter:
-			op = newColFilterOp(wex, op, st.filters)
-		case plan.PhysProject:
-			op = &colProjectOp{child: op, outVars: st.outVars, cols: st.cols}
-		}
-	}
-	return op
-}
-
-func (op *colParallelOp) vars() []sparql.Var { return op.stages[len(op.stages)-1].outVars }
-
-func (op *colParallelOp) next() (*colBatch, error) {
-	if !op.ran {
-		op.ran = true
-		if err := op.run(); err != nil {
-			return nil, err
-		}
-	}
-	if op.out == nil || op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
-}
-
-func (op *colParallelOp) run() error {
-	ex := op.ex
-	parts := ex.st.ScanPartitions(op.source.Pat, op.nparts)
-	if parts == nil {
-		return nil
-	}
-	outs := make([]*colRelation, len(parts))
-	counters := make([]execCounters, len(parts))
-	workers, err := ex.runMorsels(len(parts), func(i int) error {
-		wex := ex.workerExecutor()
-		chain := buildColMorselChain(wex, op.stages, parts[i])
-		rel, err := wex.drainCol(chain)
-		if err != nil {
-			return err
-		}
-		outs[i] = rel
-		counters[i] = wex.counters()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	ex.mergeMorsels(counters, workers)
-	merged := &colRelation{vars: op.vars(), cols: make([][]dict.ID, len(op.vars()))}
-	for _, o := range outs {
-		for j := range merged.cols {
-			merged.cols[j] = append(merged.cols[j], o.cols[j]...)
-		}
-		merged.n += o.n
-	}
-	op.out = merged
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dict"
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -27,44 +28,78 @@ func assertBitIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestColumnarMatchesStreaming: over a spread of query shapes, the
-// columnar engine is bit-identical to streaming — serially and at
-// Parallelism 2 and 8 with single-triple morsels.
+var columnarQueries = []string{
+	`SELECT * WHERE { ?s <http://x/knows> ?o . }`,
+	`SELECT * WHERE { ?a <http://x/knows> ?b . ?b <http://x/age> ?x . }`,
+	`SELECT ?p ?d WHERE { ?p <http://x/creator> ?c . ?p <http://x/date> ?d . ?c <http://x/age> ?x . FILTER(?x > 18) } ORDER BY ?d`,
+	`SELECT DISTINCT ?c WHERE { ?p <http://x/creator> ?c . }`,
+	`SELECT * WHERE { ?a <http://x/knows> ?b . ?c <http://x/age> ?x . } LIMIT 4 OFFSET 1`,
+	`SELECT * WHERE { ?s <http://x/age> ?x . FILTER(?x >= 30) FILTER(?x < 45) }`,
+}
+
+// TestColumnarMatchesStreaming: over a spread of query shapes the engine
+// reproduces the frozen streaming rows and accounting serially, and is
+// bit-identical to that serial run at Parallelism 2 and 8 with
+// single-triple morsels.
 func TestColumnarMatchesStreaming(t *testing.T) {
 	st := buildSocialStore(t)
-	queries := []string{
-		`SELECT * WHERE { ?s <http://x/knows> ?o . }`,
-		`SELECT * WHERE { ?a <http://x/knows> ?b . ?b <http://x/age> ?x . }`,
-		`SELECT ?p ?d WHERE { ?p <http://x/creator> ?c . ?p <http://x/date> ?d . ?c <http://x/age> ?x . FILTER(?x > 18) } ORDER BY ?d`,
-		`SELECT DISTINCT ?c WHERE { ?p <http://x/creator> ?c . }`,
-		`SELECT * WHERE { ?a <http://x/knows> ?b . ?c <http://x/age> ?x . } LIMIT 4 OFFSET 1`,
-		`SELECT * WHERE { ?s <http://x/age> ?x . FILTER(?x >= 30) FILTER(?x < 45) }`,
-	}
-	for qi, src := range queries {
+	for qi, src := range columnarQueries {
 		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			want := run(t, st, src, Options{Join: alg})
-			got := run(t, st, src, Options{Join: alg, Mode: Columnar})
-			assertBitIdentical(t, fmt.Sprintf("q%d alg%d columnar", qi, alg), got, want)
+			serial := run(t, st, src, Options{Join: alg})
+			assertFrozen(t, fmt.Sprintf("columnar/%d/%s", qi, algNames[alg]), st, serial)
 			for _, par := range []int{2, 8} {
-				pg := run(t, st, src, Options{Join: alg, Mode: Columnar, Parallelism: par, MorselSize: 1})
-				assertBitIdentical(t, fmt.Sprintf("q%d alg%d columnar-p%d", qi, alg, par), pg, want)
+				pg := run(t, st, src, Options{Join: alg, Parallelism: par, MorselSize: 1})
+				assertBitIdentical(t, fmt.Sprintf("q%d alg%d p%d", qi, alg, par), pg, serial)
 			}
 		}
 	}
 }
 
-// TestColumnarKernelStats: the columnar run reports its kernel counters
-// while the row engines leave them zero.
+// TestColumnarKernelStats: a run reports its kernel counters.
 func TestColumnarKernelStats(t *testing.T) {
 	st := buildSocialStore(t)
-	src := `SELECT * WHERE { ?s <http://x/age> ?x . FILTER(?x > 18) }`
-	c := run(t, st, src, Options{Mode: Columnar})
+	c := run(t, st, `SELECT * WHERE { ?s <http://x/age> ?x . FILTER(?x > 18) }`, Options{})
 	if c.Kernels.Batches == 0 || c.Kernels.FilterRows == 0 {
-		t.Fatalf("columnar kernels not counted: %+v", c.Kernels)
+		t.Fatalf("kernels not counted: %+v", c.Kernels)
 	}
-	s := run(t, st, src, Options{})
-	if s.Kernels != (KernelStats{}) {
-		t.Fatalf("streaming run reports columnar kernels: %+v", s.Kernels)
+}
+
+// TestRunAllocsFlatInRows: result rows are cut from one backing array per
+// batch, so the allocations of a run do not grow with its row count.
+func TestRunAllocsFlatInRows(t *testing.T) {
+	q := sparql.MustParse(`SELECT * WHERE { ?s ?p ?o . }`)
+	allocs := func(n int) float64 {
+		st := buildChainStore(t, n)
+		c, p := compileAndPlan(t, q, st)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(c, p, st, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// 5 000 rows are five scan batches, each a few column, row-array and
+	// slice-growth allocations; one allocation per row would show as
+	// thousands.
+	small, large := allocs(10), allocs(5000)
+	if large > small+100 {
+		t.Fatalf("a run allocates %.0f times for 5000 rows, %.0f for 10", large, small)
+	}
+}
+
+// TestRunRowsAreCapped: every result row's capacity is its width, so an
+// append to one row reallocates instead of writing into the next row of
+// the shared batch array.
+func TestRunRowsAreCapped(t *testing.T) {
+	res := run(t, buildChainStore(t, 50), `SELECT * WHERE { ?s ?p ?o . }`, Options{})
+	for i, row := range res.Rows {
+		if cap(row) != len(row) {
+			t.Fatalf("row %d: cap %d, len %d", i, cap(row), len(row))
+		}
+	}
+	next := append([]dict.ID(nil), res.Rows[1]...)
+	_ = append(res.Rows[0], 99)
+	if !reflect.DeepEqual(res.Rows[1], next) {
+		t.Fatalf("append to row 0 overwrote row 1: %v, want %v", res.Rows[1], next)
 	}
 }
 
@@ -118,7 +153,7 @@ const starSrc = `SELECT * WHERE {
 func TestLeapfrogStarCoutAdvantage(t *testing.T) {
 	st := buildStarStore(t, 200, 2) // >=202-row binary intermediate, 2 result rows
 	bin := run(t, st, starSrc, Options{})
-	lf := run(t, st, starSrc, Options{Mode: Columnar, Leapfrog: true})
+	lf := run(t, st, starSrc, Options{Leapfrog: true})
 	if len(lf.Rows) != 2 || len(bin.Rows) != 2 {
 		t.Fatalf("rows: leapfrog %d, binary %d, want 2", len(lf.Rows), len(bin.Rows))
 	}
@@ -145,13 +180,13 @@ func TestLeapfrogStarCoutAdvantage(t *testing.T) {
 // partitions and morsel-order concatenation restores the serial order.
 func TestLeapfrogParallelIdentical(t *testing.T) {
 	st := buildStarStore(t, 300, 100)
-	serial := run(t, st, starSrc, Options{Mode: Columnar, Leapfrog: true})
+	serial := run(t, st, starSrc, Options{Leapfrog: true})
 	if len(serial.Rows) != 100 {
 		t.Fatalf("serial rows = %d, want 100", len(serial.Rows))
 	}
 	for _, par := range []int{2, 8} {
 		for _, ms := range []int{1, 16} {
-			got := run(t, st, starSrc, Options{Mode: Columnar, Leapfrog: true, Parallelism: par, MorselSize: ms})
+			got := run(t, st, starSrc, Options{Leapfrog: true, Parallelism: par, MorselSize: ms})
 			assertBitIdentical(t, fmt.Sprintf("leapfrog-p%d-m%d", par, ms), got, serial)
 			if par > 1 && ms == 1 && got.Morsels < 2 {
 				t.Fatalf("p%d m%d: %d morsels, leapfrog did not parallelize", par, ms, got.Morsels)
@@ -178,28 +213,8 @@ func TestLeapfrogEpilogue(t *testing.T) {
 	}
 }
 
-// TestLeapfrogOptionIgnoredOutsideColumnar: the row engines never lower
-// to the multiway operator even when the option is set.
-func TestLeapfrogOptionIgnoredOutsideColumnar(t *testing.T) {
-	for _, mode := range []ExecMode{Streaming, Materializing} {
-		po := PhysOptions(Options{Mode: mode, Leapfrog: true})
-		if po.Leapfrog {
-			t.Fatalf("mode %d: Leapfrog passed through to the physical planner", mode)
-		}
-	}
-	if !PhysOptions(Options{Mode: Columnar, Leapfrog: true}).Leapfrog {
-		t.Fatal("columnar mode must pass Leapfrog through")
-	}
-	st := buildStarStore(t, 20, 3)
-	res := run(t, st, starSrc, Options{Leapfrog: true}) // streaming
-	if res.Kernels.LeapfrogRows != 0 {
-		t.Fatalf("streaming run executed the leapfrog operator: %+v", res.Kernels)
-	}
-}
-
-// TestLeapfrogExplainSignature: the prepared plan's EXPLAIN rendering
-// names the multiway operator, and the variant cache key differs from the
-// base key so cached binary and leapfrog plans never collide.
+// TestLeapfrogExplainSignature: with Leapfrog set, an eligible star BGP
+// lowers to the multiway operator.
 func TestLeapfrogExplainSignature(t *testing.T) {
 	st := buildStarStore(t, 20, 3)
 	q := sparql.MustParse(starSrc)
@@ -211,7 +226,7 @@ func TestLeapfrogExplainSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := plan.Lower(c, p, PhysOptions(Options{Mode: Columnar, Leapfrog: true}))
+	ph, err := plan.Lower(c, p, PhysOptions(Options{Leapfrog: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,22 +235,28 @@ func TestLeapfrogExplainSignature(t *testing.T) {
 	}
 }
 
-// TestColumnarProbeScratchReuse: the columnar probe operator must reuse
-// one MatchBuf scratch buffer across all probes of a batch instead of
-// allocating per row (the overlay merge path used to).
+// TestColumnarProbeScratchReuse: the probe operator reuses one MatchBuf
+// scratch buffer across all probes, so once warm, probing 100 outer rows of
+// an overlay store (whose merge path would otherwise allocate per probe)
+// allocates only the output batch.
 func TestColumnarProbeScratchReuse(t *testing.T) {
 	st := buildStarStore(t, 50, 5)
-	d := st.NewDelta()
-	d, err := d.Apply([]rdf.Triple{rdf.NewTriple(iri("hub9999"), iri("p1"), iri("x"))}, nil)
+	d, err := st.NewDelta().Apply([]rdf.Triple{rdf.NewTriple(iri("hub9999"), iri("p1"), iri("x"))}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ov := d.Overlay()
-	src := `SELECT * WHERE { ?h <http://x/p1> ?a . ?h <http://x/p2> ?b . }`
-	want := run(t, ov, src, Options{})
-	got := run(t, ov, src, Options{Mode: Columnar})
-	assertBitIdentical(t, "overlay columnar", got, want)
-	if got.Kernels.Batches == 0 {
-		t.Fatal("columnar path did not run")
+	c, _ := compilePattern(t, ov, `SELECT * WHERE { ?h <http://x/p1> ?a . ?h <http://x/p2> ?b . }`)
+	ex := &executor{st: ov}
+	outer, err := ex.drain(newScanOp(ex, &c.Patterns[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &probeOp{ex: ex, plan: buildProbePlan(outer.vars, &c.Patterns[1])}
+	in := outer.window(0, 100)
+	// AllocsPerRun's warm-up call grows the scratch once; what remains is
+	// the batch and its columns' appends, a handful per column.
+	if n := testing.AllocsPerRun(20, func() { probe.probeBatch(in) }); n > 40 {
+		t.Fatalf("probing 100 rows allocates %.0f times once warm, want the output batch's few", n)
 	}
 }

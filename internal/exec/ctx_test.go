@@ -68,13 +68,13 @@ func TestEarlyStopSkipsWork(t *testing.T) {
 	if full.Scanned < 1000 {
 		t.Fatalf("draining run should scan the whole store, scanned %d", full.Scanned)
 	}
-	if early.Scanned > 2*streamBatch {
+	if early.Scanned > 2*batchSize {
 		t.Fatalf("EarlyStop should stop within a couple of batches, scanned %d", early.Scanned)
 	}
 }
 
-// TestRunCtxCancellation checks both engines abort with the context's error
-// when it is cancelled.
+// TestRunCtxCancellation checks a run aborts with the context's error when
+// it is cancelled.
 func TestRunCtxCancellation(t *testing.T) {
 	st := buildStreamStore(t)
 	q := sparql.MustParse(`SELECT * WHERE { ?a <http://x/knows> ?b . ?b <http://x/knows> ?c . }`)
@@ -88,10 +88,8 @@ func TestRunCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []ExecMode{Streaming, Materializing} {
-		if _, err := RunCtx(ctx, c, p, st, Options{Mode: mode}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("mode %d: want context.Canceled, got %v", mode, err)
-		}
+	if _, err := RunCtx(ctx, c, p, st, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// A live context executes normally and matches Run exactly.
 	got, err := RunCtx(context.Background(), c, p, st, Options{})

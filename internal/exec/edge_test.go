@@ -11,17 +11,17 @@ import (
 )
 
 // edgeEngines is every engine configuration the edge cases run through:
-// both engines, and the streaming engine at Parallelism 2 and 8 with
-// single-triple morsels so even one-triple stores exercise the parallel
-// machinery.
+// serial, both join algorithms, Parallelism 2 and 8 with single-triple
+// morsels so even one-triple stores exercise the parallel machinery, and
+// EarlyStop serially and in parallel.
 func edgeEngines() map[string]Options {
 	return map[string]Options{
-		"materializing":   {Mode: Materializing},
-		"streaming":       {},
-		"streaming-p2-m1": {Parallelism: 2, MorselSize: 1},
-		"streaming-p8-m1": {Parallelism: 8, MorselSize: 1},
-		"streaming-early": {EarlyStop: true},
-		"streaming-p8-es": {Parallelism: 8, MorselSize: 1, EarlyStop: true},
+		"serial":      {},
+		"mergejoin":   {Join: SortMergeJoin},
+		"p2-m1":       {Parallelism: 2, MorselSize: 1},
+		"p8-m1":       {Parallelism: 8, MorselSize: 1},
+		"early":       {EarlyStop: true},
+		"p8-m1-early": {Parallelism: 8, MorselSize: 1, EarlyStop: true},
 	}
 }
 

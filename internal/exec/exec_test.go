@@ -325,11 +325,11 @@ func TestAgainstNaiveOracle(t *testing.T) {
 		q := sparql.MustParse(src)
 		want := naiveEval(st, q)
 		for _, opts := range []Options{
-			{Join: HashJoin, Mode: Streaming},
-			{Join: SortMergeJoin, Mode: Streaming},
-			{Join: HashJoin, Mode: Materializing},
-			{Join: SortMergeJoin, Mode: Materializing},
-			{Join: HashJoin, Mode: Streaming, PushFilters: true},
+			{Join: HashJoin},
+			{Join: SortMergeJoin},
+			{PushFilters: true},
+			{Leapfrog: true},
+			{Parallelism: 4, MorselSize: 8},
 		} {
 			alg := opts.Join
 			res, _, err := Query(q, st, opts)

@@ -51,53 +51,6 @@ func compileFilters(vars []sparql.Var, filters []sparql.Filter) ([]compiledFilte
 	return cs, nil
 }
 
-// evalFilters reports whether row passes every compiled filter. A filter
-// over an unbound column (dict.None, produced by OPTIONAL padding or UNION
-// branches) drops the row: no comparison is true of an unbound value.
-func evalFilters(d *dict.Dict, cs []compiledFilter, row []dict.ID) bool {
-	for _, c := range cs {
-		lt, rt := c.leftTerm, c.rightTerm
-		if c.leftCol >= 0 {
-			id := row[c.leftCol]
-			if id == dict.None {
-				return false
-			}
-			lt = d.Decode(id)
-		}
-		if c.rightCol >= 0 {
-			id := row[c.rightCol]
-			if id == dict.None {
-				return false
-			}
-			rt = d.Decode(id)
-		}
-		if !evalCompare(lt, c.op, rt) {
-			return false
-		}
-	}
-	return true
-}
-
-// applyFilters evaluates all FILTER comparisons over the relation.
-func (ex *executor) applyFilters(rel *relation, filters []sparql.Filter) (*relation, error) {
-	if len(filters) == 0 {
-		return rel, nil
-	}
-	cs, err := compileFilters(rel.vars, filters)
-	if err != nil {
-		return nil, err
-	}
-	d := ex.st.Dict()
-	out := rel.rows[:0:0]
-	for _, row := range rel.rows {
-		ex.work++
-		if evalFilters(d, cs, row) {
-			out = append(out, row)
-		}
-	}
-	return &relation{vars: rel.vars, rows: out}, nil
-}
-
 // evalCompare implements the comparison semantics: equality is term
 // equality (with numeric coercion when both sides are numeric literals);
 // ordering is numeric when both sides are numeric literals and lexical
@@ -161,75 +114,6 @@ func compareLexical(l, r rdf.Term) int {
 		return 1
 	}
 	return 0
-}
-
-// finish applies projection, DISTINCT, ORDER BY and LIMIT.
-func (ex *executor) finish(rel *relation, q *sparql.Query) (*relation, error) {
-	// ORDER BY runs on the pre-projection schema (sort keys need not be
-	// selected).
-	if len(q.OrderBy) > 0 {
-		if err := sortRowsByKeys(ex, rel, q.OrderBy); err != nil {
-			return nil, err
-		}
-		ex.work += float64(len(rel.rows))
-	}
-	// Projection.
-	if len(q.Select) > 0 {
-		cols := make([]int, len(q.Select))
-		for i, v := range q.Select {
-			ci := rel.colIndex(v)
-			if ci < 0 {
-				return nil, fmt.Errorf("exec: SELECT of unbound variable ?%s", v)
-			}
-			cols[i] = ci
-		}
-		projected := make([][]dict.ID, len(rel.rows))
-		for i, row := range rel.rows {
-			pr := make([]dict.ID, len(cols))
-			for j, ci := range cols {
-				pr[j] = row[ci]
-			}
-			projected[i] = pr
-		}
-		rel = &relation{vars: append([]sparql.Var(nil), q.Select...), rows: projected}
-	}
-	if q.Distinct {
-		seen := make(map[string]bool, len(rel.rows))
-		out := rel.rows[:0:0]
-		var keyBuf []byte
-		for _, row := range rel.rows {
-			keyBuf = appendRowKey(keyBuf[:0], row)
-			k := string(keyBuf)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, row)
-			}
-			ex.work++
-		}
-		rel = &relation{vars: rel.vars, rows: out}
-	}
-	// OFFSET skips rows before LIMIT counts them (SPARQL slice semantics).
-	if q.Offset > 0 {
-		if q.Offset >= len(rel.rows) {
-			rel = &relation{vars: rel.vars}
-		} else {
-			rel = &relation{vars: rel.vars, rows: rel.rows[q.Offset:]}
-		}
-	}
-	if limit, has := q.LimitCount(); has && len(rel.rows) > limit {
-		rel = &relation{vars: rel.vars, rows: rel.rows[:limit]}
-	}
-	return rel, nil
-}
-
-// appendRowKey encodes a row as a fixed-width byte key for DISTINCT
-// deduplication (4 bytes per 32-bit dictionary ID). Both engines must use
-// this one encoding so they dedup identically.
-func appendRowKey(buf []byte, row []dict.ID) []byte {
-	for _, id := range row {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return buf
 }
 
 // compareOrder orders two dictionary IDs by their terms: numeric literals

@@ -196,15 +196,14 @@ func (lf *leapfrog) search(parts []lfPart) (dict.ID, bool) {
 	}
 }
 
-// leapfrogOp is the columnar operator wrapping the triejoin: a pipeline
+// leapfrogOp is the operator wrapping the triejoin: a pipeline
 // breaker that materializes the full result (optionally in parallel over
 // level-0 value partitions) and streams dense windows.
 type leapfrogOp struct {
 	ex   *executor
 	node *plan.PhysNode
 	ran  bool
-	out  *colRelation
-	pos  int
+	buffered
 }
 
 func newLeapfrogOp(ex *executor, n *plan.PhysNode) *leapfrogOp {
@@ -220,17 +219,7 @@ func (op *leapfrogOp) next() (*colBatch, error) {
 			return nil, err
 		}
 	}
-	if op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+	return op.nextWindow(op.ex), nil
 }
 
 func (op *leapfrogOp) run() error {
@@ -299,12 +288,7 @@ func (op *leapfrogOp) run() error {
 			return err
 		}
 		ex.mergeMorsels(counters, workers)
-		for _, o := range outs {
-			for j := range out.cols {
-				out.cols[j] = append(out.cols[j], o.cols[j]...)
-			}
-			out.n += o.n
-		}
+		mergeOutputs(out, outs)
 	} else {
 		lf := build(ex, 0, 0, false, out)
 		if err := lf.run(); err != nil {

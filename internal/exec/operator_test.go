@@ -1,8 +1,13 @@
 package exec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/dict"
@@ -98,26 +103,63 @@ func buildStreamStore(t testing.TB) *store.Store {
 	return b.Build()
 }
 
+// frozen is one query's rows and accounting as the streaming and
+// materializing engines computed them — in agreement with each other and
+// with the columnar engine — before the two were deleted
+// (testdata/frozen.json). The engine must keep reproducing them.
+type frozen struct {
+	Rows     int     `json:"rows"`
+	RowsHash string  `json:"rows_hash"`
+	Cout     float64 `json:"cout"`
+	Work     float64 `json:"work"`
+	Scanned  int     `json:"scanned"`
+}
+
+// assertFrozen fails unless res reproduces the frozen entry key: row count,
+// decoded rows in order (hashed) and the Cout/Work/Scanned accounting.
+func assertFrozen(t *testing.T, key string, st *store.Store, res *Result) {
+	t.Helper()
+	data, err := os.ReadFile("testdata/frozen.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all map[string]frozen
+	if err := json.Unmarshal(data, &all); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := all[key]
+	if !ok {
+		t.Fatalf("%s: no frozen entry", key)
+	}
+	var sb strings.Builder
+	for _, row := range res.Rows {
+		sb.WriteString(decodeRow(st, row) + "\n")
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	got := frozen{len(res.Rows), hex.EncodeToString(sum[:8]), res.Cout, res.Work, res.Scanned}
+	if got != want {
+		t.Fatalf("%s: got %+v, frozen %+v", key, got, want)
+	}
+}
+
+var algNames = map[JoinAlgorithm]string{HashJoin: "hash", SortMergeJoin: "merge"}
+
+// TestStreamingMatchesMaterializing: over the equivalence corpus the engine
+// reproduces the frozen streaming/materializing rows and accounting, for
+// both interior-join algorithms.
 func TestStreamingMatchesMaterializing(t *testing.T) {
 	st := buildStreamStore(t)
-	for _, src := range equivalenceQueries {
-		q := sparql.MustParse(src)
+	for i, src := range equivalenceQueries {
 		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			sres, _, err := Query(q, st, Options{Join: alg, Mode: Streaming})
-			if err != nil {
-				t.Fatalf("streaming %s: %v", src, err)
-			}
-			mres, _, err := Query(q, st, Options{Join: alg, Mode: Materializing})
-			if err != nil {
-				t.Fatalf("materializing %s: %v", src, err)
-			}
-			assertResultsIdentical(t, fmt.Sprintf("%s (alg %d)", src, alg), sres, mres)
+			res := run(t, st, src, Options{Join: alg})
+			assertFrozen(t, fmt.Sprintf("equivalence/%d/%s", i, algNames[alg]), st, res)
 		}
 	}
 }
 
-// TestStreamingMatchesMaterializingLarge exercises multi-batch pipelines:
-// the store holds far more than one streamBatch of triples.
+// TestStreamingMatchesMaterializingLarge is the frozen comparison over
+// multi-batch pipelines: the store holds far more than one batch of
+// triples.
 func TestStreamingMatchesMaterializingLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	b := store.NewBuilder()
@@ -132,31 +174,24 @@ func TestStreamingMatchesMaterializingLarge(t *testing.T) {
 		}
 	}
 	st := b.Build()
-	queries := []string{
-		`SELECT * WHERE { ?a <http://x/p0> ?b . }`,
-		`SELECT * WHERE { ?a <http://x/p0> ?b . ?b <http://x/p1> ?c . }`,
-		`SELECT * WHERE { ?a <http://x/p0> ?b . ?b <http://x/p1> ?c . ?c <http://x/p2> ?d . }`,
-		`SELECT DISTINCT ?b WHERE { ?a <http://x/p0> ?b . ?b <http://x/p1> ?c . } LIMIT 40`,
-		`SELECT * WHERE { ?a <http://x/p0> ?a . ?a <http://x/p1> ?b . }`,
-	}
-	for _, src := range queries {
-		q := sparql.MustParse(src)
+	for i, src := range largeQueries {
 		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			sres, _, err := Query(q, st, Options{Join: alg, Mode: Streaming})
-			if err != nil {
-				t.Fatalf("streaming %s: %v", src, err)
-			}
-			mres, _, err := Query(q, st, Options{Join: alg, Mode: Materializing})
-			if err != nil {
-				t.Fatalf("materializing %s: %v", src, err)
-			}
-			assertResultsIdentical(t, src, sres, mres)
+			res := run(t, st, src, Options{Join: alg})
+			assertFrozen(t, fmt.Sprintf("large/%d/%s", i, algNames[alg]), st, res)
 		}
 	}
 }
 
-// TestStreamingErrorPaths: the streaming engine must reject the same
-// malformed queries as the materializing one.
+var largeQueries = []string{
+	`SELECT * WHERE { ?a <http://x/p0> ?b . }`,
+	`SELECT * WHERE { ?a <http://x/p0> ?b . ?b <http://x/p1> ?c . }`,
+	`SELECT * WHERE { ?a <http://x/p0> ?b . ?b <http://x/p1> ?c . ?c <http://x/p2> ?d . }`,
+	`SELECT DISTINCT ?b WHERE { ?a <http://x/p0> ?b . ?b <http://x/p1> ?c . } LIMIT 40`,
+	`SELECT * WHERE { ?a <http://x/p0> ?a . ?a <http://x/p1> ?b . }`,
+}
+
+// TestStreamingErrorPaths: malformed queries fail with and without filter
+// pushdown.
 func TestStreamingErrorPaths(t *testing.T) {
 	st := buildStreamStore(t)
 	bad := []string{
@@ -166,7 +201,7 @@ func TestStreamingErrorPaths(t *testing.T) {
 	}
 	for _, src := range bad {
 		for _, push := range []bool{false, true} {
-			opts := Options{Mode: Streaming, PushFilters: push}
+			opts := Options{PushFilters: push}
 			if _, _, err := Query(sparql.MustParse(src), st, opts); err == nil {
 				t.Errorf("expected error for %q (push=%v)", src, push)
 			}
@@ -174,15 +209,15 @@ func TestStreamingErrorPaths(t *testing.T) {
 	}
 }
 
-// TestLimitStillDrains: LIMIT must not terminate upstream operators early —
-// the accounting (Cout, Work, Scanned) must match the unlimited execution
-// exactly, as it does in the materializing engine.
+// TestLimitStillDrains: without EarlyStop, LIMIT must not terminate
+// upstream operators early — the accounting (Cout, Work, Scanned) must
+// match the unlimited execution exactly.
 func TestLimitStillDrains(t *testing.T) {
 	st := buildStreamStore(t)
 	base := `SELECT ?post WHERE { ?p <http://x/knows> ?f . ?post <http://x/creator> ?f . }`
 	limited := base + ` LIMIT 1`
-	full := run(t, st, base, Options{Mode: Streaming})
-	lim := run(t, st, limited, Options{Mode: Streaming})
+	full := run(t, st, base, Options{})
+	lim := run(t, st, limited, Options{})
 	if len(lim.Rows) != 1 {
 		t.Fatalf("limited rows = %d", len(lim.Rows))
 	}
@@ -204,8 +239,8 @@ func TestPushFiltersPrunesEarly(t *testing.T) {
   FILTER(?a >= 18)
   FILTER(?p != <http://x/bob>)
 }`
-	baseline := run(t, st, src, Options{Mode: Streaming})
-	pushed := run(t, st, src, Options{Mode: Streaming, PushFilters: true})
+	baseline := run(t, st, src, Options{})
+	pushed := run(t, st, src, Options{PushFilters: true})
 	bs, ps := rowsAsStrings(st, baseline), rowsAsStrings(st, pushed)
 	if len(bs) != len(ps) {
 		t.Fatalf("pushdown changed results: %d vs %d rows", len(bs), len(ps))
@@ -229,11 +264,11 @@ func TestPushFiltersEquivalenceCorpus(t *testing.T) {
 	st := buildStreamStore(t)
 	for _, src := range equivalenceQueries {
 		q := sparql.MustParse(src)
-		plain, _, err := Query(q, st, Options{Mode: Streaming})
+		plain, _, err := Query(q, st, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pushed, _, err := Query(q, st, Options{Mode: Streaming, PushFilters: true})
+		pushed, _, err := Query(q, st, Options{PushFilters: true})
 		if err != nil {
 			t.Fatalf("pushed %s: %v", src, err)
 		}
@@ -260,21 +295,32 @@ func compilePattern(t *testing.T, st *store.Store, src string) (*plan.Compiled, 
 	return c, &c.Patterns[0]
 }
 
+// drainOp pulls op to exhaustion, returning its live rows.
 func drainOp(t *testing.T, op operator) [][]dict.ID {
 	t.Helper()
 	var out [][]dict.ID
 	for {
-		batch, err := op.next()
+		b, err := op.next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch == nil {
+		if b == nil {
 			return out
 		}
-		if len(batch) == 0 {
+		if b.live() == 0 {
 			t.Fatal("operator emitted an empty batch")
 		}
-		out = append(out, batch...)
+		for i := 0; i < b.live(); i++ {
+			r := i
+			if b.sel != nil {
+				r = int(b.sel[i])
+			}
+			row := make([]dict.ID, len(b.cols))
+			for j, col := range b.cols {
+				row[j] = col[r]
+			}
+			out = append(out, row)
+		}
 	}
 }
 
@@ -337,7 +383,7 @@ func TestProbeOpUnit(t *testing.T) {
   ?f <http://x/age> ?a .
 }`)
 	outer := newScanOp(ex, &c.Patterns[0])
-	probe := newProbeOp(ex, outer, &c.Patterns[1])
+	probe := &probeOp{ex: ex, child: outer, plan: buildProbePlan(outer.vars(), &c.Patterns[1])}
 	wantVars := []sparql.Var{"f", "a"}
 	got := probe.vars()
 	if len(got) != len(wantVars) || got[0] != wantVars[0] || got[1] != wantVars[1] {
@@ -393,10 +439,10 @@ func TestDistinctOpAcrossBatches(t *testing.T) {
 		}
 	}
 	st := b.Build()
-	res := run(t, st, `SELECT DISTINCT ?o WHERE { ?s <http://x/p0> ?o . }`, Options{Mode: Streaming})
+	src := `SELECT DISTINCT ?o WHERE { ?s <http://x/p0> ?o . }`
+	res := run(t, st, src, Options{})
 	if len(res.Rows) != 7 {
 		t.Fatalf("distinct rows = %d, want 7", len(res.Rows))
 	}
-	m := run(t, st, `SELECT DISTINCT ?o WHERE { ?s <http://x/p0> ?o . }`, Options{Mode: Materializing})
-	assertResultsIdentical(t, "distinct", res, m)
+	assertResultsIdentical(t, "distinct", run(t, st, src, Options{Parallelism: 4, MorselSize: 64}), res)
 }

@@ -84,19 +84,16 @@ func (ex *executor) counters() execCounters {
 	return execCounters{cout: ex.cout, work: ex.work, scan: ex.scan, kern: ex.kern}
 }
 
-// mergeRowBuffers concatenates per-morsel output buffers in morsel order —
-// the one merge used by every parallel operator, so the order guarantee
-// cannot drift between them.
-func mergeRowBuffers(outs [][][]dict.ID) [][]dict.ID {
-	total := 0
-	for _, rows := range outs {
-		total += len(rows)
+// mergeOutputs appends per-morsel outputs to dst in morsel order — the one
+// merge every parallel operator uses, so the order guarantee cannot drift
+// between them.
+func mergeOutputs(dst *colRelation, outs []*colRelation) {
+	for _, o := range outs {
+		for j := range dst.cols {
+			dst.cols[j] = append(dst.cols[j], o.cols[j]...)
+		}
+		dst.n += o.n
 	}
-	merged := make([][]dict.ID, 0, total)
-	for _, rows := range outs {
-		merged = append(merged, rows...)
-	}
-	return merged
 }
 
 // mergeMorsels folds per-morsel counters into the run's accounting in
@@ -259,16 +256,16 @@ type pipeStage struct {
 // parallelOp executes a parallelism-eligible pipeline morsel by morsel. It
 // is a pipeline breaker from the scheduling standpoint — output is fully
 // buffered before the first batch is emitted — but rows, order and
-// accounting are bit-identical to the serial streaming chain (see the
-// determinism argument at the top of this file).
+// accounting are bit-identical to the serial chain (see the determinism
+// argument at the top of this file): per-morsel chains drain into column
+// buffers that merge in morsel order.
 type parallelOp struct {
 	ex     *executor
 	source *plan.CompiledPattern
 	stages []pipeStage
 	nparts int // morsel count fixed at build time (deterministic)
 	ran    bool
-	rows   [][]dict.ID
-	pos    int
+	buffered
 }
 
 // newParallelOp precompiles the pipeline rooted at top. When the source
@@ -379,7 +376,7 @@ func buildMorselChain(wex *executor, stages []pipeStage, cursor *store.Scan) ope
 		case plan.PhysIndexProbe:
 			op = &probeOp{ex: wex, child: op, plan: st.probe}
 		case plan.PhysFilter:
-			op = &filterOp{ex: wex, child: op, filters: st.filters}
+			op = newFilterOp(wex, op, st.filters)
 		case plan.PhysProject:
 			op = &projectOp{child: op, outVars: st.outVars, cols: st.cols}
 		}
@@ -389,23 +386,14 @@ func buildMorselChain(wex *executor, stages []pipeStage, cursor *store.Scan) ope
 
 func (op *parallelOp) vars() []sparql.Var { return op.stages[len(op.stages)-1].outVars }
 
-func (op *parallelOp) next() ([][]dict.ID, error) {
+func (op *parallelOp) next() (*colBatch, error) {
 	if !op.ran {
 		op.ran = true
 		if err := op.run(); err != nil {
 			return nil, err
 		}
 	}
-	if op.pos >= len(op.rows) {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > len(op.rows) {
-		end = len(op.rows)
-	}
-	batch := op.rows[op.pos:end]
-	op.pos = end
-	return batch, nil
+	return op.nextWindow(op.ex), nil
 }
 
 // run fans the source morsels across the worker pool and merges per-morsel
@@ -416,23 +404,16 @@ func (op *parallelOp) run() error {
 	if parts == nil {
 		return nil
 	}
-	outs := make([][][]dict.ID, len(parts))
+	outs := make([]*colRelation, len(parts))
 	counters := make([]execCounters, len(parts))
 	workers, err := ex.runMorsels(len(parts), func(i int) error {
 		wex := ex.workerExecutor()
 		chain := buildMorselChain(wex, op.stages, parts[i])
-		var rows [][]dict.ID
-		for {
-			batch, err := chain.next()
-			if err != nil {
-				return err
-			}
-			if batch == nil {
-				break
-			}
-			rows = append(rows, batch...)
+		rel, err := wex.drain(chain)
+		if err != nil {
+			return err
 		}
-		outs[i] = rows
+		outs[i] = rel
 		counters[i] = wex.counters()
 		return nil
 	})
@@ -440,6 +421,8 @@ func (op *parallelOp) run() error {
 		return err
 	}
 	ex.mergeMorsels(counters, workers)
-	op.rows = mergeRowBuffers(outs)
+	merged := &colRelation{vars: op.vars(), cols: make([][]dict.ID, len(op.vars()))}
+	mergeOutputs(merged, outs)
+	op.out = merged
 	return nil
 }

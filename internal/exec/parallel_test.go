@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dict"
@@ -185,10 +186,11 @@ func (c *countdownCtx) Err() error {
 
 // bigRelation builds a relation of n rows over two columns with many
 // duplicate join keys.
-func bigRelation(vars []sparql.Var, n, keys int) *relation {
-	rel := &relation{vars: vars}
+func bigRelation(vars []sparql.Var, n, keys int) *colRelation {
+	rel := &colRelation{vars: vars, cols: make([][]dict.ID, 2), n: n}
 	for i := 0; i < n; i++ {
-		rel.rows = append(rel.rows, []dict.ID{dict.ID(1 + i%keys), dict.ID(1 + i)})
+		rel.cols[0] = append(rel.cols[0], dict.ID(1+i%keys))
+		rel.cols[1] = append(rel.cols[1], dict.ID(1+i))
 	}
 	return rel
 }
@@ -201,7 +203,7 @@ func TestHashJoinCancelsMidBuild(t *testing.T) {
 	l := bigRelation([]sparql.Var{"a", "b"}, 10*cancelCheckRows, 50)
 	r := bigRelation([]sparql.Var{"a", "c"}, 12*cancelCheckRows, 50)
 	ex := &executor{st: st, ctx: &countdownCtx{Context: context.Background(), after: 3}}
-	if _, err := ex.hashJoin(l, r, sharedCols(l, r)); !errors.Is(err, context.Canceled) {
+	if _, err := ex.hashJoin(l, r, sharedCols(l.vars, r.vars)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("hash join with cancelled ctx: err = %v, want Canceled", err)
 	}
 	// Sanity: a join of the same shape (but bounded fanout) completes under
@@ -211,8 +213,8 @@ func TestHashJoinCancelsMidBuild(t *testing.T) {
 		bigRelation([]sparql.Var{"a", "b"}, 5000, 5000),
 		bigRelation([]sparql.Var{"a", "c"}, 5000, 5000),
 		[][2]int{{0, 0}})
-	if err != nil || len(out.rows) == 0 {
-		t.Fatalf("live hash join: %d rows, err %v", len(out.rows), err)
+	if err != nil || out.n == 0 {
+		t.Fatalf("live hash join: %d rows, err %v", out.n, err)
 	}
 }
 
@@ -223,7 +225,7 @@ func TestMergeJoinCancelsMidSort(t *testing.T) {
 	l := bigRelation([]sparql.Var{"a", "b"}, 6*cancelCheckRows, 1000)
 	r := bigRelation([]sparql.Var{"a", "c"}, 6*cancelCheckRows, 1000)
 	ex := &executor{st: st, ctx: &countdownCtx{Context: context.Background(), after: 3}}
-	if _, err := ex.mergeJoin(l, r, sharedCols(l, r)); !errors.Is(err, context.Canceled) {
+	if _, err := ex.mergeJoin(l, r, sharedCols(l.vars, r.vars)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("merge join with cancelled ctx: err = %v, want Canceled", err)
 	}
 }
@@ -261,24 +263,17 @@ func TestParallelHashProbeMatchesSerial(t *testing.T) {
 	l := bigRelation([]sparql.Var{"a", "b"}, 2000, 100)
 	r := bigRelation([]sparql.Var{"a", "c"}, 30000, 100)
 	serialEx := &executor{st: st}
-	want, err := serialEx.hashJoin(l, r, sharedCols(l, r))
+	want, err := serialEx.hashJoin(l, r, sharedCols(l.vars, r.vars))
 	if err != nil {
 		t.Fatal(err)
 	}
 	parEx := &executor{st: st, opts: Options{Parallelism: 8, MorselSize: 512}}
-	got, err := parEx.hashJoin(l, r, sharedCols(l, r))
+	got, err := parEx.hashJoin(l, r, sharedCols(l.vars, r.vars))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.rows) != len(want.rows) {
-		t.Fatalf("rows %d vs %d", len(got.rows), len(want.rows))
-	}
-	for i := range got.rows {
-		for j := range got.rows[i] {
-			if got.rows[i][j] != want.rows[i][j] {
-				t.Fatalf("row %d differs", i)
-			}
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parallel probe output (%d rows) differs from serial (%d rows)", got.n, want.n)
 	}
 	if parEx.work != serialEx.work || parEx.cout != serialEx.cout || parEx.scan != serialEx.scan {
 		t.Fatalf("accounting differs: work %v vs %v, cout %v vs %v, scan %d vs %d",

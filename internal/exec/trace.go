@@ -3,24 +3,23 @@ package exec
 import (
 	"time"
 
-	"repro/internal/dict"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sparql"
 )
 
-// This file threads the obs execution-trace layer through both engines.
+// This file threads the obs execution-trace layer through the engine.
 // Tracing is strictly opt-in: when Options.Trace is nil the build paths
 // never touch this file, so the disabled hot path is byte-for-byte the
 // untraced operator tree (no wrapper operators, no per-tuple branches, no
 // allocations — asserted by the zero-overhead tests).
 //
-// When a collector is set, build()/colBuild() wrap every operator they
-// construct in a traced wrapper that records, per next() call, the wall
-// time inside the call and the deltas of the run's Cout/Work/Scanned
-// counters across it. Every counter increment of both engines happens
-// inside some operator's next() frame, so the deltas are inclusive of the
-// operator's subtree and the root span's totals equal the Result's
+// When a collector is set, build() wraps every operator it constructs in a
+// traced wrapper that records, per next() call, the wall time inside the
+// call and the deltas of the run's Cout/Work/Scanned counters across it.
+// Every counter increment happens inside some operator's next() frame, so
+// the deltas are inclusive of the operator's subtree and the root span's
+// totals equal the Result's
 // accounting exactly (all increments are per-tuple integers below the
 // 2^53 float64 exactness bound). obs.Finalize later derives per-operator
 // exclusive values.
@@ -79,29 +78,11 @@ func (ex *executor) buildTraced(n *plan.PhysNode) (operator, error) {
 	return &tracedOp{ex: ex, child: op, span: span}, nil
 }
 
-// colBuildTraced is colBuild() with tracing on (see buildTraced).
-func (ex *executor) colBuildTraced(n *plan.PhysNode) (colOperator, error) {
-	ts := ex.trace
-	parent := ts.cur
-	span := ts.openSpan(n)
-	defer func() { ts.cur = parent }()
-	var op colOperator
-	var err error
-	if ex.parallelism() > 1 && n.ParallelSource != nil {
-		op, err = ex.newColParallelOp(n)
-	} else {
-		op, err = ex.colBuildNode(n)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &tracedColOp{ex: ex, child: op, span: span}, nil
-}
-
-// tracedOp wraps a row operator: each next() call is timed, the run's
-// counter deltas across it are credited to the span (inclusive of nested
-// wrapped children), and the span becomes current for the duration so
-// morsel loops running inside the frame attach their breakdown here.
+// tracedOp wraps an operator: each next() call is timed, the run's counter
+// deltas across it are credited to the span (inclusive of nested wrapped
+// children), and the span becomes current for the duration so morsel loops
+// running inside the frame attach their breakdown here. Rows counts live
+// rows (selection vectors applied).
 type tracedOp struct {
 	ex    *executor
 	child operator
@@ -110,38 +91,7 @@ type tracedOp struct {
 
 func (op *tracedOp) vars() []sparql.Var { return op.child.vars() }
 
-func (op *tracedOp) next() ([][]dict.ID, error) {
-	ex := op.ex
-	ts := ex.trace
-	prev := ts.cur
-	ts.cur = op.span
-	cout0, work0, scan0 := ex.cout, ex.work, ex.scan
-	start := time.Now()
-	batch, err := op.child.next()
-	op.span.WallNs += time.Since(start).Nanoseconds()
-	op.span.Cout += ex.cout - cout0
-	op.span.Work += ex.work - work0
-	op.span.Scanned += int64(ex.scan - scan0)
-	op.span.Calls++
-	if batch != nil {
-		op.span.Batches++
-		op.span.Rows += int64(len(batch))
-	}
-	ts.cur = prev
-	return batch, err
-}
-
-// tracedColOp is tracedOp for the columnar engine; Rows counts live rows
-// (selection vectors applied).
-type tracedColOp struct {
-	ex    *executor
-	child colOperator
-	span  *obs.Span
-}
-
-func (op *tracedColOp) vars() []sparql.Var { return op.child.vars() }
-
-func (op *tracedColOp) next() (*colBatch, error) {
+func (op *tracedOp) next() (*colBatch, error) {
 	ex := op.ex
 	ts := ex.trace
 	prev := ts.cur
@@ -162,24 +112,8 @@ func (op *tracedColOp) next() (*colBatch, error) {
 	return b, err
 }
 
-// finishTrace finalizes and delivers the run's span tree. The
-// materializing engine has no operator tree, so it reports a single
-// root span carrying the whole run's accounting.
-func (ex *executor) finishTrace(rows int, elapsed time.Duration) {
-	root := ex.trace.root
-	if root == nil {
-		// Nothing was built (defensive; every engine creates a root).
-		root = &obs.Span{Op: "Execute"}
-	}
-	if ex.opts.Mode == Materializing {
-		root.Calls = 1
-		root.Batches = 1
-		root.Rows = int64(rows)
-		root.WallNs = elapsed.Nanoseconds()
-		root.Cout = ex.cout
-		root.Work = ex.work
-		root.Scanned = int64(ex.scan)
-	}
-	obs.Finalize(root)
-	ex.opts.Trace.Collect(root)
+// finishTrace finalizes and delivers the run's span tree.
+func (ex *executor) finishTrace() {
+	obs.Finalize(ex.trace.root)
+	ex.opts.Trace.Collect(ex.trace.root)
 }

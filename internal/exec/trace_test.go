@@ -11,7 +11,7 @@ import (
 )
 
 // Zero-overhead guarantee for the disabled path: with Options.Trace nil
-// the engines must build the exact pre-trace operator tree (no wrapper
+// the engine must build the exact pre-trace operator tree (no wrapper
 // operators anywhere) and a run must not allocate one byte more than a
 // run that never heard of tracing.
 
@@ -42,7 +42,7 @@ func assertNoTraceWrappers(t *testing.T, root interface{}) {
 			}
 		case reflect.Struct:
 			switch v.Type().Name() {
-			case "tracedOp", "tracedColOp":
+			case "tracedOp":
 				t.Fatalf("untraced build produced a %s wrapper", v.Type().Name())
 			}
 			for i := 0; i < v.NumField(); i++ {
@@ -63,7 +63,7 @@ func assertNoTraceWrappers(t *testing.T, root interface{}) {
 
 // TestTraceDisabledBuildsNoWrappers proves the structural half of the
 // zero-overhead claim: nil collector means the serial and parallel
-// operator trees of both engines contain no traced wrapper at any depth,
+// operator trees contain no traced wrapper at any depth,
 // while a non-nil collector roots the tree in one.
 func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 	st := buildSocialStore(t)
@@ -89,18 +89,6 @@ func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 		}
 		assertNoTraceWrappers(t, root)
 
-		copts := Options{Mode: Columnar, Parallelism: par, MorselSize: 2}
-		cphys, err := plan.Lower(c, p, PhysOptions(copts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cex := &executor{st: st, ctx: context.Background(), opts: copts}
-		croot, err := cex.colBuild(cphys.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertNoTraceWrappers(t, croot)
-
 		// Sanity: the same build with a collector roots in a wrapper, so
 		// the walker genuinely detects them.
 		tex := &executor{st: st, ctx: context.Background(), opts: opts, trace: &traceState{}}
@@ -116,8 +104,8 @@ func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 
 // TestTraceDisabledZeroExtraAllocs proves the allocation half: a run with
 // an explicitly-nil collector allocates exactly as much as a run whose
-// options never mention tracing, serially and under the morsel driver,
-// on both engines. The traced run is measured too as a sensitivity check
+// options never mention tracing, serially and under the morsel driver.
+// The traced run is measured too as a sensitivity check
 // — if instrumenting didn't move the needle, the zero-delta assertions
 // above would be vacuous.
 func TestTraceDisabledZeroExtraAllocs(t *testing.T) {
@@ -138,19 +126,16 @@ func TestTraceDisabledZeroExtraAllocs(t *testing.T) {
 			}
 		})
 	}
-	for _, mode := range []ExecMode{Streaming, Columnar} {
-		for _, par := range []int{1, 4} {
-			baseline := measure(Options{Mode: mode, Parallelism: par, MorselSize: 2})
-			off := measure(Options{Mode: mode, Parallelism: par, MorselSize: 2, Trace: nil})
-			if off != baseline {
-				t.Errorf("mode=%v par=%d: nil-trace run allocates %v, baseline %v (want identical)",
-					mode, par, off, baseline)
-			}
-			on := measure(Options{Mode: mode, Parallelism: par, MorselSize: 2, Trace: &obs.Capture{}})
-			if on <= baseline {
-				t.Errorf("mode=%v par=%d: traced run allocates %v <= baseline %v; allocation probe is not sensitive",
-					mode, par, on, baseline)
-			}
+	for _, par := range []int{1, 4} {
+		baseline := measure(Options{Parallelism: par, MorselSize: 2})
+		off := measure(Options{Parallelism: par, MorselSize: 2, Trace: nil})
+		if off != baseline {
+			t.Errorf("par=%d: nil-trace run allocates %v, baseline %v (want identical)", par, off, baseline)
+		}
+		on := measure(Options{Parallelism: par, MorselSize: 2, Trace: &obs.Capture{}})
+		if on <= baseline {
+			t.Errorf("par=%d: traced run allocates %v <= baseline %v; allocation probe is not sensitive",
+				par, on, baseline)
 		}
 	}
 }

@@ -2,24 +2,35 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bsbm"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/exec"
 	"repro/internal/snb"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
-// The golden-equality suite: over every BSBM and SNB query template, with
-// curated parameter bindings drawn from the paper's own pipeline (domain
-// extraction → per-binding analysis → clustering), the streaming engine
-// must agree with the materializing engine bit-for-bit — same Vars, same
-// Rows in the same order, same measured Cout, Work and Scanned — for both
-// interior-join algorithms.
+// The golden suite: every BSBM and SNB template, with curated parameter
+// bindings drawn from the paper's own pipeline (domain extraction →
+// per-binding analysis → clustering), checked against testdata/golden.json.
+// The fixture was written while the streaming, materializing and columnar
+// engines still existed, and all three agreed on every entry (the
+// materializing one on the BGP templates it supported). Per template ×
+// binding × join algorithm it freezes the plan signature, the output
+// variables, the row count, a hash of the decoded rows in order, and Cout,
+// Work and Scanned. Every suite checks its runs against the fixture bit for
+// bit and against the naive oracle (difftest.CheckOracle) as a row multiset.
 
 type goldenTemplate struct {
 	name string
@@ -36,6 +47,16 @@ func goldenTemplates() []goldenTemplate {
 		{"snb-q1", snb.Q1(), true},
 		{"snb-q2", snb.Q2(), true},
 		{"snb-q3", snb.Q3(), true},
+	}
+}
+
+// algebraTemplates are the compositional-algebra workload templates
+// (OPTIONAL/UNION/aggregates).
+func algebraTemplates() []goldenTemplate {
+	return []goldenTemplate{
+		{"bsbm-q5-optional", bsbm.Q5(), false},
+		{"bsbm-q6-union", bsbm.Q6(), false},
+		{"snb-q4-grouped", snb.Q4(), true},
 	}
 }
 
@@ -63,39 +84,85 @@ func curatedBindings(t *testing.T, tmpl *sparql.Query, st *store.Store, min int)
 }
 
 func equalResults(a, b *exec.Result) error {
-	if len(a.Vars) != len(b.Vars) {
+	if !reflect.DeepEqual(a.Vars, b.Vars) {
 		return fmt.Errorf("vars %v vs %v", a.Vars, b.Vars)
-	}
-	for i := range a.Vars {
-		if a.Vars[i] != b.Vars[i] {
-			return fmt.Errorf("vars %v vs %v", a.Vars, b.Vars)
-		}
 	}
 	if len(a.Rows) != len(b.Rows) {
 		return fmt.Errorf("%d rows vs %d rows", len(a.Rows), len(b.Rows))
 	}
 	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				return fmt.Errorf("row %d col %d: %d vs %d", i, j, a.Rows[i][j], b.Rows[i][j])
-			}
+		if !reflect.DeepEqual(a.Rows[i], b.Rows[i]) {
+			return fmt.Errorf("row %d: %v vs %v", i, a.Rows[i], b.Rows[i])
 		}
 	}
-	if a.Cout != b.Cout {
-		return fmt.Errorf("Cout %v vs %v", a.Cout, b.Cout)
-	}
-	if a.Work != b.Work {
-		return fmt.Errorf("Work %v vs %v", a.Work, b.Work)
-	}
-	if a.Scanned != b.Scanned {
-		return fmt.Errorf("Scanned %d vs %d", a.Scanned, b.Scanned)
+	if a.Cout != b.Cout || a.Work != b.Work || a.Scanned != b.Scanned {
+		return fmt.Errorf("accounting (cout=%v work=%v scanned=%d) vs (cout=%v work=%v scanned=%d)",
+			a.Cout, a.Work, a.Scanned, b.Cout, b.Work, b.Scanned)
 	}
 	return nil
 }
 
-func TestGoldenStreamingEqualsMaterializing(t *testing.T) {
+// goldenEntry is one frozen execution of testdata/golden.json.
+type goldenEntry struct {
+	Template  string            `json:"template"`
+	Binding   int               `json:"binding"`
+	Params    map[string]string `json:"params"`
+	Join      string            `json:"join"`
+	Signature string            `json:"signature"`
+	Vars      []sparql.Var      `json:"vars"`
+	Rows      int               `json:"rows"`
+	RowsHash  string            `json:"rows_hash"`
+	Cout      float64           `json:"cout"`
+	Work      float64           `json:"work"`
+	Scanned   int               `json:"scanned"`
+}
+
+var (
+	fixtureOnce sync.Once
+	fixture     map[string]goldenEntry
+	fixtureErr  error
+)
+
+// goldenFixture loads testdata/golden.json keyed by template/binding/join.
+func goldenFixture(t *testing.T) map[string]goldenEntry {
+	t.Helper()
+	fixtureOnce.Do(func() {
+		data, err := os.ReadFile("testdata/golden.json")
+		if err != nil {
+			fixtureErr = err
+			return
+		}
+		var entries []goldenEntry
+		if fixtureErr = json.Unmarshal(data, &entries); fixtureErr != nil {
+			return
+		}
+		fixture = map[string]goldenEntry{}
+		for _, e := range entries {
+			fixture[fmt.Sprintf("%s/%d/%s", e.Template, e.Binding, e.Join)] = e
+		}
+	})
+	if fixtureErr != nil {
+		t.Fatal(fixtureErr)
+	}
+	return fixture
+}
+
+// goldenCase is one template × curated binding, bound and ready to run.
+type goldenCase struct {
+	tmpl    string
+	binding int
+	params  map[string]string
+	bound   *sparql.Query
+	st      *store.Store // the heap store the template runs against
+}
+
+func (gc goldenCase) String() string { return fmt.Sprintf("%s binding %d", gc.tmpl, gc.binding) }
+
+func goldenCases(t *testing.T, templates []goldenTemplate) []goldenCase {
+	t.Helper()
 	env := sharedEnv(t)
-	for _, g := range goldenTemplates() {
+	var out []goldenCase
+	for _, g := range templates {
 		st := env.BSBM
 		if g.snb {
 			st = env.SNB
@@ -109,67 +176,106 @@ func TestGoldenStreamingEqualsMaterializing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s binding %d: %v", g.name, bi, err)
 			}
-			for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
-				sres, splan, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Streaming})
-				if err != nil {
-					t.Fatalf("%s binding %d streaming: %v", g.name, bi, err)
-				}
-				mres, mplan, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Materializing})
-				if err != nil {
-					t.Fatalf("%s binding %d materializing: %v", g.name, bi, err)
-				}
-				if splan.Signature != mplan.Signature {
-					t.Fatalf("%s binding %d: plans diverge: %s vs %s", g.name, bi, splan.Signature, mplan.Signature)
-				}
-				if err := equalResults(sres, mres); err != nil {
-					t.Errorf("%s binding %d (alg %d): %v", g.name, bi, alg, err)
-				}
+			params := map[string]string{}
+			for p, term := range b {
+				params[string(p)] = term.String()
+			}
+			out = append(out, goldenCase{tmpl: g.name, binding: bi, params: params, bound: bound, st: st})
+		}
+	}
+	return out
+}
+
+var joinNames = map[exec.JoinAlgorithm]string{exec.HashJoin: "hash", exec.SortMergeJoin: "merge"}
+
+// checkGolden runs gc over st with opts and reports an error unless the run
+// reproduces the case's fixture entry for opts.Join bit for bit. It
+// returns the result for further checks.
+func checkGolden(t *testing.T, gc goldenCase, st store.Source, opts exec.Options) (*exec.Result, error) {
+	t.Helper()
+	res, p, err := exec.Query(gc.bound, st, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", gc, err)
+	}
+	var rows strings.Builder
+	for _, row := range res.Rows {
+		for j, id := range row {
+			if j > 0 {
+				rows.WriteByte('\t')
+			}
+			if term, ok := st.Dict().TryDecode(id); ok {
+				rows.WriteString(term.String())
+			} else {
+				rows.WriteString("UNDEF")
+			}
+		}
+		rows.WriteByte('\n')
+	}
+	sum := sha256.Sum256([]byte(rows.String()))
+	got := goldenEntry{Template: gc.tmpl, Binding: gc.binding, Params: gc.params, Join: joinNames[opts.Join],
+		Signature: p.Signature, Vars: res.Vars, Rows: len(res.Rows), RowsHash: hex.EncodeToString(sum[:16]),
+		Cout: res.Cout, Work: res.Work, Scanned: res.Scanned}
+	want, ok := goldenFixture(t)[fmt.Sprintf("%s/%d/%s", got.Template, got.Binding, got.Join)]
+	if !ok || !reflect.DeepEqual(got, want) {
+		return res, fmt.Errorf("%s %+v:\n got %+v\nwant %+v", gc, opts, got, want)
+	}
+	return res, nil
+}
+
+// checkOracle reports an error unless res has the oracle's rows for gc over st.
+func checkOracle(gc goldenCase, st store.Source, res *exec.Result) error {
+	if err := difftest.CheckOracle(gc.bound, st, res); err != nil {
+		return fmt.Errorf("%s: %w", gc, err)
+	}
+	return nil
+}
+
+// TestGoldenColumnarMatchesStreaming: serially and for both interior-join
+// algorithms, every BGP template and curated binding reproduces the frozen
+// streaming (and materializing) result, and matches the oracle.
+func TestGoldenColumnarMatchesStreaming(t *testing.T) {
+	for _, gc := range goldenCases(t, goldenTemplates()) {
+		for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
+			res, err := checkGolden(t, gc, gc.st, exec.Options{Join: alg})
+			if err == nil {
+				err = checkOracle(gc, gc.st, res)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			if res.Scanned > 0 && res.Kernels.Batches == 0 {
+				t.Errorf("%s: run produced no batches", gc)
 			}
 		}
 	}
 }
 
-// TestGoldenColumnarMatchesStreaming: the columnar engine must be
-// bit-identical to the serial streaming engine — same Vars, Rows, row
-// order, Cout, Work and Scanned — for both join algorithms, serially and
-// at Parallelism 2 and 8, over every template and curated binding.
-func TestGoldenColumnarMatchesStreaming(t *testing.T) {
-	env := sharedEnv(t)
-	for _, g := range goldenTemplates() {
-		st := env.BSBM
-		if g.snb {
-			st = env.SNB
-		}
-		bindings := curatedBindings(t, g.tmpl, st, 3)
-		for bi, b := range bindings {
-			bound, err := g.tmpl.Bind(b)
+// TestGoldenStreamingEqualsMaterializing: the streaming and materializing
+// engines are gone, and their agreement is frozen in the fixture. What
+// remains of the distinction is how LIMIT meets the pipeline: under
+// EarlyStop it cuts the stream short, otherwise the input is drained. For
+// every BGP template, curated binding and join algorithm, the draining run
+// reproduces the frozen entry bit for bit, and the early-stopping run
+// returns the same variables and rows in order while touching no more
+// tuples.
+func TestGoldenStreamingEqualsMaterializing(t *testing.T) {
+	for _, gc := range goldenCases(t, goldenTemplates()) {
+		for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
+			drained, err := checkGolden(t, gc, gc.st, exec.Options{Join: alg})
 			if err != nil {
-				t.Fatalf("%s binding %d: %v", g.name, bi, err)
+				t.Error(err)
+				continue
 			}
-			for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
-				sres, _, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Streaming})
-				if err != nil {
-					t.Fatalf("%s binding %d streaming: %v", g.name, bi, err)
-				}
-				cres, _, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Columnar})
-				if err != nil {
-					t.Fatalf("%s binding %d columnar: %v", g.name, bi, err)
-				}
-				if err := equalResults(cres, sres); err != nil {
-					t.Errorf("%s binding %d (alg %d) columnar: %v", g.name, bi, alg, err)
-				}
-				if cres.Scanned > 0 && cres.Kernels.Batches == 0 {
-					t.Errorf("%s binding %d: columnar run produced no batches", g.name, bi)
-				}
-				for _, par := range []int{2, 8} {
-					pres, _, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Columnar, Parallelism: par, MorselSize: 128})
-					if err != nil {
-						t.Fatalf("%s binding %d columnar parallelism %d: %v", g.name, bi, par, err)
-					}
-					if err := equalResults(pres, sres); err != nil {
-						t.Errorf("%s binding %d (alg %d) columnar parallelism %d: %v", g.name, bi, alg, par, err)
-					}
-				}
+			early, _, err := exec.Query(gc.bound, gc.st, exec.Options{Join: alg, EarlyStop: true})
+			if err != nil {
+				t.Fatalf("%s early stop: %v", gc, err)
+			}
+			if !reflect.DeepEqual(early.Vars, drained.Vars) || !reflect.DeepEqual(early.Rows, drained.Rows) {
+				t.Errorf("%s (alg %d): early-stopping run changed the result", gc, alg)
+			}
+			if early.Cout > drained.Cout || early.Work > drained.Work || early.Scanned > drained.Scanned {
+				t.Errorf("%s (alg %d): early stop grew the accounting: (cout=%v work=%v scanned=%d) > (cout=%v work=%v scanned=%d)",
+					gc, alg, early.Cout, early.Work, early.Scanned, drained.Cout, drained.Work, drained.Scanned)
 			}
 		}
 	}
@@ -179,39 +285,20 @@ func TestGoldenColumnarMatchesStreaming(t *testing.T) {
 // final result rows stay identical on every template; only the cost
 // accounting may shrink (never grow).
 func TestGoldenPushdownPreservesResults(t *testing.T) {
-	env := sharedEnv(t)
-	for _, g := range goldenTemplates() {
-		st := env.BSBM
-		if g.snb {
-			st = env.SNB
+	for _, gc := range goldenCases(t, goldenTemplates()) {
+		plain, _, err := exec.Query(gc.bound, gc.st, exec.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for bi, b := range curatedBindings(t, g.tmpl, st, 3) {
-			bound, err := g.tmpl.Bind(b)
-			if err != nil {
-				t.Fatalf("%s binding %d: %v", g.name, bi, err)
-			}
-			plain, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Streaming})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pushed, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Streaming, PushFilters: true})
-			if err != nil {
-				t.Fatalf("%s binding %d pushed: %v", g.name, bi, err)
-			}
-			if len(plain.Rows) != len(pushed.Rows) {
-				t.Fatalf("%s binding %d: pushdown changed result size %d vs %d",
-					g.name, bi, len(plain.Rows), len(pushed.Rows))
-			}
-			for i := range plain.Rows {
-				for j := range plain.Rows[i] {
-					if plain.Rows[i][j] != pushed.Rows[i][j] {
-						t.Fatalf("%s binding %d: pushdown changed row %d", g.name, bi, i)
-					}
-				}
-			}
-			if pushed.Cout > plain.Cout {
-				t.Errorf("%s binding %d: pushdown increased Cout %v > %v", g.name, bi, pushed.Cout, plain.Cout)
-			}
+		pushed, _, err := exec.Query(gc.bound, gc.st, exec.Options{PushFilters: true})
+		if err != nil {
+			t.Fatalf("%s pushed: %v", gc, err)
+		}
+		if !reflect.DeepEqual(plain.Rows, pushed.Rows) {
+			t.Fatalf("%s: pushdown changed the rows", gc)
+		}
+		if pushed.Cout > plain.Cout {
+			t.Errorf("%s: pushdown increased Cout %v > %v", gc, pushed.Cout, plain.Cout)
 		}
 	}
 }
@@ -262,159 +349,93 @@ func TestGoldenParallelCuration(t *testing.T) {
 	}
 }
 
-// TestGoldenParallelMatchesSerial: over every BSBM/SNB template with
-// curated bindings, morsel-driven execution at Parallelism 2 and 8 must be
-// bit-identical to the serial streaming run — same Vars, same Rows in the
-// same order, same measured Cout, Work and Scanned. A small MorselSize
-// forces genuine multi-morsel parallelism at test scale; the morsel size
-// never affects results, only the schedule.
+// TestGoldenParallelMatchesSerial: morsel-driven execution at Parallelism 2
+// and 8 reproduces the frozen serial result for every BGP template, curated
+// binding and join algorithm. A small MorselSize forces genuine
+// multi-morsel parallelism at test scale; the morsel size never affects
+// results, only the schedule.
 func TestGoldenParallelMatchesSerial(t *testing.T) {
-	env := sharedEnv(t)
-	for _, g := range goldenTemplates() {
-		st := env.BSBM
-		if g.snb {
-			st = env.SNB
-		}
-		bindings := curatedBindings(t, g.tmpl, st, 3)
-		for bi, b := range bindings {
-			bound, err := g.tmpl.Bind(b)
-			if err != nil {
-				t.Fatalf("%s binding %d: %v", g.name, bi, err)
-			}
-			serial, _, err := exec.Query(bound, st, exec.Options{})
-			if err != nil {
-				t.Fatalf("%s binding %d serial: %v", g.name, bi, err)
-			}
+	for _, gc := range goldenCases(t, goldenTemplates()) {
+		for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
 			for _, par := range []int{2, 8} {
-				res, _, err := exec.Query(bound, st, exec.Options{Parallelism: par, MorselSize: 128})
-				if err != nil {
-					t.Fatalf("%s binding %d parallelism %d: %v", g.name, bi, par, err)
-				}
-				if err := equalResults(res, serial); err != nil {
-					t.Errorf("%s binding %d parallelism %d: %v", g.name, bi, par, err)
+				if _, err := checkGolden(t, gc, gc.st, exec.Options{Join: alg, Parallelism: par, MorselSize: 128}); err != nil {
+					t.Error(err)
 				}
 			}
 		}
 	}
 }
 
-// algebraTemplates are the compositional-algebra workload templates
-// (OPTIONAL/UNION/aggregates). They are kept out of goldenTemplates
-// deliberately: the materializing engine is the frozen paper baseline and
-// rejects these constructs, so the golden property here is streaming ==
-// columnar (serial and parallel) plus the typed rejection.
-func algebraTemplates() []goldenTemplate {
-	return []goldenTemplate{
-		{"bsbm-q5-optional", bsbm.Q5(), false},
-		{"bsbm-q6-union", bsbm.Q6(), false},
-		{"snb-q4-grouped", snb.Q4(), true},
-	}
-}
-
-// TestGoldenAlgebraEngines: over every algebra template and curated
-// binding, the streaming and columnar engines agree bit-for-bit — Vars,
-// Rows, row order, Cout, Work, Scanned — serially and at Parallelism 2
-// and 8, and the materializing engine rejects the query with
-// exec.ErrUnsupportedConstruct.
+// TestGoldenAlgebraEngines: every algebra template and curated binding
+// reproduces the frozen streaming/columnar result for both join algorithms
+// at Parallelism 1, 2 and 8, and matches the oracle.
 func TestGoldenAlgebraEngines(t *testing.T) {
-	env := sharedEnv(t)
-	for _, g := range algebraTemplates() {
-		st := env.BSBM
-		if g.snb {
-			st = env.SNB
-		}
-		bindings := curatedBindings(t, g.tmpl, st, 3)
-		if len(bindings) < 3 {
-			t.Fatalf("%s: only %d curated bindings", g.name, len(bindings))
-		}
-		for bi, b := range bindings {
-			bound, err := g.tmpl.Bind(b)
-			if err != nil {
-				t.Fatalf("%s binding %d: %v", g.name, bi, err)
-			}
-			if _, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Materializing}); !errors.Is(err, exec.ErrUnsupportedConstruct) {
-				t.Fatalf("%s binding %d materializing: error = %v, want ErrUnsupportedConstruct", g.name, bi, err)
-			}
-			sres, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Streaming})
-			if err != nil {
-				t.Fatalf("%s binding %d streaming: %v", g.name, bi, err)
-			}
+	for _, gc := range goldenCases(t, algebraTemplates()) {
+		for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
 			for _, par := range []int{1, 2, 8} {
-				for _, mode := range []exec.ExecMode{exec.Streaming, exec.Columnar} {
-					res, _, err := exec.Query(bound, st, exec.Options{Mode: mode, Parallelism: par, MorselSize: 128})
-					if err != nil {
-						t.Fatalf("%s binding %d mode %d parallelism %d: %v", g.name, bi, mode, par, err)
-					}
-					if err := equalResults(res, sres); err != nil {
-						t.Errorf("%s binding %d mode %d parallelism %d: %v", g.name, bi, mode, par, err)
-					}
+				res, err := checkGolden(t, gc, gc.st, exec.Options{Join: alg, Parallelism: par, MorselSize: 128})
+				if err == nil && par == 1 {
+					err = checkOracle(gc, gc.st, res)
+				}
+				if err != nil {
+					t.Error(err)
 				}
 			}
 		}
 	}
 }
 
-// TestGoldenShardInvariance: the headline sharding invariant. Every
-// engine — materializing, streaming, columnar and columnar+leapfrog, the
-// latter three at Parallelism 1, 2 and 8 — must produce bit-identical
-// results (Vars, Rows, row order, Cout, Work, Scanned) over subject-hash
-// sharded federations at 1 and 4 shards as over the plain store, for
-// every golden template and curated binding. Per-shard sorted runs over
-// disjoint subjects k-way merge into exactly the global index stream, so
-// plans, rows and accounting cannot depend on the shard count.
-func TestGoldenShardInvariance(t *testing.T) {
-	env := sharedEnv(t)
-	shardedBSBM := map[int]*store.Sharded{1: store.NewSharded(env.BSBM, 1), 4: store.NewSharded(env.BSBM, 4)}
-	shardedSNB := map[int]*store.Sharded{1: store.NewSharded(env.SNB, 1), 4: store.NewSharded(env.SNB, 4)}
-	type engineRun struct {
-		name string
-		opts exec.Options
+// checkInvariance is the shard and backing invariance check shared by the
+// two suites below: over st (a sharded or mapped view of gc's store), every
+// template and curated binding reproduces the fixture at Parallelism 1, 2
+// and 8 and matches the oracle; a leapfrog run, which the fixture does not
+// cover (the differential suite checks it against the oracle), must be
+// bit-identical to the leapfrog run over the plain heap store at every
+// parallelism.
+func checkInvariance(t *testing.T, gc goldenCase, st store.Source, label string) {
+	t.Helper()
+	lfRef, _, err := exec.Query(gc.bound, gc.st, exec.Options{Leapfrog: true})
+	if err != nil {
+		t.Fatalf("%s leapfrog: %v", gc, err)
 	}
-	runs := []engineRun{{"materializing", exec.Options{Mode: exec.Materializing}}}
 	for _, par := range []int{1, 2, 8} {
 		ms := 0
 		if par > 1 {
 			ms = 128
 		}
-		runs = append(runs,
-			engineRun{fmt.Sprintf("streaming-p%d", par), exec.Options{Mode: exec.Streaming, Parallelism: par, MorselSize: ms}},
-			engineRun{fmt.Sprintf("columnar-p%d", par), exec.Options{Mode: exec.Columnar, Parallelism: par, MorselSize: ms}},
-			engineRun{fmt.Sprintf("leapfrog-p%d", par), exec.Options{Mode: exec.Columnar, Leapfrog: true, Parallelism: par, MorselSize: ms}},
-		)
+		res, err := checkGolden(t, gc, st, exec.Options{Parallelism: par, MorselSize: ms})
+		if err == nil && par == 1 {
+			err = checkOracle(gc, st, res)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+		lf, _, err := exec.Query(gc.bound, st, exec.Options{Leapfrog: true, Parallelism: par, MorselSize: ms})
+		if err == nil {
+			err = equalResults(lf, lfRef)
+		}
+		if err != nil {
+			t.Errorf("%s: %s leapfrog par %d: %v", label, gc, par, err)
+		}
 	}
-	for _, g := range goldenTemplates() {
-		single, byCount := env.BSBM, shardedBSBM
-		if g.snb {
-			single, byCount = env.SNB, shardedSNB
-		}
-		bindings := curatedBindings(t, g.tmpl, single, 3)
-		if len(bindings) < 3 {
-			t.Fatalf("%s: only %d curated bindings", g.name, len(bindings))
-		}
-		for bi, b := range bindings {
-			bound, err := g.tmpl.Bind(b)
-			if err != nil {
-				t.Fatalf("%s binding %d: %v", g.name, bi, err)
-			}
-			for _, run := range runs {
-				sres, splan, err := exec.Query(bound, single, run.opts)
-				if err != nil {
-					t.Fatalf("%s binding %d %s single: %v", g.name, bi, run.name, err)
-				}
-				for _, shards := range []int{1, 4} {
-					res, plan, err := exec.Query(bound, byCount[shards], run.opts)
-					if err != nil {
-						t.Fatalf("%s binding %d %s shards=%d: %v", g.name, bi, run.name, shards, err)
-					}
-					if plan.Signature != splan.Signature {
-						t.Fatalf("%s binding %d %s shards=%d: plans diverge: %s vs %s",
-							g.name, bi, run.name, shards, plan.Signature, splan.Signature)
-					}
-					if err := equalResults(res, sres); err != nil {
-						t.Errorf("%s binding %d %s shards=%d: %v", g.name, bi, run.name, shards, err)
-					}
-				}
-			}
+}
+
+// TestGoldenShardInvariance: the headline sharding invariant. Over
+// subject-hash sharded federations at 1 and 4 shards, every template and
+// curated binding reproduces the frozen single-store result — plan
+// signature, rows, order, Cout, Work, Scanned — at Parallelism 1, 2 and 8.
+// Per-shard sorted runs over disjoint subjects k-way merge into exactly the
+// global index stream, so plans, rows and accounting cannot depend on the
+// shard count.
+func TestGoldenShardInvariance(t *testing.T) {
+	env := sharedEnv(t)
+	sharded := map[*store.Store]map[int]*store.Sharded{}
+	for _, st := range []*store.Store{env.BSBM, env.SNB} {
+		sharded[st] = map[int]*store.Sharded{1: store.NewSharded(st, 1), 4: store.NewSharded(st, 4)}
+	}
+	for _, gc := range goldenCases(t, append(goldenTemplates(), algebraTemplates()...)) {
+		for _, shards := range []int{1, 4} {
+			checkInvariance(t, gc, sharded[gc.st][shards], fmt.Sprintf("shards=%d", shards))
 		}
 	}
 }
@@ -440,62 +461,13 @@ func mappedCopy(t *testing.T, st *store.Store) *store.Store {
 	return m
 }
 
-// TestGoldenMappedBase: every engine — materializing, streaming, columnar
-// and columnar+leapfrog, the latter three at Parallelism 1, 2 and 8 — must
-// produce bit-identical results (Vars, Rows, row order, Cout, Work,
-// Scanned) over the mmap-backed store and the heap store, for every golden
-// template and curated binding.
+// TestGoldenMappedBase: over the mmap-backed copy of each store, every
+// template and curated binding reproduces the frozen heap result at
+// Parallelism 1, 2 and 8.
 func TestGoldenMappedBase(t *testing.T) {
 	env := sharedEnv(t)
-	mappedBSBM := mappedCopy(t, env.BSBM)
-	mappedSNB := mappedCopy(t, env.SNB)
-	type engineRun struct {
-		name string
-		opts exec.Options
-	}
-	runs := []engineRun{{"materializing", exec.Options{Mode: exec.Materializing}}}
-	for _, par := range []int{1, 2, 8} {
-		ms := 0
-		if par > 1 {
-			ms = 128
-		}
-		runs = append(runs,
-			engineRun{fmt.Sprintf("streaming-p%d", par), exec.Options{Mode: exec.Streaming, Parallelism: par, MorselSize: ms}},
-			engineRun{fmt.Sprintf("columnar-p%d", par), exec.Options{Mode: exec.Columnar, Parallelism: par, MorselSize: ms}},
-			engineRun{fmt.Sprintf("leapfrog-p%d", par), exec.Options{Mode: exec.Columnar, Leapfrog: true, Parallelism: par, MorselSize: ms}},
-		)
-	}
-	for _, g := range goldenTemplates() {
-		heap, mapped := env.BSBM, mappedBSBM
-		if g.snb {
-			heap, mapped = env.SNB, mappedSNB
-		}
-		bindings := curatedBindings(t, g.tmpl, heap, 3)
-		if len(bindings) < 3 {
-			t.Fatalf("%s: only %d curated bindings", g.name, len(bindings))
-		}
-		for bi, b := range bindings {
-			bound, err := g.tmpl.Bind(b)
-			if err != nil {
-				t.Fatalf("%s binding %d: %v", g.name, bi, err)
-			}
-			for _, run := range runs {
-				hres, hplan, err := exec.Query(bound, heap, run.opts)
-				if err != nil {
-					t.Fatalf("%s binding %d %s heap: %v", g.name, bi, run.name, err)
-				}
-				mres, mplan, err := exec.Query(bound, mapped, run.opts)
-				if err != nil {
-					t.Fatalf("%s binding %d %s mapped: %v", g.name, bi, run.name, err)
-				}
-				if hplan.Signature != mplan.Signature {
-					t.Fatalf("%s binding %d %s: plans diverge over mapped base: %s vs %s",
-						g.name, bi, run.name, hplan.Signature, mplan.Signature)
-				}
-				if err := equalResults(mres, hres); err != nil {
-					t.Errorf("%s binding %d %s: mapped diverges from heap: %v", g.name, bi, run.name, err)
-				}
-			}
-		}
+	mapped := map[*store.Store]*store.Store{env.BSBM: mappedCopy(t, env.BSBM), env.SNB: mappedCopy(t, env.SNB)}
+	for _, gc := range goldenCases(t, append(goldenTemplates(), algebraTemplates()...)) {
+		checkInvariance(t, gc, mapped[gc.st], "mapped")
 	}
 }

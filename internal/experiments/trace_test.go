@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/exec"
@@ -49,23 +50,11 @@ func countMorsels(s *obs.Span) int {
 }
 
 // TestTraceAccountingExact covers every golden and algebra template with
-// curated bindings, on the streaming and columnar engines at Parallelism
-// 1, 2 and 8 (small morsels force genuine multi-morsel schedules), plus
-// the materializing engine for the templates it supports.
+// curated bindings at Parallelism 1, 2 and 8 (small morsels force genuine
+// multi-morsel schedules).
 func TestTraceAccountingExact(t *testing.T) {
 	env := sharedEnv(t)
-	type tcase struct {
-		goldenTemplate
-		algebra bool
-	}
-	var cases []tcase
-	for _, g := range goldenTemplates() {
-		cases = append(cases, tcase{g, false})
-	}
-	for _, g := range algebraTemplates() {
-		cases = append(cases, tcase{g, true})
-	}
-	for _, g := range cases {
+	for _, g := range append(goldenTemplates(), algebraTemplates()...) {
 		st := env.BSBM
 		if g.snb {
 			st = env.SNB
@@ -79,48 +68,30 @@ func TestTraceAccountingExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s binding %d: %v", g.name, bi, err)
 			}
-			for _, mode := range []exec.ExecMode{exec.Streaming, exec.Columnar} {
-				for _, par := range []int{1, 2, 8} {
-					name := caseName(g.name, bi, mode, par)
-					opts := exec.Options{Mode: mode, Parallelism: par, MorselSize: 128}
-					plain, _, err := exec.Query(bound, st, opts)
-					if err != nil {
-						t.Fatalf("%s untraced: %v", name, err)
-					}
-					capture := &obs.Capture{}
-					opts.Trace = capture
-					traced, _, err := exec.Query(bound, st, opts)
-					if err != nil {
-						t.Fatalf("%s traced: %v", name, err)
-					}
-					if err := equalResults(traced, plain); err != nil {
-						t.Errorf("%s: tracing changed the run: %v", name, err)
-					}
-					checkTrace(t, name, capture.Root, traced)
-				}
-			}
-			if !g.algebra {
-				capture := &obs.Capture{}
-				res, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Materializing, Trace: capture})
+			for _, par := range []int{1, 2, 8} {
+				name := fmt.Sprintf("%s/par%d/b%d", g.name, par, bi)
+				opts := exec.Options{Parallelism: par, MorselSize: 128}
+				plain, _, err := exec.Query(bound, st, opts)
 				if err != nil {
-					t.Fatalf("%s binding %d materializing: %v", g.name, bi, err)
+					t.Fatalf("%s untraced: %v", name, err)
 				}
-				checkTrace(t, g.name+"/materializing", capture.Root, res)
+				capture := &obs.Capture{}
+				opts.Trace = capture
+				traced, _, err := exec.Query(bound, st, opts)
+				if err != nil {
+					t.Fatalf("%s traced: %v", name, err)
+				}
+				if err := equalResults(traced, plain); err != nil {
+					t.Errorf("%s: tracing changed the run: %v", name, err)
+				}
+				checkTrace(t, name, capture.Root, traced)
 			}
 		}
 	}
 }
 
-func caseName(tmpl string, bi int, mode exec.ExecMode, par int) string {
-	m := "streaming"
-	if mode == exec.Columnar {
-		m = "columnar"
-	}
-	return tmpl + "/" + m + "/par" + string(rune('0'+par)) + "/b" + string(rune('0'+bi))
-}
-
-// TestTraceAccountingLeapfrog runs the golden templates under the
-// columnar engine with leapfrog lowering enabled (eligible star BGPs
+// TestTraceAccountingLeapfrog runs the golden templates with leapfrog
+// lowering enabled (eligible star BGPs
 // replace their binary join tree with the multiway triejoin) and asserts
 // the same exactness invariants against each run's own Result, serially
 // and under the morsel driver.
@@ -141,10 +112,10 @@ func TestTraceAccountingLeapfrog(t *testing.T) {
 				t.Fatalf("%s binding %d: %v", g.name, bi, err)
 			}
 			for _, par := range []int{1, 2, 8} {
-				name := caseName(g.name+"-leapfrog", bi, exec.Columnar, par)
+				name := fmt.Sprintf("%s-leapfrog/par%d/b%d", g.name, par, bi)
 				capture := &obs.Capture{}
 				res, _, err := exec.Query(bound, st, exec.Options{
-					Mode: exec.Columnar, Leapfrog: true, Parallelism: par, MorselSize: 128, Trace: capture,
+					Leapfrog: true, Parallelism: par, MorselSize: 128, Trace: capture,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

@@ -41,16 +41,3 @@ func BindingSignature(b sparql.Binding) string {
 func CacheKey(templateText string, b sparql.Binding) string {
 	return templateText + "\x00" + BindingSignature(b)
 }
-
-// CacheKeyVariant is CacheKey extended with an engine-variant tag. Lowering
-// options that change the physical plan (e.g. the leapfrog multiway join)
-// must not share cache entries with the default lowering of the same
-// (template, binding) pair; the variant string keeps them apart. An empty
-// variant yields exactly CacheKey.
-func CacheKeyVariant(templateText string, b sparql.Binding, variant string) string {
-	k := CacheKey(templateText, b)
-	if variant == "" {
-		return k
-	}
-	return k + "\x00" + variant
-}

@@ -155,15 +155,3 @@ func TestLeapfrogHubOrdering(t *testing.T) {
 		t.Fatalf("trie order = %v, want ?b (3 occurrences) then ?a (2)", tv)
 	}
 }
-
-func TestCacheKeyVariant(t *testing.T) {
-	base := CacheKey("q", nil)
-	if CacheKeyVariant("q", nil, "") != base {
-		t.Fatal("empty variant must equal CacheKey")
-	}
-	a := CacheKeyVariant("q", nil, "leapfrog")
-	b := CacheKeyVariant("q", nil, "columnar")
-	if a == base || b == base || a == b {
-		t.Fatalf("variants must be distinct: %q %q %q", base, a, b)
-	}
-}

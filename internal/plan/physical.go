@@ -8,14 +8,12 @@ import (
 )
 
 // This file implements the physical-plan layer: lowering of an optimized
-// logical join tree (Node) into a tree of physical operators that an
-// executor can run directly. The lowering fixes every execution decision
-// that the materializing executor used to make on the fly — operator
-// selection (index scan, index-nested-loop probe, hash/sort-merge/cross
-// join), output schemas, build-side choices for leaf-leaf joins, and the
-// placement of FILTER, ORDER BY, projection, DISTINCT and LIMIT — so that
-// the streaming and materializing engines execute the *same* physical plan
-// and produce bit-identical results and accounting.
+// logical join tree (Node) into a tree of physical operators that the
+// executor runs directly. The lowering fixes every execution decision —
+// operator selection (index scan, index-nested-loop probe, hash/sort-merge/
+// cross join), output schemas, build-side choices for leaf-leaf joins, and
+// the placement of FILTER, ORDER BY, projection, DISTINCT and LIMIT — so a
+// plan's rows, row order and accounting depend on the plan alone.
 
 // PhysOp identifies a physical operator kind.
 type PhysOp uint8
@@ -259,8 +257,7 @@ func (n *PhysNode) describe(b *strings.Builder) {
 }
 
 // Lower translates the optimized logical plan p for compiled query c into a
-// physical operator tree. Operator selection replicates the materializing
-// executor's rules exactly:
+// physical operator tree. Operator selection follows fixed rules:
 //
 //   - a leaf is an IndexScan;
 //   - a join with exactly one composite child probes the leaf child per
@@ -272,9 +269,9 @@ func (n *PhysNode) describe(b *strings.Builder) {
 //     a variable and a cross product otherwise.
 //
 // The epilogue appends Filter (all filters, or only those not pushed down),
-// Order, Project, Distinct and Limit in the exact order the materializing
-// executor applies them. Filters, ORDER BY keys and SELECT columns naming
-// variables absent from the covering schema are lowering errors.
+// Order, Project, Distinct and Limit, in that order. Filters, ORDER BY keys
+// and SELECT columns naming variables absent from the covering schema are
+// lowering errors.
 func Lower(c *Compiled, p *Plan, opts PhysOptions) (*Physical, error) {
 	if p == nil || (p.Root == nil && p.Alg == nil) {
 		return nil, fmt.Errorf("plan: nil plan")
@@ -581,8 +578,7 @@ func (l *lowerer) scan(n *Node) *PhysNode {
 // probe lowers a join whose one child is a bare leaf. When the leaf shares
 // a variable with the outer schema (and its constants resolve), the join is
 // an index-nested-loop probe; otherwise it degrades to a regular join of
-// the outer with a full scan of the leaf — exactly the materializing
-// executor's fallback.
+// the outer with a full scan of the leaf.
 func (l *lowerer) probe(outer *PhysNode, leafNode *Node, card float64) *PhysNode {
 	cp := leafNode.Leaf
 	anyShared := false
@@ -624,8 +620,8 @@ func (l *lowerer) joinNode(left, right *PhysNode, card float64) *PhysNode {
 	}
 }
 
-// epilogue appends the post-join operators in the materializing executor's
-// order: FILTER, ORDER BY, projection, DISTINCT, LIMIT.
+// epilogue appends the post-join operators in order: FILTER, ORDER BY,
+// projection, DISTINCT, LIMIT.
 func (l *lowerer) epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
 	rootFilters := q.Filters
 	if l.opts.PushFilters {
@@ -674,9 +670,8 @@ func (l *lowerer) epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
 // pushFilters places every single-variable filter at each lowest operator
 // that introduces its variable (scans and probes), returning the filters
 // that must remain at the root: multi-variable comparisons, plus any filter
-// whose variable no operator covers (left to the root filter so the
-// executor reports the same unbound-variable error as the materializing
-// path).
+// whose variable no operator covers (left to the root filter so lowering
+// reports the standard unbound-variable error).
 func pushFilters(root *PhysNode, filters []sparql.Filter) (*PhysNode, []sparql.Filter, error) {
 	var rest []sparql.Filter
 	for _, f := range filters {

@@ -133,7 +133,7 @@ func TestLowerCrossProduct(t *testing.T) {
 func TestLowerMissingLeafScansEmptySide(t *testing.T) {
 	// A missing leaf (constant absent from the dictionary) estimates to
 	// cardinality 0, so it becomes the outer scan and the live pattern is
-	// probed — exactly the materializing executor's decision.
+	// probed.
 	st := buildPhysStore(t)
 	ph, _ := lowerQuery(t, st, `SELECT * WHERE {
   ?p <http://x/knows> ?f .

@@ -2,10 +2,13 @@ package service
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -39,88 +42,93 @@ const starServiceQuery = `SELECT * WHERE {
   ?h <http://x/p3> ?c .
 }`
 
-// TestColumnarService: a service configured with the columnar engine (and
-// leapfrog) answers identically to the streaming default and reports its
-// kernel counters through Stats.
+// TestColumnarService: a default service and a leapfrog one answer the
+// same rows and report the one engine and their kernel counters through
+// Stats.
 func TestColumnarService(t *testing.T) {
 	st := buildStarServiceStore(t)
-	ref := New(st, "", Options{Exec: exec.Options{}})
-	col := New(st, "", Options{Exec: exec.Options{Mode: exec.Columnar}})
-	lf := New(st, "", Options{Exec: exec.Options{Mode: exec.Columnar, Leapfrog: true}})
+	ref := New(st, "", Options{})
+	lf := New(st, "", Options{Exec: exec.Options{Leapfrog: true}})
 
 	ctx := context.Background()
 	want, err := ref.Query(ctx, starServiceQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := col.Query(ctx, starServiceQuery, nil)
+	got, err := lf.Query(ctx, starServiceQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Result.Rows) != len(want.Result.Rows) ||
-		got.Result.Cout != want.Result.Cout || got.Result.Work != want.Result.Work {
-		t.Fatalf("columnar service diverges: %d rows cout=%v work=%v, want %d rows cout=%v work=%v",
-			len(got.Result.Rows), got.Result.Cout, got.Result.Work,
-			len(want.Result.Rows), want.Result.Cout, want.Result.Work)
+	if len(got.Result.Rows) != len(want.Result.Rows) {
+		t.Fatalf("leapfrog service rows = %d, want %d", len(got.Result.Rows), len(want.Result.Rows))
 	}
-	lfOut, err := lf.Query(ctx, starServiceQuery, nil)
-	if err != nil {
-		t.Fatal(err)
+	refStats, lfStats := ref.Stats(), lf.Stats()
+	if refStats.Engine.Mode != "columnar" || refStats.Engine.Leapfrog || refStats.Engine.Kernels.Batches == 0 {
+		t.Fatalf("default service engine stats: %+v", refStats.Engine)
 	}
-	if len(lfOut.Result.Rows) != len(want.Result.Rows) {
-		t.Fatalf("leapfrog service rows = %d, want %d", len(lfOut.Result.Rows), len(want.Result.Rows))
-	}
-
-	refStats, colStats, lfStats := ref.Stats(), col.Stats(), lf.Stats()
-	if refStats.Engine.Mode != "streaming" || refStats.Engine.Kernels != (KernelStats{}) {
-		t.Fatalf("streaming service engine stats: %+v", refStats.Engine)
-	}
-	if colStats.Engine.Mode != "columnar" || colStats.Engine.Kernels.Batches == 0 {
-		t.Fatalf("columnar service engine stats: %+v", colStats.Engine)
-	}
-	if !lfStats.Engine.Leapfrog || lfStats.Engine.Kernels.LeapfrogRows == 0 {
+	if lfStats.Engine.Mode != "columnar" || !lfStats.Engine.Leapfrog || lfStats.Engine.Kernels.LeapfrogRows == 0 {
 		t.Fatalf("leapfrog service engine stats: %+v", lfStats.Engine)
 	}
 }
 
-// TestEngineVariantCacheKeys: services with different engine configurations
-// derive distinct plan-cache keys from the same query text, and the
-// streaming default keeps the historical key format.
+// TestEngineVariantCacheKeys: every plan cache belongs to one service and
+// its fixed engine configuration, so services with different configurations
+// key the same query text identically, on plan.CacheKey alone, while each
+// still caches within itself; a cached leapfrog plan still executes the
+// leapfrog operator.
 func TestEngineVariantCacheKeys(t *testing.T) {
-	cases := []struct {
-		opts exec.Options
-		want string
-	}{
-		{exec.Options{}, ""},
-		{exec.Options{Mode: exec.Materializing}, "materializing"},
-		{exec.Options{Mode: exec.Columnar}, "columnar"},
-		{exec.Options{Mode: exec.Columnar, Leapfrog: true}, "columnar+leapfrog"},
-	}
-	seen := map[string]bool{}
-	for _, c := range cases {
-		if got := engineVariant(c.opts); got != c.want {
-			t.Fatalf("engineVariant(%+v) = %q, want %q", c.opts, got, c.want)
-		}
-		if seen[engineVariant(c.opts)] {
-			t.Fatalf("variant %q not unique", c.want)
-		}
-		seen[engineVariant(c.opts)] = true
-	}
-	// Each variant service still caches within itself.
 	st := buildStarServiceStore(t)
-	svc := New(st, "", Options{Exec: exec.Options{Mode: exec.Columnar, Leapfrog: true}})
-	ctx := context.Background()
-	if _, err := svc.Query(ctx, starServiceQuery, nil); err != nil {
-		t.Fatal(err)
-	}
-	out, err := svc.Query(ctx, starServiceQuery, nil)
+	q, err := sparql.Parse(starServiceQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.CacheHit {
-		t.Fatal("second identical query missed the plan cache")
+	wantKey := plan.CacheKey(q.String(), nil)
+	ctx := context.Background()
+	for _, opts := range []exec.Options{
+		{},
+		{Join: exec.SortMergeJoin},
+		{PushFilters: true},
+		{Leapfrog: true},
+	} {
+		svc := New(st, "", Options{Exec: opts})
+		var lfRows uint64
+		for i := 0; i < 2; i++ {
+			lfRows = svc.Stats().Engine.Kernels.LeapfrogRows
+			out, err := svc.Query(ctx, starServiceQuery, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.CacheHit != (i == 1) {
+				t.Fatalf("%+v query %d: cache hit %v", opts, i, out.CacheHit)
+			}
+		}
+		cache := svc.state.Load().cache
+		cache.mu.Lock()
+		_, ok := cache.byKey[wantKey]
+		n := len(cache.byKey)
+		cache.mu.Unlock()
+		if !ok || n != 1 {
+			t.Fatalf("%+v: cache holds %d entries, key %q present %v", opts, n, wantKey, ok)
+		}
+		if opts.Leapfrog && svc.Stats().Engine.Kernels.LeapfrogRows == lfRows {
+			t.Fatal("cached leapfrog plan did not execute the leapfrog operator")
+		}
 	}
-	if svc.Stats().Engine.Kernels.LeapfrogRows == 0 {
-		t.Fatal("cached leapfrog plan did not execute the leapfrog operator")
+}
+
+// TestParseEngineModeRejectsRemovedEngines: the shim accepts only the one
+// engine and names the removed ones with a typed error.
+func TestParseEngineModeRejectsRemovedEngines(t *testing.T) {
+	for _, name := range []string{"", "columnar"} {
+		if m, err := ParseEngineMode(name); err != nil || m != exec.Columnar {
+			t.Fatalf("ParseEngineMode(%q) = %v, %v", name, m, err)
+		}
+	}
+	for _, name := range []string{"streaming", "materializing", "vectorized"} {
+		_, err := ParseEngineMode(name)
+		var ee *EngineError
+		if !errors.As(err, &ee) || ee.Name != name {
+			t.Fatalf("ParseEngineMode(%q) error = %v, want *EngineError", name, err)
+		}
 	}
 }

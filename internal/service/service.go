@@ -9,8 +9,8 @@
 //     compilation and DPsub join ordering entirely, with hit/miss/eviction
 //     counters;
 //   - admission control: a bounded worker pool with a request-queue cap and
-//     fast ErrOverloaded (HTTP 429) rejection, keeping the streaming
-//     engine's per-query allocations bounded under load;
+//     fast ErrOverloaded (HTTP 429) rejection, keeping the engine's
+//     per-query allocations bounded under load;
 //   - hot snapshot swap: Reload/Swap atomically install a new store while
 //     in-flight queries finish against the old one (each request pins one
 //     snapshot state for its whole execution);
@@ -66,8 +66,8 @@ func IsInputError(err error) bool {
 
 // Options configures a Service. The zero value means: GOMAXPROCS workers, a
 // queue of 4x the workers, a 1024-entry plan cache, and the exec defaults
-// (streaming engine, exact paper accounting). Use DefaultOptions for the
-// serving-mode defaults (EarlyStop on).
+// (exact paper accounting). Use DefaultOptions for the serving-mode
+// defaults (EarlyStop on).
 type Options struct {
 	// Workers bounds concurrent query executions (default GOMAXPROCS).
 	Workers int
@@ -144,9 +144,9 @@ type Options struct {
 	SlowLog io.Writer
 }
 
-// DefaultOptions returns the serving-mode defaults: streaming engine with
-// EarlyStop, so LIMIT terminates pipelines as soon as possible. Paper
-// experiments that need draining accounting pass exec.Options{} instead.
+// DefaultOptions returns the serving-mode defaults: EarlyStop, so LIMIT
+// terminates pipelines as soon as possible. Paper experiments that need
+// draining accounting pass exec.Options{} instead.
 func DefaultOptions() Options {
 	return Options{Exec: exec.Options{EarlyStop: true}}
 }
@@ -287,25 +287,6 @@ func newPrepared(name, text string, q *sparql.Query) *Prepared {
 	return &Prepared{Name: name, Text: text, Params: q.Params(), tmpl: q, latencyKey: "template:" + name}
 }
 
-// engineVariant names the engine configuration for plan-cache keying:
-// cached entries from different engine modes never collide, so operators
-// can flip -engine between restarts (or run A/B services over one
-// snapshot) without cache cross-talk. The streaming default keeps the
-// empty variant, preserving existing cache keys.
-func engineVariant(o exec.Options) string {
-	switch o.Mode {
-	case exec.Materializing:
-		return "materializing"
-	case exec.Columnar:
-		if o.Leapfrog {
-			return "columnar+leapfrog"
-		}
-		return "columnar"
-	default:
-		return ""
-	}
-}
-
 // kernelCounters aggregate exec.KernelStats across all queries, atomically
 // so the query hot path never takes the stats mutex.
 type kernelCounters struct {
@@ -340,8 +321,7 @@ func (k *kernelCounters) add(ks exec.KernelStats) {
 // Service is the concurrent query service. Create one with New; all methods
 // are safe for concurrent use.
 type Service struct {
-	opts    Options
-	variant string // engine-configuration component of plan-cache keys
+	opts Options
 
 	state  atomic.Pointer[snapState]
 	swapMu sync.Mutex // serializes Swap/Reload
@@ -372,7 +352,7 @@ type Service struct {
 	parWorkersSum atomic.Uint64 // sum of per-query peak worker counts
 	parWorkersMax atomic.Uint64 // largest per-query peak worker count
 
-	// Columnar kernel telemetry, aggregated from exec results.
+	// Kernel telemetry, aggregated from exec results.
 	kern kernelCounters
 
 	// Tracing: the recent-trace ring plus the sampling sequence and
@@ -403,7 +383,6 @@ func New(st store.Source, source string, opts Options) *Service {
 	}
 	s := &Service{
 		opts:      opts,
-		variant:   engineVariant(opts.Exec),
 		pool:      exec.NewTokenPool(opts.Workers),
 		ring:      obs.NewRing(opts.TraceRecent),
 		prepared:  make(map[string]*Prepared),
@@ -945,7 +924,7 @@ func (s *Service) QueryWith(ctx context.Context, text string, b sparql.Binding, 
 // 1-in-N sampler selects it, or when slow-query capture is armed (the
 // trace is then discarded if the query comes in under the threshold).
 func (s *Service) run(ctx context.Context, st *snapState, tmpl *sparql.Query, text string, b sparql.Binding, m runMeta) (*Outcome, error) {
-	key := plan.CacheKeyVariant(text, b, s.variant)
+	key := plan.CacheKey(text, b)
 	ent, hit := st.cache.get(key)
 	if !hit {
 		bound := tmpl
@@ -1122,30 +1101,23 @@ func (s *Service) admit(ctx context.Context) (func(), error) {
 	}, nil
 }
 
-// engineMode renders an exec.ExecMode for /stats and CLI flags.
-func engineMode(m exec.ExecMode) string {
-	switch m {
-	case exec.Materializing:
-		return "materializing"
-	case exec.Columnar:
-		return "columnar"
-	default:
-		return "streaming"
-	}
+// EngineError is ParseEngineMode's error for any engine name other than
+// "columnar": the streaming and materializing engines were removed.
+type EngineError struct{ Name string }
+
+func (e *EngineError) Error() string {
+	return fmt.Sprintf("engine %q does not exist: columnar is the only engine (streaming and materializing were removed)", e.Name)
 }
 
-// ParseEngineMode maps the -engine flag value to an exec.ExecMode.
+// ParseEngineMode maps an engine name to exec.Columnar, the only engine:
+// "" and "columnar" are accepted, anything else is an *EngineError. It
+// exists for the frozen benchmark harness (see exec.ExecMode) and goes with
+// that shim.
 func ParseEngineMode(name string) (exec.ExecMode, error) {
-	switch name {
-	case "", "streaming":
-		return exec.Streaming, nil
-	case "materializing":
-		return exec.Materializing, nil
-	case "columnar":
-		return exec.Columnar, nil
-	default:
-		return exec.Streaming, fmt.Errorf("unknown engine %q (want streaming, materializing or columnar)", name)
+	if name != "" && name != "columnar" {
+		return exec.Columnar, &EngineError{Name: name}
 	}
+	return exec.Columnar, nil
 }
 
 // maxLatencyKeys caps the latency map's cardinality. Per-template keys
@@ -1224,10 +1196,8 @@ type ParallelStats struct {
 }
 
 // KernelStats are the cumulative kernel counters aggregated from every
-// query since startup. Most are columnar-engine telemetry (all zero when
-// the service runs a row engine); LeftJoinRows, UnionRows and AggGroups
-// are logical algebra-operator counts maintained identically by the
-// streaming and columnar engines.
+// query since startup. LeftJoinRows, UnionRows and AggGroups are logical
+// algebra-operator counts; the rest describe how the engine's kernels ran.
 type KernelStats struct {
 	Batches       uint64 `json:"batches"`
 	FilterRows    uint64 `json:"filter_rows"`
@@ -1244,10 +1214,10 @@ type KernelStats struct {
 // EngineStats name the configured execution engine and its kernel
 // telemetry.
 type EngineStats struct {
-	// Mode is "streaming", "materializing" or "columnar".
+	// Mode is always "columnar", the only engine.
 	Mode string `json:"mode"`
 	// Leapfrog reports whether eligible star BGPs lower to the multiway
-	// leapfrog triejoin (columnar mode only).
+	// leapfrog triejoin.
 	Leapfrog bool        `json:"leapfrog"`
 	Kernels  KernelStats `json:"kernels"`
 }
@@ -1405,8 +1375,8 @@ func (s *Service) Stats() Stats {
 			MaxWorkers:  s.parWorkersMax.Load(),
 		},
 		Engine: EngineStats{
-			Mode:     engineMode(s.opts.Exec.Mode),
-			Leapfrog: s.opts.Exec.Leapfrog && s.opts.Exec.Mode == exec.Columnar,
+			Mode:     "columnar",
+			Leapfrog: s.opts.Exec.Leapfrog,
 			Kernels: KernelStats{
 				Batches:       s.kern.batches.Load(),
 				FilterRows:    s.kern.filterRows.Load(),

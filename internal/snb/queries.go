@@ -44,7 +44,7 @@ SELECT ?person WHERE {
 // QueryQ4Text is the grouped-counts template: posts per friend of
 // %Person, grouped and filtered on the group size — LDBC's "friend
 // activity" shape expressed with the compositional algebra (GROUP BY +
-// COUNT + HAVING). The materializing baseline rejects it.
+// COUNT + HAVING).
 const QueryQ4Text = `
 PREFIX sn: <http://snb.example.org/>
 SELECT ?friend (COUNT(*) AS ?n) WHERE {
