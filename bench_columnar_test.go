@@ -164,7 +164,7 @@ func BenchmarkLeapfrogStar5(b *testing.B) { benchLeapfrogStar(b, 5) }
 func BenchmarkExecColumnarMapped(b *testing.B) {
 	heap, binding := benchParallelSetup(b)
 	var buf bytes.Buffer
-	if err := heap.WriteSnapshotVersion(&buf, 4); err != nil {
+	if err := heap.WriteSnapshot(&buf); err != nil {
 		b.Fatal(err)
 	}
 	st, err := store.OpenMappedBytes(buf.Bytes())

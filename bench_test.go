@@ -9,11 +9,8 @@ package repro
 // Pearson r) so `go test -bench=.` regenerates the entire evaluation.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -627,150 +624,6 @@ func BenchmarkBuildSerial(b *testing.B) { benchBuild(b, 1) }
 // GOMAXPROCS) with statistics overlapped; output is byte-identical to the
 // serial build.
 func BenchmarkBuildParallel(b *testing.B) { benchBuild(b, 0) }
-
-// benchSnapshotLoad times ReadSnapshot over an in-memory snapshot of the
-// small BSBM store in the given format version, reporting the snapshot
-// size so v1-vs-v2 compactness is tracked alongside load time.
-func benchSnapshotLoad(b *testing.B, version int) {
-	e := env(b)
-	var buf bytes.Buffer
-	if err := e.BSBM.WriteSnapshotVersion(&buf, version); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := store.ReadSnapshot(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Len() != e.BSBM.Len() {
-			b.Fatal("snapshot load lost triples")
-		}
-	}
-	b.ReportMetric(float64(len(raw)), "snapshot-bytes")
-}
-
-// BenchmarkSnapshotV1Load loads the legacy fixed-width format.
-func BenchmarkSnapshotV1Load(b *testing.B) { benchSnapshotLoad(b, 1) }
-
-// BenchmarkSnapshotV2Load loads the varint+delta format (the default).
-func BenchmarkSnapshotV2Load(b *testing.B) { benchSnapshotLoad(b, 2) }
-
-// residentBytes measures the live-heap growth of holding one loaded store:
-// GC before and after the load and report the HeapAlloc delta. For a heap
-// deserialization this is roughly the six indexes plus the dictionary; for
-// an mmap-backed open it stays near zero because the indexes remain in the
-// (SetBytes-reported) file mapping.
-func residentBytes(b *testing.B, load func() *store.Store) float64 {
-	b.Helper()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	st := load()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(st)
-	d := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// BenchmarkSnapshotV3Load loads the v3 format (v2 plus partition stats) —
-// the fully deserializing baseline BenchmarkSnapshotV4Open is measured
-// against: open latency grows with triple count and resident-bytes carries
-// the whole store.
-func BenchmarkSnapshotV3Load(b *testing.B) {
-	e := env(b)
-	var buf bytes.Buffer
-	if err := e.BSBM.WriteSnapshotVersion(&buf, 3); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := store.ReadSnapshot(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Len() != e.BSBM.Len() {
-			b.Fatal("snapshot load lost triples")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(raw)), "snapshot-bytes")
-	b.ReportMetric(residentBytes(b, func() *store.Store {
-		st, err := store.ReadSnapshot(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st
-	}), "resident-bytes")
-}
-
-// BenchmarkSnapshotV4Open opens the page-aligned v4 format through the OS
-// file mapping: O(1) in triple count (header validation plus six slice
-// reinterpretations, no index deserialization), with resident-bytes near
-// zero because the indexes are served from the mapping.
-func BenchmarkSnapshotV4Open(b *testing.B) {
-	e := env(b)
-	path := filepath.Join(b.TempDir(), "bsbm.v4.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := e.BSBM.WriteSnapshotVersion(f, 4); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fi.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := store.OpenMapped(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Len() != e.BSBM.Len() {
-			b.Fatal("mapped open lost triples")
-		}
-		st.Mapping().Release()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
-	b.ReportMetric(residentBytes(b, func() *store.Store {
-		st, err := store.OpenMapped(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st
-	}), "resident-bytes")
-}
-
-// BenchmarkSnapshotV2Write times serializing the small BSBM store in the
-// default format.
-func BenchmarkSnapshotV2Write(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := e.BSBM.WriteSnapshot(&buf); err != nil {
-			b.Fatal(err)
-		}
-		n = buf.Len()
-	}
-	b.ReportMetric(float64(n), "snapshot-bytes")
-}
 
 func BenchmarkDatasetGenerationBSBM(b *testing.B) {
 	cfg := bsbm.TestConfig()

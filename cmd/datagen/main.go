@@ -1,10 +1,12 @@
 // Command datagen generates a benchmark dataset (BSBM-style or LDBC-SNB-
-// style) as N-Triples.
+// style) as N-Triples or as a store snapshot (the v4 format cmd/served
+// maps in).
 //
 // Usage:
 //
 //	datagen -dataset bsbm -scale default -seed 1 -out data.nt
 //	datagen -dataset snb  -scale test > snb.nt
+//	datagen -dataset snb  -scale test -format snapshot -out snb.snap
 package main
 
 import (
@@ -25,18 +27,17 @@ func main() {
 		scale   = flag.String("scale", "default", "scale preset: test | default")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		out     = flag.String("out", "", "output file (default stdout)")
-		format  = flag.String("format", "nt", "output format: nt (N-Triples) | snapshot (binary store snapshot)")
-		snapVer = flag.Int("snapshot-version", 2, "snapshot format version: 2 (varint+delta, default) | 1 (fixed-width, legacy) | 3 (partitioned stats) | 4 (page-aligned, mmap-servable)")
+		format  = flag.String("format", "nt", "output format: nt (N-Triples) | snapshot (v4 store snapshot, mmap-servable)")
 		shards  = flag.Int("shards", 0, "with -format snapshot: write a sharded snapshot directory at -out (this many subject-hash shard files, each v4 mmap-servable, plus a manifest)")
 	)
 	flag.Parse()
-	if err := run(*dataset, *scale, *seed, *out, *format, *snapVer, *shards); err != nil {
+	if err := run(*dataset, *scale, *seed, *out, *format, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset, scale string, seed int64, out, format string, snapVer, shards int) error {
+func run(dataset, scale string, seed int64, out, format string, shards int) error {
 	if shards > 1 {
 		if format != "snapshot" {
 			return fmt.Errorf("-shards requires -format snapshot")
@@ -81,10 +82,10 @@ func run(dataset, scale string, seed int64, out, format string, snapVer, shards 
 			return err
 		}
 		st := b.Build()
-		if err := st.WriteSnapshotVersion(w, snapVer); err != nil {
+		if err := st.WriteSnapshot(w); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "datagen: wrote v%d snapshot with %d triples\n", snapVer, st.Len())
+		fmt.Fprintf(os.Stderr, "datagen: wrote v4 snapshot with %d triples\n", st.Len())
 		return nil
 	default:
 		return fmt.Errorf("unknown format %q (want nt or snapshot)", format)

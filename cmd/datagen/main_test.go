@@ -11,7 +11,7 @@ import (
 
 func TestRunWritesParseableNTriples(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.nt")
-	if err := run("bsbm", "test", 1, out, "nt", 2, 0); err != nil {
+	if err := run("bsbm", "test", 1, out, "nt", 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -30,7 +30,7 @@ func TestRunWritesParseableNTriples(t *testing.T) {
 
 func TestRunSNB(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "snb.nt")
-	if err := run("snb", "test", 2, out, "nt", 2, 0); err != nil {
+	if err := run("snb", "test", 2, out, "nt", 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -49,23 +49,23 @@ func TestRunSNB(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	tmp := filepath.Join(t.TempDir(), "x.nt")
-	if err := run("nope", "test", 1, tmp, "nt", 2, 0); err == nil {
+	if err := run("nope", "test", 1, tmp, "nt", 0); err == nil {
 		t.Error("unknown dataset should fail")
 	}
-	if err := run("bsbm", "huge", 1, tmp, "nt", 2, 0); err == nil {
+	if err := run("bsbm", "huge", 1, tmp, "nt", 0); err == nil {
 		t.Error("unknown scale should fail")
 	}
-	if err := run("snb", "huge", 1, tmp, "nt", 2, 0); err == nil {
+	if err := run("snb", "huge", 1, tmp, "nt", 0); err == nil {
 		t.Error("unknown snb scale should fail")
 	}
-	if err := run("bsbm", "test", 1, "/nonexistent-dir/x.nt", "nt", 2, 0); err == nil {
+	if err := run("bsbm", "test", 1, "/nonexistent-dir/x.nt", "nt", 0); err == nil {
 		t.Error("unwritable path should fail")
 	}
 }
 
 func TestRunSnapshotFormat(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "data.snap")
-	if err := run("bsbm", "test", 1, out, "snapshot", 2, 0); err != nil {
+	if err := run("bsbm", "test", 1, out, "snapshot", 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -83,11 +83,8 @@ func TestRunSnapshotFormat(t *testing.T) {
 }
 
 func TestRunBadFormat(t *testing.T) {
-	if err := run("bsbm", "test", 1, filepath.Join(t.TempDir(), "x"), "yaml", 2, 0); err == nil {
+	if err := run("bsbm", "test", 1, filepath.Join(t.TempDir(), "x"), "yaml", 0); err == nil {
 		t.Fatal("bad format should fail")
-	}
-	if err := run("bsbm", "test", 1, filepath.Join(t.TempDir(), "x"), "snapshot", 9, 0); err == nil {
-		t.Fatal("bad snapshot version should fail")
 	}
 }
 
@@ -96,11 +93,11 @@ func TestRunBadFormat(t *testing.T) {
 func TestRunShardedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.snap")
-	if err := run("bsbm", "test", 1, plain, "snapshot", 2, 0); err != nil {
+	if err := run("bsbm", "test", 1, plain, "snapshot", 0); err != nil {
 		t.Fatal(err)
 	}
 	sharded := filepath.Join(dir, "sharded")
-	if err := run("bsbm", "test", 1, sharded, "snapshot", 4, 4); err != nil {
+	if err := run("bsbm", "test", 1, sharded, "snapshot", 4); err != nil {
 		t.Fatal(err)
 	}
 	if !store.IsShardedSnapshot(sharded) {
@@ -122,51 +119,37 @@ func TestRunShardedSnapshot(t *testing.T) {
 	if sh.NumShards() != 4 || sh.Len() != ref.Len() {
 		t.Fatalf("sharded load: %d shards, %d triples (want 4, %d)", sh.NumShards(), sh.Len(), ref.Len())
 	}
-	if err := run("bsbm", "test", 1, filepath.Join(dir, "x.nt"), "nt", 2, 4); err == nil {
+	if err := run("bsbm", "test", 1, filepath.Join(dir, "x.nt"), "nt", 4); err == nil {
 		t.Fatal("-shards with -format nt should fail")
 	}
-	if err := run("bsbm", "test", 1, "", "snapshot", 4, 4); err == nil {
+	if err := run("bsbm", "test", 1, "", "snapshot", 4); err == nil {
 		t.Fatal("-shards without -out should fail")
 	}
 }
 
-// Both snapshot versions load into equivalent stores; v2 is smaller.
+// -format snapshot writes v4: the file maps in (what cmd/served does by
+// default) and heap-loads into the same store as the N-Triples output.
 func TestRunSnapshotVersions(t *testing.T) {
 	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.snap")
-	v2 := filepath.Join(dir, "v2.snap")
-	if err := run("bsbm", "test", 1, v1, "snapshot", 1, 0); err != nil {
+	snap := filepath.Join(dir, "data.snap")
+	nt := filepath.Join(dir, "data.nt")
+	if err := run("bsbm", "test", 1, snap, "snapshot", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("bsbm", "test", 1, v2, "snapshot", 2, 0); err != nil {
+	if err := run("bsbm", "test", 1, nt, "nt", 0); err != nil {
 		t.Fatal(err)
 	}
-	s1, err := os.Stat(v1)
+	mapped, err := store.OpenMapped(snap)
+	if err != nil {
+		t.Fatalf("snapshot is not a mappable v4 file: %v", err)
+	}
+	defer mapped.Mapping().Release()
+	ref, err := store.LoadAny(nt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := os.Stat(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Size() >= s1.Size() {
-		t.Fatalf("v2 snapshot (%d bytes) not smaller than v1 (%d bytes)", s2.Size(), s1.Size())
-	}
-	load := func(p string) *store.Store {
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		st, err := store.ReadSnapshot(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	st1, st2 := load(v1), load(v2)
-	if st1.Len() != st2.Len() || st1.Dict().Len() != st2.Dict().Len() {
-		t.Fatalf("v1 and v2 loads disagree: %d/%d triples, %d/%d terms",
-			st1.Len(), st2.Len(), st1.Dict().Len(), st2.Dict().Len())
+	if mapped.Backend() != "mapped" || mapped.Len() != ref.Len() || mapped.Dict().Len() != ref.Dict().Len() {
+		t.Fatalf("v4 snapshot (%s) disagrees with N-Triples: %d/%d triples, %d/%d terms",
+			mapped.Backend(), mapped.Len(), ref.Len(), mapped.Dict().Len(), ref.Dict().Len())
 	}
 }

@@ -26,21 +26,21 @@
 // is maintained.
 //
 // Stores persist as binary snapshots, auto-detected by their 8-byte magic.
-// The version compatibility matrix:
+// WriteSnapshot writes only v4; v1–v3 are read-only, so files written by
+// older builds stay loadable. The version compatibility matrix:
 //
-//	version  magic     layout                      read                 mmap-serve
-//	v1       RDFSNAP1  fixed-width, SPO stream     ReadSnapshot         no
-//	v2       RDFSNAP2  uvarint + delta-encoded     ReadSnapshot         no
-//	v3       RDFSNAP3  v2 + delta overlay streams  ReadSnapshot         no
-//	v4       RDFSNAP4  page-aligned sections,      ReadSnapshot (full   yes:
-//	                   offset-table dictionary,    revalidation and     store.OpenMapped,
-//	                   all six indexes + stats     index rebuild)       O(1), zero-copy
+//	version  magic     layout                      read                 write         mmap-serve
+//	v1       RDFSNAP1  fixed-width, SPO stream     ReadSnapshot         no            no
+//	v2       RDFSNAP2  uvarint + delta-encoded     ReadSnapshot         no            no
+//	v3       RDFSNAP3  v2 + delta overlay streams  ReadSnapshot         no            no
+//	v4       RDFSNAP4  page-aligned sections,      ReadSnapshot (full   WriteSnapshot yes:
+//	                   offset-table dictionary,    revalidation and     (folds a      store.OpenMapped,
+//	                   all six indexes + stats     index rebuild)       delta)        O(1), zero-copy
 //
-// All versions remain writable through WriteSnapshotVersion and readable
-// through ReadSnapshot/LoadAny; store.LoadAnyMapped additionally serves v4
-// files straight from an OS file mapping (the cmd/served default, see its
-// -heap-load flag). Loading the same data from any version yields an
-// identical store.
+// Every version is readable through ReadSnapshot/LoadAny;
+// store.LoadAnyMapped additionally serves v4 files straight from an OS
+// file mapping (the cmd/served default, see its -heap-load flag). Loading
+// the same data from any version yields an identical store.
 //
 // On top of the one-shot pipeline, internal/service hosts a long-lived
 // concurrent query service — prepared templates, a shared LRU plan cache,

@@ -4,9 +4,9 @@
 // base, and hot-remap a service under an in-flight query to watch the old
 // mapping drain.
 //
-// The standalone binaries take the same path: cmd/datagen
-// -snapshot-version 4 writes the format and cmd/served serves v4 files
-// mapped by default (-heap-load forces full deserialization).
+// The standalone binaries take the same path: cmd/datagen -format
+// snapshot writes the format and cmd/served serves v4 files mapped by
+// default (-heap-load forces full deserialization).
 package main
 
 import (
@@ -122,7 +122,7 @@ func writeV4(path string, st *store.Store) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := st.WriteSnapshotVersion(f, 4); err != nil {
+	if err := st.WriteSnapshot(f); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

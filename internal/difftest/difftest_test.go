@@ -173,8 +173,9 @@ func checkStoreEquivalence(t *testing.T, sc *Scenario) {
 }
 
 // TestDifferentialSnapshotRoundTrip runs a slice of the matrix over an
-// overlay that has been through a v3 snapshot write/read cycle: queries
-// over the restored overlay must match the original overlay exactly.
+// overlay that has been through a snapshot write/read cycle: the writer
+// folds the delta, and queries over the restored plain store must match
+// the original overlay exactly.
 func TestDifferentialSnapshotRoundTrip(t *testing.T) {
 	sc, err := GenScenario(12345)
 	if err != nil {
@@ -195,8 +196,9 @@ func TestDifferentialSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Delta() == nil {
-		t.Fatal("restored snapshot lost the delta overlay")
+	if restored.Delta() != nil || restored.Len() != sc.Overlay.Len() {
+		t.Fatalf("restored snapshot: delta %v, %d triples; want folded, %d",
+			restored.Delta() != nil, restored.Len(), sc.Overlay.Len())
 	}
 	qrng := rand.New(rand.NewSource(999))
 	for qi := 0; qi < 15; qi++ {
@@ -213,7 +215,7 @@ func TestDifferentialSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("query %s diverges after v3 round trip\n--- overlay\n%s\n--- restored\n%s",
+			t.Fatalf("query %s diverges after a snapshot round trip\n--- overlay\n%s\n--- restored\n%s",
 				q.String(), want, got)
 		}
 	}
@@ -408,7 +410,7 @@ func TestDifferentialShardedAlgebra(t *testing.T) {
 func mappedWorld(t *testing.T, sc *Scenario) (base, overlay *store.Store) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := sc.Base.WriteSnapshotVersion(&buf, 4); err != nil {
+	if err := sc.Base.WriteSnapshot(&buf); err != nil {
 		reportFailure(t, sc, "", fmt.Errorf("write v4: %w", err))
 	}
 	mapped, err := store.OpenMappedBytes(buf.Bytes())

@@ -92,7 +92,7 @@ func (s shardedDelta) applyOps(ops []store.DeltaOp) (deltaState, error) {
 	}
 	return shardedDelta{nd}, nil
 }
-func (s shardedDelta) overlay() store.Source { return s.d.Overlay() }
+func (s shardedDelta) overlay() store.Source { return s.d.Overlay().Source() }
 
 func applyUpdate(d deltaState, u *sparql.Update) (deltaState, error) {
 	if !u.HasWhere() {

@@ -448,7 +448,7 @@ func TestGoldenShardInvariance(t *testing.T) {
 func mappedCopy(t *testing.T, st *store.Store) *store.Store {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.WriteSnapshotVersion(&buf, 4); err != nil {
+	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m, err := store.OpenMappedBytes(buf.Bytes())

@@ -25,7 +25,7 @@ func writeV4Snapshot(t *testing.T, dir, name string, st *store.Store) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshotVersion(f, 4); err != nil {
+	if err := st.WriteSnapshot(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

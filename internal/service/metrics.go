@@ -53,6 +53,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for i, ss := range st.Store.PerShard {
 			m.shardLabeled("repro_shard_mapped_bytes", i, float64(ss.MappedBytes))
 		}
+		m.header("repro_shard_compact_threshold", "Delta size at which each shard compacts, against its own base (0 = disabled).", "gauge")
+		for i, ss := range st.Store.PerShard {
+			m.shardLabeled("repro_shard_compact_threshold", i, float64(ss.CompactThreshold))
+		}
 	}
 
 	m.counter("repro_updates_total", "Applied update requests.", float64(st.Updates.Updates))

@@ -84,7 +84,7 @@ func resultStore(t testing.TB, objs []rdf.Term, mapped bool) (*store.Store, erro
 		return st, nil
 	}
 	var img bytes.Buffer
-	if err := st.WriteSnapshotVersion(&img, 4); err != nil {
+	if err := st.WriteSnapshot(&img); err != nil {
 		t.Fatal(err)
 	}
 	return store.OpenMappedBytes(img.Bytes())

@@ -198,7 +198,8 @@ func (o Options) normalized() Options {
 // old mappings has drained; for a sharded snapshot all shard generations
 // stay pinned together until that drain.
 type snapState struct {
-	store  store.Source
+	fed    *store.Sharded // the generation's store; a plain store is one shard
+	store  store.Source   // what queries read: fed.Source()
 	gen    uint64
 	source string
 	cache  *planCache
@@ -211,9 +212,10 @@ type snapState struct {
 
 // newState builds a snapshot generation with the published pin, retaining
 // its own reference on every mapping backing the store (if any).
-func (s *Service) newState(st store.Source, gen uint64, source string) *snapState {
+func (s *Service) newState(st *store.Sharded, gen uint64, source string) *snapState {
 	ss := &snapState{
-		store:  st,
+		fed:    st,
+		store:  st.Source(),
 		gen:    gen,
 		source: source,
 		cache:  newPlanCache(s.opts.PlanCacheSize, &s.cacheCtr),
@@ -373,14 +375,11 @@ type Service struct {
 }
 
 // New returns a Service over st. The source string is reported by Stats
-// and /healthz ("" for an in-memory store). With Options.Shards > 1 a
-// plain store is partitioned into a sharded federation first (an already
-// sharded st is served as-is).
+// and /healthz ("" for an in-memory store). A plain store is partitioned
+// into Options.Shards shards, or served as a one-shard federation when
+// Shards <= 1; an already sharded st is served as-is.
 func New(st store.Source, source string, opts Options) *Service {
 	opts = opts.normalized()
-	if single, ok := st.(*store.Store); ok && opts.Shards > 1 {
-		st = store.NewSharded(single, opts.Shards)
-	}
 	s := &Service{
 		opts:      opts,
 		pool:      exec.NewTokenPool(opts.Workers),
@@ -392,7 +391,7 @@ func New(st store.Source, source string, opts Options) *Service {
 	}
 	// Intra-query workers draw from the admission pool: one CPU budget.
 	s.opts.Exec.Pool = s.pool
-	s.state.Store(s.newState(st, 1, source))
+	s.state.Store(s.newState(store.Federate(st, opts.Shards), 1, source))
 	return s
 }
 
@@ -417,52 +416,53 @@ func Load(path string, opts Options) (*Service, error) {
 }
 
 // loadStore resolves the configured loading path: sharded snapshot
-// directories open as sharded federations at their own shard count, v4
-// files map in by default (full heap deserialization when forced), and a
-// single-store load under shards > 1 is partitioned after loading. The
-// partitioning path always deserializes onto the heap — the federation
-// shares the loaded store's dictionary, which for a mapped store would
-// point into the mapping — so mapped sharded serving goes through a
-// sharded snapshot directory (cmd/datagen -shards).
-func loadStore(path string, heapLoad bool, shards int) (store.Source, error) {
+// directories open as sharded federations at their own shard count, and
+// any other file becomes a federation of the configured shard count. v4
+// files map in by default (full heap deserialization when forced) and are
+// served as one shard. A single-store load under shards > 1 deserializes
+// onto the heap before it is partitioned — the federation shares the
+// loaded store's dictionary, which for a mapped store would point into
+// the mapping — so mapped sharded serving goes through a sharded snapshot
+// directory (cmd/datagen -shards).
+func loadStore(path string, heapLoad bool, shards int) (*store.Sharded, error) {
 	if store.IsShardedSnapshot(path) {
 		return store.LoadSharded(path, heapLoad)
 	}
-	if shards > 1 {
-		st, err := store.LoadAny(path)
-		if err != nil {
-			return nil, err
-		}
-		return store.NewSharded(st, shards), nil
+	load := store.LoadAnyMapped
+	if heapLoad || shards > 1 {
+		load = store.LoadAny
 	}
-	if heapLoad {
-		return store.LoadAny(path)
+	st, err := load(path)
+	if err != nil {
+		return nil, err
 	}
-	return store.LoadAnyMapped(path)
+	return store.NewSharded(st, shards), nil
 }
 
-// Store returns the current snapshot's store.
+// Store returns the current snapshot's store: for a one-shard generation
+// the shard itself, as queries read it.
 func (s *Service) Store() store.Source { return s.state.Load().store }
 
 // Generation returns the current snapshot generation (starts at 1,
 // incremented by every swap).
 func (s *Service) Generation() uint64 { return s.state.Load().gen }
 
-// Swap atomically installs a new store as the next generation. In-flight
+// Swap atomically installs a new store as the next generation; a plain
+// store is served as one shard, whatever Options.Shards says. In-flight
 // queries finish against the snapshot they started with; the plan cache is
 // replaced (its entries embed the old dictionary's IDs) while the
 // cumulative cache counters survive. Returns the new generation.
 func (s *Service) Swap(st store.Source, source string) uint64 {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	return s.swapLocked(st, source)
+	return s.swapLocked(store.Federate(st, 1), source)
 }
 
 // swapLocked publishes st as the next generation and retires the old one:
 // its published pin is dropped, and if it was mmap-backed its mappings
 // stay open (gauged as awaiting unmap) until the last in-flight query
 // over it drains. The caller holds swapMu.
-func (s *Service) swapLocked(st store.Source, source string) uint64 {
+func (s *Service) swapLocked(st *store.Sharded, source string) uint64 {
 	old := s.state.Load()
 	gen := old.gen + 1
 	s.state.Store(s.newState(st, gen, source))
@@ -537,97 +537,34 @@ func (s *Service) Update(ctx context.Context, text string) (res *UpdateResult, e
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	cur := s.state.Load()
-	var (
-		next      store.Source
-		unchanged bool
-		compacted bool
-	)
-	switch cs := cur.store.(type) {
-	case *store.Sharded:
-		sd0 := cs.NewDelta()
-		sd, aerr := exec.ApplyUpdateSharded(sd0, u)
-		if aerr != nil {
-			return nil, badInput(aerr)
-		}
-		if unchanged = sd == sd0; !unchanged {
-			next, compacted = s.publishShardedDelta(sd)
-		}
-	case *store.Store:
-		d0 := cs.NewDelta()
-		d, aerr := exec.ApplyUpdateDelta(d0, u)
-		if aerr != nil {
-			return nil, badInput(aerr)
-		}
-		if unchanged = d == d0; !unchanged {
-			next, compacted = s.publishDelta(d)
-		}
+	sd0 := cur.fed.NewDelta()
+	sd, err := exec.ApplyUpdateSharded(sd0, u)
+	if err != nil {
+		return nil, badInput(err)
 	}
 	s.updates.Add(1)
-	if unchanged {
+	res = &UpdateResult{
+		Generation: cur.gen,
+		Triples:    cur.fed.Len(),
+		Inserted:   u.InsertCount(),
+		Deleted:    u.DeleteCount(),
+	}
+	if sd == sd0 {
 		// The update changed nothing (set semantics): keep the current
 		// snapshot — and with it the plan cache — instead of publishing an
 		// identical generation.
-		res = &UpdateResult{
-			Generation: cur.gen,
-			Triples:    cur.store.Len(),
-			Inserted:   u.InsertCount(),
-			Deleted:    u.DeleteCount(),
-		}
-		res.PendingInserts, res.PendingDeletes = pendingOf(cur.store)
+		res.PendingInserts, res.PendingDeletes = cur.fed.Pending()
 		return res, nil
 	}
-	gen := s.swapLocked(next, updateSource(cur.source))
+	next, compacted := sd.Publish(s.compactThresholdFor, store.BuildOptions{})
+	res.Generation = s.swapLocked(next, updateSource(cur.source))
 	if compacted {
 		s.compactions.Add(1)
 	}
-	res = &UpdateResult{
-		Generation: gen,
-		Triples:    next.Len(),
-		Inserted:   u.InsertCount(),
-		Deleted:    u.DeleteCount(),
-		Compacted:  compacted,
-	}
-	res.PendingInserts, res.PendingDeletes = pendingOf(next)
+	res.Triples = next.Len()
+	res.Compacted = compacted
+	res.PendingInserts, res.PendingDeletes = next.Pending()
 	return res, nil
-}
-
-// pendingOf returns a snapshot's overlay delta sizes (summed across
-// shards for a sharded store; zero for fully indexed snapshots).
-func pendingOf(st store.Source) (inserts, deletes int) {
-	switch cs := st.(type) {
-	case *store.Sharded:
-		return cs.Pending()
-	case *store.Store:
-		if d := cs.Delta(); d != nil {
-			return d.InsertCount(), d.DeleteCount()
-		}
-	}
-	return 0, 0
-}
-
-// publishDelta decides the snapshot form for a pending delta: an overlay
-// below the compaction threshold, a folded store at or above it.
-func (s *Service) publishDelta(d *store.Delta) (*store.Store, bool) {
-	if t := s.compactThresholdFor(d.Base().Len()); t > 0 && d.Size() >= t {
-		return d.Commit(store.BuildOptions{}), true
-	}
-	return d.Overlay(), false
-}
-
-// publishShardedDelta publishes a sharded delta with per-shard
-// auto-compaction: each shard's threshold resolves against that shard's
-// own base size, so one hot shard folds without forcing a rebuild of the
-// cold ones.
-func (s *Service) publishShardedDelta(sd *store.ShardedDelta) (*store.Sharded, bool) {
-	compacted := false
-	next := sd.Publish(func(_ int, d *store.Delta) bool {
-		if t := s.compactThresholdFor(d.Base().Len()); t > 0 && d.Size() >= t {
-			compacted = true
-			return true
-		}
-		return false
-	}, store.BuildOptions{})
-	return next, compacted
 }
 
 // compactThresholdFor resolves the auto-compaction threshold against a
@@ -654,47 +591,12 @@ func (s *Service) Compact() uint64 {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	cur := s.state.Load()
-	switch cs := cur.store.(type) {
-	case *store.Sharded:
-		sd := cs.NewDelta()
-		if sd.Empty() {
-			return cur.gen
-		}
-		s.compactions.Add(1)
-		return s.swapLocked(sd.Commit(store.BuildOptions{}), updateSource(cur.source))
-	case *store.Store:
-		d := cs.Delta()
-		if d == nil || d.Empty() {
-			return cur.gen
-		}
-		s.compactions.Add(1)
-		return s.swapLocked(d.Commit(store.BuildOptions{}), updateSource(cur.source))
+	sd := cur.fed.NewDelta()
+	if sd.Empty() {
+		return cur.gen
 	}
-	return cur.gen
-}
-
-// baseLenOf returns the fully indexed base size of st: the delta's base
-// for an overlay, summed across shards for a sharded store.
-func baseLenOf(st store.Source) int {
-	switch cs := st.(type) {
-	case *store.Sharded:
-		return cs.BaseLen()
-	case *store.Store:
-		if d := cs.Delta(); d != nil {
-			return d.Base().Len()
-		}
-	}
-	return st.Len()
-}
-
-// mappedBytesOf sums the sizes of the distinct mappings backing st (0 for
-// heap stores).
-func mappedBytesOf(st store.Source) int {
-	n := 0
-	for _, m := range st.Mappings() {
-		n += m.Size()
-	}
-	return n
+	s.compactions.Add(1)
+	return s.swapLocked(sd.Commit(store.BuildOptions{}), updateSource(cur.source))
 }
 
 // updateSource labels a snapshot produced by updates after its origin.
@@ -1257,6 +1159,9 @@ type ShardStoreStats struct {
 	PendingDeletes int    `json:"pending_deletes"`
 	Backend        string `json:"backend"`
 	MappedBytes    int    `json:"mapped_bytes"`
+	// CompactThreshold is the delta size at which this shard folds,
+	// resolved against its own base.
+	CompactThreshold int `json:"compact_threshold"`
 }
 
 // UpdateStats describe the update path since startup.
@@ -1267,7 +1172,8 @@ type UpdateStats struct {
 	Updates     uint64 `json:"updates"`
 	Compactions uint64 `json:"compactions"`
 	// CompactThreshold is the delta size (inserts + deletes) at which the
-	// next update will compact, resolved against the current base.
+	// next update will compact: the smallest per-shard threshold, each
+	// resolved against its shard's own base.
 	CompactThreshold int `json:"compact_threshold"`
 }
 
@@ -1317,41 +1223,50 @@ type Stats struct {
 // Stats returns a consistent-enough snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	st := s.state.Load()
+	fed := st.fed
 	storeStats := StoreStats{
-		Triples:               st.store.Len(),
+		Triples:               fed.Len(),
 		Generation:            st.gen,
 		Source:                st.source,
-		BaseTriples:           baseLenOf(st.store),
+		BaseTriples:           fed.BaseLen(),
 		Backend:               st.store.Backend(),
-		MappedBytes:           mappedBytesOf(st.store),
+		MappedBytes:           fed.MappedBytes(),
 		MappingsAwaitingUnmap: s.retiredMapped.Load(),
 	}
-	storeStats.PendingInserts, storeStats.PendingDeletes = pendingOf(st.store)
-	if sh, ok := st.store.(*store.Sharded); ok {
-		storeStats.Shards = sh.NumShards()
-		storeStats.PerShard = make([]ShardStoreStats, sh.NumShards())
-		for i := range storeStats.PerShard {
-			shard := sh.Shard(i)
-			ss := ShardStoreStats{
-				Triples:     shard.Len(),
-				BaseTriples: shard.Len(),
-				Backend:     shard.Backend(),
-				MappedBytes: shard.MappedBytes(),
-			}
-			if d := shard.Delta(); d != nil {
-				ss.BaseTriples = d.Base().Len()
-				ss.PendingInserts = d.InsertCount()
-				ss.PendingDeletes = d.DeleteCount()
-			}
-			storeStats.PerShard[i] = ss
+	storeStats.PendingInserts, storeStats.PendingDeletes = fed.Pending()
+	// Each shard compacts against its own base, so the next update folds
+	// at the smallest per-shard threshold.
+	perShard := make([]ShardStoreStats, fed.NumShards())
+	threshold := 0
+	for i := range perShard {
+		shard := fed.Shard(i)
+		ss := ShardStoreStats{
+			Triples:     shard.Len(),
+			BaseTriples: shard.Len(),
+			Backend:     shard.Backend(),
+			MappedBytes: shard.MappedBytes(),
 		}
+		if d := shard.Delta(); d != nil {
+			ss.BaseTriples = d.Base().Len()
+			ss.PendingInserts = d.InsertCount()
+			ss.PendingDeletes = d.DeleteCount()
+		}
+		ss.CompactThreshold = s.compactThresholdFor(ss.BaseTriples)
+		if i == 0 || ss.CompactThreshold < threshold {
+			threshold = ss.CompactThreshold
+		}
+		perShard[i] = ss
+	}
+	if len(perShard) > 1 {
+		storeStats.Shards = len(perShard)
+		storeStats.PerShard = perShard
 	}
 	out := Stats{
 		Store: storeStats,
 		Updates: UpdateStats{
 			Updates:          s.updates.Load(),
 			Compactions:      s.compactions.Load(),
-			CompactThreshold: s.compactThresholdFor(baseLenOf(st.store)),
+			CompactThreshold: threshold,
 		},
 		Cache: CacheStats{
 			Size:      st.cache.size(),

@@ -277,3 +277,83 @@ func TestShardedReloadQueryRace(t *testing.T) {
 		t.Fatalf("awaiting unmap after drain = %d, want 0", n)
 	}
 }
+
+// TestSingleStoreStatsShape serves a plain heap store and a mapped v4
+// file: though the service holds every store as a federation, a single
+// store keeps the unsharded /stats and /metrics shape — its own backend
+// name, no shard count and no per-shard breakdown.
+func TestSingleStoreStatsShape(t *testing.T) {
+	tiny := buildTinyStore(t)
+	mapped, err := Load(writeV4Snapshot(t, t.TempDir(), "tiny.v4.snap", tiny), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for backend, svc := range map[string]*Service{"heap": New(tiny, "", Options{}), "mapped": mapped} {
+		srv := httptest.NewServer(svc.Handler())
+		var raw struct {
+			Store map[string]any `json:"store"`
+		}
+		getJSON(t, srv.URL+"/stats", &raw)
+		if raw.Store["backend"] != backend {
+			t.Fatalf("%s: /stats backend = %v", backend, raw.Store["backend"])
+		}
+		for _, key := range []string{"shards", "per_shard"} {
+			if _, ok := raw.Store[key]; ok {
+				t.Fatalf("%s: /stats store has %q: %v", backend, key, raw.Store)
+			}
+		}
+		if raw.Store["triples"] != float64(tiny.Len()) {
+			t.Fatalf("%s: /stats triples = %v", backend, raw.Store["triples"])
+		}
+		body := fetchText(t, srv.URL+"/metrics")
+		srv.Close()
+		if !strings.Contains(body, "repro_store_shards 0\n") || strings.Contains(body, "repro_shard_") {
+			t.Fatalf("%s: /metrics has a shard breakdown:\n%s", backend, body)
+		}
+		if want := fmt.Sprintf("repro_compact_threshold %d\n", svc.compactThresholdFor(tiny.Len())); !strings.Contains(body, want) {
+			t.Fatalf("%s: /metrics missing %q", backend, want)
+		}
+	}
+}
+
+// TestShardedCompactThreshold checks /stats reports the threshold
+// compaction actually uses: each shard folds against its own base, so
+// per_shard carries that shard's threshold and the top-level value is the
+// smallest of them, not one resolved against the federation's total.
+func TestShardedCompactThreshold(t *testing.T) {
+	st := buildMixedStore(t)
+	svc := New(st, "", Options{Shards: 4})
+	stats := svc.Stats()
+	if len(stats.Store.PerShard) != 4 {
+		t.Fatalf("per-shard = %d", len(stats.Store.PerShard))
+	}
+	min := -1
+	for i, ps := range stats.Store.PerShard {
+		want := max(1024, ps.BaseTriples/8)
+		if ps.CompactThreshold != want {
+			t.Fatalf("shard %d: compact_threshold %d, want %d", i, ps.CompactThreshold, want)
+		}
+		if min < 0 || want < min {
+			min = want
+		}
+	}
+	if got := stats.Updates.CompactThreshold; got != min {
+		t.Fatalf("compact_threshold %d, want the per-shard minimum %d (total base %d)",
+			got, min, stats.Store.BaseTriples)
+	}
+	if min >= st.Len()/8 {
+		t.Fatalf("fixture too small: per-shard threshold %d not below the total's %d", min, st.Len()/8)
+	}
+
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	body := fetchText(t, srv.URL+"/metrics")
+	for i, ps := range stats.Store.PerShard {
+		if want := fmt.Sprintf("repro_shard_compact_threshold{shard=\"%d\"} %d\n", i, ps.CompactThreshold); !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q", want)
+		}
+	}
+	if want := fmt.Sprintf("repro_compact_threshold %d\n", min); !strings.Contains(body, want) {
+		t.Fatalf("/metrics missing %q", want)
+	}
+}

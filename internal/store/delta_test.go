@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -346,8 +347,9 @@ func TestOverlayScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3RoundTrip writes an overlay store and reads it back,
-// checking that base, delta and merged views all survive.
+// TestSnapshotV3RoundTrip reads a checked-in v3 overlay snapshot back
+// into the overlay it was written from — base, delta and merged view —
+// and checks that writing it again (as v4) folds the delta in.
 func TestSnapshotV3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	st := buildFrom(t, randomTriples(rng, 80))
@@ -356,14 +358,7 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 		t.Fatal("test wants a non-empty delta")
 	}
 	ov := d.Overlay()
-	var buf bytes.Buffer
-	if err := ov.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(snapshotMagicV3)) {
-		t.Fatalf("overlay snapshot should use v3, got %q", buf.Bytes()[:8])
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := ReadSnapshot(bytes.NewReader(fixture(t, "v3-overlay")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,51 +377,66 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 	wm, _ := ov.Match(Pattern{})
 	gm, _ := got.Match(Pattern{})
 	if !equalTriples(wm, gm) {
-		t.Fatal("merged triple stream diverges after v3 round trip")
+		t.Fatal("merged triple stream diverges after v3 read")
 	}
-	// The v2 path folds the delta in instead of dropping it.
-	var v2 bytes.Buffer
-	if err := ov.WriteSnapshotVersion(&v2, 2); err != nil {
+	var v4 bytes.Buffer
+	if err := got.WriteSnapshot(&v4); err != nil {
 		t.Fatal(err)
 	}
-	flat, err := ReadSnapshot(bytes.NewReader(v2.Bytes()))
+	flat, err := ReadSnapshot(bytes.NewReader(v4.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fm, _ := flat.Match(Pattern{})
 	if flat.Delta() != nil || !equalTriples(fm, wm) {
-		t.Fatal("v2 write of an overlay must fold the delta in")
-	}
-	// v1 likewise.
-	var v1 bytes.Buffer
-	if err := ov.WriteSnapshotVersion(&v1, 1); err != nil {
-		t.Fatal(err)
-	}
-	flat1, err := ReadSnapshot(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm1, _ := flat1.Match(Pattern{})
-	if !equalTriples(fm1, wm) {
-		t.Fatal("v1 write of an overlay must fold the delta in")
+		t.Fatal("a v4 write of an overlay must fold the delta in")
 	}
 }
 
-// TestSnapshotV3Invalid checks that hand-built v3 files violating the
-// delta invariants are rejected.
+// encodeV3 hand-assembles a v3 image of d's terms and the given SPO-
+// sorted runs, so the reader can be fed overlays no writer would produce.
+func encodeV3(d *dict.Dict, base, ins, del []IDTriple) []byte {
+	b := []byte(snapshotMagicV3)
+	for _, n := range []int{d.Len(), len(base), len(ins), len(del)} {
+		b = binary.AppendUvarint(b, uint64(n))
+	}
+	for id := dict.ID(1); int(id) <= d.Len(); id++ {
+		t := d.Decode(id)
+		b = append(b, byte(t.Kind))
+		for _, s := range []string{t.Value, t.Lang, t.Datatype} {
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
+		}
+	}
+	for _, run := range [][]IDTriple{base, ins, del} {
+		var prev IDTriple
+		for _, tr := range run {
+			rec := [3]uint64{0, 0, uint64(tr.O - prev.O)}
+			switch {
+			case tr.S != prev.S:
+				rec = [3]uint64{uint64(tr.S - prev.S), uint64(tr.P), uint64(tr.O)}
+			case tr.P != prev.P:
+				rec = [3]uint64{0, uint64(tr.P - prev.P), uint64(tr.O)}
+			}
+			for _, v := range rec {
+				b = binary.AppendUvarint(b, v)
+			}
+			prev = tr
+		}
+	}
+	return b
+}
+
+// TestSnapshotV3Invalid checks that v3 files violating the delta
+// invariants are rejected.
 func TestSnapshotV3Invalid(t *testing.T) {
 	base := buildFrom(t, []rdf.Triple{trp("a", "p", "b"), trp("c", "p", "d")})
-	write := func(ins, del []IDTriple) []byte {
-		d := &Delta{base: base}
-		d.setSorted(ins, del)
-		ov := &Store{dict: base.dict, n: base.n, idx: base.idx, pstats: base.pstats, delta: d}
-		var buf bytes.Buffer
-		if err := ov.WriteSnapshotVersion(&buf, 3); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	baseTriples, _ := base.Match(Pattern{})
+	write := func(ins, del []IDTriple) []byte { return encodeV3(base.dict, baseTriples, ins, del) }
+	// The encoder itself produces readable files.
+	if _, err := ReadSnapshot(bytes.NewReader(write(nil, baseTriples[:1]))); err != nil {
+		t.Fatalf("valid hand-built v3 rejected: %v", err)
+	}
 	// An insert duplicating a base triple.
 	if _, err := ReadSnapshot(bytes.NewReader(write([]IDTriple{baseTriples[0]}, nil))); err == nil {
 		t.Fatal("insert duplicating base triple should be rejected")
@@ -440,14 +450,7 @@ func TestSnapshotV3Invalid(t *testing.T) {
 		t.Fatal("delete naming no base triple should be rejected")
 	}
 	// Truncations of a valid v3 file fail cleanly.
-	rng := rand.New(rand.NewSource(9))
-	st := buildFrom(t, randomTriples(rng, 40))
-	d := applyRandomDelta(t, rng, st, 2)
-	var buf bytes.Buffer
-	if err := d.Overlay().WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := fixture(t, "v3-overlay")
 	for cut := 0; cut < len(full); cut += 11 {
 		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d should fail", cut)

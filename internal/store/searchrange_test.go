@@ -151,7 +151,7 @@ func TestSearchRangeMatchesLinearFilter(t *testing.T) {
 func TestSearchRangeAcrossBackings(t *testing.T) {
 	base, overlay := seekWorld(t, 11, 1500)
 	var img bytes.Buffer
-	if err := base.WriteSnapshotVersion(&img, 4); err != nil {
+	if err := base.WriteSnapshot(&img); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := OpenMappedBytes(img.Bytes())
@@ -180,7 +180,7 @@ func TestSearchRangeAcrossBackings(t *testing.T) {
 func BenchmarkSearchRange(b *testing.B) {
 	heap, _ := seekWorld(b, 3, 200_000)
 	var img bytes.Buffer
-	if err := heap.WriteSnapshotVersion(&img, 4); err != nil {
+	if err := heap.WriteSnapshot(&img); err != nil {
 		b.Fatal(err)
 	}
 	mapped, err := OpenMappedBytes(img.Bytes())

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -53,15 +54,12 @@ func shardOf(s dict.ID, n int) int {
 // across n shards by subject hash. The shards share st's dictionary and
 // each is built through the standard parallel index construction; the
 // global statistics are st's own exact values, so a Sharded and the store
-// it came from are indistinguishable to the planner.
+// it came from are indistinguishable to the planner. At n <= 1 st itself
+// becomes the one shard, in O(1): an overlay keeps its pending delta and
+// a mapped store keeps its mapping.
 func NewSharded(st *Store, n int) *Sharded {
-	return NewShardedOpts(st, n, BuildOptions{})
-}
-
-// NewShardedOpts is NewSharded with explicit per-shard build options.
-func NewShardedOpts(st *Store, n int, opts BuildOptions) *Sharded {
-	if n < 1 {
-		n = 1
+	if n <= 1 {
+		return &Sharded{shards: []*Store{st}, dict: st.dict, n: st.Len(), pstats: st.pstats}
 	}
 	all, _ := st.Match(Pattern{})
 	counts := make([]int, n)
@@ -78,7 +76,7 @@ func NewShardedOpts(st *Store, n int, opts BuildOptions) *Sharded {
 	}
 	shards := make([]*Store, n)
 	for i := range shards {
-		shards[i] = buildIndexes(st.dict, buckets[i], opts)
+		shards[i] = buildIndexes(st.dict, buckets[i], BuildOptions{})
 	}
 	return &Sharded{
 		shards: shards,
@@ -86,6 +84,26 @@ func NewShardedOpts(st *Store, n int, opts BuildOptions) *Sharded {
 		n:      st.Len(),
 		pstats: st.pstats,
 	}
+}
+
+// Federate returns src as a federation: a *Sharded as it is, a plain
+// store partitioned by NewSharded(st, n) — wrapped as one shard when
+// n <= 1.
+func Federate(src Source, n int) *Sharded {
+	if sh, ok := src.(*Sharded); ok {
+		return sh
+	}
+	return NewSharded(src.(*Store), n) // Source is sealed: Store or Sharded
+}
+
+// Source returns the view queries read through: the one shard itself
+// when there is one, so single-store reads pay no federation call, and
+// sh otherwise.
+func (sh *Sharded) Source() Source {
+	if len(sh.shards) == 1 {
+		return sh.shards[0]
+	}
+	return sh
 }
 
 // NumShards returns the shard count.
@@ -369,42 +387,18 @@ func (sh *Sharded) Predicates() []dict.ID {
 }
 
 // SubjectsOfClass returns the sorted subject IDs having rdf:type c,
-// merged across shards. Subjects partition cleanly by shard (they are
-// what the hash routes on), so the per-shard sorted lists are disjoint
-// and a k-way merge is exact.
+// across shards. Subjects partition cleanly by shard (they are what the
+// hash routes on), so the per-shard lists are disjoint and one sort of
+// their concatenation is exact.
 func (sh *Sharded) SubjectsOfClass(c dict.ID) []dict.ID {
 	if len(sh.shards) == 1 {
 		return sh.shards[0].SubjectsOfClass(c)
 	}
-	var lists [][]dict.ID
-	total := 0
+	var out []dict.ID
 	for _, s := range sh.shards {
-		if l := s.SubjectsOfClass(c); len(l) > 0 {
-			lists = append(lists, l)
-			total += len(l)
-		}
+		out = append(out, s.SubjectsOfClass(c)...)
 	}
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	out := make([]dict.ID, 0, total)
-	for len(lists) > 0 {
-		min := 0
-		for i := 1; i < len(lists); i++ {
-			if lists[i][0] < lists[min][0] {
-				min = i
-			}
-		}
-		out = append(out, lists[min][0])
-		if lists[min] = lists[min][1:]; len(lists[min]) == 0 {
-			lists[min] = lists[len(lists)-1]
-			lists = lists[:len(lists)-1]
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -478,6 +472,19 @@ func (sd *ShardedDelta) Empty() bool { return sd.Size() == 0 }
 // terms. Returns sd itself when nothing changed, preserving the
 // pointer-equality no-op contract.
 func (sd *ShardedDelta) ApplyOps(ops []DeltaOp) (*ShardedDelta, error) {
+	n := len(sd.deltas)
+	if n == 1 {
+		// One shard: its Delta validates and assigns new-term IDs in op
+		// order itself, with no routing.
+		nd, err := sd.deltas[0].ApplyOps(ops)
+		switch {
+		case err != nil:
+			return nil, err
+		case nd == sd.deltas[0]:
+			return sd, nil
+		}
+		return &ShardedDelta{base: sd.base, deltas: []*Delta{nd}}, nil
+	}
 	for _, op := range ops {
 		for _, t := range op.Triples {
 			if !t.Valid() {
@@ -485,7 +492,6 @@ func (sd *ShardedDelta) ApplyOps(ops []DeltaOp) (*ShardedDelta, error) {
 			}
 		}
 	}
-	n := len(sd.deltas)
 	dd := sd.base.dict
 	for _, op := range ops {
 		if !op.Insert {
@@ -551,7 +557,7 @@ func (sd *ShardedDelta) Overlay() *Sharded {
 	if sd.Empty() {
 		return sd.base
 	}
-	return sd.publish(func(int, *Delta) bool { return false }, BuildOptions{})
+	return sd.publish(func(*Delta) bool { return false }, BuildOptions{})
 }
 
 // Commit folds every shard's pending delta into a fresh fully indexed
@@ -560,36 +566,47 @@ func (sd *ShardedDelta) Commit(opts BuildOptions) *Sharded {
 	if sd.Empty() {
 		return sd.base
 	}
-	return sd.publish(func(int, *Delta) bool { return true }, opts)
+	return sd.publish(func(*Delta) bool { return true }, opts)
 }
 
-// Publish builds the next Sharded snapshot with a per-shard publication
-// decision: shards for which compact returns true fold their delta into a
-// fresh store (auto-compaction), the others publish overlays. Global
-// statistics are re-derived exactly for every predicate any shard's delta
-// touches, by merged in-order passes over the new shard set — the sharded
-// analog of Delta.patchedPredStats.
-func (sd *ShardedDelta) Publish(compact func(shard int, d *Delta) bool, opts BuildOptions) *Sharded {
+// Publish builds the next Sharded snapshot with per-shard auto-compaction:
+// a shard whose pending delta reaches threshold(its own base size) folds
+// into a fresh store, so one hot shard compacts without rebuilding the
+// cold ones; the others publish overlays, and a threshold <= 0 never
+// folds. compacted reports whether any shard folded. Global statistics
+// are re-derived exactly for every predicate any shard's delta touches,
+// by merged in-order passes over the new shard set — the sharded analog
+// of Delta.patchedPredStats.
+func (sd *ShardedDelta) Publish(threshold func(baseLen int) int, opts BuildOptions) (next *Sharded, compacted bool) {
 	if sd.Empty() {
-		return sd.base
+		return sd.base, false
 	}
-	return sd.publish(compact, opts)
+	next = sd.publish(func(d *Delta) bool {
+		t := threshold(d.Base().Len())
+		fold := t > 0 && d.Size() >= t
+		compacted = compacted || fold
+		return fold
+	}, opts)
+	return next, compacted
 }
 
-func (sd *ShardedDelta) publish(compact func(shard int, d *Delta) bool, opts BuildOptions) *Sharded {
-	base := sd.base
+func (sd *ShardedDelta) publish(compact func(d *Delta) bool, opts BuildOptions) *Sharded {
 	shards := make([]*Store, len(sd.deltas))
 	total := 0
 	for i, d := range sd.deltas {
-		if compact(i, d) {
+		if compact(d) {
 			shards[i] = d.Commit(opts)
 		} else {
 			shards[i] = d.Overlay()
 		}
 		total += shards[i].Len()
 	}
-	out := &Sharded{shards: shards, dict: base.dict, n: total}
-	out.pstats = sd.patchedPredStats(out)
+	out := &Sharded{shards: shards, dict: sd.base.dict, n: total}
+	if len(shards) == 1 {
+		out.pstats = shards[0].pstats // already patched (or rebuilt) by the shard
+	} else {
+		out.pstats = sd.patchedPredStats(out)
+	}
 	return out
 }
 

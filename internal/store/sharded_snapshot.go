@@ -83,7 +83,7 @@ func writeShardFile(path string, s *Store) error {
 	if err != nil {
 		return err
 	}
-	if err := s.WriteSnapshotVersion(f, 4); err != nil {
+	if err := s.WriteSnapshot(f); err != nil {
 		f.Close()
 		return err
 	}

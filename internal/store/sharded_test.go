@@ -166,6 +166,22 @@ func TestShardedOverlayEquivalence(t *testing.T) {
 		}
 		checkSourceEquivalence(t, shCommit, refOv)
 
+		// Publish folds exactly the shards whose delta reaches the
+		// threshold; never folding is Overlay, always folding is Commit.
+		for _, tc := range []struct {
+			threshold int
+			fold      bool
+		}{{0, false}, {1 << 30, false}, {1, true}} {
+			pub, compacted := sd.Publish(func(int) int { return tc.threshold }, BuildOptions{})
+			if compacted != tc.fold {
+				t.Fatalf("shards=%d threshold=%d: compacted %v, want %v", n, tc.threshold, compacted, tc.fold)
+			}
+			if i, dd := pub.Pending(); (i+dd == 0) != tc.fold {
+				t.Fatalf("shards=%d threshold=%d: pending (%d,%d) after publish", n, tc.threshold, i, dd)
+			}
+			checkSourceEquivalence(t, pub, refOv)
+		}
+
 		// Updating the overlay again must extend the same per-shard deltas.
 		sd2, err := shOv.NewDelta().ApplyOps([]DeltaOp{{Insert: true, Triples: randomTriples(rng, 10)}})
 		if err != nil {
@@ -180,25 +196,26 @@ func TestShardedOverlayEquivalence(t *testing.T) {
 func TestShardedApplyOpsNoChangeIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	triples := randomTriples(rng, 50)
-	base := buildFrom(t, triples)
-	sh := NewSharded(base, 4)
-	sd := sh.NewDelta()
+	for _, n := range []int{1, 4} {
+		base := buildFrom(t, triples)
+		sd := NewSharded(base, n).NewDelta()
 
-	// Inserting present triples and deleting absent ones is a no-op; the
-	// ShardedDelta must come back pointer-identical so the service skips
-	// republishing.
-	got, err := sd.ApplyOps([]DeltaOp{
-		{Insert: true, Triples: triples[:5]},
-		{Triples: []rdf.Triple{trp("nobody", "nothing", "nowhere")}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != sd {
-		t.Fatal("no-change ApplyOps must return the receiver")
-	}
-	if _, ok := base.Dict().Lookup(iri("nobody")); ok {
-		t.Fatal("deleting an unknown subject must not grow the dictionary")
+		// Inserting present triples and deleting absent ones is a no-op;
+		// the ShardedDelta must come back pointer-identical so the service
+		// skips republishing.
+		got, err := sd.ApplyOps([]DeltaOp{
+			{Insert: true, Triples: triples[:5]},
+			{Triples: []rdf.Triple{trp("nobody", "nothing", "nowhere")}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != sd {
+			t.Fatalf("shards=%d: no-change ApplyOps must return the receiver", n)
+		}
+		if _, ok := base.Dict().Lookup(iri("nobody")); ok {
+			t.Fatalf("shards=%d: deleting an unknown subject must not grow the dictionary", n)
+		}
 	}
 }
 
@@ -210,9 +227,6 @@ func TestShardedApplyOpsNoChangeIdentity(t *testing.T) {
 func TestShardedUpdateDictOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	triples := randomTriples(rng, 100)
-	single := buildFrom(t, triples)
-	sharded := NewSharded(buildFrom(t, triples), 4)
-
 	ops := []DeltaOp{
 		{Insert: true, Triples: []rdf.Triple{
 			trp("new-a", "new-p1", "new-x"),
@@ -222,22 +236,64 @@ func TestShardedUpdateDictOrder(t *testing.T) {
 		{Triples: triples[:7]},
 		{Insert: true, Triples: []rdf.Triple{trp("new-d", "new-p2", "new-b")}},
 	}
-	d, err := single.NewDelta().ApplyOps(ops)
+	d, err := buildFrom(t, triples).NewDelta().ApplyOps(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := sharded.NewDelta().ApplyOps(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOv, shOv := d.Overlay(), sd.Overlay()
-	if refOv.Dict().Len() != shOv.Dict().Len() {
-		t.Fatalf("dict length %d != %d", shOv.Dict().Len(), refOv.Dict().Len())
-	}
+	refOv := d.Overlay()
 	want, _ := refOv.Match(Pattern{})
-	got, _ := shOv.Match(Pattern{})
-	if !equalTriples(got, want) {
-		t.Fatalf("raw ID streams diverge: %v != %v", got, want)
+	for _, n := range []int{1, 4} {
+		sd, err := NewSharded(buildFrom(t, triples), n).NewDelta().ApplyOps(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shOv := sd.Overlay()
+		if refOv.Dict().Len() != shOv.Dict().Len() {
+			t.Fatalf("shards=%d: dict length %d != %d", n, shOv.Dict().Len(), refOv.Dict().Len())
+		}
+		got, _ := shOv.Match(Pattern{})
+		if !equalTriples(got, want) {
+			t.Fatalf("shards=%d: raw ID streams diverge: %v != %v", n, got, want)
+		}
+		for _, p := range refOv.Predicates() {
+			if g, w := shOv.PredicateStats(p), refOv.PredicateStats(p); g != w {
+				t.Fatalf("shards=%d: PredicateStats(%d): %+v != %+v", n, p, g, w)
+			}
+		}
+	}
+}
+
+// NewSharded at one shard wraps the store itself: no re-partitioning, so
+// a mapped store keeps its mapping and an overlay keeps its delta, and
+// queries read the very same *Store.
+func TestNewShardedOneShardWrapsStore(t *testing.T) {
+	heap := randomBuilder(21, 200).Build()
+	mapped, err := OpenMappedBytes(v4Image(t, heap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Mapping().Release()
+	d, err := heap.NewDelta().Apply(randomTriples(rand.New(rand.NewSource(22)), 20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Store{"heap": heap, "mapped": mapped, "overlay": d.Overlay()} {
+		sh := NewSharded(st, 1)
+		if sh.NumShards() != 1 || sh.Shard(0) != st || sh.Source() != Source(st) {
+			t.Fatalf("%s: one-shard federation does not wrap the store itself", name)
+		}
+		if !reflect.DeepEqual(sh.Mappings(), st.Mappings()) {
+			t.Fatalf("%s: Mappings %v, want %v", name, sh.Mappings(), st.Mappings())
+		}
+		if sh.Len() != st.Len() || sh.Dict() != st.Dict() {
+			t.Fatalf("%s: Len/Dict differ from the wrapped store", name)
+		}
+		if i, dd := sh.Pending(); st.Delta() != nil && (i != st.Delta().InsertCount() || dd != st.Delta().DeleteCount()) {
+			t.Fatalf("%s: pending (%d,%d) lost the overlay's delta", name, i, dd)
+		}
+		if Federate(st, 1).Shard(0) != st || Federate(sh, 4) != sh {
+			t.Fatalf("%s: Federate re-wrapped its input", name)
+		}
 	}
 }
 

@@ -11,10 +11,12 @@ import (
 	"repro/internal/rdf"
 )
 
-// Snapshot format: a compact binary serialization of a store (dictionary +
-// triples). Generating a paper-scale dataset takes ~10 s; loading its
-// snapshot takes a fraction of that, so experiment drivers can reuse
-// datasets across processes. Two versions exist, auto-detected by magic:
+// Snapshot formats. WriteSnapshot writes exactly one: v4, the page-
+// aligned layout of snapshot_v4.go that OpenMapped serves from an OS file
+// mapping and ReadSnapshot deserializes onto the heap. The decode-then-
+// rebuild formats v1–v3 below are read-only: files written by older
+// versions of this package stay loadable (ReadSnapshot auto-detects the
+// version by magic), but nothing writes them any more. Their layouts:
 //
 // v1 (all integers little-endian, fixed width):
 //
@@ -22,11 +24,11 @@ import (
 //	nTerms  uint32
 //	nTriple uint32
 //	terms   nTerms × { kind uint8, value str, lang str, datatype str }
-//	triples nTriple × { s, p, o uint32 }   (dictionary IDs, SPO order)
+//	triples nTriple × { s, p, o uint32 }   (dictionary IDs, any order)
 //
 // where str is uint32 length + bytes.
 //
-// v2 (the default; unsigned varints, delta-encoded triples):
+// v2 (unsigned varints, delta-encoded triples):
 //
 //	magic   [8]byte  "RDFSNAP2"
 //	nTerms  uvarint
@@ -40,10 +42,9 @@ import (
 // then the full O if the predicate advanced; otherwise 0, 0,
 // uvarint(O−prevO). Since the stream is strictly increasing, the final
 // delta is never zero — a zero marks a duplicate (or unsorted) triple and
-// is rejected, as are term IDs outside [1, nTerms]. Dictionary IDs are
-// dense and insertion-ordered, so SPO deltas are small and most records
-// fit in a few bytes, versus a fixed 12 in v1.
-// v3 (written automatically for overlay stores; readable everywhere):
+// is rejected, as are term IDs outside [1, nTerms].
+//
+// v3 (an overlay store, base and pending delta kept separate):
 //
 //	magic   [8]byte  "RDFSNAP3"
 //	nTerms  uvarint
@@ -55,12 +56,10 @@ import (
 //	ins     nIns  delta records, strictly increasing SPO
 //	del     nDel  delta records, strictly increasing SPO
 //
-// A v3 snapshot persists an overlay store losslessly — base triples and
-// the pending insert/delete sets stay separate, so reading one restores
-// the overlay (same base, same delta) rather than a folded store. The
-// reader re-validates the Delta invariants (inserts disjoint from the
-// base, deletes a subset of it), so a corrupt or hand-built file cannot
-// smuggle in an overlay whose counts would lie.
+// Reading a v3 file restores the overlay (same base, same delta) rather
+// than a folded store. The reader re-validates the Delta invariants
+// (inserts disjoint from the base, deletes a subset of it), so a corrupt
+// or hand-built file cannot smuggle in an overlay whose counts would lie.
 const (
 	snapshotMagicV1 = "RDFSNAP1"
 	snapshotMagicV2 = "RDFSNAP2"
@@ -78,229 +77,26 @@ const (
 	maxSnapshotPrealloc = 1 << 16
 )
 
-// WriteSnapshot serializes the store to w: plain stores use the compact
-// v2 format, overlay stores the v3 format, which keeps the base and the
-// pending delta separate so nothing about the overlay is lost.
+// WriteSnapshot serializes the store to w in the v4 format. A pending
+// delta is folded in, so an overlay store is written as the equivalent
+// plain store.
 func (s *Store) WriteSnapshot(w io.Writer) error {
-	if s.delta != nil && !s.delta.Empty() {
-		return s.WriteSnapshotVersion(w, 3)
-	}
-	return s.WriteSnapshotVersion(w, 2)
-}
-
-// WriteSnapshotVersion serializes the store in the requested format
-// version (1, 2, 3 or 4). v1 exists so older readers and size/speed
-// comparisons keep working; v1, v2 and v4 fold a pending delta into the
-// triple stream (data-lossless, overlay structure dropped), v3 keeps
-// base and delta separate. v4 is the page-aligned disk-native layout
-// (see snapshot_v4.go) that OpenMapped serves without deserialization.
-func (s *Store) WriteSnapshotVersion(w io.Writer, version int) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	switch version {
-	case 1:
-		if err := s.writeV1(bw); err != nil {
-			return err
-		}
-	case 2:
-		if err := s.writeV2(bw); err != nil {
-			return err
-		}
-	case 3:
-		if err := s.writeV3(bw); err != nil {
-			return err
-		}
-	case 4:
-		if err := s.writeV4(bw); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("store: unknown snapshot version %d (want 1, 2, 3 or 4)", version)
+	if err := s.writeV4(bw); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-func (s *Store) writeV1(bw *bufio.Writer) error {
-	if _, err := bw.WriteString(snapshotMagicV1); err != nil {
-		return err
+// WriteSnapshotVersion is WriteSnapshot with an explicit format version,
+// and 4 is the only version it accepts. It remains only because the
+// frozen benchmark fixture writer (bench/fixture.go) calls it with 4;
+// ROADMAP item 9(e) removes it.
+func (s *Store) WriteSnapshotVersion(w io.Writer, version int) error {
+	if version != 4 {
+		return fmt.Errorf("store: cannot write snapshot version %d (only 4 is written; 1–3 are read-only)", version)
 	}
-	nTerms := s.dict.Len()
-	if err := binary.Write(bw, binary.LittleEndian, uint32(nTerms)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(s.n)); err != nil {
-		return err
-	}
-	writeStr := func(x string) error {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(x))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(x)
-		return err
-	}
-	for id := dict.ID(1); int(id) <= nTerms; id++ {
-		t := s.dict.Decode(id)
-		if err := bw.WriteByte(byte(t.Kind)); err != nil {
-			return err
-		}
-		if err := writeStr(t.Value); err != nil {
-			return err
-		}
-		if err := writeStr(t.Lang); err != nil {
-			return err
-		}
-		if err := writeStr(t.Datatype); err != nil {
-			return err
-		}
-	}
-	var werr error
-	s.forEachSPO(func(tr IDTriple) {
-		if werr != nil {
-			return
-		}
-		var buf [12]byte
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(tr.S))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(tr.P))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(tr.O))
-		_, werr = bw.Write(buf[:])
-	})
-	return werr
-}
-
-// forEachSPO streams the store's triples in SPO order — the base index
-// directly for a plain store, the merged overlay stream otherwise — so
-// the v1/v2 writers fold a pending delta in instead of dropping it.
-func (s *Store) forEachSPO(fn func(IDTriple)) {
-	if s.delta == nil {
-		for _, tr := range s.idx[orderSPO] {
-			fn(tr)
-		}
-		return
-	}
-	mergeRuns(s.idx[orderSPO], s.delta.del[orderSPO], s.delta.ins[orderSPO], orderSPO, fn)
-}
-
-func (s *Store) writeV2(bw *bufio.Writer) error {
-	if _, err := bw.WriteString(snapshotMagicV2); err != nil {
-		return err
-	}
-	var vbuf [binary.MaxVarintLen64]byte
-	writeUvarint := func(x uint64) error {
-		n := binary.PutUvarint(vbuf[:], x)
-		_, err := bw.Write(vbuf[:n])
-		return err
-	}
-	nTerms := s.dict.Len()
-	if err := writeUvarint(uint64(nTerms)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(s.n)); err != nil {
-		return err
-	}
-	if err := s.writeTerms(bw, writeUvarint, nTerms); err != nil {
-		return err
-	}
-	enc := tripleEncoder{write: writeUvarint}
-	var werr error
-	s.forEachSPO(func(tr IDTriple) {
-		if werr != nil {
-			return
-		}
-		werr = enc.encode(tr)
-	})
-	return werr
-}
-
-// writeV3 serializes an overlay store (or a plain one, with empty delta
-// sections): the shared dictionary, then the base, insert and delete
-// triple streams, each delta-encoded in strictly increasing SPO order.
-func (s *Store) writeV3(bw *bufio.Writer) error {
-	if _, err := bw.WriteString(snapshotMagicV3); err != nil {
-		return err
-	}
-	var vbuf [binary.MaxVarintLen64]byte
-	writeUvarint := func(x uint64) error {
-		n := binary.PutUvarint(vbuf[:], x)
-		_, err := bw.Write(vbuf[:n])
-		return err
-	}
-	var ins, del []IDTriple
-	base := s.idx[orderSPO]
-	if s.delta != nil {
-		ins = s.delta.ins[orderSPO]
-		del = s.delta.del[orderSPO]
-	}
-	nTerms := s.dict.Len()
-	for _, n := range []uint64{uint64(nTerms), uint64(len(base)), uint64(len(ins)), uint64(len(del))} {
-		if err := writeUvarint(n); err != nil {
-			return err
-		}
-	}
-	if err := s.writeTerms(bw, writeUvarint, nTerms); err != nil {
-		return err
-	}
-	for _, stream := range [][]IDTriple{base, ins, del} {
-		enc := tripleEncoder{write: writeUvarint}
-		for _, tr := range stream {
-			if err := enc.encode(tr); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writeTerms writes the shared dictionary section in the v2/v3 encoding:
-// one kind byte plus three uvarint-length-prefixed strings per term.
-func (s *Store) writeTerms(bw *bufio.Writer, writeUvarint func(uint64) error, nTerms int) error {
-	writeStr := func(x string) error {
-		if err := writeUvarint(uint64(len(x))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(x)
-		return err
-	}
-	for id := dict.ID(1); int(id) <= nTerms; id++ {
-		t := s.dict.Decode(id)
-		if err := bw.WriteByte(byte(t.Kind)); err != nil {
-			return err
-		}
-		if err := writeStr(t.Value); err != nil {
-			return err
-		}
-		if err := writeStr(t.Lang); err != nil {
-			return err
-		}
-		if err := writeStr(t.Datatype); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tripleEncoder emits the v2/v3 delta-encoded triple records: each triple
-// against its predecessor, starting from the zero triple.
-type tripleEncoder struct {
-	write func(uint64) error
-	prev  IDTriple
-}
-
-func (e *tripleEncoder) encode(tr IDTriple) error {
-	var fields [3]uint64
-	switch {
-	case tr.S != e.prev.S:
-		fields = [3]uint64{uint64(tr.S - e.prev.S), uint64(tr.P), uint64(tr.O)}
-	case tr.P != e.prev.P:
-		fields = [3]uint64{0, uint64(tr.P - e.prev.P), uint64(tr.O)}
-	default:
-		fields = [3]uint64{0, 0, uint64(tr.O - e.prev.O)}
-	}
-	e.prev = tr
-	for _, f := range fields {
-		if err := e.write(f); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.WriteSnapshot(w)
 }
 
 // ReadSnapshot deserializes a store previously written by WriteSnapshot,

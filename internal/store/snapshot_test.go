@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -99,20 +101,21 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader("NOTASNAP????")); err == nil {
 		t.Fatal("bad magic should fail")
 	}
-	// Truncated.
+	// Truncated, in the written format and in the read-only v2.
 	st, _ := buildTestStore(t)
 	var buf bytes.Buffer
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, cut := range []int{5, 9, 20, len(full) - 4} {
-		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d should fail", cut)
+	for _, full := range [][]byte{buf.Bytes(), fixture(t, "v2")} {
+		for _, cut := range []int{5, 9, 20, len(full) - 4} {
+			if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
+				t.Fatalf("truncation of %q at %d should fail", full[:8], cut)
+			}
 		}
 	}
-	// Corrupt a triple's term ID to an out-of-range value.
-	corrupt := append([]byte(nil), full...)
+	// Corrupt a v2 triple's term ID to an out-of-range value.
+	corrupt := fixture(t, "v2")
 	corrupt[len(corrupt)-1] = 0xFF
 	corrupt[len(corrupt)-2] = 0xFF
 	corrupt[len(corrupt)-3] = 0xFF
@@ -122,71 +125,57 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// writeV1Fixture serializes st exactly as the pre-v2 code did (fixed-width
-// uint32 header and triples), so compatibility with snapshots written
-// before the format change is tested against real v1 bytes.
-func writeV1Fixture(t *testing.T, st *Store) []byte {
+// fixture returns a checked-in snapshot in a read-only format, written
+// by the last version of this package that still wrote it:
+// testdata/v1.snap, v2.snap and v3.snap hold buildTestStore's data, and
+// v3-overlay.snap the overlay TestSnapshotV3RoundTrip rebuilds.
+func fixture(t *testing.T, name string) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := st.WriteSnapshotVersion(&buf, 1); err != nil {
+	raw, err := os.ReadFile(filepath.Join("testdata", name+".snap"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return raw
 }
 
-// TestSnapshotV1StillLoads: a v1 snapshot loads into a store identical to
-// the same data loaded from v2 or built in process.
+// TestSnapshotV1StillLoads: v1, v2 and (plain) v3 snapshots load into a
+// store identical to the same data built in process.
 func TestSnapshotV1StillLoads(t *testing.T) {
 	built, ids := buildTestStore(t)
-	v1 := writeV1Fixture(t, built)
-	var v2 bytes.Buffer
-	if err := built.WriteSnapshot(&v2); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := ReadSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := ReadSnapshot(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	pats := []Pattern{{}, {S: ids["s1"]}, {P: ids["knows"]}, {O: ids["s3"]}, {P: ids["knows"], O: ids["s3"]}}
-	for _, st := range []*Store{fromV1, fromV2} {
+	for _, name := range []string{"v1", "v2", "v3"} {
+		st, err := ReadSnapshot(bytes.NewReader(fixture(t, name)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Delta() != nil {
+			t.Fatalf("%s: a plain snapshot loaded as an overlay", name)
+		}
 		if st.Len() != built.Len() || st.Dict().Len() != built.Dict().Len() {
-			t.Fatal("size mismatch after load")
+			t.Fatalf("%s: size mismatch after load", name)
 		}
 		for _, p := range pats {
 			if st.Count(p) != built.Count(p) {
-				t.Fatalf("Count(%v) differs", p)
+				t.Fatalf("%s: Count(%v) differs", name, p)
 			}
 		}
-		if st.PredicateStats(ids["knows"]) != built.PredicateStats(ids["knows"]) {
-			t.Fatal("predicate stats differ")
-		}
+		equalStoreSurface(t, built, st)
 	}
 }
 
 // TestSnapshotV2Smaller: delta+varint triples make v2 measurably smaller
-// than v1 on realistic (sorted, dense-id) data.
+// than v1 on the same data, and both load into the same store.
 func TestSnapshotV2Smaller(t *testing.T) {
-	st := randomBuilder(5, 4000).Build()
-	var v2 bytes.Buffer
-	if err := st.WriteSnapshot(&v2); err != nil {
-		t.Fatal(err)
+	built, _ := buildTestStore(t)
+	v1, v2 := fixture(t, "v1"), fixture(t, "v2")
+	if len(v2) >= len(v1) {
+		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
 	}
-	v1 := writeV1Fixture(t, st)
-	if v2.Len() >= len(v1) {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), len(v1))
-	}
-	got, err := ReadSnapshot(&v2)
+	got, err := ReadSnapshot(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalStores(t, st, got.Rebuild(BuildOptions{})) // indexes identical too
-	if got.Len() != st.Len() {
-		t.Fatalf("Len %d vs %d", got.Len(), st.Len())
-	}
+	equalStores(t, built, got) // indexes identical too
 }
 
 // TestSnapshotRejectsHugeCounts: headers claiming absurd term/triple counts
@@ -221,19 +210,14 @@ func TestSnapshotRejectsHugeCounts(t *testing.T) {
 func TestSnapshotRejectsDuplicateTriples(t *testing.T) {
 	st, _ := buildTestStore(t)
 	// v1: append a copy of the last triple and patch the triple count.
-	v1 := writeV1Fixture(t, st)
+	v1 := fixture(t, "v1")
 	v1 = append(v1, v1[len(v1)-12:]...)
 	binary.LittleEndian.PutUint32(v1[12:16], uint32(st.Len()+1))
 	if _, err := ReadSnapshot(bytes.NewReader(v1)); err == nil {
 		t.Fatal("v1 duplicate triple should fail")
 	}
 	// v2: an all-zero delta record encodes "same triple again".
-	var v2 bytes.Buffer
-	if err := st.WriteSnapshot(&v2); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte(nil), v2.Bytes()...)
-	raw = append(raw, 0, 0, 0)
+	raw := append(fixture(t, "v2"), 0, 0, 0)
 	// Patch the uvarint triple count: re-encode the whole prefix instead of
 	// poking bytes — counts this small are single-byte uvarints.
 	if st.Len() >= 127 {
@@ -258,12 +242,7 @@ func TestSnapshotRejectsDuplicateTriples(t *testing.T) {
 // TestSnapshotV2Truncated: cutting a v2 stream at any point must produce a
 // clean error.
 func TestSnapshotV2Truncated(t *testing.T) {
-	st, _ := buildTestStore(t)
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := fixture(t, "v2")
 	for cut := 0; cut < len(full); cut += 7 {
 		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d should fail", cut)
@@ -271,11 +250,22 @@ func TestSnapshotV2Truncated(t *testing.T) {
 	}
 }
 
+// TestSnapshotBadVersionArg: v4 is the only version written; the
+// read-only versions and unknown ones are refused.
 func TestSnapshotBadVersionArg(t *testing.T) {
 	st, _ := buildTestStore(t)
+	for _, v := range []int{1, 2, 3, 5} {
+		var buf bytes.Buffer
+		if err := st.WriteSnapshotVersion(&buf, v); err == nil {
+			t.Fatalf("writing snapshot version %d should fail", v)
+		}
+	}
 	var buf bytes.Buffer
-	if err := st.WriteSnapshotVersion(&buf, 5); err == nil {
-		t.Fatal("unknown snapshot version should fail")
+	if err := st.WriteSnapshotVersion(&buf, 4); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte(snapshotMagicV4)) {
+		t.Fatalf("version 4 wrote magic %q", buf.Bytes()[:8])
 	}
 }
 

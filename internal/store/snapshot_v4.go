@@ -238,7 +238,7 @@ func (s *Store) writeV4(bw *bufio.Writer) error {
 }
 
 // forEachOrder streams the store's triples in the given permutation order,
-// folding a pending delta in (the per-order counterpart of forEachSPO).
+// folding a pending delta in.
 func (s *Store) forEachOrder(o order, fn func(IDTriple)) {
 	if s.delta == nil {
 		for _, t := range s.idx[o] {
