@@ -116,7 +116,7 @@ func searchRange(idx []IDTriple, o order, pat Pattern) (lo, hi int) {
 		return 0, len(idx)
 	}
 	p := orderPositions[o]
-	lo = lowerBound(idx, p, 0, len(idx), k)
+	lo = lowerBound(idx, p, 0, len(idx), packPrefix(k))
 	for i := nb - 1; ; i-- {
 		if i < 0 {
 			// Every bound component is MaxUint32: the increment carried
@@ -128,26 +128,40 @@ func searchRange(idx []IDTriple, o order, pat Pattern) (lo, hi int) {
 			break
 		}
 	}
-	pk, third := uint64(k[0])<<32|uint64(k[1]), k[2]
-	from := lo // every triple before from is below k
-	for step := 1; ; step <<= 1 {
-		probe := min(from+step-1, len(idx))
-		if probe == len(idx) || !keyBelow(&idx[probe], p, pk, third) {
-			return lo, lowerBound(idx, p, from, probe, k)
-		}
-		from = probe + 1
-	}
+	return lo, gallop(idx, p, lo, packPrefix(k))
 }
+
+// A packedKey is a sort key with its first two components packed into one
+// word, so most comparisons are a single branch.
+type packedKey struct {
+	pk    uint64
+	third dict.ID
+}
+
+func packPrefix(k [3]dict.ID) packedKey { return packedKey{uint64(k[0])<<32 | uint64(k[1]), k[2]} }
+
+// packKey returns t's sort key, components in the order p lists: an
+// indexed load from a local copy, not a switch per component.
+func packKey(t *IDTriple, p [3]int) packedKey {
+	c := [3]dict.ID{t.S, t.P, t.O}
+	return packedKey{uint64(c[p[0]])<<32 | uint64(c[p[1]]), c[p[2]]}
+}
+
+func (a packedKey) below(b packedKey) bool {
+	return a.pk < b.pk || (a.pk == b.pk && a.third < b.third)
+}
+
+// keyBelow reports whether t's sort key under p is below k.
+func keyBelow(t *IDTriple, p [3]int, k packedKey) bool { return packKey(t, p).below(k) }
 
 // lowerBound returns the first position in idx[i:j] whose sort key
 // (components in the order p lists) is >= k, or j when there is none. An
 // explicit loop, not a sort.Search closure: one runs per probe and per
 // leapfrog seek, so it must not allocate.
-func lowerBound(idx []IDTriple, p [3]int, i, j int, k [3]dict.ID) int {
-	pk, third := uint64(k[0])<<32|uint64(k[1]), k[2]
+func lowerBound(idx []IDTriple, p [3]int, i, j int, k packedKey) int {
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if keyBelow(&idx[h], p, pk, third) {
+		if keyBelow(&idx[h], p, k) {
 			i = h + 1
 		} else {
 			j = h
@@ -156,15 +170,17 @@ func lowerBound(idx []IDTriple, p [3]int, i, j int, k [3]dict.ID) int {
 	return i
 }
 
-// keyBelow reports whether t's sort key, its components taken in the order
-// p lists, is below (pk, third): the first two components packed into one
-// word, the third compared only when the packed halves tie. p is a loop
-// invariant of the caller's search, so a component is an indexed load
-// from a local copy rather than a switch per component per step.
-func keyBelow(t *IDTriple, p [3]int, pk uint64, third dict.ID) bool {
-	c := [3]dict.ID{t.S, t.P, t.O}
-	tk := uint64(c[p[0]])<<32 | uint64(c[p[1]])
-	return tk < pk || (tk == pk && c[p[2]] < third)
+// gallop returns the first position at or after from whose sort key is
+// >= k, probing at doubling distances before a binary search of the last
+// gap, so the cost follows the length of the run, not of the index.
+func gallop(idx []IDTriple, p [3]int, from int, k packedKey) int {
+	for step := 1; ; step <<= 1 {
+		probe := min(from+step-1, len(idx))
+		if probe == len(idx) || !keyBelow(&idx[probe], p, k) {
+			return lowerBound(idx, p, from, probe, k)
+		}
+		from = probe + 1
+	}
 }
 
 // prefixBounds extracts the bound prefix values of pat under order o,

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dict"
 )
@@ -43,7 +42,7 @@ type Scan struct {
 	// child cursors (same order, disjoint triple sets — see merged.go).
 	// The run fields above are unused in that mode; every method
 	// delegates to the children.
-	sub []*Scan
+	sub []Scan
 }
 
 // initRuns records the cursor's full runs and bound-key prefix.
@@ -56,16 +55,23 @@ func (sc *Scan) initRuns(pat Pattern) {
 // delivered in the sort order of the chosen index — the same order Match
 // returns them in, so Scan and Match are interchangeable for equal results.
 func (s *Store) Scan(pat Pattern) *Scan {
-	o := orderFor(pat.boundMask())
+	sc := new(Scan)
+	s.openScan(sc, orderFor(pat.boundMask()), pat)
+	return sc
+}
+
+// openScan positions sc over the triples matching pat in index o, whose
+// sort key must start with pat's bound positions. It fills a cursor in
+// place, so a probe can keep its cursors in a stack array.
+func (s *Store) openScan(sc *Scan, o order, pat Pattern) {
 	idx := s.idx[o]
 	lo, hi := searchRange(idx, o, pat)
-	sc := &Scan{rest: idx[lo:hi], ord: o}
+	*sc = Scan{rest: idx[lo:hi], ord: o}
 	if s.delta != nil {
 		sc.del = runFor(s.delta.del[o], o, pat)
 		sc.ins = runFor(s.delta.ins[o], o, pat)
 	}
 	sc.initRuns(pat)
-	return sc
 }
 
 // ScanSeek opens a seekable cursor over the triples matching pat, sorted
@@ -104,14 +110,8 @@ func (s *Store) ScanSeek(pat Pattern, varPos []int) *Scan {
 	if chosen == numOrders {
 		panic(fmt.Sprintf("store: no index order for pattern %v with varPos %v", pat, varPos))
 	}
-	idx := s.idx[chosen]
-	lo, hi := searchRange(idx, chosen, pat)
-	sc := &Scan{rest: idx[lo:hi], ord: chosen}
-	if s.delta != nil {
-		sc.del = runFor(s.delta.del[chosen], chosen, pat)
-		sc.ins = runFor(s.delta.ins[chosen], chosen, pat)
-	}
-	sc.initRuns(pat)
+	sc := new(Scan)
+	s.openScan(sc, chosen, pat)
 	return sc
 }
 
@@ -126,8 +126,8 @@ func (s *Store) ScanSeek(pat Pattern, varPos []int) *Scan {
 // and Remaining stays exact.
 func (sc *Scan) SeekVar(v0, v1, v2 dict.ID) {
 	if sc.sub != nil {
-		for _, c := range sc.sub {
-			c.SeekVar(v0, v1, v2)
+		for i := range sc.sub {
+			sc.sub[i].SeekVar(v0, v1, v2)
 		}
 		return
 	}
@@ -144,7 +144,7 @@ func (sc *Scan) SeekVar(v0, v1, v2 dict.ID) {
 // seekRun returns the suffix of run starting at the first triple whose key
 // under o is >= k.
 func seekRun(run []IDTriple, o order, k [3]dict.ID) []IDTriple {
-	return run[lowerBound(run, orderPositions[o], 0, len(run), k):]
+	return run[lowerBound(run, orderPositions[o], 0, len(run), packPrefix(k)):]
 }
 
 // Head returns the next undelivered triple without consuming it, or false
@@ -153,8 +153,7 @@ func seekRun(run []IDTriple, o order, k [3]dict.ID) []IDTriple {
 // stream).
 func (sc *Scan) Head() (IDTriple, bool) {
 	if sc.sub != nil {
-		_, t, ok := sc.headChild()
-		return t, ok
+		return sc.mergedHead()
 	}
 	for len(sc.rest) > 0 && len(sc.del) > 0 && sc.rest[0] == sc.del[0] {
 		sc.rest = sc.rest[1:]
@@ -250,8 +249,8 @@ func (sc *Scan) Next(max int) []IDTriple {
 func (sc *Scan) Remaining() int {
 	if sc.sub != nil {
 		n := 0
-		for _, c := range sc.sub {
-			n += c.Remaining()
+		for i := range sc.sub {
+			n += sc.sub[i].Remaining()
 		}
 		return n
 	}
@@ -309,9 +308,7 @@ func (s *Store) ScanPartitions(pat Pattern, n int) []*Scan {
 	if len(ins) > len(base) {
 		primary, secondary = ins, base
 	}
-	lowerBound := func(run []IDTriple, t IDTriple) int {
-		return sort.Search(len(run), func(i int) bool { return !lessByOrder(run[i], t, o) })
-	}
+	p := orderPositions[o]
 	out := make([]*Scan, n)
 	pPrev, sPrev, dPrev := 0, 0, 0
 	for i := 0; i < n; i++ {
@@ -319,9 +316,9 @@ func (s *Store) ScanPartitions(pat Pattern, n int) []*Scan {
 		if i < n-1 {
 			pNext = (i + 1) * len(primary) / n
 			if pNext < len(primary) {
-				boundary := primary[pNext]
-				sNext = lowerBound(secondary, boundary)
-				dNext = lowerBound(del, boundary)
+				boundary := packKey(&primary[pNext], p)
+				sNext = lowerBound(secondary, p, 0, len(secondary), boundary)
+				dNext = lowerBound(del, p, 0, len(del), boundary)
 			}
 		}
 		sc := &Scan{ord: o}

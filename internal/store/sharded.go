@@ -16,19 +16,19 @@ import (
 // own Delta and MVCC generation), and all shards share one dictionary so
 // IDs join and decode identically across shards.
 //
-// The read paths federate at the index-run level: each shard's matching
-// run is a sorted sequence over a disjoint triple subset, so k-way
-// merging the runs back together (mergeScans) reproduces exactly the
-// stream a single store over the union would deliver. Subject-bound
-// patterns hit exactly one shard and keep the single-store fast path.
-// Because the streams are identical and the coordinator keeps exact
-// global statistics (Count sums over disjoint shards; DistinctS and the
-// rdf:type class index partition cleanly by subject; DistinctO is
-// maintained globally, since distinct objects do not sum across shards),
-// the optimizer picks identical plans and the executor produces
-// bit-identical rows and Cout/Work/Scanned accounting at any shard
-// count — the same invariance the morsel driver guarantees across worker
-// counts, lifted to the shard level.
+// Placement is a read invariant (LoadSharded checks it): every triple
+// lives in its subject's shardOf shard, so a subject-bound pattern is
+// answered by that home shard alone. Other patterns federate at the
+// index-run level: each shard's run is sorted over a disjoint triple
+// subset, so k-way merging the runs (mergeInto) reproduces exactly the
+// stream a single store over the union would deliver. As the streams are
+// identical and the coordinator keeps exact global statistics (Count sums
+// over disjoint shards; DistinctS and the rdf:type class index partition
+// cleanly by subject; DistinctO is maintained globally, since distinct
+// objects do not sum across shards), the optimizer picks identical plans
+// and the executor produces bit-identical rows and Cout/Work/Scanned
+// accounting at any shard count — the same invariance the morsel driver
+// guarantees across worker counts, lifted to the shard level.
 //
 // A Sharded is immutable, like Store: updates go through NewDelta /
 // ShardedDelta and publish a fresh Sharded.
@@ -193,9 +193,21 @@ func (sh *Sharded) BaseLen() int {
 	return n
 }
 
+// home returns the one shard that can hold pat's matches — the subject's
+// home shard, or the only shard — and nil when every shard must be read.
+func (sh *Sharded) home(pat Pattern) *Store {
+	if pat.S == dict.None && len(sh.shards) > 1 {
+		return nil
+	}
+	return sh.shards[shardOf(pat.S, len(sh.shards))]
+}
+
 // Count returns the exact number of triples matching pat: shards hold
 // disjoint triple sets, so per-shard exact counts sum exactly.
 func (sh *Sharded) Count(pat Pattern) int {
+	if h := sh.home(pat); h != nil {
+		return h.Count(pat)
+	}
 	n := 0
 	for _, s := range sh.shards {
 		n += s.Count(pat)
@@ -205,8 +217,7 @@ func (sh *Sharded) Count(pat Pattern) int {
 
 // Match returns the triples matching pat in index sort order, k-way
 // merged across shards. When exactly one shard holds matches (always the
-// case for subject-bound patterns) the result is that shard's zero-copy
-// subslice.
+// case for subject-bound patterns) the result is that shard's own Match.
 func (sh *Sharded) Match(pat Pattern) ([]IDTriple, order) {
 	m, _, o := sh.matchInto(pat, nil)
 	return m, o
@@ -221,28 +232,26 @@ func (sh *Sharded) MatchBuf(pat Pattern, scratch []IDTriple) (matches, scratch2 
 }
 
 func (sh *Sharded) matchInto(pat Pattern, scratch []IDTriple) ([]IDTriple, []IDTriple, order) {
-	if len(sh.shards) == 1 {
-		return sh.shards[0].matchInto(pat, scratch)
+	if h := sh.home(pat); h != nil {
+		return h.matchInto(pat, scratch)
 	}
 	o := orderFor(pat.boundMask())
-	// Open per-shard cursors and drop empty ones; with one contributor the
-	// shard's own match path (zero-copy where possible) answers directly.
-	var (
-		scans []*Scan
-		only  = -1
-		need  = 0
-	)
-	for i, s := range sh.shards {
-		sc := s.Scan(pat)
-		r := sc.Remaining()
-		if r == 0 {
-			continue
-		}
-		need += r
-		scans = append(scans, sc)
-		only = i
+	// Live cursors packed into a stack array unless the federation is wider.
+	var stack [maxStackShards]Scan
+	cur := stack[:]
+	if len(sh.shards) > len(stack) {
+		cur = make([]Scan, len(sh.shards))
 	}
-	switch len(scans) {
+	k, need, only := 0, 0, -1
+	for i, s := range sh.shards {
+		s.openScan(&cur[k], o, pat)
+		if r := cur[k].Remaining(); r > 0 {
+			k++
+			need += r
+			only = i
+		}
+	}
+	switch k {
 	case 0:
 		return nil, scratch, o
 	case 1:
@@ -252,40 +261,32 @@ func (sh *Sharded) matchInto(pat Pattern, scratch []IDTriple) ([]IDTriple, []IDT
 	if cap(out) < need {
 		out = make([]IDTriple, 0, need)
 	}
-	merged := &Scan{ord: o, sub: scans}
-	for {
-		c, t, ok := merged.headChild()
-		if !ok {
-			break
-		}
-		out = append(out, t)
-		c.advance()
-	}
+	out = mergeInto(cur[:k], o, out, need)
 	return out, out[:0], o
 }
 
 // Scan opens a merged batch cursor over the triples matching pat.
 func (sh *Sharded) Scan(pat Pattern) *Scan {
-	if len(sh.shards) == 1 {
-		return sh.shards[0].Scan(pat)
+	if h := sh.home(pat); h != nil {
+		return h.Scan(pat)
 	}
-	children := make([]*Scan, len(sh.shards))
+	children := make([]Scan, len(sh.shards))
 	for i, s := range sh.shards {
-		children[i] = s.Scan(pat)
+		s.openScan(&children[i], orderFor(pat.boundMask()), pat)
 	}
-	return mergeScans(children, orderFor(pat.boundMask()), pat)
+	return mergeScans(children, children[0].ord, pat)
 }
 
 // ScanSeek opens a merged seekable trie cursor (see Store.ScanSeek):
 // seeks fan out to every shard cursor and the head is the minimum across
 // them, preserving the leapfrog trie-iterator contract.
 func (sh *Sharded) ScanSeek(pat Pattern, varPos []int) *Scan {
-	if len(sh.shards) == 1 {
-		return sh.shards[0].ScanSeek(pat, varPos)
+	if h := sh.home(pat); h != nil {
+		return h.ScanSeek(pat, varPos)
 	}
-	children := make([]*Scan, len(sh.shards))
+	children := make([]Scan, len(sh.shards))
 	for i, s := range sh.shards {
-		children[i] = s.ScanSeek(pat, varPos)
+		children[i] = *s.ScanSeek(pat, varPos)
 	}
 	return mergeScans(children, children[0].ord, pat)
 }
@@ -300,13 +301,14 @@ func (sh *Sharded) ScanSeek(pat Pattern, varPos []int) *Scan {
 // balanced up to hash skew; partitions may be empty, which preserves the
 // concatenation order.
 func (sh *Sharded) ScanPartitions(pat Pattern, n int) []*Scan {
-	if len(sh.shards) == 1 {
-		return sh.shards[0].ScanPartitions(pat, n)
+	if h := sh.home(pat); h != nil {
+		return h.ScanPartitions(pat, n)
 	}
-	scans := make([]*Scan, len(sh.shards))
+	o := orderFor(pat.boundMask())
+	scans := make([]Scan, len(sh.shards))
 	total := 0
 	for i, s := range sh.shards {
-		scans[i] = s.Scan(pat)
+		s.openScan(&scans[i], o, pat)
 		total += scans[i].Remaining()
 	}
 	if total == 0 {
@@ -317,10 +319,6 @@ func (sh *Sharded) ScanPartitions(pat Pattern, n int) []*Scan {
 	}
 	if n > total {
 		n = total
-	}
-	o := scans[0].ord
-	if n == 1 {
-		return []*Scan{mergeScans(scans, o, pat)}
 	}
 	// Boundary triples come from the largest run among all shards' base
 	// and insert runs; every run of every shard is cut at each boundary by
@@ -335,30 +333,28 @@ func (sh *Sharded) ScanPartitions(pat Pattern, n int) []*Scan {
 			primary = sc.ins0
 		}
 	}
-	lowerBound := func(run []IDTriple, t IDTriple) int {
-		return sort.Search(len(run), func(i int) bool { return !lessByOrder(run[i], t, o) })
-	}
+	p := orderPositions[o]
 	type cuts struct{ rest, del, ins int }
 	prev := make([]cuts, len(scans))
 	out := make([]*Scan, 0, n)
 	for i := 0; i < n; i++ {
-		var boundary IDTriple
+		var boundary packedKey
 		hasBoundary := false
 		if i < n-1 {
-			if p := (i + 1) * len(primary) / n; p < len(primary) {
-				boundary = primary[p]
+			if q := (i + 1) * len(primary) / n; q < len(primary) {
+				boundary = packKey(&primary[q], p)
 				hasBoundary = true
 			}
 		}
-		children := make([]*Scan, 0, len(scans))
+		children := make([]Scan, 0, len(scans))
 		for j, sc := range scans {
 			rn, dn, in := len(sc.rest0), len(sc.del0), len(sc.ins0)
 			if hasBoundary {
-				rn = lowerBound(sc.rest0, boundary)
-				dn = lowerBound(sc.del0, boundary)
-				in = lowerBound(sc.ins0, boundary)
+				rn = lowerBound(sc.rest0, p, 0, rn, boundary)
+				dn = lowerBound(sc.del0, p, 0, dn, boundary)
+				in = lowerBound(sc.ins0, p, 0, in, boundary)
 			}
-			c := &Scan{
+			c := Scan{
 				ord:  o,
 				rest: sc.rest0[prev[j].rest:rn:rn],
 				del:  sc.del0[prev[j].del:dn:dn],
@@ -406,6 +402,9 @@ func (sh *Sharded) SubjectsOfClass(c dict.ID) []dict.ID {
 // triples matching pat, with the same ordering contract as
 // Store.DistinctValues.
 func (sh *Sharded) DistinctValues(position int, pat Pattern) []dict.ID {
+	if h := sh.home(pat); h != nil {
+		return h.DistinctValues(position, pat)
+	}
 	triples, o := sh.Match(pat)
 	return distinctValues(triples, o, pat.boundMask(), position)
 }

@@ -141,14 +141,18 @@ func LoadSharded(dir string, heapLoad bool) (*Sharded, error) {
 		shards[i] = s
 	}
 	d := shards[0].dict
-	total := shards[0].Len()
-	for i, s := range shards[1:] {
+	total := 0
+	for i, s := range shards {
 		if s.dict.Len() != d.Len() {
 			release()
-			return nil, fmt.Errorf("store: sharded shard %d: dictionary length %d != shard 0's %d", i+1, s.dict.Len(), d.Len())
+			return nil, fmt.Errorf("store: sharded shard %d: dictionary length %d != shard 0's %d", i, s.dict.Len(), d.Len())
 		}
 		s.dict = d
 		total += s.Len()
+		if err := checkPlacement(dir, s, i, len(shards)); err != nil {
+			release()
+			return nil, err
+		}
 	}
 	if total != m.Triples {
 		release()
@@ -159,4 +163,36 @@ func LoadSharded(dir string, heapLoad bool) (*Sharded, error) {
 		pstats[ps.P] = PredStats{Count: ps.Count, DistinctS: ps.DistinctS, DistinctO: ps.DistinctO}
 	}
 	return &Sharded{shards: shards, dict: d, n: total, pstats: pstats}, nil
+}
+
+// checkPlacement checks that shard i of n holds only subjects homed there
+// on 66 evenly spaced triples (first and last included) of the base SPO
+// run and of an overlay's pending insertions, so a mapped open reads at
+// most 66 pages of an SPO section however large the shard is.
+func checkPlacement(dir string, s *Store, i, n int) error {
+	const samples = 66
+	runs := [][]IDTriple{s.idx[orderSPO]}
+	if s.delta != nil {
+		runs = append(runs, s.delta.ins[orderSPO])
+	}
+	for _, run := range runs {
+		for j := 0; j < samples && len(run) > 0; j++ {
+			if sub := run[j*(len(run)-1)/(samples-1)].S; shardOf(sub, n) != i {
+				return &PlacementError{Dir: dir, Shard: i, Subject: sub, Home: shardOf(sub, n)}
+			}
+		}
+	}
+	return nil
+}
+
+// A PlacementError reports a shard file holding a subject homed in another
+// shard (files swapped or renumbered): home-shard reads would miss it.
+type PlacementError struct {
+	Dir         string
+	Shard, Home int // the shard file holding Subject, and its home shard
+	Subject     dict.ID
+}
+
+func (e *PlacementError) Error() string {
+	return fmt.Sprintf("store: %s: shard %d holds subject %d, whose home is shard %d", e.Dir, e.Shard, e.Subject, e.Home)
 }

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/dict"
 	"repro/internal/rdf"
 )
 
@@ -42,15 +46,30 @@ func patternShapes(st Source) []Pattern {
 	}
 }
 
+// subjectPatterns returns subject-bound patterns of every shape for
+// subjects spread over the store — with many subjects every shard of a
+// federation is some subject's home — plus one subject that does not
+// occur.
+func subjectPatterns(st Source) []Pattern {
+	all, _ := st.Match(Pattern{})
+	pats := []Pattern{{S: dict.ID(st.Dict().Len() + 1)}}
+	for i := 0; i < len(all); i += len(all)/24 + 1 {
+		t := all[i]
+		pats = append(pats, Pattern{S: t.S}, Pattern{S: t.S, P: t.P}, Pattern{S: t.S, O: t.O}, Pattern{S: t.S, P: t.P, O: t.O})
+	}
+	return pats
+}
+
 // checkSourceEquivalence asserts that sh and ref answer every read-path
 // method identically — the stream-identity contract behind shard-count
-// invariance.
+// invariance. Subject-bound patterns read only their home shard in a
+// federation, so they are checked for many subjects.
 func checkSourceEquivalence(t *testing.T, sh, ref Source) {
 	t.Helper()
 	if sh.Len() != ref.Len() {
 		t.Fatalf("Len: %d != %d", sh.Len(), ref.Len())
 	}
-	for _, pat := range patternShapes(ref) {
+	for _, pat := range append(patternShapes(ref), subjectPatterns(ref)...) {
 		if got, want := sh.Count(pat), ref.Count(pat); got != want {
 			t.Fatalf("Count(%+v): %d != %d", pat, got, want)
 		}
@@ -73,6 +92,31 @@ func checkSourceEquivalence(t *testing.T, sh, ref Source) {
 			}
 			if !equalTriples(cat, want) {
 				t.Fatalf("ScanPartitions(%+v, %d): concat %v != %v", pat, n, cat, want)
+			}
+		}
+	}
+	for _, pat := range subjectPatterns(ref) {
+		var orders [][]int
+		switch {
+		case pat.P == dict.None && pat.O == dict.None:
+			orders = [][]int{{1, 2}, {2, 1}}
+		case pat.P == dict.None:
+			orders = [][]int{{1}}
+		case pat.O == dict.None:
+			orders = [][]int{{2}}
+		default:
+			orders = [][]int{{}}
+		}
+		for _, varPos := range orders {
+			got := drainScan(sh.ScanSeek(pat, varPos))
+			want := drainScan(ref.ScanSeek(pat, varPos))
+			if !equalTriples(got, want) {
+				t.Fatalf("ScanSeek(%+v, %v): %v != %v", pat, varPos, got, want)
+			}
+		}
+		for pos := 0; pos < 3; pos++ {
+			if got, want := sh.DistinctValues(pos, pat), ref.DistinctValues(pos, pat); !reflect.DeepEqual(got, want) {
+				t.Fatalf("DistinctValues(%d, %+v): %v != %v", pos, pat, got, want)
 			}
 		}
 	}
@@ -117,7 +161,8 @@ func checkSourceEquivalence(t *testing.T, sh, ref Source) {
 func TestShardedReadEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ref := buildFrom(t, randomTriples(rng, 400))
-	for _, n := range shardCounts {
+	// maxStackShards+1 shards take matchInto's heap-allocated cursor arrays.
+	for _, n := range append(shardCounts, maxStackShards+1) {
 		sh := NewSharded(ref, n)
 		if sh.NumShards() != n {
 			t.Fatalf("NumShards = %d, want %d", sh.NumShards(), n)
@@ -300,44 +345,45 @@ func TestNewShardedOneShardWrapsStore(t *testing.T) {
 func TestShardedSnapshotRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	base := buildFrom(t, randomTriples(rng, 250))
-	sh := NewSharded(base, 4)
-	dir := t.TempDir() + "/snap"
-	if err := WriteSharded(dir, sh); err != nil {
-		t.Fatal(err)
-	}
-	if !IsShardedSnapshot(dir) {
-		t.Fatal("written directory not recognized as sharded snapshot")
-	}
-	if IsShardedSnapshot(dir + "/shard-0000.snap") {
-		t.Fatal("plain shard file misdetected as sharded snapshot")
-	}
-	for _, heap := range []bool{true, false} {
-		got, err := LoadSharded(dir, heap)
-		if err != nil {
+	for _, shards := range shardCounts {
+		dir := t.TempDir() + "/snap"
+		if err := WriteSharded(dir, NewSharded(base, shards)); err != nil {
 			t.Fatal(err)
 		}
-		checkSourceEquivalence(t, got, base)
-		// All shards must share one dictionary object so sharded updates
-		// agree on new-term IDs.
-		for i := 0; i < got.NumShards(); i++ {
-			if got.Shard(i).Dict() != got.Dict() {
-				t.Fatalf("heap=%v: shard %d has its own dictionary", heap, i)
-			}
+		if !IsShardedSnapshot(dir) {
+			t.Fatal("written directory not recognized as sharded snapshot")
 		}
-		if !heap {
-			if n := len(got.Mappings()); n != 4 {
-				t.Fatalf("mapped sharded load: %d mappings, want 4", n)
-			}
-			// Updates over the mapped federation must behave like heap ones.
-			sd, err := got.NewDelta().ApplyOps([]DeltaOp{{Insert: true, Triples: []rdf.Triple{trp("zz", "zp", "zo")}}})
+		if IsShardedSnapshot(dir + "/shard-0000.snap") {
+			t.Fatal("plain shard file misdetected as sharded snapshot")
+		}
+		for _, heap := range []bool{true, false} {
+			got, err := LoadSharded(dir, heap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sd.InsertCount() != 1 {
-				t.Fatalf("mapped sharded update: %d pending inserts", sd.InsertCount())
+			checkSourceEquivalence(t, got, base)
+			// All shards must share one dictionary object so sharded updates
+			// agree on new-term IDs.
+			for i := 0; i < got.NumShards(); i++ {
+				if got.Shard(i).Dict() != got.Dict() {
+					t.Fatalf("shards=%d heap=%v: shard %d has its own dictionary", shards, heap, i)
+				}
 			}
-			for _, m := range got.Mappings() {
-				m.Release()
+			if !heap {
+				if n := len(got.Mappings()); n != shards {
+					t.Fatalf("mapped sharded load: %d mappings, want %d", n, shards)
+				}
+				// Updates over the mapped federation must behave like heap ones.
+				sd, err := got.NewDelta().ApplyOps([]DeltaOp{{Insert: true, Triples: []rdf.Triple{trp("zz", "zp", "zo")}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sd.InsertCount() != 1 {
+					t.Fatalf("mapped sharded update: %d pending inserts", sd.InsertCount())
+				}
+				for _, m := range got.Mappings() {
+					m.Release()
+				}
 			}
 		}
 	}
@@ -352,5 +398,173 @@ func TestShardedBackendNaming(t *testing.T) {
 	}
 	if sh.BaseLen() != sh.Len() {
 		t.Fatalf("BaseLen %d != Len %d for pristine shards", sh.BaseLen(), sh.Len())
+	}
+}
+
+// TestLoadShardedRejectsMisplacedShards swaps two shard files of a written
+// directory: the dictionaries and the triple total still agree, so only
+// the placement check can tell, in both load modes.
+func TestLoadShardedRejectsMisplacedShards(t *testing.T) {
+	base := buildFrom(t, randomTriples(rand.New(rand.NewSource(19)), 250))
+	dir := t.TempDir()
+	if err := WriteSharded(dir, NewSharded(base, 4)); err != nil {
+		t.Fatal(err)
+	}
+	a, b, tmp := filepath.Join(dir, shardFileName(0)), filepath.Join(dir, shardFileName(1)), filepath.Join(dir, "swap")
+	for _, mv := range [][2]string{{a, tmp}, {b, a}, {tmp, b}} {
+		if err := os.Rename(mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, heap := range []bool{true, false} {
+		_, err := LoadSharded(dir, heap)
+		var pe *PlacementError
+		if !errors.As(err, &pe) || pe.Shard != 0 || pe.Home == 0 {
+			t.Fatalf("heap=%v: LoadSharded of swapped shards: %v, want a PlacementError for shard 0", heap, err)
+		}
+	}
+}
+
+// TestCheckPlacementOverlayInserts gives a shard a pending insertion of a
+// subject homed elsewhere: once over the shard's own base and once over an
+// empty base, so only the sampled insert run can catch it.
+func TestCheckPlacementOverlayInserts(t *testing.T) {
+	base := buildFrom(t, randomTriples(rand.New(rand.NewSource(23)), 200))
+	one := buildFrom(t, []rdf.Triple{trp("only-s", "p", "o1"), trp("only-s", "p", "o2")})
+	for _, tc := range []struct {
+		name  string
+		store *Store
+	}{{"own base", base}, {"empty base", one}} {
+		sh := NewSharded(tc.store, 2)
+		all, _ := tc.store.Match(Pattern{})
+		sub := all[0].S
+		home := shardOf(sub, 2)
+		other := sh.shards[1-home]
+		if err := checkPlacement("d", other, 1-home, 2); err != nil {
+			t.Fatalf("%s: pristine shard: %v", tc.name, err)
+		}
+		d := tc.store.Dict()
+		misplaced := rdf.Triple{S: d.Decode(sub), P: d.Decode(all[0].P), O: rdf.NewIRI("http://example.org/new-object")}
+		nd, err := other.NewDelta().ApplyOps([]DeltaOp{{Insert: true, Triples: []rdf.Triple{misplaced}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pe *PlacementError
+		if err := checkPlacement("d", nd.Overlay(), 1-home, 2); !errors.As(err, &pe) || pe.Subject != sub || pe.Home != home {
+			t.Fatalf("%s: overlay with a misplaced insertion: %v, want a PlacementError for subject %d", tc.name, err, sub)
+		}
+	}
+}
+
+// mergeWorld deals a sorted random triple set (in order o) to k child
+// cursors in stretches of one triple or of up to 64, so runs interleave
+// both finely and coarsely. With overlays, even-numbered children are
+// overlay cursors: part of their stretch arrives as pending insertions,
+// and deleted triples that must not surface are mixed into their base
+// run. It returns the children and the union they must merge to.
+func mergeWorld(rng *rand.Rand, o order, k int, overlays bool) ([]Scan, []IDTriple) {
+	set := map[IDTriple]struct{}{}
+	for len(set) < 3000 {
+		set[IDTriple{S: dict.ID(1 + rng.Intn(300)), P: dict.ID(1 + rng.Intn(4)), O: dict.ID(1 + rng.Intn(300))}] = struct{}{}
+	}
+	all := setToSlice(set)
+	sortByOrder(all, o)
+	children := make([]Scan, k)
+	for i := range children {
+		children[i].ord = o
+	}
+	var union []IDTriple
+	for len(all) > 0 {
+		n := 1
+		if rng.Intn(2) == 0 {
+			n = 1 + rng.Intn(64)
+		}
+		n = min(n, len(all))
+		c := rng.Intn(k)
+		overlay := overlays && c%2 == 0
+		for _, t := range all[:n] {
+			sc := &children[c]
+			switch r := rng.Intn(10); {
+			case overlay && r < 2:
+				sc.rest = append(sc.rest, t)
+				sc.del = append(sc.del, t)
+			case overlay && r < 5:
+				sc.ins = append(sc.ins, t)
+				union = append(union, t)
+			default:
+				sc.rest = append(sc.rest, t)
+				union = append(union, t)
+			}
+		}
+		all = all[n:]
+	}
+	for i := range children {
+		children[i].initRuns(Pattern{})
+	}
+	return children, union
+}
+
+// TestMergeIntoSortedUnion is the property test of the merge kernel: for
+// every index order, fan-ins below and above the stack array, plain and
+// overlay children and several batch sizes, a merged cursor delivers
+// exactly the sorted union of its children, and Head always announces the
+// next triple Next delivers.
+func TestMergeIntoSortedUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range []int{1, 2, 3, 4, 7, maxStackShards + 1} {
+		for _, overlays := range []bool{false, true} {
+			for _, batch := range []int{1, 3, 1024} {
+				for o := order(0); o < numOrders; o++ {
+					children, want := mergeWorld(rng, o, k, overlays)
+					sc := mergeScans(children, o, Pattern{})
+					var got []IDTriple
+					for {
+						head, ok := sc.Head()
+						b := sc.Next(batch)
+						if ok != (b != nil) || (ok && head != b[0]) {
+							t.Fatalf("k=%d overlays=%v batch=%d %v: Head %v/%v before batch %v", k, overlays, batch, o, head, ok, b)
+						}
+						if b == nil {
+							break
+						}
+						got = append(got, b...)
+					}
+					if !equalTriples(got, want) {
+						t.Fatalf("k=%d overlays=%v batch=%d %v: merged %d triples, want the sorted union of %d", k, overlays, batch, o, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardedMatchBufAllocs is the allocation regression test for probes
+// into a federation: a subject-bound probe reads its home shard
+// zero-copy, and an object-bound one opens its shard cursors in stack
+// arrays and merges into the caller's scratch.
+func TestShardedMatchBufAllocs(t *testing.T) {
+	base, _ := seekWorld(t, 6, 4000)
+	sh := NewSharded(base, 4)
+	all, _ := base.Match(Pattern{})
+	subj := Pattern{S: all[len(all)/2].S}
+	var obj Pattern
+	for _, tr := range all {
+		if m, _ := sh.Match(Pattern{O: tr.O}); len(m) > 1 && shardOf(m[0].S, 4) != shardOf(m[len(m)-1].S, 4) {
+			obj = Pattern{O: tr.O}
+			break
+		}
+	}
+	if obj.O == dict.None {
+		t.Fatal("no object whose matches span two shards")
+	}
+	for _, pat := range []Pattern{subj, obj} {
+		var scratch, m []IDTriple
+		m, scratch = sh.MatchBuf(pat, scratch)
+		if want, _ := base.Match(pat); !equalTriples(m, want) {
+			t.Fatalf("MatchBuf(%v) = %v, want %v", pat, m, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { m, scratch = sh.MatchBuf(pat, scratch) }); n != 0 {
+			t.Fatalf("MatchBuf(%v) on 4 shards allocates %.1f times per probe, want 0", pat, n)
+		}
 	}
 }
