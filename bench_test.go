@@ -419,25 +419,6 @@ func BenchmarkStoreMatch(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimizerDP(b *testing.B) {
-	e := env(b)
-	bound, err := bsbm.Q4().Bind(sparql.Binding{"ProductType": bsbm.TypeIRI(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := plan.Compile(bound, e.BSBM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	est := plan.NewEstimator(e.BSBM)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Optimize(c, est); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkExecQ4Generic(b *testing.B) {
 	e := env(b)
 	bound, err := bsbm.Q4().Bind(sparql.Binding{"ProductType": bsbm.TypeIRI(0)})

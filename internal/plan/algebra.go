@@ -154,11 +154,11 @@ func (a *AlgNode) render(b *strings.Builder, depth int) {
 // compileGroup lowers a group graph pattern onto the dictionary,
 // producing the algebra expression Join(BGP, unions...) left-joined with
 // each optional, with the group's filters attached to the expression
-// root. idx numbers patterns globally in compile order.
-func compileGroup(g *sparql.Group, st store.Source, idx *int) (*AlgNode, error) {
+// root. nb numbers patterns and variables across the whole query.
+func compileGroup(g *sparql.Group, st store.Source, nb *numbering) (*AlgNode, error) {
 	var expr *AlgNode
 	if len(g.Patterns) > 0 {
-		leaf, err := compileBGP(g.Patterns, st, idx)
+		leaf, err := compileBGP(g.Patterns, st, nb)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +167,7 @@ func compileGroup(g *sparql.Group, st store.Source, idx *int) (*AlgNode, error) 
 	for _, u := range g.Unions {
 		un := &AlgNode{Kind: AlgUnion}
 		for _, br := range u.Branches {
-			be, err := compileGroup(br, st, idx)
+			be, err := compileGroup(br, st, nb)
 			if err != nil {
 				return nil, err
 			}
@@ -183,7 +183,7 @@ func compileGroup(g *sparql.Group, st store.Source, idx *int) (*AlgNode, error) 
 		if expr == nil {
 			return nil, fmt.Errorf("plan: OPTIONAL requires a preceding pattern in its group")
 		}
-		oe, err := compileGroup(o, st, idx)
+		oe, err := compileGroup(o, st, nb)
 		if err != nil {
 			return nil, err
 		}
@@ -197,10 +197,12 @@ func compileGroup(g *sparql.Group, st store.Source, idx *int) (*AlgNode, error) 
 }
 
 // compileBGP compiles one basic graph pattern leaf.
-func compileBGP(pats []sparql.TriplePattern, st store.Source, idx *int) (*AlgNode, error) {
-	leaf := &AlgNode{Kind: AlgBGP, Patterns: pats}
-	leaf.Compiled = compilePatterns(pats, st, idx)
-	return leaf, nil
+func compileBGP(pats []sparql.TriplePattern, st store.Source, nb *numbering) (*AlgNode, error) {
+	compiled, err := compilePatterns(pats, st, nb)
+	if err != nil {
+		return nil, err
+	}
+	return &AlgNode{Kind: AlgBGP, Patterns: pats, Compiled: compiled}, nil
 }
 
 // optimizeAlg runs the join-ordering optimizer over every BGP leaf and

@@ -1,10 +1,11 @@
 package plan
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
-	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -115,8 +116,8 @@ func (cs *CharacteristicSets) StarCardinality(preds []dict.ID) float64 {
 	if len(preds) == 0 {
 		return 0
 	}
-	q := append([]dict.ID(nil), preds...)
-	sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
+	var buf [32]dict.ID
+	q := sortedPreds(buf[:0], preds)
 	total := 0.0
 	for _, c := range cs.sets {
 		// Superset test + collect multiplicities (c.preds is sorted).
@@ -147,8 +148,8 @@ func (cs *CharacteristicSets) StarSubjects(preds []dict.ID) float64 {
 	if len(preds) == 0 {
 		return 0
 	}
-	q := append([]dict.ID(nil), preds...)
-	sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
+	var buf [32]dict.ID
+	q := sortedPreds(buf[:0], preds)
 	total := 0.0
 	for _, c := range cs.sets {
 		j := 0
@@ -180,8 +181,8 @@ type CharsetEstimator struct {
 	// starPreds[i] = predicate of pattern i when it is star-eligible:
 	// subject variable, bound predicate, unbound object variable.
 	starPreds []dict.ID
-	// starVar[i] = the subject variable of star-eligible pattern i.
-	starVar []sparql.Var
+	// starVar[i] = the subject variable number of star-eligible pattern i.
+	starVar []uint8
 }
 
 // NewCharsetEstimator builds the estimator for compiled query c.
@@ -190,56 +191,56 @@ func NewCharsetEstimator(st store.Source, cs *CharacteristicSets, c *Compiled) *
 		base:      NewEstimator(st),
 		cs:        cs,
 		starPreds: make([]dict.ID, len(c.Patterns)),
-		starVar:   make([]sparql.Var, len(c.Patterns)),
+		starVar:   make([]uint8, len(c.Patterns)),
 	}
 	for i, cp := range c.Patterns {
 		if cp.VarS != "" && cp.Pat.P != dict.None && cp.VarO != "" && cp.VarS != cp.VarO && !cp.Missing {
 			e.starPreds[i] = cp.Pat.P
-			e.starVar[i] = cp.VarS
+			e.starVar[i] = cp.num[0]
 		}
 	}
 	return e
 }
 
 // Leaf delegates to the exact base estimator.
-func (e *CharsetEstimator) Leaf(cp CompiledPattern) Set { return e.base.Leaf(cp) }
+func (e *CharsetEstimator) Leaf(dst *Set, cp *CompiledPattern) { e.base.Leaf(dst, cp) }
 
 // Join answers pure subject-star unions from characteristic sets and falls
 // back to the independence model otherwise.
-func (e *CharsetEstimator) Join(a, b Set) Set {
-	out := joinSets(a, b)
+func (e *CharsetEstimator) Join(dst, a, b *Set) {
+	joinSets(dst, a, b)
 	// Star-eligible: every pattern on both sides is a star pattern over
 	// the same subject variable.
-	var v sparql.Var
-	var preds []dict.ID
-	ok := true
-	for _, i := range maskIndexes(a.Mask | b.Mask) {
+	v := -1
+	var buf [32]dict.ID // one predicate per Mask bit
+	preds := buf[:0]
+	for m := a.Mask | b.Mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
 		if i >= len(e.starPreds) || e.starPreds[i] == dict.None {
-			ok = false
-			break
+			return
 		}
-		if v == "" {
-			v = e.starVar[i]
-		} else if e.starVar[i] != v {
-			ok = false
-			break
+		if v < 0 {
+			v = int(e.starVar[i])
+		} else if int(e.starVar[i]) != v {
+			return
 		}
 		preds = append(preds, e.starPreds[i])
 	}
-	if ok && len(preds) >= 2 {
-		card := e.cs.StarCardinality(preds)
-		out.Card = card
-		if d, present := out.Distinct[v]; present {
-			subj := e.cs.StarSubjects(preds)
-			if subj < d {
-				out.Distinct[v] = subj
-			}
-		}
-		for vv, d := range out.Distinct {
-			if d > out.Card {
-				out.Distinct[vv] = out.Card
-			}
+	if len(preds) < 2 {
+		return
+	}
+	dst.Card = e.cs.StarCardinality(preds)
+	if dst.VarMask&(1<<v) != 0 {
+		if subj := e.cs.StarSubjects(preds); subj < dst.Distinct[v] {
+			dst.Distinct[v] = subj
 		}
 	}
-	return out
+	capDistinct(dst)
+}
+
+// sortedPreds returns preds sorted, in a copy appended to buf.
+func sortedPreds(buf, preds []dict.ID) []dict.ID {
+	q := append(buf, preds...)
+	slices.Sort(q)
+	return q
 }

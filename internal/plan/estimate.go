@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"math/bits"
+
 	"repro/internal/dict"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -10,8 +12,11 @@ import (
 // cardinality, per-variable distinct-value estimates, and the bitmask of
 // pattern indexes covered. Optimizers combine Sets through a Model.
 type Set struct {
-	Card     float64
-	Distinct map[sparql.Var]float64
+	Card    float64
+	VarMask uint64 // bit v set ⇔ variable number v (Compiled.Vars) is bound
+	// Distinct[v] estimates the distinct values of variable number v; only
+	// entries whose bit is set in VarMask are meaningful.
+	Distinct []float64
 	Mask     uint32 // bit i set ⇔ pattern with Index i is included
 }
 
@@ -19,9 +24,13 @@ type Set struct {
 // default implementation is Estimator (exact single-pattern counts +
 // independence assumption); SamplingEstimator replaces the independence
 // assumption with sampled pairwise join selectivities.
+//
+// Both methods write into dst, whose Distinct the caller sizes to cover
+// every variable number of the query, so estimating allocates nothing.
+// dst must not alias a or b.
 type Model interface {
-	Leaf(cp CompiledPattern) Set
-	Join(a, b Set) Set
+	Leaf(dst *Set, cp *CompiledPattern)
+	Join(dst, a, b *Set)
 }
 
 // Estimator is the default Model: single-pattern estimates are *exact*
@@ -46,27 +55,12 @@ func (e *Estimator) PatternCard(cp CompiledPattern) float64 {
 	return float64(e.st.Count(cp.Pat))
 }
 
-// varDistinct estimates the number of distinct values the pattern's
-// variable v can take among the pattern's matches.
-func (e *Estimator) varDistinct(cp CompiledPattern, v sparql.Var) float64 {
-	if cp.Missing {
-		return 0
-	}
-	card := float64(e.st.Count(cp.Pat))
+// varDistinct estimates the number of distinct values the variable at
+// position pos (0 = S, 1 = P, 2 = O) can take among the pattern's card
+// matches.
+func (e *Estimator) varDistinct(cp *CompiledPattern, pos int, card float64) float64 {
 	if card == 0 {
 		return 0
-	}
-	// Position of v within the pattern.
-	var pos int
-	switch v {
-	case cp.VarS:
-		pos = 0
-	case cp.VarP:
-		pos = 1
-	case cp.VarO:
-		pos = 2
-	default:
-		return card
 	}
 	// With a bound predicate we have exact per-predicate distinct counts.
 	if cp.Pat.P != dict.None {
@@ -107,62 +101,73 @@ func (e *Estimator) varDistinct(cp CompiledPattern, v sparql.Var) float64 {
 	return d
 }
 
+// leafDistinct writes the distinct-value estimate of each of cp's
+// variables into dst, indexed by variable number, and returns the
+// pattern's cardinality. A variable repeated within the pattern is
+// estimated at its first position.
+func (e *Estimator) leafDistinct(dst []float64, cp *CompiledPattern) float64 {
+	card := e.PatternCard(*cp)
+	var seen uint64
+	for pos, v := range [3]sparql.Var{cp.VarS, cp.VarP, cp.VarO} {
+		if v == "" || seen&(1<<cp.num[pos]) != 0 {
+			continue
+		}
+		seen |= 1 << cp.num[pos]
+		dst[cp.num[pos]] = e.varDistinct(cp, pos, card)
+	}
+	return card
+}
+
 // Leaf builds the estimate for a single pattern.
-func (e *Estimator) Leaf(cp CompiledPattern) Set {
-	s := Set{Card: e.PatternCard(cp), Distinct: map[sparql.Var]float64{}}
+func (e *Estimator) Leaf(dst *Set, cp *CompiledPattern) {
+	dst.Card = e.leafDistinct(dst.Distinct, cp)
+	dst.VarMask = cp.VarMask
+	dst.Mask = 0
 	if cp.Index >= 0 && cp.Index < 32 {
-		s.Mask = 1 << cp.Index
+		dst.Mask = 1 << cp.Index
 	}
-	for _, v := range cp.Vars() {
-		s.Distinct[v] = e.varDistinct(cp, v)
-	}
-	return s
 }
 
 // Join estimates the join of a and b under the independence assumption.
-func (e *Estimator) Join(a, b Set) Set { return joinSets(a, b) }
+func (e *Estimator) Join(dst, a, b *Set) { joinSets(dst, a, b) }
 
-// joinSets estimates the join of a and b. For each shared variable v the
-// classical formula divides by max(d_a(v), d_b(v)); disjoint var sets give
-// a cross product.
-func joinSets(a, b Set) Set {
+// joinSets estimates the join of a and b into dst. For each shared
+// variable v, in ascending variable number, the classical formula divides
+// by max(d_a(v), d_b(v)); the fixed order makes the estimate's bits
+// reproducible. Disjoint variable sets give a cross product.
+func joinSets(dst, a, b *Set) {
 	card := a.Card * b.Card
-	avars := map[sparql.Var]bool{}
-	for v := range a.Distinct {
-		avars[v] = true
-	}
-	bvars := map[sparql.Var]bool{}
-	for v := range b.Distinct {
-		bvars[v] = true
-	}
-	for _, v := range sharedVars(avars, bvars) {
-		da, db := a.Distinct[v], b.Distinct[v]
-		m := da
-		if db > m {
+	for s := a.VarMask & b.VarMask; s != 0; s &= s - 1 {
+		v := bits.TrailingZeros64(s)
+		m := a.Distinct[v]
+		if db := b.Distinct[v]; db > m {
 			m = db
 		}
 		if m > 0 {
 			card /= m
 		}
 	}
-	out := Set{
-		Card:     card,
-		Distinct: make(map[sparql.Var]float64, len(a.Distinct)+len(b.Distinct)),
-		Mask:     a.Mask | b.Mask,
+	dst.Card = card
+	dst.VarMask = a.VarMask | b.VarMask
+	dst.Mask = a.Mask | b.Mask
+	for s := dst.VarMask; s != 0; s &= s - 1 {
+		v := bits.TrailingZeros64(s)
+		inA, inB := a.VarMask&(1<<v) != 0, b.VarMask&(1<<v) != 0
+		d := a.Distinct[v]
+		if !inA || inB && b.Distinct[v] < d {
+			d = b.Distinct[v]
+		}
+		dst.Distinct[v] = d
 	}
-	for v, d := range a.Distinct {
-		out.Distinct[v] = d
-	}
-	for v, d := range b.Distinct {
-		if prev, ok := out.Distinct[v]; !ok || d < prev {
-			out.Distinct[v] = d
+	capDistinct(dst)
+}
+
+// capDistinct lowers every distinct-value estimate of s to its
+// cardinality: no variable can exceed the output cardinality.
+func capDistinct(s *Set) {
+	for m := s.VarMask; m != 0; m &= m - 1 {
+		if v := bits.TrailingZeros64(m); s.Distinct[v] > s.Card {
+			s.Distinct[v] = s.Card
 		}
 	}
-	// No variable can exceed the output cardinality.
-	for v, d := range out.Distinct {
-		if d > out.Card {
-			out.Distinct[v] = out.Card
-		}
-	}
-	return out
 }

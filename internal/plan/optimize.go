@@ -1,11 +1,11 @@
 package plan
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
-
-	"repro/internal/sparql"
+	"strconv"
 )
 
 // MaxDPPatterns is the largest pattern count optimized with exact dynamic
@@ -48,116 +48,151 @@ func planAlg(c *Compiled, est Model, greedy bool) (*Plan, error) {
 	}, nil
 }
 
+// dpEntry is the cheapest plan found for one subset of patterns: its
+// estimate, its Cout, and the left side of its winning split (0 for a
+// single pattern).
 type dpEntry struct {
-	node *Node
-	est  Set
+	set   Set
+	cost  float64
+	split uint32
 }
 
-// optimizeDP is a DPsub-style enumerator: for every subset of patterns it
-// keeps the cheapest tree, preferring splits whose sides share a variable
-// and falling back to cross products only when a subset is disconnected.
+// dpTable is the state of one DPsub run, indexed by subset: bit i of a
+// subset stands for Compiled.Patterns[i].
+type dpTable struct {
+	est     Model
+	pats    []CompiledPattern
+	ent     []dpEntry
+	sig     []string // Signature per finished subset, built on first use
+	scratch Set      // estimate of the split under test
+
+	candBuf, bestBuf [128]byte // tie-break scratch; longer signatures spill to the heap
+}
+
+// optimizeDP is a DPsub enumerator: for every subset of patterns, in
+// increasing bitmask order, it keeps the cheapest split, preferring splits
+// whose sides share a variable and falling back to cross products only
+// when a subset is disconnected. All state lives in flat per-subset tables
+// allocated once; the *Node tree is built only for the winner.
 func optimizeDP(c *Compiled, est Model) (*Plan, error) {
 	n := len(c.Patterns)
 	if n == 0 {
 		return nil, fmt.Errorf("plan: no patterns")
 	}
-	if n > 30 {
-		return nil, fmt.Errorf("plan: too many patterns for DP (%d)", n)
+	nv := c.numVars()
+	size := 1 << n
+	rows := make([]float64, (size+1)*nv) // a Distinct row per subset, plus scratch
+	t := &dpTable{est: est, pats: c.Patterns, ent: make([]dpEntry, size), sig: make([]string, size)}
+	for m := range t.ent {
+		t.ent[m].set.Distinct = rows[m*nv : (m+1)*nv : (m+1)*nv]
 	}
-	full := uint32(1<<n) - 1
-	table := make([]*dpEntry, 1<<n)
-	// Leaves.
+	t.scratch.Distinct = rows[size*nv:]
 	for i := 0; i < n; i++ {
-		cp := &c.Patterns[i]
-		s := est.Leaf(*cp)
-		table[1<<i] = &dpEntry{
-			node: &Node{Leaf: cp, Card: s.Card, Cost: 0},
-			est:  s,
-		}
+		est.Leaf(&t.ent[1<<i].set, &c.Patterns[i])
 	}
-	// Variable sets per mask for connectivity checks.
-	varsOf := make([]map[sparql.Var]bool, 1<<n)
-	for i := 0; i < n; i++ {
-		vs := map[sparql.Var]bool{}
-		for _, v := range c.Patterns[i].Vars() {
-			vs[v] = true
+	for mask := uint32(3); mask < uint32(size); mask++ {
+		if mask&(mask-1) == 0 {
+			continue // a single pattern
 		}
-		varsOf[1<<i] = vs
-	}
-	for mask := uint32(1); mask <= full; mask++ {
-		if bits.OnesCount32(mask) < 2 {
-			continue
-		}
-		// Union variable set.
-		vs := map[sparql.Var]bool{}
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				for v := range varsOf[1<<i] {
-					vs[v] = true
-				}
-			}
-		}
-		varsOf[mask] = vs
-		best := chooseBestSplit(est, mask, table, varsOf, true)
-		if best == nil {
+		if !t.chooseBestSplit(mask, true) {
 			// Disconnected subset: allow cross products.
-			best = chooseBestSplit(est, mask, table, varsOf, false)
+			t.chooseBestSplit(mask, false)
 		}
-		table[mask] = best
 	}
-	root := table[full]
-	if root == nil {
-		return nil, fmt.Errorf("plan: DP failed to cover all patterns")
-	}
+	full := uint32(size - 1)
+	nodes := make([]Node, 0, 2*n-1)
+	root := t.node(full, &nodes)
 	return &Plan{
-		Root:      root.node,
-		EstCost:   root.node.Cost,
-		EstCard:   root.node.Card,
-		Signature: root.node.Signature(),
+		Root:      root,
+		EstCost:   root.Cost,
+		EstCard:   root.Card,
+		Signature: t.signature(full),
 		Method:    "dp",
 	}, nil
 }
 
-// chooseBestSplit scans all proper submask splits of mask; when
-// requireShared is true, only splits whose sides share a variable qualify.
-func chooseBestSplit(est Model, mask uint32, table []*dpEntry, varsOf []map[sparql.Var]bool, requireShared bool) *dpEntry {
-	var best *dpEntry
-	// Enumerate submasks; consider each unordered split once (sub < rest).
-	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
+// chooseBestSplit scans every unordered split of mask into two non-empty
+// sides and records the cheapest in t.ent[mask]; when connected is true,
+// only splits whose sides share a variable qualify. It reports whether any
+// split qualified.
+func (t *dpTable) chooseBestSplit(mask uint32, connected bool) bool {
+	best := &t.ent[mask]
+	found := false
+	// The side without mask's highest pattern is the smaller submask, so
+	// each unordered split is visited once, in decreasing submask order.
+	low := mask &^ (1 << (31 - bits.LeadingZeros32(mask)))
+	for sub := low; sub > 0; sub = (sub - 1) & low {
 		rest := mask &^ sub
-		if sub > rest {
+		l, r := &t.ent[sub], &t.ent[rest]
+		if connected && l.set.VarMask&r.set.VarMask == 0 {
 			continue
 		}
-		l, r := table[sub], table[rest]
-		if l == nil || r == nil {
+		t.est.Join(&t.scratch, &l.set, &r.set)
+		cost := t.scratch.Card + l.cost + r.cost
+		if found && !(cost < best.cost || cost == best.cost && t.sigLess(sub, rest, best.split, mask&^best.split)) {
 			continue
 		}
-		if requireShared && len(sharedVars(varsOf[sub], varsOf[rest])) == 0 {
-			continue
-		}
-		joined := est.Join(l.est, r.est)
-		cost := joined.Card + l.node.Cost + r.node.Cost
-		if best == nil || cost < best.node.Cost ||
-			(cost == best.node.Cost && tieBreak(l.node, r.node, best)) {
-			best = &dpEntry{
-				node: &Node{
-					Left:  l.node,
-					Right: r.node,
-					Card:  joined.Card,
-					Cost:  cost,
-				},
-				est: joined,
-			}
-		}
+		found = true
+		best.set, t.scratch = t.scratch, best.set
+		best.cost, best.split = cost, sub
 	}
-	return best
+	return found
 }
 
-// tieBreak makes DP deterministic when two splits have identical cost: the
-// split with the lexicographically smaller signature wins.
-func tieBreak(l, r *Node, best *dpEntry) bool {
-	cand := (&Node{Left: l, Right: r}).Signature()
-	return cand < best.node.Signature()
+// sigLess makes DP deterministic when two splits have identical cost: the
+// split whose join has the lexicographically smaller signature wins. Both
+// signatures are rendered from the children's cached ones into scratch
+// buffers.
+func (t *dpTable) sigLess(sub, rest, bestSub, bestRest uint32) bool {
+	cand := t.appendJoinSig(t.candBuf[:0], sub, rest)
+	best := t.appendJoinSig(t.bestBuf[:0], bestSub, bestRest)
+	return bytes.Compare(cand, best) < 0
+}
+
+// appendJoinSig appends the Signature of the join of the finished plans
+// for l and r to buf.
+func (t *dpTable) appendJoinSig(buf []byte, l, r uint32) []byte {
+	a, b := t.signature(l), t.signature(r)
+	if a > b {
+		a, b = b, a
+	}
+	buf = append(append(append(buf, '('), a...), '*')
+	return append(append(buf, b...), ')')
+}
+
+// signature returns the Signature of the finished plan for mask, the same
+// string Node.Signature renders for it.
+func (t *dpTable) signature(mask uint32) string {
+	if s := t.sig[mask]; s != "" {
+		return s
+	}
+	var s string
+	if split := t.ent[mask].split; split == 0 {
+		s = "p" + strconv.Itoa(t.pats[bits.TrailingZeros32(mask)].Index)
+	} else {
+		l, r := t.signature(split), t.signature(mask&^split)
+		if l > r {
+			l, r = r, l
+		}
+		s = "(" + l + "*" + r + ")"
+	}
+	t.sig[mask] = s
+	return s
+}
+
+// node materializes the finished plan for mask into nodes, whose capacity
+// must hold the whole tree, and returns its root.
+func (t *dpTable) node(mask uint32, nodes *[]Node) *Node {
+	e := &t.ent[mask]
+	*nodes = append(*nodes, Node{Card: e.set.Card, Cost: e.cost})
+	n := &(*nodes)[len(*nodes)-1]
+	if e.split == 0 {
+		n.Leaf = &t.pats[bits.TrailingZeros32(mask)]
+	} else {
+		n.Left = t.node(e.split, nodes)
+		n.Right = t.node(mask&^e.split, nodes)
+	}
+	return n
 }
 
 // OptimizeGreedy builds a join tree greedily: start from the
@@ -175,27 +210,22 @@ func OptimizeGreedy(c *Compiled, est Model) (*Plan, error) {
 	}
 	type item struct {
 		node *Node
-		est  Set
-		vars map[sparql.Var]bool
+		set  Set
 	}
-	remaining := make([]*item, 0, n)
+	nv := c.numVars()
+	rows := make([]float64, (n+1)*nv) // a Distinct row per pattern, plus scratch
+	remaining := make([]item, n)
 	for i := range c.Patterns {
-		cp := &c.Patterns[i]
-		s := est.Leaf(*cp)
-		vs := map[sparql.Var]bool{}
-		for _, v := range cp.Vars() {
-			vs[v] = true
-		}
-		remaining = append(remaining, &item{
-			node: &Node{Leaf: cp, Card: s.Card},
-			est:  s,
-			vars: vs,
-		})
+		it := &remaining[i]
+		it.set.Distinct = rows[i*nv : (i+1)*nv : (i+1)*nv]
+		est.Leaf(&it.set, &c.Patterns[i])
+		it.node = &Node{Leaf: &c.Patterns[i], Card: it.set.Card}
 	}
+	scratch := Set{Distinct: rows[n*nv:]}
 	// Seed: smallest cardinality (ties: smallest pattern index).
 	seedIdx := 0
 	for i, it := range remaining {
-		if it.est.Card < remaining[seedIdx].est.Card {
+		if it.set.Card < remaining[seedIdx].set.Card {
 			seedIdx = i
 		}
 	}
@@ -205,33 +235,28 @@ func OptimizeGreedy(c *Compiled, est Model) (*Plan, error) {
 		bestIdx := -1
 		bestCard := math.Inf(1)
 		bestConnected := false
-		for i, it := range remaining {
-			connected := len(sharedVars(cur.vars, it.vars)) > 0
+		for i := range remaining {
+			connected := cur.set.VarMask&remaining[i].set.VarMask != 0
 			if bestConnected && !connected {
 				continue
 			}
-			j := est.Join(cur.est, it.est)
-			if (connected && !bestConnected) || j.Card < bestCard {
-				bestIdx, bestCard, bestConnected = i, j.Card, connected
+			est.Join(&scratch, &cur.set, &remaining[i].set)
+			if (connected && !bestConnected) || scratch.Card < bestCard {
+				bestIdx, bestCard, bestConnected = i, scratch.Card, connected
 			}
 		}
 		next := remaining[bestIdx]
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		joined := est.Join(cur.est, next.est)
+		est.Join(&scratch, &cur.set, &next.set)
 		node := &Node{
 			Left:  cur.node,
 			Right: next.node,
-			Card:  joined.Card,
-			Cost:  joined.Card + cur.node.Cost + next.node.Cost,
+			Card:  scratch.Card,
+			Cost:  scratch.Card + cur.node.Cost + next.node.Cost,
 		}
-		vars := map[sparql.Var]bool{}
-		for v := range cur.vars {
-			vars[v] = true
-		}
-		for v := range next.vars {
-			vars[v] = true
-		}
-		cur = &item{node: node, est: joined, vars: vars}
+		// The joined estimate becomes cur; cur's old row is free.
+		cur.set, scratch = scratch, cur.set
+		cur.node = node
 	}
 	return &Plan{
 		Root:      cur.node,

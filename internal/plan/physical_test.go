@@ -163,8 +163,7 @@ func handTree(t *testing.T, st *store.Store, src string) (*Compiled, func(l, r *
 	}
 	est := NewEstimator(st)
 	leaf := func(i int) *Node {
-		s := est.Leaf(c.Patterns[i])
-		return &Node{Leaf: &c.Patterns[i], Card: s.Card}
+		return &Node{Leaf: &c.Patterns[i], Card: est.PatternCard(c.Patterns[i])}
 	}
 	join := func(l, r *Node) *Node {
 		return &Node{Left: l, Right: r, Card: l.Card * r.Card}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -225,11 +226,14 @@ func TestDPOptimalVsBruteForce(t *testing.T) {
 }
 
 func leftDeepCost(est *Estimator, c *Compiled, order []int) float64 {
-	cur := est.Leaf(c.Patterns[order[0]])
+	newSet := func() Set { return Set{Distinct: make([]float64, len(c.Vars))} }
+	cur, next, joined := newSet(), newSet(), newSet()
+	est.Leaf(&cur, &c.Patterns[order[0]])
 	cost := 0.0
 	for _, idx := range order[1:] {
-		next := est.Leaf(c.Patterns[idx])
-		cur = est.Join(cur, next)
+		est.Leaf(&next, &c.Patterns[idx])
+		est.Join(&joined, &cur, &next)
+		cur, joined = joined, cur
 		cost += cur.Card
 	}
 	return cost
@@ -338,5 +342,104 @@ func TestPlanString(t *testing.T) {
 	}
 	if s := p.String(); s == "" {
 		t.Fatal("empty render")
+	}
+}
+
+func TestCompileNumbersVariables(t *testing.T) {
+	st := buildIntroStore(t)
+	c := mustCompile(t, st, `SELECT * WHERE {
+  ?p <http://x/firstName> ?n .
+  ?q ?r ?p .
+  ?q <http://x/livesIn> ?c .
+}`)
+	want := []sparql.Var{"p", "n", "q", "r", "c"}
+	if fmt.Sprint(c.Vars) != fmt.Sprint(want) {
+		t.Fatalf("Vars = %v, want %v (first appearance)", c.Vars, want)
+	}
+	for i, m := range []uint64{0b00011, 0b01101, 0b10100} {
+		if c.Patterns[i].VarMask != m {
+			t.Errorf("pattern %d VarMask = %b, want %b", i, c.Patterns[i].VarMask, m)
+		}
+	}
+}
+
+func TestCompileRejectsTooManyVariables(t *testing.T) {
+	st := buildIntroStore(t)
+	src := "SELECT * WHERE {\n"
+	for i := 0; i < 22; i++ { // 22 patterns × 3 fresh variables = 66
+		src += fmt.Sprintf("  ?s%d ?p%d ?o%d .\n", i, i, i)
+	}
+	src += "}"
+	if _, err := Compile(sparql.MustParse(src), st); err == nil {
+		t.Fatalf("compiled a query with 66 distinct variables; at most %d are supported", MaxVars)
+	}
+}
+
+func TestVarsAndShareVarAllocs(t *testing.T) {
+	st := buildIntroStore(t)
+	c := mustCompile(t, st, `SELECT * WHERE {
+  ?p ?r ?p .
+  ?p <http://x/livesIn> ?c .
+}`)
+	if got := c.Patterns[0].Vars(); fmt.Sprint(got) != "[p r]" {
+		t.Fatalf("Vars = %v, want [p r]", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Patterns[1].Vars() }); n > 1 {
+		t.Errorf("Vars allocates %v times, want ≤ 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { shareVar(c.Patterns[0], c.Patterns[1]) }); n != 0 {
+		t.Errorf("shareVar allocates %v times, want 0", n)
+	}
+}
+
+// twoSharedVarStore has predicates a and b with seven triples each over
+// three subjects and five objects, so ?x <a> ?y ⋈ ?x <b> ?y divides by
+// the distinct counts 3 and 5 — in an order that shows in the last bit.
+func twoSharedVarStore(t *testing.T) *store.Store {
+	t.Helper()
+	b := store.NewBuilder()
+	for _, p := range []string{"a", "b"} {
+		for k := 0; k < 7; k++ {
+			tr := rdf.NewTriple(iri(fmt.Sprintf("s%d", k%3)), iri(p), iri(fmt.Sprintf("o%d", k%5)))
+			if err := b.Add(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return b.Build()
+}
+
+func TestJoinDivisionOrderIsFixed(t *testing.T) {
+	x := 1000.0
+	if x/3/5 == x/5/3 {
+		t.Fatal("premise: 1000/3/5 and 1000/5/3 should differ in float64")
+	}
+	a := Set{Card: x, VarMask: 0b11, Distinct: []float64{3, 5}}
+	b := Set{Card: 1, VarMask: 0b11, Distinct: []float64{1, 1}}
+	var est Estimator
+	for i := 0; i < 200; i++ {
+		out := Set{Distinct: make([]float64, 2)}
+		est.Join(&out, &a, &b)
+		if math.Float64bits(out.Card) != math.Float64bits(x/3/5) {
+			t.Fatalf("run %d: card %v (bits %x), want %v divided in ascending variable order", i, out.Card, math.Float64bits(out.Card), x/3/5)
+		}
+	}
+}
+
+func TestOptimizeEstimateIsReproducible(t *testing.T) {
+	st := twoSharedVarStore(t)
+	c := mustCompile(t, st, `SELECT * WHERE { ?x <http://x/a> ?y . ?x <http://x/b> ?y . }`)
+	card := 7.0 * 7.0 // a variable: constant division would be exact
+	if card/3/5 == card/5/3 {
+		t.Fatal("premise: the two division orders should differ in float64")
+	}
+	for i := 0; i < 50; i++ {
+		p, err := Optimize(c, NewEstimator(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(p.EstCost) != math.Float64bits(card/3/5) {
+			t.Fatalf("run %d: EstCost %v, want %v (÷3 for ?x, then ÷5 for ?y)", i, p.EstCost, card/3/5)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/bits"
+	"sort"
 
 	"repro/internal/dict"
 	"repro/internal/sparql"
@@ -25,11 +26,14 @@ type SamplingEstimator struct {
 	// pairSel[i][j] is s_ij for connected pattern pairs; -1 when the pair
 	// shares no variable.
 	pairSel [][]float64
-	// varsOf[i] is the variable set of pattern i.
-	varsOf []map[sparql.Var]bool
+	// varsOf[i] is the variable set (CompiledPattern.VarMask) of pattern i.
+	varsOf []uint64
 	// leafD[i][v] is the base estimator's distinct-value estimate for
-	// variable v in pattern i (used to pick the representative pair).
-	leafD []map[sparql.Var]float64
+	// variable number v in pattern i (used to pick the representative pair).
+	leafD [][]float64
+	// byName lists the query's variable numbers in ascending name order,
+	// the order Join visits shared variables in.
+	byName []uint8
 	// sampleSize bounds the number of outer rows probed per pair.
 	sampleSize int
 }
@@ -47,21 +51,23 @@ func NewSamplingEstimator(st store.Source, c *Compiled, sampleSize int) *Samplin
 		base:       NewEstimator(st),
 		sampleSize: sampleSize,
 	}
-	n := len(c.Patterns)
+	n, nv := len(c.Patterns), c.numVars()
 	e.pairSel = make([][]float64, n)
-	e.varsOf = make([]map[sparql.Var]bool, n)
+	e.varsOf = make([]uint64, n)
+	e.leafD = make([][]float64, n)
 	for i := range e.pairSel {
 		e.pairSel[i] = make([]float64, n)
 		for j := range e.pairSel[i] {
 			e.pairSel[i][j] = -1
 		}
-		e.varsOf[i] = map[sparql.Var]bool{}
-		e.leafD = append(e.leafD, map[sparql.Var]float64{})
-		for _, v := range c.Patterns[i].Vars() {
-			e.varsOf[i][v] = true
-			e.leafD[i][v] = e.base.varDistinct(c.Patterns[i], v)
-		}
+		e.varsOf[i] = c.Patterns[i].VarMask
+		e.leafD[i] = make([]float64, nv)
+		e.base.leafDistinct(e.leafD[i], &c.Patterns[i])
 	}
+	for v := range c.Vars {
+		e.byName = append(e.byName, uint8(v))
+	}
+	sort.Slice(e.byName, func(i, j int) bool { return c.Vars[e.byName[i]] < c.Vars[e.byName[j]] })
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if !shareVar(c.Patterns[i], c.Patterns[j]) {
@@ -166,38 +172,29 @@ func (e *SamplingEstimator) sampleJoinSelectivity(a, b *CompiledPattern) float64
 }
 
 // Leaf delegates to the exact single-pattern estimator.
-func (e *SamplingEstimator) Leaf(cp CompiledPattern) Set { return e.base.Leaf(cp) }
+func (e *SamplingEstimator) Leaf(dst *Set, cp *CompiledPattern) { e.base.Leaf(dst, cp) }
 
 // Join estimates card(A⋈B) with sampled pairwise selectivities. The join
 // condition between the two sides is one equality per shared *variable*
 // (further pattern pairs through the same variable are transitively
 // redundant — multiplying them all would badly over-correct on star
 // queries), so the model greedily picks one representative sampled pair per
-// uncovered shared variable; a chosen pair covers every variable it binds.
-// Variables with no sampled pair fall back to the independence formula.
-// Distinct-value bookkeeping reuses the base model.
-func (e *SamplingEstimator) Join(a, b Set) Set {
-	out := joinSets(a, b) // distincts, mask, and the fallback card
-	// Shared variables between the sides.
-	bvars := map[sparql.Var]bool{}
-	for v := range b.Distinct {
-		bvars[v] = true
+// uncovered shared variable, visiting variables in name order; a chosen
+// pair covers every variable it binds. Variables with no sampled pair fall
+// back to the independence formula. Distinct-value bookkeeping reuses the
+// base model.
+func (e *SamplingEstimator) Join(dst, a, b *Set) {
+	joinSets(dst, a, b) // distincts, mask, and the fallback card
+	shared := a.VarMask & b.VarMask
+	if shared == 0 {
+		return
 	}
-	var shared []sparql.Var
-	for v := range a.Distinct {
-		if bvars[v] {
-			shared = append(shared, v)
-		}
-	}
-	if len(shared) == 0 {
-		return out
-	}
-	sortVars(shared)
 	card := a.Card * b.Card
-	covered := map[sparql.Var]bool{}
+	var covered uint64
 	applied := false
-	for _, v := range shared {
-		if covered[v] {
+	for _, v := range e.byName {
+		bit := uint64(1) << v
+		if shared&bit == 0 || covered&bit != 0 {
 			continue
 		}
 		// Representative pair: the patterns that bound v most tightly on
@@ -206,15 +203,14 @@ func (e *SamplingEstimator) Join(a, b Set) Set {
 		// sampled pair best approximates the conditional selectivity.
 		bi, bj, bestSel := -1, -1, -1.0
 		bestScore := -1.0
-		for _, i := range maskIndexes(a.Mask) {
-			if !e.patternHasVar(i, v) {
+		for am := a.Mask; am != 0; am &= am - 1 {
+			i := bits.TrailingZeros32(am)
+			if !e.patternHasVar(i, bit) {
 				continue
 			}
-			for _, j := range maskIndexes(b.Mask) {
-				if !e.patternHasVar(j, v) {
-					continue
-				}
-				if i >= len(e.pairSel) || j >= len(e.pairSel) || e.pairSel[i][j] < 0 {
+			for bm := b.Mask; bm != 0; bm &= bm - 1 {
+				j := bits.TrailingZeros32(bm)
+				if !e.patternHasVar(j, bit) || e.pairSel[i][j] < 0 {
 					continue
 				}
 				score := e.leafD[i][v] + e.leafD[j][v] // lower = tighter
@@ -225,58 +221,29 @@ func (e *SamplingEstimator) Join(a, b Set) Set {
 		}
 		if bestSel < 0 {
 			// No sampled pair: independence fallback for this variable.
-			da, db := a.Distinct[v], b.Distinct[v]
-			m := da
-			if db > m {
+			m := a.Distinct[v]
+			if db := b.Distinct[v]; db > m {
 				m = db
 			}
 			if m > 0 {
 				card /= m
 			}
-			covered[v] = true
+			covered |= bit
 			continue
 		}
 		card *= bestSel
 		applied = true
 		// The chosen pair covers every variable both its patterns bind.
-		for _, u := range shared {
-			if e.patternHasVar(bi, u) && e.patternHasVar(bj, u) {
-				covered[u] = true
-			}
-		}
+		covered |= shared & e.varsOf[bi] & e.varsOf[bj]
 	}
 	if applied {
-		out.Card = card
-		for v, d := range out.Distinct {
-			if d > out.Card {
-				out.Distinct[v] = out.Card
-			}
-		}
-	}
-	return out
-}
-
-func (e *SamplingEstimator) patternHasVar(i int, v sparql.Var) bool {
-	if i < 0 || i >= len(e.varsOf) {
-		return false
-	}
-	return e.varsOf[i][v]
-}
-
-func sortVars(vs []sparql.Var) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
+		dst.Card = card
+		capDistinct(dst)
 	}
 }
 
-func maskIndexes(mask uint32) []int {
-	out := make([]int, 0, bits.OnesCount32(mask))
-	for mask != 0 {
-		i := bits.TrailingZeros32(mask)
-		out = append(out, i)
-		mask &^= 1 << i
-	}
-	return out
+// patternHasVar reports whether pattern i binds the variable whose bit is
+// bit; indexes beyond the estimator's query bind nothing.
+func (e *SamplingEstimator) patternHasVar(i int, bit uint64) bool {
+	return i < len(e.varsOf) && e.varsOf[i]&bit != 0
 }
