@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/dict"
-	"repro/internal/rdf"
 )
 
 // Store construction. Both Builder.Build and ReadSnapshot funnel into
@@ -92,7 +91,7 @@ func (s *Store) buildParallel(workers int) {
 	}
 	// The rdf:type lookup only reads the dictionary, which is safe to
 	// share with the sort workers.
-	typeID, haveType := s.dict.Lookup(rdf.NewIRI(rdf.RDFType))
+	typeID := lookupType(s.dict)
 	var (
 		pstats   map[dict.ID]PredStats
 		distO    map[dict.ID]int
@@ -111,7 +110,7 @@ func (s *Store) buildParallel(workers int) {
 	go runAfter(orderPOS, func() { distO = distinctObjectsFromPOS(s.idx[orderPOS]) })
 	go runAfter(orderPOS, func() {
 		typeIdx = make(map[dict.ID][]dict.ID)
-		if haveType {
+		if typeID != dict.None {
 			typeIdx = typeIndexFromPOS(s.idx[orderPOS], typeID)
 		}
 	})
@@ -120,9 +119,7 @@ func (s *Store) buildParallel(workers int) {
 	mergeDistinctObjects(pstats, distO)
 	s.pstats = pstats
 	s.typeIdx = typeIdx
-	if haveType {
-		s.typeID = typeID
-	}
+	s.typeID = typeID
 }
 
 func isSortedByOrder(ts []IDTriple, o order) bool {

@@ -2,7 +2,10 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/dict"
 	"repro/internal/rdf"
@@ -28,19 +31,24 @@ import (
 // the overlay's Count/Len/PredicateStats agree bit-for-bit with a store
 // rebuilt from the merged triple set — and therefore lets the optimizer
 // pick the same plan over either, the property the differential harness
-// asserts.
+// asserts. They are also mergeRuns' contract, so every merged run — an
+// overlay read, a delta extension, a compaction — is one run copy.
 
 // Delta is an immutable batch of insertions and deletions over a base
 // Store. The insert and delete sets are kept sorted under every
 // permutation order, so every index range the base can answer has a
 // matching delta run and all permutation indexes stay virtually
-// consistent under overlay reads. Create one with Store.NewDelta, extend
-// it with Apply (copy-on-write; the receiver is never mutated), and
-// publish it with Overlay or Commit.
+// consistent under overlay reads. A delta also carries the exact
+// statistics and rdf:type class index of its merged view, patched from
+// each update's touches, so publishing it costs O(1). Create one with
+// Store.NewDelta, extend it with Apply (copy-on-write; the receiver is
+// never mutated), and publish it with Overlay or Commit.
 type Delta struct {
-	base *Store
-	ins  [numOrders][]IDTriple
-	del  [numOrders][]IDTriple
+	base    *Store
+	ins     [numOrders][]IDTriple
+	del     [numOrders][]IDTriple
+	pstats  map[dict.ID]PredStats // exact statistics of the merged view
+	typeIdx map[dict.ID][]dict.ID // its rdf:type class -> sorted subjects
 }
 
 // NewDelta returns the pending delta of s: the empty delta for a plain
@@ -50,7 +58,7 @@ func (s *Store) NewDelta() *Delta {
 	if s.delta != nil {
 		return s.delta
 	}
-	return &Delta{base: s}
+	return &Delta{base: s, pstats: s.pstats, typeIdx: s.typeIdx}
 }
 
 // Delta returns the delta an overlay store reads through, or nil for a
@@ -73,11 +81,21 @@ func (d *Delta) Size() int { return d.InsertCount() + d.DeleteCount() }
 // Empty reports whether the delta holds no changes.
 func (d *Delta) Empty() bool { return d.Size() == 0 }
 
-// contains reports whether the base store holds t.
+// baseContains reports whether the base store s (its indexes, not any
+// delta) holds t.
 func (s *Store) baseContains(t IDTriple) bool {
 	idx := s.idx[orderSPO]
 	lo, hi := searchRange(idx, orderSPO, Pattern{S: t.S, P: t.P, O: t.O})
 	return hi > lo
+}
+
+// viewCount returns the number of triples of the delta's merged view
+// matching pat, located in order o, whose key must start with pat's bound
+// positions: one binary search in each of the base, insert and delete
+// runs.
+func (d *Delta) viewCount(o order, pat Pattern) int {
+	lo, hi := searchRange(d.base.idx[o], o, pat)
+	return hi - lo + len(runFor(d.ins[o], o, pat)) - len(runFor(d.del[o], o, pat))
 }
 
 // DeltaOp is one insert-or-delete batch of an update. A multi-operation
@@ -109,37 +127,57 @@ func (d *Delta) Apply(ins, del []rdf.Triple) (*Delta, error) {
 	return d.ApplyOps(ops)
 }
 
-// ApplyOps is Apply over an ordered operation sequence. It is
-// incremental: membership in the pending sets is answered by binary
-// search on the existing sorted runs plus four small touch-sets (triples
-// this call adds to / removes from each set), and each order's new run is
-// produced by one linear merge of the old run with the sorted touches —
-// no per-update rebuild of the whole delta and no full re-sort, so a
-// k-triple update against an n-change pending delta costs O(k log n)
-// bookkeeping plus the unavoidable copy-on-write O(n) per order. Returns
-// d itself when the ops leave the delta semantically unchanged (including
-// an insert cancelled by a later delete in the same call), so callers can
-// skip republishing on pointer equality.
+// ApplyOps is Apply over an ordered operation sequence. It costs
+// O(batch), plus one linear copy: membership in the pending sets is
+// answered by binary search on the existing sorted runs plus four small
+// touch-sets (triples this call adds to / removes from each set), each
+// order's new run is one mergeRuns copy of the old run with the sorted
+// touches, and the statistics and class index are patched from the
+// touches alone. Returns d itself when the ops leave the delta
+// semantically unchanged (including an insert cancelled by a later
+// delete in the same call), so callers can skip republishing on pointer
+// equality.
 func (d *Delta) ApplyOps(ops []DeltaOp) (*Delta, error) {
+	if err := validOps(ops); err != nil {
+		return nil, err
+	}
+	nd, _ := d.apply(ops)
+	return nd, nil
+}
+
+func validOps(ops []DeltaOp) error {
 	for _, op := range ops {
 		for _, t := range op.Triples {
 			if !t.Valid() {
-				return nil, fmt.Errorf("store: invalid triple %v", t)
+				return fmt.Errorf("store: invalid triple %v", t)
 			}
 		}
 	}
+	return nil
+}
+
+// viewTouches are what one update changes in a merged view: the triples
+// it adds (inserts and resurrections) and the triples it removes
+// (deletions and cancelled inserts), sorted per order. Only the PSO and
+// POS orders are read: the statistics are kept in those two.
+type viewTouches struct {
+	added, removed [numOrders][]IDTriple
+}
+
+// apply is ApplyOps over validated ops. It also returns the view touches
+// (nil when nothing changed), from which ShardedDelta patches its global
+// statistics.
+func (d *Delta) apply(ops []DeltaOp) (*Delta, *viewTouches) {
+	type set = map[IDTriple]struct{}
 	var (
 		dd     = d.base.dict
 		oldIns = d.ins[orderSPO]
 		oldDel = d.del[orderSPO]
 		// Touch-sets: what this call adds to / removes from each pending
 		// set, relative to d. Empty at the end ⇔ nothing changed.
-		insAdd = map[IDTriple]struct{}{}
-		insRem = map[IDTriple]struct{}{}
-		delAdd = map[IDTriple]struct{}{}
-		delRem = map[IDTriple]struct{}{}
+		insAdd, insRem, delAdd, delRem = set{}, set{}, set{}, set{}
 	)
-	member := func(old []IDTriple, rem, add map[IDTriple]struct{}, it IDTriple) bool {
+	member := func(old []IDTriple, rem, add set, it IDTriple) bool {
 		if _, ok := add[it]; ok {
 			return true
 		}
@@ -151,14 +189,14 @@ func (d *Delta) ApplyOps(ops []DeltaOp) (*Delta, error) {
 	// remove drops a current member (it is in the add-set or the old
 	// run); insert admits a current non-member (it may re-admit an old
 	// entry removed earlier in this call).
-	remove := func(rem, add map[IDTriple]struct{}, it IDTriple) {
+	remove := func(rem, add set, it IDTriple) {
 		if _, ok := add[it]; ok {
 			delete(add, it)
 			return
 		}
 		rem[it] = struct{}{}
 	}
-	insert := func(rem, add map[IDTriple]struct{}, it IDTriple) {
+	insert := func(rem, add set, it IDTriple) {
 		if _, ok := rem[it]; ok {
 			delete(rem, it)
 			return
@@ -201,63 +239,23 @@ func (d *Delta) ApplyOps(ops []DeltaOp) (*Delta, error) {
 	if len(insAdd)+len(insRem)+len(delAdd)+len(delRem) == 0 {
 		return d, nil
 	}
-	out := &Delta{base: d.base}
+	touched := [4][]IDTriple{setToSlice(insAdd), setToSlice(insRem), setToSlice(delAdd), setToSlice(delRem)}
+	nd := &Delta{base: d.base}
+	tc := &viewTouches{}
 	for o := order(0); o < numOrders; o++ {
-		out.ins[o] = mergeTouches(d.ins[o], insAdd, insRem, o)
-		out.del[o] = mergeTouches(d.del[o], delAdd, delRem, o)
-	}
-	return out, nil
-}
-
-// mergeTouches produces a sorted run from an existing one plus small
-// add/remove touch-sets: the additions are sorted on their own and merged
-// into the old run in one linear pass that skips removed entries.
-func mergeTouches(old []IDTriple, add, rem map[IDTriple]struct{}, o order) []IDTriple {
-	if len(add) == 0 && len(rem) == 0 {
-		return old
-	}
-	added := setToSlice(add)
-	sortByOrder(added, o)
-	out := make([]IDTriple, 0, len(old)+len(added)-len(rem))
-	for len(old) > 0 || len(added) > 0 {
-		if len(old) > 0 {
-			if _, dead := rem[old[0]]; dead {
-				old = old[1:]
-				continue
-			}
-		}
-		switch {
-		case len(old) == 0:
-			out = append(out, added[0])
-			added = added[1:]
-		case len(added) == 0 || !lessByOrder(added[0], old[0], o):
-			out = append(out, old[0])
-			old = old[1:]
-		default:
-			out = append(out, added[0])
-			added = added[1:]
+		ia, ir := sortedCopy(touched[0], o), sortedCopy(touched[1], o)
+		da, dr := sortedCopy(touched[2], o), sortedCopy(touched[3], o)
+		nd.ins[o] = applyRun(d.ins[o], ir, ia, o)
+		nd.del[o] = applyRun(d.del[o], dr, da, o)
+		if o == orderPSO || o == orderPOS {
+			// Inserts and resurrections are disjoint (one set is outside
+			// the base, the other inside), as are cancels and deletions.
+			tc.added[o] = applyRun(ia, nil, dr, o)
+			tc.removed[o] = applyRun(ir, nil, da, o)
 		}
 	}
-	return out
-}
-
-// setSorted installs the insert and delete sets, sorting them under every
-// permutation order.
-func (d *Delta) setSorted(ins, del []IDTriple) {
-	for o := order(0); o < numOrders; o++ {
-		if len(ins) > 0 {
-			cp := make([]IDTriple, len(ins))
-			copy(cp, ins)
-			sortByOrder(cp, o)
-			d.ins[o] = cp
-		}
-		if len(del) > 0 {
-			cp := make([]IDTriple, len(del))
-			copy(cp, del)
-			sortByOrder(cp, o)
-			d.del[o] = cp
-		}
-	}
+	nd.derive(d, tc)
+	return nd, tc
 }
 
 func setToSlice(set map[IDTriple]struct{}) []IDTriple {
@@ -268,6 +266,134 @@ func setToSlice(set map[IDTriple]struct{}) []IDTriple {
 	return out
 }
 
+// sortedCopy returns ts sorted under o as a fresh slice, nil when empty.
+func sortedCopy(ts []IDTriple, o order) []IDTriple {
+	if len(ts) == 0 {
+		return nil
+	}
+	cp := slices.Clone(ts)
+	sortByOrder(cp, o)
+	return cp
+}
+
+// derive sets d's statistics and class index: parent's, patched by the
+// touches that lead from parent's view to d's.
+func (d *Delta) derive(parent *Delta, tc *viewTouches) {
+	d.pstats = patchStats(parent.pstats, tc, parent.viewCount)
+	d.typeIdx = patchTypeIndex(parent.typeIdx, tc, lookupType(d.base.dict))
+}
+
+// patchStats returns parent's per-predicate statistics with tc applied,
+// without re-scanning any run. Count moves by the triples added minus
+// removed. DistinctS (DistinctO) moves only where a touched (p,s) ((p,o))
+// group's count in the view crosses zero; count(o, pat) reads that
+// group's count in the parent view. An entry whose count reaches zero is
+// dropped, as a rebuild would never create it.
+func patchStats(parent map[dict.ID]PredStats, tc *viewTouches, count func(o order, pat Pattern) int) map[dict.ID]PredStats {
+	out := make(map[dict.ID]PredStats, len(parent))
+	maps.Copy(out, parent)
+	forGroups(tc.added[orderPSO], tc.removed[orderPSO], orderPSO, func(pat Pattern, added, removed []IDTriple) {
+		st, c := out[pat.P], count(orderPSO, pat)
+		st.Count += len(added) - len(removed)
+		st.DistinctS += present(c+len(added)-len(removed)) - present(c)
+		out[pat.P] = st
+	})
+	// Every predicate the PSO pass touched is touched here too, after its
+	// Count is final.
+	forGroups(tc.added[orderPOS], tc.removed[orderPOS], orderPOS, func(pat Pattern, added, removed []IDTriple) {
+		st, c := out[pat.P], count(orderPOS, pat)
+		st.DistinctO += present(c+len(added)-len(removed)) - present(c)
+		out[pat.P] = st
+		if st.Count == 0 {
+			delete(out, pat.P)
+		}
+	})
+	return out
+}
+
+// present counts a group of c triples in its distinct count: 1 when it
+// is in the view, 0 when it is not.
+func present(c int) int {
+	if c > 0 {
+		return 1
+	}
+	return 0
+}
+
+// forGroups calls fn once for every group of triples sharing the first
+// two key components under o — (p,s) in PSO order, (p,o) in POS order —
+// that added or removed (both sorted under o) touch, with the group's
+// pattern and its triples in each.
+func forGroups(added, removed []IDTriple, o order, fn func(pat Pattern, added, removed []IDTriple)) {
+	p := orderPositions[o]
+	groupLen := func(ts []IDTriple, pk uint64) int {
+		n := 0
+		for n < len(ts) && packKey(&ts[n], p).pk == pk {
+			n++
+		}
+		return n
+	}
+	for len(added) > 0 || len(removed) > 0 {
+		pk := uint64(math.MaxUint64)
+		if len(added) > 0 {
+			pk = packKey(&added[0], p).pk
+		}
+		if len(removed) > 0 {
+			pk = min(pk, packKey(&removed[0], p).pk)
+		}
+		na, nr := groupLen(added, pk), groupLen(removed, pk)
+		var c [3]dict.ID
+		c[p[0]], c[p[1]] = dict.ID(pk>>32), dict.ID(pk)
+		fn(Pattern{S: c[0], P: c[1], O: c[2]}, added[:na], removed[:nr])
+		added, removed = added[na:], removed[nr:]
+	}
+}
+
+// patchTypeIndex returns parent's class index with tc applied. A subject
+// joins (leaves) class c exactly when its (s, rdf:type, c) triple is
+// added (removed), so only the classes those touches name get a new
+// member list; every other class shares parent's.
+func patchTypeIndex(parent map[dict.ID][]dict.ID, tc *viewTouches, typeID dict.ID) map[dict.ID][]dict.ID {
+	if typeID == dict.None {
+		return parent
+	}
+	pat := Pattern{P: typeID}
+	added, removed := runFor(tc.added[orderPOS], orderPOS, pat), runFor(tc.removed[orderPOS], orderPOS, pat)
+	if len(added)+len(removed) == 0 {
+		return parent
+	}
+	out := make(map[dict.ID][]dict.ID, len(parent))
+	maps.Copy(out, parent)
+	forGroups(added, removed, orderPOS, func(pat Pattern, added, removed []IDTriple) {
+		if members := patchMembers(out[pat.O], added, removed); len(members) > 0 {
+			out[pat.O] = members
+		} else {
+			delete(out, pat.O)
+		}
+	})
+	return out
+}
+
+// patchMembers returns the sorted subject list old with the subjects of
+// add joined and those of rem dropped (both runs of one class's
+// rdf:type triples, so sorted by subject), as a fresh slice: the list is
+// copied in stretches between the touched positions.
+func patchMembers(old []dict.ID, add, rem []IDTriple) []dict.ID {
+	out := make([]dict.ID, 0, len(old)+len(add)-len(rem))
+	for len(add) > 0 || len(rem) > 0 {
+		if len(rem) > 0 && (len(add) == 0 || rem[0].S < add[0].S) {
+			i, _ := slices.BinarySearch(old, rem[0].S)
+			out = append(out, old[:i]...)
+			old, rem = old[i+1:], rem[1:]
+			continue
+		}
+		i, _ := slices.BinarySearch(old, add[0].S)
+		out = append(append(out, old[:i]...), add[0].S)
+		old, add = old[i:], add[1:]
+	}
+	return append(out, old...)
+}
+
 // runFor returns the subrange of a delta slice (sorted by o) matching
 // pat's bound prefix — the delta-side counterpart of searchRange on a base
 // index.
@@ -276,178 +402,81 @@ func runFor(idx []IDTriple, o order, pat Pattern) []IDTriple {
 	return idx[lo:hi]
 }
 
-// mergeRuns streams the union of a base index run and an insert run (both
-// sorted by o), masking the delete run (sorted by o, a subset of the base
-// run), calling fn for every surviving triple in index order.
-func mergeRuns(base, del, ins []IDTriple, o order, fn func(IDTriple)) {
-	for len(base) > 0 || len(ins) > 0 {
-		// Skip deleted base triples; deletions never reorder emissions, so
-		// consuming them eagerly is safe.
-		if len(base) > 0 && len(del) > 0 && base[0] == del[0] {
-			base = base[1:]
-			del = del[1:]
-			continue
-		}
-		switch {
-		case len(base) == 0:
-			fn(ins[0])
-			ins = ins[1:]
-		case len(ins) == 0:
-			fn(base[0])
-			base = base[1:]
-		case lessByOrder(ins[0], base[0], o):
-			fn(ins[0])
-			ins = ins[1:]
-		default:
-			fn(base[0])
-			base = base[1:]
-		}
-	}
-}
-
 // Overlay returns an immutable snapshot that reads the base through the
 // delta: Match, Count, Scan, ScanPartitions, Len, PredicateStats,
 // SubjectsOfClass and DistinctValues all observe the merged triple set,
-// with exactly the values a store rebuilt from that set would report. The
-// base's six permutation indexes are shared, not copied; only the
-// statistics touched by the delta are recomputed (one merged pass over
-// each affected predicate run and rdf:type class). An empty delta returns
-// the base itself.
+// with exactly the values a store rebuilt from that set would report. It
+// costs O(1): the base's six permutation indexes are shared, and the
+// statistics and class index are the ones the delta carries. An empty
+// delta returns the base itself.
 func (d *Delta) Overlay() *Store {
 	if d.Empty() {
 		return d.base
 	}
 	base := d.base
-	s := &Store{
-		dict:  base.dict,
-		n:     base.n - d.DeleteCount() + d.InsertCount(),
-		src:   base.src, // overlay shares the base's backing, heap or mapped
-		idx:   base.idx,
-		delta: d,
+	return &Store{
+		dict:    base.dict,
+		n:       base.n - d.DeleteCount() + d.InsertCount(),
+		src:     base.src, // overlay shares the base's backing, heap or mapped
+		idx:     base.idx,
+		pstats:  d.pstats,
+		typeIdx: d.typeIdx,
+		typeID:  lookupType(base.dict),
+		delta:   d,
 	}
-	s.pstats = d.patchedPredStats(s)
-	s.typeID, s.typeIdx = d.patchedTypeIndex(s)
-	return s
-}
-
-// patchedPredStats rebuilds the per-predicate statistics entries for every
-// predicate the delta touches, by one merged pass over that predicate's
-// PSO run (count + distinct subjects) and POS run (distinct objects).
-// Untouched predicates share the base's exact entries.
-func (d *Delta) patchedPredStats(s *Store) map[dict.ID]PredStats {
-	base := d.base
-	touched := make(map[dict.ID]struct{})
-	for _, t := range d.ins[orderSPO] {
-		touched[t.P] = struct{}{}
-	}
-	for _, t := range d.del[orderSPO] {
-		touched[t.P] = struct{}{}
-	}
-	out := make(map[dict.ID]PredStats, len(base.pstats)+len(touched))
-	for p, st := range base.pstats {
-		out[p] = st
-	}
-	for p := range touched {
-		pat := Pattern{P: p}
-		st := PredStats{}
-		var lastS dict.ID
-		pso := base.idx[orderPSO]
-		lo, hi := searchRange(pso, orderPSO, pat)
-		mergeRuns(pso[lo:hi], runFor(d.del[orderPSO], orderPSO, pat), runFor(d.ins[orderPSO], orderPSO, pat), orderPSO, func(t IDTriple) {
-			st.Count++
-			if st.Count == 1 || t.S != lastS {
-				st.DistinctS++
-				lastS = t.S
-			}
-		})
-		if st.Count == 0 {
-			delete(out, p)
-			continue
-		}
-		var lastO dict.ID
-		distO := 0
-		pos := base.idx[orderPOS]
-		lo, hi = searchRange(pos, orderPOS, pat)
-		mergeRuns(pos[lo:hi], runFor(d.del[orderPOS], orderPOS, pat), runFor(d.ins[orderPOS], orderPOS, pat), orderPOS, func(t IDTriple) {
-			if distO == 0 || t.O != lastO {
-				distO++
-				lastO = t.O
-			}
-		})
-		st.DistinctO = distO
-		out[p] = st
-	}
-	return out
-}
-
-// patchedTypeIndex rebuilds the class → sorted-member-subjects entries for
-// every rdf:type class the delta touches. The rdf:type ID is re-resolved
-// from the shared dictionary, so a delta inserting the very first rdf:type
-// triple makes the type index appear on the overlay.
-func (d *Delta) patchedTypeIndex(s *Store) (dict.ID, map[dict.ID][]dict.ID) {
-	base := d.base
-	typeID, ok := base.dict.Lookup(rdf.NewIRI(rdf.RDFType))
-	if !ok {
-		return base.typeID, base.typeIdx
-	}
-	touched := make(map[dict.ID]struct{})
-	for _, t := range d.ins[orderSPO] {
-		if t.P == typeID {
-			touched[t.O] = struct{}{}
-		}
-	}
-	for _, t := range d.del[orderSPO] {
-		if t.P == typeID {
-			touched[t.O] = struct{}{}
-		}
-	}
-	if len(touched) == 0 {
-		return typeID, base.typeIdx
-	}
-	out := make(map[dict.ID][]dict.ID, len(base.typeIdx)+len(touched))
-	for c, subjects := range base.typeIdx {
-		out[c] = subjects
-	}
-	pos := base.idx[orderPOS]
-	for c := range touched {
-		pat := Pattern{P: typeID, O: c}
-		var subjects []dict.ID
-		lo, hi := searchRange(pos, orderPOS, pat)
-		mergeRuns(pos[lo:hi], runFor(d.del[orderPOS], orderPOS, pat), runFor(d.ins[orderPOS], orderPOS, pat), orderPOS, func(t IDTriple) {
-			if len(subjects) == 0 || subjects[len(subjects)-1] != t.S {
-				subjects = append(subjects, t.S)
-			}
-		})
-		if len(subjects) == 0 {
-			delete(out, c)
-			continue
-		}
-		out[c] = subjects
-	}
-	return typeID, out
 }
 
 // Commit folds the delta into a fresh, fully indexed immutable store over
-// the same shared dictionary: the merged SPO stream (already sorted, so
-// the base sort is skipped) goes through the standard construction path,
-// and the result carries no delta. Publish it through the same atomic
-// swap as any snapshot; readers pinned to the overlay keep reading it.
-// An empty delta returns the base.
+// the same shared dictionary, identical to one built from the merged
+// triple set. Nothing is sorted: each of the six permutations is one
+// mergeRuns copy of the base run and the delta runs of the same order
+// (at most BuildOptions.Parallelism at a time), and the statistics and
+// class index are the ones the delta carries. The result carries no
+// delta. Publish it through the same atomic swap as any snapshot; readers
+// pinned to the overlay keep reading it. An empty delta returns the base.
 func (d *Delta) Commit(opts BuildOptions) *Store {
 	if d.Empty() {
 		return d.base
 	}
 	base := d.base
-	merged := make([]IDTriple, 0, base.n-d.DeleteCount()+d.InsertCount())
-	mergeRuns(base.idx[orderSPO], d.del[orderSPO], d.ins[orderSPO], orderSPO, func(t IDTriple) {
-		merged = append(merged, t)
-	})
-	return buildIndexes(base.dict, merged, opts)
+	s := &Store{
+		dict:    base.dict,
+		n:       base.n - d.DeleteCount() + d.InsertCount(),
+		pstats:  d.pstats,
+		typeIdx: ownedTypeIndex(d.typeIdx),
+		typeID:  lookupType(base.dict),
+	}
+	sem := make(chan struct{}, opts.workers())
+	var wg sync.WaitGroup
+	for o := order(0); o < numOrders; o++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			s.idx[o] = applyRun(base.idx[o], d.del[o], d.ins[o], o)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	s.src = &heapSource{idx: s.idx}
+	return s
+}
+
+// ownedTypeIndex copies a carried class index onto the heap: its
+// untouched member lists are the base's, which may live in a mapping the
+// committed store does not keep alive.
+func ownedTypeIndex(idx map[dict.ID][]dict.ID) map[dict.ID][]dict.ID {
+	out := make(map[dict.ID][]dict.ID, len(idx))
+	for c, subjects := range idx {
+		out[c] = slices.Clone(subjects)
+	}
+	return out
 }
 
 // sortedContains reports whether a slice sorted by o contains t.
 func sortedContains(idx []IDTriple, o order, t IDTriple) bool {
-	i := sort.Search(len(idx), func(i int) bool { return !lessByOrder(idx[i], t, o) })
+	p := orderPositions[o]
+	i := lowerBound(idx, p, 0, len(idx), packKey(&t, p))
 	return i < len(idx) && idx[i] == t
 }
 
@@ -455,7 +484,8 @@ func sortedContains(idx []IDTriple, o order, t IDTriple) bool {
 // (the v3 snapshot path), validating the Delta invariants: every deletion
 // must name a base triple, no insertion may duplicate one, and the two
 // sets must be disjoint. The slices must be SPO-sorted and duplicate-free
-// (the snapshot reader guarantees this by construction).
+// (the snapshot reader guarantees this by construction). The statistics
+// are derived as for any update: the base's, patched by the two sets.
 func newDeltaFromSets(base *Store, ins, del []IDTriple) (*Delta, error) {
 	for _, t := range ins {
 		if base.baseContains(t) {
@@ -471,6 +501,10 @@ func newDeltaFromSets(base *Store, ins, del []IDTriple) (*Delta, error) {
 		}
 	}
 	d := &Delta{base: base}
-	d.setSorted(ins, del)
+	for o := order(0); o < numOrders; o++ {
+		d.ins[o] = sortedCopy(ins, o)
+		d.del[o] = sortedCopy(del, o)
+	}
+	d.derive(base.NewDelta(), &viewTouches{added: d.ins, removed: d.del})
 	return d, nil
 }

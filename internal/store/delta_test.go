@@ -52,7 +52,7 @@ func buildFrom(t *testing.T, triples []rdf.Triple) *Store {
 // dictionary that is pre-seeded with the overlay dictionary's terms in ID
 // order, so the rebuilt store assigns identical IDs — the strongest
 // equivalence an overlay can be held to.
-func referenceStore(t *testing.T, ov *Store) *Store {
+func referenceStore(t *testing.T, ov Source) *Store {
 	t.Helper()
 	b := NewBuilder()
 	d := ov.Dict()

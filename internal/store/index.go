@@ -103,7 +103,7 @@ func sortByOrder(ts []IDTriple, o order) {
 // searchRange returns the half-open index range [lo, hi) of triples in idx
 // (sorted by o) matching pat. pat's bound positions must be a prefix of o's
 // sort key (guaranteed by orderFor). It is the one probe kernel behind
-// Match, MatchBuf, Count, Scan, ScanSeek, runFor and Delta.contains.
+// Match, MatchBuf, Count, Scan, ScanSeek, runFor and Store.baseContains.
 //
 // The zero-padded prefix is the smallest sort key of the range; the prefix
 // plus one in its last bound component, carrying upward, the smallest key
@@ -181,6 +181,62 @@ func gallop(idx []IDTriple, p [3]int, from int, k packedKey) int {
 		}
 		from = probe + 1
 	}
+}
+
+// mergeRuns is the run-copy kernel behind overlay batch reads (Scan.Next,
+// Match), delta updates and compaction: it appends the next n triples of (*run − *rem) ∪
+// *add to out (fewer when the runs run out) and advances the three runs
+// past what it consumed. All three must be sorted under p, with rem ⊆ run
+// and add ∩ run = ∅ — the Delta invariants, which also hold for a delta
+// run and its touches. It never steps one triple at a time through a
+// stretch: the run up to the next remove or add key is found by galloping
+// and copied with one append, and so is every stretch of add below the
+// run's head.
+func mergeRuns(out []IDTriple, n int, run, rem, add *[]IDTriple, p [3]int) []IDTriple {
+	r, d, a := *run, *rem, *add
+	for n > 0 && (len(r) > 0 || len(a) > 0) {
+		if len(a) > 0 && (len(r) == 0 || keyBelow(&a[0], p, packKey(&r[0], p))) {
+			k := len(a)
+			if len(r) > 0 {
+				k = gallop(a, p, 1, packKey(&r[0], p))
+			}
+			k = min(k, n)
+			out = append(out, a[:k]...)
+			a, n = a[k:], n-k
+			continue
+		}
+		// The run's head is next: copy it up to the next remove or add
+		// key, then drop a removed triple sitting there.
+		stop := len(r)
+		if len(d) > 0 || len(a) > 0 {
+			var next packedKey
+			if len(d) > 0 {
+				next = packKey(&d[0], p)
+			}
+			if len(a) > 0 && (len(d) == 0 || keyBelow(&a[0], p, next)) {
+				next = packKey(&a[0], p)
+			}
+			stop = gallop(r, p, 0, next)
+		}
+		k := min(stop, n)
+		out = append(out, r[:k]...)
+		r, n = r[k:], n-k
+		if len(d) > 0 && len(r) > 0 && r[0] == d[0] {
+			r, d = r[1:], d[1:]
+		}
+	}
+	*run, *rem, *add = r, d, a
+	return out
+}
+
+// applyRun returns (run − rem) ∪ add (see mergeRuns) as a fresh slice,
+// or run itself when rem and add are both empty.
+func applyRun(run, rem, add []IDTriple, o order) []IDTriple {
+	if len(rem) == 0 && len(add) == 0 {
+		return run
+	}
+	n := len(run) - len(rem) + len(add)
+	return mergeRuns(make([]IDTriple, 0, n), n, &run, &rem, &add, orderPositions[o])
 }
 
 // prefixBounds extracts the bound prefix values of pat under order o,

@@ -218,29 +218,8 @@ func (sc *Scan) Next(max int) []IDTriple {
 	if cap(sc.buf) < n {
 		sc.buf = make([]IDTriple, 0, n)
 	}
-	buf := sc.buf[:0]
-	for len(buf) < n {
-		// Skip deleted base triples. Deletions emit nothing, so consuming
-		// them eagerly never reorders the stream.
-		if len(sc.rest) > 0 && len(sc.del) > 0 && sc.rest[0] == sc.del[0] {
-			sc.rest = sc.rest[1:]
-			sc.del = sc.del[1:]
-			continue
-		}
-		switch {
-		case len(sc.rest) == 0:
-			buf = append(buf, sc.ins[0])
-			sc.ins = sc.ins[1:]
-		case len(sc.ins) == 0 || !lessByOrder(sc.ins[0], sc.rest[0], sc.ord):
-			buf = append(buf, sc.rest[0])
-			sc.rest = sc.rest[1:]
-		default:
-			buf = append(buf, sc.ins[0])
-			sc.ins = sc.ins[1:]
-		}
-	}
-	sc.buf = buf
-	return buf
+	sc.buf = mergeRuns(sc.buf[:0], n, &sc.rest, &sc.del, &sc.ins, orderPositions[sc.ord])
+	return sc.buf
 }
 
 // Remaining returns how many triples the cursor has not yet delivered.

@@ -417,6 +417,7 @@ func (sh *Sharded) DistinctValues(position int, pat Pattern) []dict.ID {
 type ShardedDelta struct {
 	base   *Sharded
 	deltas []*Delta
+	pstats map[dict.ID]PredStats // exact global statistics of the merged view
 }
 
 // NewDelta returns the pending sharded delta: each shard's own pending
@@ -427,7 +428,7 @@ func (sh *Sharded) NewDelta() *ShardedDelta {
 	for i, s := range sh.shards {
 		ds[i] = s.NewDelta()
 	}
-	return &ShardedDelta{base: sh, deltas: ds}
+	return &ShardedDelta{base: sh, deltas: ds, pstats: sh.pstats}
 }
 
 // Base returns the Sharded the delta applies to.
@@ -468,8 +469,10 @@ func (sd *ShardedDelta) Empty() bool { return sd.Size() == 0 }
 // order first, so the dictionary assigns exactly the IDs an unsharded
 // ApplyOps would — row values, ORDER BY and plan signatures stay
 // bit-identical across shard counts even for updates that introduce new
-// terms. Returns sd itself when nothing changed, preserving the
-// pointer-equality no-op contract.
+// terms. The global statistics are patched from every shard's touches
+// the way Delta.ApplyOps patches one shard's, with a group's count in
+// the parent view summed across shards. Returns sd itself when nothing
+// changed, preserving the pointer-equality no-op contract.
 func (sd *ShardedDelta) ApplyOps(ops []DeltaOp) (*ShardedDelta, error) {
 	n := len(sd.deltas)
 	if n == 1 {
@@ -482,14 +485,10 @@ func (sd *ShardedDelta) ApplyOps(ops []DeltaOp) (*ShardedDelta, error) {
 		case nd == sd.deltas[0]:
 			return sd, nil
 		}
-		return &ShardedDelta{base: sd.base, deltas: []*Delta{nd}}, nil
+		return &ShardedDelta{base: sd.base, deltas: []*Delta{nd}, pstats: nd.pstats}, nil
 	}
-	for _, op := range ops {
-		for _, t := range op.Triples {
-			if !t.Valid() {
-				return nil, fmt.Errorf("store: invalid triple %v", t)
-			}
-		}
+	if err := validOps(ops); err != nil {
+		return nil, err
 	}
 	dd := sd.base.dict
 	for _, op := range ops {
@@ -528,25 +527,36 @@ func (sd *ShardedDelta) ApplyOps(ops []DeltaOp) (*ShardedDelta, error) {
 		}
 	}
 	out := make([]*Delta, n)
+	var all viewTouches
 	changed := false
 	for i, d := range sd.deltas {
 		if len(routed[i]) == 0 {
 			out[i] = d
 			continue
 		}
-		nd, err := d.ApplyOps(routed[i])
-		if err != nil {
-			return nil, err
-		}
+		nd, tc := d.apply(routed[i])
 		out[i] = nd
-		if nd != d {
-			changed = true
+		if tc == nil {
+			continue
+		}
+		changed = true
+		for _, o := range []order{orderPSO, orderPOS} {
+			// Shards hold disjoint triples: the union is a plain merge.
+			all.added[o] = applyRun(all.added[o], nil, tc.added[o], o)
+			all.removed[o] = applyRun(all.removed[o], nil, tc.removed[o], o)
 		}
 	}
 	if !changed {
 		return sd, nil
 	}
-	return &ShardedDelta{base: sd.base, deltas: out}, nil
+	pstats := patchStats(sd.pstats, &all, func(o order, pat Pattern) int {
+		c := 0
+		for _, d := range sd.deltas {
+			c += d.viewCount(o, pat)
+		}
+		return c
+	})
+	return &ShardedDelta{base: sd.base, deltas: out, pstats: pstats}, nil
 }
 
 // Overlay publishes the delta as a sharded overlay snapshot: every shard
@@ -572,10 +582,8 @@ func (sd *ShardedDelta) Commit(opts BuildOptions) *Sharded {
 // a shard whose pending delta reaches threshold(its own base size) folds
 // into a fresh store, so one hot shard compacts without rebuilding the
 // cold ones; the others publish overlays, and a threshold <= 0 never
-// folds. compacted reports whether any shard folded. Global statistics
-// are re-derived exactly for every predicate any shard's delta touches,
-// by merged in-order passes over the new shard set — the sharded analog
-// of Delta.patchedPredStats.
+// folds. compacted reports whether any shard folded. The global
+// statistics are the ones the delta carries.
 func (sd *ShardedDelta) Publish(threshold func(baseLen int) int, opts BuildOptions) (next *Sharded, compacted bool) {
 	if sd.Empty() {
 		return sd.base, false
@@ -600,75 +608,5 @@ func (sd *ShardedDelta) publish(compact func(d *Delta) bool, opts BuildOptions) 
 		}
 		total += shards[i].Len()
 	}
-	out := &Sharded{shards: shards, dict: sd.base.dict, n: total}
-	if len(shards) == 1 {
-		out.pstats = shards[0].pstats // already patched (or rebuilt) by the shard
-	} else {
-		out.pstats = sd.patchedPredStats(out)
-	}
-	return out
-}
-
-// patchedPredStats rebuilds the global per-predicate statistics for every
-// predicate any shard's delta touches, by one merged in-order pass over
-// the new shard set per permutation (PSO for count + distinct subjects,
-// POS for distinct objects). Untouched predicates keep the base's exact
-// entries — the same incremental patching Delta.Overlay does, over merged
-// sharded runs.
-func (sd *ShardedDelta) patchedPredStats(next *Sharded) map[dict.ID]PredStats {
-	base := sd.base
-	touched := make(map[dict.ID]struct{})
-	for _, d := range sd.deltas {
-		for _, t := range d.ins[orderSPO] {
-			touched[t.P] = struct{}{}
-		}
-		for _, t := range d.del[orderSPO] {
-			touched[t.P] = struct{}{}
-		}
-	}
-	out := make(map[dict.ID]PredStats, len(base.pstats)+len(touched))
-	for p, st := range base.pstats {
-		out[p] = st
-	}
-	for p := range touched {
-		pat := Pattern{P: p}
-		st := PredStats{}
-		var lastS dict.ID
-		sc := next.ScanSeek(pat, []int{0, 2}) // PSO order: grouped by subject
-		for {
-			batch := sc.Next(4096)
-			if batch == nil {
-				break
-			}
-			for _, t := range batch {
-				st.Count++
-				if st.Count == 1 || t.S != lastS {
-					st.DistinctS++
-					lastS = t.S
-				}
-			}
-		}
-		if st.Count == 0 {
-			delete(out, p)
-			continue
-		}
-		var lastO dict.ID
-		distO := 0
-		sc = next.ScanSeek(pat, []int{2, 0}) // POS order: grouped by object
-		for {
-			batch := sc.Next(4096)
-			if batch == nil {
-				break
-			}
-			for _, t := range batch {
-				if distO == 0 || t.O != lastO {
-					distO++
-					lastO = t.O
-				}
-			}
-		}
-		st.DistinctO = distO
-		out[p] = st
-	}
-	return out
+	return &Sharded{shards: shards, dict: sd.base.dict, n: total, pstats: sd.pstats}
 }

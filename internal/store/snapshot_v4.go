@@ -171,12 +171,16 @@ func (s *Store) writeV4(bw *bufio.Writer) error {
 	var tbuf [idTripleBytes]byte
 	for o := order(0); o < numOrders; o++ {
 		w.padTo(h.sections[o].off)
-		s.forEachOrder(o, func(t IDTriple) {
+		run := s.idx[o]
+		if s.delta != nil {
+			run = applyRun(run, s.delta.del[o], s.delta.ins[o], o)
+		}
+		for _, t := range run {
 			binary.LittleEndian.PutUint32(tbuf[0:4], uint32(t.S))
 			binary.LittleEndian.PutUint32(tbuf[4:8], uint32(t.P))
 			binary.LittleEndian.PutUint32(tbuf[8:12], uint32(t.O))
 			w.write(tbuf[:])
-		})
+		}
 	}
 	// Section 6: term offset table.
 	w.padTo(h.sections[v4SecOffTable].off)
@@ -235,18 +239,6 @@ func (s *Store) writeV4(bw *bufio.Writer) error {
 	}
 	w.padTo(h.fileSize)
 	return w.err
-}
-
-// forEachOrder streams the store's triples in the given permutation order,
-// folding a pending delta in.
-func (s *Store) forEachOrder(o order, fn func(IDTriple)) {
-	if s.delta == nil {
-		for _, t := range s.idx[o] {
-			fn(t)
-		}
-		return
-	}
-	mergeRuns(s.idx[o], s.delta.del[o], s.delta.ins[o], o, fn)
 }
 
 // termRecordLen is the heap footprint of one term record.

@@ -261,7 +261,8 @@ func (s *Store) matchInto(pat Pattern, scratch []IDTriple) ([]IDTriple, []IDTrip
 	if cap(out) < need {
 		out = make([]IDTriple, 0, need)
 	}
-	mergeRuns(idx[lo:hi], del, ins, o, func(t IDTriple) { out = append(out, t) })
+	run := idx[lo:hi]
+	out = mergeRuns(out, need, &run, &del, &ins, orderPositions[o])
 	return out, out[:0], o
 }
 
@@ -270,13 +271,11 @@ func (s *Store) matchInto(pat Pattern, scratch []IDTriple) ([]IDTriple, []IDTrip
 // the range, each located by its own binary search.
 func (s *Store) Count(pat Pattern) int {
 	o := orderFor(pat.boundMask())
-	idx := s.idx[o]
-	lo, hi := searchRange(idx, o, pat)
-	n := hi - lo
 	if s.delta != nil {
-		n += len(runFor(s.delta.ins[o], o, pat)) - len(runFor(s.delta.del[o], o, pat))
+		return s.delta.viewCount(o, pat)
 	}
-	return n
+	lo, hi := searchRange(s.idx[o], o, pat)
+	return hi - lo
 }
 
 // PredicateStats returns exact statistics for predicate p. The zero value
@@ -369,10 +368,15 @@ func (s *Store) computeStats() {
 	s.pstats = statsFromPSO(s.idx[orderPSO])
 	mergeDistinctObjects(s.pstats, distinctObjectsFromPOS(s.idx[orderPOS]))
 	s.typeIdx = make(map[dict.ID][]dict.ID)
-	typeID, ok := s.dict.Lookup(rdf.NewIRI(rdf.RDFType))
-	if !ok {
-		return
+	s.typeID = lookupType(s.dict)
+	if s.typeID != dict.None {
+		s.typeIdx = typeIndexFromPOS(s.idx[orderPOS], s.typeID)
 	}
-	s.typeID = typeID
-	s.typeIdx = typeIndexFromPOS(s.idx[orderPOS], typeID)
+}
+
+// lookupType returns the ID of rdf:type in d, or None when d has never
+// encoded it.
+func lookupType(d *dict.Dict) dict.ID {
+	id, _ := d.Lookup(rdf.NewIRI(rdf.RDFType))
+	return id
 }
