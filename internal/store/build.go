@@ -34,7 +34,7 @@ func (o BuildOptions) workers() int {
 // buildIndexes constructs a Store over d from a set of distinct triples,
 // taking ownership of the slice (it becomes the SPO index after sorting).
 func buildIndexes(d *dict.Dict, triples []IDTriple, opts BuildOptions) *Store {
-	s := &Store{dict: d, n: len(triples)}
+	s := &Store{dict: d, n: len(triples), sdir: new(subjectDir)}
 	s.idx[orderSPO] = triples
 	if opts.workers() == 1 {
 		if !isSortedByOrder(triples, orderSPO) {

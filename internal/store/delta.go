@@ -84,17 +84,16 @@ func (d *Delta) Empty() bool { return d.Size() == 0 }
 // baseContains reports whether the base store s (its indexes, not any
 // delta) holds t.
 func (s *Store) baseContains(t IDTriple) bool {
-	idx := s.idx[orderSPO]
-	lo, hi := searchRange(idx, orderSPO, Pattern{S: t.S, P: t.P, O: t.O})
+	lo, hi := s.baseRange(orderSPO, Pattern{S: t.S, P: t.P, O: t.O})
 	return hi > lo
 }
 
 // viewCount returns the number of triples of the delta's merged view
 // matching pat, located in order o, whose key must start with pat's bound
-// positions: one binary search in each of the base, insert and delete
-// runs.
+// positions: one base-run lookup and one binary search in each of the
+// insert and delete runs.
 func (d *Delta) viewCount(o order, pat Pattern) int {
-	lo, hi := searchRange(d.base.idx[o], o, pat)
+	lo, hi := d.base.baseRange(o, pat)
 	return hi - lo + len(runFor(d.ins[o], o, pat)) - len(runFor(d.del[o], o, pat))
 }
 
@@ -423,6 +422,7 @@ func (d *Delta) Overlay() *Store {
 		typeIdx: d.typeIdx,
 		typeID:  lookupType(base.dict),
 		delta:   d,
+		sdir:    base.sdir,
 	}
 }
 
@@ -445,6 +445,7 @@ func (d *Delta) Commit(opts BuildOptions) *Store {
 		pstats:  d.pstats,
 		typeIdx: ownedTypeIndex(d.typeIdx),
 		typeID:  lookupType(base.dict),
+		sdir:    new(subjectDir),
 	}
 	sem := make(chan struct{}, opts.workers())
 	var wg sync.WaitGroup

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"math"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/dict"
 )
@@ -102,8 +105,8 @@ func sortByOrder(ts []IDTriple, o order) {
 
 // searchRange returns the half-open index range [lo, hi) of triples in idx
 // (sorted by o) matching pat. pat's bound positions must be a prefix of o's
-// sort key (guaranteed by orderFor). It is the one probe kernel behind
-// Match, MatchBuf, Count, Scan, ScanSeek, runFor and Store.baseContains.
+// sort key (guaranteed by orderFor). It is the one probe kernel: reads
+// reach a base run through Store.baseRange and a delta run through runFor.
 //
 // The zero-padded prefix is the smallest sort key of the range; the prefix
 // plus one in its last bound component, carrying upward, the smallest key
@@ -129,6 +132,84 @@ func searchRange(idx []IDTriple, o order, pat Pattern) (lo, hi int) {
 		}
 	}
 	return lo, gallop(idx, p, lo, packPrefix(k))
+}
+
+// A subjectDir is the offset directory of a base store's subject groups:
+// the r-th subject of the SPO run, in ID order, owns
+// idx[SPO][off[r]:off[r+1]], and because SOP is also sorted by subject
+// first, its groups sit at the same positions. A subject's rank r comes
+// from a bitmap of the IDs present as subjects, with a running count per
+// 64-ID block, so a subject-bound probe finds its group with two loads
+// from small arrays instead of a binary search over the whole run
+// (ARCHITECTURE.md, "The probe kernel"). The bitmap keeps the directory
+// proportional to the subjects a run holds: a dense off[id] array would
+// cost every shard of a federation 4 B per term of the shared dictionary.
+//
+// The directory is built on the first subject-bound lookup, once per set
+// of base runs: overlays share their base's, a Commit or an open starts a
+// fresh one. It covers the IDs the dictionary held at that moment.
+type subjectDir struct {
+	once   sync.Once
+	blocks []dirBlock // present subject IDs, 64 per block; nil when unbuilt
+	off    []uint32   // group bounds by subject rank, one past the last
+}
+
+type dirBlock struct {
+	present uint64 // bit i: ID 64·w+i is a subject of the run
+	rank    uint32 // present subjects with an ID below the block's first
+}
+
+// group returns subject s's group [lo, hi) in spo, the SPO run the
+// directory belongs to, whose subjects are IDs of d; an absent subject
+// gets the empty range where it would sort. ok is false when the
+// directory does not cover s (it was minted after the build) or spo is
+// too long for 32-bit offsets: the caller searches the whole run.
+func (sd *subjectDir) group(spo []IDTriple, d *dict.Dict, s dict.ID) (lo, hi int, ok bool) {
+	sd.once.Do(func() { sd.build(spo, d) })
+	w := int(s >> 6)
+	if w >= len(sd.blocks) {
+		return 0, 0, false
+	}
+	b := sd.blocks[w]
+	bit := uint64(1) << (s & 63)
+	r := int(b.rank) + bits.OnesCount64(b.present&(bit-1))
+	if b.present&bit == 0 {
+		return int(sd.off[r]), int(sd.off[r]), true
+	}
+	return int(sd.off[r]), int(sd.off[r+1]), true
+}
+
+// build fills the directory with two counting passes over spo. It reads
+// the dictionary's length once (Len takes a lock). A subject above that
+// length — only a corrupt mapped run holds one — is not counted, so every
+// offset stays within len(spo) whatever the run holds.
+func (sd *subjectDir) build(spo []IDTriple, d *dict.Dict) {
+	if uint64(len(spo)) > math.MaxUint32 {
+		return
+	}
+	n := d.Len()
+	blocks := make([]dirBlock, n/64+1)
+	for i := range spo {
+		if s := spo[i].S; int(s) <= n {
+			blocks[s>>6].present |= 1 << (s & 63)
+		}
+	}
+	subjects := 0
+	for w := range blocks {
+		blocks[w].rank = uint32(subjects)
+		subjects += bits.OnesCount64(blocks[w].present)
+	}
+	off := make([]uint32, subjects+1)
+	for i := range spo {
+		if s := spo[i].S; int(s) <= n {
+			b := blocks[s>>6]
+			off[int(b.rank)+bits.OnesCount64(b.present&(1<<(s&63)-1))+1]++
+		}
+	}
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	sd.blocks, sd.off = blocks, off
 }
 
 // A packedKey is a sort key with its first two components packed into one

@@ -64,9 +64,8 @@ func (s *Store) Scan(pat Pattern) *Scan {
 // sort key must start with pat's bound positions. It fills a cursor in
 // place, so a probe can keep its cursors in a stack array.
 func (s *Store) openScan(sc *Scan, o order, pat Pattern) {
-	idx := s.idx[o]
-	lo, hi := searchRange(idx, o, pat)
-	*sc = Scan{rest: idx[lo:hi], ord: o}
+	lo, hi := s.baseRange(o, pat)
+	*sc = Scan{rest: s.idx[o][lo:hi], ord: o}
 	if s.delta != nil {
 		sc.del = runFor(s.delta.del[o], o, pat)
 		sc.ins = runFor(s.delta.ins[o], o, pat)
@@ -252,9 +251,8 @@ func (sc *Scan) Remaining() int {
 // safe to drive from concurrent goroutines.
 func (s *Store) ScanPartitions(pat Pattern, n int) []*Scan {
 	o := orderFor(pat.boundMask())
-	idx := s.idx[o]
-	lo, hi := searchRange(idx, o, pat)
-	base := idx[lo:hi]
+	lo, hi := s.baseRange(o, pat)
+	base := s.idx[o][lo:hi]
 	var del, ins []IDTriple
 	if s.delta != nil {
 		del = runFor(s.delta.del[o], o, pat)

@@ -57,12 +57,11 @@ func patternOf(o order, k [3]dict.ID, nb int) Pattern {
 	return Pattern{S: pat[0], P: pat[1], O: pat[2]}
 }
 
-// checkSearchRange compares searchRange and runFor with linearRange over
-// idx (sorted by o) for every prefix length — together with the six orders
-// that is every bound mask an order can serve — and for keys sampled from
-// the run itself, their neighbours, and the values in extra.
-func checkSearchRange(t *testing.T, label string, idx []IDTriple, o order, extra []dict.ID) {
-	t.Helper()
+// forEachProbe calls f with every probe pattern over idx (sorted by o):
+// every prefix length — together with the six orders that is every bound
+// mask an order can serve — of keys sampled from the run itself, their
+// neighbours, and the values in extra, with linearRange's answer for it.
+func forEachProbe(idx []IDTriple, o order, extra []dict.ID, f func(pat Pattern, wantLo, wantHi int)) {
 	var keys [][3]dict.ID
 	for i := 0; i < len(idx); i += len(idx)/64 + 1 {
 		a, b, c := key(idx[i], o)
@@ -82,17 +81,25 @@ func checkSearchRange(t *testing.T, label string, idx []IDTriple, o order, extra
 			if !bound {
 				continue // None is the wildcard, not a value
 			}
-			pat := patternOf(o, k, nb)
-			wantLo, wantHi := linearRange(idx, o, k, nb)
-			lo, hi := searchRange(idx, o, pat)
-			if lo != wantLo || hi != wantHi {
-				t.Fatalf("%s %v: searchRange(%v) = [%d, %d), linear filter [%d, %d) of %d", label, o, pat, lo, hi, wantLo, wantHi, len(idx))
-			}
-			if run := runFor(idx, o, pat); len(run) != wantHi-wantLo || (len(run) > 0 && run[0] != idx[wantLo]) {
-				t.Fatalf("%s %v: runFor(%v) has %d triples, want %d from %d", label, o, pat, len(run), wantHi-wantLo, wantLo)
-			}
+			lo, hi := linearRange(idx, o, k, nb)
+			f(patternOf(o, k, nb), lo, hi)
 		}
 	}
+}
+
+// checkSearchRange compares searchRange and runFor with linearRange over
+// idx (sorted by o) for every probe forEachProbe makes.
+func checkSearchRange(t *testing.T, label string, idx []IDTriple, o order, extra []dict.ID) {
+	t.Helper()
+	forEachProbe(idx, o, extra, func(pat Pattern, wantLo, wantHi int) {
+		lo, hi := searchRange(idx, o, pat)
+		if lo != wantLo || hi != wantHi {
+			t.Fatalf("%s %v: searchRange(%v) = [%d, %d), linear filter [%d, %d) of %d", label, o, pat, lo, hi, wantLo, wantHi, len(idx))
+		}
+		if run := runFor(idx, o, pat); len(run) != wantHi-wantLo || (len(run) > 0 && run[0] != idx[wantLo]) {
+			t.Fatalf("%s %v: runFor(%v) has %d triples, want %d from %d", label, o, pat, len(run), wantHi-wantLo, wantLo)
+		}
+	})
 }
 
 // TestSearchRangeMatchesLinearFilter is the property test of the probe

@@ -462,6 +462,7 @@ func openMappedData(data []byte, unmap func([]byte) error) (*Store, error) {
 		n:    int(h.nTriples),
 		idx:  src.idx,
 		src:  src,
+		sdir: new(subjectDir), // built on first use: the open stays O(1)
 	}
 	// Statistics blocks: O(#preds + #classes) assembly, views for members.
 	s.pstats = make(map[dict.ID]PredStats, h.nPreds)

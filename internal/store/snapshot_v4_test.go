@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -540,6 +542,20 @@ func FuzzOpenMapped(f *testing.F) {
 	f.Add(corruptV4(img, func(b []byte) { b[v4PageSize+5] ^= 0xff }))
 	f.Add(corruptV4(img, func(b []byte) { b[len(b)-3] ^= 0xff }))
 	f.Add([]byte(snapshotMagicV4))
+	// An SPO section the O(1) open cannot check: subjects past the
+	// dictionary at both ends of the run, and two triples out of order.
+	// The subject directory derived from it must keep every probe in
+	// bounds.
+	f.Add(corruptV4(img, func(b []byte) {
+		spo := binary.LittleEndian.Uint64(b[72:])
+		at := func(i int) []byte { return b[spo+uint64(i)*idTripleBytes:] }
+		binary.LittleEndian.PutUint32(at(0), binary.LittleEndian.Uint32(b[24:])+3)
+		binary.LittleEndian.PutUint32(at(st.Len()-1), math.MaxUint32)
+		var tmp [idTripleBytes]byte
+		copy(tmp[:], at(1))
+		copy(at(1)[:idTripleBytes], at(st.Len()/2))
+		copy(at(st.Len()/2), tmp[:])
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ms, err := OpenMappedBytes(data)
 		if err != nil {
@@ -556,10 +572,31 @@ func FuzzOpenMapped(f *testing.F) {
 		if len(matches) != ms.Len() {
 			t.Fatalf("mapped store inconsistent: Len %d but %d matches", ms.Len(), len(matches))
 		}
-		for _, pat := range boundPatterns(ms) {
+		pats := append(boundPatterns(ms), Pattern{S: dict.ID(n + 1)}, Pattern{S: math.MaxUint32})
+		if len(matches) > 0 {
+			first, last := matches[0], matches[len(matches)-1]
+			pats = append(pats, Pattern{S: first.S}, Pattern{S: first.S, P: first.P}, Pattern{S: last.S, O: last.O})
+		}
+		for _, pat := range pats {
 			m, _ := ms.Match(pat)
 			if ms.Count(pat) != len(m) {
 				t.Fatalf("Count(%v) disagrees with Match", pat)
+			}
+			if pat.S == dict.None {
+				continue
+			}
+			// Subject-bound reads go through the subject directory: the
+			// cursors must deliver exactly what Match does.
+			var scanned, parts []IDTriple
+			sc := ms.Scan(pat)
+			for batch := sc.Next(7); batch != nil; batch = sc.Next(7) {
+				scanned = append(scanned, batch...)
+			}
+			for _, part := range ms.ScanPartitions(pat, 3) {
+				parts = append(parts, part.Next(0)...)
+			}
+			if !equalTriples(scanned, m) || !equalTriples(parts, m) {
+				t.Fatalf("Scan/ScanPartitions(%v) disagree with Match", pat)
 			}
 		}
 		for _, p := range ms.Predicates() {

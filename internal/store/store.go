@@ -73,6 +73,7 @@ type Store struct {
 	typeIdx map[dict.ID][]dict.ID // rdf:type class -> sorted subject IDs
 	typeID  dict.ID               // ID of rdf:type, or None if absent
 	delta   *Delta                // non-nil for overlay snapshots
+	sdir    *subjectDir           // subject groups of idx, shared with overlays
 }
 
 // Backend names the store's index backing: "heap" for built/deserialized
@@ -247,7 +248,7 @@ func (s *Store) MatchBuf(pat Pattern, scratch []IDTriple) (matches, scratch2 []I
 func (s *Store) matchInto(pat Pattern, scratch []IDTriple) ([]IDTriple, []IDTriple, order) {
 	o := orderFor(pat.boundMask())
 	idx := s.idx[o]
-	lo, hi := searchRange(idx, o, pat)
+	lo, hi := s.baseRange(o, pat)
 	if s.delta == nil {
 		return idx[lo:hi], scratch, o
 	}
@@ -274,8 +275,28 @@ func (s *Store) Count(pat Pattern) int {
 	if s.delta != nil {
 		return s.delta.viewCount(o, pat)
 	}
-	lo, hi := searchRange(s.idx[o], o, pat)
+	lo, hi := s.baseRange(o, pat)
 	return hi - lo
+}
+
+// baseRange returns the half-open range [lo, hi) of the base run s.idx[o]
+// matching pat, whose bound positions must be a prefix of o's sort key:
+// the one lookup every read makes in a base run (delta runs go through
+// runFor). A subject-bound probe in SPO or SOP first takes its subject's
+// group from the directory and searches only that group; the result is
+// searchRange's, empty ranges included.
+func (s *Store) baseRange(o order, pat Pattern) (lo, hi int) {
+	idx := s.idx[o]
+	if pat.S != dict.None && (o == orderSPO || o == orderSOP) {
+		if glo, ghi, ok := s.sdir.group(s.idx[orderSPO], s.dict, pat.S); ok {
+			if pat.P == dict.None && pat.O == dict.None {
+				return glo, ghi
+			}
+			lo, hi = searchRange(idx[glo:ghi], o, pat)
+			return glo + lo, glo + hi
+		}
+	}
+	return searchRange(idx, o, pat)
 }
 
 // PredicateStats returns exact statistics for predicate p. The zero value
