@@ -47,11 +47,9 @@ func buildIndexes(d *dict.Dict, triples []IDTriple, opts BuildOptions) *Store {
 			s.idx[o] = cp
 		}
 		s.computeStats()
-		s.src = &heapSource{idx: s.idx}
 		return s
 	}
 	s.buildParallel(opts.workers())
-	s.src = &heapSource{idx: s.idx}
 	return s
 }
 

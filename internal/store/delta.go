@@ -40,15 +40,44 @@ import (
 // matching delta run and all permutation indexes stay virtually
 // consistent under overlay reads. A delta also carries the exact
 // statistics and rdf:type class index of its merged view, patched from
-// each update's touches, so publishing it costs O(1). Create one with
+// each update's touches, so publishing it costs O(1), and the presence
+// bitmaps of its pending subjects and objects, which let reads that
+// cannot meet a pending triple skip its runs. Create one with
 // Store.NewDelta, extend it with Apply (copy-on-write; the receiver is
 // never mutated), and publish it with Overlay or Commit.
 type Delta struct {
 	base    *Store
 	ins     [numOrders][]IDTriple
 	del     [numOrders][]IDTriple
+	subj    presence              // subjects of the pending triples
+	obj     presence              // their objects
 	pstats  map[dict.ID]PredStats // exact statistics of the merged view
 	typeIdx map[dict.ID][]dict.ID // its rdf:type class -> sorted subjects
+}
+
+// presence is a bitmap over dictionary IDs, one bit per ID. A delta keeps
+// one for the subjects and one for the objects of its pending triples, so
+// a read bound to an ID no pending triple names skips the delta's runs
+// without searching them. The bitmaps are exact (a bit is set exactly
+// when some pending triple names the ID), immutable and built only by
+// apply and newDeltaFromSets; an ID past the end, minted after they were
+// built, names no pending triple and reads as absent.
+type presence []uint64
+
+func (p presence) has(id dict.ID) bool {
+	w := int(id >> 6)
+	return w < len(p) && p[w]&(1<<(id&63)) != 0
+}
+
+func (p presence) set(id dict.ID)   { p[id>>6] |= 1 << (id & 63) }
+func (p presence) clear(id dict.ID) { p[id>>6] &^= 1 << (id & 63) }
+
+// grown returns a copy of p with room for the IDs up to n, the
+// dictionary's length (it only grows, so p never holds more).
+func (p presence) grown(n int) presence {
+	out := make(presence, n/64+1)
+	copy(out, p)
+	return out
 }
 
 // NewDelta returns the pending delta of s: the empty delta for a plain
@@ -88,13 +117,25 @@ func (s *Store) baseContains(t IDTriple) bool {
 	return hi > lo
 }
 
+// runs returns the delete and insert runs of order o matching pat, whose
+// bound positions must be a prefix of o's sort key: the one lookup every
+// overlay read makes in the delta. A pattern bound to a subject or an
+// object no pending triple names gets empty runs from the presence
+// bitmaps without a search.
+func (d *Delta) runs(o order, pat Pattern) (del, ins []IDTriple) {
+	if pat.S != dict.None && !d.subj.has(pat.S) || pat.O != dict.None && !d.obj.has(pat.O) {
+		return nil, nil
+	}
+	return runFor(d.del[o], o, pat), runFor(d.ins[o], o, pat)
+}
+
 // viewCount returns the number of triples of the delta's merged view
 // matching pat, located in order o, whose key must start with pat's bound
-// positions: one base-run lookup and one binary search in each of the
-// insert and delete runs.
+// positions: one base-run lookup and one delta lookup.
 func (d *Delta) viewCount(o order, pat Pattern) int {
 	lo, hi := d.base.baseRange(o, pat)
-	return hi - lo + len(runFor(d.ins[o], o, pat)) - len(runFor(d.del[o], o, pat))
+	del, ins := d.runs(o, pat)
+	return hi - lo + len(ins) - len(del)
 }
 
 // DeltaOp is one insert-or-delete batch of an update. A multi-operation
@@ -253,8 +294,40 @@ func (d *Delta) apply(ops []DeltaOp) (*Delta, *viewTouches) {
 			tc.removed[o] = applyRun(ir, nil, da, o)
 		}
 	}
+	nd.markPresence(d, [][]IDTriple{touched[0], touched[2]}, [][]IDTriple{touched[1], touched[3]})
 	nd.derive(d, tc)
 	return nd, tc
+}
+
+// markPresence sets d's presence bitmaps: parent's, sized to the
+// dictionary once, with the subjects and objects of the triples added to
+// a pending set marked, and those of the triples removed from one
+// cleared where d's runs hold no triple naming them any more.
+func (d *Delta) markPresence(parent *Delta, added, removed [][]IDTriple) {
+	n := d.base.dict.Len()
+	d.subj, d.obj = parent.subj.grown(n), parent.obj.grown(n)
+	for _, ts := range added {
+		for _, t := range ts {
+			d.subj.set(t.S)
+			d.obj.set(t.O)
+		}
+	}
+	for _, ts := range removed {
+		for _, t := range ts {
+			if !d.pending(orderSPO, Pattern{S: t.S}) {
+				d.subj.clear(t.S)
+			}
+			if !d.pending(orderOSP, Pattern{O: t.O}) {
+				d.obj.clear(t.O)
+			}
+		}
+	}
+}
+
+// pending reports whether d's insert or delete run of order o holds a
+// triple matching pat.
+func (d *Delta) pending(o order, pat Pattern) bool {
+	return len(runFor(d.ins[o], o, pat)) > 0 || len(runFor(d.del[o], o, pat)) > 0
 }
 
 func setToSlice(set map[IDTriple]struct{}) []IDTriple {
@@ -416,7 +489,7 @@ func (d *Delta) Overlay() *Store {
 	return &Store{
 		dict:    base.dict,
 		n:       base.n - d.DeleteCount() + d.InsertCount(),
-		src:     base.src, // overlay shares the base's backing, heap or mapped
+		mapped:  base.mapped, // overlay shares the base's backing, heap or mapped
 		idx:     base.idx,
 		pstats:  d.pstats,
 		typeIdx: d.typeIdx,
@@ -459,7 +532,6 @@ func (d *Delta) Commit(opts BuildOptions) *Store {
 		}()
 	}
 	wg.Wait()
-	s.src = &heapSource{idx: s.idx}
 	return s
 }
 
@@ -506,6 +578,8 @@ func newDeltaFromSets(base *Store, ins, del []IDTriple) (*Delta, error) {
 		d.ins[o] = sortedCopy(ins, o)
 		d.del[o] = sortedCopy(del, o)
 	}
-	d.derive(base.NewDelta(), &viewTouches{added: d.ins, removed: d.del})
+	empty := base.NewDelta()
+	d.markPresence(empty, [][]IDTriple{ins, del}, nil)
+	d.derive(empty, &viewTouches{added: d.ins, removed: d.del})
 	return d, nil
 }

@@ -106,7 +106,8 @@ func sortByOrder(ts []IDTriple, o order) {
 // searchRange returns the half-open index range [lo, hi) of triples in idx
 // (sorted by o) matching pat. pat's bound positions must be a prefix of o's
 // sort key (guaranteed by orderFor). It is the one probe kernel: reads
-// reach a base run through Store.baseRange and a delta run through runFor.
+// reach a base run through Store.baseRange and a delta run through
+// Delta.runs, whose search is runFor.
 //
 // The zero-padded prefix is the smallest sort key of the range; the prefix
 // plus one in its last bound component, carrying upward, the smallest key

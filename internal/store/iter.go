@@ -67,8 +67,7 @@ func (s *Store) openScan(sc *Scan, o order, pat Pattern) {
 	lo, hi := s.baseRange(o, pat)
 	*sc = Scan{rest: s.idx[o][lo:hi], ord: o}
 	if s.delta != nil {
-		sc.del = runFor(s.delta.del[o], o, pat)
-		sc.ins = runFor(s.delta.ins[o], o, pat)
+		sc.del, sc.ins = s.delta.runs(o, pat)
 	}
 	sc.initRuns(pat)
 }
@@ -255,8 +254,7 @@ func (s *Store) ScanPartitions(pat Pattern, n int) []*Scan {
 	base := s.idx[o][lo:hi]
 	var del, ins []IDTriple
 	if s.delta != nil {
-		del = runFor(s.delta.del[o], o, pat)
-		ins = runFor(s.delta.ins[o], o, pat)
+		del, ins = s.delta.runs(o, pat)
 	}
 	total := len(base) - len(del) + len(ins)
 	if total == 0 {

@@ -8,52 +8,17 @@ import (
 	"repro/internal/rdf"
 )
 
-// This file implements the mmap-backed side of the TripleSource seam: a
-// refcounted Mapping over the raw snapshot bytes, zero-copy reinterpreted
-// views of the page-aligned v4 sections (permutation indexes as []IDTriple,
+// This file implements the mmap-backed side of a store: a refcounted
+// Mapping over the raw snapshot bytes, zero-copy reinterpreted views of
+// the page-aligned v4 sections (permutation indexes as []IDTriple,
 // offset/sorted tables as integer slices), and mappedTerms, the dict.Base
 // that resolves term ids directly against the on-disk offset table and
-// string heap. Every accessor that follows untrusted on-disk offsets is
+// string heap. A mapped store holds the index views in the same
+// []IDTriple fields a heap-built one does, plus the Mapping (Store.mapped),
+// so every read path and the delta overlay run unchanged over either
+// backing. Every accessor that follows untrusted on-disk offsets is
 // bounds-checked: a corrupt file yields a failed TryDecode or an empty
 // match, never an out-of-range access or panic.
-
-// TripleSource is the backing of a store's six permutation indexes — the
-// seam that lets Match/Count/Scan/ScanPartitions/ScanSeek (and the Delta
-// overlay on top) run identically over heap-built and mmap-backed stores.
-// The Store caches the index slices it hands out at construction, so the
-// hot paths cost the same over either backing: a []IDTriple is a
-// []IDTriple whether it points into the Go heap or into a mapping.
-//
-// The interface is sealed (index is unexported): the two implementations
-// are the in-package heapSource and mappedSource.
-type TripleSource interface {
-	// Backend names the backing: "heap" or "mapped".
-	Backend() string
-	// Mapping returns the refcounted file mapping, or nil for heap.
-	Mapping() *Mapping
-	index(o order) []IDTriple
-}
-
-// heapSource backs a store built in memory (Builder, ReadSnapshot v1–v3,
-// Delta.Commit).
-type heapSource struct {
-	idx [numOrders][]IDTriple
-}
-
-func (h *heapSource) Backend() string          { return "heap" }
-func (h *heapSource) Mapping() *Mapping        { return nil }
-func (h *heapSource) index(o order) []IDTriple { return h.idx[o] }
-
-// mappedSource backs a store opened with OpenMapped: the index slices are
-// zero-copy views into the mapping.
-type mappedSource struct {
-	m   *Mapping
-	idx [numOrders][]IDTriple
-}
-
-func (ms *mappedSource) Backend() string          { return "mapped" }
-func (ms *mappedSource) Mapping() *Mapping        { return ms.m }
-func (ms *mappedSource) index(o order) []IDTriple { return ms.idx[o] }
 
 // Mapping is a refcounted read-only view of a v4 snapshot's bytes —
 // usually an OS file mapping, or a plain in-memory buffer for

@@ -453,16 +453,14 @@ func openMappedData(data []byte, unmap func([]byte) error) (*Store, error) {
 	if mt.offs[0] != 0 || mt.offs[h.nTerms] != h.heapLen {
 		return nil, fmt.Errorf("store: v4 term offset table spans [%d, %d), want [0, %d)", mt.offs[0], mt.offs[h.nTerms], h.heapLen)
 	}
-	src := &mappedSource{m: m}
-	for o := order(0); o < numOrders; o++ {
-		src.idx[o] = viewTriples(sec(int(o)))
-	}
 	s := &Store{
-		dict: dict.NewOver(mt),
-		n:    int(h.nTriples),
-		idx:  src.idx,
-		src:  src,
-		sdir: new(subjectDir), // built on first use: the open stays O(1)
+		dict:   dict.NewOver(mt),
+		n:      int(h.nTriples),
+		mapped: m,
+		sdir:   new(subjectDir), // built on first use: the open stays O(1)
+	}
+	for o := order(0); o < numOrders; o++ {
+		s.idx[o] = viewTriples(sec(int(o)))
 	}
 	// Statistics blocks: O(#preds + #classes) assembly, views for members.
 	s.pstats = make(map[dict.ID]PredStats, h.nPreds)

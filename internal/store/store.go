@@ -67,8 +67,8 @@ func (p Pattern) boundMask() int {
 type Store struct {
 	dict    *dict.Dict
 	n       int
-	src     TripleSource          // backing of idx: heap or mmap (see mapping.go)
-	idx     [numOrders][]IDTriple // cached src views; all read paths go through these
+	mapped  *Mapping              // backing of idx when mapped (see mapping.go); nil on the heap
+	idx     [numOrders][]IDTriple // the six permutation indexes; all read paths go through these
 	pstats  map[dict.ID]PredStats
 	typeIdx map[dict.ID][]dict.ID // rdf:type class -> sorted subject IDs
 	typeID  dict.ID               // ID of rdf:type, or None if absent
@@ -79,10 +79,10 @@ type Store struct {
 // Backend names the store's index backing: "heap" for built/deserialized
 // stores, "mapped" for stores opened over a v4 snapshot image.
 func (s *Store) Backend() string {
-	if s.src == nil {
-		return "heap"
+	if s.mapped != nil {
+		return "mapped"
 	}
-	return s.src.Backend()
+	return "heap"
 }
 
 // Mapping returns the refcounted snapshot mapping backing this store, or
@@ -91,10 +91,8 @@ func (s *Store) Backend() string {
 // it); Commit produces heap indexes but keeps the mapped dictionary base,
 // so committed stores report it too.
 func (s *Store) Mapping() *Mapping {
-	if s.src != nil {
-		if m := s.src.Mapping(); m != nil {
-			return m
-		}
+	if s.mapped != nil {
+		return s.mapped
 	}
 	if mt, ok := s.dict.Base().(*mappedTerms); ok {
 		return mt.mapping()
@@ -252,8 +250,7 @@ func (s *Store) matchInto(pat Pattern, scratch []IDTriple) ([]IDTriple, []IDTrip
 	if s.delta == nil {
 		return idx[lo:hi], scratch, o
 	}
-	del := runFor(s.delta.del[o], o, pat)
-	ins := runFor(s.delta.ins[o], o, pat)
+	del, ins := s.delta.runs(o, pat)
 	if len(del) == 0 && len(ins) == 0 {
 		return idx[lo:hi], scratch, o
 	}
@@ -269,7 +266,7 @@ func (s *Store) matchInto(pat Pattern, scratch []IDTriple) ([]IDTriple, []IDTrip
 
 // Count returns the exact number of triples matching pat in O(log n) —
 // on an overlay, the base range size minus deletions plus insertions in
-// the range, each located by its own binary search.
+// the range, located by one delta lookup.
 func (s *Store) Count(pat Pattern) int {
 	o := orderFor(pat.boundMask())
 	if s.delta != nil {
@@ -282,7 +279,7 @@ func (s *Store) Count(pat Pattern) int {
 // baseRange returns the half-open range [lo, hi) of the base run s.idx[o]
 // matching pat, whose bound positions must be a prefix of o's sort key:
 // the one lookup every read makes in a base run (delta runs go through
-// runFor). A subject-bound probe in SPO or SOP first takes its subject's
+// Delta.runs). A subject-bound probe in SPO or SOP first takes its subject's
 // group from the directory and searches only that group; the result is
 // searchRange's, empty ranges included.
 func (s *Store) baseRange(o order, pat Pattern) (lo, hi int) {

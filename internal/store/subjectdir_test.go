@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -149,24 +150,40 @@ func TestSubjectDirConcurrentBuild(t *testing.T) {
 }
 
 // TestSubjectProbeAllocs pins the probe path allocation-free once the
-// directory is built: a subject-bound MatchBuf or Count, heap or mapped.
+// directory is built: a subject-bound MatchBuf or Count, heap or mapped,
+// and on an overlay for a subject the delta leaves untouched (its runs
+// are skipped) and for a pending one (they are merged into the scratch).
 func TestSubjectProbeAllocs(t *testing.T) {
-	heap, _ := seekWorld(t, 3, 4000)
+	heap, overlay := seekWorld(t, 3, 4000)
 	mapped, err := OpenMappedBytes(v4Image(t, heap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []*Store{heap, mapped} {
-		tr := st.idx[orderSPO][st.Len()/2]
+	d := overlay.Delta()
+	untouched := slices.IndexFunc(overlay.idx[orderSPO], func(tr IDTriple) bool { return !d.subj.has(tr.S) })
+	if untouched < 0 {
+		t.Fatal("every subject of the overlay is pending")
+	}
+	for _, c := range []struct {
+		label string
+		st    *Store
+		tr    IDTriple
+	}{
+		{"heap", heap, heap.idx[orderSPO][heap.Len()/2]},
+		{"mapped", mapped, mapped.idx[orderSPO][mapped.Len()/2]},
+		{"overlay untouched", overlay, overlay.idx[orderSPO][untouched]},
+		{"overlay pending", overlay, d.ins[orderSPO][d.InsertCount()/2]},
+	} {
+		st, tr := c.st, c.tr
 		for _, pat := range []Pattern{{S: tr.S}, {S: tr.S, P: tr.P}, {S: tr.S, O: tr.O}, {S: tr.S, P: tr.P, O: tr.O}} {
 			var scratch, m []IDTriple
 			probe := func() {
 				m, scratch = st.MatchBuf(pat, scratch)
 				probeSink += len(m) + st.Count(pat)
 			}
-			probe() // warm-up: builds the directory
+			probe() // warm-up: builds the directory, grows the scratch
 			if n := testing.AllocsPerRun(100, probe); n != 0 {
-				t.Errorf("%s %v: %.0f allocations per probe", st.Backend(), pat, n)
+				t.Errorf("%s %v: %.0f allocations per probe", c.label, pat, n)
 			}
 		}
 	}

@@ -78,6 +78,48 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
+// BenchmarkOverlayProbe times one subject-bound MatchBuf probe — the
+// index-join inner side — over the overlay of the ≈ 48 k pending changes,
+// with the probed subjects drawn in random order from the base (whose
+// subjects the delta leaves untouched) and, in the second case, every
+// other one from the pending offers. The benchmark stream's reads never
+// reach a pending subject, so the first case is the one it serves.
+func BenchmarkOverlayProbe(b *testing.B) {
+	base, d := loadUpdateFixture(b)
+	ov := d.Overlay()
+	dd := ov.Dict()
+	all, _ := base.Match(store.Pattern{})
+	product, _ := dd.Lookup(bsbm.PredOfferProduct)
+	rng := rand.New(rand.NewSource(1))
+	for _, pending := range []int{0, 50} {
+		probes := make([]store.Pattern, 1<<16)
+		for i := range probes {
+			tr := all[rng.Intn(len(all))]
+			probes[i] = store.Pattern{S: tr.S, P: tr.P}
+			if i%2 == 1 && pending > 0 {
+				offer := rdf.NewIRI(fmt.Sprintf("%sBenchOffer%d_%d", bsbm.NS, rng.Intn(fixtureBatches), rng.Intn(fixtureOffers)))
+				s, ok := dd.Lookup(offer)
+				if !ok {
+					b.Fatalf("pending offer %v is not in the dictionary", offer)
+				}
+				probes[i] = store.Pattern{S: s, P: product}
+			}
+		}
+		b.Run(fmt.Sprintf("pending=%d%%", pending), func(b *testing.B) {
+			var scratch, m []store.IDTriple
+			ov.Count(probes[0]) // builds the subject directory
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, scratch = ov.MatchBuf(probes[i%len(probes)], scratch)
+				probeSink += len(m)
+			}
+		})
+	}
+}
+
+var probeSink int
+
 // BenchmarkOverlayPublish times publishing the pending delta as an
 // overlay snapshot.
 func BenchmarkOverlayPublish(b *testing.B) {
