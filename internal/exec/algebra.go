@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/dict"
@@ -31,38 +32,15 @@ import (
 // work per build row, per probe and per emitted row; the caller charges the
 // output size to Cout.
 func (ex *executor) leftJoin(l, r *colRelation) (*colRelation, error) {
-	shared := sharedCols(l.vars, r.vars)
 	vars, extra := joinVars(l.vars, r.vars)
-	var keyBuf []byte
-	rKey := func(row int32) string {
-		keyBuf = keyBuf[:0]
-		for _, sc := range shared {
-			id := r.cols[sc[1]][row]
-			keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		return string(keyBuf)
-	}
-	lKey := func(row int) string {
-		keyBuf = keyBuf[:0]
-		for _, sc := range shared {
-			id := l.cols[sc[0]][row]
-			keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		return string(keyBuf)
-	}
-	table := make(map[string][]int32, r.n)
-	for i := 0; i < r.n; i++ {
-		if i%cancelCheckRows == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		k := rKey(int32(i))
-		table[k] = append(table[k], int32(i))
+	lcols, rcols := unzipCols(sharedCols(l.vars, r.vars))
+	table, err := ex.buildJoinTable(r, rcols)
+	if err != nil {
+		return nil, err
 	}
 	ex.work += float64(r.n) // build cost
 	nl := len(l.vars)
-	out := &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
+	out := ex.newRelation(vars)
 	emit := func(lr int, rr int32, matched bool) {
 		for ci := 0; ci < nl; ci++ {
 			out.cols[ci] = append(out.cols[ci], l.cols[ci][lr])
@@ -88,12 +66,12 @@ func (ex *executor) leftJoin(l, r *colRelation) (*colRelation, error) {
 		}
 		ex.work++ // probe cost
 		ex.kern.HashProbeRows++
-		matches := table[lKey(i)]
-		if len(matches) == 0 {
+		rr := table.first(l, lcols, i)
+		if rr < 0 {
 			emit(i, 0, false)
 			continue
 		}
-		for _, rr := range matches {
+		for ; rr >= 0; rr = table.next[rr] {
 			emit(i, rr, true)
 		}
 	}
@@ -167,6 +145,7 @@ type unionOp struct {
 	outVars []sparql.Var
 	maps    [][]int
 	cur     int
+	out     colBatch // the batch next returns; its pooled columns are reused
 }
 
 func (op *unionOp) vars() []sparql.Var { return op.outVars }
@@ -186,21 +165,28 @@ func (op *unionOp) next() (*colBatch, error) {
 		}
 		m := op.maps[op.cur]
 		n := b.live()
-		cols := make([][]dict.ID, len(op.outVars))
-		for j, ci := range m {
-			col := make([]dict.ID, n) // zero-valued = dict.None padding
-			if ci >= 0 {
-				if b.sel != nil {
-					src := b.cols[ci]
-					for i, x := range b.sel {
-						col[i] = src[x]
-					}
-				} else {
-					copy(col, b.cols[ci][:n])
-				}
+		if op.out.cols == nil {
+			op.out = colBatch{schema: op.outVars, cols: make([][]dict.ID, len(op.outVars))}
+			for j := range op.out.cols {
+				op.ex.col(&op.out.cols[j])
 			}
-			cols[j] = col
 		}
+		for j, ci := range m {
+			col := slices.Grow(op.out.cols[j][:0], n)[:n]
+			switch {
+			case ci < 0:
+				clear(col) // dict.None padding
+			case b.sel != nil:
+				src := b.cols[ci]
+				for i, x := range b.sel {
+					col[i] = src[x]
+				}
+			default:
+				copy(col, b.cols[ci][:n])
+			}
+			op.out.cols[j] = col
+		}
+		op.out.n = n
 		if b.sel != nil {
 			op.ex.kern.GatherRows += n
 		}
@@ -208,7 +194,7 @@ func (op *unionOp) next() (*colBatch, error) {
 		op.ex.kern.UnionRows += n
 		op.ex.cout += float64(n)
 		op.ex.kern.Batches++
-		return &colBatch{schema: op.outVars, cols: cols, n: n}, nil
+		return &op.out, nil
 	}
 	return nil, nil
 }
@@ -342,7 +328,8 @@ func aggregateRows(ex *executor, in *colRelation, keyCols []int, specs []aggSpec
 			}
 		}
 	}
-	out := &colRelation{vars: outVars, cols: make([][]dict.ID, len(outVars)), n: len(groups)}
+	out := ex.newRelation(outVars)
+	out.n = len(groups)
 	for _, g := range groups {
 		ex.work++ // emitted group
 		for i, kc := range keyCols {

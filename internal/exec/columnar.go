@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -86,37 +88,43 @@ func (r *colRelation) appendBatch(ex *executor, b *colBatch) {
 	r.n += b.n
 }
 
-// window returns the dense sub-batch [lo, hi) of the relation's rows.
-func (r *colRelation) window(lo, hi int) *colBatch {
-	cols := make([][]dict.ID, len(r.cols))
-	for j := range cols {
-		cols[j] = r.cols[j][lo:hi]
-	}
-	return &colBatch{schema: r.vars, cols: cols, n: hi - lo}
-}
-
 // buffered is the output side of a pipeline breaker: its fully
 // materialized result, streamed out in batchSize windows.
 type buffered struct {
 	out *colRelation
 	pos int
+	win colBatch // the window nextWindow returns, re-pointed on every call
 }
 
-// nextWindow returns the next window of the buffered result, or nil once
-// it is exhausted (or was never produced).
+// nextWindow returns the next window of the buffered result — the dense
+// rows [pos, pos+batchSize) — or nil once it is exhausted (or was never
+// produced).
 func (bf *buffered) nextWindow(ex *executor) *colBatch {
 	if bf.out == nil || bf.pos >= bf.out.n {
 		return nil
 	}
 	end := min(bf.pos+batchSize, bf.out.n)
-	b := bf.out.window(bf.pos, end)
+	if bf.win.cols == nil {
+		bf.win = colBatch{schema: bf.out.vars, cols: make([][]dict.ID, len(bf.out.cols))}
+	}
+	for j := range bf.win.cols {
+		bf.win.cols[j] = bf.out.cols[j][bf.pos:end]
+	}
+	bf.win.n = end - bf.pos
 	bf.pos = end
 	ex.kern.Batches++
-	return b
+	return &bf.win
 }
 
 // operator is the pull-based operator interface. next returns the next
 // batch (never empty of live rows), or nil when exhausted.
+//
+// Ownership: a batch returned by next stays valid until the same
+// producer's next call to next, which may overwrite its columns and
+// selection vector in place; a relation (a drained input or a join output)
+// stays valid until its run ends, when its pooled columns go back to the
+// pool (buffers.go). A consumer that keeps rows longer must copy them, as
+// drain, appendBatch and run do.
 type operator interface {
 	vars() []sparql.Var
 	next() (*colBatch, error)
@@ -134,8 +142,10 @@ func PhysOptions(opts Options) plan.PhysOptions {
 }
 
 // run lowers the plan and drains the operator tree into result rows. The
-// rows of one batch are cut from a single backing array, each capped at its
-// width so an append to one row can never write into the next.
+// rows are gathered row-major into a pooled buffer, then cut from one
+// backing array of the result's exact size, each capped at its width so an
+// append to one row can never write into the next. Nothing in the result
+// refers to a pooled buffer.
 func (ex *executor) run(c *plan.Compiled, p *plan.Plan) ([]sparql.Var, [][]dict.ID, error) {
 	phys, err := plan.Lower(c, p, PhysOptions(ex.opts))
 	if err != nil {
@@ -147,7 +157,8 @@ func (ex *executor) run(c *plan.Compiled, p *plan.Plan) ([]sparql.Var, [][]dict.
 	}
 	vars := root.vars()
 	w := len(vars)
-	var rows [][]dict.ID
+	ex.col(&ex.rowBuf)
+	n := 0
 	for {
 		if err := ex.cancelled(); err != nil {
 			return nil, nil, err
@@ -157,22 +168,35 @@ func (ex *executor) run(c *plan.Compiled, p *plan.Plan) ([]sparql.Var, [][]dict.
 			return nil, nil, err
 		}
 		if b == nil {
-			return vars, rows, nil
+			break
 		}
-		n := b.live()
-		buf := make([]dict.ID, n*w)
-		for i := 0; i < n; i++ {
-			r := i
+		nb := b.live()
+		off := len(ex.rowBuf)
+		ex.rowBuf = slices.Grow(ex.rowBuf, nb*w)[:off+nb*w]
+		dst := ex.rowBuf[off:]
+		for j, col := range b.cols {
 			if b.sel != nil {
-				r = int(b.sel[i])
+				for i, r := range b.sel {
+					dst[i*w+j] = col[r]
+				}
+			} else {
+				for i, v := range col[:nb] {
+					dst[i*w+j] = v
+				}
 			}
-			row := buf[i*w : (i+1)*w : (i+1)*w]
-			for j, col := range b.cols {
-				row[j] = col[r]
-			}
-			rows = append(rows, row)
 		}
+		n += nb
 	}
+	if n == 0 {
+		return vars, nil, nil
+	}
+	data := make([]dict.ID, len(ex.rowBuf))
+	copy(data, ex.rowBuf)
+	rows := make([][]dict.ID, n)
+	for i := range rows {
+		rows[i] = data[i*w : (i+1)*w : (i+1)*w]
+	}
+	return vars, rows, nil
 }
 
 // build constructs the operator for one physical node. A node marked by
@@ -303,7 +327,7 @@ func (ex *executor) buildNode(n *plan.PhysNode) (operator, error) {
 
 // drain pulls a child to exhaustion into a dense relation.
 func (ex *executor) drain(child operator) (*colRelation, error) {
-	rel := &colRelation{vars: child.vars(), cols: make([][]dict.ID, len(child.vars()))}
+	rel := ex.newRelation(child.vars())
 	for {
 		b, err := child.next()
 		if err != nil {
@@ -426,6 +450,7 @@ type scanOp struct {
 	cursor  *store.Scan // nil for missing leaves (empty)
 	plan    scanPlan
 	keep    []store.IDTriple
+	out     colBatch // the batch next returns; its pooled columns are reused
 }
 
 func newScanOp(ex *executor, cp *plan.CompiledPattern) *scanOp {
@@ -476,9 +501,14 @@ func (op *scanOp) next() (*colBatch, error) {
 			continue
 		}
 		n := len(triples)
-		cols := make([][]dict.ID, len(op.outVars))
+		if op.out.cols == nil {
+			op.out = colBatch{schema: op.outVars, cols: make([][]dict.ID, len(op.outVars))}
+			for _, s := range op.plan.srcs {
+				op.ex.col(&op.out.cols[s.col])
+			}
+		}
 		for _, s := range op.plan.srcs {
-			col := make([]dict.ID, n)
+			col := slices.Grow(op.out.cols[s.col][:0], n)[:n]
 			switch s.pos {
 			case 0:
 				for i := range triples {
@@ -493,10 +523,11 @@ func (op *scanOp) next() (*colBatch, error) {
 					col[i] = triples[i].O
 				}
 			}
-			cols[s.col] = col
+			op.out.cols[s.col] = col
 		}
+		op.out.n = n
 		op.ex.kern.Batches++
-		return &colBatch{schema: op.outVars, cols: cols, n: n}, nil
+		return &op.out, nil
 	}
 }
 
@@ -509,6 +540,7 @@ type probeOp struct {
 	child   operator
 	plan    probePlan
 	scratch []store.IDTriple
+	out     colBatch // the batch next returns; its pooled columns are reused
 }
 
 func (op *probeOp) vars() []sparql.Var { return op.plan.outVars }
@@ -537,7 +569,16 @@ func (op *probeOp) next() (*colBatch, error) {
 func (op *probeOp) probeBatch(in *colBatch) *colBatch {
 	pp := &op.plan
 	nin := len(in.schema)
-	outCols := make([][]dict.ID, len(pp.outVars))
+	if op.out.cols == nil {
+		op.out = colBatch{schema: pp.outVars, cols: make([][]dict.ID, len(pp.outVars))}
+		for j := range op.out.cols {
+			op.ex.col(&op.out.cols[j])
+		}
+	}
+	outCols := op.out.cols
+	for j := range outCols {
+		outCols[j] = outCols[j][:0]
+	}
 	outN := 0
 	probeRow := func(r int32) {
 		pat := pp.pat
@@ -602,7 +643,8 @@ func (op *probeOp) probeBatch(in *colBatch) *colBatch {
 	if outN == 0 {
 		return nil
 	}
-	return &colBatch{schema: pp.outVars, cols: outCols, n: outN}
+	op.out.n = outN
+	return &op.out
 }
 
 // --- Filter ------------------------------------------------------------------
@@ -617,6 +659,7 @@ type filterOp struct {
 	filters []compiledFilter
 	memoCol []int              // column a memoizable filter keys on, -1 otherwise
 	memo    []map[dict.ID]bool // per-filter verdict cache (nil when not memoizable)
+	out     colBatch           // the batch next returns: the child's columns, a pooled selection
 }
 
 func newFilterOp(ex *executor, child operator, cs []compiledFilter) *filterOp {
@@ -701,9 +744,11 @@ func (op *filterOp) next() (*colBatch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		var sel []int32
+		if op.out.sel == nil {
+			op.ex.sel(&op.out.sel)
+		}
+		sel := op.out.sel[:0]
 		if b.sel != nil {
-			sel = make([]int32, 0, len(b.sel))
 			for _, r := range b.sel {
 				op.ex.work++
 				op.ex.kern.FilterRows++
@@ -712,7 +757,6 @@ func (op *filterOp) next() (*colBatch, error) {
 				}
 			}
 		} else {
-			sel = make([]int32, 0, b.n)
 			for r := int32(0); int(r) < b.n; r++ {
 				op.ex.work++
 				op.ex.kern.FilterRows++
@@ -721,9 +765,11 @@ func (op *filterOp) next() (*colBatch, error) {
 				}
 			}
 		}
+		op.out.sel = sel
 		if len(sel) > 0 {
 			op.ex.kern.Batches++
-			return &colBatch{schema: b.schema, cols: b.cols, n: b.n, sel: sel}, nil
+			op.out.schema, op.out.cols, op.out.n = b.schema, b.cols, b.n
+			return &op.out, nil
 		}
 	}
 }
@@ -739,6 +785,15 @@ func sharedCols(lvars, rvars []sparql.Var) [][2]int {
 		}
 	}
 	return out
+}
+
+// unzipCols splits sharedCols pairs into the left and the right columns.
+func unzipCols(shared [][2]int) (left, right []int) {
+	left, right = make([]int, len(shared)), make([]int, len(shared))
+	for i, sc := range shared {
+		left[i], right[i] = sc[0], sc[1]
+	}
+	return left, right
 }
 
 // joinVars is the output schema of a binary join: every left variable,
@@ -836,6 +891,85 @@ func (op *joinOp) next() (*colBatch, error) {
 	return op.nextWindow(op.ex), nil
 }
 
+// joinTable indexes a join's build relation by its shared columns, for the
+// hash join and the left join alike. It is an open-addressing table over
+// pooled arrays, keyed exactly on every shared column however many there
+// are: slots holds 1 + the first build row of each key (0 = empty, linear
+// probing from the key's hash), and next[i] the build row after i with the
+// same key (-1 at the end), so each key's rows chain in build order. Once
+// built the table is read-only, so parallel probes share it.
+type joinTable struct {
+	rel   *colRelation
+	cols  []int // the build relation's shared columns
+	slots []int32
+	next  []int32
+	shift uint // 64 - log2(len(slots)): hashes index by their top bits
+}
+
+// hashRow hashes row of rel over cols.
+func hashRow(rel *colRelation, cols []int, row int) uint64 {
+	h := uint64(len(cols))
+	for _, c := range cols {
+		h = (h ^ uint64(rel.cols[c][row])) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
+
+// sameKey reports whether row ai of a over acols equals row bi of b over
+// bcols.
+func sameKey(a *colRelation, acols []int, ai int, b *colRelation, bcols []int, bi int) bool {
+	for x, c := range acols {
+		if a.cols[c][ai] != b.cols[bcols[x]][bi] {
+			return false
+		}
+	}
+	return true
+}
+
+// buildJoinTable indexes rel over cols. It links the chains back to front,
+// so each runs in ascending row order, and polls cancellation every
+// cancelCheckRows rows.
+func (ex *executor) buildJoinTable(rel *colRelation, cols []int) (*joinTable, error) {
+	size := 1
+	for size < 2*rel.n {
+		size <<= 1
+	}
+	t := &joinTable{rel: rel, cols: cols, slots: ex.int32s(size), next: ex.int32s(rel.n),
+		shift: uint(64 - bits.Len(uint(size-1)))}
+	clear(t.slots)
+	mask := size - 1
+	for i := rel.n - 1; i >= 0; i-- {
+		if (rel.n-1-i)%cancelCheckRows == 0 {
+			if err := ex.cancelled(); err != nil {
+				return nil, err
+			}
+		}
+		pos := int(hashRow(rel, cols, i) >> t.shift)
+		t.next[i] = -1
+		for ; t.slots[pos] != 0; pos = (pos + 1) & mask {
+			if h := t.slots[pos] - 1; sameKey(rel, cols, int(h), rel, cols, i) {
+				t.next[i] = h
+				break
+			}
+		}
+		t.slots[pos] = int32(i + 1)
+	}
+	return t, nil
+}
+
+// first returns the first build row whose key equals row of probe over
+// pcols (the probe side's shared columns, paired with t.cols), or -1; the
+// rest of the matches follow through next.
+func (t *joinTable) first(probe *colRelation, pcols []int, row int) int32 {
+	mask := len(t.slots) - 1
+	for pos := int(hashRow(probe, pcols, row) >> t.shift); t.slots[pos] != 0; pos = (pos + 1) & mask {
+		if h := t.slots[pos] - 1; sameKey(t.rel, t.cols, int(h), probe, pcols, row) {
+			return h
+		}
+	}
+	return -1
+}
+
 // hashJoin builds a hash table on the smaller input and probes it with the
 // other in input order, appending output column-wise. Accounting: +1 work
 // per build row, per probe and per emitted row. With Parallelism > 1 the
@@ -851,43 +985,13 @@ func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, 
 		}
 	}
 	// l is the build side now.
-	type key [4]dict.ID
-	if len(shared) > 4 {
-		panic("exec: more than 4 shared join variables")
-	}
-	mkBuild := func(row int32) key {
-		var k key
-		for i, sc := range shared {
-			k[i] = l.cols[sc[0]][row]
-		}
-		return k
-	}
-	mkProbe := func(row int) key {
-		var k key
-		for i, sc := range shared {
-			k[i] = r.cols[sc[1]][row]
-		}
-		return k
-	}
-	table := make(map[key][]int32, l.n)
-	for i := 0; i < l.n; i++ {
-		if i%cancelCheckRows == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		k := mkBuild(int32(i))
-		table[k] = append(table[k], int32(i))
+	bcols, pcols := unzipCols(shared)
+	table, err := ex.buildJoinTable(l, bcols)
+	if err != nil {
+		return nil, err
 	}
 	ex.work += float64(l.n) // build cost
 	vars, srcs := joinLayout(l, r, swapped)
-	nBuildCols := 0
-	for _, s := range srcs {
-		if s.fromBuild {
-			nBuildCols++
-		}
-	}
-	out := &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
 	probeRows := func(cx *executor, lo, hi int, dst *colRelation) error {
 		steps := 0
 		for rr := lo; rr < hi; rr++ {
@@ -899,7 +1003,7 @@ func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, 
 			}
 			cx.work++ // probe cost
 			cx.kern.HashProbeRows++
-			for _, li := range table[mkProbe(rr)] {
+			for li := table.first(r, pcols, rr); li >= 0; li = table.next[li] {
 				for j, s := range srcs {
 					if s.fromBuild {
 						dst.cols[j] = append(dst.cols[j], l.cols[s.col][li])
@@ -913,26 +1017,19 @@ func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, 
 		}
 		return nil
 	}
+	out := ex.newRelation(vars)
 	// Build once, probe in parallel over the same morsel split as the row
 	// kernel, merging outputs and counters in morsel order.
 	if ex.parallelism() > 1 {
 		if morsels := morselize(r.n, ex.morselSize()); len(morsels) > 1 {
 			outs := make([]*colRelation, len(morsels))
-			counters := make([]execCounters, len(morsels))
-			workers, err := ex.runMorsels(len(morsels), func(i int) error {
-				wex := ex.workerExecutor()
-				dst := &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
-				if err := probeRows(wex, morsels[i][0], morsels[i][1], dst); err != nil {
-					return err
-				}
-				outs[i] = dst
-				counters[i] = wex.counters()
-				return nil
+			err := ex.runMorsels(len(morsels), func(wex *executor, i int) error {
+				outs[i] = wex.newRelation(vars)
+				return probeRows(wex, morsels[i][0], morsels[i][1], outs[i])
 			})
 			if err != nil {
 				return nil, err
 			}
-			ex.mergeMorsels(counters, workers)
 			mergeOutputs(out, outs)
 			return out, nil
 		}
@@ -984,11 +1081,11 @@ func (ex *executor) mergeJoin(l, r *colRelation, shared [][2]int) (out *colRelat
 		}
 		return 0
 	}
-	lperm := make([]int32, l.n)
+	lperm := ex.int32s(l.n)
 	for i := range lperm {
 		lperm[i] = int32(i)
 	}
-	rperm := make([]int32, r.n)
+	rperm := ex.int32s(r.n)
 	for i := range rperm {
 		rperm[i] = int32(i)
 	}
@@ -996,7 +1093,7 @@ func (ex *executor) mergeJoin(l, r *colRelation, shared [][2]int) (out *colRelat
 	sort.Slice(rperm, ex.lessWithCancel(func(i, j int) bool { return rCmp(rperm[i], rperm[j]) < 0 }))
 	ex.work += float64(l.n + r.n) // sort pass (linear proxy)
 	vars, extra := joinVars(l.vars, r.vars)
-	out = &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
+	out = ex.newRelation(vars)
 	nl := len(l.vars)
 	steps := 0
 	i, j := 0, 0
@@ -1051,7 +1148,7 @@ func (ex *executor) mergeJoin(l, r *colRelation, shared [][2]int) (out *colRelat
 // crossProduct is the cross product of two inputs sharing no variable.
 func (ex *executor) crossProduct(l, r *colRelation) (*colRelation, error) {
 	vars, extra := joinVars(l.vars, r.vars)
-	out := &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
+	out := ex.newRelation(vars)
 	nl := len(l.vars)
 	steps := 0
 	for i := 0; i < l.n; i++ {
@@ -1123,7 +1220,7 @@ func (op *orderOp) sortRel(rel *colRelation) (err error) {
 		}
 		cols[i] = ci
 	}
-	perm := make([]int32, rel.n)
+	perm := op.ex.int32s(rel.n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
@@ -1147,13 +1244,12 @@ func (op *orderOp) sortRel(rel *colRelation) (err error) {
 		return false
 	}))
 	op.ex.kern.GatherRows += rel.n
-	for j := range rel.cols {
-		src := rel.cols[j]
-		dst := make([]dict.ID, rel.n)
+	tmp := op.ex.ids.scratch(&idShelf, rel.n)
+	for _, col := range rel.cols {
 		for i, p := range perm {
-			dst[i] = src[p]
+			tmp[i] = col[p]
 		}
-		rel.cols[j] = dst
+		copy(col, tmp)
 	}
 	return nil
 }
@@ -1166,6 +1262,7 @@ type projectOp struct {
 	child   operator
 	outVars []sparql.Var
 	cols    []int
+	out     colBatch // the batch next returns, re-pointed on every call
 }
 
 func (op *projectOp) vars() []sparql.Var { return op.outVars }
@@ -1175,11 +1272,14 @@ func (op *projectOp) next() (*colBatch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	cols := make([][]dict.ID, len(op.cols))
-	for j, ci := range op.cols {
-		cols[j] = b.cols[ci]
+	if op.out.cols == nil {
+		op.out = colBatch{schema: op.outVars, cols: make([][]dict.ID, len(op.cols))}
 	}
-	return &colBatch{schema: op.outVars, cols: cols, n: b.n, sel: b.sel}, nil
+	for j, ci := range op.cols {
+		op.out.cols[j] = b.cols[ci]
+	}
+	op.out.n, op.out.sel = b.n, b.sel
+	return &op.out, nil
 }
 
 // --- Distinct ----------------------------------------------------------------
@@ -1190,6 +1290,7 @@ type distinctOp struct {
 	child  operator
 	seen   map[string]bool
 	keyBuf []byte
+	out    colBatch // the batch next returns: the child's columns, a pooled selection
 }
 
 func (op *distinctOp) vars() []sparql.Var { return op.child.vars() }
@@ -1217,9 +1318,11 @@ func (op *distinctOp) next() (*colBatch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		var sel []int32
+		if op.out.sel == nil {
+			op.ex.sel(&op.out.sel)
+		}
+		sel := op.out.sel[:0]
 		if b.sel != nil {
-			sel = make([]int32, 0, len(b.sel))
 			for _, r := range b.sel {
 				if op.keep(b, r) {
 					sel = append(sel, r)
@@ -1227,7 +1330,6 @@ func (op *distinctOp) next() (*colBatch, error) {
 				op.ex.work++
 			}
 		} else {
-			sel = make([]int32, 0, b.n)
 			for r := int32(0); int(r) < b.n; r++ {
 				if op.keep(b, r) {
 					sel = append(sel, r)
@@ -1235,8 +1337,10 @@ func (op *distinctOp) next() (*colBatch, error) {
 				op.ex.work++
 			}
 		}
+		op.out.sel = sel
 		if len(sel) > 0 {
-			return &colBatch{schema: b.schema, cols: b.cols, n: b.n, sel: sel}, nil
+			op.out.schema, op.out.cols, op.out.n = b.schema, b.cols, b.n
+			return &op.out, nil
 		}
 	}
 }

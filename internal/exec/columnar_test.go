@@ -65,7 +65,8 @@ func TestColumnarKernelStats(t *testing.T) {
 }
 
 // TestRunAllocsFlatInRows: result rows are cut from one backing array per
-// batch, so the allocations of a run do not grow with its row count.
+// run and intermediate columns come from the pool, so the allocations of a
+// run do not grow with its row count.
 func TestRunAllocsFlatInRows(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?s ?p ?o . }`)
 	allocs := func(n int) float64 {
@@ -77,9 +78,8 @@ func TestRunAllocsFlatInRows(t *testing.T) {
 			}
 		})
 	}
-	// 5 000 rows are five scan batches, each a few column, row-array and
-	// slice-growth allocations; one allocation per row would show as
-	// thousands.
+	// 5 000 rows are five scan batches; one allocation per row would show
+	// as thousands.
 	small, large := allocs(10), allocs(5000)
 	if large > small+100 {
 		t.Fatalf("a run allocates %.0f times for 5000 rows, %.0f for 10", large, small)
@@ -88,7 +88,7 @@ func TestRunAllocsFlatInRows(t *testing.T) {
 
 // TestRunRowsAreCapped: every result row's capacity is its width, so an
 // append to one row reallocates instead of writing into the next row of
-// the shared batch array.
+// the run's shared array.
 func TestRunRowsAreCapped(t *testing.T) {
 	res := run(t, buildChainStore(t, 50), `SELECT * WHERE { ?s ?p ?o . }`, Options{})
 	for i, row := range res.Rows {
@@ -236,9 +236,9 @@ func TestLeapfrogExplainSignature(t *testing.T) {
 }
 
 // TestColumnarProbeScratchReuse: the probe operator reuses one MatchBuf
-// scratch buffer across all probes, so once warm, probing 100 outer rows of
-// an overlay store (whose merge path would otherwise allocate per probe)
-// allocates only the output batch.
+// scratch buffer across all probes and its output batch across batches, so
+// once warm, probing 100 outer rows of an overlay store (whose merge path
+// would otherwise allocate per probe) allocates nothing.
 func TestColumnarProbeScratchReuse(t *testing.T) {
 	st := buildStarStore(t, 50, 5)
 	d, err := st.NewDelta().Apply([]rdf.Triple{rdf.NewTriple(iri("hub9999"), iri("p1"), iri("x"))}, nil)
@@ -253,10 +253,13 @@ func TestColumnarProbeScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := &probeOp{ex: ex, plan: buildProbePlan(outer.vars, &c.Patterns[1])}
-	in := outer.window(0, 100)
-	// AllocsPerRun's warm-up call grows the scratch once; what remains is
-	// the batch and its columns' appends, a handful per column.
-	if n := testing.AllocsPerRun(20, func() { probe.probeBatch(in) }); n > 40 {
-		t.Fatalf("probing 100 rows allocates %.0f times once warm, want the output batch's few", n)
+	in := &colBatch{schema: outer.vars, cols: make([][]dict.ID, len(outer.cols)), n: 100}
+	for j, col := range outer.cols {
+		in.cols[j] = col[:100]
+	}
+	// AllocsPerRun's warm-up call grows the scratch and the pooled output
+	// columns once; after that the operator reuses both.
+	if n := testing.AllocsPerRun(20, func() { probe.probeBatch(in) }); n > 0 {
+		t.Fatalf("probing 100 rows allocates %.0f times once warm, want 0", n)
 	}
 }

@@ -188,6 +188,21 @@ type executor struct {
 	// Worker executors never carry one — their counters reach the tracing
 	// run through the morsel-order merge.
 	trace *traceState
+	// ids and sels record the pooled buffers the run holds (buffers.go),
+	// in the inline arrays below until a run needs more.
+	ids     loans[dict.ID]
+	sels    loans[int32]
+	idsBuf  [16]loan[dict.ID]
+	selsBuf [4]loan[int32]
+	// rowBuf gathers the result rows before run cuts them into Result.Rows.
+	rowBuf []dict.ID
+}
+
+// newExecutor returns an executor for one run (or one morsel of it).
+func newExecutor(st store.Source, ctx context.Context, opts Options) *executor {
+	ex := &executor{st: st, ctx: ctx, opts: opts}
+	ex.ids, ex.sels = ex.idsBuf[:0], ex.selsBuf[:0]
+	return ex
 }
 
 // cancelled returns the context's error once the run's context is done.
@@ -223,10 +238,13 @@ func Run(c *plan.Compiled, p *plan.Plan, st store.Source, opts Options) (*Result
 // accounting of a completed (non-cancelled) run is identical to Run's.
 func RunCtx(ctx context.Context, c *plan.Compiled, p *plan.Plan, st store.Source, opts Options) (*Result, error) {
 	start := time.Now()
-	ex := &executor{st: st, ctx: ctx, opts: opts}
+	ex := newExecutor(st, ctx, opts)
 	if opts.Trace != nil {
 		ex.trace = &traceState{}
 	}
+	// run has copied the rows out of every pooled buffer by the time it
+	// returns, whichever way it returns.
+	defer ex.release()
 	vars, rows, err := ex.run(c, p)
 	if err != nil {
 		return nil, err

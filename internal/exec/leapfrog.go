@@ -235,7 +235,7 @@ func (op *leapfrogOp) run() error {
 		outMap[j] = trieLevel[v]
 	}
 	nlevels := len(n.TrieVars)
-	out := &colRelation{vars: n.Vars, cols: make([][]dict.ID, len(n.Vars))}
+	out := ex.newRelation(n.Vars)
 	op.out = out
 
 	build := func(wex *executor, lo, hi dict.ID, bounded bool, dst *colRelation) *leapfrog {
@@ -267,10 +267,8 @@ func (op *leapfrogOp) run() error {
 	bounds := op.partitionBounds()
 	if ex.parallelism() > 1 && len(bounds) > 1 {
 		outs := make([]*colRelation, len(bounds))
-		counters := make([]execCounters, len(bounds))
-		workers, err := ex.runMorsels(len(bounds), func(i int) error {
-			wex := ex.workerExecutor()
-			dst := &colRelation{vars: n.Vars, cols: make([][]dict.ID, len(n.Vars))}
+		err := ex.runMorsels(len(bounds), func(wex *executor, i int) error {
+			dst := wex.newRelation(n.Vars)
 			var hi dict.ID
 			bounded := i+1 < len(bounds)
 			if bounded {
@@ -281,13 +279,11 @@ func (op *leapfrogOp) run() error {
 				return err
 			}
 			outs[i] = dst
-			counters[i] = wex.counters()
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		ex.mergeMorsels(counters, workers)
 		mergeOutputs(out, outs)
 	} else {
 		lf := build(ex, 0, 0, false, out)

@@ -161,6 +161,19 @@ func TestStreamingMatchesMaterializing(t *testing.T) {
 // multi-batch pipelines: the store holds far more than one batch of
 // triples.
 func TestStreamingMatchesMaterializingLarge(t *testing.T) {
+	st := buildLargeStore(t)
+	for i, src := range largeQueries {
+		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
+			res := run(t, st, src, Options{Join: alg})
+			assertFrozen(t, fmt.Sprintf("large/%d/%s", i, algNames[alg]), st, res)
+		}
+	}
+}
+
+// buildLargeStore holds 6000 random triples over 300 nodes and three
+// predicates — far more than one batch per pattern.
+func buildLargeStore(t testing.TB) *store.Store {
+	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	b := store.NewBuilder()
 	for i := 0; i < 6000; i++ {
@@ -173,13 +186,7 @@ func TestStreamingMatchesMaterializingLarge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := b.Build()
-	for i, src := range largeQueries {
-		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			res := run(t, st, src, Options{Join: alg})
-			assertFrozen(t, fmt.Sprintf("large/%d/%s", i, algNames[alg]), st, res)
-		}
-	}
+	return b.Build()
 }
 
 var largeQueries = []string{

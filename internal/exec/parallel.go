@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dict"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sparql"
@@ -62,26 +61,13 @@ func morselize(n, size int) [][2]int {
 	return out
 }
 
-// execCounters is the per-morsel accounting a worker hands back for the
-// in-order merge.
-type execCounters struct {
-	cout float64
-	work float64
-	scan int
-	kern KernelStats
-}
-
 // workerExecutor clones the run's executor for one morsel: same store,
-// context and options (with further nesting disabled), fresh counters.
+// context and options (with further nesting disabled), fresh counters and
+// no buffers of its own yet.
 func (ex *executor) workerExecutor() *executor {
 	opts := ex.opts
 	opts.Parallelism = 1
-	return &executor{st: ex.st, ctx: ex.ctx, opts: opts}
-}
-
-// counters snapshots an executor's accounting.
-func (ex *executor) counters() execCounters {
-	return execCounters{cout: ex.cout, work: ex.work, scan: ex.scan, kern: ex.kern}
+	return newExecutor(ex.st, ex.ctx, opts)
 }
 
 // mergeOutputs appends per-morsel outputs to dst in morsel order — the one
@@ -96,25 +82,25 @@ func mergeOutputs(dst *colRelation, outs []*colRelation) {
 	}
 }
 
-// mergeMorsels folds per-morsel counters into the run's accounting in
+// mergeMorsels folds the morsels' counters into the run's accounting in
 // morsel order and records the schedule (morsel count, peak worker count).
 // Under tracing it also attaches the per-morsel breakdown — counter shares
-// from the workers plus the timing/worker-id schedule the preceding
-// runMorsels call recorded — to the span whose next() frame is executing.
-func (ex *executor) mergeMorsels(counters []execCounters, workers int) {
-	for _, c := range counters {
-		ex.cout += c.cout
-		ex.work += c.work
-		ex.scan += c.scan
-		ex.kern.add(c.kern)
+// from the workers plus the timing/worker-id schedule runMorsels recorded —
+// to the span whose next() frame is executing.
+func (ex *executor) mergeMorsels(morsels []*executor, workers int) {
+	for _, w := range morsels {
+		ex.cout += w.cout
+		ex.work += w.work
+		ex.scan += w.scan
+		ex.kern.add(w.kern)
 	}
-	ex.morsels += len(counters)
+	ex.morsels += len(morsels)
 	if workers > ex.workers {
 		ex.workers = workers
 	}
 	if tr := ex.trace; tr != nil && tr.cur != nil {
-		for i, c := range counters {
-			m := obs.MorselStats{Index: i, Cout: c.cout, Work: c.work, Scanned: int64(c.scan)}
+		for i, w := range morsels {
+			m := obs.MorselStats{Index: i, Cout: w.cout, Work: w.work, Scanned: int64(w.scan)}
 			if i < len(tr.morselNs) {
 				m.WallNs = tr.morselNs[i]
 				m.Worker = tr.morselWorker[i]
@@ -128,15 +114,17 @@ func (ex *executor) mergeMorsels(counters []execCounters, workers int) {
 	}
 }
 
-// runMorsels executes fn(i) for every morsel index 0..n-1 across up to
-// Parallelism workers: the calling goroutine plus extra workers, each of
+// runMorsels executes fn(wex, i) for every morsel index 0..n-1 across up
+// to Parallelism workers: the calling goroutine plus extra workers, each of
 // which requires one token TryAcquire'd from Options.Pool when a pool is
 // configured (and is skipped, never waited for, when the pool is dry — the
-// query always progresses on its own goroutine). fn must be safe to call
-// concurrently for distinct indexes and must store its own output; the
-// first error stops all workers after their current morsel. Returns the
-// worker count used.
-func (ex *executor) runMorsels(n int, fn func(i int) error) (int, error) {
+// query always progresses on its own goroutine). Each morsel runs on its
+// own worker executor wex. fn must be safe to call concurrently for
+// distinct indexes and must store its own output; the first error stops
+// all workers after their current morsel. Once every worker has stopped,
+// the run adopts the morsels' pooled buffers and, when no morsel failed,
+// merges their counters in morsel order.
+func (ex *executor) runMorsels(n int, fn func(wex *executor, i int) error) error {
 	want := ex.parallelism()
 	if want > n {
 		want = n
@@ -168,6 +156,7 @@ func (ex *executor) runMorsels(n int, fn func(i int) error) (int, error) {
 		failed   atomic.Bool
 		errOnce  sync.Once
 		firstErr error
+		morsels  = make([]*executor, n)
 	)
 	worker := func(id int) {
 		for !failed.Load() {
@@ -179,7 +168,8 @@ func (ex *executor) runMorsels(n int, fn func(i int) error) (int, error) {
 			if tr != nil {
 				start = time.Now()
 			}
-			err := fn(i)
+			morsels[i] = ex.workerExecutor()
+			err := fn(morsels[i], i)
 			if tr != nil {
 				tr.morselNs[i] = time.Since(start).Nanoseconds()
 				tr.morselWorker[i] = id
@@ -201,7 +191,16 @@ func (ex *executor) runMorsels(n int, fn func(i int) error) (int, error) {
 	}
 	worker(0)
 	wg.Wait()
-	return extra + 1, firstErr
+	for _, m := range morsels {
+		if m != nil {
+			ex.adopt(m)
+		}
+	}
+	if firstErr != nil {
+		return firstErr
+	}
+	ex.mergeMorsels(morsels, extra+1)
+	return nil
 }
 
 // --- Sort cancellation -------------------------------------------------------
@@ -405,23 +404,15 @@ func (op *parallelOp) run() error {
 		return nil
 	}
 	outs := make([]*colRelation, len(parts))
-	counters := make([]execCounters, len(parts))
-	workers, err := ex.runMorsels(len(parts), func(i int) error {
-		wex := ex.workerExecutor()
-		chain := buildMorselChain(wex, op.stages, parts[i])
-		rel, err := wex.drain(chain)
-		if err != nil {
-			return err
-		}
+	err := ex.runMorsels(len(parts), func(wex *executor, i int) error {
+		rel, err := wex.drain(buildMorselChain(wex, op.stages, parts[i]))
 		outs[i] = rel
-		counters[i] = wex.counters()
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	ex.mergeMorsels(counters, workers)
-	merged := &colRelation{vars: op.vars(), cols: make([][]dict.ID, len(op.vars()))}
+	merged := ex.newRelation(op.vars())
 	mergeOutputs(merged, outs)
 	op.out = merged
 	return nil

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"runtime/metrics"
 	"sort"
 	"strings"
 )
@@ -15,7 +16,8 @@ import (
 // counters, the token pool, parallelism telemetry, kernel and algebra
 // counters, tracing counters, and the per-endpoint request counts and
 // latency histograms (cumulative `le` buckets with +Inf, _sum in seconds,
-// _count).
+// _count). Two Go runtime counters, GC cycles and heap bytes allocated,
+// come straight from runtime/metrics.
 
 // handleMetrics renders the exposition from one Stats snapshot.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -95,6 +97,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("repro_algebra_union_rows_total", "Rows emitted by unions.", float64(k.UnionRows))
 	m.counter("repro_algebra_agg_groups_total", "Groups emitted by aggregations.", float64(k.AggGroups))
 
+	cycles, allocBytes := gcCounters()
+	m.counter("repro_go_gc_cycles_total", "Completed garbage-collection cycles (runtime/metrics /gc/cycles/total:gc-cycles).", cycles)
+	m.counter("repro_go_heap_allocs_bytes_total", "Cumulative bytes allocated on the heap (runtime/metrics /gc/heap/allocs:bytes).", allocBytes)
+
 	m.counter("repro_traces_total", "Queries that ran with a trace collector.", float64(st.Trace.Traced))
 	m.counter("repro_slow_queries_total", "Queries at or above the slow-query threshold.", float64(st.Trace.Slow))
 	m.counter("repro_traces_retained_total", "Traces retained in the recent-trace ring (lifetime).", float64(st.Trace.Retained))
@@ -121,6 +127,15 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
+}
+
+// gcCounters reads the process's completed GC cycles and cumulative heap
+// allocation from runtime/metrics: two scrapes of /metrics give the
+// allocation rate and GC frequency of a running server without pprof.
+func gcCounters() (cycles, allocBytes float64) {
+	samples := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(samples)
+	return float64(samples[0].Value.Uint64()), float64(samples[1].Value.Uint64())
 }
 
 // metricWriter emits exposition lines.

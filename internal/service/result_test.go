@@ -12,8 +12,10 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"repro/internal/bsbm"
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -307,6 +309,34 @@ func BenchmarkWriteResult(b *testing.B) {
 			}
 			b.ReportMetric(float64(size.n)/float64(n), "bytes/row")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+	}
+}
+
+// BenchmarkExecutePrepared times a warm prepared ExecuteBatch of one
+// binding on the benchmark fixture: a Q4 index-probe chain (about 3 800
+// rows) and a Q2 that fills its LIMIT of 1 000 rows. B/op and allocs/op
+// are the execution path's garbage per request.
+func BenchmarkExecutePrepared(b *testing.B) {
+	svc := New(benchFixture(b), "", DefaultOptions())
+	for _, c := range []struct {
+		name, text string
+		binding    sparql.Binding
+	}{
+		{"q4", bsbm.QueryQ4Text, sparql.Binding{"ProductType": bsbm.TypeIRI(21)}},
+		{"q2", bsbm.QueryQ2Text, sparql.Binding{"Product": bsbm.ProductIRI(0)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := svc.Prepare(c.name, c.text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run := preparedRun(b, svc, p, c.binding)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
 		})
 	}
 }
