@@ -743,7 +743,7 @@ func BenchmarkExecParallel8(b *testing.B) { benchExecParallel(b, 8) }
 // a subject-hash sharded federation: per-shard cursors k-way merge back
 // into the exact global index stream, so rows and accounting are
 // bit-identical to the single-store run at any shard count. The 1-shard
-// and 4-shard variants bracket the coordinator overhead benchdiff gates.
+// and 4-shard variants bracket the coordinator overhead.
 func benchShardedScatterGather(b *testing.B, shards int) {
 	st, binding := benchParallelSetup(b)
 	sh := store.NewSharded(st, shards)

@@ -9,7 +9,9 @@ package dict
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rdf"
 )
@@ -51,6 +53,18 @@ type Dict struct {
 	nbase int             // base.Len() at creation, 0 without a base
 	terms []rdf.Term      // terms[id-1-nbase] is the term for id
 	ids   map[rdf.Term]ID // inverse mapping of the tail only
+
+	renderOnce sync.Once
+	render     atomic.Pointer[renderTable] // nil until the first JSON render
+}
+
+// renderTable holds every term the Dict had when it was built, rendered in
+// rdf.JSON: id's bytes are buf[offs[id-1]:offs[id]]. An empty span marks
+// an id the build could not render (a corrupt record of an on-disk base);
+// every valid term renders to at least two bytes.
+type renderTable struct {
+	offs []uint32 // n+1 entries for ids 1..n
+	buf  []byte
 }
 
 // New returns an empty dictionary.
@@ -144,7 +158,22 @@ func (d *Dict) TryDecode(id ID) (rdf.Term, bool) {
 
 // AppendTerm appends the rendering of id's term in syntax syn to dst, or
 // returns (dst, false) if id is invalid; nothing is allocated beyond dst.
+// A JSON render copies the term's bytes out of the render table, which the
+// first JSON render builds; ids minted since then, ids the build could not
+// render and every other syntax render through Term.Append.
 func (d *Dict) AppendTerm(dst []byte, id ID, syn *rdf.Syntax) ([]byte, bool) {
+	if syn == rdf.JSON {
+		tab := d.render.Load()
+		if tab == nil {
+			d.renderOnce.Do(d.buildRender)
+			tab = d.render.Load()
+		}
+		if tab != nil && id != None && int(id) < len(tab.offs) {
+			if lo, hi := tab.offs[id-1], tab.offs[id]; lo < hi {
+				return append(dst, tab.buf[lo:hi]...), true
+			}
+		}
+	}
 	if id != None && int(id) <= d.nbase {
 		return d.base.AppendTerm(dst, id, syn)
 	}
@@ -153,6 +182,42 @@ func (d *Dict) AppendTerm(dst []byte, id ID, syn *rdf.Syntax) ([]byte, bool) {
 		return dst, false
 	}
 	return t.Append(dst, syn), true
+}
+
+// buildRender renders ids 1..Len() into the render table with the renderer
+// AppendTerm would otherwise use: the base's for base ids, Term.Append for
+// the tail. The tail is taken under the read lock and rendered outside it;
+// Encode only appends, so the entries taken never change. A table past
+// 4 GiB is not kept, and every JSON render then takes the slow path.
+func (d *Dict) buildRender() {
+	d.mu.RLock()
+	tail := d.terms
+	d.mu.RUnlock()
+	n := d.nbase + len(tail)
+	offs := make([]uint32, n+1)
+	buf := make([]byte, 0, 32*n) // terms average ≈ 36 bytes in the BSBM data
+	for id := 1; id <= n; id++ {
+		if id <= d.nbase {
+			buf, _ = d.base.AppendTerm(buf, ID(id), rdf.JSON)
+		} else {
+			buf = tail[id-1-d.nbase].Append(buf, rdf.JSON)
+		}
+		if uint64(len(buf)) > math.MaxUint32 {
+			return
+		}
+		offs[id] = uint32(len(buf))
+	}
+	d.render.Store(&renderTable{offs: offs, buf: buf})
+}
+
+// RenderTableBytes is the memory the render table holds, offsets and
+// buffer: 0 until the first JSON render builds it.
+func (d *Dict) RenderTableBytes() int {
+	tab := d.render.Load()
+	if tab == nil {
+		return 0
+	}
+	return 4*cap(tab.offs) + cap(tab.buf)
 }
 
 // Len returns the number of distinct terms encoded.

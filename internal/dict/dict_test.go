@@ -167,3 +167,159 @@ func TestAppendTermMatchesTryDecode(t *testing.T) {
 		}
 	}
 }
+
+// renderTerms are terms whose JSON rendering escapes in every part of the
+// grammar: IRIs, literal values, language tags, datatypes, blank labels,
+// control bytes and invalid UTF-8.
+var renderTerms = []rdf.Term{
+	rdf.NewIRI("http://x/a b<c>d\"e{f}|g^h`i\\j"),
+	rdf.NewLiteral("ctl \x00\x1f\x7f nl \n quote \" backslash \\"),
+	rdf.NewLiteral("bad utf8 \xff\xc0\xaf \xe2\x82 end, fine é 😀"),
+	rdf.NewLiteral(""),
+	rdf.NewLangLiteral("chat \"noir\"", "fr-CA"),
+	rdf.NewTypedLiteral("x", "http://x/dt<\">"),
+	rdf.NewTypedLiteral("plain after all", rdf.XSDString),
+	rdf.NewBlank("odd \"label\"\n"),
+}
+
+// serialJSON is every id's JSON rendering through Term.Append.
+func serialJSON(t *testing.T, d *Dict) []string {
+	t.Helper()
+	want := make([]string, d.Len()+1)
+	for id := ID(1); int(id) <= d.Len(); id++ {
+		want[id] = string(d.Decode(id).Append(nil, rdf.JSON))
+	}
+	return want
+}
+
+// TestRenderTableExact: the first JSON render builds the table over every
+// id, each table span equals Term.Append's bytes, and ids encoded after
+// the build render through Term.Append with identical bytes.
+func TestRenderTableExact(t *testing.T) {
+	d := New()
+	for _, tm := range renderTerms {
+		d.Encode(tm)
+	}
+	if d.RenderTableBytes() != 0 {
+		t.Fatal("table built before the first JSON render")
+	}
+	d.AppendTerm(nil, 1, rdf.NTriples)
+	if d.RenderTableBytes() != 0 {
+		t.Fatal("an N-Triples render built the table")
+	}
+	want := serialJSON(t, d)
+	d.AppendTerm(nil, 1, rdf.JSON)
+	tab := d.render.Load()
+	if tab == nil || len(tab.offs) != len(renderTerms)+1 || d.RenderTableBytes() <= 0 {
+		t.Fatalf("table after the first JSON render: %+v, %d bytes", tab, d.RenderTableBytes())
+	}
+	for id := ID(1); int(id) <= len(renderTerms); id++ {
+		if got := string(tab.buf[tab.offs[id-1]:tab.offs[id]]); got != want[id] {
+			t.Fatalf("table bytes of %d = %q, want %q", id, got, want[id])
+		}
+	}
+	for i := range renderTerms {
+		d.Encode(rdf.NewLiteral(fmt.Sprintf("late \"%d\"", i)))
+	}
+	want = serialJSON(t, d)
+	for id := ID(1); int(id) <= d.Len(); id++ {
+		if got, ok := d.AppendTerm([]byte("x"), id, rdf.JSON); !ok || string(got) != "x"+want[id] {
+			t.Fatalf("AppendTerm(%d) = %q, %v; want %q", id, got, ok, "x"+want[id])
+		}
+	}
+	if d.render.Load() != tab {
+		t.Fatal("table rebuilt")
+	}
+}
+
+// brokenBase is a base whose id bad cannot be resolved, as a corrupt
+// record of an on-disk base cannot.
+type brokenBase struct {
+	terms []rdf.Term
+	bad   ID
+}
+
+func (b brokenBase) Len() int { return len(b.terms) }
+func (b brokenBase) TryDecode(id ID) (rdf.Term, bool) {
+	if id == None || id == b.bad || int(id) > len(b.terms) {
+		return rdf.Term{}, false
+	}
+	return b.terms[id-1], true
+}
+func (b brokenBase) AppendTerm(dst []byte, id ID, syn *rdf.Syntax) ([]byte, bool) {
+	t, ok := b.TryDecode(id)
+	if !ok {
+		return dst, false
+	}
+	return t.Append(dst, syn), true
+}
+func (b brokenBase) Lookup(rdf.Term) (ID, bool) { return None, false }
+
+// TestRenderTableBrokenBaseRecord: an id the base cannot render leaves an
+// empty span, so it still renders as invalid, and every other id of the
+// base and of the tail renders as before.
+func TestRenderTableBrokenBaseRecord(t *testing.T) {
+	d := NewOver(brokenBase{terms: renderTerms, bad: 3})
+	tail := d.Encode(rdf.NewIRI("http://x/tail"))
+	for id := ID(1); int(id) <= d.Len(); id++ {
+		got, ok := d.AppendTerm([]byte("x"), id, rdf.JSON)
+		if id == 3 {
+			if ok || string(got) != "x" {
+				t.Fatalf("broken id rendered %q, %v", got, ok)
+			}
+			continue
+		}
+		tm := d.Decode(id)
+		if want := tm.Append([]byte("x"), rdf.JSON); !ok || string(got) != string(want) {
+			t.Fatalf("AppendTerm(%d) = %q, %v; want %q", id, got, ok, want)
+		}
+	}
+	if tab := d.render.Load(); tab == nil || len(tab.offs) != int(tail)+1 {
+		t.Fatal("table does not cover the base and the tail")
+	}
+}
+
+// TestRaceJSONTable: 16 goroutines make the first JSON render together
+// while another encodes fresh terms; every render equals the serial one.
+func TestRaceJSONTable(t *testing.T) {
+	d := New()
+	for i := 0; i < 2000; i++ {
+		d.Encode(renderTerms[i%len(renderTerms)])
+		d.Encode(rdf.NewLangLiteral(fmt.Sprintf("term \"%d\"", i), "en"))
+	}
+	n := d.Len()
+	want := serialJSON(t, d)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < 2000; i++ {
+			d.Encode(rdf.NewIRI(fmt.Sprintf("http://x/fresh%d", i)))
+		}
+	}()
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var buf []byte
+			for id := ID(1); int(id) <= n; id++ {
+				var ok bool
+				if buf, ok = d.AppendTerm(buf[:0], id, rdf.JSON); !ok || string(buf) != want[id] {
+					t.Errorf("AppendTerm(%d) = %q, %v; want %q", id, buf, ok, want[id])
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	want = serialJSON(t, d)
+	for id := ID(1); int(id) <= d.Len(); id++ {
+		if got, _ := d.AppendTerm(nil, id, rdf.JSON); string(got) != want[id] {
+			t.Fatalf("after the race, AppendTerm(%d) = %q, want %q", id, got, want[id])
+		}
+	}
+}

@@ -127,16 +127,7 @@ func TestMetricsGCCounters(t *testing.T) {
 		body := fetchText(t, srv.URL+"/metrics")
 		vals := make([]float64, len(names))
 		for i, name := range names {
-			if !strings.Contains(body, "# TYPE "+name+" counter\n") {
-				t.Fatalf("/metrics has no counter %s", name)
-			}
-			_, after, _ := strings.Cut(body, "\n"+name+" ")
-			line, _, _ := strings.Cut(after, "\n")
-			v, err := strconv.ParseFloat(line, 64)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			vals[i] = v
+			vals[i] = metricValue(t, body, name, "counter")
 		}
 		return vals
 	}
@@ -152,3 +143,47 @@ func TestMetricsGCCounters(t *testing.T) {
 }
 
 var sink []byte
+
+// metricValue is the value of the unlabelled metric name of type typ in a
+// /metrics exposition.
+func metricValue(t *testing.T, body, name, typ string) float64 {
+	t.Helper()
+	if !strings.Contains(body, "# TYPE "+name+" "+typ+"\n") {
+		t.Fatalf("/metrics has no %s %s", typ, name)
+	}
+	_, after, _ := strings.Cut(body, "\n"+name+" ")
+	line, _, _ := strings.Cut(after, "\n")
+	v, err := strconv.ParseFloat(line, 64)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return v
+}
+
+// TestMetricsRenderTableBytes: the dictionary's render table costs nothing
+// until a result is written as JSON, and its size is then on /metrics and
+// /stats.
+func TestMetricsRenderTableBytes(t *testing.T) {
+	_, srv := startTestServer(t, Options{})
+	const name = "repro_dict_render_table_bytes"
+	if v := metricValue(t, fetchText(t, srv.URL+"/metrics"), name, "gauge"); v != 0 {
+		t.Fatalf("%s = %v after start, want 0", name, v)
+	}
+	q := `SELECT ?f WHERE { %who <http://x/knows> ?f . }`
+	if resp, body := postJSON(t, srv.URL+"/prepare", prepareRequest{Name: "friends", Query: q}); resp.StatusCode != 200 {
+		t.Fatalf("prepare status %d: %s", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, srv.URL+"/execute", executeRequest{
+		Name:     "friends",
+		Bindings: map[string]string{"who": "<http://x/alice>"},
+	})
+	if resp.StatusCode != 200 {
+		t.Fatalf("execute status %d: %s", resp.StatusCode, body)
+	}
+	v := metricValue(t, fetchText(t, srv.URL+"/metrics"), name, "gauge")
+	var st Stats
+	getJSON(t, srv.URL+"/stats", &st)
+	if v <= 0 || float64(st.Store.RenderTableBytes) != v {
+		t.Fatalf("after /execute: %s = %v, /stats render_table_bytes = %d", name, v, st.Store.RenderTableBytes)
+	}
+}

@@ -37,6 +37,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.gauge("repro_store_mapped", "1 when the current snapshot serves from an mmap-backed v4 file, 0 for heap.", mapped)
 	m.gauge("repro_store_mapped_bytes", "Bytes of the snapshot file mappings backing the current store (0 for heap).", float64(st.Store.MappedBytes))
 	m.gauge("repro_store_mappings_awaiting_unmap", "Retired mmap-backed generations still pinned by in-flight queries.", float64(st.Store.MappingsAwaitingUnmap))
+	m.gauge("repro_dict_render_table_bytes", "Bytes of the dictionary's JSON-rendered term table (0 until the first JSON result).", float64(st.Store.RenderTableBytes))
 	m.gauge("repro_store_shards", "Shard count in coordinator mode (0 for a single store).", float64(st.Store.Shards))
 	if len(st.Store.PerShard) > 0 {
 		m.header("repro_shard_triples", "Triples per shard.", "gauge")

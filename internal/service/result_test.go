@@ -13,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/bsbm"
+	"repro/internal/dict"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -205,6 +206,28 @@ func TestResultJSONLeavesHTMLAlone(t *testing.T) {
 	}
 }
 
+// TestRenderTableAwkwardTerms: for every term of awkwardTerms, on the heap
+// store and on its mapped twin, the JSON bytes the dictionary renders from
+// its render table are exactly Term.Append's.
+func TestRenderTableAwkwardTerms(t *testing.T) {
+	for _, mapped := range []bool{false, true} {
+		st, err := resultStore(t, awkwardTerms, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := st.Dict()
+		for id := dict.ID(1); int(id) <= d.Len(); id++ {
+			got, ok := d.AppendTerm(nil, id, rdf.JSON)
+			if want := d.Decode(id).Append(nil, rdf.JSON); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("mapped=%v: AppendTerm(%d) = %q, %v; want %q", mapped, id, got, ok, want)
+			}
+		}
+		if d.RenderTableBytes() == 0 {
+			t.Fatalf("mapped=%v: no render table after JSON renders", mapped)
+		}
+	}
+}
+
 func FuzzResultJSON(f *testing.F) {
 	for i, tm := range awkwardTerms {
 		f.Add(uint8(tm.Kind), tm.Value, tm.Lang, tm.Datatype, i%4, uint8(i))
@@ -295,22 +318,52 @@ func TestWriteResultsStopsOnFailedWrite(t *testing.T) {
 	}
 }
 
+// BenchmarkWriteResult times writeResults: rows=n renders n rows of
+// quote-heavy language literals, bsbm-q4 a prepared Q4 (about 3 800 rows
+// of IRIs) over a mapped copy of the benchmark fixture, as served.
 func BenchmarkWriteResult(b *testing.B) {
-	w := discardResponse{h: http.Header{}}
 	for _, n := range []int{10, 1000, 5000} {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			outs := []*Outcome{resultOutcome(b, n)}
-			size := countingResponse{discardResponse: w}
-			writeResults(&size, outs, 0, false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				writeResults(w, outs, 0, false)
-			}
-			b.ReportMetric(float64(size.n)/float64(n), "bytes/row")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			benchWriteResult(b, resultOutcome(b, n))
 		})
 	}
+	b.Run("bsbm-q4", func(b *testing.B) {
+		var img bytes.Buffer
+		if err := benchFixture(b).WriteSnapshot(&img); err != nil {
+			b.Fatal(err)
+		}
+		st, err := store.OpenMappedBytes(img.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		svc := New(st, "", DefaultOptions())
+		p, err := svc.Prepare("q4", bsbm.QueryQ4Text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		outs, err := svc.ExecuteBatch(context.Background(), p, []sparql.Binding{{"ProductType": bsbm.TypeIRI(21)}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchWriteResult(b, outs[0])
+	})
+}
+
+// benchWriteResult times rendering out, reporting its size and time per
+// row.
+func benchWriteResult(b *testing.B, out *Outcome) {
+	w := discardResponse{h: http.Header{}}
+	outs := []*Outcome{out}
+	n := len(out.Result.Rows)
+	size := countingResponse{discardResponse: w}
+	writeResults(&size, outs, 0, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		writeResults(w, outs, 0, false)
+	}
+	b.ReportMetric(float64(size.n)/float64(n), "bytes/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
 // BenchmarkExecutePrepared times a warm prepared ExecuteBatch of one

@@ -1145,6 +1145,9 @@ type StoreStats struct {
 	// drains). A sharded generation counts once — all its shard mappings
 	// retire and release together.
 	MappingsAwaitingUnmap int64 `json:"mappings_awaiting_unmap"`
+	// RenderTableBytes is the memory of the dictionary's table of terms
+	// pre-rendered as JSON (0 until the first JSON result is written).
+	RenderTableBytes int `json:"render_table_bytes"`
 	// Shards is the shard count in coordinator mode (0 for a single
 	// store), and PerShard the per-shard breakdown.
 	Shards   int               `json:"shards,omitempty"`
@@ -1232,6 +1235,7 @@ func (s *Service) Stats() Stats {
 		Backend:               st.store.Backend(),
 		MappedBytes:           fed.MappedBytes(),
 		MappingsAwaitingUnmap: s.retiredMapped.Load(),
+		RenderTableBytes:      fed.Dict().RenderTableBytes(),
 	}
 	storeStats.PendingInserts, storeStats.PendingDeletes = fed.Pending()
 	// Each shard compacts against its own base, so the next update folds

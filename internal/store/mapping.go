@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 	"unsafe"
 
@@ -170,7 +171,7 @@ func parseRecord(rec []byte) (kind rdf.Kind, value, lang, datatype []byte, ok bo
 	kind = rdf.Kind(rec[0])
 	rest := rec[1:]
 	next := func() ([]byte, bool) {
-		n, w := uvarint(rest)
+		n, w := binary.Uvarint(rest)
 		if w <= 0 || n > uint64(len(rest)-w) {
 			return nil, false
 		}
@@ -191,29 +192,6 @@ func parseRecord(rec []byte) (kind rdf.Kind, value, lang, datatype []byte, ok bo
 		return 0, nil, nil, nil, false
 	}
 	return kind, value, lang, datatype, true
-}
-
-// uvarint is binary.Uvarint without the import cycle risk of a Reader:
-// it decodes from a byte slice, returning the value and the number of
-// bytes consumed (0 when truncated, negative on overflow), exactly like
-// encoding/binary.Uvarint.
-func uvarint(b []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, c := range b {
-		if i == 10 {
-			return 0, -(i + 1)
-		}
-		if c < 0x80 {
-			if i == 9 && c > 1 {
-				return 0, -(i + 1)
-			}
-			return x | uint64(c)<<s, i + 1
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
-	return 0, 0
 }
 
 // TryDecode returns the term for id, copying the component strings out of

@@ -390,6 +390,34 @@ func TestOpenMappedHardenedAccessors(t *testing.T) {
 			t.Fatal("ReadSnapshot accepted corrupt term record")
 		}
 	})
+	t.Run("corrupt record in the render table", func(t *testing.T) {
+		// The JSON render table is built over a mid-heap record with an
+		// invalid kind: that id still renders as invalid, every other id
+		// exactly as the intact store renders it.
+		n := st.Dict().Len()
+		bad := dict.ID(n / 2)
+		rec := heapOff + binary.LittleEndian.Uint64(img[offTab+8*uint64(bad-1):])
+		ms, err := OpenMappedBytes(corruptV4(img, func(b []byte) { b[rec] = 0xff }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := dict.ID(1); int(id) <= n; id++ {
+			got, ok := ms.Dict().AppendTerm([]byte("x"), id, rdf.JSON)
+			if id == bad {
+				if ok || string(got) != "x" {
+					t.Fatalf("corrupt record %d rendered %q, %v", id, got, ok)
+				}
+				continue
+			}
+			want := st.Dict().Decode(id).Append([]byte("x"), rdf.JSON)
+			if !ok || string(got) != string(want) {
+				t.Fatalf("AppendTerm(%d) = %q, %v; want %q", id, got, ok, want)
+			}
+		}
+		if ms.Dict().RenderTableBytes() == 0 {
+			t.Fatal("no render table was built")
+		}
+	})
 }
 
 func TestOpenMappedBytesUnaligned(t *testing.T) {
