@@ -25,29 +25,17 @@
 // accounting. See ARCHITECTURE.md for the layer map and where each counter
 // is maintained.
 //
-// Stores persist as binary snapshots, auto-detected by their 8-byte magic.
-// WriteSnapshot writes only v4; v1–v3 are read-only, so files written by
-// older builds stay loadable. The version compatibility matrix:
-//
-//	version  magic     layout                      read                 write         mmap-serve
-//	v1       RDFSNAP1  fixed-width, SPO stream     ReadSnapshot         no            no
-//	v2       RDFSNAP2  uvarint + delta-encoded     ReadSnapshot         no            no
-//	v3       RDFSNAP3  v2 + delta overlay streams  ReadSnapshot         no            no
-//	v4       RDFSNAP4  page-aligned sections,      ReadSnapshot (full   WriteSnapshot yes:
-//	                   offset-table dictionary,    revalidation and     (folds a      store.OpenMapped,
-//	                   all six indexes + stats     index rebuild)       delta)        O(1), zero-copy
-//
-// Every version is readable through ReadSnapshot/LoadAny;
-// store.LoadAnyMapped additionally serves v4 files straight from an OS
-// file mapping (the cmd/served default, see its -heap-load flag). Loading
-// the same data from any version yields an identical store.
+// Stores persist as v4 binary snapshots (magic "RDFSNAP4"): page-aligned
+// sections holding an offset-table dictionary, all six indexes and the
+// statistics. WriteSnapshot writes them (folding a pending delta in),
+// ReadSnapshot and store.LoadAny load them onto the heap with full
+// revalidation and an index rebuild, and store.LoadAnyMapped serves them
+// straight from an OS file mapping in O(1), zero-copy (the cmd/served
+// default, see its -heap-load flag). Files in the older formats v1–v3
+// fail to load with a *store.VersionError.
 //
 // On top of the one-shot pipeline, internal/service hosts a long-lived
 // concurrent query service — prepared templates, a shared LRU plan cache,
 // bounded-worker admission control and hot snapshot swaps — exposed as a
 // JSON HTTP API by cmd/served.
-//
-// bench_test.go in this package regenerates every empirical result of the
-// paper as a testing.B benchmark (plus serial-vs-parallel comparisons);
-// cmd/repro prints them as tables.
 package repro

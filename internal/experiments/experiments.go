@@ -79,7 +79,7 @@ func NewEnv(sc Scale) (*Env, error) { return NewEnvCached(sc, "") }
 
 // NewEnvCached is NewEnv with a snapshot cache: when cacheDir is non-empty,
 // each store is loaded from <cacheDir>/<dataset>-<scale>-<seed>.snap if
-// present and written there (v2 format) after generation otherwise. Cache
+// present and written there (v4 format) after generation otherwise. Cache
 // hits skip dictionary encoding, deduplication and all index sorting — the
 // expensive half of dataset preparation — and still re-run the seeded
 // generator with a discard sink to recover the Dataset metadata, so a

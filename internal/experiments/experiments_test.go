@@ -14,7 +14,7 @@ var (
 	envErr  error
 )
 
-func sharedEnv(t *testing.T) *Env {
+func sharedEnv(t testing.TB) *Env {
 	t.Helper()
 	envOnce.Do(func() {
 		envVal, envErr = NewEnv(SmallScale())

@@ -87,11 +87,6 @@ func NewInteger(v int64) Term {
 	return NewTypedLiteral(fmt.Sprintf("%d", v), XSDInteger)
 }
 
-// NewDouble returns an xsd:double literal.
-func NewDouble(v float64) Term {
-	return NewTypedLiteral(fmt.Sprintf("%g", v), XSDDouble)
-}
-
 // NewBoolean returns an xsd:boolean literal.
 func NewBoolean(v bool) Term {
 	if v {

@@ -233,7 +233,7 @@ func TestHTTPReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := b.Build()
-	path := filepath.Join(t.TempDir(), "v2.snap")
+	path := filepath.Join(t.TempDir(), "dave.snap")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)

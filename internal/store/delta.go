@@ -20,7 +20,7 @@ import (
 // snapshot and swap an atomic pointer; in-flight readers keep the snapshot
 // they pinned.
 //
-// Invariants (established by Apply, validated by the v3 snapshot reader):
+// Invariants (established by Apply):
 //
 //   - ins ∩ base = ∅ — an insertion never duplicates a base triple;
 //   - del ⊆ base — a deletion always names an existing base triple;
@@ -60,8 +60,8 @@ type Delta struct {
 // a read bound to an ID no pending triple names skips the delta's runs
 // without searching them. The bitmaps are exact (a bit is set exactly
 // when some pending triple names the ID), immutable and built only by
-// apply and newDeltaFromSets; an ID past the end, minted after they were
-// built, names no pending triple and reads as absent.
+// apply; an ID past the end, minted after they were built, names no
+// pending triple and reads as absent.
 type presence []uint64
 
 func (p presence) has(id dict.ID) bool {
@@ -551,35 +551,4 @@ func sortedContains(idx []IDTriple, o order, t IDTriple) bool {
 	p := orderPositions[o]
 	i := lowerBound(idx, p, 0, len(idx), packKey(&t, p))
 	return i < len(idx) && idx[i] == t
-}
-
-// newDeltaFromSets reconstructs a Delta from raw insert and delete sets
-// (the v3 snapshot path), validating the Delta invariants: every deletion
-// must name a base triple, no insertion may duplicate one, and the two
-// sets must be disjoint. The slices must be SPO-sorted and duplicate-free
-// (the snapshot reader guarantees this by construction). The statistics
-// are derived as for any update: the base's, patched by the two sets.
-func newDeltaFromSets(base *Store, ins, del []IDTriple) (*Delta, error) {
-	for _, t := range ins {
-		if base.baseContains(t) {
-			return nil, fmt.Errorf("store: delta insert %v duplicates a base triple", t)
-		}
-	}
-	for _, t := range del {
-		if !base.baseContains(t) {
-			return nil, fmt.Errorf("store: delta delete %v names no base triple", t)
-		}
-		if sortedContains(ins, orderSPO, t) {
-			return nil, fmt.Errorf("store: triple %v both inserted and deleted", t)
-		}
-	}
-	d := &Delta{base: base}
-	for o := order(0); o < numOrders; o++ {
-		d.ins[o] = sortedCopy(ins, o)
-		d.del[o] = sortedCopy(del, o)
-	}
-	empty := base.NewDelta()
-	d.markPresence(empty, [][]IDTriple{ins, del}, nil)
-	d.derive(empty, &viewTouches{added: d.ins, removed: d.del})
-	return d, nil
 }

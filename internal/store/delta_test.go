@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -70,7 +68,7 @@ func referenceStore(t *testing.T, ov Source) *Store {
 
 // applyRandomDelta mutates the store through a chain of random
 // insert/delete batches, returning the final delta.
-func applyRandomDelta(t *testing.T, rng *rand.Rand, st *Store, batches int) *Delta {
+func applyRandomDelta(t testing.TB, rng *rand.Rand, st *Store, batches int) *Delta {
 	t.Helper()
 	d := st.NewDelta()
 	for b := 0; b < batches; b++ {
@@ -343,117 +341,6 @@ func TestOverlayScanEquivalence(t *testing.T) {
 				t.Fatalf("ScanPartitions(%v, %d) concatenation diverges (%d vs %d triples)",
 					pat, n, len(got), len(want))
 			}
-		}
-	}
-}
-
-// TestSnapshotV3RoundTrip reads a checked-in v3 overlay snapshot back
-// into the overlay it was written from — base, delta and merged view —
-// and checks that writing it again (as v4) folds the delta in.
-func TestSnapshotV3RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	st := buildFrom(t, randomTriples(rng, 80))
-	d := applyRandomDelta(t, rng, st, 2)
-	if d.Empty() {
-		t.Fatal("test wants a non-empty delta")
-	}
-	ov := d.Overlay()
-	got, err := ReadSnapshot(bytes.NewReader(fixture(t, "v3-overlay")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd := got.Delta()
-	if gd == nil {
-		t.Fatal("v3 read lost the delta")
-	}
-	if gd.InsertCount() != d.InsertCount() || gd.DeleteCount() != d.DeleteCount() {
-		t.Fatalf("delta counts diverge: %d/%d vs %d/%d",
-			gd.InsertCount(), gd.DeleteCount(), d.InsertCount(), d.DeleteCount())
-	}
-	if gd.Base().Len() != st.Len() || got.Len() != ov.Len() {
-		t.Fatalf("len diverge: base %d vs %d, merged %d vs %d",
-			gd.Base().Len(), st.Len(), got.Len(), ov.Len())
-	}
-	wm, _ := ov.Match(Pattern{})
-	gm, _ := got.Match(Pattern{})
-	if !equalTriples(wm, gm) {
-		t.Fatal("merged triple stream diverges after v3 read")
-	}
-	var v4 bytes.Buffer
-	if err := got.WriteSnapshot(&v4); err != nil {
-		t.Fatal(err)
-	}
-	flat, err := ReadSnapshot(bytes.NewReader(v4.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, _ := flat.Match(Pattern{})
-	if flat.Delta() != nil || !equalTriples(fm, wm) {
-		t.Fatal("a v4 write of an overlay must fold the delta in")
-	}
-}
-
-// encodeV3 hand-assembles a v3 image of d's terms and the given SPO-
-// sorted runs, so the reader can be fed overlays no writer would produce.
-func encodeV3(d *dict.Dict, base, ins, del []IDTriple) []byte {
-	b := []byte(snapshotMagicV3)
-	for _, n := range []int{d.Len(), len(base), len(ins), len(del)} {
-		b = binary.AppendUvarint(b, uint64(n))
-	}
-	for id := dict.ID(1); int(id) <= d.Len(); id++ {
-		t := d.Decode(id)
-		b = append(b, byte(t.Kind))
-		for _, s := range []string{t.Value, t.Lang, t.Datatype} {
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
-		}
-	}
-	for _, run := range [][]IDTriple{base, ins, del} {
-		var prev IDTriple
-		for _, tr := range run {
-			rec := [3]uint64{0, 0, uint64(tr.O - prev.O)}
-			switch {
-			case tr.S != prev.S:
-				rec = [3]uint64{uint64(tr.S - prev.S), uint64(tr.P), uint64(tr.O)}
-			case tr.P != prev.P:
-				rec = [3]uint64{0, uint64(tr.P - prev.P), uint64(tr.O)}
-			}
-			for _, v := range rec {
-				b = binary.AppendUvarint(b, v)
-			}
-			prev = tr
-		}
-	}
-	return b
-}
-
-// TestSnapshotV3Invalid checks that v3 files violating the delta
-// invariants are rejected.
-func TestSnapshotV3Invalid(t *testing.T) {
-	base := buildFrom(t, []rdf.Triple{trp("a", "p", "b"), trp("c", "p", "d")})
-	baseTriples, _ := base.Match(Pattern{})
-	write := func(ins, del []IDTriple) []byte { return encodeV3(base.dict, baseTriples, ins, del) }
-	// The encoder itself produces readable files.
-	if _, err := ReadSnapshot(bytes.NewReader(write(nil, baseTriples[:1]))); err != nil {
-		t.Fatalf("valid hand-built v3 rejected: %v", err)
-	}
-	// An insert duplicating a base triple.
-	if _, err := ReadSnapshot(bytes.NewReader(write([]IDTriple{baseTriples[0]}, nil))); err == nil {
-		t.Fatal("insert duplicating base triple should be rejected")
-	}
-	// A delete naming no base triple.
-	bogus := IDTriple{S: baseTriples[0].S, P: baseTriples[0].P, O: baseTriples[0].S}
-	if base.baseContains(bogus) {
-		t.Fatal("test setup: bogus triple is real")
-	}
-	if _, err := ReadSnapshot(bytes.NewReader(write(nil, []IDTriple{bogus}))); err == nil {
-		t.Fatal("delete naming no base triple should be rejected")
-	}
-	// Truncations of a valid v3 file fail cleanly.
-	full := fixture(t, "v3-overlay")
-	for cut := 0; cut < len(full); cut += 11 {
-		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d should fail", cut)
 		}
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"strings"
 )
 
-// LoadAny builds a store from path, auto-detecting the format: binary
-// snapshots (any version) are recognized by their "RDFSNAP" magic, anything
-// else is parsed as N-Triples. It is the one loading path shared by
-// cmd/queryrun, cmd/benchrun and cmd/served.
+// LoadAny builds a store from path, auto-detecting the format: a binary
+// snapshot is recognized by its "RDFSNAP" magic and read by ReadSnapshot
+// (so a pre-v4 file fails with a *VersionError), anything else is parsed
+// as N-Triples. It is the one loading path shared by cmd/queryrun,
+// cmd/benchrun and cmd/served.
 func LoadAny(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -22,7 +23,7 @@ func LoadAny(path string) (*Store, error) {
 
 // LoadAnyMapped is LoadAny that serves v4 snapshots straight from an OS
 // file mapping: a v4 file comes back as an OpenMapped store in O(1) with
-// no deserialization, every other format falls through to the heap path.
+// no deserialization, every other input goes through LoadAnyReader.
 // It is what cmd/served uses by default (see its -heap-load flag).
 //
 // The sniff and the load share one file descriptor: the 8-byte magic is

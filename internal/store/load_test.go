@@ -28,7 +28,7 @@ func TestLoadAnyAutoDetect(t *testing.T) {
 		t.Fatalf("nt: %d triples", fromNT.Len())
 	}
 
-	// Snapshots load by magic: the written v4 and the read-only v1/v2.
+	// A v4 snapshot loads by magic.
 	v4 := filepath.Join(dir, "data.snap")
 	f, err := os.Create(v4)
 	if err != nil {
@@ -47,16 +47,6 @@ func TestLoadAnyAutoDetect(t *testing.T) {
 	pid, ok := fromSnap.Dict().Lookup(rdf.NewIRI("http://x/p"))
 	if fromSnap.Len() != fromNT.Len() || !ok || fromSnap.Count(Pattern{P: pid}) != 2 {
 		t.Fatalf("v4: %d triples, predicate lookup ok=%v", fromSnap.Len(), ok)
-	}
-	built, ids := buildTestStore(t)
-	for _, version := range []string{"v1", "v2"} {
-		fromSnap, err := LoadAny(filepath.Join("testdata", version+".snap"))
-		if err != nil {
-			t.Fatalf("%s: %v", version, err)
-		}
-		if fromSnap.Len() != built.Len() || fromSnap.Count(Pattern{P: ids["knows"]}) != 3 {
-			t.Fatalf("%s: %d triples, predicate count broken", version, fromSnap.Len())
-		}
 	}
 
 	if _, err := LoadAny(filepath.Join(dir, "missing.nt")); err == nil {

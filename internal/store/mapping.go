@@ -78,7 +78,7 @@ func (m *Mapping) Release() {
 
 // hostLittleEndian reports whether the host lays integers out
 // little-endian — the only byte order the zero-copy v4 views support (the
-// format itself is defined little-endian, like v1–v3).
+// format itself is defined little-endian).
 func hostLittleEndian() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1

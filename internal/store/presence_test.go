@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -139,9 +138,8 @@ func lateIDs(d *dict.Dict, k, n int) []dict.ID {
 
 // TestDeltaPresenceExact is the property test of the presence bitmaps:
 // along random update chains over one store and over each shard of a
-// 4-shard federation, and from a delta a v3 snapshot loaded, every
-// delta's bitmaps stay exact and its overlay reads stay equal to the
-// filter-free lookup and to a rebuild.
+// 4-shard federation, every delta's bitmaps stay exact and its overlay
+// reads stay equal to the filter-free lookup and to a rebuild.
 func TestDeltaPresenceExact(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(int64(300 + n)))
@@ -161,27 +159,4 @@ func TestDeltaPresenceExact(t *testing.T) {
 			}
 		}
 	}
-
-	t.Run("v3 snapshot delta", func(t *testing.T) {
-		ov, err := ReadSnapshot(bytes.NewReader(fixture(t, "v3-overlay")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := ov.Delta()
-		if d == nil {
-			t.Fatal("v3-overlay fixture loaded without a delta")
-		}
-		checkPresence(t, "v3", d, nil)
-		rng := rand.New(rand.NewSource(5))
-		sh := NewSharded(ov, 1)
-		w := &chainWorld{t: t, rng: rng, sd: sh.NewDelta(), view: sh}
-		for k := range 6 {
-			sd, err := w.sd.ApplyOps(append(w.ops(k), presenceOps(w, k)...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.sd, w.view = sd, sd.Overlay()
-			checkPresence(t, fmt.Sprintf("v3 step %d", k), sd.ShardDelta(0), lateIDs(w.dict(), k, 70))
-		}
-	})
 }

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,152 +103,117 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader("NOTASNAP????")); err == nil {
 		t.Fatal("bad magic should fail")
 	}
-	// Truncated, in the written format and in the read-only v2.
 	st, _ := buildTestStore(t)
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, full := range [][]byte{buf.Bytes(), fixture(t, "v2")} {
-		for _, cut := range []int{5, 9, 20, len(full) - 4} {
-			if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
-				t.Fatalf("truncation of %q at %d should fail", full[:8], cut)
-			}
+	full := v4Image(t, st)
+	// Truncated anywhere: inside the magic, the header page or a section.
+	for _, cut := range []int{0, 5, 9, 20, v4PageSize, len(full) - 4} {
+		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("truncation at %d should fail", cut)
 		}
 	}
-	// Corrupt a v2 triple's term ID to an out-of-range value.
-	corrupt := fixture(t, "v2")
-	corrupt[len(corrupt)-1] = 0xFF
-	corrupt[len(corrupt)-2] = 0xFF
-	corrupt[len(corrupt)-3] = 0xFF
-	corrupt[len(corrupt)-4] = 0xFF
+	// A triple naming a term id past the dictionary.
+	corrupt := corruptV4(full, func(b []byte) {
+		last := v4SPO(b, st.Len()-1)
+		binary.LittleEndian.PutUint32(last[8:], uint32(st.Dict().Len()+1))
+	})
 	if _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
 		t.Fatal("invalid term id should fail")
 	}
 }
 
-// fixture returns a checked-in snapshot in a read-only format, written
-// by the last version of this package that still wrote it:
-// testdata/v1.snap, v2.snap and v3.snap hold buildTestStore's data, and
-// v3-overlay.snap the overlay TestSnapshotV3RoundTrip rebuilds.
-func fixture(t *testing.T, name string) []byte {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", name+".snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
-// TestSnapshotV1StillLoads: v1, v2 and (plain) v3 snapshots load into a
-// store identical to the same data built in process.
-func TestSnapshotV1StillLoads(t *testing.T) {
-	built, ids := buildTestStore(t)
-	pats := []Pattern{{}, {S: ids["s1"]}, {P: ids["knows"]}, {O: ids["s3"]}, {P: ids["knows"], O: ids["s3"]}}
-	for _, name := range []string{"v1", "v2", "v3"} {
-		st, err := ReadSnapshot(bytes.NewReader(fixture(t, name)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if st.Delta() != nil {
-			t.Fatalf("%s: a plain snapshot loaded as an overlay", name)
-		}
-		if st.Len() != built.Len() || st.Dict().Len() != built.Dict().Len() {
-			t.Fatalf("%s: size mismatch after load", name)
-		}
-		for _, p := range pats {
-			if st.Count(p) != built.Count(p) {
-				t.Fatalf("%s: Count(%v) differs", name, p)
-			}
-		}
-		equalStoreSurface(t, built, st)
-	}
-}
-
-// TestSnapshotV2Smaller: delta+varint triples make v2 measurably smaller
-// than v1 on the same data, and both load into the same store.
-func TestSnapshotV2Smaller(t *testing.T) {
-	built, _ := buildTestStore(t)
-	v1, v2 := fixture(t, "v1"), fixture(t, "v2")
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
-	}
-	got, err := ReadSnapshot(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalStores(t, built, got) // indexes identical too
+// v4SPO returns the i-th triple record of a v4 image's SPO section.
+func v4SPO(img []byte, i int) []byte {
+	spo := binary.LittleEndian.Uint64(img[72:])
+	return img[spo+uint64(i)*idTripleBytes:][:idTripleBytes]
 }
 
 // TestSnapshotRejectsHugeCounts: headers claiming absurd term/triple counts
-// must fail with an error (when the stream runs dry), not allocate
-// gigabytes up front. The fixtures end immediately after the header.
+// must fail with an error, not allocate gigabytes up front. The images
+// end right after the header page.
 func TestSnapshotRejectsHugeCounts(t *testing.T) {
-	// v1: 4G terms, 4G triples, empty body.
-	v1 := []byte(snapshotMagicV1)
-	v1 = append(v1, 0xFF, 0xFF, 0xFF, 0xFF) // nTerms
-	v1 = append(v1, 0xFF, 0xFF, 0xFF, 0xFF) // nTriples
-	if _, err := ReadSnapshot(bytes.NewReader(v1)); err == nil {
-		t.Fatal("v1 huge header should fail")
-	}
-	// v2: uvarint counts beyond the 32-bit id space are rejected outright.
-	v2 := []byte(snapshotMagicV2)
-	v2 = binary.AppendUvarint(v2, 1<<40)
-	v2 = binary.AppendUvarint(v2, 1<<40)
-	if _, err := ReadSnapshot(bytes.NewReader(v2)); err == nil {
-		t.Fatal("v2 huge header should fail")
-	}
-	// v2: plausible counts but an empty body still errors cleanly.
-	v2 = []byte(snapshotMagicV2)
-	v2 = binary.AppendUvarint(v2, 1<<30)
-	v2 = binary.AppendUvarint(v2, 1<<30)
-	if _, err := ReadSnapshot(bytes.NewReader(v2)); err == nil {
-		t.Fatal("v2 truncated-after-header should fail")
+	st, _ := buildTestStore(t)
+	header := v4Image(t, st)[:v4PageSize]
+	for name, at := range map[string]int{"triples": 16, "terms": 24} {
+		huge := corruptV4(header, func(b []byte) { binary.LittleEndian.PutUint64(b[at:], 1<<40) })
+		if _, err := ReadSnapshot(bytes.NewReader(huge)); err == nil {
+			t.Fatalf("huge %s count should fail", name)
+		}
+		plausible := corruptV4(header, func(b []byte) { binary.LittleEndian.PutUint64(b[at:], 1<<30) })
+		if _, err := ReadSnapshot(bytes.NewReader(plausible)); err == nil {
+			t.Fatalf("%s count past the end of the file should fail", name)
+		}
 	}
 }
 
 // TestSnapshotRejectsDuplicateTriples: duplicate triples would produce a
-// store whose Len/Count/pstats disagree with any Builder-built store.
+// store whose Len/Count/pstats disagree with any Builder-built store. The
+// O(1) mapped open cannot see them; the revalidating heap load must.
 func TestSnapshotRejectsDuplicateTriples(t *testing.T) {
 	st, _ := buildTestStore(t)
-	// v1: append a copy of the last triple and patch the triple count.
-	v1 := fixture(t, "v1")
-	v1 = append(v1, v1[len(v1)-12:]...)
-	binary.LittleEndian.PutUint32(v1[12:16], uint32(st.Len()+1))
-	if _, err := ReadSnapshot(bytes.NewReader(v1)); err == nil {
-		t.Fatal("v1 duplicate triple should fail")
+	img := v4Image(t, st)
+	dup := corruptV4(img, func(b []byte) { copy(v4SPO(b, 1), v4SPO(b, 0)) })
+	if _, err := ReadSnapshot(bytes.NewReader(dup)); err == nil {
+		t.Fatal("duplicate triple should fail")
 	}
-	// v2: an all-zero delta record encodes "same triple again".
-	raw := append(fixture(t, "v2"), 0, 0, 0)
-	// Patch the uvarint triple count: re-encode the whole prefix instead of
-	// poking bytes — counts this small are single-byte uvarints.
-	if st.Len() >= 127 {
-		t.Fatal("fixture store grew; rewrite the uvarint patch")
-	}
-	idx := len(snapshotMagicV2)
-	termCount, n := binary.Uvarint(raw[idx:])
-	if n <= 0 || termCount == 0 {
-		t.Fatal("cannot parse term count")
-	}
-	cntIdx := idx + n
-	tripCount, n2 := binary.Uvarint(raw[cntIdx:])
-	if n2 != 1 || int(tripCount) != st.Len() {
-		t.Fatalf("unexpected triple count encoding (%d bytes, %d)", n2, tripCount)
-	}
-	raw[cntIdx] = byte(st.Len() + 1)
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil {
-		t.Fatal("v2 duplicate triple should fail")
+	swapped := corruptV4(img, func(b []byte) {
+		var tmp [idTripleBytes]byte
+		copy(tmp[:], v4SPO(b, 1))
+		copy(v4SPO(b, 1), v4SPO(b, 2))
+		copy(v4SPO(b, 2), tmp[:])
+	})
+	if _, err := ReadSnapshot(bytes.NewReader(swapped)); err == nil {
+		t.Fatal("out-of-order triples should fail")
 	}
 }
 
-// TestSnapshotV2Truncated: cutting a v2 stream at any point must produce a
-// clean error.
-func TestSnapshotV2Truncated(t *testing.T) {
-	full := fixture(t, "v2")
-	for cut := 0; cut < len(full); cut += 7 {
-		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d should fail", cut)
+// TestSnapshotVersionError: v4 is the only format read. A file in an
+// older format — the bare magic, or a whole file its writer produced (the
+// seed-v* entries of the FuzzReadSnapshot corpus) — fails with a
+// *VersionError naming its version through every load entry point, and
+// is never parsed as N-Triples.
+func TestSnapshotVersionError(t *testing.T) {
+	cases := []struct {
+		name    string
+		data    []byte
+		version int
+	}{
+		{"v1 magic", []byte("RDFSNAP1"), 1},
+		{"v2 magic", []byte("RDFSNAP2"), 2},
+		{"v3 magic", []byte("RDFSNAP3"), 3},
+		{"v5 magic", []byte("RDFSNAP5 and more"), 5},
+		{"v1 file", corpusEntry(t, "seed-v1"), 1},
+		{"v2 file", corpusEntry(t, "seed-v2"), 2},
+		{"v3 file", corpusEntry(t, "seed-v3"), 3},
+		{"v3 overlay file", corpusEntry(t, "seed-v3-overlay"), 3},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		path := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-"))
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		loads := map[string]func() (*Store, error){
+			"ReadSnapshot":  func() (*Store, error) { return ReadSnapshot(bytes.NewReader(c.data)) },
+			"LoadAnyReader": func() (*Store, error) { return LoadAnyReader(bytes.NewReader(c.data)) },
+			"LoadAny":       func() (*Store, error) { return LoadAny(path) },
+			"LoadAnyMapped": func() (*Store, error) { return LoadAnyMapped(path) },
+		}
+		for entry, load := range loads {
+			_, err := load()
+			var ve *VersionError
+			if !errors.As(err, &ve) || ve.Version != c.version {
+				t.Fatalf("%s via %s: err = %v, want a *VersionError for v%d", c.name, entry, err, c.version)
+			}
+			if want := fmt.Sprintf("v%d", c.version); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "only v4") {
+				t.Fatalf("%s via %s: message %q does not name v%d and v4", c.name, entry, err, c.version)
+			}
+		}
+	}
+	// A non-digit version byte is a bad magic, not a version.
+	_, err := ReadSnapshot(strings.NewReader("RDFSNAPx"))
+	var ve *VersionError
+	if err == nil || errors.As(err, &ve) {
+		t.Fatalf("RDFSNAPx: err = %v, want a bad-magic error", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sort"
@@ -14,8 +13,8 @@ import (
 	"repro/internal/rdf"
 )
 
-// Snapshot v4: the disk-native, mmap-scannable layout. Unlike v1–v3, which
-// are decode-then-rebuild serializations, a v4 file IS the store: every
+// Snapshot v4: the disk-native, mmap-scannable layout. A v4 file IS the
+// store, not a serialization to decode and rebuild: every
 // structure the read path touches — the six permutation indexes, the
 // dictionary and the statistics — is stored page-aligned and fixed-width,
 // so OpenMapped maps the file, validates the header page in O(1) and
@@ -60,13 +59,13 @@ import (
 // above), which is what lets the reader validate the whole table — bounds,
 // alignment, widths, non-overlap — by recomputing it, in O(1).
 //
-// Trust model (two tiers, like the v2/v3 hardening but split by cost):
+// Trust model (two tiers, split by cost):
 // OpenMapped performs O(1) structural validation of the header page plus
 // per-access bounds checks on everything reached through untrusted offsets
 // (term records fail TryDecode, never fault); ReadSnapshot on a v4 file is
-// the fully-validating path — it checks the triple stream and dictionary
-// exactly as hard as the v2 reader and rebuilds a heap store through the
-// standard construction path.
+// the fully-validating path — it checks the whole triple stream and
+// dictionary and rebuilds a heap store through the standard construction
+// path.
 const (
 	snapshotMagicV4 = "RDFSNAP4"
 	v4PageSize      = 4096
@@ -490,23 +489,15 @@ func openMappedData(data []byte, unmap func([]byte) error) (*Store, error) {
 	return s, nil
 }
 
-// readV4Heap is the fully-validating streaming path behind ReadSnapshot:
-// the v4 image is loaded into memory, structurally validated like
-// OpenMapped, then its triple stream and dictionary are checked exactly as
-// hard as the v2 reader checks its input — SPO strictly increasing
+// readV4Heap is the fully-validating path behind ReadSnapshot: the v4
+// image is structurally validated like OpenMapped, then its triple stream
+// and dictionary are checked in full — SPO strictly increasing
 // (duplicates rejected), every id in [1, nTerms], every term record
 // parseable and distinct — and a plain heap store is rebuilt through the
 // standard construction path. Statistics and the other five index sections
 // of the file are not trusted at all: they are recomputed from scratch.
-func readV4Heap(br *bufio.Reader, magic []byte, opts BuildOptions) (*Store, error) {
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("store: reading v4 snapshot: %w", err)
-	}
-	buf := make([]byte, 0, len(magic)+len(rest))
-	buf = append(buf, magic...)
-	buf = append(buf, rest...)
-	ms, err := OpenMappedBytes(buf)
+func readV4Heap(data []byte) (*Store, error) {
+	ms, err := OpenMappedBytes(data)
 	if err != nil {
 		return nil, err
 	}
@@ -536,5 +527,5 @@ func readV4Heap(br *bufio.Reader, magic []byte, opts BuildOptions) (*Store, erro
 		}
 		triples[i] = t
 	}
-	return buildIndexes(d, triples, opts), nil
+	return buildIndexes(d, triples, BuildOptions{}), nil
 }

@@ -231,15 +231,7 @@ func TestLoadAnyMapped(t *testing.T) {
 	if m4.Backend() != "mapped" {
 		t.Fatalf("v4 via LoadAnyMapped: backend %q", m4.Backend())
 	}
-	m2, err := LoadAnyMapped(filepath.Join("testdata", "v2.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Backend() != "heap" {
-		t.Fatalf("v2 via LoadAnyMapped: backend %q", m2.Backend())
-	}
 	equalStoreSurface(t, st, m4)
-	equalStoreSurface(t, st, m2)
 	if m := m4.Mapping(); m != nil {
 		m.Release()
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -333,15 +332,4 @@ func TestCommitMatchesBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCommitIsBuild(t, "mapped base", applyRandomDelta(t, rng, mapped, 6))
-
-	// A v3 overlay file derives its statistics through the same patch.
-	ov, err := ReadSnapshot(bytes.NewReader(fixture(t, "v3-overlay")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov.Delta() == nil {
-		t.Fatal("v3-overlay fixture loaded without a delta")
-	}
-	sameStats(t, "v3 overlay", ov, referenceStore(t, ov))
-	checkCommitIsBuild(t, "v3 overlay", ov.Delta())
 }
