@@ -34,28 +34,22 @@ func main() {
 		n       = flag.Int("n", 100, "bindings per group / per class")
 		seed    = flag.Int64("seed", 1, "seed")
 		greedy  = flag.Bool("greedy", false, "use the greedy optimizer instead of DP")
-		merge   = flag.Bool("mergejoin", false, "use sort-merge joins for interior joins")
-		push    = flag.Bool("pushfilters", false, "push single-variable filters below the joins")
 		par     = flag.Int("parallelism", 1, "intra-query workers for morsel-driven parallel pipelines (1 = serial; measured work/Cout stay bit-identical at any setting)")
 		snap    = flag.String("snapshot", "", "load the store from this snapshot or N-Triples file instead of generating")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *dataset, *scale, *query, *mode, *snap, *groups, *n, *seed, *par, *greedy, *merge, *push); err != nil {
+	if err := run(os.Stdout, *dataset, *scale, *query, *mode, *snap, *groups, *n, *seed, *par, *greedy); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64, parallelism int, greedy, merge, pushFilters bool) error {
+func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64, parallelism int, greedy bool) error {
 	st, tmpl, name, err := load(dataset, scale, query, seed, snapshot)
 	if err != nil {
 		return err
 	}
-	opts := exec.Options{PushFilters: pushFilters, Parallelism: parallelism}
-	if merge {
-		opts.Join = exec.SortMergeJoin
-	}
-	r := &workload.Runner{Store: st, Opts: opts, UseGreedy: greedy}
+	r := &workload.Runner{Store: st, Opts: exec.Options{Parallelism: parallelism}, UseGreedy: greedy}
 	dom, err := core.ExtractDomain(tmpl, st)
 	if err != nil {
 		return err

@@ -48,10 +48,6 @@ type config struct {
 	explain     bool
 	analyze     bool
 	greedy      bool
-	sampling    bool
-	leapfrog    bool
-	mergeJoin   bool
-	pushFilters bool
 	parallelism int
 	maxRows     int
 }
@@ -69,10 +65,6 @@ func main() {
 	flag.BoolVar(&cfg.explain, "explain", false, "print the optimized logical and physical plan trees")
 	flag.BoolVar(&cfg.analyze, "analyze", false, "EXPLAIN ANALYZE: trace the execution and print the plan annotated with observed rows, wall time and Cout/Work/Scanned per operator")
 	flag.BoolVar(&cfg.greedy, "greedy", false, "use the greedy optimizer")
-	flag.BoolVar(&cfg.sampling, "sampling", false, "use the sampling cardinality estimator")
-	flag.BoolVar(&cfg.leapfrog, "leapfrog", false, "lower eligible star BGPs to the worst-case-optimal leapfrog triejoin")
-	flag.BoolVar(&cfg.mergeJoin, "mergejoin", false, "use sort-merge joins for interior joins")
-	flag.BoolVar(&cfg.pushFilters, "pushfilters", false, "push single-variable filters below the joins")
 	flag.IntVar(&cfg.parallelism, "parallelism", 1, "intra-query workers for morsel-driven parallel pipelines (1 = serial; results are bit-identical at any setting)")
 	flag.IntVar(&cfg.maxRows, "maxrows", 50, "result rows to print (0 = all)")
 	flag.Var(&binds, "bind", "parameter binding name=term (repeatable)")
@@ -86,7 +78,7 @@ func main() {
 
 func run(w io.Writer, cfg config) error {
 	dataPath, queryStr, queryFile := cfg.dataPath, cfg.queryStr, cfg.queryFile
-	binds, explain, greedy, sampling, maxRows := cfg.binds, cfg.explain, cfg.greedy, cfg.sampling, cfg.maxRows
+	binds, explain, greedy, maxRows := cfg.binds, cfg.explain, cfg.greedy, cfg.maxRows
 	if dataPath == "" {
 		return fmt.Errorf("-data is required")
 	}
@@ -132,25 +124,17 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	var model plan.Model = plan.NewEstimator(st)
-	if sampling {
-		model = plan.NewSamplingEstimator(st, c, 0)
-	}
-	var p *plan.Plan
+	optimize := plan.Optimize
 	if greedy {
-		p, err = plan.OptimizeGreedy(c, model)
-	} else {
-		p, err = plan.Optimize(c, model)
+		optimize = plan.OptimizeGreedy
 	}
+	p, err := optimize(c, plan.NewEstimator(st))
 	if err != nil {
 		return err
 	}
-	opts := exec.Options{PushFilters: cfg.pushFilters, Parallelism: cfg.parallelism, Leapfrog: cfg.leapfrog}
-	if cfg.mergeJoin {
-		opts.Join = exec.SortMergeJoin
-	}
+	opts := exec.Options{Parallelism: cfg.parallelism}
 	if explain {
-		phys, err := plan.Lower(c, p, exec.PhysOptions(opts))
+		phys, err := plan.Lower(c, p)
 		if err != nil {
 			return err
 		}
@@ -174,11 +158,8 @@ func run(w io.Writer, cfg config) error {
 		fmt.Fprintf(w, "parallel: %d morsels on up to %d workers\n", res.Morsels, res.Workers)
 	}
 	if k := res.Kernels; k.Batches > 0 {
-		fmt.Fprintf(w, "columnar: %d batches (filter %d, hash-probe %d, merge %d, gather %d rows)\n",
-			k.Batches, k.FilterRows, k.HashProbeRows, k.MergeRows, k.GatherRows)
-		if k.LeapfrogRows > 0 || k.LeapfrogSeeks > 0 {
-			fmt.Fprintf(w, "leapfrog: %d rows, %d trie seeks\n", k.LeapfrogRows, k.LeapfrogSeeks)
-		}
+		fmt.Fprintf(w, "columnar: %d batches (filter %d, hash-probe %d, gather %d rows)\n",
+			k.Batches, k.FilterRows, k.HashProbeRows, k.GatherRows)
 	}
 	if k := res.Kernels; k.LeftJoinRows > 0 || k.UnionRows > 0 || k.AggGroups > 0 {
 		fmt.Fprintf(w, "algebra: left-join %d rows, union %d rows, %d groups\n",

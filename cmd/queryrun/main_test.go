@@ -95,15 +95,13 @@ func TestQueryFileAndModes(t *testing.T) {
 	if err := os.WriteFile(qf, []byte(`SELECT * WHERE { ?a <http://x/knows> ?b . ?b <http://x/knows> ?c . }`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []struct{ greedy, sampling bool }{
-		{false, false}, {true, false}, {false, true},
-	} {
+	for _, greedy := range []bool{false, true} {
 		var buf bytes.Buffer
-		if err := run(&buf, config{dataPath: data, queryFile: qf, greedy: mode.greedy, sampling: mode.sampling}); err != nil {
-			t.Fatalf("mode %+v: %v", mode, err)
+		if err := run(&buf, config{dataPath: data, queryFile: qf, greedy: greedy}); err != nil {
+			t.Fatalf("greedy=%v: %v", greedy, err)
 		}
 		if !strings.Contains(buf.String(), "1 rows") {
-			t.Fatalf("mode %+v: wrong rows:\n%s", mode, buf.String())
+			t.Fatalf("greedy=%v: wrong rows:\n%s", greedy, buf.String())
 		}
 	}
 }
@@ -134,8 +132,7 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestEngineModesAgree: filter pushdown, morsel parallelism and the
-// leapfrog lowering never change the printed rows.
+// TestEngineModesAgree: morsel parallelism never changes the printed rows.
 func TestEngineModesAgree(t *testing.T) {
 	data := writeTestData(t)
 	src := `SELECT ?x WHERE { <http://x/a> <http://x/knows> ?x . ?x <http://x/knows> ?c . }`
@@ -151,11 +148,8 @@ func TestEngineModesAgree(t *testing.T) {
 		out := buf.String()
 		return out[strings.Index(out, "?x"):]
 	}
-	want := rows(config{})
-	for _, cfg := range []config{{pushFilters: true}, {parallelism: 4}, {leapfrog: true}, {mergeJoin: true}} {
-		if got := rows(cfg); got != want {
-			t.Fatalf("%+v changed the rows:\n%s\nvs\n%s", cfg, got, want)
-		}
+	if got, want := rows(config{parallelism: 4}), rows(config{}); got != want {
+		t.Fatalf("-parallelism 4 changed the rows:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -55,37 +55,46 @@ func pprofMux() *http.ServeMux {
 	return mux
 }
 
-func main() {
-	var (
-		data    = flag.String("data", "", "N-Triples (.nt) or snapshot file (required)")
-		addr    = flag.String("addr", "127.0.0.1:8080", "listen address (bind non-loopback only on trusted networks)")
-		workers = flag.Int("workers", 0, "shared CPU budget: max concurrent query executions plus intra-query workers (0 = GOMAXPROCS)")
-		queue   = flag.Int("queue", 0, "max queued requests beyond running ones (0 = 4x workers, negative = no queue)")
-		par     = flag.Int("parallelism", 1, "per-query intra-query worker ceiling; extra workers are drawn from the shared -workers token pool (1 = serial, paper-experiment semantics)")
-		cache   = flag.Int("cache", 0, "plan cache entries (0 = 1024, negative = disabled)")
-		exact   = flag.Bool("exact-accounting", false, "drain LIMIT pipelines for paper-exact Cout/Work accounting instead of stopping early")
-		lf      = flag.Bool("leapfrog", false, "lower eligible star BGPs to the worst-case-optimal leapfrog triejoin")
-		reload  = flag.Bool("allow-reload", false, "enable POST /reload (loads any server-readable path a client names)")
-		update  = flag.Bool("allow-update", false, "enable POST /update (SPARQL-Update INSERT DATA / DELETE DATA)")
-		upRun   = flag.String("updaterun", "", "SPARQL-Update text (or @file) applied once at startup before serving")
-		compact = flag.Int("compact-threshold", 0, "pending delta size that triggers auto-compaction on update (0 = adaptive max(1024, base/8), negative = never)")
-		heap    = flag.Bool("heap-load", false, "fully deserialize snapshots into heap indexes instead of serving v4 snapshots from an OS file mapping")
-		shards  = flag.Int("shards", 0, "coordinator mode: partition the store into this many subject-hash shards and scatter-gather every query across them (results and accounting are identical at any shard count; <= 1 serves a single store)")
+// config is the command line: where to load from and listen, what to run
+// at startup, and the service options every other flag sets.
+type config struct {
+	data, addr, upRun, pprofAddr string
+	opts                         service.Options
+}
 
-		traceSample = flag.Int("trace-sample", 0, "trace every Nth query and retain it in the /trace/recent ring (0 = off)")
-		slowMs      = flag.Int("slow-query-ms", 0, "trace every query and retain+log any at or above this many milliseconds (0 = off)")
-		traceRecent = flag.Int("trace-recent", 0, "recent-trace ring capacity for /trace/recent (0 = 64)")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (off when empty; bind loopback only)")
+// parseFlags parses served's command line into a config.
+func parseFlags(args []string) (config, error) {
+	fs := flag.NewFlagSet("served", flag.ContinueOnError)
+	var (
+		data    = fs.String("data", "", "N-Triples (.nt) or snapshot file (required)")
+		addr    = fs.String("addr", "127.0.0.1:8080", "listen address (bind non-loopback only on trusted networks)")
+		workers = fs.Int("workers", 0, "shared CPU budget: max concurrent query executions plus intra-query workers (0 = GOMAXPROCS)")
+		queue   = fs.Int("queue", 0, "max queued requests beyond running ones (0 = 4x workers, negative = no queue)")
+		par     = fs.Int("parallelism", 1, "per-query intra-query worker ceiling; extra workers are drawn from the shared -workers token pool (1 = serial, paper-experiment semantics)")
+		cache   = fs.Int("cache", 0, "plan cache entries (0 = 1024, negative = disabled)")
+		exact   = fs.Bool("exact-accounting", false, "drain LIMIT pipelines for paper-exact Cout/Work accounting instead of stopping early")
+		reload  = fs.Bool("allow-reload", false, "enable POST /reload (loads any server-readable path a client names)")
+		update  = fs.Bool("allow-update", false, "enable POST /update (SPARQL-Update INSERT DATA / DELETE DATA)")
+		upRun   = fs.String("updaterun", "", "SPARQL-Update text (or @file) applied once at startup before serving")
+		compact = fs.Int("compact-threshold", 0, "pending delta size that triggers auto-compaction on update (0 = adaptive max(1024, base/8), negative = never)")
+		heap    = fs.Bool("heap-load", false, "fully deserialize snapshots into heap indexes instead of serving v4 snapshots from an OS file mapping")
+		shards  = fs.Int("shards", 0, "coordinator mode: partition the store into this many subject-hash shards and scatter-gather every query across them (results and accounting are identical at any shard count; <= 1 serves a single store)")
+
+		traceSample = fs.Int("trace-sample", 0, "trace every Nth query and retain it in the /trace/recent ring (0 = off)")
+		slowMs      = fs.Int("slow-query-ms", 0, "trace every query and retain+log any at or above this many milliseconds (0 = off)")
+		traceRecent = fs.Int("trace-recent", 0, "recent-trace ring capacity for /trace/recent (0 = 64)")
+		pprofAddr   = fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (off when empty; bind loopback only)")
 	)
-	flag.Parse()
-	if *data == "" {
-		fmt.Fprintln(os.Stderr, "served: -data is required")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
 	}
 	opts := service.DefaultOptions()
+	if *exact {
+		opts.Exec = exec.Options{}
+	}
+	opts.Exec.Parallelism = *par
 	opts.Workers = *workers
 	opts.QueueDepth = *queue
-	opts.Parallelism = *par
 	opts.PlanCacheSize = *cache
 	opts.AllowReload = *reload
 	opts.AllowUpdate = *update
@@ -98,17 +107,28 @@ func main() {
 	if *slowMs > 0 {
 		opts.SlowLog = os.Stderr
 	}
-	if *exact {
-		opts.Exec = exec.Options{}
+	return config{data: *data, addr: *addr, upRun: *upRun, pprofAddr: *pprofAddr, opts: opts}, nil
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
 	}
-	opts.Exec.Leapfrog = *lf
-	svc, err := service.Load(*data, opts)
+	if err != nil {
+		os.Exit(2)
+	}
+	if cfg.data == "" {
+		fmt.Fprintln(os.Stderr, "served: -data is required")
+		os.Exit(2)
+	}
+	svc, err := service.Load(cfg.data, cfg.opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "served:", err)
 		os.Exit(1)
 	}
-	if *upRun != "" {
-		src := *upRun
+	if cfg.upRun != "" {
+		src := cfg.upRun
 		if strings.HasPrefix(src, "@") {
 			data, err := os.ReadFile(src[1:])
 			if err != nil {
@@ -125,14 +145,14 @@ func main() {
 		log.Printf("served: startup update applied (+%d -%d named triples, %d pending, compacted=%v)",
 			res.Inserted, res.Deleted, res.PendingInserts+res.PendingDeletes, res.Compacted)
 	}
-	l, err := net.Listen("tcp", *addr)
+	l, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "served:", err)
 		os.Exit(1)
 	}
-	log.Printf("served: %d triples from %s, listening on %s", svc.Store().Len(), *data, l.Addr())
-	if *pprofAddr != "" {
-		pl, err := net.Listen("tcp", *pprofAddr)
+	log.Printf("served: %d triples from %s, listening on %s", svc.Store().Len(), cfg.data, l.Addr())
+	if cfg.pprofAddr != "" {
+		pl, err := net.Listen("tcp", cfg.pprofAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "served: -pprof-addr:", err)
 			os.Exit(1)

@@ -322,3 +322,32 @@ func TestServeDropsHalfSentHeader(t *testing.T) {
 		t.Fatalf("healthz status %d after the drop", resp.StatusCode)
 	}
 }
+
+// TestFlagsExactAccountingKeepsParallelism: -exact-accounting replaces the
+// serving-mode exec options, which must not drop -parallelism whichever
+// order the flags come in.
+func TestFlagsExactAccountingKeepsParallelism(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "data.nt")
+	if err := os.WriteFile(path, []byte("<http://x/a> <http://x/p> <http://x/b> .\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-data", path, "-exact-accounting", "-parallelism", "2"},
+		{"-data", path, "-parallelism", "2", "-exact-accounting"},
+	} {
+		cfg, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.opts.Exec.EarlyStop {
+			t.Fatalf("%v: EarlyStop still on", args)
+		}
+		svc, err := service.Load(cfg.data, cfg.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := svc.Stats().Parallel.Parallelism; got != 2 {
+			t.Fatalf("%v: serves with parallelism %d, want 2", args, got)
+		}
+	}
+}

@@ -19,7 +19,7 @@
 // Query execution flows logical plan → physical plan → operator
 // execution: plan.Compile and plan.Optimize produce the Cout-optimal join
 // tree, plan.Lower fixes the physical operator choices (index scans,
-// index-nested-loop probes, hash/merge/cross joins, filter placement), and
+// index-nested-loop probes, hash and cross joins, filter placement), and
 // exec pulls columnar batches through the operator tree, serially or
 // morsel-parallel with bit-identical results and Cout/Work/Scanned
 // accounting. See ARCHITECTURE.md for the layer map and where each counter

@@ -156,7 +156,7 @@ func analyzeBindings(tmpl *sparql.Query, st *store.Store, bindings []sparql.Bind
 }
 
 // analyzeOne compiles and optimizes the template for one binding.
-func analyzeOne(tmpl *sparql.Query, st *store.Store, est plan.Model, b sparql.Binding, useGreedy bool) (Point, error) {
+func analyzeOne(tmpl *sparql.Query, st *store.Store, est *plan.Estimator, b sparql.Binding, useGreedy bool) (Point, error) {
 	bound, err := tmpl.Bind(b)
 	if err != nil {
 		return Point{}, err

@@ -370,25 +370,12 @@ func EngineMatrix() []EngineRun {
 	}
 }
 
-// LeapfrogMatrix is the leapfrog triejoin configurations. Leapfrog emits
-// rows in trie order (not the binary plan's order) and accounts the
-// multiway join as one node, so these runs are compared byte-identically
-// only against each other, and against the oracle as a row multiset.
-func LeapfrogMatrix() []EngineRun {
-	return []EngineRun{
-		{Name: "leapfrog", Opts: exec.Options{Leapfrog: true}},
-		{Name: "leapfrog-p2-m1", Opts: exec.Options{Leapfrog: true, Parallelism: 2, MorselSize: 1}},
-		{Name: "leapfrog-p8-m16", Opts: exec.Options{Leapfrog: true, Parallelism: 8, MorselSize: 16}},
-	}
-}
-
 // GenStarQuery produces one random star-shaped BGP: 4–6 triple patterns
 // all sharing the hub variable ?h, each with a distinct leaf variable or
-// constant at the other end — the shape the leapfrog triejoin lowers to a
-// single multiway node. Filters, DISTINCT, ORDER BY and projection are
+// constant at the other end. Filters, DISTINCT, ORDER BY and projection are
 // generated as usual, but never LIMIT/OFFSET: those select a prefix of a
-// plan-dependent row order, and the leapfrog cells are meant to be checked
-// against the oracle as whole multisets.
+// plan-dependent row order, so the runs are checked against the oracle as
+// whole multisets.
 func (sc *Scenario) GenStarQuery(rng *rand.Rand) (*sparql.Query, error) {
 	leafVars := []sparql.Var{"a", "b", "c", "d", "e", "f"}
 	nPat := 4 + rng.Intn(3)
@@ -452,31 +439,12 @@ func (sc *Scenario) GenStarQuery(rng *rand.Rand) (*sparql.Query, error) {
 	return parsed, nil
 }
 
-// RunStarQuery executes a star query through the engine matrix
-// (RunQuery) and the leapfrog matrix, whose cells must be byte-identical to
-// each other and agree with the oracle. It returns the engine matrix's
-// canonical result.
-func RunStarQuery(q *sparql.Query, st store.Source, label string) (string, error) {
-	ref, err := RunQuery(q, st, label)
-	if err != nil {
-		return "", err
-	}
-	if _, err := runMatrix(q, st, label, LeapfrogMatrix()); err != nil {
-		return "", err
-	}
-	return ref, nil
-}
-
 // RunQuery executes q over st with every engine configuration, checks all
 // results agree byte-for-byte and the first matches the oracle; it returns
 // the canonical result, or an error naming the first diverging cell.
 func RunQuery(q *sparql.Query, st store.Source, label string) (string, error) {
-	return runMatrix(q, st, label, EngineMatrix())
-}
-
-func runMatrix(q *sparql.Query, st store.Source, label string, matrix []EngineRun) (string, error) {
 	var ref, refName string
-	for _, er := range matrix {
+	for _, er := range EngineMatrix() {
 		res, _, err := exec.Query(q, st, er.Opts)
 		if err != nil {
 			return "", fmt.Errorf("%s/%s: %w", label, er.Name, err)

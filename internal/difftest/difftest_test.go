@@ -95,11 +95,10 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-// TestDifferentialStarBGP cross-checks star-shaped BGPs — the shape the
-// leapfrog triejoin lowers to a single multiway node — across the engine
-// matrix and the leapfrog matrix (each byte-identical within itself at
-// Parallelism 1, 2 and 8, both matching the oracle), over the pristine
-// store, the delta overlay and the rebuilt reference store.
+// TestDifferentialStarBGP cross-checks star-shaped BGPs — four to six
+// patterns around one hub variable — across the engine matrix
+// (byte-identical at Parallelism 1, 2 and 8, matching the oracle), over
+// the pristine store, the delta overlay and the rebuilt reference store.
 func TestDifferentialStarBGP(t *testing.T) {
 	const queriesPerScenario = 15
 	for _, seed := range seedsUnderTest(t) {
@@ -114,14 +113,14 @@ func TestDifferentialStarBGP(t *testing.T) {
 				reportFailure(t, sc, "", err)
 			}
 			text := q.String()
-			if _, err := RunStarQuery(q, sc.Base, "pristine"); err != nil {
+			if _, err := RunQuery(q, sc.Base, "pristine"); err != nil {
 				reportFailure(t, sc, text, err)
 			}
-			ovl, err := RunStarQuery(q, sc.Overlay, "overlay")
+			ovl, err := RunQuery(q, sc.Overlay, "overlay")
 			if err != nil {
 				reportFailure(t, sc, text, err)
 			}
-			reb, err := RunStarQuery(q, sc.Rebuilt, "rebuilt")
+			reb, err := RunQuery(q, sc.Rebuilt, "rebuilt")
 			if err != nil {
 				reportFailure(t, sc, text, err)
 			}
@@ -339,7 +338,7 @@ func TestDifferentialSharded(t *testing.T) {
 }
 
 // TestDifferentialShardedAlgebra runs algebra queries (OPTIONAL/UNION/
-// aggregates) and star BGPs through the leapfrog matrix over sharded views,
+// aggregates) and star BGPs through the engine matrix over sharded views,
 // checking byte-identity against the single-store world.
 func TestDifferentialShardedAlgebra(t *testing.T) {
 	const queriesPerScenario = 10
@@ -384,11 +383,11 @@ func TestDifferentialShardedAlgebra(t *testing.T) {
 			if err != nil {
 				reportFailure(t, sc, "", err)
 			}
-			want, err := RunStarQuery(sq, sc.Base, "pristine")
+			want, err := RunQuery(sq, sc.Base, "pristine")
 			if err != nil {
 				reportFailure(t, sc, sq.String(), err)
 			}
-			got, err := RunStarQuery(sq, shBase, "pristine-sharded")
+			got, err := RunQuery(sq, shBase, "pristine-sharded")
 			if err != nil {
 				reportFailure(t, sc, sq.String(), err)
 			}

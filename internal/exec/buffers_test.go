@@ -29,30 +29,26 @@ func TestPoisonedBuffersKeepFrozenResults(t *testing.T) {
 		res *Result
 	}
 	var runs []ran
-	corpus := func(st *store.Store, queries []string, algs []JoinAlgorithm, key func(i int, alg JoinAlgorithm) string) {
+	corpus := func(st *store.Store, queries []string, key func(i int) string) {
 		for i, src := range queries {
-			for _, alg := range algs {
-				for _, par := range []int{1, 2, 8} {
-					res := run(t, st, src, Options{Join: alg, Parallelism: par, MorselSize: 2})
-					runs = append(runs, ran{key(i, alg), st, res})
-				}
+			for _, par := range []int{1, 2, 8} {
+				res := run(t, st, src, Options{Parallelism: par, MorselSize: 2})
+				runs = append(runs, ran{key(i), st, res})
 			}
 		}
 	}
-	both := []JoinAlgorithm{HashJoin, SortMergeJoin}
-	byAlg := func(prefix string) func(int, JoinAlgorithm) string {
-		return func(i int, alg JoinAlgorithm) string { return fmt.Sprintf("%s/%d/%s", prefix, i, algNames[alg]) }
+	byIndex := func(prefix string) func(int) string {
+		return func(i int) string { return fmt.Sprintf("%s/%d/hash", prefix, i) }
 	}
-	corpus(buildStreamStore(t), equivalenceQueries, both, byAlg("equivalence"))
-	corpus(buildLargeStore(t), largeQueries, both, byAlg("large"))
+	corpus(buildStreamStore(t), equivalenceQueries, byIndex("equivalence"))
+	corpus(buildLargeStore(t), largeQueries, byIndex("large"))
 	social := buildSocialStore(t)
-	corpus(social, columnarQueries, both, byAlg("columnar"))
+	corpus(social, columnarQueries, byIndex("columnar"))
 	algebra := make([]string, len(algebraQueries))
 	for i, q := range algebraQueries {
 		algebra[i] = q.src
 	}
-	corpus(social, algebra, []JoinAlgorithm{HashJoin},
-		func(i int, _ JoinAlgorithm) string { return "algebra/" + algebraQueries[i].name })
+	corpus(social, algebra, func(i int) string { return "algebra/" + algebraQueries[i].name })
 	for _, r := range runs {
 		assertFrozen(t, r.key, r.st, r.res)
 	}

@@ -22,10 +22,10 @@ import (
 // for each logical row it reads or emits, never per batch, so the totals
 // do not depend on batch boundaries, selection vectors or the morsel
 // schedule. The hash join builds on the smaller side and probes in input
-// order, the merge join sorts permutation arrays, and ORDER BY is a stable
-// sort, so row order is determined by the plan and the store's index order
-// alone. KernelStats (batch and kernel-row counts) describe the schedule
-// and are excluded from the golden comparison.
+// order, and ORDER BY is a stable sort, so row order is determined by the
+// plan and the store's index order alone. KernelStats (batch and
+// kernel-row counts) describe the schedule and are excluded from the
+// golden comparison.
 
 // batchSize is the number of rows an operator emits per pull. Batches
 // amortize the per-call overhead while keeping pipeline memory bounded.
@@ -130,24 +130,13 @@ type operator interface {
 	next() (*colBatch, error)
 }
 
-// PhysOptions returns the lowering options for opts — the single place
-// Options maps onto plan.PhysOptions, shared with EXPLAIN-style tooling so
-// the printed physical plan is the executed one.
-func PhysOptions(opts Options) plan.PhysOptions {
-	physJoin := plan.PhysJoinHash
-	if opts.Join == SortMergeJoin {
-		physJoin = plan.PhysJoinMerge
-	}
-	return plan.PhysOptions{Join: physJoin, PushFilters: opts.PushFilters, Leapfrog: opts.Leapfrog}
-}
-
 // run lowers the plan and drains the operator tree into result rows. The
 // rows are gathered row-major into a pooled buffer, then cut from one
 // backing array of the result's exact size, each capped at its width so an
 // append to one row can never write into the next. Nothing in the result
 // refers to a pooled buffer.
 func (ex *executor) run(c *plan.Compiled, p *plan.Plan) ([]sparql.Var, [][]dict.ID, error) {
-	phys, err := plan.Lower(c, p, PhysOptions(ex.opts))
+	phys, err := plan.Lower(c, p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -225,7 +214,7 @@ func (ex *executor) buildNode(n *plan.PhysNode) (operator, error) {
 			return nil, err
 		}
 		return &probeOp{ex: ex, child: child, plan: buildProbePlan(child.vars(), n.Leaf)}, nil
-	case plan.PhysHashJoin, plan.PhysMergeJoin, plan.PhysCross:
+	case plan.PhysHashJoin, plan.PhysCross:
 		left, err := ex.build(n.Left)
 		if err != nil {
 			return nil, err
@@ -277,8 +266,6 @@ func (ex *executor) buildNode(n *plan.PhysNode) (operator, error) {
 			return nil, err
 		}
 		return &limitOp{child: child, limit: n.Limit, offset: n.Offset, earlyStop: ex.opts.EarlyStop}, nil
-	case plan.PhysLeapfrog:
-		return newLeapfrogOp(ex, n), nil
 	case plan.PhysLeftJoin:
 		left, err := ex.build(n.Left)
 		if err != nil {
@@ -774,7 +761,7 @@ func (op *filterOp) next() (*colBatch, error) {
 	}
 }
 
-// --- Hash / sort-merge / cross joins -----------------------------------------
+// --- Hash / cross joins ------------------------------------------------------
 
 // sharedCols returns (leftCol, rightCol) pairs of same-variable columns.
 func sharedCols(lvars, rvars []sparql.Var) [][2]int {
@@ -876,8 +863,6 @@ func (op *joinOp) next() (*colBatch, error) {
 		switch {
 		case op.op == plan.PhysCross || len(shared) == 0:
 			out, err = op.ex.crossProduct(l, r)
-		case op.op == plan.PhysMergeJoin:
-			out, err = op.ex.mergeJoin(l, r, shared)
 		default:
 			out, err = op.ex.hashJoin(l, r, shared)
 		}
@@ -1036,111 +1021,6 @@ func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, 
 	}
 	if err := probeRows(ex, 0, r.n, out); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// mergeJoin sorts permutation arrays over both inputs by the join key and
-// merges equal-key runs, emitting column-wise. Accounting: +1 work per
-// sorted row (a linear proxy for the sort) and per emitted row.
-func (ex *executor) mergeJoin(l, r *colRelation, shared [][2]int) (out *colRelation, err error) {
-	defer recoverSortAbort(&err)
-	lCmp := func(a, b int32) int {
-		for _, sc := range shared {
-			x, y := l.cols[sc[0]][a], l.cols[sc[0]][b]
-			if x != y {
-				if x < y {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	}
-	rCmp := func(a, b int32) int {
-		for _, sc := range shared {
-			x, y := r.cols[sc[1]][a], r.cols[sc[1]][b]
-			if x != y {
-				if x < y {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	}
-	lrCmp := func(a, b int32) int {
-		for _, sc := range shared {
-			x, y := l.cols[sc[0]][a], r.cols[sc[1]][b]
-			if x != y {
-				if x < y {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	}
-	lperm := ex.int32s(l.n)
-	for i := range lperm {
-		lperm[i] = int32(i)
-	}
-	rperm := ex.int32s(r.n)
-	for i := range rperm {
-		rperm[i] = int32(i)
-	}
-	sort.Slice(lperm, ex.lessWithCancel(func(i, j int) bool { return lCmp(lperm[i], lperm[j]) < 0 }))
-	sort.Slice(rperm, ex.lessWithCancel(func(i, j int) bool { return rCmp(rperm[i], rperm[j]) < 0 }))
-	ex.work += float64(l.n + r.n) // sort pass (linear proxy)
-	vars, extra := joinVars(l.vars, r.vars)
-	out = ex.newRelation(vars)
-	nl := len(l.vars)
-	steps := 0
-	i, j := 0, 0
-	for i < l.n && j < r.n {
-		steps++
-		if steps%cancelCheckRows == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		c := lrCmp(lperm[i], rperm[j])
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			i2 := i
-			for i2 < l.n && lCmp(lperm[i2], lperm[i]) == 0 {
-				i2++
-			}
-			j2 := j
-			for j2 < r.n && rCmp(rperm[j2], rperm[j]) == 0 {
-				j2++
-			}
-			for x := i; x < i2; x++ {
-				for y := j; y < j2; y++ {
-					steps++
-					if steps%cancelCheckRows == 0 {
-						if err := ex.cancelled(); err != nil {
-							return nil, err
-						}
-					}
-					lr, rr := lperm[x], rperm[y]
-					for ci := 0; ci < nl; ci++ {
-						out.cols[ci] = append(out.cols[ci], l.cols[ci][lr])
-					}
-					for k, ci := range extra {
-						out.cols[nl+k] = append(out.cols[nl+k], r.cols[ci][rr])
-					}
-					out.n++
-					ex.work++
-					ex.kern.MergeRows++
-				}
-			}
-			i, j = i2, j2
-		}
 	}
 	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dict"
-	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -44,13 +43,11 @@ var columnarQueries = []string{
 func TestColumnarMatchesStreaming(t *testing.T) {
 	st := buildSocialStore(t)
 	for qi, src := range columnarQueries {
-		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			serial := run(t, st, src, Options{Join: alg})
-			assertFrozen(t, fmt.Sprintf("columnar/%d/%s", qi, algNames[alg]), st, serial)
-			for _, par := range []int{2, 8} {
-				pg := run(t, st, src, Options{Join: alg, Parallelism: par, MorselSize: 1})
-				assertBitIdentical(t, fmt.Sprintf("q%d alg%d p%d", qi, alg, par), pg, serial)
-			}
+		serial := run(t, st, src, Options{})
+		assertFrozen(t, fmt.Sprintf("columnar/%d/hash", qi), st, serial)
+		for _, par := range []int{2, 8} {
+			pg := run(t, st, src, Options{Parallelism: par, MorselSize: 1})
+			assertBitIdentical(t, fmt.Sprintf("q%d p%d", qi, par), pg, serial)
 		}
 	}
 }
@@ -103,13 +100,9 @@ func TestRunRowsAreCapped(t *testing.T) {
 	}
 }
 
-// buildStarStore builds a store where EVERY binary join order over the
-// three-pattern star materializes a large intermediate: three classes of
-// n hubs each carry exactly two of the predicates p1/p2/p3 (so every
-// pairwise hub intersection has at least n members), while only nFull
-// extra hubs carry all three. Whatever pair a binary plan joins first, it
-// materializes n+nFull rows to produce nFull results; the multiway join
-// intersects all three hub sets up front.
+// buildStarStore builds a store of hubs with predicates p1/p2/p3: three
+// classes of n hubs each carry exactly two of them, while nFull extra hubs
+// carry all three.
 func buildStarStore(t testing.TB, n, nFull int) *store.Store {
 	t.Helper()
 	b := store.NewBuilder()
@@ -138,101 +131,6 @@ func buildStarStore(t testing.TB, n, nFull int) *store.Store {
 		}
 	}
 	return b.Build()
-}
-
-const starSrc = `SELECT * WHERE {
-  ?h <http://x/p1> ?a .
-  ?h <http://x/p2> ?b .
-  ?h <http://x/p3> ?c .
-}`
-
-// TestLeapfrogStarCoutAdvantage is the PR's acceptance check in unit-test
-// form: on a star query whose binary plan materializes a large
-// intermediate, the leapfrog triejoin's measured Cout and Work must be
-// asymptotically smaller (here: >10x), with the identical row multiset.
-func TestLeapfrogStarCoutAdvantage(t *testing.T) {
-	st := buildStarStore(t, 200, 2) // >=202-row binary intermediate, 2 result rows
-	bin := run(t, st, starSrc, Options{})
-	lf := run(t, st, starSrc, Options{Leapfrog: true})
-	if len(lf.Rows) != 2 || len(bin.Rows) != 2 {
-		t.Fatalf("rows: leapfrog %d, binary %d, want 2", len(lf.Rows), len(bin.Rows))
-	}
-	if got, want := rowsAsStrings(st, lf), rowsAsStrings(st, bin); !reflect.DeepEqual(got, want) {
-		t.Fatalf("row multiset diverges:\nleapfrog %v\nbinary   %v", got, want)
-	}
-	if lf.Kernels.LeapfrogRows != 2 {
-		t.Fatalf("LeapfrogRows = %d, want 2 (did the leapfrog node run?)", lf.Kernels.LeapfrogRows)
-	}
-	// The binary plan pays for the 200-row p1-p2 intermediate in both Cout
-	// and Work; the multiway join intersects all three patterns on ?h first
-	// and never materializes it.
-	if lf.Cout*10 >= bin.Cout {
-		t.Fatalf("Cout advantage missing: leapfrog %v vs binary %v", lf.Cout, bin.Cout)
-	}
-	if lf.Work*10 >= bin.Work {
-		t.Fatalf("Work advantage missing: leapfrog %v vs binary %v", lf.Work, bin.Work)
-	}
-}
-
-// TestLeapfrogParallelIdentical: the value-partitioned parallel leapfrog
-// must be bit-identical to the serial run — rows, order and accounting —
-// because per level-match accounting is additive across level-0 value
-// partitions and morsel-order concatenation restores the serial order.
-func TestLeapfrogParallelIdentical(t *testing.T) {
-	st := buildStarStore(t, 300, 100)
-	serial := run(t, st, starSrc, Options{Leapfrog: true})
-	if len(serial.Rows) != 100 {
-		t.Fatalf("serial rows = %d, want 100", len(serial.Rows))
-	}
-	for _, par := range []int{2, 8} {
-		for _, ms := range []int{1, 16} {
-			got := run(t, st, starSrc, Options{Leapfrog: true, Parallelism: par, MorselSize: ms})
-			assertBitIdentical(t, fmt.Sprintf("leapfrog-p%d-m%d", par, ms), got, serial)
-			if par > 1 && ms == 1 && got.Morsels < 2 {
-				t.Fatalf("p%d m%d: %d morsels, leapfrog did not parallelize", par, ms, got.Morsels)
-			}
-		}
-	}
-}
-
-// TestLeapfrogEpilogue: leapfrog composes with the epilogue operators and
-// with filters.
-func TestLeapfrogEpilogue(t *testing.T) {
-	st := buildStarStore(t, 60, 20)
-	src := `SELECT DISTINCT ?h WHERE {
-  ?h <http://x/p1> ?a .
-  ?h <http://x/p2> ?b .
-  ?h <http://x/p3> ?c .
-} ORDER BY ?h`
-	bin := run(t, st, src, Options{})
-	lf := run(t, st, src, Options{Mode: Columnar, Leapfrog: true})
-	// With a total ORDER BY the row order is fully determined, so the
-	// results agree bit-for-bit in rows (accounting differs by design).
-	if !reflect.DeepEqual(lf.Rows, bin.Rows) {
-		t.Fatalf("ordered rows diverge: %d vs %d", len(lf.Rows), len(bin.Rows))
-	}
-}
-
-// TestLeapfrogExplainSignature: with Leapfrog set, an eligible star BGP
-// lowers to the multiway operator.
-func TestLeapfrogExplainSignature(t *testing.T) {
-	st := buildStarStore(t, 20, 3)
-	q := sparql.MustParse(starSrc)
-	c, err := plan.Compile(q, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan.Optimize(c, plan.NewEstimator(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ph, err := plan.Lower(c, p, PhysOptions(Options{Leapfrog: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Root.Op != plan.PhysLeapfrog {
-		t.Fatalf("root = %v, want leapfrog\n%s", ph.Root.Op, ph)
-	}
 }
 
 // TestColumnarProbeScratchReuse: the probe operator reuses one MatchBuf

@@ -11,13 +11,12 @@ import (
 )
 
 // edgeEngines is every engine configuration the edge cases run through:
-// serial, both join algorithms, Parallelism 2 and 8 with single-triple
-// morsels so even one-triple stores exercise the parallel machinery, and
-// EarlyStop serially and in parallel.
+// serial, Parallelism 2 and 8 with single-triple morsels so even
+// one-triple stores exercise the parallel machinery, and EarlyStop
+// serially and in parallel.
 func edgeEngines() map[string]Options {
 	return map[string]Options{
 		"serial":      {},
-		"mergejoin":   {Join: SortMergeJoin},
 		"p2-m1":       {Parallelism: 2, MorselSize: 1},
 		"p8-m1":       {Parallelism: 8, MorselSize: 1},
 		"early":       {EarlyStop: true},

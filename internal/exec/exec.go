@@ -3,8 +3,8 @@
 // tree, and the operators pull columnar batches — dense per-variable ID
 // columns with optional selection vectors — through it. Index scans stream
 // straight out of the hexastore, index-nested-loop probes and filters are
-// pipelined, and only the blocking operators (hash, merge, cross and left
-// joins, ORDER BY, aggregation, the leapfrog triejoin) buffer their inputs.
+// pipelined, and only the blocking operators (hash, cross and left joins,
+// ORDER BY, aggregation) buffer their inputs.
 // Parallelism-eligible pipelines run morsel by morsel across workers
 // (parallel.go) with results bit-identical to the serial run.
 //
@@ -30,21 +30,11 @@ import (
 	"repro/internal/store"
 )
 
-// JoinAlgorithm selects the physical join operator.
-type JoinAlgorithm uint8
-
-const (
-	// HashJoin builds a hash table on the smaller input (default).
-	HashJoin JoinAlgorithm = iota
-	// SortMergeJoin sorts both inputs on the join key and merges.
-	SortMergeJoin
-)
-
 // ExecMode names the execution engine; Columnar is the only one. The type
 // and Options.Mode survive as a single-valued shim because the frozen
 // benchmark harness (bench/main.go) assigns Options.Mode from
 // service.ParseEngineMode. The benchmark-only follow-up that may edit bench/
-// deletes both (ROADMAP item 9).
+// deletes both (ROADMAP item 6(f)).
 type ExecMode uint8
 
 // Columnar is the columnar engine, and the zero value.
@@ -52,16 +42,8 @@ const Columnar ExecMode = 0
 
 // Options configures execution.
 type Options struct {
-	Join JoinAlgorithm
 	// Mode is ignored; see ExecMode.
 	Mode ExecMode
-	// PushFilters has plan.Lower place each single-variable filter of a
-	// BGP query at the lowest operator whose schema covers it (algebra
-	// queries already scope filters to their group). It prunes intermediate
-	// results early, so measured Cout shrinks and is no longer comparable to
-	// the unpushed plans; final rows are unchanged. Off by default to keep
-	// the paper's cost accounting exact.
-	PushFilters bool
 	// EarlyStop lets LIMIT terminate the pipeline as soon as the limit is
 	// reached instead of draining its input to exhaustion. Final rows are
 	// unchanged, but the Cout/Work/Scanned accounting reflects only the
@@ -90,12 +72,10 @@ type Options struct {
 	// Smaller morsels improve load balancing and let small inputs exercise
 	// the parallel path; the choice never affects results or accounting.
 	MorselSize int
-	// Leapfrog enables the worst-case-optimal leapfrog triejoin for
-	// eligible star/cyclic BGPs (see plan.PhysOptions.Leapfrog). A leapfrog
-	// run emits rows in global trie order and counts only the multiway
-	// join's final output toward Cout, so its results equal the binary
-	// plans' as multisets (asserted against the differential suite's
-	// oracle) but not the golden fixture's rows and accounting.
+	// Leapfrog is ignored. It survives as a shim, like Mode, because the
+	// frozen benchmark harness (bench/main.go) assigns it from
+	// service.EngineStats.Leapfrog; the benchmark-only follow-up that may
+	// edit bench/ deletes both (ROADMAP item 6(f)).
 	Leapfrog bool
 	// Pool, when set, is the shared CPU budget the executor draws extra
 	// workers from: each worker beyond the query's own goroutine requires
@@ -138,22 +118,18 @@ type Result struct {
 	Workers int
 	// Kernels counts kernel activity. Like Morsels and Workers it mostly
 	// describes how the engine ran, not what it computed, and is excluded
-	// from the bit-identical golden comparison (LeapfrogSeeks additionally
-	// depends on partitioning).
+	// from the bit-identical golden comparison.
 	Kernels KernelStats
 }
 
-// KernelStats counts the work done by the batch and leapfrog kernels, plus
+// KernelStats counts the work done by the batch kernels, plus
 // the compositional-algebra operator counters (LeftJoinRows, UnionRows,
 // AggGroups), which are logical counts independent of the schedule.
 type KernelStats struct {
 	Batches       int // column batches emitted by operators
 	FilterRows    int // rows evaluated by the filter kernel
 	HashProbeRows int // rows probed by the hash-join and left-join kernels
-	MergeRows     int // rows emitted by the merge-join kernel
 	GatherRows    int // rows compacted/gathered through selection vectors
-	LeapfrogSeeks int // trie-cursor seeks issued by leapfrog searches
-	LeapfrogRows  int // rows emitted by the leapfrog multiway join
 	LeftJoinRows  int // rows emitted by left outer joins (OPTIONAL)
 	UnionRows     int // rows emitted by union operators
 	AggGroups     int // groups emitted by aggregation operators
@@ -164,10 +140,7 @@ func (s *KernelStats) add(o KernelStats) {
 	s.Batches += o.Batches
 	s.FilterRows += o.FilterRows
 	s.HashProbeRows += o.HashProbeRows
-	s.MergeRows += o.MergeRows
 	s.GatherRows += o.GatherRows
-	s.LeapfrogSeeks += o.LeapfrogSeeks
-	s.LeapfrogRows += o.LeapfrogRows
 	s.LeftJoinRows += o.LeftJoinRows
 	s.UnionRows += o.UnionRows
 	s.AggGroups += o.AggGroups

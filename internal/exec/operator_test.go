@@ -142,18 +142,14 @@ func assertFrozen(t *testing.T, key string, st *store.Store, res *Result) {
 	}
 }
 
-var algNames = map[JoinAlgorithm]string{HashJoin: "hash", SortMergeJoin: "merge"}
-
 // TestStreamingMatchesMaterializing: over the equivalence corpus the engine
-// reproduces the frozen streaming/materializing rows and accounting, for
-// both interior-join algorithms.
+// reproduces the frozen streaming/materializing rows and accounting. The
+// "/hash" suffix of the keys names the interior-join algorithm the entries
+// were frozen with, the only one the engine has.
 func TestStreamingMatchesMaterializing(t *testing.T) {
 	st := buildStreamStore(t)
 	for i, src := range equivalenceQueries {
-		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			res := run(t, st, src, Options{Join: alg})
-			assertFrozen(t, fmt.Sprintf("equivalence/%d/%s", i, algNames[alg]), st, res)
-		}
+		assertFrozen(t, fmt.Sprintf("equivalence/%d/hash", i), st, run(t, st, src, Options{}))
 	}
 }
 
@@ -163,10 +159,7 @@ func TestStreamingMatchesMaterializing(t *testing.T) {
 func TestStreamingMatchesMaterializingLarge(t *testing.T) {
 	st := buildLargeStore(t)
 	for i, src := range largeQueries {
-		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			res := run(t, st, src, Options{Join: alg})
-			assertFrozen(t, fmt.Sprintf("large/%d/%s", i, algNames[alg]), st, res)
-		}
+		assertFrozen(t, fmt.Sprintf("large/%d/hash", i), st, run(t, st, src, Options{}))
 	}
 }
 
@@ -197,8 +190,7 @@ var largeQueries = []string{
 	`SELECT * WHERE { ?a <http://x/p0> ?a . ?a <http://x/p1> ?b . }`,
 }
 
-// TestStreamingErrorPaths: malformed queries fail with and without filter
-// pushdown.
+// TestStreamingErrorPaths: malformed queries fail.
 func TestStreamingErrorPaths(t *testing.T) {
 	st := buildStreamStore(t)
 	bad := []string{
@@ -207,11 +199,8 @@ func TestStreamingErrorPaths(t *testing.T) {
 		`SELECT * WHERE { ?s <http://x/age> ?a . } ORDER BY ?nope`,
 	}
 	for _, src := range bad {
-		for _, push := range []bool{false, true} {
-			opts := Options{PushFilters: push}
-			if _, _, err := Query(sparql.MustParse(src), st, opts); err == nil {
-				t.Errorf("expected error for %q (push=%v)", src, push)
-			}
+		if _, _, err := Query(sparql.MustParse(src), st, Options{}); err == nil {
+			t.Errorf("expected error for %q", src)
 		}
 	}
 }
@@ -231,63 +220,6 @@ func TestLimitStillDrains(t *testing.T) {
 	if lim.Cout != full.Cout || lim.Scanned != full.Scanned || lim.Work != full.Work {
 		t.Fatalf("limit changed accounting: cout %v/%v scanned %d/%d work %v/%v",
 			lim.Cout, full.Cout, lim.Scanned, full.Scanned, lim.Work, full.Work)
-	}
-}
-
-// TestPushFiltersPrunesEarly: with pushdown on, final rows are unchanged
-// (as multisets) but measured Cout shrinks because intermediate results
-// are pruned before the joins.
-func TestPushFiltersPrunesEarly(t *testing.T) {
-	st := buildStreamStore(t)
-	src := `SELECT ?f ?post WHERE {
-  ?p <http://x/knows> ?f .
-  ?f <http://x/age> ?a .
-  ?post <http://x/creator> ?f .
-  FILTER(?a >= 18)
-  FILTER(?p != <http://x/bob>)
-}`
-	baseline := run(t, st, src, Options{})
-	pushed := run(t, st, src, Options{PushFilters: true})
-	bs, ps := rowsAsStrings(st, baseline), rowsAsStrings(st, pushed)
-	if len(bs) != len(ps) {
-		t.Fatalf("pushdown changed results: %d vs %d rows", len(bs), len(ps))
-	}
-	for i := range bs {
-		if bs[i] != ps[i] {
-			t.Fatalf("pushdown changed row %d: %q vs %q", i, bs[i], ps[i])
-		}
-	}
-	if pushed.Cout > baseline.Cout {
-		t.Fatalf("pushdown increased Cout: %v > %v", pushed.Cout, baseline.Cout)
-	}
-	if pushed.Cout == baseline.Cout {
-		t.Fatalf("pushdown had no effect on Cout (%v); expected pruning", pushed.Cout)
-	}
-}
-
-// TestPushFiltersEquivalenceCorpus: pushdown preserves result multisets on
-// the whole equivalence corpus.
-func TestPushFiltersEquivalenceCorpus(t *testing.T) {
-	st := buildStreamStore(t)
-	for _, src := range equivalenceQueries {
-		q := sparql.MustParse(src)
-		plain, _, err := Query(q, st, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pushed, _, err := Query(q, st, Options{PushFilters: true})
-		if err != nil {
-			t.Fatalf("pushed %s: %v", src, err)
-		}
-		a, b := rowsAsStrings(st, plain), rowsAsStrings(st, pushed)
-		if len(a) != len(b) {
-			t.Fatalf("%s: pushdown changed result size %d vs %d", src, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: row %d differs: %q vs %q", src, i, a[i], b[i])
-			}
-		}
 	}
 }
 
@@ -411,22 +343,20 @@ func TestJoinOpUnit(t *testing.T) {
   ?p <http://x/knows> ?f .
   ?q <http://x/knows> ?f .
 }`)
-	for _, kind := range []plan.PhysOp{plan.PhysHashJoin, plan.PhysMergeJoin} {
-		ex := &executor{st: st}
-		l := newScanOp(ex, &c.Patterns[0])
-		r := newScanOp(ex, &c.Patterns[1])
-		j := &joinOp{ex: ex, op: kind, left: l, right: r}
-		rows := drainOp(t, j)
-		// knows has 3 edges; join on ?f: bob(1×1) + carol(2×2) = 5.
-		if len(rows) != 5 {
-			t.Fatalf("%v: rows = %d, want 5", kind, len(rows))
-		}
-		if ex.cout != 5 {
-			t.Fatalf("%v: cout = %v, want 5", kind, ex.cout)
-		}
-		if len(j.vars()) != 3 {
-			t.Fatalf("%v: vars = %v", kind, j.vars())
-		}
+	ex := &executor{st: st}
+	l := newScanOp(ex, &c.Patterns[0])
+	r := newScanOp(ex, &c.Patterns[1])
+	j := &joinOp{ex: ex, op: plan.PhysHashJoin, left: l, right: r}
+	rows := drainOp(t, j)
+	// knows has 3 edges; join on ?f: bob(1×1) + carol(2×2) = 5.
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(rows))
+	}
+	if ex.cout != 5 {
+		t.Fatalf("cout = %v, want 5", ex.cout)
+	}
+	if len(j.vars()) != 3 {
+		t.Fatalf("vars = %v", j.vars())
 	}
 }
 

@@ -51,26 +51,24 @@ func buildParallelStore(t testing.TB, n int) *store.Store {
 	return b.Build()
 }
 
-// TestParallelMatchesSerial: over every equivalence query and both join
-// algorithms, execution at Parallelism 2 and 8 must be bit-identical —
-// rows, order, Cout, Work, Scanned — to the serial run. A small MorselSize
-// forces genuine multi-morsel parallel execution on the test store.
+// TestParallelMatchesSerial: over every equivalence query, execution at
+// Parallelism 2 and 8 must be bit-identical — rows, order, Cout, Work,
+// Scanned — to the serial run. A small MorselSize forces genuine
+// multi-morsel parallel execution on the test store.
 func TestParallelMatchesSerial(t *testing.T) {
 	st := buildParallelStore(t, 1500)
 	for _, src := range equivalenceQueries {
 		q := sparql.MustParse(src)
-		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			serial, _, err := Query(q, st, Options{Join: alg})
+		serial, _, err := Query(q, st, Options{})
+		if err != nil {
+			t.Fatalf("serial %s: %v", src, err)
+		}
+		for _, par := range []int{2, 8} {
+			res, _, err := Query(q, st, Options{Parallelism: par, MorselSize: 64})
 			if err != nil {
-				t.Fatalf("serial %s: %v", src, err)
+				t.Fatalf("parallel=%d %s: %v", par, src, err)
 			}
-			for _, par := range []int{2, 8} {
-				res, _, err := Query(q, st, Options{Join: alg, Parallelism: par, MorselSize: 64})
-				if err != nil {
-					t.Fatalf("parallel=%d %s: %v", par, src, err)
-				}
-				assertResultsIdentical(t, fmt.Sprintf("%s (alg %d, par %d)", src, alg, par), res, serial)
-			}
+			assertResultsIdentical(t, fmt.Sprintf("%s (par %d)", src, par), res, serial)
 		}
 	}
 }
@@ -215,18 +213,6 @@ func TestHashJoinCancelsMidBuild(t *testing.T) {
 		[][2]int{{0, 0}})
 	if err != nil || out.n == 0 {
 		t.Fatalf("live hash join: %d rows, err %v", out.n, err)
-	}
-}
-
-// TestMergeJoinCancelsMidSort: the sort comparators poll the context, so a
-// merge join over big inputs aborts while sorting.
-func TestMergeJoinCancelsMidSort(t *testing.T) {
-	st := buildStreamStore(t)
-	l := bigRelation([]sparql.Var{"a", "b"}, 6*cancelCheckRows, 1000)
-	r := bigRelation([]sparql.Var{"a", "c"}, 6*cancelCheckRows, 1000)
-	ex := &executor{st: st, ctx: &countdownCtx{Context: context.Background(), after: 3}}
-	if _, err := ex.mergeJoin(l, r, sharedCols(l.vars, r.vars)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("merge join with cancelled ctx: err = %v, want Canceled", err)
 	}
 }
 

@@ -78,7 +78,7 @@ func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		opts := Options{Parallelism: par, MorselSize: 2}
-		phys, err := plan.Lower(c, p, PhysOptions(opts))
+		phys, err := plan.Lower(c, p)
 		if err != nil {
 			t.Fatal(err)
 		}

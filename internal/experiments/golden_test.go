@@ -27,10 +27,10 @@ import (
 // The fixture was written while the streaming, materializing and columnar
 // engines still existed, and all three agreed on every entry (the
 // materializing one on the BGP templates it supported). Per template ×
-// binding × join algorithm it freezes the plan signature, the output
-// variables, the row count, a hash of the decoded rows in order, and Cout,
-// Work and Scanned. Every suite checks its runs against the fixture bit for
-// bit and against the naive oracle (difftest.CheckOracle) as a row multiset.
+// binding it freezes the plan signature, the output variables, the row
+// count, a hash of the decoded rows in order, and Cout, Work and Scanned.
+// Every suite checks its runs against the fixture bit for bit and against
+// the naive oracle (difftest.CheckOracle) as a row multiset.
 
 type goldenTemplate struct {
 	name string
@@ -107,7 +107,7 @@ type goldenEntry struct {
 	Template  string            `json:"template"`
 	Binding   int               `json:"binding"`
 	Params    map[string]string `json:"params"`
-	Join      string            `json:"join"`
+	Join      string            `json:"join"` // always "hash", the one interior-join algorithm
 	Signature string            `json:"signature"`
 	Vars      []sparql.Var      `json:"vars"`
 	Rows      int               `json:"rows"`
@@ -186,11 +186,9 @@ func goldenCases(t *testing.T, templates []goldenTemplate) []goldenCase {
 	return out
 }
 
-var joinNames = map[exec.JoinAlgorithm]string{exec.HashJoin: "hash", exec.SortMergeJoin: "merge"}
-
 // checkGolden runs gc over st with opts and reports an error unless the run
-// reproduces the case's fixture entry for opts.Join bit for bit. It
-// returns the result for further checks.
+// reproduces the case's fixture entry bit for bit. It returns the result
+// for further checks.
 func checkGolden(t *testing.T, gc goldenCase, st store.Source, opts exec.Options) (*exec.Result, error) {
 	t.Helper()
 	res, p, err := exec.Query(gc.bound, st, opts)
@@ -212,7 +210,7 @@ func checkGolden(t *testing.T, gc goldenCase, st store.Source, opts exec.Options
 		rows.WriteByte('\n')
 	}
 	sum := sha256.Sum256([]byte(rows.String()))
-	got := goldenEntry{Template: gc.tmpl, Binding: gc.binding, Params: gc.params, Join: joinNames[opts.Join],
+	got := goldenEntry{Template: gc.tmpl, Binding: gc.binding, Params: gc.params, Join: "hash",
 		Signature: p.Signature, Vars: res.Vars, Rows: len(res.Rows), RowsHash: hex.EncodeToString(sum[:16]),
 		Cout: res.Cout, Work: res.Work, Scanned: res.Scanned}
 	want, ok := goldenFixture(t)[fmt.Sprintf("%s/%d/%s", got.Template, got.Binding, got.Join)]
@@ -230,22 +228,20 @@ func checkOracle(gc goldenCase, st store.Source, res *exec.Result) error {
 	return nil
 }
 
-// TestGoldenColumnarMatchesStreaming: serially and for both interior-join
-// algorithms, every BGP template and curated binding reproduces the frozen
-// streaming (and materializing) result, and matches the oracle.
+// TestGoldenColumnarMatchesStreaming: serially, every BGP template and
+// curated binding reproduces the frozen streaming (and materializing)
+// result, and matches the oracle.
 func TestGoldenColumnarMatchesStreaming(t *testing.T) {
 	for _, gc := range goldenCases(t, goldenTemplates()) {
-		for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
-			res, err := checkGolden(t, gc, gc.st, exec.Options{Join: alg})
-			if err == nil {
-				err = checkOracle(gc, gc.st, res)
-			}
-			if err != nil {
-				t.Error(err)
-			}
-			if res.Scanned > 0 && res.Kernels.Batches == 0 {
-				t.Errorf("%s: run produced no batches", gc)
-			}
+		res, err := checkGolden(t, gc, gc.st, exec.Options{})
+		if err == nil {
+			err = checkOracle(gc, gc.st, res)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		if res.Scanned > 0 && res.Kernels.Batches == 0 {
+			t.Errorf("%s: run produced no batches", gc)
 		}
 	}
 }
@@ -254,51 +250,26 @@ func TestGoldenColumnarMatchesStreaming(t *testing.T) {
 // engines are gone, and their agreement is frozen in the fixture. What
 // remains of the distinction is how LIMIT meets the pipeline: under
 // EarlyStop it cuts the stream short, otherwise the input is drained. For
-// every BGP template, curated binding and join algorithm, the draining run
-// reproduces the frozen entry bit for bit, and the early-stopping run
-// returns the same variables and rows in order while touching no more
-// tuples.
+// every BGP template and curated binding, the draining run reproduces the
+// frozen entry bit for bit, and the early-stopping run returns the same
+// variables and rows in order while touching no more tuples.
 func TestGoldenStreamingEqualsMaterializing(t *testing.T) {
 	for _, gc := range goldenCases(t, goldenTemplates()) {
-		for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
-			drained, err := checkGolden(t, gc, gc.st, exec.Options{Join: alg})
-			if err != nil {
-				t.Error(err)
-				continue
-			}
-			early, _, err := exec.Query(gc.bound, gc.st, exec.Options{Join: alg, EarlyStop: true})
-			if err != nil {
-				t.Fatalf("%s early stop: %v", gc, err)
-			}
-			if !reflect.DeepEqual(early.Vars, drained.Vars) || !reflect.DeepEqual(early.Rows, drained.Rows) {
-				t.Errorf("%s (alg %d): early-stopping run changed the result", gc, alg)
-			}
-			if early.Cout > drained.Cout || early.Work > drained.Work || early.Scanned > drained.Scanned {
-				t.Errorf("%s (alg %d): early stop grew the accounting: (cout=%v work=%v scanned=%d) > (cout=%v work=%v scanned=%d)",
-					gc, alg, early.Cout, early.Work, early.Scanned, drained.Cout, drained.Work, drained.Scanned)
-			}
-		}
-	}
-}
-
-// TestGoldenPushdownPreservesResults: with filter pushdown enabled the
-// final result rows stay identical on every template; only the cost
-// accounting may shrink (never grow).
-func TestGoldenPushdownPreservesResults(t *testing.T) {
-	for _, gc := range goldenCases(t, goldenTemplates()) {
-		plain, _, err := exec.Query(gc.bound, gc.st, exec.Options{})
+		drained, err := checkGolden(t, gc, gc.st, exec.Options{})
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			continue
 		}
-		pushed, _, err := exec.Query(gc.bound, gc.st, exec.Options{PushFilters: true})
+		early, _, err := exec.Query(gc.bound, gc.st, exec.Options{EarlyStop: true})
 		if err != nil {
-			t.Fatalf("%s pushed: %v", gc, err)
+			t.Fatalf("%s early stop: %v", gc, err)
 		}
-		if !reflect.DeepEqual(plain.Rows, pushed.Rows) {
-			t.Fatalf("%s: pushdown changed the rows", gc)
+		if !reflect.DeepEqual(early.Vars, drained.Vars) || !reflect.DeepEqual(early.Rows, drained.Rows) {
+			t.Errorf("%s: early-stopping run changed the result", gc)
 		}
-		if pushed.Cout > plain.Cout {
-			t.Errorf("%s: pushdown increased Cout %v > %v", gc, pushed.Cout, plain.Cout)
+		if early.Cout > drained.Cout || early.Work > drained.Work || early.Scanned > drained.Scanned {
+			t.Errorf("%s: early stop grew the accounting: (cout=%v work=%v scanned=%d) > (cout=%v work=%v scanned=%d)",
+				gc, early.Cout, early.Work, early.Scanned, drained.Cout, drained.Work, drained.Scanned)
 		}
 	}
 }
@@ -350,36 +321,32 @@ func TestGoldenParallelCuration(t *testing.T) {
 }
 
 // TestGoldenParallelMatchesSerial: morsel-driven execution at Parallelism 2
-// and 8 reproduces the frozen serial result for every BGP template, curated
-// binding and join algorithm. A small MorselSize forces genuine
-// multi-morsel parallelism at test scale; the morsel size never affects
-// results, only the schedule.
+// and 8 reproduces the frozen serial result for every BGP template and
+// curated binding. A small MorselSize forces genuine multi-morsel
+// parallelism at test scale; the morsel size never affects results, only
+// the schedule.
 func TestGoldenParallelMatchesSerial(t *testing.T) {
 	for _, gc := range goldenCases(t, goldenTemplates()) {
-		for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
-			for _, par := range []int{2, 8} {
-				if _, err := checkGolden(t, gc, gc.st, exec.Options{Join: alg, Parallelism: par, MorselSize: 128}); err != nil {
-					t.Error(err)
-				}
+		for _, par := range []int{2, 8} {
+			if _, err := checkGolden(t, gc, gc.st, exec.Options{Parallelism: par, MorselSize: 128}); err != nil {
+				t.Error(err)
 			}
 		}
 	}
 }
 
 // TestGoldenAlgebraEngines: every algebra template and curated binding
-// reproduces the frozen streaming/columnar result for both join algorithms
-// at Parallelism 1, 2 and 8, and matches the oracle.
+// reproduces the frozen streaming/columnar result at Parallelism 1, 2 and
+// 8, and matches the oracle.
 func TestGoldenAlgebraEngines(t *testing.T) {
 	for _, gc := range goldenCases(t, algebraTemplates()) {
-		for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
-			for _, par := range []int{1, 2, 8} {
-				res, err := checkGolden(t, gc, gc.st, exec.Options{Join: alg, Parallelism: par, MorselSize: 128})
-				if err == nil && par == 1 {
-					err = checkOracle(gc, gc.st, res)
-				}
-				if err != nil {
-					t.Error(err)
-				}
+		for _, par := range []int{1, 2, 8} {
+			res, err := checkGolden(t, gc, gc.st, exec.Options{Parallelism: par, MorselSize: 128})
+			if err == nil && par == 1 {
+				err = checkOracle(gc, gc.st, res)
+			}
+			if err != nil {
+				t.Error(err)
 			}
 		}
 	}
@@ -388,16 +355,9 @@ func TestGoldenAlgebraEngines(t *testing.T) {
 // checkInvariance is the shard and backing invariance check shared by the
 // two suites below: over st (a sharded or mapped view of gc's store), every
 // template and curated binding reproduces the fixture at Parallelism 1, 2
-// and 8 and matches the oracle; a leapfrog run, which the fixture does not
-// cover (the differential suite checks it against the oracle), must be
-// bit-identical to the leapfrog run over the plain heap store at every
-// parallelism.
+// and 8 and matches the oracle.
 func checkInvariance(t *testing.T, gc goldenCase, st store.Source, label string) {
 	t.Helper()
-	lfRef, _, err := exec.Query(gc.bound, gc.st, exec.Options{Leapfrog: true})
-	if err != nil {
-		t.Fatalf("%s leapfrog: %v", gc, err)
-	}
 	for _, par := range []int{1, 2, 8} {
 		ms := 0
 		if par > 1 {
@@ -409,13 +369,6 @@ func checkInvariance(t *testing.T, gc goldenCase, st store.Source, label string)
 		}
 		if err != nil {
 			t.Errorf("%s: %v", label, err)
-		}
-		lf, _, err := exec.Query(gc.bound, st, exec.Options{Leapfrog: true, Parallelism: par, MorselSize: ms})
-		if err == nil {
-			err = equalResults(lf, lfRef)
-		}
-		if err != nil {
-			t.Errorf("%s: %s leapfrog par %d: %v", label, gc, par, err)
 		}
 	}
 }

@@ -89,39 +89,3 @@ func TestTraceAccountingExact(t *testing.T) {
 		}
 	}
 }
-
-// TestTraceAccountingLeapfrog runs the golden templates with leapfrog
-// lowering enabled (eligible star BGPs
-// replace their binary join tree with the multiway triejoin) and asserts
-// the same exactness invariants against each run's own Result, serially
-// and under the morsel driver.
-func TestTraceAccountingLeapfrog(t *testing.T) {
-	env := sharedEnv(t)
-	for _, g := range goldenTemplates() {
-		st := env.BSBM
-		if g.snb {
-			st = env.SNB
-		}
-		bindings := curatedBindings(t, g.tmpl, st, 1)
-		if len(bindings) > 1 {
-			bindings = bindings[:1]
-		}
-		for bi, b := range bindings {
-			bound, err := g.tmpl.Bind(b)
-			if err != nil {
-				t.Fatalf("%s binding %d: %v", g.name, bi, err)
-			}
-			for _, par := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s-leapfrog/par%d/b%d", g.name, par, bi)
-				capture := &obs.Capture{}
-				res, _, err := exec.Query(bound, st, exec.Options{
-					Leapfrog: true, Parallelism: par, MorselSize: 128, Trace: capture,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				checkTrace(t, name, capture.Root, res)
-			}
-		}
-	}
-}

@@ -19,7 +19,7 @@
 // increments are per-tuple integers far below 2^53, so the root span's
 // inclusive totals equal the run's Result accounting bit-for-bit and the
 // Self* values sum back to it — the invariant the trace-correctness suite
-// asserts across engines, parallelism levels and leapfrog plans.
+// asserts for every template at every parallelism level.
 package obs
 
 import (

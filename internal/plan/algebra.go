@@ -210,7 +210,7 @@ func compileBGP(pats []sparql.TriplePattern, st store.Source, nb *numbering) (*A
 // compiled tree stays reusable across option sets) with Root/Card/Cost
 // filled in. The composition estimates are deliberately coarse — they
 // are informational; no optimization choice depends on them.
-func optimizeAlg(a *AlgNode, q *sparql.Query, est Model, greedy bool) (*AlgNode, error) {
+func optimizeAlg(a *AlgNode, q *sparql.Query, est *Estimator, greedy bool) (*AlgNode, error) {
 	out := &AlgNode{Kind: a.Kind, Patterns: a.Patterns, Compiled: a.Compiled, Filters: a.Filters}
 	switch a.Kind {
 	case AlgBGP:

@@ -171,13 +171,3 @@ func collectPatterns(a *AlgNode, out []CompiledPattern) []CompiledPattern {
 	}
 	return out
 }
-
-// shareVar reports whether two patterns share at least one variable.
-func shareVar(a, b CompiledPattern) bool {
-	for _, v := range [3]sparql.Var{a.VarS, a.VarP, a.VarO} {
-		if v != "" && (v == b.VarS || v == b.VarP || v == b.VarO) {
-			return true
-		}
-	}
-	return false
-}

@@ -10,7 +10,7 @@ import (
 
 // Set is a cardinality estimate for a set of joined patterns: the output
 // cardinality, per-variable distinct-value estimates, and the bitmask of
-// pattern indexes covered. Optimizers combine Sets through a Model.
+// pattern indexes covered. Optimizers combine Sets through an Estimator.
 type Set struct {
 	Card    float64
 	VarMask uint64 // bit v set ⇔ variable number v (Compiled.Vars) is bound
@@ -20,32 +20,20 @@ type Set struct {
 	Mask     uint32 // bit i set ⇔ pattern with Index i is included
 }
 
-// Model produces cardinality estimates for single patterns and joins. The
-// default implementation is Estimator (exact single-pattern counts +
-// independence assumption); SamplingEstimator replaces the independence
-// assumption with sampled pairwise join selectivities.
+// Estimator produces the optimizer's cardinality estimates: single-pattern
+// estimates are *exact* (the hexastore answers every pattern shape by
+// binary search) and joins use the classical independence assumption with
+// per-variable distinct-value counts.
 //
-// Both methods write into dst, whose Distinct the caller sizes to cover
+// Leaf and Join write into dst, whose Distinct the caller sizes to cover
 // every variable number of the query, so estimating allocates nothing.
 // dst must not alias a or b.
-type Model interface {
-	Leaf(dst *Set, cp *CompiledPattern)
-	Join(dst, a, b *Set)
-}
-
-// Estimator is the default Model: single-pattern estimates are *exact*
-// (the hexastore answers every pattern shape by binary search) and joins
-// use the classical independence assumption with per-variable
-// distinct-value counts.
 type Estimator struct {
 	st store.Source
 }
 
 // NewEstimator returns an estimator over st.
 func NewEstimator(st store.Source) *Estimator { return &Estimator{st: st} }
-
-// Store returns the underlying store.
-func (e *Estimator) Store() store.Source { return e.st }
 
 // PatternCard returns the exact cardinality of a compiled pattern.
 func (e *Estimator) PatternCard(cp CompiledPattern) float64 {
@@ -128,14 +116,12 @@ func (e *Estimator) Leaf(dst *Set, cp *CompiledPattern) {
 	}
 }
 
-// Join estimates the join of a and b under the independence assumption.
-func (e *Estimator) Join(dst, a, b *Set) { joinSets(dst, a, b) }
-
-// joinSets estimates the join of a and b into dst. For each shared
-// variable v, in ascending variable number, the classical formula divides
-// by max(d_a(v), d_b(v)); the fixed order makes the estimate's bits
-// reproducible. Disjoint variable sets give a cross product.
-func joinSets(dst, a, b *Set) {
+// Join estimates the join of a and b into dst under the independence
+// assumption. For each shared variable v, in ascending variable number, the
+// classical formula divides by max(d_a(v), d_b(v)); the fixed order makes
+// the estimate's bits reproducible. Disjoint variable sets give a cross
+// product.
+func (e *Estimator) Join(dst, a, b *Set) {
 	card := a.Card * b.Card
 	for s := a.VarMask & b.VarMask; s != 0; s &= s - 1 {
 		v := bits.TrailingZeros64(s)

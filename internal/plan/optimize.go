@@ -18,7 +18,7 @@ const MaxDPPatterns = 13
 // MaxDPPatterns patterns, and by the greedy heuristic otherwise. For
 // compositional-algebra queries the optimizer runs per BGP leaf; the tree
 // above the leaves is fixed by the query text.
-func Optimize(c *Compiled, est Model) (*Plan, error) {
+func Optimize(c *Compiled, est *Estimator) (*Plan, error) {
 	if c.Alg != nil {
 		return planAlg(c, est, false)
 	}
@@ -30,7 +30,7 @@ func Optimize(c *Compiled, est Model) (*Plan, error) {
 
 // planAlg optimizes every BGP leaf of the algebra tree and wraps the
 // composed copy in a Plan with Root nil.
-func planAlg(c *Compiled, est Model, greedy bool) (*Plan, error) {
+func planAlg(c *Compiled, est *Estimator, greedy bool) (*Plan, error) {
 	alg, err := optimizeAlg(c.Alg, c.Query, est, greedy)
 	if err != nil {
 		return nil, err
@@ -60,7 +60,7 @@ type dpEntry struct {
 // dpTable is the state of one DPsub run, indexed by subset: bit i of a
 // subset stands for Compiled.Patterns[i].
 type dpTable struct {
-	est     Model
+	est     *Estimator
 	pats    []CompiledPattern
 	ent     []dpEntry
 	sig     []string // Signature per finished subset, built on first use
@@ -74,7 +74,7 @@ type dpTable struct {
 // whose sides share a variable and falling back to cross products only
 // when a subset is disconnected. All state lives in flat per-subset tables
 // allocated once; the *Node tree is built only for the winner.
-func optimizeDP(c *Compiled, est Model) (*Plan, error) {
+func optimizeDP(c *Compiled, est *Estimator) (*Plan, error) {
 	n := len(c.Patterns)
 	if n == 0 {
 		return nil, fmt.Errorf("plan: no patterns")
@@ -200,7 +200,7 @@ func (t *dpTable) node(mask uint32, nodes *[]Node) *Node {
 // minimizes the resulting intermediate size, preferring connected joins.
 // Used directly in the greedy-vs-DP ablation and as the fallback for
 // queries beyond MaxDPPatterns.
-func OptimizeGreedy(c *Compiled, est Model) (*Plan, error) {
+func OptimizeGreedy(c *Compiled, est *Estimator) (*Plan, error) {
 	if c.Alg != nil {
 		return planAlg(c, est, true)
 	}

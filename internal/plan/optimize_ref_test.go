@@ -1,14 +1,12 @@
 package plan_test
 
 // The reference optimizer: the map-based DPsub and greedy optimizers, with
-// their three cardinality models, that the bitset kernel in optimize.go
-// replaced. It is kept verbatim except for one change — joins divide out
-// shared variables in ascending variable number (first appearance in the
-// query) instead of map-iteration order, which made estimates differ in
-// their last bit from run to run. The sampling model reads its pairwise
-// selectivities from the real SamplingEstimator, whose sampling code did
-// not change. TestOptimizeMatchesReference requires the kernel to choose
-// bit-for-bit the same plans.
+// their cardinality model, that the bitset kernel in optimize.go replaced.
+// It is kept verbatim except for one change — joins divide out shared
+// variables in ascending variable number (first appearance in the query)
+// instead of map-iteration order, which made estimates differ in their
+// last bit from run to run. TestOptimizeMatchesReference requires the
+// kernel to choose bit-for-bit the same plans.
 
 import (
 	"fmt"
@@ -32,11 +30,6 @@ type refSet struct {
 	Card     float64
 	Distinct map[sparql.Var]float64
 	Mask     uint32
-}
-
-type refModel interface {
-	Leaf(cp plan.CompiledPattern) refSet
-	Join(a, b refSet) refSet
 }
 
 // refNumbers numbers c's variables by first appearance in pattern order.
@@ -194,202 +187,13 @@ func refSharedVars(a, b map[sparql.Var]bool) []sparql.Var {
 	return out
 }
 
-func refMaskIndexes(mask uint32) []int {
-	out := make([]int, 0, bits.OnesCount32(mask))
-	for mask != 0 {
-		i := bits.TrailingZeros32(mask)
-		out = append(out, i)
-		mask &^= 1 << i
-	}
-	return out
-}
-
-// refSampling is the map-based SamplingEstimator over the selectivities
-// the real estimator sampled.
-type refSampling struct {
-	base    *refEstimator
-	pairSel [][]float64
-	varsOf  []map[sparql.Var]bool
-	leafD   []map[sparql.Var]float64
-}
-
-func newRefSampling(base *refEstimator, c *plan.Compiled, pairSel [][]float64) *refSampling {
-	e := &refSampling{base: base, pairSel: pairSel}
-	n := len(c.Patterns)
-	e.varsOf = make([]map[sparql.Var]bool, n)
-	for i := range e.varsOf {
-		e.varsOf[i] = map[sparql.Var]bool{}
-		e.leafD = append(e.leafD, map[sparql.Var]float64{})
-		for _, v := range c.Patterns[i].Vars() {
-			e.varsOf[i][v] = true
-			e.leafD[i][v] = e.base.varDistinct(c.Patterns[i], v)
-		}
-	}
-	return e
-}
-
-func (e *refSampling) Leaf(cp plan.CompiledPattern) refSet { return e.base.Leaf(cp) }
-
-func (e *refSampling) Join(a, b refSet) refSet {
-	out := refJoinSets(a, b, e.base.num) // distincts, mask, and the fallback card
-	// Shared variables between the sides.
-	bvars := map[sparql.Var]bool{}
-	for v := range b.Distinct {
-		bvars[v] = true
-	}
-	var shared []sparql.Var
-	for v := range a.Distinct {
-		if bvars[v] {
-			shared = append(shared, v)
-		}
-	}
-	if len(shared) == 0 {
-		return out
-	}
-	refSortVars(shared)
-	card := a.Card * b.Card
-	covered := map[sparql.Var]bool{}
-	applied := false
-	for _, v := range shared {
-		if covered[v] {
-			continue
-		}
-		bi, bj, bestSel := -1, -1, -1.0
-		bestScore := -1.0
-		for _, i := range refMaskIndexes(a.Mask) {
-			if !e.patternHasVar(i, v) {
-				continue
-			}
-			for _, j := range refMaskIndexes(b.Mask) {
-				if !e.patternHasVar(j, v) {
-					continue
-				}
-				if i >= len(e.pairSel) || j >= len(e.pairSel) || e.pairSel[i][j] < 0 {
-					continue
-				}
-				score := e.leafD[i][v] + e.leafD[j][v] // lower = tighter
-				if bestScore < 0 || score < bestScore {
-					bi, bj, bestSel, bestScore = i, j, e.pairSel[i][j], score
-				}
-			}
-		}
-		if bestSel < 0 {
-			// No sampled pair: independence fallback for this variable.
-			da, db := a.Distinct[v], b.Distinct[v]
-			m := da
-			if db > m {
-				m = db
-			}
-			if m > 0 {
-				card /= m
-			}
-			covered[v] = true
-			continue
-		}
-		card *= bestSel
-		applied = true
-		// The chosen pair covers every variable both its patterns bind.
-		for _, u := range shared {
-			if e.patternHasVar(bi, u) && e.patternHasVar(bj, u) {
-				covered[u] = true
-			}
-		}
-	}
-	if applied {
-		out.Card = card
-		for v, d := range out.Distinct {
-			if d > out.Card {
-				out.Distinct[v] = out.Card
-			}
-		}
-	}
-	return out
-}
-
-func (e *refSampling) patternHasVar(i int, v sparql.Var) bool {
-	if i < 0 || i >= len(e.varsOf) {
-		return false
-	}
-	return e.varsOf[i][v]
-}
-
-func refSortVars(vs []sparql.Var) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
-}
-
-// refCharset is the map-based CharsetEstimator.
-type refCharset struct {
-	base      *refEstimator
-	cs        *plan.CharacteristicSets
-	starPreds []dict.ID
-	starVar   []sparql.Var
-}
-
-func newRefCharset(base *refEstimator, cs *plan.CharacteristicSets, c *plan.Compiled) *refCharset {
-	e := &refCharset{
-		base:      base,
-		cs:        cs,
-		starPreds: make([]dict.ID, len(c.Patterns)),
-		starVar:   make([]sparql.Var, len(c.Patterns)),
-	}
-	for i, cp := range c.Patterns {
-		if cp.VarS != "" && cp.Pat.P != dict.None && cp.VarO != "" && cp.VarS != cp.VarO && !cp.Missing {
-			e.starPreds[i] = cp.Pat.P
-			e.starVar[i] = cp.VarS
-		}
-	}
-	return e
-}
-
-func (e *refCharset) Leaf(cp plan.CompiledPattern) refSet { return e.base.Leaf(cp) }
-
-func (e *refCharset) Join(a, b refSet) refSet {
-	out := refJoinSets(a, b, e.base.num)
-	var v sparql.Var
-	var preds []dict.ID
-	ok := true
-	for _, i := range refMaskIndexes(a.Mask | b.Mask) {
-		if i >= len(e.starPreds) || e.starPreds[i] == dict.None {
-			ok = false
-			break
-		}
-		if v == "" {
-			v = e.starVar[i]
-		} else if e.starVar[i] != v {
-			ok = false
-			break
-		}
-		preds = append(preds, e.starPreds[i])
-	}
-	if ok && len(preds) >= 2 {
-		card := e.cs.StarCardinality(preds)
-		out.Card = card
-		if d, present := out.Distinct[v]; present {
-			subj := e.cs.StarSubjects(preds)
-			if subj < d {
-				out.Distinct[v] = subj
-			}
-		}
-		for vv, d := range out.Distinct {
-			if d > out.Card {
-				out.Distinct[vv] = out.Card
-			}
-		}
-	}
-	return out
-}
-
 type refEntry struct {
 	node *plan.Node
 	est  refSet
 }
 
 // refOptimizeDP is the map-based DPsub enumerator.
-func refOptimizeDP(c *plan.Compiled, est refModel) (*plan.Plan, error) {
+func refOptimizeDP(c *plan.Compiled, est *refEstimator) (*plan.Plan, error) {
 	n := len(c.Patterns)
 	if n == 0 {
 		return nil, fmt.Errorf("plan: no patterns")
@@ -451,7 +255,7 @@ func refOptimizeDP(c *plan.Compiled, est refModel) (*plan.Plan, error) {
 	}, nil
 }
 
-func refChooseBestSplit(est refModel, mask uint32, table []*refEntry, varsOf []map[sparql.Var]bool, requireShared bool) *refEntry {
+func refChooseBestSplit(est *refEstimator, mask uint32, table []*refEntry, varsOf []map[sparql.Var]bool, requireShared bool) *refEntry {
 	var best *refEntry
 	// Enumerate submasks; consider each unordered split once (sub < rest).
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
@@ -490,7 +294,7 @@ func refTieBreak(l, r *plan.Node, best *refEntry) bool {
 }
 
 // refOptimizeGreedy is the map-based greedy optimizer.
-func refOptimizeGreedy(c *plan.Compiled, est refModel) (*plan.Plan, error) {
+func refOptimizeGreedy(c *plan.Compiled, est *refEstimator) (*plan.Plan, error) {
 	n := len(c.Patterns)
 	if n == 0 {
 		return nil, fmt.Errorf("plan: no patterns")
@@ -566,7 +370,7 @@ func refOptimizeGreedy(c *plan.Compiled, est refModel) (*plan.Plan, error) {
 
 // refOptimize runs the reference on one basic graph pattern the way
 // Optimize and OptimizeGreedy do: DP up to MaxDPPatterns, greedy beyond.
-func refOptimize(c *plan.Compiled, est refModel, greedy bool) (*plan.Plan, error) {
+func refOptimize(c *plan.Compiled, est *refEstimator, greedy bool) (*plan.Plan, error) {
 	if greedy || len(c.Patterns) > plan.MaxDPPatterns {
 		return refOptimizeGreedy(c, est)
 	}
@@ -603,7 +407,6 @@ type refTemplate struct {
 	name string
 	tmpl *sparql.Query
 	st   *store.Store
-	cs   *plan.CharacteristicSets
 }
 
 // refCorpus builds every BSBM and SNB template over stores whose
@@ -621,18 +424,17 @@ func refCorpus(t testing.TB) []refTemplate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcs, scs := plan.BuildCharacteristicSets(bst), plan.BuildCharacteristicSets(sst)
 	return []refTemplate{
-		{"bsbm/Q1", bsbm.Q1(), bst, bcs},
-		{"bsbm/Q2", bsbm.Q2(), bst, bcs},
-		{"bsbm/Q3", bsbm.Q3(), bst, bcs},
-		{"bsbm/Q4", bsbm.Q4(), bst, bcs},
-		{"bsbm/Q5", bsbm.Q5(), bst, bcs},
-		{"bsbm/Q6", bsbm.Q6(), bst, bcs},
-		{"snb/Q1", snb.Q1(), sst, scs},
-		{"snb/Q2", snb.Q2(), sst, scs},
-		{"snb/Q3", snb.Q3(), sst, scs},
-		{"snb/Q4", snb.Q4(), sst, scs},
+		{"bsbm/Q1", bsbm.Q1(), bst},
+		{"bsbm/Q2", bsbm.Q2(), bst},
+		{"bsbm/Q3", bsbm.Q3(), bst},
+		{"bsbm/Q4", bsbm.Q4(), bst},
+		{"bsbm/Q5", bsbm.Q5(), bst},
+		{"bsbm/Q6", bsbm.Q6(), bst},
+		{"snb/Q1", snb.Q1(), sst},
+		{"snb/Q2", snb.Q2(), sst},
+		{"snb/Q3", snb.Q3(), sst},
+		{"snb/Q4", snb.Q4(), sst},
 	}
 }
 
@@ -643,7 +445,7 @@ const refBindingsPerTemplate = 200
 // TestOptimizeMatchesReference requires the bitset kernel to choose the
 // reference's plans bit for bit — Signature, EstCost and EstCard of every
 // basic graph pattern's join tree — for every template on 200 bindings
-// drawn from its domain, under all three models and both optimizers.
+// drawn from its domain, under both optimizers.
 func TestOptimizeMatchesReference(t *testing.T) {
 	for _, rt := range refCorpus(t) {
 		t.Run(rt.name, func(t *testing.T) {
@@ -671,8 +473,8 @@ func TestOptimizeMatchesReference(t *testing.T) {
 	}
 }
 
-// checkAgainstReference optimizes c with every model and both optimizers
-// and compares each BGP's join tree with the reference's.
+// checkAgainstReference optimizes c with both optimizers and compares each
+// BGP's join tree with the reference's.
 func checkAgainstReference(t *testing.T, c *plan.Compiled, rt refTemplate, b sparql.Binding) {
 	t.Helper()
 	num := refNumbers(c)
@@ -684,43 +486,32 @@ func checkAgainstReference(t *testing.T, c *plan.Compiled, rt refTemplate, b spa
 			t.Fatalf("Compiled.Vars = %v, want ?%s numbered %d", c.Vars, v, i)
 		}
 	}
-	base := &refEstimator{st: rt.st, num: num}
-	samp := plan.NewSamplingEstimator(rt.st, c, 0)
-	models := []struct {
-		name string
-		got  plan.Model
-		ref  refModel
-	}{
-		{"independence", plan.NewEstimator(rt.st), base},
-		{"sampling", samp, newRefSampling(base, c, samp.PairSel())},
-		{"charsets", plan.NewCharsetEstimator(rt.st, rt.cs, c), newRefCharset(base, rt.cs, c)},
-	}
-	for _, m := range models {
-		for _, greedy := range []bool{false, true} {
-			optimize := plan.Optimize
-			if greedy {
-				optimize = plan.OptimizeGreedy
-			}
-			p, err := optimize(c, m.got)
+	ref := &refEstimator{st: rt.st, num: num}
+	est := plan.NewEstimator(rt.st)
+	for _, greedy := range []bool{false, true} {
+		optimize := plan.Optimize
+		if greedy {
+			optimize = plan.OptimizeGreedy
+		}
+		p, err := optimize(c, est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots, pats := bgpLeaves(p, c)
+		for k, got := range roots {
+			want, err := refOptimize(&plan.Compiled{Query: c.Query, Patterns: pats[k]}, ref, greedy)
 			if err != nil {
 				t.Fatal(err)
 			}
-			roots, pats := bgpLeaves(p, c)
-			for k, got := range roots {
-				want, err := refOptimize(&plan.Compiled{Query: c.Query, Patterns: pats[k]}, m.ref, greedy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Signature() != want.Signature ||
-					math.Float64bits(got.Cost) != math.Float64bits(want.EstCost) ||
-					math.Float64bits(got.Card) != math.Float64bits(want.EstCard) {
-					t.Fatalf("%s greedy=%v binding %v, BGP %d:\n got  %s cost=%v card=%v\n want %s cost=%v card=%v",
-						m.name, greedy, b, k, got.Signature(), got.Cost, got.Card, want.Signature, want.EstCost, want.EstCard)
-				}
+			if got.Signature() != want.Signature ||
+				math.Float64bits(got.Cost) != math.Float64bits(want.EstCost) ||
+				math.Float64bits(got.Card) != math.Float64bits(want.EstCard) {
+				t.Fatalf("greedy=%v binding %v, BGP %d:\n got  %s cost=%v card=%v\n want %s cost=%v card=%v",
+					greedy, b, k, got.Signature(), got.Cost, got.Card, want.Signature, want.EstCost, want.EstCard)
 			}
-			if p.Alg == nil && p.Signature != roots[0].Signature() {
-				t.Fatalf("%s greedy=%v: Plan.Signature %s, root renders %s", m.name, greedy, p.Signature, roots[0].Signature())
-			}
+		}
+		if p.Alg == nil && p.Signature != roots[0].Signature() {
+			t.Fatalf("greedy=%v: Plan.Signature %s, root renders %s", greedy, p.Signature, roots[0].Signature())
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // This file implements the physical-plan layer: lowering of an optimized
 // logical join tree (Node) into a tree of physical operators that the
 // executor runs directly. The lowering fixes every execution decision —
-// operator selection (index scan, index-nested-loop probe, hash/sort-merge/
-// cross join), output schemas, build-side choices for leaf-leaf joins, and
+// operator selection (index scan, index-nested-loop probe, hash or cross
+// join), output schemas, build-side choices for leaf-leaf joins, and
 // the placement of FILTER, ORDER BY, projection, DISTINCT and LIMIT — so a
 // plan's rows, row order and accounting depend on the plan alone.
 
@@ -27,8 +27,6 @@ const (
 	PhysIndexProbe
 	// PhysHashJoin joins Left and Right by hashing the smaller input.
 	PhysHashJoin
-	// PhysMergeJoin joins Left and Right by sorting both on the join key.
-	PhysMergeJoin
 	// PhysCross is a cross product (no shared variables).
 	PhysCross
 	// PhysFilter applies FILTER comparisons to Left's output.
@@ -41,14 +39,6 @@ const (
 	PhysDistinct
 	// PhysLimit truncates the output to Limit rows.
 	PhysLimit
-	// PhysLeapfrog is a multiway worst-case-optimal join over all the
-	// query's patterns at once: synchronized trie cursors (one per
-	// pattern, each a seek-capable scan of the permutation index whose
-	// sort key is the pattern's constants followed by its variables in the
-	// global TrieVars order) intersect one variable at a time. It replaces
-	// the whole binary join tree for eligible star/cyclic BGPs, so it
-	// never materializes binary intermediate results.
-	PhysLeapfrog
 	// PhysLeftJoin is a left outer hash join (OPTIONAL): a hash table is
 	// built on Right, Left rows stream through in order, matched rows emit
 	// every combination (build insertion order) and unmatched rows emit
@@ -73,8 +63,6 @@ func (op PhysOp) String() string {
 		return "IndexNestedLoopProbe"
 	case PhysHashJoin:
 		return "HashJoin"
-	case PhysMergeJoin:
-		return "SortMergeJoin"
 	case PhysCross:
 		return "CrossProduct"
 	case PhysFilter:
@@ -87,8 +75,6 @@ func (op PhysOp) String() string {
 		return "Distinct"
 	case PhysLimit:
 		return "Limit"
-	case PhysLeapfrog:
-		return "LeapfrogTrieJoin"
 	case PhysLeftJoin:
 		return "HashLeftJoin"
 	case PhysUnion:
@@ -98,39 +84,6 @@ func (op PhysOp) String() string {
 	default:
 		return fmt.Sprintf("op(%d)", uint8(op))
 	}
-}
-
-// PhysJoin selects the join algorithm for interior (non-index) joins.
-// It mirrors exec's JoinAlgorithm without importing it (plan is below exec
-// in the dependency order).
-type PhysJoin uint8
-
-const (
-	// PhysJoinHash builds a hash table on the smaller input (default).
-	PhysJoinHash PhysJoin = iota
-	// PhysJoinMerge sorts both inputs on the join key and merges.
-	PhysJoinMerge
-)
-
-// PhysOptions configures lowering.
-type PhysOptions struct {
-	// Join is the algorithm for interior joins (both children composite).
-	Join PhysJoin
-	// PushFilters evaluates single-variable filters at the lowest operator
-	// whose schema covers them instead of after the full join tree. This
-	// changes measured Cout (intermediate results shrink earlier), so it is
-	// off by default to keep the paper's cost accounting exact.
-	PushFilters bool
-	// Leapfrog replaces the binary join tree of an eligible BGP — three or
-	// more patterns, all connected through shared variables, some hub
-	// variable occurring in at least three of them, no repeated variable
-	// inside a pattern, no missing constants — with a single PhysLeapfrog
-	// node. Ineligible queries lower exactly as before. The multiway join
-	// emits rows in global trie order and counts only its final output
-	// toward Cout, so results match the binary plans as multisets but not
-	// row-for-row; it is therefore opt-in per run and excluded from the
-	// bit-identical golden matrix.
-	Leapfrog bool
 }
 
 // PhysNode is one node of a physical operator tree.
@@ -144,8 +97,6 @@ type PhysNode struct {
 	Limit       int                // PhysLimit: max rows to emit; -1 means unlimited (offset only)
 	Offset      int                // PhysLimit: rows to skip before emitting
 	Card        float64            // estimated output cardinality (join/scan nodes)
-	Leaves      []*CompiledPattern // PhysLeapfrog: all patterns of the multiway join
-	TrieVars    []sparql.Var       // PhysLeapfrog: global variable order (trie levels)
 	Kids        []*PhysNode        // PhysUnion: branches, in syntactic order
 	GroupBy     []sparql.Var       // PhysAggregate: grouping keys (may be empty)
 	Aggs        []sparql.Aggregate // PhysAggregate: aggregates, in SELECT order
@@ -164,11 +115,9 @@ type PhysNode struct {
 	ParallelSource *PhysNode
 }
 
-// Physical is a complete lowered plan: the operator tree plus the lowering
-// options it was built with.
+// Physical is a complete lowered plan: the operator tree.
 type Physical struct {
-	Root    *PhysNode
-	Options PhysOptions
+	Root *PhysNode
 }
 
 // String renders the operator tree for debugging and EXPLAIN output.
@@ -219,18 +168,6 @@ func (n *PhysNode) describe(b *strings.Builder) {
 		if n.Offset > 0 {
 			fmt.Fprintf(b, " offset %d", n.Offset)
 		}
-	case PhysLeapfrog:
-		b.WriteString(" [leapfrog] order(")
-		for i, v := range n.TrieVars {
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(b, "?%s", v)
-		}
-		b.WriteString(")")
-		for _, cp := range n.Leaves {
-			fmt.Fprintf(b, " p%d %v", cp.Index, cp.Pat)
-		}
 	case PhysUnion:
 		fmt.Fprintf(b, " %d branches", len(n.Kids))
 	case PhysAggregate:
@@ -265,90 +202,73 @@ func (n *PhysNode) describe(b *strings.Builder) {
 //     and the leaf's constants all exist in the dictionary;
 //   - a leaf-leaf join scans the smaller side (by estimated cardinality,
 //     ties to the left child) and probes the other;
-//   - remaining joins use the configured algorithm when the children share
-//     a variable and a cross product otherwise.
+//   - remaining joins are hash joins when the children share a variable
+//     and cross products otherwise.
 //
-// The epilogue appends Filter (all filters, or only those not pushed down),
-// Order, Project, Distinct and Limit, in that order. Filters, ORDER BY keys
-// and SELECT columns naming variables absent from the covering schema are
-// lowering errors.
-func Lower(c *Compiled, p *Plan, opts PhysOptions) (*Physical, error) {
+// The epilogue appends Filter, Order, Project, Distinct and Limit, in that
+// order. Filters, ORDER BY keys and SELECT columns naming variables absent
+// from the covering schema are lowering errors.
+func Lower(c *Compiled, p *Plan) (*Physical, error) {
 	if p == nil || (p.Root == nil && p.Alg == nil) {
 		return nil, fmt.Errorf("plan: nil plan")
 	}
-	l := &lowerer{opts: opts}
 	if p.Alg != nil {
-		return l.lowerPhysicalAlg(c, p)
+		return lowerPhysicalAlg(c, p)
 	}
-	root, err := l.lower(p.Root)
+	root, err := lower(p.Root)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Leapfrog {
-		if lf := leapfrogNode(c, root); lf != nil {
-			root = lf
-		}
-	}
-	root, err = l.epilogue(root, c.Query)
+	root, err = epilogue(root, c.Query)
 	if err != nil {
 		return nil, err
 	}
 	markParallelPipelines(root)
-	return &Physical{Root: root, Options: opts}, nil
+	return &Physical{Root: root}, nil
 }
 
 // lowerPhysicalAlg lowers a compositional-algebra plan. Group-scoped
-// filters are applied directly above the node that produced them (so
-// PushFilters pushdown is a no-op for algebra queries — group scoping
-// already fixes filter placement), then the epilogue appends aggregation,
-// HAVING and the standard tail.
-func (l *lowerer) lowerPhysicalAlg(c *Compiled, p *Plan) (*Physical, error) {
-	root, err := l.lowerAlg(c.Query, p.Alg)
+// filters are applied directly above the node that produced them, then the
+// epilogue appends aggregation, HAVING and the standard tail.
+func lowerPhysicalAlg(c *Compiled, p *Plan) (*Physical, error) {
+	root, err := lowerAlg(p.Alg)
 	if err != nil {
 		return nil, err
 	}
-	root, err = l.epilogueAlg(root, c.Query)
+	root, err = epilogueAlg(root, c.Query)
 	if err != nil {
 		return nil, err
 	}
 	markParallelPipelines(root)
-	return &Physical{Root: root, Options: l.opts}, nil
+	return &Physical{Root: root}, nil
 }
 
 // lowerAlg lowers one algebra node, its subtree, and its attached filters.
-func (l *lowerer) lowerAlg(q *sparql.Query, a *AlgNode) (*PhysNode, error) {
+func lowerAlg(a *AlgNode) (*PhysNode, error) {
 	var root *PhysNode
 	switch a.Kind {
 	case AlgBGP:
 		var err error
-		root, err = l.lower(a.Root)
+		root, err = lower(a.Root)
 		if err != nil {
 			return nil, err
-		}
-		if l.opts.Leapfrog {
-			// Per-leaf gating: leapfrogNode reads only the Compiled's
-			// pattern list, so a synthetic Compiled scopes it to this leaf.
-			sub := &Compiled{Query: q, Patterns: a.Compiled}
-			if lf := leapfrogNode(sub, root); lf != nil {
-				root = lf
-			}
 		}
 	case AlgJoin:
-		lp, err := l.lowerAlg(q, a.Left)
+		lp, err := lowerAlg(a.Left)
 		if err != nil {
 			return nil, err
 		}
-		rp, err := l.lowerAlg(q, a.Right)
+		rp, err := lowerAlg(a.Right)
 		if err != nil {
 			return nil, err
 		}
-		root = l.joinNode(lp, rp, a.Card)
+		root = joinNode(lp, rp, a.Card)
 	case AlgLeftJoin:
-		lp, err := l.lowerAlg(q, a.Left)
+		lp, err := lowerAlg(a.Left)
 		if err != nil {
 			return nil, err
 		}
-		rp, err := l.lowerAlg(q, a.Right)
+		rp, err := lowerAlg(a.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +282,7 @@ func (l *lowerer) lowerAlg(q *sparql.Query, a *AlgNode) (*PhysNode, error) {
 	case AlgUnion:
 		un := &PhysNode{Op: PhysUnion, Card: a.Card}
 		for _, br := range a.Branches {
-			kid, err := l.lowerAlg(q, br)
+			kid, err := lowerAlg(br)
 			if err != nil {
 				return nil, err
 			}
@@ -373,22 +293,13 @@ func (l *lowerer) lowerAlg(q *sparql.Query, a *AlgNode) (*PhysNode, error) {
 	default:
 		return nil, fmt.Errorf("plan: unknown algebra node %v", a.Kind)
 	}
-	if len(a.Filters) > 0 {
-		for _, f := range a.Filters {
-			if err := checkFilterCovered(f, root.Vars); err != nil {
-				return nil, err
-			}
-		}
-		root = &PhysNode{Op: PhysFilter, Left: root, Vars: root.Vars, Filters: a.Filters, Card: root.Card}
-	}
-	return root, nil
+	return filterNode(root, a.Filters)
 }
 
 // epilogueAlg appends the algebra epilogue: aggregation (grouping +
-// aggregates), HAVING, then ORDER BY, projection, DISTINCT and LIMIT in
-// the standard order. Root-group filters were already applied by
-// lowerAlg, so q.Filters is not reapplied here.
-func (l *lowerer) epilogueAlg(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
+// aggregates), HAVING, then the standard tail. Root-group filters were
+// already applied by lowerAlg, so q.Filters is not reapplied here.
+func epilogueAlg(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
 	if len(q.GroupBy) > 0 || len(q.Aggs) > 0 {
 		for _, v := range q.GroupBy {
 			if varIndex(root.Vars, v) < 0 {
@@ -413,41 +324,12 @@ func (l *lowerer) epilogueAlg(root *PhysNode, q *sparql.Query) (*PhysNode, error
 			Aggs:    append([]sparql.Aggregate(nil), q.Aggs...),
 			Card:    root.Card,
 		}
-		if len(q.Having) > 0 {
-			for _, f := range q.Having {
-				if err := checkFilterCovered(f, root.Vars); err != nil {
-					return nil, err
-				}
-			}
-			root = &PhysNode{Op: PhysFilter, Left: root, Vars: root.Vars, Filters: q.Having, Card: root.Card}
+		var err error
+		if root, err = filterNode(root, q.Having); err != nil {
+			return nil, err
 		}
 	}
-	if len(q.OrderBy) > 0 {
-		for _, k := range q.OrderBy {
-			if varIndex(root.Vars, k.Var) < 0 {
-				return nil, fmt.Errorf("plan: ORDER BY unbound variable ?%s", k.Var)
-			}
-		}
-		root = &PhysNode{Op: PhysOrder, Left: root, Vars: root.Vars, Keys: q.OrderBy, Card: root.Card}
-	}
-	if len(q.Select) > 0 {
-		for _, v := range q.Select {
-			if varIndex(root.Vars, v) < 0 {
-				return nil, fmt.Errorf("plan: SELECT of unbound variable ?%s", v)
-			}
-		}
-		root = &PhysNode{Op: PhysProject, Left: root, Vars: append([]sparql.Var(nil), q.Select...), Card: root.Card}
-	}
-	if q.Distinct {
-		root = &PhysNode{Op: PhysDistinct, Left: root, Vars: root.Vars, Card: root.Card}
-	}
-	if limit, has := q.LimitCount(); has || q.Offset > 0 {
-		if !has {
-			limit = -1
-		}
-		root = &PhysNode{Op: PhysLimit, Left: root, Vars: root.Vars, Limit: limit, Offset: q.Offset, Card: root.Card}
-	}
-	return root, nil
+	return tail(root, q)
 }
 
 // ParallelPipelines counts the parallelism-eligible pipelines of the plan —
@@ -522,51 +404,47 @@ func markParallelPipelines(n *PhysNode) {
 	}
 }
 
-type lowerer struct {
-	opts PhysOptions
-}
-
-func (l *lowerer) lower(n *Node) (*PhysNode, error) {
+func lower(n *Node) (*PhysNode, error) {
 	if n == nil {
 		return nil, fmt.Errorf("plan: nil logical node")
 	}
 	if n.IsLeaf() {
-		return l.scan(n), nil
+		return scan(n), nil
 	}
 	left, right := n.Left, n.Right
 	switch {
 	case right.IsLeaf() && !left.IsLeaf():
-		outer, err := l.lower(left)
+		outer, err := lower(left)
 		if err != nil {
 			return nil, err
 		}
-		return l.probe(outer, right, n.Card), nil
+		return probe(outer, right, n.Card), nil
 	case left.IsLeaf() && !right.IsLeaf():
-		outer, err := l.lower(right)
+		outer, err := lower(right)
 		if err != nil {
 			return nil, err
 		}
-		return l.probe(outer, left, n.Card), nil
+		return probe(outer, left, n.Card), nil
 	case left.IsLeaf() && right.IsLeaf():
 		// Scan the smaller (by estimated cardinality), probe the other.
 		if left.Card <= right.Card {
-			return l.probe(l.scan(left), right, n.Card), nil
+			return probe(scan(left), right, n.Card), nil
 		}
-		return l.probe(l.scan(right), left, n.Card), nil
+		return probe(scan(right), left, n.Card), nil
 	default:
-		lp, err := l.lower(left)
+		lp, err := lower(left)
 		if err != nil {
 			return nil, err
 		}
-		rp, err := l.lower(right)
+		rp, err := lower(right)
 		if err != nil {
 			return nil, err
 		}
-		return l.joinNode(lp, rp, n.Card), nil
+		return joinNode(lp, rp, n.Card), nil
 	}
 }
 
-func (l *lowerer) scan(n *Node) *PhysNode {
+func scan(n *Node) *PhysNode {
 	return &PhysNode{
 		Op:   PhysIndexScan,
 		Leaf: n.Leaf,
@@ -579,7 +457,7 @@ func (l *lowerer) scan(n *Node) *PhysNode {
 // a variable with the outer schema (and its constants resolve), the join is
 // an index-nested-loop probe; otherwise it degrades to a regular join of
 // the outer with a full scan of the leaf.
-func (l *lowerer) probe(outer *PhysNode, leafNode *Node, card float64) *PhysNode {
+func probe(outer *PhysNode, leafNode *Node, card float64) *PhysNode {
 	cp := leafNode.Leaf
 	anyShared := false
 	for _, v := range cp.Vars() {
@@ -589,7 +467,7 @@ func (l *lowerer) probe(outer *PhysNode, leafNode *Node, card float64) *PhysNode
 		}
 	}
 	if !anyShared || cp.Missing {
-		return l.joinNode(outer, l.scan(leafNode), card)
+		return joinNode(outer, scan(leafNode), card)
 	}
 	return &PhysNode{
 		Op:   PhysIndexProbe,
@@ -601,15 +479,11 @@ func (l *lowerer) probe(outer *PhysNode, leafNode *Node, card float64) *PhysNode
 }
 
 // joinNode builds the physical join of two composite inputs: a cross
-// product when they share no variable, the configured algorithm otherwise.
-func (l *lowerer) joinNode(left, right *PhysNode, card float64) *PhysNode {
+// product when they share no variable, a hash join otherwise.
+func joinNode(left, right *PhysNode, card float64) *PhysNode {
 	op := PhysCross
 	if schemasShareVar(left.Vars, right.Vars) {
-		if l.opts.Join == PhysJoinMerge {
-			op = PhysMergeJoin
-		} else {
-			op = PhysHashJoin
-		}
+		op = PhysHashJoin
 	}
 	return &PhysNode{
 		Op:    op,
@@ -620,25 +494,32 @@ func (l *lowerer) joinNode(left, right *PhysNode, card float64) *PhysNode {
 	}
 }
 
-// epilogue appends the post-join operators in order: FILTER, ORDER BY,
-// projection, DISTINCT, LIMIT.
-func (l *lowerer) epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
-	rootFilters := q.Filters
-	if l.opts.PushFilters {
-		var err error
-		root, rootFilters, err = pushFilters(root, q.Filters)
-		if err != nil {
+// epilogue appends the post-join operators in order: FILTER, then the
+// tail (ORDER BY, projection, DISTINCT, LIMIT).
+func epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
+	root, err := filterNode(root, q.Filters)
+	if err != nil {
+		return nil, err
+	}
+	return tail(root, q)
+}
+
+// filterNode wraps root in a PhysFilter evaluating filters, which must be
+// covered by root's schema; no filters leave root as it is.
+func filterNode(root *PhysNode, filters []sparql.Filter) (*PhysNode, error) {
+	if len(filters) == 0 {
+		return root, nil
+	}
+	for _, f := range filters {
+		if err := checkFilterCovered(f, root.Vars); err != nil {
 			return nil, err
 		}
 	}
-	if len(rootFilters) > 0 {
-		for _, f := range rootFilters {
-			if err := checkFilterCovered(f, root.Vars); err != nil {
-				return nil, err
-			}
-		}
-		root = &PhysNode{Op: PhysFilter, Left: root, Vars: root.Vars, Filters: rootFilters, Card: root.Card}
-	}
+	return &PhysNode{Op: PhysFilter, Left: root, Vars: root.Vars, Filters: filters, Card: root.Card}, nil
+}
+
+// tail appends ORDER BY, projection, DISTINCT and LIMIT, in that order.
+func tail(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
 	if len(q.OrderBy) > 0 {
 		for _, k := range q.OrderBy {
 			if varIndex(root.Vars, k.Var) < 0 {
@@ -665,111 +546,6 @@ func (l *lowerer) epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
 		root = &PhysNode{Op: PhysLimit, Left: root, Vars: root.Vars, Limit: limit, Offset: q.Offset, Card: root.Card}
 	}
 	return root, nil
-}
-
-// pushFilters places every single-variable filter at each lowest operator
-// that introduces its variable (scans and probes), returning the filters
-// that must remain at the root: multi-variable comparisons, plus any filter
-// whose variable no operator covers (left to the root filter so lowering
-// reports the standard unbound-variable error).
-func pushFilters(root *PhysNode, filters []sparql.Filter) (*PhysNode, []sparql.Filter, error) {
-	var rest []sparql.Filter
-	for _, f := range filters {
-		v, single, err := singleFilterVar(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !single {
-			rest = append(rest, f)
-			continue
-		}
-		newRoot, placed := placeFilter(root, f, v)
-		if !placed {
-			// Variable not produced anywhere: keep at root so execution
-			// fails with the standard unbound-variable error.
-			rest = append(rest, f)
-			continue
-		}
-		root = newRoot
-	}
-	return root, rest, nil
-}
-
-// singleFilterVar reports whether f references exactly one distinct
-// variable, and which. Parameters are a lowering error (Compile rejects
-// them earlier; this guards direct callers).
-func singleFilterVar(f sparql.Filter) (sparql.Var, bool, error) {
-	var vars []sparql.Var
-	for _, n := range []sparql.Node{f.Left, f.Right} {
-		switch n.Kind {
-		case sparql.NodeVar:
-			vars = append(vars, n.Var)
-		case sparql.NodeParam:
-			return "", false, fmt.Errorf("plan: filter contains unbound parameter %%%s", n.Param)
-		}
-	}
-	if len(vars) == 1 {
-		return vars[0], true, nil
-	}
-	if len(vars) == 2 && vars[0] == vars[1] {
-		return vars[0], true, nil
-	}
-	return "", false, nil
-}
-
-// placeFilter wraps, on every branch, the lowest operator introducing v in
-// a PhysFilter evaluating f. It reports whether at least one operator was
-// wrapped.
-func placeFilter(n *PhysNode, f sparql.Filter, v sparql.Var) (*PhysNode, bool) {
-	if varIndex(n.Vars, v) < 0 {
-		return n, false
-	}
-	wrap := func(x *PhysNode) *PhysNode {
-		// Merge into an existing filter wrapper to keep trees shallow.
-		if x.Op == PhysFilter {
-			x.Filters = append(x.Filters, f)
-			return x
-		}
-		return &PhysNode{Op: PhysFilter, Left: x, Vars: x.Vars, Filters: []sparql.Filter{f}, Card: x.Card}
-	}
-	switch n.Op {
-	case PhysIndexScan, PhysLeapfrog:
-		// Scans introduce their variables; the leapfrog join has no
-		// children to push into — both filter their own output.
-		return wrap(n), true
-	case PhysIndexProbe:
-		// If the outer side already covers v, push below; otherwise the
-		// probe introduces it, so filter the probe's output.
-		if varIndex(n.Left.Vars, v) >= 0 {
-			left, ok := placeFilter(n.Left, f, v)
-			n.Left = left
-			return n, ok
-		}
-		return wrap(n), true
-	case PhysHashJoin, PhysMergeJoin, PhysCross:
-		placedAny := false
-		if varIndex(n.Left.Vars, v) >= 0 {
-			left, ok := placeFilter(n.Left, f, v)
-			n.Left, placedAny = left, ok
-		}
-		if varIndex(n.Right.Vars, v) >= 0 {
-			right, ok := placeFilter(n.Right, f, v)
-			n.Right = right
-			placedAny = placedAny || ok
-		}
-		if !placedAny {
-			return wrap(n), true
-		}
-		return n, true
-	default:
-		// Unary epilogue operators are built after pushdown.
-		left, ok := placeFilter(n.Left, f, v)
-		n.Left = left
-		if !ok {
-			return wrap(n), true
-		}
-		return n, true
-	}
 }
 
 // checkFilterCovered verifies every variable of f is in the schema,

@@ -32,7 +32,7 @@ func buildPhysStore(t *testing.T) *store.Store {
 	return b.Build()
 }
 
-func lowerQuery(t *testing.T, st *store.Store, src string, opts PhysOptions) (*Physical, *Compiled) {
+func lowerQuery(t *testing.T, st *store.Store, src string) (*Physical, *Compiled) {
 	t.Helper()
 	c, err := Compile(sparql.MustParse(src), st)
 	if err != nil {
@@ -42,7 +42,7 @@ func lowerQuery(t *testing.T, st *store.Store, src string, opts PhysOptions) (*P
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := Lower(c, p, opts)
+	ph, err := Lower(c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func countOps(n *PhysNode, into map[PhysOp]int) {
 
 func TestLowerSingleScan(t *testing.T) {
 	st := buildPhysStore(t)
-	ph, _ := lowerQuery(t, st, `SELECT * WHERE { ?s <http://x/knows> ?o . }`, PhysOptions{})
+	ph, _ := lowerQuery(t, st, `SELECT * WHERE { ?s <http://x/knows> ?o . }`)
 	if ph.Root.Op != PhysIndexScan {
 		t.Fatalf("root = %s, want IndexScan\n%s", ph.Root.Op, ph)
 	}
@@ -75,13 +75,13 @@ func TestLowerChainUsesIndexProbes(t *testing.T) {
 	ph, _ := lowerQuery(t, st, `SELECT * WHERE {
   ?a <http://x/knows> ?b .
   ?b <http://x/age> ?x .
-}`, PhysOptions{})
+}`)
 	ops := map[PhysOp]int{}
 	countOps(ph.Root, ops)
 	if ops[PhysIndexProbe] != 1 || ops[PhysIndexScan] != 1 {
 		t.Fatalf("ops = %v, want 1 probe over 1 scan\n%s", ops, ph)
 	}
-	if ops[PhysHashJoin]+ops[PhysMergeJoin]+ops[PhysCross] != 0 {
+	if ops[PhysHashJoin]+ops[PhysCross] != 0 {
 		t.Fatalf("unexpected interior join: %v", ops)
 	}
 }
@@ -92,7 +92,7 @@ func TestLowerLeafLeafProbesLargerSide(t *testing.T) {
 	ph, _ := lowerQuery(t, st, `SELECT * WHERE {
   ?p <http://x/knows> ?q .
   ?q <http://x/age> ?x .
-}`, PhysOptions{})
+}`)
 	var probe *PhysNode
 	var walk func(*PhysNode)
 	walk = func(n *PhysNode) {
@@ -122,7 +122,7 @@ func TestLowerCrossProduct(t *testing.T) {
 	ph, _ := lowerQuery(t, st, `SELECT * WHERE {
   <http://x/alice> <http://x/age> ?a .
   <http://x/bob> <http://x/age> ?b .
-}`, PhysOptions{})
+}`)
 	ops := map[PhysOp]int{}
 	countOps(ph.Root, ops)
 	if ops[PhysCross] != 1 {
@@ -138,7 +138,7 @@ func TestLowerMissingLeafScansEmptySide(t *testing.T) {
 	ph, _ := lowerQuery(t, st, `SELECT * WHERE {
   ?p <http://x/knows> ?f .
   ?f <http://x/nonexistent> ?z .
-}`, PhysOptions{})
+}`)
 	ops := map[PhysOp]int{}
 	countOps(ph.Root, ops)
 	if ops[PhysIndexProbe] != 1 || ops[PhysIndexScan] != 1 {
@@ -181,7 +181,7 @@ func TestLowerProbeOfMissingLeafFallsBackToJoin(t *testing.T) {
   ?b <http://x/nonexistent> ?z .
 }`)
 	root := join(join(leaf(0), leaf(1)), leaf(2))
-	ph, err := Lower(c, &Plan{Root: root}, PhysOptions{})
+	ph, err := Lower(c, &Plan{Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,9 @@ func TestLowerProbeOfMissingLeafFallsBackToJoin(t *testing.T) {
 	}
 }
 
-func TestLowerJoinAlgorithmOption(t *testing.T) {
-	// A bushy tree with two composite children exercises the interior-join
-	// algorithm choice.
+func TestLowerInteriorHashJoin(t *testing.T) {
+	// A bushy tree with two composite children joins them with a hash join,
+	// the only interior-join algorithm.
 	st := buildPhysStore(t)
 	c, join, leaf := handTree(t, st, `SELECT * WHERE {
   ?a <http://x/knows> ?b .
@@ -203,19 +203,14 @@ func TestLowerJoinAlgorithmOption(t *testing.T) {
   ?a <http://x/age> ?y .
 }`)
 	root := join(join(leaf(0), leaf(1)), join(leaf(2), leaf(3)))
-	for _, tc := range []struct {
-		alg  PhysJoin
-		want PhysOp
-	}{{PhysJoinHash, PhysHashJoin}, {PhysJoinMerge, PhysMergeJoin}} {
-		ph, err := Lower(c, &Plan{Root: root}, PhysOptions{Join: tc.alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := map[PhysOp]int{}
-		countOps(ph.Root, ops)
-		if ops[tc.want] != 1 {
-			t.Fatalf("alg %v: ops = %v, want one %s\n%s", tc.alg, ops, tc.want, ph)
-		}
+	ph, err := Lower(c, &Plan{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[PhysOp]int{}
+	countOps(ph.Root, ops)
+	if ops[PhysHashJoin] != 1 {
+		t.Fatalf("ops = %v, want one HashJoin\n%s", ops, ph)
 	}
 }
 
@@ -224,7 +219,7 @@ func TestLowerEpilogueOrder(t *testing.T) {
 	ph, _ := lowerQuery(t, st, `SELECT DISTINCT ?s WHERE {
   ?s <http://x/age> ?a .
   FILTER(?a > 18)
-} ORDER BY ?a LIMIT 2`, PhysOptions{})
+} ORDER BY ?a LIMIT 2`)
 	var got []PhysOp
 	for n := ph.Root; n != nil; n = n.Left {
 		got = append(got, n.Op)
@@ -240,49 +235,6 @@ func TestLowerEpilogueOrder(t *testing.T) {
 	}
 }
 
-func TestLowerPushdownSingleVarFilter(t *testing.T) {
-	st := buildPhysStore(t)
-	// ?p is introduced by the outer scan over knows (2 triples, smaller
-	// than age's 3), so the filter must sit on that scan, below the probe.
-	src := `SELECT * WHERE {
-  ?p <http://x/knows> ?f .
-  ?f <http://x/age> ?a .
-  FILTER(?p = <http://x/alice>)
-}`
-	ph, _ := lowerQuery(t, st, src, PhysOptions{PushFilters: true})
-	if ph.Root.Op != PhysIndexProbe {
-		t.Fatalf("root = %s, want the probe (filter pushed below)\n%s", ph.Root.Op, ph)
-	}
-	if ph.Root.Left.Op != PhysFilter || ph.Root.Left.Left.Op != PhysIndexScan {
-		t.Fatalf("want Filter over the outer IndexScan\n%s", ph)
-	}
-}
-
-func TestLowerPushdownKeepsMultiVarFilterAtRoot(t *testing.T) {
-	st := buildPhysStore(t)
-	src := `SELECT * WHERE {
-  ?p <http://x/age> ?a .
-  ?q <http://x/age> ?b .
-  FILTER(?a < ?b)
-}`
-	ph, _ := lowerQuery(t, st, src, PhysOptions{PushFilters: true})
-	if ph.Root.Op != PhysFilter {
-		t.Fatalf("multi-var filter must remain at root\n%s", ph)
-	}
-}
-
-func TestLowerPushdownFilterOnScan(t *testing.T) {
-	st := buildPhysStore(t)
-	src := `SELECT * WHERE {
-  ?s <http://x/age> ?a .
-  FILTER(?a >= 30)
-}`
-	ph, _ := lowerQuery(t, st, src, PhysOptions{PushFilters: true})
-	if ph.Root.Op != PhysFilter || ph.Root.Left.Op != PhysIndexScan {
-		t.Fatalf("want Filter directly over IndexScan\n%s", ph)
-	}
-}
-
 func TestLowerErrors(t *testing.T) {
 	st := buildPhysStore(t)
 	bad := []string{
@@ -291,18 +243,16 @@ func TestLowerErrors(t *testing.T) {
 		`SELECT * WHERE { ?s <http://x/age> ?a . } ORDER BY ?nope`,
 	}
 	for _, src := range bad {
-		for _, push := range []bool{false, true} {
-			c, err := Compile(sparql.MustParse(src), st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := Optimize(c, NewEstimator(st))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Lower(c, p, PhysOptions{PushFilters: push}); err == nil {
-				t.Errorf("expected lowering error for %q (push=%v)", src, push)
-			}
+		c, err := Compile(sparql.MustParse(src), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Optimize(c, NewEstimator(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Lower(c, p); err == nil {
+			t.Errorf("expected lowering error for %q", src)
 		}
 	}
 }
@@ -313,7 +263,7 @@ func TestPhysicalString(t *testing.T) {
   <http://x/alice> <http://x/knows> ?f .
   ?f <http://x/age> ?a .
   FILTER(?a >= 18)
-}`, PhysOptions{})
+}`)
 	s := ph.String()
 	for _, want := range []string{"IndexScan", "Project", "Filter"} {
 		if !strings.Contains(s, want) {
@@ -335,7 +285,7 @@ func TestLowerMarksParallelPipelines(t *testing.T) {
   ?a <http://x/knows> ?b .
   ?b <http://x/age> ?x .
   FILTER(?x > 10)
-}`, PhysOptions{})
+}`)
 	if ph.ParallelPipelines() != 1 {
 		t.Fatalf("pipelines = %d, want 1\n%s", ph.ParallelPipelines(), ph)
 	}
@@ -370,7 +320,7 @@ func TestLowerMarksParallelPipelines(t *testing.T) {
 	ph, _ = lowerQuery(t, st, `SELECT ?b WHERE {
   ?a <http://x/knows> ?b .
   ?b <http://x/age> ?x .
-} ORDER BY ?b`, PhysOptions{})
+} ORDER BY ?b`)
 	if ph.ParallelPipelines() != 1 {
 		t.Fatalf("pipelines = %d, want 1\n%s", ph.ParallelPipelines(), ph)
 	}
@@ -402,7 +352,7 @@ func TestLowerMarksParallelPipelines(t *testing.T) {
 	ph, _ = lowerQuery(t, st, `SELECT * WHERE {
   ?a <http://x/knows> ?b .
   ?c <http://x/date> ?d .
-}`, PhysOptions{})
+}`)
 	ops := map[PhysOp]int{}
 	countOps(ph.Root, ops)
 	if ops[PhysCross] != 1 {
@@ -413,7 +363,7 @@ func TestLowerMarksParallelPipelines(t *testing.T) {
 	}
 
 	// A missing-constant scan has nothing to partition: not eligible.
-	ph, _ = lowerQuery(t, st, `SELECT * WHERE { ?s <http://x/nonexistent> ?o . }`, PhysOptions{})
+	ph, _ = lowerQuery(t, st, `SELECT * WHERE { ?s <http://x/nonexistent> ?o . }`)
 	if ph.ParallelPipelines() != 0 {
 		t.Fatalf("missing-leaf scan marked eligible\n%s", ph)
 	}

@@ -82,7 +82,7 @@ func TestCompileBasics(t *testing.T) {
 	if c.Patterns[0].Missing || c.Patterns[1].Missing {
 		t.Fatal("known terms marked missing")
 	}
-	if !shareVar(c.Patterns[0], c.Patterns[1]) {
+	if c.Patterns[0].VarMask&c.Patterns[1].VarMask == 0 {
 		t.Fatal("patterns share ?p")
 	}
 }
@@ -375,7 +375,7 @@ func TestCompileRejectsTooManyVariables(t *testing.T) {
 	}
 }
 
-func TestVarsAndShareVarAllocs(t *testing.T) {
+func TestVarsAllocs(t *testing.T) {
 	st := buildIntroStore(t)
 	c := mustCompile(t, st, `SELECT * WHERE {
   ?p ?r ?p .
@@ -386,9 +386,6 @@ func TestVarsAndShareVarAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Patterns[1].Vars() }); n > 1 {
 		t.Errorf("Vars allocates %v times, want ≤ 1", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { shareVar(c.Patterns[0], c.Patterns[1]) }); n != 0 {
-		t.Errorf("shareVar allocates %v times, want 0", n)
 	}
 }
 

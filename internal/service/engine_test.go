@@ -13,8 +13,7 @@ import (
 )
 
 // buildStarServiceStore builds a store with enough star structure that a
-// three-pattern hub query both answers non-trivially and is
-// leapfrog-eligible.
+// three-pattern hub query answers non-trivially.
 func buildStarServiceStore(t testing.TB) *store.Store {
 	t.Helper()
 	b := store.NewBuilder()
@@ -42,9 +41,9 @@ const starServiceQuery = `SELECT * WHERE {
   ?h <http://x/p3> ?c .
 }`
 
-// TestColumnarService: a default service and a leapfrog one answer the
-// same rows and report the one engine and their kernel counters through
-// Stats.
+// TestColumnarService: a default service reports the one engine and its
+// kernel counters through Stats, and the ignored Leapfrog shim changes
+// neither the rows nor the reported engine.
 func TestColumnarService(t *testing.T) {
 	st := buildStarServiceStore(t)
 	ref := New(st, "", Options{})
@@ -60,22 +59,21 @@ func TestColumnarService(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got.Result.Rows) != len(want.Result.Rows) {
-		t.Fatalf("leapfrog service rows = %d, want %d", len(got.Result.Rows), len(want.Result.Rows))
+		t.Fatalf("shim service rows = %d, want %d", len(got.Result.Rows), len(want.Result.Rows))
 	}
 	refStats, lfStats := ref.Stats(), lf.Stats()
 	if refStats.Engine.Mode != "columnar" || refStats.Engine.Leapfrog || refStats.Engine.Kernels.Batches == 0 {
 		t.Fatalf("default service engine stats: %+v", refStats.Engine)
 	}
-	if lfStats.Engine.Mode != "columnar" || !lfStats.Engine.Leapfrog || lfStats.Engine.Kernels.LeapfrogRows == 0 {
-		t.Fatalf("leapfrog service engine stats: %+v", lfStats.Engine)
+	if lfStats.Engine != refStats.Engine {
+		t.Fatalf("shim service engine stats %+v, want %+v", lfStats.Engine, refStats.Engine)
 	}
 }
 
 // TestEngineVariantCacheKeys: every plan cache belongs to one service and
 // its fixed engine configuration, so services with different configurations
 // key the same query text identically, on plan.CacheKey alone, while each
-// still caches within itself; a cached leapfrog plan still executes the
-// leapfrog operator.
+// still caches within itself.
 func TestEngineVariantCacheKeys(t *testing.T) {
 	st := buildStarServiceStore(t)
 	q, err := sparql.Parse(starServiceQuery)
@@ -86,14 +84,11 @@ func TestEngineVariantCacheKeys(t *testing.T) {
 	ctx := context.Background()
 	for _, opts := range []exec.Options{
 		{},
-		{Join: exec.SortMergeJoin},
-		{PushFilters: true},
-		{Leapfrog: true},
+		{EarlyStop: true},
+		{Parallelism: 2, MorselSize: 1},
 	} {
 		svc := New(st, "", Options{Exec: opts})
-		var lfRows uint64
 		for i := 0; i < 2; i++ {
-			lfRows = svc.Stats().Engine.Kernels.LeapfrogRows
 			out, err := svc.Query(ctx, starServiceQuery, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -109,9 +104,6 @@ func TestEngineVariantCacheKeys(t *testing.T) {
 		cache.mu.Unlock()
 		if !ok || n != 1 {
 			t.Fatalf("%+v: cache holds %d entries, key %q present %v", opts, n, wantKey, ok)
-		}
-		if opts.Leapfrog && svc.Stats().Engine.Kernels.LeapfrogRows == lfRows {
-			t.Fatal("cached leapfrog plan did not execute the leapfrog operator")
 		}
 	}
 }

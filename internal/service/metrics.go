@@ -90,10 +90,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("repro_kernel_batches_total", "Columnar batches processed.", float64(k.Batches))
 	m.counter("repro_kernel_filter_rows_total", "Rows through columnar filter kernels.", float64(k.FilterRows))
 	m.counter("repro_kernel_hash_probe_rows_total", "Rows through columnar hash-probe kernels.", float64(k.HashProbeRows))
-	m.counter("repro_kernel_merge_rows_total", "Rows through columnar merge kernels.", float64(k.MergeRows))
 	m.counter("repro_kernel_gather_rows_total", "Rows gathered into dense batches.", float64(k.GatherRows))
-	m.counter("repro_kernel_leapfrog_seeks_total", "Leapfrog trie cursor seeks.", float64(k.LeapfrogSeeks))
-	m.counter("repro_kernel_leapfrog_rows_total", "Rows emitted by leapfrog joins.", float64(k.LeapfrogRows))
 	m.counter("repro_algebra_left_join_rows_total", "Rows emitted by left outer joins (OPTIONAL).", float64(k.LeftJoinRows))
 	m.counter("repro_algebra_union_rows_total", "Rows emitted by unions.", float64(k.UnionRows))
 	m.counter("repro_algebra_agg_groups_total", "Groups emitted by aggregations.", float64(k.AggGroups))

@@ -203,11 +203,10 @@ func TestParallelMixedWorkloadRace(t *testing.T) {
 	st := buildMixedStore(t)
 	mkOpts := func(par int) Options {
 		return Options{
-			Workers:     4,
-			QueueDepth:  1 << 16,
-			Parallelism: par,
+			Workers:    4,
+			QueueDepth: 1 << 16,
 			// Small morsels so the test-scale store genuinely splits.
-			Exec: exec.Options{MorselSize: 128},
+			Exec: exec.Options{Parallelism: par, MorselSize: 128},
 		}
 	}
 	svc := New(st, "", mkOpts(8))

@@ -76,20 +76,19 @@ type Options struct {
 	// ErrOverloaded. 0 means 4*Workers; negative means no queue (reject as
 	// soon as all workers are busy).
 	QueueDepth int
-	// Parallelism is the per-query intra-query worker ceiling
-	// (exec.Options.Parallelism): parallelism-eligible pipelines and hash-
-	// join probes of one query fan out across up to this many workers.
-	// Workers beyond the query's own goroutine are drawn opportunistically
-	// from the *same* token pool that admits queries, so intra-query
-	// parallelism and request concurrency jointly respect the Workers
-	// budget instead of multiplying — a saturated service runs every query
-	// serially, an idle one lets a single query use the spare cores.
-	// Default 1 (serial, paper-experiment semantics).
-	Parallelism int
 	// PlanCacheSize is the shared plan cache's entry capacity. 0 means
 	// 1024; negative disables caching.
 	PlanCacheSize int
 	// Exec are the execution options every query runs with.
+	// Exec.Parallelism is the per-query intra-query worker ceiling:
+	// parallelism-eligible pipelines and hash-join probes of one query fan
+	// out across up to this many workers. Workers beyond the query's own
+	// goroutine are drawn opportunistically from the *same* token pool that
+	// admits queries, so intra-query parallelism and request concurrency
+	// jointly respect the Workers budget instead of multiplying — a
+	// saturated service runs every query serially, an idle one lets a
+	// single query use the spare cores. Default 1 (serial,
+	// paper-experiment semantics).
 	Exec exec.Options
 	// HeapLoad forces Load/Reload to fully deserialize snapshots into heap
 	// stores even when the file is in the v4 mapped layout. Default off: v4
@@ -167,15 +166,9 @@ func (o Options) normalized() Options {
 	case o.PlanCacheSize < 0:
 		o.PlanCacheSize = 0
 	}
-	if o.Parallelism < 1 {
-		// Accept the knob through Exec too, for callers building
-		// exec.Options directly.
-		o.Parallelism = o.Exec.Parallelism
+	if o.Exec.Parallelism < 1 {
+		o.Exec.Parallelism = 1
 	}
-	if o.Parallelism < 1 {
-		o.Parallelism = 1
-	}
-	o.Exec.Parallelism = o.Parallelism
 	if o.TraceRecent == 0 {
 		o.TraceRecent = 64
 	}
@@ -295,10 +288,7 @@ type kernelCounters struct {
 	batches       atomic.Uint64
 	filterRows    atomic.Uint64
 	hashProbeRows atomic.Uint64
-	mergeRows     atomic.Uint64
 	gatherRows    atomic.Uint64
-	leapfrogSeeks atomic.Uint64
-	leapfrogRows  atomic.Uint64
 	leftJoinRows  atomic.Uint64
 	unionRows     atomic.Uint64
 	aggGroups     atomic.Uint64
@@ -311,10 +301,7 @@ func (k *kernelCounters) add(ks exec.KernelStats) {
 	k.batches.Add(uint64(ks.Batches))
 	k.filterRows.Add(uint64(ks.FilterRows))
 	k.hashProbeRows.Add(uint64(ks.HashProbeRows))
-	k.mergeRows.Add(uint64(ks.MergeRows))
 	k.gatherRows.Add(uint64(ks.GatherRows))
-	k.leapfrogSeeks.Add(uint64(ks.LeapfrogSeeks))
-	k.leapfrogRows.Add(uint64(ks.LeapfrogRows))
 	k.leftJoinRows.Add(uint64(ks.LeftJoinRows))
 	k.unionRows.Add(uint64(ks.UnionRows))
 	k.aggGroups.Add(uint64(ks.AggGroups))
@@ -1088,7 +1075,7 @@ type PoolStats struct {
 // ParallelStats describe morsel-driven intra-query parallelism since
 // startup: how many queries ran parallel operators, how many morsels they
 // executed and the per-query peak worker counts (average and maximum) —
-// the worker-utilization view of Options.Parallelism.
+// the worker-utilization view of Options.Exec.Parallelism.
 type ParallelStats struct {
 	Parallelism int     `json:"parallelism"`
 	Queries     uint64  `json:"queries"`
@@ -1104,10 +1091,7 @@ type KernelStats struct {
 	Batches       uint64 `json:"batches"`
 	FilterRows    uint64 `json:"filter_rows"`
 	HashProbeRows uint64 `json:"hash_probe_rows"`
-	MergeRows     uint64 `json:"merge_rows"`
 	GatherRows    uint64 `json:"gather_rows"`
-	LeapfrogSeeks uint64 `json:"leapfrog_seeks"`
-	LeapfrogRows  uint64 `json:"leapfrog_rows"`
 	LeftJoinRows  uint64 `json:"left_join_rows"`
 	UnionRows     uint64 `json:"union_rows"`
 	AggGroups     uint64 `json:"agg_groups"`
@@ -1118,8 +1102,10 @@ type KernelStats struct {
 type EngineStats struct {
 	// Mode is always "columnar", the only engine.
 	Mode string `json:"mode"`
-	// Leapfrog reports whether eligible star BGPs lower to the multiway
-	// leapfrog triejoin.
+	// Leapfrog is always false. It survives as a shim, like
+	// exec.Options.Leapfrog, because the frozen benchmark harness
+	// (bench/main.go) reads it; the benchmark-only follow-up that may edit
+	// bench/ deletes both (ROADMAP item 6(f)).
 	Leapfrog bool        `json:"leapfrog"`
 	Kernels  KernelStats `json:"kernels"`
 }
@@ -1288,22 +1274,18 @@ func (s *Service) Stats() Stats {
 			TokensInUse: s.pool.InUse(),
 		},
 		Parallel: ParallelStats{
-			Parallelism: s.opts.Parallelism,
+			Parallelism: s.opts.Exec.Parallelism,
 			Queries:     s.parQueries.Load(),
 			Morsels:     s.parMorsels.Load(),
 			MaxWorkers:  s.parWorkersMax.Load(),
 		},
 		Engine: EngineStats{
-			Mode:     "columnar",
-			Leapfrog: s.opts.Exec.Leapfrog,
+			Mode: "columnar",
 			Kernels: KernelStats{
 				Batches:       s.kern.batches.Load(),
 				FilterRows:    s.kern.filterRows.Load(),
 				HashProbeRows: s.kern.hashProbeRows.Load(),
-				MergeRows:     s.kern.mergeRows.Load(),
 				GatherRows:    s.kern.gatherRows.Load(),
-				LeapfrogSeeks: s.kern.leapfrogSeeks.Load(),
-				LeapfrogRows:  s.kern.leapfrogRows.Load(),
 				LeftJoinRows:  s.kern.leftJoinRows.Load(),
 				UnionRows:     s.kern.unionRows.Load(),
 				AggGroups:     s.kern.aggGroups.Load(),

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -231,7 +232,7 @@ func TestShardedReloadQueryRace(t *testing.T) {
 	}
 	pathB := writeShardedSnapshot(t, dir, "b.shards", b.Build(), 4)
 
-	svc, err := Load(pathA, Options{AllowReload: true, Parallelism: 4})
+	svc, err := Load(pathA, Options{AllowReload: true, Exec: exec.Options{Parallelism: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,8 +238,8 @@ func keyBelow(t *IDTriple, p [3]int, k packedKey) bool { return packKey(t, p).be
 
 // lowerBound returns the first position in idx[i:j] whose sort key
 // (components in the order p lists) is >= k, or j when there is none. An
-// explicit loop, not a sort.Search closure: one runs per probe and per
-// leapfrog seek, so it must not allocate.
+// explicit loop, not a sort.Search closure: one runs per probe, so it
+// must not allocate.
 func lowerBound(idx []IDTriple, p [3]int, i, j int, k packedKey) int {
 	for i < j {
 		h := int(uint(i+j) >> 1)

@@ -1,11 +1,5 @@
 package store
 
-import (
-	"fmt"
-
-	"repro/internal/dict"
-)
-
 // Scan is a batch cursor over the triples matching one pattern. On a
 // plain store it walks the contiguous range of the best-fitting
 // permutation index without copying: every batch is a subslice of the
@@ -16,14 +10,6 @@ import (
 // (consume a batch before pulling the next). Either way, streaming
 // executors pull batches with Next instead of materializing the full
 // match slice, so leaf-scan memory is O(batch) rather than O(result).
-//
-// A Scan is also a seekable trie cursor: SeekVar repositions it (in either
-// direction) at the first triple of its range whose unbound-position key
-// components reach a target, and Head peeks at the next triple without
-// consuming it. ScanSeek opens the cursor on the permutation whose sort
-// key lists the unbound positions in a caller-chosen order, which is what
-// a leapfrog triejoin needs — the six hexastore permutations supply every
-// ordering of up to three trie levels for free.
 type Scan struct {
 	rest []IDTriple // base index run not yet delivered
 	del  []IDTriple // pending deletions within rest, same order
@@ -31,24 +17,11 @@ type Scan struct {
 	ord  order
 	buf  []IDTriple // merged-batch buffer, reused across Next calls
 
-	// Full range runs, kept so SeekVar can reposition bidirectionally
-	// (a leapfrog cursor re-enters the same key group once per binding of
-	// the variables above it). Slice headers only — no copies.
-	rest0, del0, ins0 []IDTriple
-	nb                int        // bound-prefix length of the sort key
-	prefix            [3]dict.ID // bound-prefix values, index-key order
-
 	// sub, when non-nil, makes the cursor a k-way merge over per-shard
 	// child cursors (same order, disjoint triple sets — see merged.go).
 	// The run fields above are unused in that mode; every method
 	// delegates to the children.
 	sub []Scan
-}
-
-// initRuns records the cursor's full runs and bound-key prefix.
-func (sc *Scan) initRuns(pat Pattern) {
-	sc.rest0, sc.del0, sc.ins0 = sc.rest, sc.del, sc.ins
-	sc.prefix, sc.nb = prefixBounds(sc.ord, pat)
 }
 
 // Scan opens a cursor over the triples matching pat. The triples are
@@ -69,80 +42,6 @@ func (s *Store) openScan(sc *Scan, o order, pat Pattern) {
 	if s.delta != nil {
 		sc.del, sc.ins = s.delta.runs(o, pat)
 	}
-	sc.initRuns(pat)
-}
-
-// ScanSeek opens a seekable cursor over the triples matching pat, sorted
-// with the unbound triple positions ordered exactly as varPos lists them
-// (0=S, 1=P, 2=O). varPos must contain each unbound position of pat once;
-// among the six permutation indexes there is always exactly one whose sort
-// key is the bound positions followed by varPos, so the cursor walks a
-// contiguous binary-searched range just like Scan. Overlay stores expose
-// the same cursor over base+delta with deletions masked and insertions
-// interleaved. This is the trie-iterator order contract of the leapfrog
-// triejoin: level d of the trie is varPos[d].
-func (s *Store) ScanSeek(pat Pattern, varPos []int) *Scan {
-	mask := pat.boundMask()
-	nb := 3 - len(varPos)
-	chosen := numOrders
-	for o := order(0); o < numOrders; o++ {
-		p := orderPositions[o]
-		ok := true
-		for i := 0; i < nb; i++ {
-			if mask&(1<<p[i]) == 0 {
-				ok = false
-				break
-			}
-		}
-		for i, vp := range varPos {
-			if !ok || p[nb+i] != vp {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			chosen = o
-			break
-		}
-	}
-	if chosen == numOrders {
-		panic(fmt.Sprintf("store: no index order for pattern %v with varPos %v", pat, varPos))
-	}
-	sc := new(Scan)
-	s.openScan(sc, chosen, pat)
-	return sc
-}
-
-// SeekVar repositions the cursor at the first triple of its full range
-// whose unbound-position key components are >= (v0, v1, ...), comparing
-// lexicographically in the cursor's index order; unused trailing
-// components are ignored (pass 0). Seeks move in either direction over the
-// range — the cursor's Next/Head position is reset to the seek target.
-// On an overlay every run (base, deletions, insertions) is repositioned by
-// its own binary search; a deletion and its base twin compare equal, so
-// the every-deletion-masks-one-undelivered-triple invariant is preserved
-// and Remaining stays exact.
-func (sc *Scan) SeekVar(v0, v1, v2 dict.ID) {
-	if sc.sub != nil {
-		for i := range sc.sub {
-			sc.sub[i].SeekVar(v0, v1, v2)
-		}
-		return
-	}
-	k := sc.prefix
-	vs := [3]dict.ID{v0, v1, v2}
-	for i := sc.nb; i < 3; i++ {
-		k[i] = vs[i-sc.nb]
-	}
-	sc.rest = seekRun(sc.rest0, sc.ord, k)
-	sc.del = seekRun(sc.del0, sc.ord, k)
-	sc.ins = seekRun(sc.ins0, sc.ord, k)
-}
-
-// seekRun returns the suffix of run starting at the first triple whose key
-// under o is >= k.
-func seekRun(run []IDTriple, o order, k [3]dict.ID) []IDTriple {
-	return run[lowerBound(run, orderPositions[o], 0, len(run), packPrefix(k)):]
 }
 
 // Head returns the next undelivered triple without consuming it, or false
@@ -167,21 +66,6 @@ func (sc *Scan) Head() (IDTriple, bool) {
 	default:
 		return sc.ins[0], true
 	}
-}
-
-// HeadVar returns the unbound-position key components of the head triple
-// in the cursor's index order — the trie key a leapfrog iterator compares
-// and seeks on. Trailing components beyond the unbound count are zero.
-func (sc *Scan) HeadVar() ([3]dict.ID, bool) {
-	t, ok := sc.Head()
-	if !ok {
-		return [3]dict.ID{}, false
-	}
-	a, b, c := key(t, sc.ord)
-	full := [3]dict.ID{a, b, c}
-	var out [3]dict.ID
-	copy(out[:], full[sc.nb:])
-	return out, true
 }
 
 // Next returns the next batch of at most max triples, or nil when the
@@ -272,7 +156,6 @@ func (s *Store) ScanPartitions(pat Pattern, n int) []*Scan {
 			plo := i * len(base) / n
 			phi := (i + 1) * len(base) / n
 			out[i] = &Scan{rest: base[plo:phi:phi], ord: o}
-			out[i].initRuns(pat)
 		}
 		return out
 	}
@@ -305,7 +188,6 @@ func (s *Store) ScanPartitions(pat Pattern, n int) []*Scan {
 			sc.ins = secondary[sPrev:sNext:sNext]
 		}
 		sc.del = del[dPrev:dNext:dNext]
-		sc.initRuns(pat)
 		out[i] = sc
 		pPrev, sPrev, dPrev = pNext, sNext, dNext
 	}

@@ -18,7 +18,7 @@ const maxStackShards = 16
 // pattern. Children that are already exhausted are dropped, and a single
 // surviving child is returned directly: a pattern whose matches all sit
 // in one shard pays no merge.
-func mergeScans(children []Scan, o order, pat Pattern) *Scan {
+func mergeScans(children []Scan, o order) *Scan {
 	live := children[:0]
 	for _, c := range children {
 		if c.Remaining() > 0 {
@@ -27,15 +27,11 @@ func mergeScans(children []Scan, o order, pat Pattern) *Scan {
 	}
 	switch len(live) {
 	case 0:
-		sc := &Scan{ord: o}
-		sc.initRuns(pat)
-		return sc
+		return &Scan{ord: o}
 	case 1:
 		return &live[0]
 	}
-	sc := &Scan{ord: o, sub: live}
-	sc.prefix, sc.nb = prefixBounds(o, pat)
-	return sc
+	return &Scan{ord: o, sub: live}
 }
 
 // A mergeHead is child i's next triple with its packed sort key.

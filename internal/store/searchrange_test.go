@@ -156,7 +156,7 @@ func TestSearchRangeMatchesLinearFilter(t *testing.T) {
 // real stores — heap-built, opened over a v4 image, and the insert and
 // delete runs of an overlay, which reads reach through runFor.
 func TestSearchRangeAcrossBackings(t *testing.T) {
-	base, overlay := seekWorld(t, 11, 1500)
+	base, overlay := overlayWorld(t, 11, 1500)
 	var img bytes.Buffer
 	if err := base.WriteSnapshot(&img); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestSearchRangeAcrossBackings(t *testing.T) {
 // and mapped indexes of the same store, with the probed keys drawn from
 // the index so every probe finds its (short) range.
 func BenchmarkSearchRange(b *testing.B) {
-	heap, _ := seekWorld(b, 3, 200_000)
+	heap, _ := overlayWorld(b, 3, 200_000)
 	var img bytes.Buffer
 	if err := heap.WriteSnapshot(&img); err != nil {
 		b.Fatal(err)
@@ -226,7 +226,7 @@ var probeSink int
 // 4-shard federation of it. A subject-bound probe reads only the home
 // shard; an object-bound one merges the shards' runs into the scratch.
 func BenchmarkShardedProbe(b *testing.B) {
-	heap, _ := seekWorld(b, 3, 200_000)
+	heap, _ := overlayWorld(b, 3, 200_000)
 	all := heap.idx[orderSPO]
 	probes := make([]IDTriple, 4096)
 	for i := range probes {
@@ -257,7 +257,7 @@ func BenchmarkShardedProbe(b *testing.B) {
 // batches, over one store and over a 4-shard federation, whose PSO runs
 // interleave at every subject. It reports the cost per triple delivered.
 func BenchmarkShardedScan(b *testing.B) {
-	heap, _ := seekWorld(b, 3, 200_000)
+	heap, _ := overlayWorld(b, 3, 200_000)
 	p := heap.idx[orderPSO][0].P
 	for _, n := range []int{1, 4} {
 		src := NewSharded(heap, n).Source()

@@ -274,21 +274,7 @@ func (sh *Sharded) Scan(pat Pattern) *Scan {
 	for i, s := range sh.shards {
 		s.openScan(&children[i], orderFor(pat.boundMask()), pat)
 	}
-	return mergeScans(children, children[0].ord, pat)
-}
-
-// ScanSeek opens a merged seekable trie cursor (see Store.ScanSeek):
-// seeks fan out to every shard cursor and the head is the minimum across
-// them, preserving the leapfrog trie-iterator contract.
-func (sh *Sharded) ScanSeek(pat Pattern, varPos []int) *Scan {
-	if h := sh.home(pat); h != nil {
-		return h.ScanSeek(pat, varPos)
-	}
-	children := make([]Scan, len(sh.shards))
-	for i, s := range sh.shards {
-		children[i] = *s.ScanSeek(pat, varPos)
-	}
-	return mergeScans(children, children[0].ord, pat)
+	return mergeScans(children, children[0].ord)
 }
 
 // ScanPartitions splits the merged stream into up to n contiguous morsels
@@ -326,11 +312,11 @@ func (sh *Sharded) ScanPartitions(pat Pattern, n int) []*Scan {
 	// equal, so they land in the same partition, keeping Remaining exact.
 	var primary []IDTriple
 	for _, sc := range scans {
-		if len(sc.rest0) > len(primary) {
-			primary = sc.rest0
+		if len(sc.rest) > len(primary) {
+			primary = sc.rest
 		}
-		if len(sc.ins0) > len(primary) {
-			primary = sc.ins0
+		if len(sc.ins) > len(primary) {
+			primary = sc.ins
 		}
 	}
 	p := orderPositions[o]
@@ -348,23 +334,22 @@ func (sh *Sharded) ScanPartitions(pat Pattern, n int) []*Scan {
 		}
 		children := make([]Scan, 0, len(scans))
 		for j, sc := range scans {
-			rn, dn, in := len(sc.rest0), len(sc.del0), len(sc.ins0)
+			rn, dn, in := len(sc.rest), len(sc.del), len(sc.ins)
 			if hasBoundary {
-				rn = lowerBound(sc.rest0, p, 0, rn, boundary)
-				dn = lowerBound(sc.del0, p, 0, dn, boundary)
-				in = lowerBound(sc.ins0, p, 0, in, boundary)
+				rn = lowerBound(sc.rest, p, 0, rn, boundary)
+				dn = lowerBound(sc.del, p, 0, dn, boundary)
+				in = lowerBound(sc.ins, p, 0, in, boundary)
 			}
 			c := Scan{
 				ord:  o,
-				rest: sc.rest0[prev[j].rest:rn:rn],
-				del:  sc.del0[prev[j].del:dn:dn],
-				ins:  sc.ins0[prev[j].ins:in:in],
+				rest: sc.rest[prev[j].rest:rn:rn],
+				del:  sc.del[prev[j].del:dn:dn],
+				ins:  sc.ins[prev[j].ins:in:in],
 			}
-			c.initRuns(pat)
 			prev[j] = cuts{rn, dn, in}
 			children = append(children, c)
 		}
-		out = append(out, mergeScans(children, o, pat))
+		out = append(out, mergeScans(children, o))
 	}
 	return out
 }

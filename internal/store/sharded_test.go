@@ -96,37 +96,9 @@ func checkSourceEquivalence(t *testing.T, sh, ref Source) {
 		}
 	}
 	for _, pat := range subjectPatterns(ref) {
-		var orders [][]int
-		switch {
-		case pat.P == dict.None && pat.O == dict.None:
-			orders = [][]int{{1, 2}, {2, 1}}
-		case pat.P == dict.None:
-			orders = [][]int{{1}}
-		case pat.O == dict.None:
-			orders = [][]int{{2}}
-		default:
-			orders = [][]int{{}}
-		}
-		for _, varPos := range orders {
-			got := drainScan(sh.ScanSeek(pat, varPos))
-			want := drainScan(ref.ScanSeek(pat, varPos))
-			if !equalTriples(got, want) {
-				t.Fatalf("ScanSeek(%+v, %v): %v != %v", pat, varPos, got, want)
-			}
-		}
 		for pos := 0; pos < 3; pos++ {
 			if got, want := sh.DistinctValues(pos, pat), ref.DistinctValues(pos, pat); !reflect.DeepEqual(got, want) {
 				t.Fatalf("DistinctValues(%d, %+v): %v != %v", pos, pat, got, want)
-			}
-		}
-	}
-	// Seekable trie cursors: drain in PSO and POS orders per predicate.
-	for _, p := range ref.Predicates() {
-		for _, varPos := range [][]int{{0, 2}, {2, 0}} {
-			got := drainScan(sh.ScanSeek(Pattern{P: p}, varPos))
-			want := drainScan(ref.ScanSeek(Pattern{P: p}, varPos))
-			if !equalTriples(got, want) {
-				t.Fatalf("ScanSeek(P=%d, %v): %v != %v", p, varPos, got, want)
 			}
 		}
 	}
@@ -498,9 +470,6 @@ func mergeWorld(rng *rand.Rand, o order, k int, overlays bool) ([]Scan, []IDTrip
 		}
 		all = all[n:]
 	}
-	for i := range children {
-		children[i].initRuns(Pattern{})
-	}
 	return children, union
 }
 
@@ -516,7 +485,7 @@ func TestMergeIntoSortedUnion(t *testing.T) {
 			for _, batch := range []int{1, 3, 1024} {
 				for o := order(0); o < numOrders; o++ {
 					children, want := mergeWorld(rng, o, k, overlays)
-					sc := mergeScans(children, o, Pattern{})
+					sc := mergeScans(children, o)
 					var got []IDTriple
 					for {
 						head, ok := sc.Head()
@@ -543,7 +512,7 @@ func TestMergeIntoSortedUnion(t *testing.T) {
 // zero-copy, and an object-bound one opens its shard cursors in stack
 // arrays and merges into the caller's scratch.
 func TestShardedMatchBufAllocs(t *testing.T) {
-	base, _ := seekWorld(t, 6, 4000)
+	base, _ := overlayWorld(t, 6, 4000)
 	sh := NewSharded(base, 4)
 	all, _ := base.Match(Pattern{})
 	subj := Pattern{S: all[len(all)/2].S}

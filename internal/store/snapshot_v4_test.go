@@ -503,7 +503,7 @@ func residentBytes(load func() *Store) float64 {
 // mapping. heap-resident-bytes is the same file deserialized by
 // ReadSnapshot, for scale.
 func BenchmarkSnapshotV4Open(b *testing.B) {
-	st, _ := seekWorld(b, 3, 200_000)
+	st, _ := overlayWorld(b, 3, 200_000)
 	path := filepath.Join(b.TempDir(), "bench.v4.snap")
 	if err := os.WriteFile(path, v4Image(b, st), 0o644); err != nil {
 		b.Fatal(err)

@@ -4,7 +4,7 @@ import "repro/internal/dict"
 
 // Source is the read seam the plan and exec layers run against: everything
 // a query needs from a triple store — exact counts, merged matches,
-// streaming and seekable cursors, morsel partitions, and the statistics
+// streaming cursors, morsel partitions, and the statistics
 // the optimizer's cardinality estimator is built on. Two implementations
 // exist, both in this package (the interface is sealed by Match's
 // unexported order result): *Store, a single hexastore (heap-built or
@@ -14,7 +14,7 @@ import "repro/internal/dict"
 //
 // The contract every implementation upholds — and what makes executors
 // agnostic to the backing — is stream identity: for the same triple set,
-// Match/Scan/ScanSeek deliver identical triples in identical order,
+// Match/Scan deliver identical triples in identical order,
 // ScanPartitions' cursors concatenate to exactly Scan's stream, and
 // Count/Len/PredicateStats/SubjectsOfClass report exactly the values a
 // freshly built single store over that set would. Identical streams and
@@ -33,9 +33,6 @@ type Source interface {
 	MatchBuf(pat Pattern, scratch []IDTriple) (matches, scratch2 []IDTriple)
 	// Scan opens a batch cursor over the triples matching pat.
 	Scan(pat Pattern) *Scan
-	// ScanSeek opens a seekable trie cursor with the unbound positions
-	// ordered as varPos lists them (see Store.ScanSeek).
-	ScanSeek(pat Pattern, varPos []int) *Scan
 	// ScanPartitions splits Scan(pat)'s stream into up to n contiguous
 	// morsels whose concatenation is exactly that stream.
 	ScanPartitions(pat Pattern, n int) []*Scan

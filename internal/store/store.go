@@ -219,8 +219,8 @@ func (s *Store) Len() int { return s.n }
 // zero-copy subslice of that index; an overlay store with pending changes
 // in the range materializes the merged run (base minus deletions, with
 // insertions interleaved in index order) into a fresh slice. The returned
-// order value is the index's sort order (useful for merge joins); callers
-// that only need the set of matches can ignore it.
+// order value is the index's sort order; callers that only need the set of
+// matches can ignore it.
 func (s *Store) Match(pat Pattern) ([]IDTriple, order) {
 	m, _, o := s.matchInto(pat, nil)
 	return m, o

@@ -37,7 +37,7 @@ func checkBaseRange(t *testing.T, label string, st *Store, extra ...dict.ID) {
 // directory: over every backing a base run can have, the directory-narrowed
 // lookup answers exactly what a search of the whole run does.
 func TestBaseRangeMatchesSearchRange(t *testing.T) {
-	base, overlay := seekWorld(t, 11, 1500)
+	base, overlay := overlayWorld(t, 11, 1500)
 	mapped, err := OpenMappedBytes(v4Image(t, base))
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestBaseRangeMatchesSearchRange(t *testing.T) {
 // directory is built once and every probe sees the same ranges as a plain
 // search of the run.
 func TestSubjectDirConcurrentBuild(t *testing.T) {
-	base, _ := seekWorld(t, 5, 4000)
+	base, _ := overlayWorld(t, 5, 4000)
 	img := v4Image(t, base)
 	mapped, err := OpenMappedBytes(img)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestSubjectDirConcurrentBuild(t *testing.T) {
 // and on an overlay for a subject the delta leaves untouched (its runs
 // are skipped) and for a pending one (they are merged into the scratch).
 func TestSubjectProbeAllocs(t *testing.T) {
-	heap, overlay := seekWorld(t, 3, 4000)
+	heap, overlay := overlayWorld(t, 3, 4000)
 	mapped, err := OpenMappedBytes(v4Image(t, heap))
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestSubjectProbeAllocs(t *testing.T) {
 // the probe pays the cache misses of finding its group, as the inner side
 // of an index join over unsorted outer rows does.
 func BenchmarkSubjectProbe(b *testing.B) {
-	heap, _ := seekWorld(b, 3, 200_000)
+	heap, _ := overlayWorld(b, 3, 200_000)
 	mapped, err := OpenMappedBytes(v4Image(b, heap))
 	if err != nil {
 		b.Fatal(err)
