@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/bsbm"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/report"
 	"repro/internal/snb"
 	"repro/internal/sparql"
@@ -34,22 +33,21 @@ func main() {
 		n       = flag.Int("n", 100, "bindings per group / per class")
 		seed    = flag.Int64("seed", 1, "seed")
 		greedy  = flag.Bool("greedy", false, "use the greedy optimizer instead of DP")
-		par     = flag.Int("parallelism", 1, "intra-query workers for morsel-driven parallel pipelines (1 = serial; measured work/Cout stay bit-identical at any setting)")
 		snap    = flag.String("snapshot", "", "load the store from this snapshot or N-Triples file instead of generating")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *dataset, *scale, *query, *mode, *snap, *groups, *n, *seed, *par, *greedy); err != nil {
+	if err := run(os.Stdout, *dataset, *scale, *query, *mode, *snap, *groups, *n, *seed, *greedy); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64, parallelism int, greedy bool) error {
+func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64, greedy bool) error {
 	st, tmpl, name, err := load(dataset, scale, query, seed, snapshot)
 	if err != nil {
 		return err
 	}
-	r := &workload.Runner{Store: st, Opts: exec.Options{Parallelism: parallelism}, UseGreedy: greedy}
+	r := &workload.Runner{Store: st, UseGreedy: greedy}
 	dom, err := core.ExtractDomain(tmpl, st)
 	if err != nil {
 		return err
@@ -107,8 +105,7 @@ func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n in
 
 // load resolves the store and query template. With a snapshot path the
 // store is loaded instead of regenerated (v4 snapshots are served straight
-// from an OS file mapping, older versions deserialize through the shared
-// parallel build path), which skips dataset generation entirely; the
+// from an OS file mapping), which skips dataset generation entirely; the
 // dataset flag still selects which template family the query name refers
 // to.
 func load(dataset, scale, query string, seed int64, snapshot string) (*store.Store, *sparql.Query, string, error) {

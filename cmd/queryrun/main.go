@@ -39,17 +39,16 @@ func (b *bindFlags) Set(v string) error {
 
 // config collects the command-line options.
 type config struct {
-	dataPath    string
-	queryStr    string
-	queryFile   string
-	updateRun   string
-	commit      bool
-	binds       []string
-	explain     bool
-	analyze     bool
-	greedy      bool
-	parallelism int
-	maxRows     int
+	dataPath  string
+	queryStr  string
+	queryFile string
+	updateRun string
+	commit    bool
+	binds     []string
+	explain   bool
+	analyze   bool
+	greedy    bool
+	maxRows   int
 }
 
 func main() {
@@ -65,7 +64,6 @@ func main() {
 	flag.BoolVar(&cfg.explain, "explain", false, "print the optimized logical and physical plan trees")
 	flag.BoolVar(&cfg.analyze, "analyze", false, "EXPLAIN ANALYZE: trace the execution and print the plan annotated with observed rows, wall time and Cout/Work/Scanned per operator")
 	flag.BoolVar(&cfg.greedy, "greedy", false, "use the greedy optimizer")
-	flag.IntVar(&cfg.parallelism, "parallelism", 1, "intra-query workers for morsel-driven parallel pipelines (1 = serial; results are bit-identical at any setting)")
 	flag.IntVar(&cfg.maxRows, "maxrows", 50, "result rows to print (0 = all)")
 	flag.Var(&binds, "bind", "parameter binding name=term (repeatable)")
 	flag.Parse()
@@ -132,7 +130,7 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	opts := exec.Options{Parallelism: cfg.parallelism}
+	var opts exec.Options
 	if explain {
 		phys, err := plan.Lower(c, p)
 		if err != nil {
@@ -154,9 +152,6 @@ func run(w io.Writer, cfg config) error {
 	}
 	fmt.Fprintf(w, "%d rows in %v (Cout %.0f, work %.0f, scanned %d)\n",
 		len(res.Rows), res.Duration, res.Cout, res.Work, res.Scanned)
-	if res.Morsels > 0 {
-		fmt.Fprintf(w, "parallel: %d morsels on up to %d workers\n", res.Morsels, res.Workers)
-	}
 	if k := res.Kernels; k.Batches > 0 {
 		fmt.Fprintf(w, "columnar: %d batches (filter %d, hash-probe %d, gather %d rows)\n",
 			k.Batches, k.FilterRows, k.HashProbeRows, k.GatherRows)

@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/service"
 )
 
@@ -68,9 +67,8 @@ func parseFlags(args []string) (config, error) {
 	var (
 		data    = fs.String("data", "", "N-Triples (.nt) or snapshot file (required)")
 		addr    = fs.String("addr", "127.0.0.1:8080", "listen address (bind non-loopback only on trusted networks)")
-		workers = fs.Int("workers", 0, "shared CPU budget: max concurrent query executions plus intra-query workers (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "CPU budget: max concurrent query executions, one goroutine each (0 = GOMAXPROCS)")
 		queue   = fs.Int("queue", 0, "max queued requests beyond running ones (0 = 4x workers, negative = no queue)")
-		par     = fs.Int("parallelism", 1, "per-query intra-query worker ceiling; extra workers are drawn from the shared -workers token pool (1 = serial, paper-experiment semantics)")
 		cache   = fs.Int("cache", 0, "plan cache entries (0 = 1024, negative = disabled)")
 		exact   = fs.Bool("exact-accounting", false, "drain LIMIT pipelines for paper-exact Cout/Work accounting instead of stopping early")
 		reload  = fs.Bool("allow-reload", false, "enable POST /reload (loads any server-readable path a client names)")
@@ -89,10 +87,7 @@ func parseFlags(args []string) (config, error) {
 		return config{}, err
 	}
 	opts := service.DefaultOptions()
-	if *exact {
-		opts.Exec = exec.Options{}
-	}
-	opts.Exec.Parallelism = *par
+	opts.Exec.EarlyStop = !*exact
 	opts.Workers = *workers
 	opts.QueueDepth = *queue
 	opts.PlanCacheSize = *cache

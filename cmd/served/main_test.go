@@ -198,7 +198,6 @@ func TestServeEndToEnd(t *testing.T) {
 		"repro_plan_cache_hits_total":    "counter",
 		"repro_traces_retained_total":    "counter",
 		"repro_pool_rejected_total":      "counter",
-		"repro_parallel_queries_total":   "counter",
 		"repro_kernel_batches_total":     "counter",
 		"repro_algebra_union_rows_total": "counter",
 	} {
@@ -323,17 +322,20 @@ func TestServeDropsHalfSentHeader(t *testing.T) {
 	}
 }
 
-// TestFlagsExactAccountingKeepsParallelism: -exact-accounting replaces the
-// serving-mode exec options, which must not drop -parallelism whichever
-// order the flags come in.
-func TestFlagsExactAccountingKeepsParallelism(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data.nt")
-	if err := os.WriteFile(path, []byte("<http://x/a> <http://x/p> <http://x/b> .\n"), 0o644); err != nil {
+// TestFlagsExactAccounting: served stops LIMIT pipelines early by default,
+// and -exact-accounting turns that off without dropping any other flag,
+// whichever order the flags come in.
+func TestFlagsExactAccounting(t *testing.T) {
+	cfg, err := parseFlags([]string{"-data", "x.nt"})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if !cfg.opts.Exec.EarlyStop {
+		t.Fatal("EarlyStop off without -exact-accounting")
+	}
 	for _, args := range [][]string{
-		{"-data", path, "-exact-accounting", "-parallelism", "2"},
-		{"-data", path, "-parallelism", "2", "-exact-accounting"},
+		{"-data", "x.nt", "-exact-accounting", "-workers", "2"},
+		{"-data", "x.nt", "-workers", "2", "-exact-accounting"},
 	} {
 		cfg, err := parseFlags(args)
 		if err != nil {
@@ -342,12 +344,8 @@ func TestFlagsExactAccountingKeepsParallelism(t *testing.T) {
 		if cfg.opts.Exec.EarlyStop {
 			t.Fatalf("%v: EarlyStop still on", args)
 		}
-		svc, err := service.Load(cfg.data, cfg.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := svc.Stats().Parallel.Parallelism; got != 2 {
-			t.Fatalf("%v: serves with parallelism %d, want 2", args, got)
+		if cfg.opts.Workers != 2 {
+			t.Fatalf("%v: Workers = %d, want 2", args, cfg.opts.Workers)
 		}
 	}
 }

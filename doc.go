@@ -20,9 +20,8 @@
 // execution: plan.Compile and plan.Optimize produce the Cout-optimal join
 // tree, plan.Lower fixes the physical operator choices (index scans,
 // index-nested-loop probes, hash and cross joins, filter placement), and
-// exec pulls columnar batches through the operator tree, serially or
-// morsel-parallel with bit-identical results and Cout/Work/Scanned
-// accounting. See ARCHITECTURE.md for the layer map and where each counter
+// exec pulls columnar batches through the operator tree on the query's own
+// goroutine, counting Cout/Work/Scanned per tuple. See ARCHITECTURE.md for the layer map and where each counter
 // is maintained.
 //
 // Stores persist as v4 binary snapshots (magic "RDFSNAP4"): page-aligned

@@ -1,6 +1,6 @@
 // Compositional-algebra walkthrough: OPTIONAL, UNION and aggregation over
-// a small social graph, serial-vs-parallel bit-identity, and a
-// pattern-driven DELETE/INSERT WHERE update — the algebra layer end to end.
+// a small social graph, and a pattern-driven DELETE/INSERT WHERE update —
+// the algebra layer end to end.
 package main
 
 import (
@@ -91,14 +91,6 @@ func main() {
 	} GROUP BY ?who HAVING(?n >= 2) ORDER BY ?who`
 	fmt.Println("\nGROUP BY post author, HAVING n >= 2:")
 	printRows(st, run(agg, st, exec.Options{}))
-
-	// --- Parallel bit-identity ---------------------------------------
-	// Morsel-driven execution produces the same rows, order and
-	// Cout/Work/Scanned accounting as the serial run.
-	a := run(optional, st, exec.Options{})
-	bres := run(optional, st, exec.Options{Parallelism: 4})
-	fmt.Printf("\nserial vs parallel: rows %d/%d, Cout %.0f/%.0f, Work %.0f/%.0f\n",
-		len(a.Rows), len(bres.Rows), a.Cout, bres.Cout, a.Work, bres.Work)
 
 	// --- Pattern-driven update: DELETE/INSERT WHERE -------------------
 	// Retire the "knows" edges of minors and mark them instead; the WHERE

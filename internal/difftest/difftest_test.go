@@ -57,8 +57,8 @@ func seedsUnderTest(t *testing.T) []int64 {
 }
 
 // TestDifferentialEngines is the harness entry point: for every scenario
-// seed it cross-checks the engine matrix (Parallelism 1, 2 and 8) and the
-// oracle over the pristine store and the delta-overlaid store, and checks
+// seed it checks the engine against the oracle over the pristine store and
+// the delta-overlaid store, and checks
 // the overlay against the rebuilt-from-scratch reference — rows and
 // accounting byte-identical everywhere.
 func TestDifferentialEngines(t *testing.T) {
@@ -96,9 +96,8 @@ func TestDifferentialEngines(t *testing.T) {
 }
 
 // TestDifferentialStarBGP cross-checks star-shaped BGPs — four to six
-// patterns around one hub variable — across the engine matrix
-// (byte-identical at Parallelism 1, 2 and 8, matching the oracle), over
-// the pristine store, the delta overlay and the rebuilt reference store.
+// patterns around one hub variable — against the oracle, over the pristine
+// store, the delta overlay and the rebuilt reference store.
 func TestDifferentialStarBGP(t *testing.T) {
 	const queriesPerScenario = 15
 	for _, seed := range seedsUnderTest(t) {
@@ -429,11 +428,10 @@ func mappedWorld(t *testing.T, sc *Scenario) (base, overlay *store.Store) {
 	return mapped, d.Overlay()
 }
 
-// TestDifferentialMappedBase is the mmap-backed cell of the matrix: every
-// engine configuration (serial and at Parallelism 2 and 8) over the
-// pristine mapped store and over a Delta overlay whose base is mapped
-// memory must be byte-identical — rows AND accounting — to the heap-backed
-// reference world.
+// TestDifferentialMappedBase is the mmap-backed cell of the matrix: runs
+// over the pristine mapped store and over a Delta overlay whose base is
+// mapped memory must be byte-identical — rows AND accounting — to the
+// heap-backed reference world.
 func TestDifferentialMappedBase(t *testing.T) {
 	const queriesPerScenario = 15
 	for _, seed := range seedsUnderTest(t) {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,18 +73,12 @@ var algebraQueries = []struct {
 }
 
 // TestAlgebraStreamingColumnarIdentical: for every algebra construct the
-// engine reproduces the frozen streaming/columnar rows and accounting, and
-// is bit-identical to that serial run at Parallelism 2 and 8.
+// engine reproduces the frozen streaming/columnar rows and accounting.
 func TestAlgebraStreamingColumnarIdentical(t *testing.T) {
 	st := buildSocialStore(t)
 	for _, q := range algebraQueries {
 		t.Run(q.name, func(t *testing.T) {
-			ref := run(t, st, q.src, Options{})
-			assertFrozen(t, "algebra/"+q.name, st, ref)
-			for _, par := range []int{2, 8} {
-				res := run(t, st, q.src, Options{Parallelism: par, MorselSize: 2})
-				assertBitIdentical(t, fmt.Sprintf("par=%d", par), res, ref)
-			}
+			assertFrozen(t, "algebra/"+q.name, st, run(t, st, q.src, Options{}))
 		})
 	}
 }

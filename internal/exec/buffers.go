@@ -14,9 +14,6 @@ import (
 // buffer the first time an operator needs one and records where the
 // operator keeps it; RunCtx gives every recorded buffer back once run has
 // copied the result rows out — on success, error and cancellation alike.
-// Worker executors record their own buffers, and the parent adopts those
-// records after runMorsels's wg.Wait, so nothing goes back while a worker,
-// or a hash table the workers share, still reads it.
 //
 // Ownership follows the operator contract: a batch is valid until its
 // producer's next next() call, a relation until its run ends. Result rows
@@ -114,14 +111,6 @@ func (ex *executor) newRelation(vars []sparql.Var) *colRelation {
 		ex.col(&rel.cols[j])
 	}
 	return rel
-}
-
-// adopt takes over a finished worker executor's buffers; they go back to
-// the pool when this executor's run ends.
-func (ex *executor) adopt(w *executor) {
-	ex.ids = append(ex.ids, w.ids...)
-	ex.sels = append(ex.sels, w.sels...)
-	w.ids, w.sels = nil, nil
 }
 
 // release returns every buffer the run holds to the pool.

@@ -16,9 +16,9 @@ import (
 	"repro/internal/store"
 )
 
-// TestPoisonedBuffersKeepFrozenResults runs the frozen corpus at
-// Parallelism 1, 2 and 8 with every released buffer overwritten by a
-// sentinel, and checks every result only after all runs are done: a
+// TestPoisonedBuffersKeepFrozenResults runs the frozen corpus with every
+// released buffer overwritten by a sentinel, and checks every result only
+// after all runs are done: a
 // result, batch or relation read after its buffers went back to the pool
 // would show the sentinel (or a -1 selection index) instead of its rows.
 func TestPoisonedBuffersKeepFrozenResults(t *testing.T) {
@@ -31,10 +31,7 @@ func TestPoisonedBuffersKeepFrozenResults(t *testing.T) {
 	var runs []ran
 	corpus := func(st *store.Store, queries []string, key func(i int) string) {
 		for i, src := range queries {
-			for _, par := range []int{1, 2, 8} {
-				res := run(t, st, src, Options{Parallelism: par, MorselSize: 2})
-				runs = append(runs, ran{key(i), st, res})
-			}
+			runs = append(runs, ran{key(i), st, run(t, st, src, Options{})})
 		}
 	}
 	byIndex := func(prefix string) func(int) string {
@@ -54,28 +51,12 @@ func TestPoisonedBuffersKeepFrozenResults(t *testing.T) {
 	}
 }
 
-// pollCountdown reports Canceled once Err has been polled more than after
-// times — a client that drops at a chosen batch. Unlike countdownCtx it is
-// safe to poll from morsel workers.
-type pollCountdown struct {
-	context.Context
-	polls atomic.Int64
-	after int64
-}
-
-func (c *pollCountdown) Err() error {
-	if c.polls.Add(1) > c.after {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestParallelPooledBuffers: many goroutines run the BSBM templates at
-// Parallelism 8 over the one process-wide buffer pool while about a third
-// of the runs are cancelled at a random batch. Every run that completes
-// must equal its serial reference — rows, row order, Cout, Work, Scanned —
-// so no run ever reads a buffer another run (or a cancelled one) released.
-func TestParallelPooledBuffers(t *testing.T) {
+// TestConcurrentPooledBuffers: many goroutines run the BSBM templates over
+// the one process-wide buffer pool while about a third of the runs are
+// cancelled at a random batch. Every run that completes must equal its
+// reference — rows, row order, Cout, Work, Scanned — so no run ever reads a
+// buffer another run (or a cancelled one) released.
+func TestConcurrentPooledBuffers(t *testing.T) {
 	st, _, err := bsbm.BuildStore(bsbm.TestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +104,9 @@ func TestParallelPooledBuffers(t *testing.T) {
 				j := jobs[rng.Intn(len(jobs))]
 				ctx := context.Background()
 				if rng.Intn(3) == 0 {
-					ctx = &pollCountdown{Context: ctx, after: int64(rng.Intn(30))}
+					ctx = &countdownCtx{Context: ctx, after: rng.Intn(30)}
 				}
-				res, err := RunCtx(ctx, j.c, j.p, st, Options{Parallelism: 8, MorselSize: 64})
+				res, err := RunCtx(ctx, j.c, j.p, st, Options{})
 				if errors.Is(err, context.Canceled) {
 					cancelled.Add(1)
 					continue
@@ -184,7 +165,7 @@ func wideRelation(rng *rand.Rand, vars []sparql.Var, n int) *colRelation {
 
 // TestJoinTableWideKeys: hash and left joins on five shared variables —
 // one more than fits a fixed four-column key — equal a nested-loop
-// reference row for row, and the parallel hash probe equals the serial one.
+// reference row for row.
 func TestJoinTableWideKeys(t *testing.T) {
 	st := buildStreamStore(t)
 	rng := rand.New(rand.NewSource(5))
@@ -232,15 +213,12 @@ func TestJoinTableWideKeys(t *testing.T) {
 	if len(wantInner) == 0 || len(wantLeft) == l.n {
 		t.Fatal("fixture has no matches")
 	}
-	for _, par := range []int{1, 8} {
-		ex := &executor{st: st, opts: Options{Parallelism: par, MorselSize: 16}}
-		inner, err := ex.hashJoin(l, r, sharedCols(l.vars, r.vars))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertRelationRows(t, fmt.Sprintf("hash join, parallelism %d", par), inner, wantInner)
-	}
 	ex := &executor{st: st}
+	inner, err := ex.hashJoin(l, r, sharedCols(l.vars, r.vars))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRelationRows(t, "hash join", inner, wantInner)
 	left, err := ex.leftJoin(l, r)
 	if err != nil {
 		t.Fatal(err)

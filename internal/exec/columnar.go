@@ -20,12 +20,11 @@ import (
 //
 // Accounting is per tuple: every operator charges Cout, Work and Scanned
 // for each logical row it reads or emits, never per batch, so the totals
-// do not depend on batch boundaries, selection vectors or the morsel
-// schedule. The hash join builds on the smaller side and probes in input
-// order, and ORDER BY is a stable sort, so row order is determined by the
-// plan and the store's index order alone. KernelStats (batch and
-// kernel-row counts) describe the schedule and are excluded from the
-// golden comparison.
+// do not depend on batch boundaries or selection vectors. The hash join
+// builds on the smaller side and probes in input order, and ORDER BY is a
+// stable sort, so row order is determined by the plan and the store's
+// index order alone. KernelStats (batch and kernel-row counts) describe
+// the schedule and are excluded from the golden comparison.
 
 // batchSize is the number of rows an operator emits per pull. Batches
 // amortize the per-call overhead while keeping pipeline memory bounded.
@@ -188,22 +187,16 @@ func (ex *executor) run(c *plan.Compiled, p *plan.Plan) ([]sparql.Var, [][]dict.
 	return vars, rows, nil
 }
 
-// build constructs the operator for one physical node. A node marked by
-// the lowering as the top of a parallelism-eligible pipeline becomes a
-// morsel-driven parallel operator when the run's Parallelism allows it;
-// everything else (and every node inside such a pipeline) is built by
-// buildNode.
+// build constructs the operator for one physical node, wrapped in a
+// traced span when the run is traced.
 func (ex *executor) build(n *plan.PhysNode) (operator, error) {
 	if ex.trace != nil {
 		return ex.buildTraced(n)
 	}
-	if ex.parallelism() > 1 && n.ParallelSource != nil {
-		return ex.newParallelOp(n)
-	}
 	return ex.buildNode(n)
 }
 
-// buildNode constructs the serial operator for one physical node.
+// buildNode constructs the operator for one physical node.
 func (ex *executor) buildNode(n *plan.PhysNode) (operator, error) {
 	switch n.Op {
 	case plan.PhysIndexScan:
@@ -881,8 +874,7 @@ func (op *joinOp) next() (*colBatch, error) {
 // pooled arrays, keyed exactly on every shared column however many there
 // are: slots holds 1 + the first build row of each key (0 = empty, linear
 // probing from the key's hash), and next[i] the build row after i with the
-// same key (-1 at the end), so each key's rows chain in build order. Once
-// built the table is read-only, so parallel probes share it.
+// same key (-1 at the end), so each key's rows chain in build order.
 type joinTable struct {
 	rel   *colRelation
 	cols  []int // the build relation's shared columns
@@ -957,9 +949,7 @@ func (t *joinTable) first(probe *colRelation, pcols []int, row int) int32 {
 
 // hashJoin builds a hash table on the smaller input and probes it with the
 // other in input order, appending output column-wise. Accounting: +1 work
-// per build row, per probe and per emitted row. With Parallelism > 1 the
-// probe side is split into morsels that probe the shared read-only table
-// concurrently and merge in morsel order.
+// per build row, per probe and per emitted row.
 func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, error) {
 	swapped := false
 	if r.n < l.n {
@@ -977,50 +967,26 @@ func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, 
 	}
 	ex.work += float64(l.n) // build cost
 	vars, srcs := joinLayout(l, r, swapped)
-	probeRows := func(cx *executor, lo, hi int, dst *colRelation) error {
-		steps := 0
-		for rr := lo; rr < hi; rr++ {
-			steps++
-			if steps%cancelCheckRows == 0 {
-				if err := cx.cancelled(); err != nil {
-					return err
-				}
-			}
-			cx.work++ // probe cost
-			cx.kern.HashProbeRows++
-			for li := table.first(r, pcols, rr); li >= 0; li = table.next[li] {
-				for j, s := range srcs {
-					if s.fromBuild {
-						dst.cols[j] = append(dst.cols[j], l.cols[s.col][li])
-					} else {
-						dst.cols[j] = append(dst.cols[j], r.cols[s.col][rr])
-					}
-				}
-				dst.n++
-				cx.work++ // emit cost
-			}
-		}
-		return nil
-	}
 	out := ex.newRelation(vars)
-	// Build once, probe in parallel over the same morsel split as the row
-	// kernel, merging outputs and counters in morsel order.
-	if ex.parallelism() > 1 {
-		if morsels := morselize(r.n, ex.morselSize()); len(morsels) > 1 {
-			outs := make([]*colRelation, len(morsels))
-			err := ex.runMorsels(len(morsels), func(wex *executor, i int) error {
-				outs[i] = wex.newRelation(vars)
-				return probeRows(wex, morsels[i][0], morsels[i][1], outs[i])
-			})
-			if err != nil {
+	for rr := 0; rr < r.n; rr++ {
+		if (rr+1)%cancelCheckRows == 0 {
+			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
-			mergeOutputs(out, outs)
-			return out, nil
 		}
-	}
-	if err := probeRows(ex, 0, r.n, out); err != nil {
-		return nil, err
+		ex.work++ // probe cost
+		ex.kern.HashProbeRows++
+		for li := table.first(r, pcols, rr); li >= 0; li = table.next[li] {
+			for j, s := range srcs {
+				if s.fromBuild {
+					out.cols[j] = append(out.cols[j], l.cols[s.col][li])
+				} else {
+					out.cols[j] = append(out.cols[j], r.cols[s.col][rr])
+				}
+			}
+			out.n++
+			ex.work++ // emit cost
+		}
 	}
 	return out, nil
 }
@@ -1132,6 +1098,38 @@ func (op *orderOp) sortRel(rel *colRelation) (err error) {
 		copy(col, tmp)
 	}
 	return nil
+}
+
+// sortAbort carries a cancellation error out of a sort comparator via
+// panic; recoverSortAbort translates it back into an error return.
+type sortAbort struct{ err error }
+
+// lessWithCancel wraps a sort comparator so the run's context is polled
+// every cancelCheckRows comparisons; a pending cancellation unwinds the
+// sort through a sortAbort panic, caught by recoverSortAbort.
+func (ex *executor) lessWithCancel(less func(i, j int) bool) func(i, j int) bool {
+	calls := 0
+	return func(i, j int) bool {
+		calls++
+		if calls%cancelCheckRows == 0 {
+			if err := ex.cancelled(); err != nil {
+				panic(sortAbort{err})
+			}
+		}
+		return less(i, j)
+	}
+}
+
+// recoverSortAbort converts a sortAbort panic into *err; other panics
+// propagate.
+func recoverSortAbort(err *error) {
+	if r := recover(); r != nil {
+		if sa, ok := r.(sortAbort); ok {
+			*err = sa.err
+			return
+		}
+		panic(r)
+	}
 }
 
 // --- Project -----------------------------------------------------------------

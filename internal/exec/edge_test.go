@@ -11,16 +11,11 @@ import (
 )
 
 // edgeEngines is every engine configuration the edge cases run through:
-// serial, Parallelism 2 and 8 with single-triple morsels so even
-// one-triple stores exercise the parallel machinery, and EarlyStop
-// serially and in parallel.
+// draining, and stopping LIMIT pipelines early.
 func edgeEngines() map[string]Options {
 	return map[string]Options{
-		"serial":      {},
-		"p2-m1":       {Parallelism: 2, MorselSize: 1},
-		"p8-m1":       {Parallelism: 8, MorselSize: 1},
-		"early":       {EarlyStop: true},
-		"p8-m1-early": {Parallelism: 8, MorselSize: 1, EarlyStop: true},
+		"serial": {},
+		"early":  {EarlyStop: true},
 	}
 }
 

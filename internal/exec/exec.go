@@ -5,8 +5,6 @@
 // straight out of the hexastore, index-nested-loop probes and filters are
 // pipelined, and only the blocking operators (hash, cross and left joins,
 // ORDER BY, aggregation) buffer their inputs.
-// Parallelism-eligible pipelines run morsel by morsel across workers
-// (parallel.go) with results bit-identical to the serial run.
 //
 // Every run records the measured Cout exactly (the sizes of all join
 // outputs) and accumulates a deterministic "work" counter (tuples scanned,
@@ -51,46 +49,16 @@ type Options struct {
 	// run. Off by default (all paper experiments keep the draining
 	// behavior); the query service turns it on.
 	EarlyStop bool
-	// Parallelism is the per-query worker budget for morsel-driven
-	// intra-query parallelism: parallelism-eligible pipelines (see
-	// plan.PhysNode.ParallelSource) fan their source morsels across up to
-	// this many workers, and hash joins probe their shared read-only build
-	// table from up to this many workers. Results — rows, row order and the
-	// full Cout/Work/Scanned accounting — are bit-identical to Parallelism
-	// <= 1 (per-morsel outputs and counters are merged in morsel order, and
-	// every counter increment is per-tuple, independent of batching). 0 or
-	// 1 (the default) executes serially, preserving paper-experiment
-	// semantics exactly.
-	//
-	// One caveat: a parallel pipeline runs its morsels to completion before
-	// anything downstream observes output, so under EarlyStop a LIMIT can
-	// no longer cut a pipeline short mid-stream — rows are unchanged but
-	// the accounting may exceed the serial EarlyStop run's. With EarlyStop
-	// off (the default), accounting is bit-identical at every worker count.
-	Parallelism int
-	// MorselSize is the number of source triples per morsel (0 = 4096).
-	// Smaller morsels improve load balancing and let small inputs exercise
-	// the parallel path; the choice never affects results or accounting.
-	MorselSize int
 	// Leapfrog is ignored. It survives as a shim, like Mode, because the
 	// frozen benchmark harness (bench/main.go) assigns it from
 	// service.EngineStats.Leapfrog; the benchmark-only follow-up that may
 	// edit bench/ deletes both (ROADMAP item 6(f)).
 	Leapfrog bool
-	// Pool, when set, is the shared CPU budget the executor draws extra
-	// workers from: each worker beyond the query's own goroutine requires
-	// one TryAcquire'd token, released when the pipeline finishes. A query
-	// always makes progress on its own goroutine even when the pool is
-	// exhausted — Parallelism is then a ceiling, not a demand. The query
-	// service points this at its admission pool so intra-query workers and
-	// concurrent queries respect one budget.
-	Pool *TokenPool
 	// Trace, when non-nil, receives the run's execution trace: every
 	// physical operator is wrapped in a span recording wall time, rows and
-	// batches emitted, the exact Cout/Work/Scanned deltas of its subtree,
-	// and — for morsel-driven parallel operators — a per-morsel/per-worker
-	// breakdown. The finalized span tree is handed to the collector once
-	// the run completes. Tracing never changes results or accounting; the
+	// batches emitted, and the exact Cout/Work/Scanned deltas of its
+	// subtree. The finalized span tree is handed to the collector once the
+	// run completes. Tracing never changes results or accounting; the
 	// root span's inclusive totals equal this Result's Cout/Work/Scanned
 	// bit-for-bit. When nil (the default) the engine builds the exact
 	// untraced operator tree — no wrappers, no per-tuple checks, no
@@ -106,25 +74,15 @@ type Result struct {
 	Work     float64       // deterministic work units: scanned + built + probed + emitted tuples
 	Duration time.Duration // wall-clock execution time
 	Scanned  int           // tuples read from indexes
-	// Morsels is the number of source morsels executed by parallel
-	// operators (0 when the query ran serially). Excluded from the
-	// bit-identical golden comparison: it describes the schedule, not the
-	// result.
-	Morsels int
-	// Workers is the largest worker count any parallel operator of this
-	// query ran with (0 when the query ran serially). Like Morsels it
-	// describes the schedule; the service aggregates it into per-query
-	// worker-utilization stats.
-	Workers int
-	// Kernels counts kernel activity. Like Morsels and Workers it mostly
-	// describes how the engine ran, not what it computed, and is excluded
-	// from the bit-identical golden comparison.
+	// Kernels counts kernel activity. It mostly describes how the engine
+	// ran, not what it computed, and is excluded from the bit-identical
+	// golden comparison.
 	Kernels KernelStats
 }
 
 // KernelStats counts the work done by the batch kernels, plus
 // the compositional-algebra operator counters (LeftJoinRows, UnionRows,
-// AggGroups), which are logical counts independent of the schedule.
+// AggGroups), which are logical counts independent of batching.
 type KernelStats struct {
 	Batches       int // column batches emitted by operators
 	FilterRows    int // rows evaluated by the filter kernel
@@ -135,31 +93,16 @@ type KernelStats struct {
 	AggGroups     int // groups emitted by aggregation operators
 }
 
-// add accumulates other into s (used by the morsel-order counter merge).
-func (s *KernelStats) add(o KernelStats) {
-	s.Batches += o.Batches
-	s.FilterRows += o.FilterRows
-	s.HashProbeRows += o.HashProbeRows
-	s.GatherRows += o.GatherRows
-	s.LeftJoinRows += o.LeftJoinRows
-	s.UnionRows += o.UnionRows
-	s.AggGroups += o.AggGroups
-}
-
 // executor carries per-run state.
 type executor struct {
-	st      store.Source
-	ctx     context.Context
-	opts    Options
-	cout    float64
-	work    float64
-	scan    int
-	morsels int // morsels executed by parallel operators
-	workers int // max workers any parallel operator ran with
-	kern    KernelStats
+	st   store.Source
+	ctx  context.Context
+	opts Options
+	cout float64
+	work float64
+	scan int
+	kern KernelStats
 	// trace is the run's tracing context; nil unless Options.Trace is set.
-	// Worker executors never carry one — their counters reach the tracing
-	// run through the morsel-order merge.
 	trace *traceState
 	// ids and sels record the pooled buffers the run holds (buffers.go),
 	// in the inline arrays below until a run needs more.
@@ -171,7 +114,7 @@ type executor struct {
 	rowBuf []dict.ID
 }
 
-// newExecutor returns an executor for one run (or one morsel of it).
+// newExecutor returns an executor for one run.
 func newExecutor(st store.Source, ctx context.Context, opts Options) *executor {
 	ex := &executor{st: st, ctx: ctx, opts: opts}
 	ex.ids, ex.sels = ex.idsBuf[:0], ex.selsBuf[:0]
@@ -190,16 +133,8 @@ func (ex *executor) cancelled() error {
 }
 
 // cancelCheckRows is how many tuples a blocking kernel (hash build/probe,
-// merge, cross product, sort) processes between context polls.
+// cross product, sort) processes between context polls.
 const cancelCheckRows = 4096
-
-// parallelism returns the effective worker ceiling for this run.
-func (ex *executor) parallelism() int {
-	if ex.opts.Parallelism < 1 {
-		return 1
-	}
-	return ex.opts.Parallelism
-}
 
 // Run executes the plan p for compiled query c against st.
 func Run(c *plan.Compiled, p *plan.Plan, st store.Source, opts Options) (*Result, error) {
@@ -232,8 +167,6 @@ func RunCtx(ctx context.Context, c *plan.Compiled, p *plan.Plan, st store.Source
 		Work:     ex.work,
 		Duration: time.Since(start),
 		Scanned:  ex.scan,
-		Morsels:  ex.morsels,
-		Workers:  ex.workers,
 		Kernels:  ex.kern,
 	}, nil
 }

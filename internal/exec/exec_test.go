@@ -302,30 +302,28 @@ func TestAgainstNaiveOracle(t *testing.T) {
 	for _, src := range queries {
 		q := sparql.MustParse(src)
 		want := naiveEval(st, q)
-		for _, opts := range []Options{{}, {Parallelism: 4, MorselSize: 8}} {
-			res, _, err := Query(q, st, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", src, err)
+		res, _, err := Query(q, st, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		got := map[string]bool{}
+		varIdx := map[sparql.Var]int{}
+		for i, v := range res.Vars {
+			varIdx[v] = i
+		}
+		for _, row := range res.Rows {
+			var sb strings.Builder
+			for _, v := range q.Vars() {
+				fmt.Fprintf(&sb, "%d|", row[varIdx[v]])
 			}
-			got := map[string]bool{}
-			varIdx := map[sparql.Var]int{}
-			for i, v := range res.Vars {
-				varIdx[v] = i
-			}
-			for _, row := range res.Rows {
-				var sb strings.Builder
-				for _, v := range q.Vars() {
-					fmt.Fprintf(&sb, "%d|", row[varIdx[v]])
-				}
-				got[sb.String()] = true
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s (parallelism %d): got %d distinct rows, want %d", src, opts.Parallelism, len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("%s (parallelism %d): missing row %s", src, opts.Parallelism, k)
-				}
+			got[sb.String()] = true
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: got %d distinct rows, want %d", src, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("%s: missing row %s", src, k)
 			}
 		}
 	}

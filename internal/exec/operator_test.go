@@ -381,5 +381,4 @@ func TestDistinctOpAcrossBatches(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("distinct rows = %d, want 7", len(res.Rows))
 	}
-	assertResultsIdentical(t, "distinct", run(t, st, src, Options{Parallelism: 4, MorselSize: 64}), res)
 }

@@ -23,23 +23,12 @@ import (
 // accounting exactly (all increments are per-tuple integers below the
 // 2^53 float64 exactness bound). obs.Finalize later derives per-operator
 // exclusive values.
-//
-// Parallel pipelines get one span: the morsel workers run untraced clones
-// (workerExecutor never copies the trace), their counters flow back
-// through mergeMorsels inside the parallel operator's next() frame, and
-// mergeMorsels attaches the per-morsel breakdown (worker id, wall time,
-// counter shares) to the span currently on the trace stack.
 
 // traceState is the per-run tracing context: the span tree under
-// construction, the span whose next() frame is currently executing (the
-// attachment point for per-morsel stats), and the per-morsel timing the
-// last runMorsels loop recorded for the matching mergeMorsels call.
+// construction and, while build() runs, the span new children attach to.
 type traceState struct {
 	root *obs.Span
 	cur  *obs.Span
-
-	morselNs     []int64
-	morselWorker []int
 }
 
 // openSpan creates the span for physical node n under the current parent
@@ -58,31 +47,22 @@ func (ts *traceState) openSpan(n *plan.PhysNode) *obs.Span {
 
 // buildTraced is build() with tracing on: it opens a span mirroring the
 // physical node, builds the operator (children nest under the span), and
-// wraps the result so execution records into it. A parallel pipeline
-// keeps a single span — its chain runs per morsel on untraced workers.
+// wraps the result so execution records into it.
 func (ex *executor) buildTraced(n *plan.PhysNode) (operator, error) {
 	ts := ex.trace
 	parent := ts.cur
 	span := ts.openSpan(n)
 	defer func() { ts.cur = parent }()
-	var op operator
-	var err error
-	if ex.parallelism() > 1 && n.ParallelSource != nil {
-		op, err = ex.newParallelOp(n)
-	} else {
-		op, err = ex.buildNode(n)
-	}
+	op, err := ex.buildNode(n)
 	if err != nil {
 		return nil, err
 	}
 	return &tracedOp{ex: ex, child: op, span: span}, nil
 }
 
-// tracedOp wraps an operator: each next() call is timed, the run's counter
-// deltas across it are credited to the span (inclusive of nested wrapped
-// children), and the span becomes current for the duration so morsel loops
-// running inside the frame attach their breakdown here. Rows counts live
-// rows (selection vectors applied).
+// tracedOp wraps an operator: each next() call is timed and the run's
+// counter deltas across it are credited to the span (inclusive of nested
+// wrapped children). Rows counts live rows (selection vectors applied).
 type tracedOp struct {
 	ex    *executor
 	child operator
@@ -93,9 +73,6 @@ func (op *tracedOp) vars() []sparql.Var { return op.child.vars() }
 
 func (op *tracedOp) next() (*colBatch, error) {
 	ex := op.ex
-	ts := ex.trace
-	prev := ts.cur
-	ts.cur = op.span
 	cout0, work0, scan0 := ex.cout, ex.work, ex.scan
 	start := time.Now()
 	b, err := op.child.next()
@@ -108,7 +85,6 @@ func (op *tracedOp) next() (*colBatch, error) {
 		op.span.Batches++
 		op.span.Rows += int64(b.live())
 	}
-	ts.cur = prev
 	return b, err
 }
 

@@ -62,9 +62,9 @@ func assertNoTraceWrappers(t *testing.T, root interface{}) {
 }
 
 // TestTraceDisabledBuildsNoWrappers proves the structural half of the
-// zero-overhead claim: nil collector means the serial and parallel
-// operator trees contain no traced wrapper at any depth,
-// while a non-nil collector roots the tree in one.
+// zero-overhead claim: nil collector means the operator tree contains no
+// traced wrapper at any depth, while a non-nil collector roots the tree in
+// one.
 func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 	st := buildSocialStore(t)
 	q := sparql.MustParse(traceTestQuery)
@@ -76,36 +76,32 @@ func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		opts := Options{Parallelism: par, MorselSize: 2}
-		phys, err := plan.Lower(c, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := &executor{st: st, ctx: context.Background(), opts: opts}
-		root, err := ex.build(phys.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertNoTraceWrappers(t, root)
+	phys, err := plan.Lower(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &executor{st: st, ctx: context.Background()}
+	root, err := ex.build(phys.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertNoTraceWrappers(t, root)
 
-		// Sanity: the same build with a collector roots in a wrapper, so
-		// the walker genuinely detects them.
-		tex := &executor{st: st, ctx: context.Background(), opts: opts, trace: &traceState{}}
-		troot, err := tex.build(phys.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := troot.(*tracedOp); !ok {
-			t.Fatalf("traced build returned %T, want *tracedOp", troot)
-		}
+	// Sanity: the same build with a collector roots in a wrapper, so the
+	// walker genuinely detects them.
+	tex := &executor{st: st, ctx: context.Background(), trace: &traceState{}}
+	troot, err := tex.build(phys.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := troot.(*tracedOp); !ok {
+		t.Fatalf("traced build returned %T, want *tracedOp", troot)
 	}
 }
 
 // TestTraceDisabledZeroExtraAllocs proves the allocation half: a run with
 // an explicitly-nil collector allocates exactly as much as a run whose
-// options never mention tracing, serially and under the morsel driver.
-// The traced run is measured too as a sensitivity check
+// options never mention tracing. The traced run is measured too as a sensitivity check
 // — if instrumenting didn't move the needle, the zero-delta assertions
 // above would be vacuous.
 func TestTraceDisabledZeroExtraAllocs(t *testing.T) {
@@ -126,28 +122,24 @@ func TestTraceDisabledZeroExtraAllocs(t *testing.T) {
 			}
 		})
 	}
-	for _, par := range []int{1, 4} {
-		baseline := measure(Options{Parallelism: par, MorselSize: 2})
-		off := measure(Options{Parallelism: par, MorselSize: 2, Trace: nil})
-		if off != baseline {
-			t.Errorf("par=%d: nil-trace run allocates %v, baseline %v (want identical)", par, off, baseline)
-		}
-		on := measure(Options{Parallelism: par, MorselSize: 2, Trace: &obs.Capture{}})
-		if on <= baseline {
-			t.Errorf("par=%d: traced run allocates %v <= baseline %v; allocation probe is not sensitive",
-				par, on, baseline)
-		}
+	baseline := measure(Options{})
+	off := measure(Options{Trace: nil})
+	if off != baseline {
+		t.Errorf("nil-trace run allocates %v, baseline %v (want identical)", off, baseline)
+	}
+	on := measure(Options{Trace: &obs.Capture{}})
+	if on <= baseline {
+		t.Errorf("traced run allocates %v <= baseline %v; allocation probe is not sensitive", on, baseline)
 	}
 }
 
 // TestTraceCollectorReceivesFinalizedTree exercises the collector contract
 // end to end inside the package: the collected root is finalized (Self*
-// populated, totals matching the Result) and parallel runs attach morsel
-// breakdowns summing to the run's morsel count.
+// populated, totals matching the Result).
 func TestTraceCollectorReceivesFinalizedTree(t *testing.T) {
 	st := buildSocialStore(t)
 	capture := &obs.Capture{}
-	res := run(t, st, traceTestQuery, Options{Parallelism: 4, MorselSize: 1, Trace: capture})
+	res := run(t, st, traceTestQuery, Options{Trace: capture})
 	root := capture.Root
 	if root == nil {
 		t.Fatal("no trace collected")
@@ -160,17 +152,5 @@ func TestTraceCollectorReceivesFinalizedTree(t *testing.T) {
 	if cout != res.Cout || work != res.Work || scanned != int64(res.Scanned) {
 		t.Fatalf("Self* sum (cout=%v work=%v scanned=%d) != result (cout=%v work=%v scanned=%d)",
 			cout, work, scanned, res.Cout, res.Work, res.Scanned)
-	}
-	var morsels int
-	var visit func(s *obs.Span)
-	visit = func(s *obs.Span) {
-		morsels += len(s.Morsels)
-		for _, c := range s.Children {
-			visit(c)
-		}
-	}
-	visit(root)
-	if morsels != res.Morsels {
-		t.Fatalf("span morsel breakdown has %d entries, run executed %d morsels", morsels, res.Morsels)
 	}
 }

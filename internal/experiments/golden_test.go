@@ -320,64 +320,39 @@ func TestGoldenParallelCuration(t *testing.T) {
 	}
 }
 
-// TestGoldenParallelMatchesSerial: morsel-driven execution at Parallelism 2
-// and 8 reproduces the frozen serial result for every BGP template and
-// curated binding. A small MorselSize forces genuine multi-morsel
-// parallelism at test scale; the morsel size never affects results, only
-// the schedule.
-func TestGoldenParallelMatchesSerial(t *testing.T) {
-	for _, gc := range goldenCases(t, goldenTemplates()) {
-		for _, par := range []int{2, 8} {
-			if _, err := checkGolden(t, gc, gc.st, exec.Options{Parallelism: par, MorselSize: 128}); err != nil {
-				t.Error(err)
-			}
-		}
-	}
-}
-
 // TestGoldenAlgebraEngines: every algebra template and curated binding
-// reproduces the frozen streaming/columnar result at Parallelism 1, 2 and
-// 8, and matches the oracle.
+// reproduces the frozen streaming/columnar result and matches the oracle.
 func TestGoldenAlgebraEngines(t *testing.T) {
 	for _, gc := range goldenCases(t, algebraTemplates()) {
-		for _, par := range []int{1, 2, 8} {
-			res, err := checkGolden(t, gc, gc.st, exec.Options{Parallelism: par, MorselSize: 128})
-			if err == nil && par == 1 {
-				err = checkOracle(gc, gc.st, res)
-			}
-			if err != nil {
-				t.Error(err)
-			}
+		res, err := checkGolden(t, gc, gc.st, exec.Options{})
+		if err == nil {
+			err = checkOracle(gc, gc.st, res)
+		}
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }
 
 // checkInvariance is the shard and backing invariance check shared by the
 // two suites below: over st (a sharded or mapped view of gc's store), every
-// template and curated binding reproduces the fixture at Parallelism 1, 2
-// and 8 and matches the oracle.
+// template and curated binding reproduces the fixture and matches the
+// oracle.
 func checkInvariance(t *testing.T, gc goldenCase, st store.Source, label string) {
 	t.Helper()
-	for _, par := range []int{1, 2, 8} {
-		ms := 0
-		if par > 1 {
-			ms = 128
-		}
-		res, err := checkGolden(t, gc, st, exec.Options{Parallelism: par, MorselSize: ms})
-		if err == nil && par == 1 {
-			err = checkOracle(gc, st, res)
-		}
-		if err != nil {
-			t.Errorf("%s: %v", label, err)
-		}
+	res, err := checkGolden(t, gc, st, exec.Options{})
+	if err == nil {
+		err = checkOracle(gc, st, res)
+	}
+	if err != nil {
+		t.Errorf("%s: %v", label, err)
 	}
 }
 
 // TestGoldenShardInvariance: the headline sharding invariant. Over
 // subject-hash sharded federations at 1 and 4 shards, every template and
 // curated binding reproduces the frozen single-store result — plan
-// signature, rows, order, Cout, Work, Scanned — at Parallelism 1, 2 and 8.
-// Per-shard sorted runs over disjoint subjects k-way merge into exactly the
+// signature, rows, order, Cout, Work, Scanned. Per-shard sorted runs over disjoint subjects k-way merge into exactly the
 // global index stream, so plans, rows and accounting cannot depend on the
 // shard count.
 func TestGoldenShardInvariance(t *testing.T) {
@@ -415,8 +390,7 @@ func mappedCopy(t *testing.T, st *store.Store) *store.Store {
 }
 
 // TestGoldenMappedBase: over the mmap-backed copy of each store, every
-// template and curated binding reproduces the frozen heap result at
-// Parallelism 1, 2 and 8.
+// template and curated binding reproduces the frozen heap result.
 func TestGoldenMappedBase(t *testing.T) {
 	env := sharedEnv(t)
 	mapped := map[*store.Store]*store.Store{env.BSBM: mappedCopy(t, env.BSBM), env.SNB: mappedCopy(t, env.SNB)}

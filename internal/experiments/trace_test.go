@@ -13,7 +13,7 @@ import (
 // span tree must account for the run exactly: the root span's inclusive
 // Cout/Work/Scanned equal the Result's, the per-span exclusive (Self*)
 // values sum back to the same totals, the root emits exactly the result
-// rows, and the per-morsel breakdowns agree with the run's morsel count.
+// rows.
 
 // checkTrace asserts the span-tree invariants against the run's Result.
 func checkTrace(t *testing.T, name string, root *obs.Span, res *exec.Result) {
@@ -33,25 +33,10 @@ func checkTrace(t *testing.T, name string, root *obs.Span, res *exec.Result) {
 	if root.Rows != int64(len(res.Rows)) {
 		t.Errorf("%s: root span rows %d != result rows %d", name, root.Rows, len(res.Rows))
 	}
-	if got := countMorsels(root); got != res.Morsels {
-		t.Errorf("%s: span morsel breakdown has %d morsels, result ran %d", name, got, res.Morsels)
-	}
-}
-
-func countMorsels(s *obs.Span) int {
-	if s == nil {
-		return 0
-	}
-	n := len(s.Morsels)
-	for _, c := range s.Children {
-		n += countMorsels(c)
-	}
-	return n
 }
 
 // TestTraceAccountingExact covers every golden and algebra template with
-// curated bindings at Parallelism 1, 2 and 8 (small morsels force genuine
-// multi-morsel schedules).
+// curated bindings.
 func TestTraceAccountingExact(t *testing.T) {
 	env := sharedEnv(t)
 	for _, g := range append(goldenTemplates(), algebraTemplates()...) {
@@ -68,24 +53,20 @@ func TestTraceAccountingExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s binding %d: %v", g.name, bi, err)
 			}
-			for _, par := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s/par%d/b%d", g.name, par, bi)
-				opts := exec.Options{Parallelism: par, MorselSize: 128}
-				plain, _, err := exec.Query(bound, st, opts)
-				if err != nil {
-					t.Fatalf("%s untraced: %v", name, err)
-				}
-				capture := &obs.Capture{}
-				opts.Trace = capture
-				traced, _, err := exec.Query(bound, st, opts)
-				if err != nil {
-					t.Fatalf("%s traced: %v", name, err)
-				}
-				if err := equalResults(traced, plain); err != nil {
-					t.Errorf("%s: tracing changed the run: %v", name, err)
-				}
-				checkTrace(t, name, capture.Root, traced)
+			name := fmt.Sprintf("%s/b%d", g.name, bi)
+			plain, _, err := exec.Query(bound, st, exec.Options{})
+			if err != nil {
+				t.Fatalf("%s untraced: %v", name, err)
 			}
+			capture := &obs.Capture{}
+			traced, _, err := exec.Query(bound, st, exec.Options{Trace: capture})
+			if err != nil {
+				t.Fatalf("%s traced: %v", name, err)
+			}
+			if err := equalResults(traced, plain); err != nil {
+				t.Errorf("%s: tracing changed the run: %v", name, err)
+			}
+			checkTrace(t, name, capture.Root, traced)
 		}
 	}
 }

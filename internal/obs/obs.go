@@ -1,9 +1,7 @@
 // Package obs is the execution-trace layer of the observability stack: a
 // per-query span tree recording, for every physical operator the engines
 // ran, the wall time spent inside it, the rows and batches it emitted, and
-// the exact Cout/Work/Scanned counter deltas attributable to its subtree —
-// plus, for operators that ran under the morsel driver, a per-morsel
-// breakdown with worker assignment.
+// the exact Cout/Work/Scanned counter deltas attributable to its subtree.
 //
 // The design keeps the disabled path free: exec only builds spans (and the
 // wrapper operators feeding them) when Options.Trace is non-nil, so a run
@@ -19,7 +17,7 @@
 // increments are per-tuple integers far below 2^53, so the root span's
 // inclusive totals equal the run's Result accounting bit-for-bit and the
 // Self* values sum back to it — the invariant the trace-correctness suite
-// asserts for every template at every parallelism level.
+// asserts for every template.
 package obs
 
 import (
@@ -30,9 +28,7 @@ import (
 
 // Span is one operator's observed execution. Cout/Work/Scanned/WallNs are
 // inclusive of Children; the Self* fields (filled by Finalize) are this
-// operator's exclusive share. A span produced by a morsel-driven parallel
-// operator has no children — the pipeline ran whole-chain-per-morsel on
-// workers — and carries the per-morsel breakdown instead.
+// operator's exclusive share.
 type Span struct {
 	// Op is the physical operator name (plan.PhysOp.String()); Detail is
 	// the operator's full EXPLAIN line (pattern, filters, schema).
@@ -60,27 +56,7 @@ type Span struct {
 	SelfWork    float64 `json:"self_work"`
 	SelfScanned int64   `json:"self_scanned"`
 
-	// Workers is the peak worker count the operator's morsel runs used (0
-	// when it never ran a parallel morsel loop); Morsels is the per-morsel
-	// breakdown in morsel order.
-	Workers int           `json:"workers,omitempty"`
-	Morsels []MorselStats `json:"morsels,omitempty"`
-
 	Children []*Span `json:"children,omitempty"`
-}
-
-// MorselStats is one morsel's share of a parallel operator's work: which
-// worker ran it, how long it took, and its counter contribution. Counter
-// sums over a span's morsels are part of the span's inclusive totals (the
-// driver merges them in morsel order), so they participate in the same
-// exactness invariant.
-type MorselStats struct {
-	Index   int     `json:"index"`
-	Worker  int     `json:"worker"`
-	WallNs  int64   `json:"wall_ns"`
-	Cout    float64 `json:"cout"`
-	Work    float64 `json:"work"`
-	Scanned int64   `json:"scanned"`
 }
 
 // Collector receives the finalized span tree of one traced execution.
@@ -139,8 +115,7 @@ func Sum(root *Span) (cout, work float64, scanned int64) {
 }
 
 // Render draws the span tree as an EXPLAIN ANALYZE listing: the operator's
-// EXPLAIN line annotated with its observed metrics, children indented, and
-// parallel operators followed by their per-morsel breakdown.
+// EXPLAIN line annotated with its observed metrics, children indented.
 func Render(root *Span) string {
 	var b strings.Builder
 	renderSpan(&b, root, 0)
@@ -157,16 +132,8 @@ func renderSpan(b *strings.Builder, s *Span, depth int) {
 		line = s.Op
 	}
 	fmt.Fprintf(b, "%s%s\n", indent, line)
-	fmt.Fprintf(b, "%s  (actual: rows=%d batches=%d calls=%d wall=%s cout=%.0f work=%.0f scanned=%d",
+	fmt.Fprintf(b, "%s  (actual: rows=%d batches=%d calls=%d wall=%s cout=%.0f work=%.0f scanned=%d)\n",
 		indent, s.Rows, s.Batches, s.Calls, time.Duration(s.WallNs), s.Cout, s.Work, s.Scanned)
-	if s.Workers > 0 {
-		fmt.Fprintf(b, " morsels=%d workers=%d", len(s.Morsels), s.Workers)
-	}
-	b.WriteString(")\n")
-	for _, m := range s.Morsels {
-		fmt.Fprintf(b, "%s  [morsel %d worker %d: wall=%s cout=%.0f work=%.0f scanned=%d]\n",
-			indent, m.Index, m.Worker, time.Duration(m.WallNs), m.Cout, m.Work, m.Scanned)
-	}
 	for _, c := range s.Children {
 		renderSpan(b, c, depth+1)
 	}

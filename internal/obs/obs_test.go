@@ -59,20 +59,11 @@ func TestSumReproducesRootInclusive(t *testing.T) {
 }
 
 func TestRenderListsEverySpan(t *testing.T) {
-	root := tree()
-	root.Children[1].Workers = 2
-	root.Children[1].Morsels = []MorselStats{
-		{Index: 0, Worker: 1, WallNs: 10, Cout: 1, Work: 2, Scanned: 1},
-		{Index: 1, Worker: 0, WallNs: 10, Work: 2, Scanned: 1},
-	}
-	out := Render(root)
+	out := Render(tree())
 	for _, want := range []string{
 		"Project", "HashJoin", "IndexScan",
 		"(actual: rows=0 batches=0 calls=0",
 		"cout=10 work=30 scanned=7",
-		"morsels=2 workers=2",
-		"[morsel 0 worker 1:",
-		"[morsel 1 worker 0:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering lacks %q:\n%s", want, out)

@@ -100,19 +100,6 @@ type PhysNode struct {
 	Kids        []*PhysNode        // PhysUnion: branches, in syntactic order
 	GroupBy     []sparql.Var       // PhysAggregate: grouping keys (may be empty)
 	Aggs        []sparql.Aggregate // PhysAggregate: aggregates, in SELECT order
-
-	// ParallelSource marks this node as the top of a parallelism-eligible
-	// pipeline and names its partitionable source: the PhysIndexScan whose
-	// index range can be split into contiguous morsels, with every operator
-	// between the scan and this node (index probes, filters, projections —
-	// all stateless per row) applied morsel-by-morsel on independent
-	// workers. Merging per-morsel outputs in morsel order reproduces the
-	// serial stream bit-for-bit. Lower sets it on the topmost node of each
-	// maximal scan→probe/filter/project chain; it is nil on every node
-	// inside a marked pipeline, on pipeline breakers (joins, ORDER BY,
-	// DISTINCT, LIMIT) and on chains rooted at a missing-constant scan
-	// (nothing to partition).
-	ParallelSource *PhysNode
 }
 
 // Physical is a complete lowered plan: the operator tree.
@@ -188,9 +175,6 @@ func (n *PhysNode) describe(b *strings.Builder) {
 		}
 	}
 	fmt.Fprintf(b, " -> %v", n.Vars)
-	if n.ParallelSource != nil {
-		b.WriteString(" [parallel-eligible]")
-	}
 }
 
 // Lower translates the optimized logical plan p for compiled query c into a
@@ -223,7 +207,6 @@ func Lower(c *Compiled, p *Plan) (*Physical, error) {
 	if err != nil {
 		return nil, err
 	}
-	markParallelPipelines(root)
 	return &Physical{Root: root}, nil
 }
 
@@ -239,7 +222,6 @@ func lowerPhysicalAlg(c *Compiled, p *Plan) (*Physical, error) {
 	if err != nil {
 		return nil, err
 	}
-	markParallelPipelines(root)
 	return &Physical{Root: root}, nil
 }
 
@@ -330,78 +312,6 @@ func epilogueAlg(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
 		}
 	}
 	return tail(root, q)
-}
-
-// ParallelPipelines counts the parallelism-eligible pipelines of the plan —
-// the nodes carrying a ParallelSource annotation.
-func (p *Physical) ParallelPipelines() int {
-	var count func(*PhysNode) int
-	count = func(n *PhysNode) int {
-		if n == nil {
-			return 0
-		}
-		c := 0
-		if n.ParallelSource != nil {
-			c = 1
-		}
-		c += count(n.Left) + count(n.Right)
-		for _, k := range n.Kids {
-			c += count(k)
-		}
-		return c
-	}
-	return count(p.Root)
-}
-
-// isPipelineOp reports whether op is a per-row streamable operator that a
-// morsel-driven worker can run without coordination: no cross-row state, no
-// buffering, no order sensitivity beyond preserving its input order.
-func isPipelineOp(op PhysOp) bool {
-	switch op {
-	case PhysIndexScan, PhysIndexProbe, PhysFilter, PhysProject:
-		return true
-	}
-	return false
-}
-
-// pipelineSource walks the scan→probe/filter/project chain below n down to
-// its partitionable IndexScan, or returns nil when the chain bottoms out in
-// a pipeline breaker or a missing-constant (empty) scan.
-func pipelineSource(n *PhysNode) *PhysNode {
-	for {
-		switch n.Op {
-		case PhysIndexScan:
-			if n.Leaf == nil || n.Leaf.Missing {
-				return nil
-			}
-			return n
-		case PhysIndexProbe, PhysFilter, PhysProject:
-			n = n.Left
-		default:
-			return nil
-		}
-	}
-}
-
-// markParallelPipelines annotates the topmost node of every maximal
-// parallelism-eligible pipeline with its partitionable source. Nodes inside
-// a marked pipeline are deliberately left unmarked so an executor seeing
-// ParallelSource runs the whole chain per morsel exactly once.
-func markParallelPipelines(n *PhysNode) {
-	if n == nil {
-		return
-	}
-	if isPipelineOp(n.Op) {
-		if src := pipelineSource(n); src != nil {
-			n.ParallelSource = src
-			return
-		}
-	}
-	markParallelPipelines(n.Left)
-	markParallelPipelines(n.Right)
-	for _, k := range n.Kids {
-		markParallelPipelines(k)
-	}
 }
 
 func lower(n *Node) (*PhysNode, error) {

@@ -271,100 +271,3 @@ func TestPhysicalString(t *testing.T) {
 		}
 	}
 }
-
-// TestLowerMarksParallelPipelines: the topmost node of every maximal
-// scan→probe/filter/project chain carries the ParallelSource annotation
-// pointing at its partitionable IndexScan, and nodes inside the pipeline or
-// above a breaker stay unmarked.
-func TestLowerMarksParallelPipelines(t *testing.T) {
-	st := buildPhysStore(t)
-
-	// A probe chain with filter and projection: one pipeline, marked at the
-	// top (the Project), with the source scan at the bottom.
-	ph, _ := lowerQuery(t, st, `SELECT ?x WHERE {
-  ?a <http://x/knows> ?b .
-  ?b <http://x/age> ?x .
-  FILTER(?x > 10)
-}`)
-	if ph.ParallelPipelines() != 1 {
-		t.Fatalf("pipelines = %d, want 1\n%s", ph.ParallelPipelines(), ph)
-	}
-	if ph.Root.ParallelSource == nil {
-		t.Fatalf("root not marked as pipeline top\n%s", ph)
-	}
-	if ph.Root.ParallelSource.Op != PhysIndexScan {
-		t.Fatalf("source = %s, want IndexScan", ph.Root.ParallelSource.Op)
-	}
-	var inner int
-	var walk func(*PhysNode)
-	walk = func(n *PhysNode) {
-		if n == nil {
-			return
-		}
-		if n != ph.Root && n.ParallelSource != nil {
-			inner++
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(ph.Root)
-	if inner != 0 {
-		t.Fatalf("%d nodes inside the pipeline are marked too", inner)
-	}
-	if !strings.Contains(ph.String(), "[parallel-eligible]") {
-		t.Fatalf("rendering missing parallel marker:\n%s", ph)
-	}
-
-	// ORDER BY is a breaker: the pipeline below it is marked, the Order and
-	// anything above it is not.
-	ph, _ = lowerQuery(t, st, `SELECT ?b WHERE {
-  ?a <http://x/knows> ?b .
-  ?b <http://x/age> ?x .
-} ORDER BY ?b`)
-	if ph.ParallelPipelines() != 1 {
-		t.Fatalf("pipelines = %d, want 1\n%s", ph.ParallelPipelines(), ph)
-	}
-	// Neither the root nor the Order breaker may carry the annotation; the
-	// single marked node must sit strictly below the Order.
-	for n := ph.Root; n != nil && n.Op != PhysOrder; n = n.Left {
-		if n.ParallelSource != nil {
-			t.Fatalf("%s above the Order breaker marked as pipeline\n%s", n.Op, ph)
-		}
-	}
-	var order *PhysNode
-	for n := ph.Root; n != nil; n = n.Left {
-		if n.Op == PhysOrder {
-			order = n
-			break
-		}
-	}
-	if order == nil {
-		t.Fatalf("no Order node\n%s", ph)
-	}
-	if order.ParallelSource != nil {
-		t.Fatalf("Order breaker marked as pipeline\n%s", ph)
-	}
-	if order.Left.ParallelSource == nil {
-		t.Fatalf("pipeline below the Order not marked\n%s", ph)
-	}
-
-	// A cross product: both leaf scans are their own (trivial) pipelines.
-	ph, _ = lowerQuery(t, st, `SELECT * WHERE {
-  ?a <http://x/knows> ?b .
-  ?c <http://x/date> ?d .
-}`)
-	ops := map[PhysOp]int{}
-	countOps(ph.Root, ops)
-	if ops[PhysCross] != 1 {
-		t.Fatalf("expected a cross product\n%s", ph)
-	}
-	if ph.ParallelPipelines() != 2 {
-		t.Fatalf("pipelines = %d, want 2 (one per scan)\n%s", ph.ParallelPipelines(), ph)
-	}
-
-	// A missing-constant scan has nothing to partition: not eligible.
-	ph, _ = lowerQuery(t, st, `SELECT * WHERE { ?s <http://x/nonexistent> ?o . }`)
-	if ph.ParallelPipelines() != 0 {
-		t.Fatalf("missing-leaf scan marked eligible\n%s", ph)
-	}
-}

@@ -85,7 +85,6 @@ func TestEngineVariantCacheKeys(t *testing.T) {
 	for _, opts := range []exec.Options{
 		{},
 		{EarlyStop: true},
-		{Parallelism: 2, MorselSize: 1},
 	} {
 		svc := New(st, "", Options{Exec: opts})
 		for i := 0; i < 2; i++ {

@@ -147,10 +147,6 @@ func TestHTTPPrepareExecuteBatchAndStats(t *testing.T) {
 	if len(st.Prepared) != 1 || st.Prepared[0] != "friends" {
 		t.Fatalf("prepared list = %v", st.Prepared)
 	}
-	// A serial service still reports its pool/parallelism configuration.
-	if st.Parallel.Parallelism != 1 || st.Parallel.Queries != 0 {
-		t.Fatalf("parallel stats = %+v", st.Parallel)
-	}
 	if st.Pool.TokensInUse != 0 {
 		t.Fatalf("pool stats = %+v (no request in flight)", st.Pool)
 	}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -188,7 +187,7 @@ func TestMappedReloadQueryRace(t *testing.T) {
 	add(iri("http://x/alice"), knows, iri("http://x/bob"))
 	pathB := writeV4Snapshot(t, dir, "b.v4.snap", b.Build())
 
-	svc, err := Load(pathA, Options{AllowReload: true, Exec: exec.Options{Parallelism: 4}})
+	svc, err := Load(pathA, Options{AllowReload: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // library — the format is plain text and this service's metric set is
 // small and fixed. Every counter already surfaced by /stats is mapped:
 // store/snapshot gauges, update and compaction counters, plan-cache
-// counters, the token pool, parallelism telemetry, kernel and algebra
+// counters, the admission pool, kernel and algebra
 // counters, tracing counters, and the per-endpoint request counts and
 // latency histograms (cumulative `le` buckets with +Inf, _sum in seconds,
 // _count). Two Go runtime counters, GC cycles and heap bytes allocated,
@@ -72,7 +72,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("repro_plan_cache_misses_total", "Plan cache misses.", float64(st.Cache.Misses))
 	m.counter("repro_plan_cache_evictions_total", "Plan cache evictions.", float64(st.Cache.Evictions))
 
-	m.gauge("repro_pool_workers", "Token pool size (admission + intra-query workers).", float64(st.Pool.Workers))
+	m.gauge("repro_pool_workers", "Admission token pool size: max concurrently executing requests.", float64(st.Pool.Workers))
 	m.gauge("repro_pool_queue_depth", "Admission queue capacity.", float64(st.Pool.QueueDepth))
 	m.gauge("repro_pool_in_flight", "Requests currently executing.", float64(st.Pool.InFlight))
 	m.gauge("repro_pool_queued", "Requests currently waiting for a token.", float64(st.Pool.Queued))
@@ -80,11 +80,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("repro_pool_rejected_total", "Requests rejected with 429 by admission control.", float64(st.Pool.Rejected))
 	m.counter("repro_pool_token_waits_total", "Admissions that had to wait for a token.", float64(st.Pool.TokenWaits))
 	m.counter("repro_pool_token_wait_seconds_total", "Total time admissions spent waiting for tokens.", st.Pool.TokenWaitMs/1e3)
-
-	m.gauge("repro_parallelism", "Configured per-query worker ceiling.", float64(st.Parallel.Parallelism))
-	m.counter("repro_parallel_queries_total", "Queries that ran at least one parallel operator.", float64(st.Parallel.Queries))
-	m.counter("repro_parallel_morsels_total", "Morsels executed across all queries.", float64(st.Parallel.Morsels))
-	m.gauge("repro_parallel_max_workers", "Largest per-query peak worker count observed.", float64(st.Parallel.MaxWorkers))
 
 	k := st.Engine.Kernels
 	m.counter("repro_kernel_batches_total", "Columnar batches processed.", float64(k.Batches))

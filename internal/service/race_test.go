@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bsbm"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/rdf"
 	"repro/internal/snb"
 	"repro/internal/sparql"
@@ -191,41 +190,29 @@ func TestConcurrentExecutionWithSwap(t *testing.T) {
 	}
 }
 
-// TestParallelMixedWorkloadRace runs one large scan-heavy query at
-// Parallelism=8 concurrently with the PR-3 mixed BSBM/SNB workload against
-// one shared store and one shared token pool (run under -race). Exec
-// options use exact accounting (no EarlyStop), so every canonical result —
-// rows, row order, Cout, Work, Scanned — must be byte-identical both
-// across concurrent parallel executions and to the Parallelism=1 reference
-// service: morsel-driven execution is bit-deterministic regardless of
-// scheduling and of how many pool tokens each run managed to grab.
-func TestParallelMixedWorkloadRace(t *testing.T) {
+// TestBigScanMixedWorkloadRace runs a large scan-heavy query concurrently
+// with the mixed BSBM/SNB workload against one shared store, buffer pool
+// and admission pool (run under -race). Exec options use exact accounting
+// (no EarlyStop), so every canonical result — rows, row order, Cout, Work,
+// Scanned — must be byte-identical to the same request run alone, and no
+// admission token may leak.
+func TestBigScanMixedWorkloadRace(t *testing.T) {
 	st := buildMixedStore(t)
-	mkOpts := func(par int) Options {
-		return Options{
-			Workers:    4,
-			QueueDepth: 1 << 16,
-			// Small morsels so the test-scale store genuinely splits.
-			Exec: exec.Options{Parallelism: par, MorselSize: 128},
-		}
-	}
-	svc := New(st, "", mkOpts(8))
-	ref := New(st, "", mkOpts(1))
+	svc := New(st, "", Options{Workers: 4, QueueDepth: 1 << 16})
 	items := buildMixedWorkload(t, svc, st, 3)
-	refItems := buildMixedWorkload(t, ref, st, 3)
 
 	const bigQuery = `SELECT * WHERE { ?s ?p ?o . }`
 
-	// Serial reference canonicals, from the Parallelism=1 service.
+	// Reference canonicals, each request run alone.
 	want := make(map[string]string, len(items))
-	for i, it := range refItems {
-		out, err := ref.Execute(context.Background(), it.prep, it.bind)
+	for _, it := range items {
+		out, err := svc.Execute(context.Background(), it.prep, it.bind)
 		if err != nil {
 			t.Fatalf("reference %s: %v", it.key, err)
 		}
-		want[items[i].key] = canonical(out)
+		want[it.key] = canonical(out)
 	}
-	refBig, err := ref.Query(context.Background(), bigQuery, nil)
+	refBig, err := svc.Query(context.Background(), bigQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +232,7 @@ func TestParallelMixedWorkloadRace(t *testing.T) {
 					return
 				}
 				if got := canonical(out); got != want[it.key] {
-					errs <- fmt.Errorf("mixed goroutine %d %s: parallel result differs from serial\ngot:\n%s\nwant:\n%s",
+					errs <- fmt.Errorf("mixed goroutine %d %s: result differs from the lone run\ngot:\n%s\nwant:\n%s",
 						g, it.key, got, want[it.key])
 					return
 				}
@@ -263,7 +250,7 @@ func TestParallelMixedWorkloadRace(t *testing.T) {
 					return
 				}
 				if got := canonical(out); got != wantBig {
-					errs <- fmt.Errorf("big goroutine %d iteration %d: result differs from serial", g, i)
+					errs <- fmt.Errorf("big goroutine %d iteration %d: result differs from the lone run", g, i)
 					return
 				}
 			}
@@ -275,17 +262,7 @@ func TestParallelMixedWorkloadRace(t *testing.T) {
 		t.Error(err)
 	}
 
-	stats := svc.Stats()
-	if stats.Parallel.Queries == 0 || stats.Parallel.Morsels == 0 {
-		t.Fatalf("no parallel execution recorded: %+v", stats.Parallel)
-	}
-	if stats.Parallel.MaxWorkers > 8 {
-		t.Fatalf("worker ceiling exceeded: %+v", stats.Parallel)
-	}
-	if stats.Pool.TokensInUse != 0 {
-		t.Fatalf("%d tokens leaked", stats.Pool.TokensInUse)
-	}
-	if refStats := ref.Stats(); refStats.Parallel.Queries != 0 {
-		t.Fatalf("Parallelism=1 service ran parallel operators: %+v", refStats.Parallel)
+	if n := svc.Stats().Pool.TokensInUse; n != 0 {
+		t.Fatalf("%d tokens leaked", n)
 	}
 }

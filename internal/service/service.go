@@ -8,7 +8,7 @@
 //     binding's signature (plan.CacheKey), so repeated bindings skip
 //     compilation and DPsub join ordering entirely, with hit/miss/eviction
 //     counters;
-//   - admission control: a bounded worker pool with a request-queue cap and
+//   - admission control: a bounded token pool with a request-queue cap and
 //     fast ErrOverloaded (HTTP 429) rejection, keeping the engine's
 //     per-query allocations bounded under load;
 //   - hot snapshot swap: Reload/Swap atomically install a new store while
@@ -79,16 +79,8 @@ type Options struct {
 	// PlanCacheSize is the shared plan cache's entry capacity. 0 means
 	// 1024; negative disables caching.
 	PlanCacheSize int
-	// Exec are the execution options every query runs with.
-	// Exec.Parallelism is the per-query intra-query worker ceiling:
-	// parallelism-eligible pipelines and hash-join probes of one query fan
-	// out across up to this many workers. Workers beyond the query's own
-	// goroutine are drawn opportunistically from the *same* token pool that
-	// admits queries, so intra-query parallelism and request concurrency
-	// jointly respect the Workers budget instead of multiplying — a
-	// saturated service runs every query serially, an idle one lets a
-	// single query use the spare cores. Default 1 (serial,
-	// paper-experiment semantics).
+	// Exec are the execution options every query runs with. Each query
+	// runs on one goroutine, so Workers alone bounds the CPU in use.
 	Exec exec.Options
 	// HeapLoad forces Load/Reload to fully deserialize snapshots into heap
 	// stores even when the file is in the v4 mapped layout. Default off: v4
@@ -165,9 +157,6 @@ func (o Options) normalized() Options {
 		o.PlanCacheSize = 1024
 	case o.PlanCacheSize < 0:
 		o.PlanCacheSize = 0
-	}
-	if o.Exec.Parallelism < 1 {
-		o.Exec.Parallelism = 1
 	}
 	if o.TraceRecent == 0 {
 		o.TraceRecent = 64
@@ -321,10 +310,8 @@ type Service struct {
 
 	cacheCtr cacheCounters
 
-	// pool is the shared CPU budget: one token per admitted query, plus
-	// opportunistic extra tokens for intra-query pipeline workers (the
-	// executor's Options.Pool points here).
-	pool     *exec.TokenPool
+	// pool is the CPU budget: one token per executing request.
+	pool     *admission
 	queued   atomic.Int64
 	inflight atomic.Int64
 	rejected atomic.Uint64
@@ -334,12 +321,6 @@ type Service struct {
 	// (auto-compaction or explicit Compact).
 	updates     atomic.Uint64
 	compactions atomic.Uint64
-
-	// Intra-query parallelism telemetry, aggregated from exec results.
-	parQueries    atomic.Uint64 // queries that ran >= 1 parallel operator
-	parMorsels    atomic.Uint64 // morsels executed across all queries
-	parWorkersSum atomic.Uint64 // sum of per-query peak worker counts
-	parWorkersMax atomic.Uint64 // largest per-query peak worker count
 
 	// Kernel telemetry, aggregated from exec results.
 	kern kernelCounters
@@ -369,15 +350,13 @@ func New(st store.Source, source string, opts Options) *Service {
 	opts = opts.normalized()
 	s := &Service{
 		opts:      opts,
-		pool:      exec.NewTokenPool(opts.Workers),
+		pool:      newAdmission(opts.Workers),
 		ring:      obs.NewRing(opts.TraceRecent),
 		prepared:  make(map[string]*Prepared),
 		counts:    make(map[string]uint64),
 		errCounts: make(map[string]uint64),
 		latency:   make(map[string]*stats.Histogram),
 	}
-	// Intra-query workers draw from the admission pool: one CPU budget.
-	s.opts.Exec.Pool = s.pool
 	s.state.Store(s.newState(store.Federate(st, opts.Shards), 1, source))
 	return s
 }
@@ -850,17 +829,6 @@ func (s *Service) run(ctx context.Context, st *snapState, tmpl *sparql.Query, te
 		return nil, err
 	}
 	s.kern.add(res.Kernels)
-	if res.Morsels > 0 {
-		s.parQueries.Add(1)
-		s.parMorsels.Add(uint64(res.Morsels))
-		s.parWorkersSum.Add(uint64(res.Workers))
-		for {
-			max := s.parWorkersMax.Load()
-			if uint64(res.Workers) <= max || s.parWorkersMax.CompareAndSwap(max, uint64(res.Workers)) {
-				break
-			}
-		}
-	}
 	out := &Outcome{Result: res, Plan: ent.p, CacheHit: hit, Generation: st.gen, Store: st.store}
 	if capture != nil && capture.Root != nil {
 		s.recordTrace(m, sampled, text, ent.p.Signature, hit, st.gen, res, capture.Root, out)
@@ -960,24 +928,22 @@ type slowLogLine struct {
 // all retained).
 func (s *Service) TraceRecent(n int) []*obs.QueryTrace { return s.ring.Recent(n) }
 
-// admit acquires one token from the shared CPU pool, waiting in the
+// admit acquires one token from the admission pool, waiting in the
 // bounded queue when the pool is exhausted. It fails fast with
 // ErrOverloaded when the queue is full, and with ctx's error if the caller
-// gives up while queued. Queued admissions always win released tokens over
-// opportunistic intra-query grabs (see exec.TokenPool), so parallel
-// pipelines shrink under load instead of starving admission. The returned
-// release function must be called when the request finishes.
+// gives up while queued. The returned release function must be called when
+// the request finishes.
 func (s *Service) admit(ctx context.Context) (func(), error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !s.pool.TryAcquire() {
+	if !s.pool.tryAcquire() {
 		if s.queued.Add(1) > int64(s.opts.QueueDepth) {
 			s.queued.Add(-1)
 			s.rejected.Add(1)
 			return nil, ErrOverloaded
 		}
-		err := s.pool.Acquire(ctx)
+		err := s.pool.acquire(ctx)
 		s.queued.Add(-1)
 		if err != nil {
 			return nil, err
@@ -986,7 +952,7 @@ func (s *Service) admit(ctx context.Context) (func(), error) {
 	s.inflight.Add(1)
 	return func() {
 		s.inflight.Add(-1)
-		s.pool.Release()
+		s.pool.release()
 	}, nil
 }
 
@@ -1055,33 +1021,21 @@ type CacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// PoolStats describe the shared CPU pool: admission control plus the token
-// budget intra-query workers draw from.
+// PoolStats describe admission control: Workers tokens, one per executing
+// request, and the bounded queue in front of them.
 type PoolStats struct {
 	Workers    int    `json:"workers"`
 	QueueDepth int    `json:"queue_depth"`
 	InFlight   int64  `json:"in_flight"`
 	Queued     int64  `json:"queued"`
 	Rejected   uint64 `json:"rejected"`
-	// TokensInUse is the number of pool tokens currently held (admitted
-	// queries plus their active intra-query workers).
+	// TokensInUse is the number of pool tokens currently held, one per
+	// admitted request.
 	TokensInUse int `json:"tokens_in_use"`
 	// TokenWaits counts admissions that had to wait for a token;
 	// TokenWaitMs is the total time they spent waiting.
 	TokenWaits  uint64  `json:"token_waits"`
 	TokenWaitMs float64 `json:"token_wait_ms"`
-}
-
-// ParallelStats describe morsel-driven intra-query parallelism since
-// startup: how many queries ran parallel operators, how many morsels they
-// executed and the per-query peak worker counts (average and maximum) —
-// the worker-utilization view of Options.Exec.Parallelism.
-type ParallelStats struct {
-	Parallelism int     `json:"parallelism"`
-	Queries     uint64  `json:"queries"`
-	Morsels     uint64  `json:"morsels"`
-	AvgWorkers  float64 `json:"avg_workers"`
-	MaxWorkers  uint64  `json:"max_workers"`
 }
 
 // KernelStats are the cumulative kernel counters aggregated from every
@@ -1202,7 +1156,6 @@ type Stats struct {
 	Updates  UpdateStats             `json:"updates"`
 	Cache    CacheStats              `json:"cache"`
 	Pool     PoolStats               `json:"pool"`
-	Parallel ParallelStats           `json:"parallel"`
 	Engine   EngineStats             `json:"engine"`
 	Trace    TraceStats              `json:"trace"`
 	Prepared []string                `json:"prepared"`
@@ -1271,13 +1224,7 @@ func (s *Service) Stats() Stats {
 			InFlight:    s.inflight.Load(),
 			Queued:      s.queued.Load(),
 			Rejected:    s.rejected.Load(),
-			TokensInUse: s.pool.InUse(),
-		},
-		Parallel: ParallelStats{
-			Parallelism: s.opts.Exec.Parallelism,
-			Queries:     s.parQueries.Load(),
-			Morsels:     s.parMorsels.Load(),
-			MaxWorkers:  s.parWorkersMax.Load(),
+			TokensInUse: s.pool.inUse(),
 		},
 		Engine: EngineStats{
 			Mode: "columnar",
@@ -1302,12 +1249,9 @@ func (s *Service) Stats() Stats {
 		Prepared: s.PreparedNames(),
 		Requests: make(map[string]RequestStats),
 	}
-	waits, waited := s.pool.WaitStats()
+	waits, waited := s.pool.waitStats()
 	out.Pool.TokenWaits = waits
 	out.Pool.TokenWaitMs = float64(waited) / float64(time.Millisecond)
-	if q := out.Parallel.Queries; q > 0 {
-		out.Parallel.AvgWorkers = float64(s.parWorkersSum.Load()) / float64(q)
-	}
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
 	for name, h := range s.latency {

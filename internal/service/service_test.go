@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -230,6 +231,50 @@ func TestAdmissionQueueAndCancel(t *testing.T) {
 		t.Fatalf("queued request: want context.Canceled, got %v", err)
 	}
 	release()
+}
+
+// TestAdmissionWaitCounted: a request that queues for a token and is then
+// admitted runs to completion and is counted in Stats().Pool.TokenWaits
+// and TokenWaitMs; one admitted at once is not.
+func TestAdmissionWaitCounted(t *testing.T) {
+	svc := New(buildTinyStore(t), "", Options{Workers: 1, QueueDepth: 1})
+	p, err := svc.Prepare("q", `SELECT * WHERE { ?s ?p ?o . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := svc.Execute(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool := svc.Stats().Pool; pool.TokenWaits != 0 || pool.TokenWaitMs != 0 {
+		t.Fatalf("an uncontended request was counted as a wait: %+v", pool)
+	}
+	release, err := svc.admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		out, err := svc.Execute(context.Background(), p, nil)
+		if err == nil && len(out.Result.Rows) != len(alone.Result.Rows) {
+			err = fmt.Errorf("queued request returned %d rows, want %d", len(out.Result.Rows), len(alone.Result.Rows))
+		}
+		done <- err
+	}()
+	for svc.queued.Load() == 0 {
+		runtime.Gosched()
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("queued request: %v", err)
+	}
+	pool := svc.Stats().Pool
+	if pool.TokenWaits != 1 || pool.TokenWaitMs <= 0 {
+		t.Fatalf("queued-then-admitted request not counted: %+v", pool)
+	}
+	if pool.Queued != 0 || pool.InFlight != 0 || pool.TokensInUse != 0 {
+		t.Fatalf("pool not drained: %+v", pool)
+	}
 }
 
 func TestSnapshotSwap(t *testing.T) {

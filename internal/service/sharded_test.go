@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -232,7 +231,7 @@ func TestShardedReloadQueryRace(t *testing.T) {
 	}
 	pathB := writeShardedSnapshot(t, dir, "b.shards", b.Build(), 4)
 
-	svc, err := Load(pathA, Options{AllowReload: true, Exec: exec.Options{Parallelism: 4}})
+	svc, err := Load(pathA, Options{AllowReload: true})
 	if err != nil {
 		t.Fatal(err)
 	}

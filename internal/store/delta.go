@@ -475,7 +475,7 @@ func runFor(idx []IDTriple, o order, pat Pattern) []IDTriple {
 }
 
 // Overlay returns an immutable snapshot that reads the base through the
-// delta: Match, Count, Scan, ScanPartitions, Len, PredicateStats,
+// delta: Match, Count, Scan, Len, PredicateStats,
 // SubjectsOfClass and DistinctValues all observe the merged triple set,
 // with exactly the values a store rebuilt from that set would report. It
 // costs O(1): the base's six permutation indexes are shared, and the

@@ -286,8 +286,7 @@ func equalTriples(a, b []IDTriple) bool {
 }
 
 // TestOverlayScanEquivalence checks the merge-on-read cursor against
-// Match for every pattern shape, at several batch sizes, and checks that
-// partition streams concatenate to the serial scan.
+// Match for every pattern shape, at several batch sizes.
 func TestOverlayScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	st := buildFrom(t, randomTriples(rng, 150))
@@ -317,29 +316,6 @@ func TestOverlayScanEquivalence(t *testing.T) {
 			}
 			if !equalTriples(got, want) {
 				t.Fatalf("Scan(%v, batch %d) diverges from Match", pat, batch)
-			}
-		}
-		for _, n := range []int{1, 2, 3, 8, 64, 1 << 16} {
-			parts := ov.ScanPartitions(pat, n)
-			var got []IDTriple
-			for _, p := range parts {
-				for {
-					b := p.Next(5)
-					if b == nil {
-						break
-					}
-					got = append(got, b...)
-				}
-			}
-			if len(want) == 0 {
-				if parts != nil {
-					t.Fatalf("ScanPartitions(%v, %d) should be nil on empty range", pat, n)
-				}
-				continue
-			}
-			if !equalTriples(got, want) {
-				t.Fatalf("ScanPartitions(%v, %d) concatenation diverges (%d vs %d triples)",
-					pat, n, len(got), len(want))
 			}
 		}
 	}

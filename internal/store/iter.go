@@ -117,79 +117,3 @@ func (sc *Scan) Remaining() int {
 	}
 	return len(sc.rest) - len(sc.del) + len(sc.ins)
 }
-
-// ScanPartitions opens up to n cursors that jointly cover the triples
-// matching pat: the merged stream Scan would deliver is split into n
-// contiguous morsels at triple granularity. Concatenating the partitions'
-// triples in slice order yields exactly Scan(pat)'s stream, so a
-// morsel-driven executor that merges per-partition results in partition
-// order reproduces the serial scan bit-for-bit. On a plain store the
-// morsels are equal-sized zero-copy views of the index; on an overlay the
-// split points are chosen from the larger of the base run and the insert
-// run and the other runs are aligned to them by binary search, so sizes
-// stay balanced up to the delta skew (some partitions may even be empty —
-// they deliver nothing and preserve the concatenation order). Fewer than
-// n cursors are returned when the merged range holds fewer than n
-// triples; an empty range returns nil. Every cursor is independent and
-// safe to drive from concurrent goroutines.
-func (s *Store) ScanPartitions(pat Pattern, n int) []*Scan {
-	o := orderFor(pat.boundMask())
-	lo, hi := s.baseRange(o, pat)
-	base := s.idx[o][lo:hi]
-	var del, ins []IDTriple
-	if s.delta != nil {
-		del, ins = s.delta.runs(o, pat)
-	}
-	total := len(base) - len(del) + len(ins)
-	if total == 0 {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = total
-	}
-	if len(del) == 0 && len(ins) == 0 {
-		out := make([]*Scan, n)
-		for i := 0; i < n; i++ {
-			plo := i * len(base) / n
-			phi := (i + 1) * len(base) / n
-			out[i] = &Scan{rest: base[plo:phi:phi], ord: o}
-		}
-		return out
-	}
-	// Pick boundary triples from the larger run, then align every run to
-	// the boundaries with a lower-bound search. A deleted triple and its
-	// base twin compare equal, so they always land in the same partition.
-	primary, secondary := base, ins
-	if len(ins) > len(base) {
-		primary, secondary = ins, base
-	}
-	p := orderPositions[o]
-	out := make([]*Scan, n)
-	pPrev, sPrev, dPrev := 0, 0, 0
-	for i := 0; i < n; i++ {
-		pNext, sNext, dNext := len(primary), len(secondary), len(del)
-		if i < n-1 {
-			pNext = (i + 1) * len(primary) / n
-			if pNext < len(primary) {
-				boundary := packKey(&primary[pNext], p)
-				sNext = lowerBound(secondary, p, 0, len(secondary), boundary)
-				dNext = lowerBound(del, p, 0, len(del), boundary)
-			}
-		}
-		sc := &Scan{ord: o}
-		if len(ins) > len(base) {
-			sc.ins = primary[pPrev:pNext:pNext]
-			sc.rest = secondary[sPrev:sNext:sNext]
-		} else {
-			sc.rest = primary[pPrev:pNext:pNext]
-			sc.ins = secondary[sPrev:sNext:sNext]
-		}
-		sc.del = del[dPrev:dNext:dNext]
-		out[i] = sc
-		pPrev, sPrev, dPrev = pNext, sNext, dNext
-	}
-	return out
-}

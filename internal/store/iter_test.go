@@ -88,74 +88,6 @@ func TestScanZeroCopy(t *testing.T) {
 	}
 }
 
-func TestScanPartitionsCoverScanInOrder(t *testing.T) {
-	st := buildIterStore(t, 700)
-	pID, _ := st.Dict().Lookup(rdf.NewIRI("http://x/p1"))
-	for _, pat := range []Pattern{{}, {P: pID}, {S: 1}} {
-		want, _ := st.Match(pat)
-		for _, n := range []int{1, 2, 3, 7, 16, len(want), len(want) + 5} {
-			parts := st.ScanPartitions(pat, n)
-			if len(want) == 0 {
-				if parts != nil {
-					t.Fatalf("pat %v: %d partitions over empty range", pat, len(parts))
-				}
-				continue
-			}
-			wantParts := n
-			if wantParts > len(want) {
-				wantParts = len(want)
-			}
-			if len(parts) != wantParts {
-				t.Fatalf("pat %v n=%d: %d partitions, want %d", pat, n, len(parts), wantParts)
-			}
-			var got []IDTriple
-			minSize, maxSize := len(want), 0
-			for _, sc := range parts {
-				r := sc.Remaining()
-				if r < minSize {
-					minSize = r
-				}
-				if r > maxSize {
-					maxSize = r
-				}
-				for {
-					batch := sc.Next(13)
-					if batch == nil {
-						break
-					}
-					got = append(got, batch...)
-				}
-			}
-			if maxSize-minSize > 1 {
-				t.Fatalf("pat %v n=%d: partition sizes spread %d..%d", pat, n, minSize, maxSize)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pat %v n=%d: %d triples, want %d", pat, n, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("pat %v n=%d: triple %d differs (concatenation must equal Scan order)", pat, n, i)
-				}
-			}
-		}
-	}
-}
-
-func TestScanPartitionsEmptyAndInvalid(t *testing.T) {
-	st := buildIterStore(t, 20)
-	if parts := st.ScanPartitions(Pattern{S: 999999}, 4); parts != nil {
-		t.Fatalf("empty range returned %d partitions", len(parts))
-	}
-	parts := st.ScanPartitions(Pattern{}, 0)
-	if len(parts) != 1 {
-		t.Fatalf("n=0 should clamp to one partition, got %d", len(parts))
-	}
-	want, _ := st.Match(Pattern{})
-	if parts[0].Remaining() != len(want) {
-		t.Fatalf("single partition holds %d of %d triples", parts[0].Remaining(), len(want))
-	}
-}
-
 // overlayWorld builds a base store plus an overlay with a delta that
 // deletes some base triples and inserts fresh ones, so every read path
 // (plain, overlay-with-changes) is exercised against the same logical

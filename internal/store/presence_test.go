@@ -79,13 +79,6 @@ func checkPresence(t *testing.T, label string, d *Delta, extra []dict.ID) {
 			if got := drainScan(ov.Scan(pat)); !equalTriples(got, rm) {
 				t.Fatalf("%s %v: Scan %v, rebuilt %v", label, pat, got, rm)
 			}
-			var parts []IDTriple
-			for _, sc := range ov.ScanPartitions(pat, 3) {
-				parts = append(parts, drainScan(sc)...)
-			}
-			if !equalTriples(parts, rm) {
-				t.Fatalf("%s %v: ScanPartitions %v, rebuilt %v", label, pat, parts, rm)
-			}
 		})
 	}
 }

@@ -27,8 +27,7 @@ import (
 // cleanly by subject; DistinctO is maintained globally, since distinct
 // objects do not sum across shards), the optimizer picks identical plans
 // and the executor produces bit-identical rows and Cout/Work/Scanned
-// accounting at any shard count — the same invariance the morsel driver
-// guarantees across worker counts, lifted to the shard level.
+// accounting at any shard count.
 //
 // A Sharded is immutable, like Store: updates go through NewDelta /
 // ShardedDelta and publish a fresh Sharded.
@@ -275,83 +274,6 @@ func (sh *Sharded) Scan(pat Pattern) *Scan {
 		s.openScan(&children[i], orderFor(pat.boundMask()), pat)
 	}
 	return mergeScans(children, children[0].ord)
-}
-
-// ScanPartitions splits the merged stream into up to n contiguous morsels
-// with the same concatenation contract as Store.ScanPartitions — this is
-// the scatter half of scatter-gather: every partition is a merged cursor
-// spanning the shards' sub-runs between two global boundary triples, so
-// the existing morsel driver executes across shards and its in-order
-// merge (the gather half) reproduces the serial stream bit-for-bit.
-// Boundaries are drawn from the largest single run, so sizes stay
-// balanced up to hash skew; partitions may be empty, which preserves the
-// concatenation order.
-func (sh *Sharded) ScanPartitions(pat Pattern, n int) []*Scan {
-	if h := sh.home(pat); h != nil {
-		return h.ScanPartitions(pat, n)
-	}
-	o := orderFor(pat.boundMask())
-	scans := make([]Scan, len(sh.shards))
-	total := 0
-	for i, s := range sh.shards {
-		s.openScan(&scans[i], o, pat)
-		total += scans[i].Remaining()
-	}
-	if total == 0 {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = total
-	}
-	// Boundary triples come from the largest run among all shards' base
-	// and insert runs; every run of every shard is cut at each boundary by
-	// a lower-bound search. A deleted triple and its base twin compare
-	// equal, so they land in the same partition, keeping Remaining exact.
-	var primary []IDTriple
-	for _, sc := range scans {
-		if len(sc.rest) > len(primary) {
-			primary = sc.rest
-		}
-		if len(sc.ins) > len(primary) {
-			primary = sc.ins
-		}
-	}
-	p := orderPositions[o]
-	type cuts struct{ rest, del, ins int }
-	prev := make([]cuts, len(scans))
-	out := make([]*Scan, 0, n)
-	for i := 0; i < n; i++ {
-		var boundary packedKey
-		hasBoundary := false
-		if i < n-1 {
-			if q := (i + 1) * len(primary) / n; q < len(primary) {
-				boundary = packKey(&primary[q], p)
-				hasBoundary = true
-			}
-		}
-		children := make([]Scan, 0, len(scans))
-		for j, sc := range scans {
-			rn, dn, in := len(sc.rest), len(sc.del), len(sc.ins)
-			if hasBoundary {
-				rn = lowerBound(sc.rest, p, 0, rn, boundary)
-				dn = lowerBound(sc.del, p, 0, dn, boundary)
-				in = lowerBound(sc.ins, p, 0, in, boundary)
-			}
-			c := Scan{
-				ord:  o,
-				rest: sc.rest[prev[j].rest:rn:rn],
-				del:  sc.del[prev[j].del:dn:dn],
-				ins:  sc.ins[prev[j].ins:in:in],
-			}
-			prev[j] = cuts{rn, dn, in}
-			children = append(children, c)
-		}
-		out = append(out, mergeScans(children, o))
-	}
-	return out
 }
 
 // PredicateStats returns the exact global statistics for predicate p.

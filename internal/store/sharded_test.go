@@ -85,15 +85,6 @@ func checkSourceEquivalence(t *testing.T, sh, ref Source) {
 		if !equalTriples(gotBuf, want) {
 			t.Fatalf("MatchBuf(%+v): %v != %v", pat, gotBuf, want)
 		}
-		for _, n := range []int{1, 2, 3, 8, 64} {
-			var cat []IDTriple
-			for _, part := range sh.ScanPartitions(pat, n) {
-				cat = append(cat, drainScan(part)...)
-			}
-			if !equalTriples(cat, want) {
-				t.Fatalf("ScanPartitions(%+v, %d): concat %v != %v", pat, n, cat, want)
-			}
-		}
 	}
 	for _, pat := range subjectPatterns(ref) {
 		for pos := 0; pos < 3; pos++ {

@@ -4,7 +4,7 @@ import "repro/internal/dict"
 
 // Source is the read seam the plan and exec layers run against: everything
 // a query needs from a triple store — exact counts, merged matches,
-// streaming cursors, morsel partitions, and the statistics
+// streaming cursors, and the statistics
 // the optimizer's cardinality estimator is built on. Two implementations
 // exist, both in this package (the interface is sealed by Match's
 // unexported order result): *Store, a single hexastore (heap-built or
@@ -14,12 +14,11 @@ import "repro/internal/dict"
 //
 // The contract every implementation upholds — and what makes executors
 // agnostic to the backing — is stream identity: for the same triple set,
-// Match/Scan deliver identical triples in identical order,
-// ScanPartitions' cursors concatenate to exactly Scan's stream, and
+// Match/Scan deliver identical triples in identical order, and
 // Count/Len/PredicateStats/SubjectsOfClass report exactly the values a
 // freshly built single store over that set would. Identical streams and
 // statistics give identical plans, rows and Cout/Work/Scanned accounting
-// regardless of sharding or parallelism.
+// regardless of sharding.
 type Source interface {
 	// Dict returns the dictionary all triple IDs resolve against.
 	Dict() *dict.Dict
@@ -33,9 +32,6 @@ type Source interface {
 	MatchBuf(pat Pattern, scratch []IDTriple) (matches, scratch2 []IDTriple)
 	// Scan opens a batch cursor over the triples matching pat.
 	Scan(pat Pattern) *Scan
-	// ScanPartitions splits Scan(pat)'s stream into up to n contiguous
-	// morsels whose concatenation is exactly that stream.
-	ScanPartitions(pat Pattern, n int) []*Scan
 	// PredicateStats returns exact per-predicate statistics.
 	PredicateStats(p dict.ID) PredStats
 	// Predicates returns all predicate IDs in ascending order.
