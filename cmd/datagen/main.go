@@ -28,34 +28,15 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generator seed")
 		out     = flag.String("out", "", "output file (default stdout)")
 		format  = flag.String("format", "nt", "output format: nt (N-Triples) | snapshot (v4 store snapshot, mmap-servable)")
-		shards  = flag.Int("shards", 0, "with -format snapshot: write a sharded snapshot directory at -out (this many subject-hash shard files, each v4 mmap-servable, plus a manifest)")
 	)
 	flag.Parse()
-	if err := run(*dataset, *scale, *seed, *out, *format, *shards); err != nil {
+	if err := run(*dataset, *scale, *seed, *out, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset, scale string, seed int64, out, format string, shards int) error {
-	if shards > 1 {
-		if format != "snapshot" {
-			return fmt.Errorf("-shards requires -format snapshot")
-		}
-		if out == "" {
-			return fmt.Errorf("-shards requires -out (a directory path)")
-		}
-		b := store.NewBuilder()
-		if err := generate(dataset, scale, seed, b.Add); err != nil {
-			return err
-		}
-		sh := store.NewSharded(b.Build(), shards)
-		if err := store.WriteSharded(out, sh); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "datagen: wrote sharded snapshot (%d shards, %d triples) to %s\n", sh.NumShards(), sh.Len(), out)
-		return nil
-	}
+func run(dataset, scale string, seed int64, out, format string) error {
 	var w io.Writer = os.Stdout
 	if out != "" {
 		f, err := os.Create(out)

@@ -11,7 +11,7 @@ import (
 
 func TestRunWritesParseableNTriples(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.nt")
-	if err := run("bsbm", "test", 1, out, "nt", 0); err != nil {
+	if err := run("bsbm", "test", 1, out, "nt"); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -30,7 +30,7 @@ func TestRunWritesParseableNTriples(t *testing.T) {
 
 func TestRunSNB(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "snb.nt")
-	if err := run("snb", "test", 2, out, "nt", 0); err != nil {
+	if err := run("snb", "test", 2, out, "nt"); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -49,23 +49,23 @@ func TestRunSNB(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	tmp := filepath.Join(t.TempDir(), "x.nt")
-	if err := run("nope", "test", 1, tmp, "nt", 0); err == nil {
+	if err := run("nope", "test", 1, tmp, "nt"); err == nil {
 		t.Error("unknown dataset should fail")
 	}
-	if err := run("bsbm", "huge", 1, tmp, "nt", 0); err == nil {
+	if err := run("bsbm", "huge", 1, tmp, "nt"); err == nil {
 		t.Error("unknown scale should fail")
 	}
-	if err := run("snb", "huge", 1, tmp, "nt", 0); err == nil {
+	if err := run("snb", "huge", 1, tmp, "nt"); err == nil {
 		t.Error("unknown snb scale should fail")
 	}
-	if err := run("bsbm", "test", 1, "/nonexistent-dir/x.nt", "nt", 0); err == nil {
+	if err := run("bsbm", "test", 1, "/nonexistent-dir/x.nt", "nt"); err == nil {
 		t.Error("unwritable path should fail")
 	}
 }
 
 func TestRunSnapshotFormat(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "data.snap")
-	if err := run("bsbm", "test", 1, out, "snapshot", 0); err != nil {
+	if err := run("bsbm", "test", 1, out, "snapshot"); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -83,47 +83,8 @@ func TestRunSnapshotFormat(t *testing.T) {
 }
 
 func TestRunBadFormat(t *testing.T) {
-	if err := run("bsbm", "test", 1, filepath.Join(t.TempDir(), "x"), "yaml", 0); err == nil {
+	if err := run("bsbm", "test", 1, filepath.Join(t.TempDir(), "x"), "yaml"); err == nil {
 		t.Fatal("bad format should fail")
-	}
-}
-
-// -shards writes a sharded snapshot directory whose federation holds the
-// same triples as the plain snapshot, and rejects incompatible flags.
-func TestRunShardedSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "plain.snap")
-	if err := run("bsbm", "test", 1, plain, "snapshot", 0); err != nil {
-		t.Fatal(err)
-	}
-	sharded := filepath.Join(dir, "sharded")
-	if err := run("bsbm", "test", 1, sharded, "snapshot", 4); err != nil {
-		t.Fatal(err)
-	}
-	if !store.IsShardedSnapshot(sharded) {
-		t.Fatal("output not recognized as a sharded snapshot directory")
-	}
-	sh, err := store.LoadSharded(sharded, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ref, err := store.ReadSnapshot(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.NumShards() != 4 || sh.Len() != ref.Len() {
-		t.Fatalf("sharded load: %d shards, %d triples (want 4, %d)", sh.NumShards(), sh.Len(), ref.Len())
-	}
-	if err := run("bsbm", "test", 1, filepath.Join(dir, "x.nt"), "nt", 4); err == nil {
-		t.Fatal("-shards with -format nt should fail")
-	}
-	if err := run("bsbm", "test", 1, "", "snapshot", 4); err == nil {
-		t.Fatal("-shards without -out should fail")
 	}
 }
 
@@ -133,10 +94,10 @@ func TestRunSnapshotVersions(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "data.snap")
 	nt := filepath.Join(dir, "data.nt")
-	if err := run("bsbm", "test", 1, snap, "snapshot", 0); err != nil {
+	if err := run("bsbm", "test", 1, snap, "snapshot"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("bsbm", "test", 1, nt, "nt", 0); err != nil {
+	if err := run("bsbm", "test", 1, nt, "nt"); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := store.OpenMapped(snap)

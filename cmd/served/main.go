@@ -1,5 +1,6 @@
-// Command served runs the concurrent query service over an N-Triples file
-// or a binary store snapshot, exposing the JSON HTTP API:
+// Command served runs the concurrent query service over an N-Triples file,
+// a binary store snapshot or a shard directory (opened as one store),
+// exposing the JSON HTTP API:
 //
 //	served -data dataset.snap -addr :8080
 //
@@ -65,7 +66,7 @@ type config struct {
 func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("served", flag.ContinueOnError)
 	var (
-		data    = fs.String("data", "", "N-Triples (.nt) or snapshot file (required)")
+		data    = fs.String("data", "", "N-Triples (.nt) file, v4 snapshot or shard directory (required)")
 		addr    = fs.String("addr", "127.0.0.1:8080", "listen address (bind non-loopback only on trusted networks)")
 		workers = fs.Int("workers", 0, "CPU budget: max concurrent query executions, one goroutine each (0 = GOMAXPROCS)")
 		queue   = fs.Int("queue", 0, "max queued requests beyond running ones (0 = 4x workers, negative = no queue)")
@@ -76,7 +77,6 @@ func parseFlags(args []string) (config, error) {
 		upRun   = fs.String("updaterun", "", "SPARQL-Update text (or @file) applied once at startup before serving")
 		compact = fs.Int("compact-threshold", 0, "pending delta size that triggers auto-compaction on update (0 = adaptive max(1024, base/8), negative = never)")
 		heap    = fs.Bool("heap-load", false, "fully deserialize snapshots into heap indexes instead of serving v4 snapshots from an OS file mapping")
-		shards  = fs.Int("shards", 0, "coordinator mode: partition the store into this many subject-hash shards and scatter-gather every query across them (results and accounting are identical at any shard count; <= 1 serves a single store)")
 
 		traceSample = fs.Int("trace-sample", 0, "trace every Nth query and retain it in the /trace/recent ring (0 = off)")
 		slowMs      = fs.Int("slow-query-ms", 0, "trace every query and retain+log any at or above this many milliseconds (0 = off)")
@@ -95,7 +95,6 @@ func parseFlags(args []string) (config, error) {
 	opts.AllowUpdate = *update
 	opts.CompactThreshold = *compact
 	opts.HeapLoad = *heap
-	opts.Shards = *shards
 	opts.TraceSample = *traceSample
 	opts.SlowQueryMs = *slowMs
 	opts.TraceRecent = *traceRecent

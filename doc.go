@@ -31,7 +31,10 @@
 // revalidation and an index rebuild, and store.LoadAnyMapped serves them
 // straight from an OS file mapping in O(1), zero-copy (the cmd/served
 // default, see its -heap-load flag). Files in the older formats v1–v3
-// fail to load with a *store.VersionError.
+// fail to load with a *store.VersionError. A shard directory
+// (store.WriteSharded: one v4 file per subject-hash shard plus a
+// manifest) is only an on-disk layout: store.LoadSharded merges its
+// shards' runs once and opens it as one store.
 //
 // On top of the one-shot pipeline, internal/service hosts a long-lived
 // concurrent query service — prepared templates, a shared LRU plan cache,

@@ -120,7 +120,7 @@ func Cluster(a *Analysis, opts ClusterOptions) *Clustering {
 					tgt = nearestSameSig(classes, cl) // may pick a later kept one
 				}
 				if tgt != nil && tgt != cl && len(tgt.Points) >= opts.MinClassSize {
-					mergeInto(tgt, cl)
+					absorbClass(tgt, cl)
 					continue
 				}
 			}
@@ -170,7 +170,9 @@ func nearestSameSig(cands []*Class, cl *Class) *Class {
 	return best
 }
 
-func mergeInto(dst, src *Class) {
+// absorbClass moves src's points into dst and widens dst's cost range to
+// cover src's.
+func absorbClass(dst, src *Class) {
 	dst.Points = append(dst.Points, src.Points...)
 	if src.CostLo < dst.CostLo {
 		dst.CostLo = src.CostLo

@@ -256,148 +256,6 @@ func TestDifferentialAlgebra(t *testing.T) {
 	}
 }
 
-// shardCountUnderTest picks the shard count for a scenario: the SHARDS
-// environment variable pins it (the CI matrix axis runs 1 and 4),
-// otherwise the count rotates deterministically per seed so the fixed
-// batch covers several partitionings, non-power-of-two included.
-func shardCountUnderTest(t *testing.T, seed int64) int {
-	if s := os.Getenv("SHARDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("bad SHARDS %q", s)
-		}
-		return n
-	}
-	rotation := []int{2, 3, 4, 8}
-	return rotation[int(seed)%len(rotation)]
-}
-
-// TestDifferentialSharded is the shard-count-invariance harness: for every
-// scenario the engine matrix runs over subject-hash sharded views of
-// the pristine store, the post-update overlay, and the fully compacted
-// post-update store, and every result — rows AND Cout/Work/Scanned
-// accounting — must be byte-identical to the single-store world. The
-// sharded overlay is produced by replaying the scenario's own update
-// history through exec.ApplyUpdateSharded, so the routed update path is
-// differentially checked against the unsharded one too.
-func TestDifferentialSharded(t *testing.T) {
-	const queriesPerScenario = 20
-	for _, seed := range seedsUnderTest(t) {
-		sc, err := GenScenario(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		n := shardCountUnderTest(t, seed)
-		shBase := store.NewSharded(sc.Base, n)
-		sd := shBase.NewDelta()
-		for _, u := range sc.Updates {
-			sd, err = exec.ApplyUpdateSharded(sd, u)
-			if err != nil {
-				reportFailure(t, sc, "", fmt.Errorf("shards=%d: replay update: %w", n, err))
-			}
-		}
-		shOverlay := sd.Overlay()
-		shCompacted := sd.Commit(store.BuildOptions{})
-		if shOverlay.Len() != sc.Overlay.Len() || shCompacted.Len() != sc.Overlay.Len() {
-			reportFailure(t, sc, "", fmt.Errorf("shards=%d: sizes %d/%d != overlay %d",
-				n, shOverlay.Len(), shCompacted.Len(), sc.Overlay.Len()))
-		}
-		qrng := rand.New(rand.NewSource(sc.Seed * 2741))
-		for qi := 0; qi < queriesPerScenario; qi++ {
-			q, err := sc.GenQuery(qrng)
-			if err != nil {
-				reportFailure(t, sc, "", err)
-			}
-			text := q.String()
-			for _, cell := range []struct {
-				label   string
-				single  *store.Store
-				sharded *store.Sharded
-			}{
-				{"pristine", sc.Base, shBase},
-				{"overlay", sc.Overlay, shOverlay},
-				{"compacted", sc.Overlay, shCompacted},
-			} {
-				want, err := RunQuery(q, cell.single, cell.label)
-				if err != nil {
-					reportFailure(t, sc, text, err)
-				}
-				got, err := RunQuery(q, cell.sharded, cell.label+"-sharded")
-				if err != nil {
-					reportFailure(t, sc, text, err)
-				}
-				if got != want {
-					reportFailure(t, sc, text, fmt.Errorf(
-						"shards=%d %s: sharded diverges from single store\n--- single\n%s\n--- sharded\n%s",
-						n, cell.label, want, got))
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialShardedAlgebra runs algebra queries (OPTIONAL/UNION/
-// aggregates) and star BGPs through the engine matrix over sharded views,
-// checking byte-identity against the single-store world.
-func TestDifferentialShardedAlgebra(t *testing.T) {
-	const queriesPerScenario = 10
-	for _, seed := range seedsUnderTest(t) {
-		sc, err := GenScenario(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		n := shardCountUnderTest(t, seed)
-		shBase := store.NewSharded(sc.Base, n)
-		shOverlay := store.NewSharded(sc.Overlay, n)
-		qrng := rand.New(rand.NewSource(sc.Seed * 4397))
-		for qi := 0; qi < queriesPerScenario; qi++ {
-			q, err := sc.GenAlgebraQuery(qrng)
-			if err != nil {
-				reportFailure(t, sc, "", err)
-			}
-			text := q.String()
-			for _, cell := range []struct {
-				label   string
-				single  *store.Store
-				sharded *store.Sharded
-			}{
-				{"pristine", sc.Base, shBase},
-				{"overlay", sc.Overlay, shOverlay},
-			} {
-				want, err := RunQuery(q, cell.single, cell.label)
-				if err != nil {
-					reportFailure(t, sc, text, err)
-				}
-				got, err := RunQuery(q, cell.sharded, cell.label+"-sharded")
-				if err != nil {
-					reportFailure(t, sc, text, err)
-				}
-				if got != want {
-					reportFailure(t, sc, text, fmt.Errorf(
-						"shards=%d %s: sharded algebra diverges\n--- single\n%s\n--- sharded\n%s",
-						n, cell.label, want, got))
-				}
-			}
-			sq, err := sc.GenStarQuery(qrng)
-			if err != nil {
-				reportFailure(t, sc, "", err)
-			}
-			want, err := RunQuery(sq, sc.Base, "pristine")
-			if err != nil {
-				reportFailure(t, sc, sq.String(), err)
-			}
-			got, err := RunQuery(sq, shBase, "pristine-sharded")
-			if err != nil {
-				reportFailure(t, sc, sq.String(), err)
-			}
-			if got != want {
-				reportFailure(t, sc, sq.String(), fmt.Errorf(
-					"shards=%d: sharded star query diverges\n--- single\n%s\n--- sharded\n%s", n, want, got))
-			}
-		}
-	}
-}
-
 // mappedWorld rebuilds a scenario's world over an mmap-style base: the base
 // store is serialized as a v4 snapshot, reopened through OpenMappedBytes
 // (zero-deserialization, bounds-checked accessors), and the scenario's

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dict"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -341,7 +342,15 @@ func TestGreedyPipelineAgreesWithDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, gplan, err := QueryGreedy(q, st, Options{})
+	c, err := plan.Compile(q, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gplan, err := plan.OptimizeGreedy(c, plan.NewEstimator(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := Run(c, gplan, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,20 +24,3 @@ func Query(q *sparql.Query, st store.Source, opts Options) (*Result, *plan.Plan,
 	}
 	return res, p, nil
 }
-
-// QueryGreedy is Query with the greedy optimizer, for ablations.
-func QueryGreedy(q *sparql.Query, st store.Source, opts Options) (*Result, *plan.Plan, error) {
-	c, err := plan.Compile(q, st)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := plan.OptimizeGreedy(c, plan.NewEstimator(st))
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := Run(c, p, st, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, p, nil
-}

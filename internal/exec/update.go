@@ -46,63 +46,14 @@ func ApplyUpdate(st *store.Store, u *sparql.Update) (*store.Delta, error) {
 // Returns d itself when u changes nothing, so callers (the query
 // service) can skip republishing on pointer equality.
 func ApplyUpdateDelta(d *store.Delta, u *sparql.Update) (*store.Delta, error) {
-	out, err := applyUpdate(singleDelta{d}, u)
-	if err != nil {
-		return nil, err
-	}
-	return out.(singleDelta).d, nil
-}
-
-// ApplyUpdateSharded is ApplyUpdate over a sharded store's delta: the
-// same operation semantics, with triples routed to their home shards.
-// Returns sd itself when u changes nothing.
-func ApplyUpdateSharded(sd *store.ShardedDelta, u *sparql.Update) (*store.ShardedDelta, error) {
-	out, err := applyUpdate(shardedDelta{sd}, u)
-	if err != nil {
-		return nil, err
-	}
-	return out.(shardedDelta).d, nil
-}
-
-// deltaState abstracts the two delta shapes (single-store and sharded) so
-// the update loop and the WHERE-form modify path are written once. Both
-// adapters preserve the underlying no-change pointer identity.
-type deltaState interface {
-	applyOps(ops []store.DeltaOp) (deltaState, error)
-	overlay() store.Source
-}
-
-type singleDelta struct{ d *store.Delta }
-
-func (s singleDelta) applyOps(ops []store.DeltaOp) (deltaState, error) {
-	nd, err := s.d.ApplyOps(ops)
-	if err != nil {
-		return nil, err
-	}
-	return singleDelta{nd}, nil
-}
-func (s singleDelta) overlay() store.Source { return s.d.Overlay() }
-
-type shardedDelta struct{ d *store.ShardedDelta }
-
-func (s shardedDelta) applyOps(ops []store.DeltaOp) (deltaState, error) {
-	nd, err := s.d.ApplyOps(ops)
-	if err != nil {
-		return nil, err
-	}
-	return shardedDelta{nd}, nil
-}
-func (s shardedDelta) overlay() store.Source { return s.d.Overlay().Source() }
-
-func applyUpdate(d deltaState, u *sparql.Update) (deltaState, error) {
 	if !u.HasWhere() {
-		return d.applyOps(DeltaOps(u))
+		return d.ApplyOps(DeltaOps(u))
 	}
 	var err error
 	for i := range u.Ops {
 		op := &u.Ops[i]
 		if !op.IsWhere() {
-			d, err = d.applyOps([]store.DeltaOp{{Insert: op.Insert, Triples: op.Triples}})
+			d, err = d.ApplyOps([]store.DeltaOp{{Insert: op.Insert, Triples: op.Triples}})
 		} else {
 			d, err = applyModify(d, op)
 		}
@@ -116,8 +67,8 @@ func applyUpdate(d deltaState, u *sparql.Update) (deltaState, error) {
 // applyModify executes one DELETE/INSERT WHERE op against the overlay of
 // the delta accumulated so far and folds the instantiated triples in,
 // deletions first.
-func applyModify(d deltaState, op *sparql.UpdateOp) (deltaState, error) {
-	snap := d.overlay()
+func applyModify(d *store.Delta, op *sparql.UpdateOp) (*store.Delta, error) {
+	snap := d.Overlay()
 	res, _, err := Query(op.WhereQuery(), snap, Options{})
 	if err != nil {
 		return nil, err
@@ -142,7 +93,7 @@ func applyModify(d deltaState, op *sparql.UpdateOp) (deltaState, error) {
 	if len(ins) > 0 {
 		ops = append(ops, store.DeltaOp{Insert: true, Triples: ins})
 	}
-	return d.applyOps(ops)
+	return d.ApplyOps(ops)
 }
 
 // appendInstantiated appends tmpl instantiated under one solution row,

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -334,10 +335,9 @@ func TestGoldenAlgebraEngines(t *testing.T) {
 	}
 }
 
-// checkInvariance is the shard and backing invariance check shared by the
-// two suites below: over st (a sharded or mapped view of gc's store), every
-// template and curated binding reproduces the fixture and matches the
-// oracle.
+// checkInvariance is the backing invariance check: over st (a mapped view
+// of gc's store), every template and curated binding reproduces the
+// fixture and matches the oracle.
 func checkInvariance(t *testing.T, gc goldenCase, st store.Source, label string) {
 	t.Helper()
 	res, err := checkGolden(t, gc, st, exec.Options{})
@@ -349,23 +349,43 @@ func checkInvariance(t *testing.T, gc goldenCase, st store.Source, label string)
 	}
 }
 
-// TestGoldenShardInvariance: the headline sharding invariant. Over
-// subject-hash sharded federations at 1 and 4 shards, every template and
-// curated binding reproduces the frozen single-store result — plan
-// signature, rows, order, Cout, Work, Scanned. Per-shard sorted runs over disjoint subjects k-way merge into exactly the
-// global index stream, so plans, rows and accounting cannot depend on the
-// shard count.
+// TestGoldenShardInvariance: the golden BSBM and SNB stores, written as
+// 4-shard directories and opened again (mapped and heap-loaded), are the
+// stores they were written from. Their v4 images are byte-identical,
+// which covers all six indexes, the predicate statistics, the class
+// index and every dictionary ID, so every golden query over them is the
+// frozen one.
 func TestGoldenShardInvariance(t *testing.T) {
 	env := sharedEnv(t)
-	sharded := map[*store.Store]map[int]*store.Sharded{}
-	for _, st := range []*store.Store{env.BSBM, env.SNB} {
-		sharded[st] = map[int]*store.Sharded{1: store.NewSharded(st, 1), 4: store.NewSharded(st, 4)}
-	}
-	for _, gc := range goldenCases(t, append(goldenTemplates(), algebraTemplates()...)) {
-		for _, shards := range []int{1, 4} {
-			checkInvariance(t, gc, sharded[gc.st][shards], fmt.Sprintf("shards=%d", shards))
+	for name, st := range map[string]*store.Store{"bsbm": env.BSBM, "snb": env.SNB} {
+		dir := filepath.Join(t.TempDir(), name)
+		if err := store.WriteSharded(dir, store.NewSharded(st, 4)); err != nil {
+			t.Fatal(err)
+		}
+		want := v4Bytes(t, st)
+		for _, heap := range []bool{false, true} {
+			got, err := store.LoadSharded(dir, heap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v4Bytes(t, got), want) {
+				t.Errorf("%s heap=%v: the store opened from its shard directory differs from the original", name, heap)
+			}
+			if m := got.Mapping(); m != nil {
+				m.Release()
+			}
 		}
 	}
+}
+
+// v4Bytes returns st's v4 snapshot image.
+func v4Bytes(t *testing.T, st *store.Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := st.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // mappedCopy round-trips a store through a v4 snapshot and reopens it from
@@ -375,11 +395,7 @@ func TestGoldenShardInvariance(t *testing.T) {
 // exact identical statistics, making results comparable ID-for-ID.
 func mappedCopy(t *testing.T, st *store.Store) *store.Store {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := store.OpenMappedBytes(buf.Bytes())
+	m, err := store.OpenMappedBytes(v4Bytes(t, st))
 	if err != nil {
 		t.Fatal(err)
 	}

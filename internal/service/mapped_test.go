@@ -112,11 +112,10 @@ func TestReloadRemapDefersUnmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldMappings := svc.Store().Mappings()
-	if len(oldMappings) == 0 {
+	oldMapping := svc.Store().Mapping()
+	if oldMapping == nil {
 		t.Fatal("mapped load has no mapping")
 	}
-	oldMapping := oldMappings[0]
 
 	// A query outcome from generation 1, deliberately left open across the
 	// reload: its rows decode lazily out of the old mapping.
@@ -135,7 +134,7 @@ func TestReloadRemapDefersUnmap(t *testing.T) {
 	if got := svc.Store().Backend(); got != "mapped" {
 		t.Fatalf("post-reload backend = %q", got)
 	}
-	if ms := svc.Store().Mappings(); len(ms) != 1 || ms[0] == oldMapping {
+	if m := svc.Store().Mapping(); m == nil || m == oldMapping {
 		t.Fatal("reload did not swap the mapping")
 	}
 

@@ -35,32 +35,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		mapped = 1
 	}
 	m.gauge("repro_store_mapped", "1 when the current snapshot serves from an mmap-backed v4 file, 0 for heap.", mapped)
-	m.gauge("repro_store_mapped_bytes", "Bytes of the snapshot file mappings backing the current store (0 for heap).", float64(st.Store.MappedBytes))
+	m.gauge("repro_store_mapped_bytes", "Bytes of the snapshot file mapping backing the current store (0 for heap).", float64(st.Store.MappedBytes))
 	m.gauge("repro_store_mappings_awaiting_unmap", "Retired mmap-backed generations still pinned by in-flight queries.", float64(st.Store.MappingsAwaitingUnmap))
 	m.gauge("repro_dict_render_table_bytes", "Bytes of the dictionary's JSON-rendered term table (0 until the first JSON result).", float64(st.Store.RenderTableBytes))
-	m.gauge("repro_store_shards", "Shard count in coordinator mode (0 for a single store).", float64(st.Store.Shards))
-	if len(st.Store.PerShard) > 0 {
-		m.header("repro_shard_triples", "Triples per shard.", "gauge")
-		for i, ss := range st.Store.PerShard {
-			m.shardLabeled("repro_shard_triples", i, float64(ss.Triples))
-		}
-		m.header("repro_shard_pending_inserts", "Pending delta inserts per shard.", "gauge")
-		for i, ss := range st.Store.PerShard {
-			m.shardLabeled("repro_shard_pending_inserts", i, float64(ss.PendingInserts))
-		}
-		m.header("repro_shard_pending_deletes", "Pending delta deletes per shard.", "gauge")
-		for i, ss := range st.Store.PerShard {
-			m.shardLabeled("repro_shard_pending_deletes", i, float64(ss.PendingDeletes))
-		}
-		m.header("repro_shard_mapped_bytes", "Bytes of the snapshot file mapping backing each shard (0 for heap).", "gauge")
-		for i, ss := range st.Store.PerShard {
-			m.shardLabeled("repro_shard_mapped_bytes", i, float64(ss.MappedBytes))
-		}
-		m.header("repro_shard_compact_threshold", "Delta size at which each shard compacts, against its own base (0 = disabled).", "gauge")
-		for i, ss := range st.Store.PerShard {
-			m.shardLabeled("repro_shard_compact_threshold", i, float64(ss.CompactThreshold))
-		}
-	}
 
 	m.counter("repro_updates_total", "Applied update requests.", float64(st.Updates.Updates))
 	m.counter("repro_compactions_total", "Snapshots that folded the pending delta into a fresh store.", float64(st.Updates.Compactions))
@@ -152,10 +129,6 @@ func (m metricWriter) gauge(name, help string, v float64) {
 
 func (m metricWriter) labeled(name, endpoint string, v float64) {
 	fmt.Fprintf(m.b, "%s{endpoint=\"%s\"} %s\n", name, escapeLabel(endpoint), formatValue(v))
-}
-
-func (m metricWriter) shardLabeled(name string, shard int, v float64) {
-	fmt.Fprintf(m.b, "%s{shard=\"%d\"} %s\n", name, shard, formatValue(v))
 }
 
 // histogram renders a stats latency histogram (milliseconds) as Prometheus

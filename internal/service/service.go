@@ -88,14 +88,6 @@ type Options struct {
 	// (store.OpenMapped) with O(1) open cost. cmd/served exposes this as
 	// -heap-load.
 	HeapLoad bool
-	// Shards runs the service in coordinator mode over a subject-hash
-	// sharded store: single-store inputs (New, or Load/Reload of a plain
-	// snapshot) are partitioned into this many shards, and every query
-	// scatter-gathers across them through the store.Source seam with
-	// bit-identical results and accounting. <= 1 serves a single store.
-	// Loading a sharded snapshot directory always serves it sharded, at
-	// the directory's own shard count. cmd/served exposes this as -shards.
-	Shards int
 	// AllowReload enables the HTTP POST /reload endpoint, which loads any
 	// server-readable path a client names. Off by default — enable only
 	// when the listener is trusted (cmd/served -allow-reload). The
@@ -173,41 +165,35 @@ func (o Options) normalized() Options {
 // The pin count is what makes /reload over mmap-backed stores safe: it
 // starts at 1 (the published reference, dropped when a swap retires the
 // generation) and counts one per in-flight query. A mapped generation
-// holds its own reference on every mapping backing the store — one for a
-// plain mapped store, one per mapped shard for a sharded store — released
-// only when the last pin drops. The munmap syscalls are thus deferred
+// holds its own reference on the mapping backing the store, released
+// only when the last pin drops. The munmap syscall is thus deferred
 // until every query whose result rows and dictionary still point into the
-// old mappings has drained; for a sharded snapshot all shard generations
-// stay pinned together until that drain.
+// old mapping has drained.
 type snapState struct {
-	fed    *store.Sharded // the generation's store; a plain store is one shard
-	store  store.Source   // what queries read: fed.Source()
+	store  *store.Store
 	gen    uint64
 	source string
 	cache  *planCache
 
-	svc      *Service
-	mappings []*store.Mapping // generation's retained mapping refs, empty for heap
-	pins     atomic.Int64     // published ref + in-flight queries
-	retired  atomic.Bool      // set when a swap replaced this generation
+	svc     *Service
+	mapping *store.Mapping // generation's retained mapping ref, nil for heap
+	pins    atomic.Int64   // published ref + in-flight queries
+	retired atomic.Bool    // set when a swap replaced this generation
 }
 
 // newState builds a snapshot generation with the published pin, retaining
-// its own reference on every mapping backing the store (if any).
-func (s *Service) newState(st *store.Sharded, gen uint64, source string) *snapState {
+// its own reference on the mapping backing the store (if any).
+func (s *Service) newState(st *store.Store, gen uint64, source string) *snapState {
 	ss := &snapState{
-		fed:    st,
-		store:  st.Source(),
+		store:  st,
 		gen:    gen,
 		source: source,
 		cache:  newPlanCache(s.opts.PlanCacheSize, &s.cacheCtr),
 		svc:    s,
 	}
 	ss.pins.Store(1)
-	for _, m := range st.Mappings() {
-		if m.Retain() {
-			ss.mappings = append(ss.mappings, m)
-		}
+	if m := st.Mapping(); m != nil && m.Retain() {
+		ss.mapping = m
 	}
 	return ss
 }
@@ -229,16 +215,14 @@ func (ss *snapState) tryPin() bool {
 func (ss *snapState) pin() { ss.pins.Add(1) }
 
 // unpin drops one pin; the last drop releases the generation's mapping
-// references (unmapping each file once no other generation shares it) and
+// reference (unmapping the file once no other generation shares it) and
 // clears the generation from the awaiting-unmap gauge.
 func (ss *snapState) unpin() {
-	if ss.pins.Add(-1) != 0 {
+	if ss.pins.Add(-1) != 0 || ss.mapping == nil {
 		return
 	}
-	for _, m := range ss.mappings {
-		m.Release()
-	}
-	if len(ss.mappings) > 0 && ss.retired.Load() {
+	ss.mapping.Release()
+	if ss.retired.Load() {
 		ss.svc.retiredMapped.Add(-1)
 	}
 }
@@ -343,10 +327,8 @@ type Service struct {
 }
 
 // New returns a Service over st. The source string is reported by Stats
-// and /healthz ("" for an in-memory store). A plain store is partitioned
-// into Options.Shards shards, or served as a one-shard federation when
-// Shards <= 1; an already sharded st is served as-is.
-func New(st store.Source, source string, opts Options) *Service {
+// and /healthz ("" for an in-memory store).
+func New(st *store.Store, source string, opts Options) *Service {
 	opts = opts.normalized()
 	s := &Service{
 		opts:      opts,
@@ -357,83 +339,76 @@ func New(st store.Source, source string, opts Options) *Service {
 		errCounts: make(map[string]uint64),
 		latency:   make(map[string]*stats.Histogram),
 	}
-	s.state.Store(s.newState(store.Federate(st, opts.Shards), 1, source))
+	s.state.Store(s.newState(st, 1, source))
 	return s
 }
 
-// Load opens path (snapshot or N-Triples, auto-detected) and returns a
-// Service over it. v4 snapshots are served mmap-backed unless
-// Options.HeapLoad forces full deserialization; either way the service
-// owns the store's lifecycle (its generations hold the mapping open and
-// the last drained one unmaps it).
+// Load opens path (a snapshot, a shard directory or N-Triples,
+// auto-detected) and returns a Service over it. v4 snapshots are served
+// mmap-backed unless Options.HeapLoad forces full deserialization; either
+// way the service owns the store's lifecycle (its generations hold the
+// mapping open and the last drained one unmaps it).
 func Load(path string, opts Options) (*Service, error) {
-	st, err := loadStore(path, opts.HeapLoad, opts.Shards)
+	st, err := loadStore(path, opts.HeapLoad)
 	if err != nil {
 		return nil, err
 	}
 	s := New(st, path, opts)
-	// New retained the service's own mapping references; drop the creation
-	// references so each mapping's lifetime is governed entirely by
+	// New retained the service's own mapping reference; drop the creation
+	// reference so the mapping's lifetime is governed entirely by
 	// snapshot generations.
-	for _, m := range st.Mappings() {
-		m.Release()
-	}
+	releaseMapping(st)
 	return s, nil
 }
 
-// loadStore resolves the configured loading path: sharded snapshot
-// directories open as sharded federations at their own shard count, and
-// any other file becomes a federation of the configured shard count. v4
-// files map in by default (full heap deserialization when forced) and are
-// served as one shard. A single-store load under shards > 1 deserializes
-// onto the heap before it is partitioned — the federation shares the
-// loaded store's dictionary, which for a mapped store would point into
-// the mapping — so mapped sharded serving goes through a sharded snapshot
-// directory (cmd/datagen -shards).
-func loadStore(path string, heapLoad bool, shards int) (*store.Sharded, error) {
-	if store.IsShardedSnapshot(path) {
+// loadStore opens path as one store: a shard directory through
+// store.LoadSharded, any other file through store.LoadAnyMapped, or
+// fully deserialized onto the heap when heapLoad is set.
+func loadStore(path string, heapLoad bool) (*store.Store, error) {
+	switch {
+	case store.IsShardedSnapshot(path):
 		return store.LoadSharded(path, heapLoad)
+	case heapLoad:
+		return store.LoadAny(path)
 	}
-	load := store.LoadAnyMapped
-	if heapLoad || shards > 1 {
-		load = store.LoadAny
-	}
-	st, err := load(path)
-	if err != nil {
-		return nil, err
-	}
-	return store.NewSharded(st, shards), nil
+	return store.LoadAnyMapped(path)
 }
 
-// Store returns the current snapshot's store: for a one-shard generation
-// the shard itself, as queries read it.
-func (s *Service) Store() store.Source { return s.state.Load().store }
+// releaseMapping drops the opener's reference on the mapping backing st,
+// if any.
+func releaseMapping(st *store.Store) {
+	if m := st.Mapping(); m != nil {
+		m.Release()
+	}
+}
+
+// Store returns the current snapshot's store.
+func (s *Service) Store() *store.Store { return s.state.Load().store }
 
 // Generation returns the current snapshot generation (starts at 1,
 // incremented by every swap).
 func (s *Service) Generation() uint64 { return s.state.Load().gen }
 
-// Swap atomically installs a new store as the next generation; a plain
-// store is served as one shard, whatever Options.Shards says. In-flight
+// Swap atomically installs a new store as the next generation. In-flight
 // queries finish against the snapshot they started with; the plan cache is
 // replaced (its entries embed the old dictionary's IDs) while the
 // cumulative cache counters survive. Returns the new generation.
-func (s *Service) Swap(st store.Source, source string) uint64 {
+func (s *Service) Swap(st *store.Store, source string) uint64 {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	return s.swapLocked(store.Federate(st, 1), source)
+	return s.swapLocked(st, source)
 }
 
 // swapLocked publishes st as the next generation and retires the old one:
-// its published pin is dropped, and if it was mmap-backed its mappings
-// stay open (gauged as awaiting unmap) until the last in-flight query
+// its published pin is dropped, and if it was mmap-backed its mapping
+// stays open (gauged as awaiting unmap) until the last in-flight query
 // over it drains. The caller holds swapMu.
-func (s *Service) swapLocked(st *store.Sharded, source string) uint64 {
+func (s *Service) swapLocked(st *store.Store, source string) uint64 {
 	old := s.state.Load()
 	gen := old.gen + 1
 	s.state.Store(s.newState(st, gen, source))
 	old.retired.Store(true)
-	if len(old.mappings) > 0 {
+	if old.mapping != nil {
 		s.retiredMapped.Add(1)
 	}
 	old.unpin()
@@ -447,15 +422,13 @@ func (s *Service) swapLocked(st *store.Sharded, source string) uint64 {
 // served from the old snapshot until the swap point, and queries in
 // flight over a retired mapped snapshot keep it mapped until they drain.
 func (s *Service) Reload(path string) (gen uint64, triples int, err error) {
-	st, err := loadStore(path, s.opts.HeapLoad, s.opts.Shards)
+	st, err := loadStore(path, s.opts.HeapLoad)
 	if err != nil {
 		return 0, 0, err
 	}
 	gen = s.Swap(st, path)
 	triples = st.Len()
-	for _, m := range st.Mappings() {
-		m.Release() // the new generation holds its own references
-	}
+	releaseMapping(st) // the new generation holds its own reference
 	return gen, triples, nil
 }
 
@@ -503,34 +476,44 @@ func (s *Service) Update(ctx context.Context, text string) (res *UpdateResult, e
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	cur := s.state.Load()
-	sd0 := cur.fed.NewDelta()
-	sd, err := exec.ApplyUpdateSharded(sd0, u)
+	d0 := cur.store.NewDelta()
+	d, err := exec.ApplyUpdateDelta(d0, u)
 	if err != nil {
 		return nil, badInput(err)
 	}
 	s.updates.Add(1)
 	res = &UpdateResult{
 		Generation: cur.gen,
-		Triples:    cur.fed.Len(),
+		Triples:    cur.store.Len(),
 		Inserted:   u.InsertCount(),
 		Deleted:    u.DeleteCount(),
 	}
-	if sd == sd0 {
+	if d == d0 {
 		// The update changed nothing (set semantics): keep the current
 		// snapshot — and with it the plan cache — instead of publishing an
 		// identical generation.
-		res.PendingInserts, res.PendingDeletes = cur.fed.Pending()
+		res.PendingInserts, res.PendingDeletes = pending(cur.store)
 		return res, nil
 	}
-	next, compacted := sd.Publish(s.compactThresholdFor, store.BuildOptions{})
-	res.Generation = s.swapLocked(next, updateSource(cur.source))
-	if compacted {
+	next := d.Overlay()
+	t := s.compactThresholdFor(d.Base().Len())
+	if res.Compacted = t > 0 && d.Size() >= t; res.Compacted {
+		next = d.Commit(store.BuildOptions{})
 		s.compactions.Add(1)
 	}
+	res.Generation = s.swapLocked(next, updateSource(cur.source))
 	res.Triples = next.Len()
-	res.Compacted = compacted
-	res.PendingInserts, res.PendingDeletes = next.Pending()
+	res.PendingInserts, res.PendingDeletes = pending(next)
 	return res, nil
+}
+
+// pending returns the sizes of st's overlay delta, zero for a plain
+// store.
+func pending(st *store.Store) (inserts, deletes int) {
+	if d := st.Delta(); d != nil {
+		return d.InsertCount(), d.DeleteCount()
+	}
+	return 0, 0
 }
 
 // compactThresholdFor resolves the auto-compaction threshold against a
@@ -550,19 +533,18 @@ func (s *Service) compactThresholdFor(baseLen int) int {
 }
 
 // Compact folds the current snapshot's pending delta (if any) into a
-// fresh fully indexed store — every shard's, for a sharded snapshot —
-// and publishes it. It returns the resulting generation (unchanged when
+// fresh fully indexed store and publishes it. It returns the resulting generation (unchanged when
 // there was nothing to fold).
 func (s *Service) Compact() uint64 {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	cur := s.state.Load()
-	sd := cur.fed.NewDelta()
-	if sd.Empty() {
+	d := cur.store.Delta()
+	if d == nil {
 		return cur.gen
 	}
 	s.compactions.Add(1)
-	return s.swapLocked(sd.Commit(store.BuildOptions{}), updateSource(cur.source))
+	return s.swapLocked(d.Commit(store.BuildOptions{}), updateSource(cur.source))
 }
 
 // updateSource labels a snapshot produced by updates after its origin.
@@ -623,7 +605,7 @@ type Outcome struct {
 	// Store is the snapshot the query executed against — decode row IDs
 	// with its dictionary, not the service's current one (a swap may have
 	// happened since).
-	Store store.Source
+	Store *store.Store
 	// Analyze is the rendered EXPLAIN ANALYZE listing and Trace the
 	// finalized span tree, both set only when the execution was requested
 	// with RunOptions.Analyze.
@@ -1082,29 +1064,11 @@ type StoreStats struct {
 	MappedBytes int `json:"mapped_bytes"`
 	// MappingsAwaitingUnmap counts retired mmap-backed generations still
 	// held open by in-flight queries (each unmaps when its last query
-	// drains). A sharded generation counts once — all its shard mappings
-	// retire and release together.
+	// drains).
 	MappingsAwaitingUnmap int64 `json:"mappings_awaiting_unmap"`
 	// RenderTableBytes is the memory of the dictionary's table of terms
 	// pre-rendered as JSON (0 until the first JSON result is written).
 	RenderTableBytes int `json:"render_table_bytes"`
-	// Shards is the shard count in coordinator mode (0 for a single
-	// store), and PerShard the per-shard breakdown.
-	Shards   int               `json:"shards,omitempty"`
-	PerShard []ShardStoreStats `json:"per_shard,omitempty"`
-}
-
-// ShardStoreStats describe one shard of a sharded snapshot.
-type ShardStoreStats struct {
-	Triples        int    `json:"triples"`
-	BaseTriples    int    `json:"base_triples"`
-	PendingInserts int    `json:"pending_inserts"`
-	PendingDeletes int    `json:"pending_deletes"`
-	Backend        string `json:"backend"`
-	MappedBytes    int    `json:"mapped_bytes"`
-	// CompactThreshold is the delta size at which this shard folds,
-	// resolved against its own base.
-	CompactThreshold int `json:"compact_threshold"`
 }
 
 // UpdateStats describe the update path since startup.
@@ -1115,8 +1079,7 @@ type UpdateStats struct {
 	Updates     uint64 `json:"updates"`
 	Compactions uint64 `json:"compactions"`
 	// CompactThreshold is the delta size (inserts + deletes) at which the
-	// next update will compact: the smallest per-shard threshold, each
-	// resolved against its shard's own base.
+	// next update will compact, resolved against the current base.
 	CompactThreshold int `json:"compact_threshold"`
 }
 
@@ -1165,51 +1128,26 @@ type Stats struct {
 // Stats returns a consistent-enough snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	st := s.state.Load()
-	fed := st.fed
 	storeStats := StoreStats{
-		Triples:               fed.Len(),
+		Triples:               st.store.Len(),
 		Generation:            st.gen,
 		Source:                st.source,
-		BaseTriples:           fed.BaseLen(),
+		BaseTriples:           st.store.Len(),
 		Backend:               st.store.Backend(),
-		MappedBytes:           fed.MappedBytes(),
+		MappedBytes:           st.store.MappedBytes(),
 		MappingsAwaitingUnmap: s.retiredMapped.Load(),
-		RenderTableBytes:      fed.Dict().RenderTableBytes(),
+		RenderTableBytes:      st.store.Dict().RenderTableBytes(),
 	}
-	storeStats.PendingInserts, storeStats.PendingDeletes = fed.Pending()
-	// Each shard compacts against its own base, so the next update folds
-	// at the smallest per-shard threshold.
-	perShard := make([]ShardStoreStats, fed.NumShards())
-	threshold := 0
-	for i := range perShard {
-		shard := fed.Shard(i)
-		ss := ShardStoreStats{
-			Triples:     shard.Len(),
-			BaseTriples: shard.Len(),
-			Backend:     shard.Backend(),
-			MappedBytes: shard.MappedBytes(),
-		}
-		if d := shard.Delta(); d != nil {
-			ss.BaseTriples = d.Base().Len()
-			ss.PendingInserts = d.InsertCount()
-			ss.PendingDeletes = d.DeleteCount()
-		}
-		ss.CompactThreshold = s.compactThresholdFor(ss.BaseTriples)
-		if i == 0 || ss.CompactThreshold < threshold {
-			threshold = ss.CompactThreshold
-		}
-		perShard[i] = ss
+	if d := st.store.Delta(); d != nil {
+		storeStats.BaseTriples = d.Base().Len()
 	}
-	if len(perShard) > 1 {
-		storeStats.Shards = len(perShard)
-		storeStats.PerShard = perShard
-	}
+	storeStats.PendingInserts, storeStats.PendingDeletes = pending(st.store)
 	out := Stats{
 		Store: storeStats,
 		Updates: UpdateStats{
 			Updates:          s.updates.Load(),
 			Compactions:      s.compactions.Load(),
-			CompactThreshold: threshold,
+			CompactThreshold: s.compactThresholdFor(storeStats.BaseTriples),
 		},
 		Cache: CacheStats{
 			Size:      st.cache.size(),

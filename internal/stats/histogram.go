@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-bucket histogram with either linear or logarithmic
-// bucket boundaries. Logarithmic buckets are the natural choice for query
+// Histogram is a fixed-bucket histogram over the given boundaries.
+// NewLogHistogram builds logarithmic ones, the natural choice for query
 // runtimes, which span several orders of magnitude in the paper's E3.
 type Histogram struct {
 	Bounds []float64 // len(Bounds)+1 buckets; bucket i covers [Bounds[i-1], Bounds[i])
@@ -28,20 +28,6 @@ func NewLogHistogram(lo, hi float64, buckets int) *Histogram {
 	for i := range bounds {
 		bounds[i] = b
 		b *= r
-	}
-	return &Histogram{Bounds: bounds, Counts: make([]int, len(bounds)+1)}
-}
-
-// NewLinearHistogram builds a histogram with equal-width buckets over
-// [lo, hi].
-func NewLinearHistogram(lo, hi float64, buckets int) *Histogram {
-	if hi <= lo || buckets < 1 {
-		panic("stats: invalid linear histogram bounds")
-	}
-	w := (hi - lo) / float64(buckets)
-	bounds := make([]float64, buckets+1)
-	for i := range bounds {
-		bounds[i] = lo + w*float64(i)
 	}
 	return &Histogram{Bounds: bounds, Counts: make([]int, len(bounds)+1)}
 }

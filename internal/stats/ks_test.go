@@ -115,8 +115,8 @@ func TestHistogram(t *testing.T) {
 	if h.Render(20) == "" {
 		t.Fatal("Render empty")
 	}
-	lin := NewLinearHistogram(0, 10, 2)
-	lin.Add(5)
+	lin := &Histogram{Bounds: []float64{0, 5, 10}, Counts: make([]int, 4)}
+	lin.Add(5) // a value on a bound falls into the bucket above it
 	if lin.Counts[2] != 1 {
 		t.Fatalf("linear counts = %v", lin.Counts)
 	}
@@ -129,7 +129,6 @@ func TestHistogramPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewLogHistogram(0, 10, 3) },
 		func() { NewLogHistogram(10, 1, 3) },
-		func() { NewLinearHistogram(5, 5, 3) },
 	} {
 		func() {
 			defer func() {

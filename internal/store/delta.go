@@ -60,7 +60,7 @@ type Delta struct {
 // a read bound to an ID no pending triple names skips the delta's runs
 // without searching them. The bitmaps are exact (a bit is set exactly
 // when some pending triple names the ID), immutable and built only by
-// apply; an ID past the end, minted after they were built, names no
+// ApplyOps; an ID past the end, minted after they were built, names no
 // pending triple and reads as absent.
 type presence []uint64
 
@@ -178,36 +178,13 @@ func (d *Delta) Apply(ins, del []rdf.Triple) (*Delta, error) {
 // delete in the same call), so callers can skip republishing on pointer
 // equality.
 func (d *Delta) ApplyOps(ops []DeltaOp) (*Delta, error) {
-	if err := validOps(ops); err != nil {
-		return nil, err
-	}
-	nd, _ := d.apply(ops)
-	return nd, nil
-}
-
-func validOps(ops []DeltaOp) error {
 	for _, op := range ops {
 		for _, t := range op.Triples {
 			if !t.Valid() {
-				return fmt.Errorf("store: invalid triple %v", t)
+				return nil, fmt.Errorf("store: invalid triple %v", t)
 			}
 		}
 	}
-	return nil
-}
-
-// viewTouches are what one update changes in a merged view: the triples
-// it adds (inserts and resurrections) and the triples it removes
-// (deletions and cancelled inserts), sorted per order. Only the PSO and
-// POS orders are read: the statistics are kept in those two.
-type viewTouches struct {
-	added, removed [numOrders][]IDTriple
-}
-
-// apply is ApplyOps over validated ops. It also returns the view touches
-// (nil when nothing changed), from which ShardedDelta patches its global
-// statistics.
-func (d *Delta) apply(ops []DeltaOp) (*Delta, *viewTouches) {
 	type set = map[IDTriple]struct{}
 	var (
 		dd     = d.base.dict
@@ -296,7 +273,15 @@ func (d *Delta) apply(ops []DeltaOp) (*Delta, *viewTouches) {
 	}
 	nd.markPresence(d, [][]IDTriple{touched[0], touched[2]}, [][]IDTriple{touched[1], touched[3]})
 	nd.derive(d, tc)
-	return nd, tc
+	return nd, nil
+}
+
+// viewTouches are what one update changes in a merged view: the triples
+// it adds (inserts and resurrections) and the triples it removes
+// (deletions and cancelled inserts), sorted per order. Only the PSO and
+// POS orders are read: the statistics are kept in those two.
+type viewTouches struct {
+	added, removed [numOrders][]IDTriple
 }
 
 // markPresence sets d's presence bitmaps: parent's, sized to the
@@ -351,21 +336,21 @@ func sortedCopy(ts []IDTriple, o order) []IDTriple {
 // derive sets d's statistics and class index: parent's, patched by the
 // touches that lead from parent's view to d's.
 func (d *Delta) derive(parent *Delta, tc *viewTouches) {
-	d.pstats = patchStats(parent.pstats, tc, parent.viewCount)
+	d.pstats = patchStats(parent, tc)
 	d.typeIdx = patchTypeIndex(parent.typeIdx, tc, lookupType(d.base.dict))
 }
 
 // patchStats returns parent's per-predicate statistics with tc applied,
 // without re-scanning any run. Count moves by the triples added minus
 // removed. DistinctS (DistinctO) moves only where a touched (p,s) ((p,o))
-// group's count in the view crosses zero; count(o, pat) reads that
-// group's count in the parent view. An entry whose count reaches zero is
-// dropped, as a rebuild would never create it.
-func patchStats(parent map[dict.ID]PredStats, tc *viewTouches, count func(o order, pat Pattern) int) map[dict.ID]PredStats {
-	out := make(map[dict.ID]PredStats, len(parent))
-	maps.Copy(out, parent)
+// group's count in the view crosses zero, read from the group's count in
+// parent's view. An entry whose count reaches zero is dropped, as a
+// rebuild would never create it.
+func patchStats(parent *Delta, tc *viewTouches) map[dict.ID]PredStats {
+	out := make(map[dict.ID]PredStats, len(parent.pstats))
+	maps.Copy(out, parent.pstats)
 	forGroups(tc.added[orderPSO], tc.removed[orderPSO], orderPSO, func(pat Pattern, added, removed []IDTriple) {
-		st, c := out[pat.P], count(orderPSO, pat)
+		st, c := out[pat.P], parent.viewCount(orderPSO, pat)
 		st.Count += len(added) - len(removed)
 		st.DistinctS += present(c+len(added)-len(removed)) - present(c)
 		out[pat.P] = st
@@ -373,7 +358,7 @@ func patchStats(parent map[dict.ID]PredStats, tc *viewTouches, count func(o orde
 	// Every predicate the PSO pass touched is touched here too, after its
 	// Count is final.
 	forGroups(tc.added[orderPOS], tc.removed[orderPOS], orderPOS, func(pat Pattern, added, removed []IDTriple) {
-		st, c := out[pat.P], count(orderPOS, pat)
+		st, c := out[pat.P], parent.viewCount(orderPOS, pat)
 		st.DistinctO += present(c+len(added)-len(removed)) - present(c)
 		out[pat.P] = st
 		if st.Count == 0 {

@@ -143,8 +143,8 @@ func searchRange(idx []IDTriple, o order, pat Pattern) (lo, hi int) {
 // 64-ID block, so a subject-bound probe finds its group with two loads
 // from small arrays instead of a binary search over the whole run
 // (ARCHITECTURE.md, "The probe kernel"). The bitmap keeps the directory
-// proportional to the subjects a run holds: a dense off[id] array would
-// cost every shard of a federation 4 B per term of the shared dictionary.
+// proportional to the subjects a run holds rather than to the dictionary,
+// as a dense off[id] array would be.
 //
 // The directory is built on the first subject-bound lookup, once per set
 // of base runs: overlays share their base's, a Commit or an open starts a

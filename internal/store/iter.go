@@ -16,12 +16,6 @@ type Scan struct {
 	ins  []IDTriple // pending insertions for the range, same order
 	ord  order
 	buf  []IDTriple // merged-batch buffer, reused across Next calls
-
-	// sub, when non-nil, makes the cursor a k-way merge over per-shard
-	// child cursors (same order, disjoint triple sets — see merged.go).
-	// The run fields above are unused in that mode; every method
-	// delegates to the children.
-	sub []Scan
 }
 
 // Scan opens a cursor over the triples matching pat. The triples are
@@ -34,8 +28,7 @@ func (s *Store) Scan(pat Pattern) *Scan {
 }
 
 // openScan positions sc over the triples matching pat in index o, whose
-// sort key must start with pat's bound positions. It fills a cursor in
-// place, so a probe can keep its cursors in a stack array.
+// sort key must start with pat's bound positions.
 func (s *Store) openScan(sc *Scan, o order, pat Pattern) {
 	lo, hi := s.baseRange(o, pat)
 	*sc = Scan{rest: s.idx[o][lo:hi], ord: o}
@@ -44,39 +37,12 @@ func (s *Store) openScan(sc *Scan, o order, pat Pattern) {
 	}
 }
 
-// Head returns the next undelivered triple without consuming it, or false
-// when the cursor is exhausted. Deleted base triples at the head are
-// discarded eagerly (they deliver nothing, so this never reorders the
-// stream).
-func (sc *Scan) Head() (IDTriple, bool) {
-	if sc.sub != nil {
-		return sc.mergedHead()
-	}
-	for len(sc.rest) > 0 && len(sc.del) > 0 && sc.rest[0] == sc.del[0] {
-		sc.rest = sc.rest[1:]
-		sc.del = sc.del[1:]
-	}
-	switch {
-	case len(sc.rest) == 0 && len(sc.ins) == 0:
-		return IDTriple{}, false
-	case len(sc.rest) == 0:
-		return sc.ins[0], true
-	case len(sc.ins) == 0 || !lessByOrder(sc.ins[0], sc.rest[0], sc.ord):
-		return sc.rest[0], true
-	default:
-		return sc.ins[0], true
-	}
-}
-
 // Next returns the next batch of at most max triples, or nil when the
 // cursor is exhausted. max <= 0 returns everything remaining in one
 // batch. Without pending delta changes the batch is a zero-copy subslice
-// of the index; a merging cursor returns its internal buffer, valid until
-// the next call.
+// of the index; otherwise the batch is the cursor's internal buffer,
+// valid until the next call.
 func (sc *Scan) Next(max int) []IDTriple {
-	if sc.sub != nil {
-		return sc.nextMerged(max)
-	}
 	if len(sc.del) == 0 && len(sc.ins) == 0 {
 		if len(sc.rest) == 0 {
 			return nil
@@ -108,12 +74,5 @@ func (sc *Scan) Next(max int) []IDTriple {
 // Every pending deletion masks exactly one undelivered base triple (a
 // cursor invariant), so the count is exact.
 func (sc *Scan) Remaining() int {
-	if sc.sub != nil {
-		n := 0
-		for i := range sc.sub {
-			n += sc.sub[i].Remaining()
-		}
-		return n
-	}
 	return len(sc.rest) - len(sc.del) + len(sc.ins)
 }

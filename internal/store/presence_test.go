@@ -130,26 +130,20 @@ func lateIDs(d *dict.Dict, k, n int) []dict.ID {
 }
 
 // TestDeltaPresenceExact is the property test of the presence bitmaps:
-// along random update chains over one store and over each shard of a
-// 4-shard federation, every delta's bitmaps stay exact and its overlay
-// reads stay equal to the filter-free lookup and to a rebuild.
+// along a random update chain, every delta's bitmaps stay exact and its
+// overlay reads stay equal to the filter-free lookup and to a rebuild.
 func TestDeltaPresenceExact(t *testing.T) {
-	for _, n := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(int64(300 + n)))
-		base := buildFrom(t, randomTriples(rng, 240))
-		sh := NewSharded(base, n)
-		w := &chainWorld{t: t, rng: rng, sd: sh.NewDelta(), view: sh}
-		for k := range 16 {
-			ops := append(w.ops(k), presenceOps(w, k)...)
-			sd, err := w.sd.ApplyOps(ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.sd, w.view = sd, sd.Overlay()
-			late := lateIDs(w.dict(), k, 1+rng.Intn(100))
-			for i := range n {
-				checkPresence(t, fmt.Sprintf("shards=%d step %d shard %d", n, k, i), sd.ShardDelta(i), late)
-			}
+	rng := rand.New(rand.NewSource(301))
+	base := buildFrom(t, randomTriples(rng, 240))
+	w := &chainWorld{t: t, rng: rng, d: base.NewDelta(), view: base}
+	for k := range 16 {
+		ops := append(w.ops(k), presenceOps(w, k)...)
+		d, err := w.d.ApplyOps(ops)
+		if err != nil {
+			t.Fatal(err)
 		}
+		w.d, w.view = d, d.Overlay()
+		late := lateIDs(w.dict(), k, 1+rng.Intn(100))
+		checkPresence(t, fmt.Sprintf("step %d", k), d, late)
 	}
 }

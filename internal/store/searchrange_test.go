@@ -220,58 +220,3 @@ func BenchmarkSearchRange(b *testing.B) {
 }
 
 var probeSink int
-
-// BenchmarkShardedProbe times one MatchBuf probe — the index-join inner
-// side — bound on the subject or on the object, over one store and over a
-// 4-shard federation of it. A subject-bound probe reads only the home
-// shard; an object-bound one merges the shards' runs into the scratch.
-func BenchmarkShardedProbe(b *testing.B) {
-	heap, _ := overlayWorld(b, 3, 200_000)
-	all := heap.idx[orderSPO]
-	probes := make([]IDTriple, 4096)
-	for i := range probes {
-		probes[i] = all[i*len(all)/len(probes)]
-	}
-	for _, n := range []int{1, 4} {
-		src := NewSharded(heap, n).Source()
-		for _, bind := range []string{"subject", "object"} {
-			b.Run(fmt.Sprintf("shards=%d/%s", n, bind), func(b *testing.B) {
-				var scratch, m []IDTriple
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tr := probes[i%len(probes)]
-					pat := Pattern{S: tr.S}
-					if bind == "object" {
-						pat = Pattern{O: tr.O}
-					}
-					m, scratch = src.MatchBuf(pat, scratch)
-					probeSink += len(m)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkShardedScan drains a whole-predicate scan in 1024-triple
-// batches, over one store and over a 4-shard federation, whose PSO runs
-// interleave at every subject. It reports the cost per triple delivered.
-func BenchmarkShardedScan(b *testing.B) {
-	heap, _ := overlayWorld(b, 3, 200_000)
-	p := heap.idx[orderPSO][0].P
-	for _, n := range []int{1, 4} {
-		src := NewSharded(heap, n).Source()
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			triples := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc := src.Scan(Pattern{P: p})
-				for batch := sc.Next(1024); batch != nil; batch = sc.Next(1024) {
-					triples += len(batch)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(triples), "ns/triple")
-		})
-	}
-}

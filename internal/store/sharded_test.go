@@ -1,12 +1,15 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dict"
 	"repro/internal/rdf"
@@ -47,9 +50,7 @@ func patternShapes(st Source) []Pattern {
 }
 
 // subjectPatterns returns subject-bound patterns of every shape for
-// subjects spread over the store — with many subjects every shard of a
-// federation is some subject's home — plus one subject that does not
-// occur.
+// subjects spread over the store, plus one subject that does not occur.
 func subjectPatterns(st Source) []Pattern {
 	all, _ := st.Match(Pattern{})
 	pats := []Pattern{{S: dict.ID(st.Dict().Len() + 1)}}
@@ -60,181 +61,160 @@ func subjectPatterns(st Source) []Pattern {
 	return pats
 }
 
-// checkSourceEquivalence asserts that sh and ref answer every read-path
-// method identically — the stream-identity contract behind shard-count
-// invariance. Subject-bound patterns read only their home shard in a
-// federation, so they are checked for many subjects.
-func checkSourceEquivalence(t *testing.T, sh, ref Source) {
+// checkSourceEquivalence asserts that got and ref answer every read-path
+// method identically.
+func checkSourceEquivalence(t *testing.T, got, ref Source) {
 	t.Helper()
-	if sh.Len() != ref.Len() {
-		t.Fatalf("Len: %d != %d", sh.Len(), ref.Len())
+	if got.Len() != ref.Len() {
+		t.Fatalf("Len: %d != %d", got.Len(), ref.Len())
 	}
 	for _, pat := range append(patternShapes(ref), subjectPatterns(ref)...) {
-		if got, want := sh.Count(pat), ref.Count(pat); got != want {
-			t.Fatalf("Count(%+v): %d != %d", pat, got, want)
+		if g, w := got.Count(pat), ref.Count(pat); g != w {
+			t.Fatalf("Count(%+v): %d != %d", pat, g, w)
 		}
-		got, _ := sh.Match(pat)
+		g, _ := got.Match(pat)
 		want, _ := ref.Match(pat)
-		if !equalTriples(got, want) {
-			t.Fatalf("Match(%+v): %v != %v", pat, got, want)
+		if !equalTriples(g, want) {
+			t.Fatalf("Match(%+v): %v != %v", pat, g, want)
 		}
-		if got := drainScan(sh.Scan(pat)); !equalTriples(got, want) {
-			t.Fatalf("Scan(%+v): %v != %v", pat, got, want)
+		if g := drainScan(got.Scan(pat)); !equalTriples(g, want) {
+			t.Fatalf("Scan(%+v): %v != %v", pat, g, want)
 		}
-		gotBuf, _ := sh.MatchBuf(pat, make([]IDTriple, 0, 4))
-		if !equalTriples(gotBuf, want) {
-			t.Fatalf("MatchBuf(%+v): %v != %v", pat, gotBuf, want)
+		gBuf, _ := got.MatchBuf(pat, make([]IDTriple, 0, 4))
+		if !equalTriples(gBuf, want) {
+			t.Fatalf("MatchBuf(%+v): %v != %v", pat, gBuf, want)
 		}
-	}
-	for _, pat := range subjectPatterns(ref) {
 		for pos := 0; pos < 3; pos++ {
-			if got, want := sh.DistinctValues(pos, pat), ref.DistinctValues(pos, pat); !reflect.DeepEqual(got, want) {
-				t.Fatalf("DistinctValues(%d, %+v): %v != %v", pos, pat, got, want)
+			g, w := got.DistinctValues(pos, pat), ref.DistinctValues(pos, pat)
+			if len(g) != len(w) || (len(g) > 0 && !reflect.DeepEqual(g, w)) {
+				t.Fatalf("DistinctValues(%d, %+v): %v != %v", pos, pat, g, w)
 			}
 		}
 	}
-	if !reflect.DeepEqual(sh.Predicates(), ref.Predicates()) {
-		t.Fatalf("Predicates: %v != %v", sh.Predicates(), ref.Predicates())
+	if !reflect.DeepEqual(got.Predicates(), ref.Predicates()) {
+		t.Fatalf("Predicates: %v != %v", got.Predicates(), ref.Predicates())
 	}
 	for _, p := range ref.Predicates() {
-		if got, want := sh.PredicateStats(p), ref.PredicateStats(p); got != want {
-			t.Fatalf("PredicateStats(%d): %+v != %+v", p, got, want)
+		if g, w := got.PredicateStats(p), ref.PredicateStats(p); g != w {
+			t.Fatalf("PredicateStats(%d): %+v != %+v", p, g, w)
 		}
 	}
 	if tid, ok := ref.Dict().Lookup(rdf.NewIRI(rdf.RDFType)); ok {
 		for _, c := range ref.DistinctValues(2, Pattern{P: tid}) {
-			got := sh.SubjectsOfClass(c)
-			want := ref.SubjectsOfClass(c)
-			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("SubjectsOfClass(%d): %v != %v", c, got, want)
-			}
-		}
-	}
-	for pos := 0; pos < 3; pos++ {
-		for _, pat := range patternShapes(ref)[:4] {
-			got := sh.DistinctValues(pos, pat)
-			want := ref.DistinctValues(pos, pat)
-			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("DistinctValues(%d, %+v): %v != %v", pos, pat, got, want)
+			if g, w := got.SubjectsOfClass(c), ref.SubjectsOfClass(c); !reflect.DeepEqual(g, w) {
+				t.Fatalf("SubjectsOfClass(%d): %v != %v", c, g, w)
 			}
 		}
 	}
 }
 
+// writeLoad writes st as an n-shard directory and opens it again, mapped
+// or heap-loaded; a mapped store's mapping is released at cleanup.
+func writeLoad(t *testing.T, st *Store, n int, heap bool) *Store {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := WriteSharded(dir, NewSharded(st, n)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadSharded(dir, heap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := got.Mapping(); m != nil {
+		t.Cleanup(m.Release)
+	}
+	return got
+}
+
+// sameDictIDs asserts that got's dictionary assigns every one of want's
+// terms the same ID.
+func sameDictIDs(t *testing.T, got, want *dict.Dict) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("dictionary length %d != %d", got.Len(), want.Len())
+	}
+	for id := dict.ID(1); int(id) <= want.Len(); id++ {
+		if g, w := got.Decode(id), want.Decode(id); g != w {
+			t.Fatalf("term %d: %v != %v", id, g, w)
+		}
+	}
+}
+
+// TestShardedReadEquivalence: a shard directory, at any shard count and
+// in both load modes, opens to a store that answers every read exactly as
+// the store it was written from.
 func TestShardedReadEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ref := buildFrom(t, randomTriples(rng, 400))
-	// maxStackShards+1 shards take matchInto's heap-allocated cursor arrays.
-	for _, n := range append(shardCounts, maxStackShards+1) {
-		sh := NewSharded(ref, n)
-		if sh.NumShards() != n {
-			t.Fatalf("NumShards = %d, want %d", sh.NumShards(), n)
+	ref := buildFrom(t, randomTriples(rand.New(rand.NewSource(7)), 400))
+	for _, n := range append(shardCounts, 17) {
+		for _, heap := range []bool{true, false} {
+			checkSourceEquivalence(t, writeLoad(t, ref, n, heap), ref)
 		}
-		checkSourceEquivalence(t, sh, ref)
 	}
 }
 
+// TestShardedOverlayEquivalence applies the same op batches to a store and
+// to the store loaded from its 4-shard directory: their overlays and
+// commits stay read-equivalent, exact statistics included, and an overlay
+// written as a shard directory opens with its delta folded in.
 func TestShardedOverlayEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	triples := randomTriples(rng, 300)
 	base := buildFrom(t, triples)
-
-	// Identical op batches against the single store's delta and each
-	// sharded delta; the overlays must stay read-equivalent, exact stats
-	// included.
 	var ops []DeltaOp
 	ops = append(ops, DeltaOp{Insert: true, Triples: randomTriples(rng, 60)})
 	del := triples[10:40]
 	ops = append(ops, DeltaOp{Triples: del})
 	ops = append(ops, DeltaOp{Insert: true, Triples: append([]rdf.Triple{trp("brand-new-s", "brand-new-p", "brand-new-o")}, del[:5]...)})
-
 	d, err := base.NewDelta().ApplyOps(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refOv := d.Overlay()
-
-	for _, n := range shardCounts {
-		sh := NewSharded(base, n)
-		sd, err := sh.NewDelta().ApplyOps(ops)
+	for _, heap := range []bool{true, false} {
+		loaded := writeLoad(t, buildFrom(t, triples), 4, heap)
+		ld, err := loaded.NewDelta().ApplyOps(ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shOv := sd.Overlay()
-		if gi, gd := shOv.Pending(); gi != d.InsertCount() || gd != d.DeleteCount() {
-			t.Fatalf("shards=%d: pending (%d,%d) != (%d,%d)", n, gi, gd, d.InsertCount(), d.DeleteCount())
+		if ld.InsertCount() != d.InsertCount() || ld.DeleteCount() != d.DeleteCount() {
+			t.Fatalf("heap=%v: pending (%d,%d) != (%d,%d)", heap, ld.InsertCount(), ld.DeleteCount(), d.InsertCount(), d.DeleteCount())
 		}
-		checkSourceEquivalence(t, shOv, refOv)
-
-		// Committing folds every shard; the result must stay equivalent and
-		// report no pending changes.
-		shCommit := sd.Commit(BuildOptions{})
-		if i, dd := shCommit.Pending(); i != 0 || dd != 0 {
-			t.Fatalf("shards=%d: commit left pending (%d,%d)", n, i, dd)
-		}
-		checkSourceEquivalence(t, shCommit, refOv)
-
-		// Publish folds exactly the shards whose delta reaches the
-		// threshold; never folding is Overlay, always folding is Commit.
-		for _, tc := range []struct {
-			threshold int
-			fold      bool
-		}{{0, false}, {1 << 30, false}, {1, true}} {
-			pub, compacted := sd.Publish(func(int) int { return tc.threshold }, BuildOptions{})
-			if compacted != tc.fold {
-				t.Fatalf("shards=%d threshold=%d: compacted %v, want %v", n, tc.threshold, compacted, tc.fold)
-			}
-			if i, dd := pub.Pending(); (i+dd == 0) != tc.fold {
-				t.Fatalf("shards=%d threshold=%d: pending (%d,%d) after publish", n, tc.threshold, i, dd)
-			}
-			checkSourceEquivalence(t, pub, refOv)
-		}
-
-		// Updating the overlay again must extend the same per-shard deltas.
-		sd2, err := shOv.NewDelta().ApplyOps([]DeltaOp{{Insert: true, Triples: randomTriples(rng, 10)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sd2.Size() <= sd.Size() {
-			t.Fatalf("shards=%d: overlay update did not extend the pending delta", n)
-		}
+		checkSourceEquivalence(t, ld.Overlay(), refOv)
+		checkSourceEquivalence(t, ld.Commit(BuildOptions{}), refOv)
+		checkSourceEquivalence(t, writeLoad(t, ld.Overlay(), 4, heap), refOv)
 	}
 }
 
+// TestShardedApplyOpsNoChangeIdentity: over a store loaded from a shard
+// directory, inserting present triples and deleting absent ones returns
+// the receiver delta, so the service skips republishing, and an unknown
+// subject does not grow the dictionary.
 func TestShardedApplyOpsNoChangeIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	triples := randomTriples(rng, 50)
-	for _, n := range []int{1, 4} {
-		base := buildFrom(t, triples)
-		sd := NewSharded(base, n).NewDelta()
-
-		// Inserting present triples and deleting absent ones is a no-op;
-		// the ShardedDelta must come back pointer-identical so the service
-		// skips republishing.
-		got, err := sd.ApplyOps([]DeltaOp{
+	triples := randomTriples(rand.New(rand.NewSource(3)), 50)
+	for _, heap := range []bool{true, false} {
+		loaded := writeLoad(t, buildFrom(t, triples), 4, heap)
+		d := loaded.NewDelta()
+		got, err := d.ApplyOps([]DeltaOp{
 			{Insert: true, Triples: triples[:5]},
 			{Triples: []rdf.Triple{trp("nobody", "nothing", "nowhere")}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != sd {
-			t.Fatalf("shards=%d: no-change ApplyOps must return the receiver", n)
+		if got != d {
+			t.Fatalf("heap=%v: no-change ApplyOps must return the receiver", heap)
 		}
-		if _, ok := base.Dict().Lookup(iri("nobody")); ok {
-			t.Fatalf("shards=%d: deleting an unknown subject must not grow the dictionary", n)
+		if _, ok := loaded.Dict().Lookup(iri("nobody")); ok {
+			t.Fatalf("heap=%v: deleting an unknown subject must not grow the dictionary", heap)
 		}
 	}
 }
 
-// Sharded updates that introduce new terms must assign exactly the IDs an
-// unsharded update would: inserts are pre-encoded in operation order
-// before routing. Two independent stores (separate dictionaries) built
-// from the same input receive the same ops; their raw ID streams must
-// coincide.
+// TestShardedUpdateDictOrder: updates that introduce new terms assign the
+// same IDs over a store loaded from a shard directory as over the store
+// it was written from, so their raw ID streams coincide.
 func TestShardedUpdateDictOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	triples := randomTriples(rng, 100)
+	triples := randomTriples(rand.New(rand.NewSource(5)), 100)
 	ops := []DeltaOp{
 		{Insert: true, Triples: []rdf.Triple{
 			trp("new-a", "new-p1", "new-x"),
@@ -250,30 +230,23 @@ func TestShardedUpdateDictOrder(t *testing.T) {
 	}
 	refOv := d.Overlay()
 	want, _ := refOv.Match(Pattern{})
-	for _, n := range []int{1, 4} {
-		sd, err := NewSharded(buildFrom(t, triples), n).NewDelta().ApplyOps(ops)
+	for _, heap := range []bool{true, false} {
+		ld, err := writeLoad(t, buildFrom(t, triples), 4, heap).NewDelta().ApplyOps(ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shOv := sd.Overlay()
-		if refOv.Dict().Len() != shOv.Dict().Len() {
-			t.Fatalf("shards=%d: dict length %d != %d", n, shOv.Dict().Len(), refOv.Dict().Len())
+		ov := ld.Overlay()
+		sameDictIDs(t, ov.Dict(), refOv.Dict())
+		if got, _ := ov.Match(Pattern{}); !equalTriples(got, want) {
+			t.Fatalf("heap=%v: raw ID streams diverge: %v != %v", heap, got, want)
 		}
-		got, _ := shOv.Match(Pattern{})
-		if !equalTriples(got, want) {
-			t.Fatalf("shards=%d: raw ID streams diverge: %v != %v", n, got, want)
-		}
-		for _, p := range refOv.Predicates() {
-			if g, w := shOv.PredicateStats(p), refOv.PredicateStats(p); g != w {
-				t.Fatalf("shards=%d: PredicateStats(%d): %+v != %+v", n, p, g, w)
-			}
-		}
+		sameStats(t, "loaded overlay", ov, referenceStore(t, refOv))
 	}
 }
 
-// NewSharded at one shard wraps the store itself: no re-partitioning, so
-// a mapped store keeps its mapping and an overlay keeps its delta, and
-// queries read the very same *Store.
+// TestNewShardedOneShardWrapsStore: NewSharded pairs the store itself with
+// a shard count, at any count, without copying, so it reads as the
+// store does: a mapped store keeps its mapping, an overlay its delta.
 func TestNewShardedOneShardWrapsStore(t *testing.T) {
 	heap := randomBuilder(21, 200).Build()
 	mapped, err := OpenMappedBytes(v4Image(t, heap))
@@ -286,88 +259,84 @@ func TestNewShardedOneShardWrapsStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, st := range map[string]*Store{"heap": heap, "mapped": mapped, "overlay": d.Overlay()} {
-		sh := NewSharded(st, 1)
-		if sh.NumShards() != 1 || sh.Shard(0) != st || sh.Source() != Source(st) {
-			t.Fatalf("%s: one-shard federation does not wrap the store itself", name)
-		}
-		if !reflect.DeepEqual(sh.Mappings(), st.Mappings()) {
-			t.Fatalf("%s: Mappings %v, want %v", name, sh.Mappings(), st.Mappings())
-		}
-		if sh.Len() != st.Len() || sh.Dict() != st.Dict() {
-			t.Fatalf("%s: Len/Dict differ from the wrapped store", name)
-		}
-		if i, dd := sh.Pending(); st.Delta() != nil && (i != st.Delta().InsertCount() || dd != st.Delta().DeleteCount()) {
-			t.Fatalf("%s: pending (%d,%d) lost the overlay's delta", name, i, dd)
-		}
-		if Federate(st, 1).Shard(0) != st || Federate(sh, 4) != sh {
-			t.Fatalf("%s: Federate re-wrapped its input", name)
+		for _, n := range []int{0, 1, 4} {
+			sh := NewSharded(st, n)
+			if sh.Store != st || sh.shards != max(n, 1) {
+				t.Fatalf("%s n=%d: NewSharded does not wrap the store itself", name, n)
+			}
+			if sh.Mapping() != st.Mapping() || sh.Delta() != st.Delta() {
+				t.Fatalf("%s n=%d: the wrapper lost the store's mapping or delta", name, n)
+			}
 		}
 	}
 }
 
+// TestShardedSnapshotRoundtrip: at every shard count, in both load modes,
+// a written shard directory opens to a store equal to the one it was
+// written from in all six indexes, statistics, class index and dictionary
+// IDs.
 func TestShardedSnapshotRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	base := buildFrom(t, randomTriples(rng, 250))
+	base := buildFrom(t, randomTriples(rand.New(rand.NewSource(13)), 250))
 	for _, shards := range shardCounts {
-		dir := t.TempDir() + "/snap"
+		dir := filepath.Join(t.TempDir(), "snap")
 		if err := WriteSharded(dir, NewSharded(base, shards)); err != nil {
 			t.Fatal(err)
 		}
 		if !IsShardedSnapshot(dir) {
-			t.Fatal("written directory not recognized as sharded snapshot")
+			t.Fatal("written directory not recognized as a shard directory")
 		}
-		if IsShardedSnapshot(dir + "/shard-0000.snap") {
-			t.Fatal("plain shard file misdetected as sharded snapshot")
+		if IsShardedSnapshot(filepath.Join(dir, shardFileName(0))) {
+			t.Fatal("plain shard file misdetected as a shard directory")
 		}
 		for _, heap := range []bool{true, false} {
-			got, err := LoadSharded(dir, heap)
-			if err != nil {
-				t.Fatal(err)
+			got := writeLoad(t, base, shards, heap)
+			if got.Delta() != nil {
+				t.Fatalf("shards=%d heap=%v: loaded store carries a delta", shards, heap)
 			}
-			checkSourceEquivalence(t, got, base)
-			// All shards must share one dictionary object so sharded updates
-			// agree on new-term IDs.
-			for i := 0; i < got.NumShards(); i++ {
-				if got.Shard(i).Dict() != got.Dict() {
-					t.Fatalf("shards=%d heap=%v: shard %d has its own dictionary", shards, heap, i)
-				}
-			}
-			if !heap {
-				if n := len(got.Mappings()); n != shards {
-					t.Fatalf("mapped sharded load: %d mappings, want %d", n, shards)
-				}
-				// Updates over the mapped federation must behave like heap ones.
-				sd, err := got.NewDelta().ApplyOps([]DeltaOp{{Insert: true, Triples: []rdf.Triple{trp("zz", "zp", "zo")}}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sd.InsertCount() != 1 {
-					t.Fatalf("mapped sharded update: %d pending inserts", sd.InsertCount())
-				}
-				for _, m := range got.Mappings() {
-					m.Release()
-				}
-			}
+			equalStores(t, got, base)
+			sameDictIDs(t, got.Dict(), base.Dict())
 		}
 	}
 }
 
+// TestShardedBackendNaming: a shard directory opens onto heap indexes in
+// both modes; a mapped open keeps shard 0's file mapped for the
+// dictionary, a heap open keeps no mapping.
 func TestShardedBackendNaming(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	base := buildFrom(t, randomTriples(rng, 60))
-	sh := NewSharded(base, 3)
-	if got := sh.Backend(); got != "sharded(3, heap)" {
-		t.Fatalf("Backend = %q", got)
+	base := buildFrom(t, randomTriples(rand.New(rand.NewSource(17)), 60))
+	dir := t.TempDir()
+	if err := WriteSharded(dir, NewSharded(base, 3)); err != nil {
+		t.Fatal(err)
 	}
-	if sh.BaseLen() != sh.Len() {
-		t.Fatalf("BaseLen %d != Len %d for pristine shards", sh.BaseLen(), sh.Len())
+	fi, err := os.Stat(filepath.Join(dir, shardFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, heap := range []bool{true, false} {
+		got, err := LoadSharded(dir, heap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int(fi.Size())
+		if heap {
+			want = 0
+		}
+		if got.Backend() != "heap" || got.MappedBytes() != want {
+			t.Fatalf("heap=%v: backend %q with %d mapped bytes, want heap with %d", heap, got.Backend(), got.MappedBytes(), want)
+		}
+		if m := got.Mapping(); m != nil {
+			if m.Refs() != 1 {
+				t.Fatalf("mapped open: shard 0's mapping has %d references, want the caller's 1", m.Refs())
+			}
+			m.Release()
+		}
 	}
 }
 
-// TestLoadShardedRejectsMisplacedShards swaps two shard files of a written
-// directory: the dictionaries and the triple total still agree, so only
-// the placement check can tell, in both load modes.
-func TestLoadShardedRejectsMisplacedShards(t *testing.T) {
+// TestLoadShardedSwappedShards swaps two shard files of a written
+// directory: every file carries the same dictionary, and the open merges
+// all runs, so the directory still opens to the same store.
+func TestLoadShardedSwappedShards(t *testing.T) {
 	base := buildFrom(t, randomTriples(rand.New(rand.NewSource(19)), 250))
 	dir := t.TempDir()
 	if err := WriteSharded(dir, NewSharded(base, 4)); err != nil {
@@ -380,151 +349,227 @@ func TestLoadShardedRejectsMisplacedShards(t *testing.T) {
 		}
 	}
 	for _, heap := range []bool{true, false} {
-		_, err := LoadSharded(dir, heap)
-		var pe *PlacementError
-		if !errors.As(err, &pe) || pe.Shard != 0 || pe.Home == 0 {
-			t.Fatalf("heap=%v: LoadSharded of swapped shards: %v, want a PlacementError for shard 0", heap, err)
+		got, err := LoadSharded(dir, heap)
+		if err != nil {
+			t.Fatalf("heap=%v: %v", heap, err)
+		}
+		equalStores(t, got, base)
+		sameDictIDs(t, got.Dict(), base.Dict())
+		if m := got.Mapping(); m != nil {
+			m.Release()
 		}
 	}
 }
 
-// TestCheckPlacementOverlayInserts gives a shard a pending insertion of a
-// subject homed elsewhere: once over the shard's own base and once over an
-// empty base, so only the sampled insert run can catch it.
-func TestCheckPlacementOverlayInserts(t *testing.T) {
-	base := buildFrom(t, randomTriples(rand.New(rand.NewSource(23)), 200))
-	one := buildFrom(t, []rdf.Triple{trp("only-s", "p", "o1"), trp("only-s", "p", "o2")})
-	for _, tc := range []struct {
-		name  string
-		store *Store
-	}{{"own base", base}, {"empty base", one}} {
-		sh := NewSharded(tc.store, 2)
-		all, _ := tc.store.Match(Pattern{})
-		sub := all[0].S
-		home := shardOf(sub, 2)
-		other := sh.shards[1-home]
-		if err := checkPlacement("d", other, 1-home, 2); err != nil {
-			t.Fatalf("%s: pristine shard: %v", tc.name, err)
+// TestLoadShardedRejectsMisplacedShards puts a shard file of another
+// directory, written from a store over a different dictionary, in place
+// of shard 1: its IDs do not name this directory's terms, so the open
+// fails on the dictionary length in both load modes.
+func TestLoadShardedRejectsMisplacedShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	dir, foreign := t.TempDir(), t.TempDir()
+	if err := WriteSharded(dir, NewSharded(buildFrom(t, randomTriples(rng, 250)), 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSharded(foreign, NewSharded(buildFrom(t, randomTriples(rng, 40)), 4)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(foreign, shardFileName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardFileName(1)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, heap := range []bool{true, false} {
+		st, err := LoadSharded(dir, heap)
+		if err == nil {
+			if m := st.Mapping(); m != nil {
+				m.Release()
+			}
+			t.Fatalf("heap=%v: LoadSharded with another directory's shard 1 succeeded", heap)
 		}
-		d := tc.store.Dict()
-		misplaced := rdf.Triple{S: d.Decode(sub), P: d.Decode(all[0].P), O: rdf.NewIRI("http://example.org/new-object")}
-		nd, err := other.NewDelta().ApplyOps([]DeltaOp{{Insert: true, Triples: []rdf.Triple{misplaced}}})
+		if msg := err.Error(); !strings.Contains(msg, "shard 1") || !strings.Contains(msg, "dictionary length") {
+			t.Fatalf("heap=%v: LoadSharded with another directory's shard 1: %v, want a dictionary length error for shard 1", heap, err)
+		}
+	}
+}
+
+// TestCheckPlacementOverlayInserts writes overlays as shard directories:
+// each triple, the pending insertions under a known and under a new
+// subject included, lands in the file of its subject's home shard, and
+// every file carries the overlay's whole dictionary.
+func TestCheckPlacementOverlayInserts(t *testing.T) {
+	const n = 2
+	for _, tc := range []struct {
+		name    string
+		triples []rdf.Triple
+	}{
+		{"random base", randomTriples(rand.New(rand.NewSource(23)), 200)},
+		{"one-subject base", []rdf.Triple{trp("only-s", "p", "o1"), trp("only-s", "p", "o2")}},
+	} {
+		base := buildFrom(t, tc.triples)
+		known := tc.triples[0]
+		d, err := base.NewDelta().ApplyOps([]DeltaOp{{Insert: true, Triples: []rdf.Triple{
+			{S: known.S, P: known.P, O: rdf.NewIRI("http://example.org/new-object")},
+			trp("new-s", "p", "o1"),
+		}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var pe *PlacementError
-		if err := checkPlacement("d", nd.Overlay(), 1-home, 2); !errors.As(err, &pe) || pe.Subject != sub || pe.Home != home {
-			t.Fatalf("%s: overlay with a misplaced insertion: %v, want a PlacementError for subject %d", tc.name, err, sub)
+		ov := d.Overlay()
+		dir := t.TempDir()
+		if err := WriteSharded(dir, NewSharded(ov, n)); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// mergeWorld deals a sorted random triple set (in order o) to k child
-// cursors in stretches of one triple or of up to 64, so runs interleave
-// both finely and coarsely. With overlays, even-numbered children are
-// overlay cursors: part of their stretch arrives as pending insertions,
-// and deleted triples that must not surface are mixed into their base
-// run. It returns the children and the union they must merge to.
-func mergeWorld(rng *rand.Rand, o order, k int, overlays bool) ([]Scan, []IDTriple) {
-	set := map[IDTriple]struct{}{}
-	for len(set) < 3000 {
-		set[IDTriple{S: dict.ID(1 + rng.Intn(300)), P: dict.ID(1 + rng.Intn(4)), O: dict.ID(1 + rng.Intn(300))}] = struct{}{}
-	}
-	all := setToSlice(set)
-	sortByOrder(all, o)
-	children := make([]Scan, k)
-	for i := range children {
-		children[i].ord = o
-	}
-	var union []IDTriple
-	for len(all) > 0 {
-		n := 1
-		if rng.Intn(2) == 0 {
-			n = 1 + rng.Intn(64)
-		}
-		n = min(n, len(all))
-		c := rng.Intn(k)
-		overlay := overlays && c%2 == 0
-		for _, t := range all[:n] {
-			sc := &children[c]
-			switch r := rng.Intn(10); {
-			case overlay && r < 2:
-				sc.rest = append(sc.rest, t)
-				sc.del = append(sc.del, t)
-			case overlay && r < 5:
-				sc.ins = append(sc.ins, t)
-				union = append(union, t)
-			default:
-				sc.rest = append(sc.rest, t)
-				union = append(union, t)
+		total := 0
+		for i := 0; i < n; i++ {
+			sh, err := LoadAny(filepath.Join(dir, shardFileName(i)))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		all = all[n:]
-	}
-	return children, union
-}
-
-// TestMergeIntoSortedUnion is the property test of the merge kernel: for
-// every index order, fan-ins below and above the stack array, plain and
-// overlay children and several batch sizes, a merged cursor delivers
-// exactly the sorted union of its children, and Head always announces the
-// next triple Next delivers.
-func TestMergeIntoSortedUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, k := range []int{1, 2, 3, 4, 7, maxStackShards + 1} {
-		for _, overlays := range []bool{false, true} {
-			for _, batch := range []int{1, 3, 1024} {
-				for o := order(0); o < numOrders; o++ {
-					children, want := mergeWorld(rng, o, k, overlays)
-					sc := mergeScans(children, o)
-					var got []IDTriple
-					for {
-						head, ok := sc.Head()
-						b := sc.Next(batch)
-						if ok != (b != nil) || (ok && head != b[0]) {
-							t.Fatalf("k=%d overlays=%v batch=%d %v: Head %v/%v before batch %v", k, overlays, batch, o, head, ok, b)
-						}
-						if b == nil {
-							break
-						}
-						got = append(got, b...)
-					}
-					if !equalTriples(got, want) {
-						t.Fatalf("k=%d overlays=%v batch=%d %v: merged %d triples, want the sorted union of %d", k, overlays, batch, o, len(got), len(want))
-					}
+			if sh.Dict().Len() != ov.Dict().Len() {
+				t.Fatalf("%s: shard %d's dictionary holds %d terms, want the overlay's %d", tc.name, i, sh.Dict().Len(), ov.Dict().Len())
+			}
+			got, _ := sh.Match(Pattern{})
+			for _, tr := range got {
+				if home := shardOf(tr.S, n); home != i {
+					t.Fatalf("%s: shard %d holds %v, whose subject's home is shard %d", tc.name, i, tr, home)
 				}
 			}
+			total += len(got)
+		}
+		if total != ov.Len() {
+			t.Fatalf("%s: shard files hold %d triples, want the overlay's %d", tc.name, total, ov.Len())
+		}
+		equalStores(t, writeLoad(t, ov, n, true), d.Commit(BuildOptions{}))
+	}
+}
+
+// writeShardDir writes shards, stores over one dictionary, as a shard
+// directory as they are, with a manifest that counts their triples.
+func writeShardDir(t *testing.T, shards ...*Store) string {
+	t.Helper()
+	dir := t.TempDir()
+	m := shardedManifest{Format: shardedFormat, Shards: len(shards)}
+	for i, s := range shards {
+		if err := writeShardFile(filepath.Join(dir, shardFileName(i)), s); err != nil {
+			t.Fatal(err)
+		}
+		m.Triples += s.Len()
+	}
+	data, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardedManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// loadWithin runs LoadSharded under a deadline: a merge that stops making
+// progress fails the test instead of hanging it.
+func loadWithin(t *testing.T, dir string, heap bool) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		st, err := LoadSharded(dir, heap)
+		if err == nil {
+			if m := st.Mapping(); m != nil {
+				m.Release()
+			}
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("heap=%v: LoadSharded of %s did not return", heap, dir)
+		return nil
+	}
+}
+
+// TestLoadShardedRejectsDuplicateTriple hand-builds a directory whose
+// shards 0 and 1 both hold one triple: the open's merge cannot order it
+// and fails with a *ShardError naming both shards, in both load modes.
+// A mapped shard whose run is out of order fails the same way.
+func TestLoadShardedRejectsDuplicateTriple(t *testing.T) {
+	base := buildFrom(t, []rdf.Triple{trp("s1", "p", "o1"), trp("s2", "p", "o2"), trp("s3", "p", "o3")})
+	all, _ := base.Match(Pattern{})
+	shared := all[1]
+	other := buildIndexes(base.Dict(), []IDTriple{shared}, BuildOptions{})
+	dir := writeShardDir(t, base, other)
+	for _, heap := range []bool{true, false} {
+		err := loadWithin(t, dir, heap)
+		var se *ShardError
+		if !errors.As(err, &se) || se.Shard != 0 || se.Other != 1 || se.Triple != shared || se.Dir != dir {
+			t.Fatalf("heap=%v: LoadSharded of a duplicated triple: %v, want a ShardError for shards 0 and 1 holding %v", heap, err, shared)
+		}
+	}
+
+	unsorted := buildIndexes(base.Dict(), all, BuildOptions{})
+	unsorted.idx[orderSPO] = []IDTriple{all[2], all[0], all[1]}
+	err := loadWithin(t, writeShardDir(t, unsorted), false)
+	var se *ShardError
+	if !errors.As(err, &se) || se.Shard != 0 || se.Other != 0 || se.Order != "SPO" {
+		t.Fatalf("LoadSharded of an unsorted run: %v, want a ShardError for shard 0's SPO run", err)
+	}
+}
+
+// TestMergeShardRunsSortedUnion is the property test of the open's merge
+// kernel: for every index order and several fan-ins, runs dealt from a
+// sorted set in stretches of one triple or of up to 64 (so they
+// interleave finely and coarsely, some of them empty) merge to exactly
+// the sorted set.
+func TestMergeShardRunsSortedUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range []int{1, 2, 3, 4, 7, 17} {
+		for o := order(0); o < numOrders; o++ {
+			set := map[IDTriple]struct{}{}
+			for len(set) < 3000 {
+				set[IDTriple{S: dict.ID(1 + rng.Intn(300)), P: dict.ID(1 + rng.Intn(4)), O: dict.ID(1 + rng.Intn(300))}] = struct{}{}
+			}
+			want := setToSlice(set)
+			sortByOrder(want, o)
+			runs := make([][]IDTriple, k)
+			for rest := want; len(rest) > 0; {
+				n := 1
+				if rng.Intn(2) == 0 {
+					n = 1 + rng.Intn(64)
+				}
+				n = min(n, len(rest))
+				c := rng.Intn(k)
+				runs[c] = append(runs[c], rest[:n]...)
+				rest = rest[n:]
+			}
+			got, err := mergeShards(runs, o)
+			if err != nil {
+				t.Fatalf("k=%d %v: %v", k, o, err)
+			}
+			if !equalTriples(got, want) {
+				t.Fatalf("k=%d %v: merged %d triples, want the sorted union of %d", k, o, len(got), len(want))
+			}
 		}
 	}
 }
 
-// TestShardedMatchBufAllocs is the allocation regression test for probes
-// into a federation: a subject-bound probe reads its home shard
-// zero-copy, and an object-bound one opens its shard cursors in stack
-// arrays and merges into the caller's scratch.
+// TestShardedMatchBufAllocs: probes into a store opened from a mapped
+// shard directory stay allocation-free, subject-bound (through the
+// subject directory) and object-bound.
 func TestShardedMatchBufAllocs(t *testing.T) {
 	base, _ := overlayWorld(t, 6, 4000)
-	sh := NewSharded(base, 4)
+	loaded := writeLoad(t, base, 4, false)
 	all, _ := base.Match(Pattern{})
-	subj := Pattern{S: all[len(all)/2].S}
-	var obj Pattern
-	for _, tr := range all {
-		if m, _ := sh.Match(Pattern{O: tr.O}); len(m) > 1 && shardOf(m[0].S, 4) != shardOf(m[len(m)-1].S, 4) {
-			obj = Pattern{O: tr.O}
-			break
-		}
-	}
-	if obj.O == dict.None {
-		t.Fatal("no object whose matches span two shards")
-	}
-	for _, pat := range []Pattern{subj, obj} {
+	for _, pat := range []Pattern{{S: all[len(all)/2].S}, {O: all[len(all)/3].O}} {
 		var scratch, m []IDTriple
-		m, scratch = sh.MatchBuf(pat, scratch)
+		m, scratch = loaded.MatchBuf(pat, scratch)
 		if want, _ := base.Match(pat); !equalTriples(m, want) {
 			t.Fatalf("MatchBuf(%v) = %v, want %v", pat, m, want)
 		}
-		if n := testing.AllocsPerRun(100, func() { m, scratch = sh.MatchBuf(pat, scratch) }); n != 0 {
-			t.Fatalf("MatchBuf(%v) on 4 shards allocates %.1f times per probe, want 0", pat, n)
+		if n := testing.AllocsPerRun(100, func() { m, scratch = loaded.MatchBuf(pat, scratch) }); n != 0 {
+			t.Fatalf("MatchBuf(%v) allocates %.1f times per probe, want 0", pat, n)
 		}
 	}
 }

@@ -322,15 +322,8 @@ func (s *Store) DistinctValues(position int, pat Pattern) []dict.ID {
 	// Choose an index where `position` is ordered first among the unbound
 	// positions so distinct values appear in runs.
 	triples, o := s.Match(pat)
-	return distinctValues(triples, o, pat.boundMask(), position)
-}
-
-// distinctValues extracts the distinct IDs in `position` from matches
-// delivered in order o under bound mask `mask`; shared by Store and
-// Sharded.
-func distinctValues(triples []IDTriple, o order, mask, position int) []dict.ID {
 	var out []dict.ID
-	if firstUnboundIsPosition(o, mask, position) {
+	if firstUnboundIsPosition(o, pat.boundMask(), position) {
 		// Matches are grouped by this position: distinct values are run
 		// heads, no dedup map needed.
 		var last dict.ID

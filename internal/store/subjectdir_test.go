@@ -45,10 +45,6 @@ func TestBaseRangeMatchesSearchRange(t *testing.T) {
 	checkBaseRange(t, "heap", base)
 	checkBaseRange(t, "mapped", mapped)
 	checkBaseRange(t, "overlay", overlay)
-	sh := NewSharded(base, 4)
-	for i := range sh.NumShards() {
-		checkBaseRange(t, fmt.Sprintf("shard %d", i), sh.Shard(i))
-	}
 	checkBaseRange(t, "empty", NewBuilder().Build())
 
 	t.Run("subjects minted after the build", func(t *testing.T) {

@@ -111,14 +111,14 @@ func TestMergeRunsMatchesNaive(t *testing.T) {
 	}
 }
 
-// chainWorld drives a random update stream over a federation of n shards
-// and checks, after every step, that the published view's statistics
-// equal a from-scratch rebuild's.
+// chainWorld drives a random update stream over a store and checks,
+// after every step, that the published view's statistics equal a
+// from-scratch rebuild's.
 type chainWorld struct {
 	t       *testing.T
 	rng     *rand.Rand
-	sd      *ShardedDelta
-	view    *Sharded
+	d       *Delta
+	view    *Store
 	deleted []rdf.Triple // triples once deleted, candidates for resurrection
 }
 
@@ -204,13 +204,12 @@ func (w *chainWorld) ops(k int) []DeltaOp {
 }
 
 // check compares the view with a rebuild: Len, Count over every pattern
-// shape, the predicate list and statistics and every class, globally and
-// per shard.
+// shape, the predicate list and statistics and every class.
 func (w *chainWorld) check(k int) {
 	t := w.t
 	t.Helper()
 	ref := referenceStore(t, w.view)
-	label := fmt.Sprintf("shards=%d step %d", w.view.NumShards(), k)
+	label := fmt.Sprintf("step %d", k)
 	if w.view.Len() != ref.Len() {
 		t.Fatalf("%s: Len %d != %d", label, w.view.Len(), ref.Len())
 	}
@@ -222,10 +221,6 @@ func (w *chainWorld) check(k int) {
 		}
 	}
 	sameStats(t, label, w.view, ref)
-	for i := 0; i < w.view.NumShards() && w.view.NumShards() > 1; i++ {
-		shard := w.view.Shard(i)
-		sameStats(t, fmt.Sprintf("%s shard %d", label, i), shard, referenceStore(t, shard))
-	}
 }
 
 // sameStats asserts got reports ref's predicate list, statistics and
@@ -256,30 +251,27 @@ func sameStats(t *testing.T, label string, got Source, ref *Store) {
 }
 
 // TestDeltaStatsChain is the equivalence test for carried statistics: a
-// long random update chain at 1, 2 and 4 shards, compacting now and then,
-// must report exactly a rebuild's Len, Count, PredicateStats and
-// SubjectsOfClass after every single step.
+// long random update chain, compacting now and then, must report exactly
+// a rebuild's Len, Count, PredicateStats and SubjectsOfClass after every
+// single step.
 func TestDeltaStatsChain(t *testing.T) {
-	for _, n := range []int{1, 2, 4} {
-		rng := rand.New(rand.NewSource(int64(100 + n)))
-		base := buildFrom(t, randomTriples(rng, 200))
-		sh := NewSharded(base, n)
-		w := &chainWorld{t: t, rng: rng, sd: sh.NewDelta(), view: sh}
-		for k := 0; k < 220; k++ {
-			sd, err := w.sd.ApplyOps(w.ops(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if k%60 == 59 {
-				// Fold every shard: the committed stores reuse the carried
-				// statistics and the next delta starts from them.
-				w.view, _ = sd.Publish(func(int) int { return 1 }, BuildOptions{})
-				w.sd = w.view.NewDelta()
-			} else {
-				w.sd, w.view = sd, sd.Overlay()
-			}
-			w.check(k)
+	rng := rand.New(rand.NewSource(101))
+	base := buildFrom(t, randomTriples(rng, 200))
+	w := &chainWorld{t: t, rng: rng, d: base.NewDelta(), view: base}
+	for k := 0; k < 220; k++ {
+		d, err := w.d.ApplyOps(w.ops(k))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if k%60 == 59 {
+			// Fold: the committed store reuses the carried statistics and
+			// the next delta starts from them.
+			w.view = d.Commit(BuildOptions{})
+			w.d = w.view.NewDelta()
+		} else {
+			w.d, w.view = d, d.Overlay()
+		}
+		w.check(k)
 	}
 }
 
