@@ -32,22 +32,21 @@ func main() {
 		groups  = flag.Int("groups", 4, "independent binding groups (uniform mode)")
 		n       = flag.Int("n", 100, "bindings per group / per class")
 		seed    = flag.Int64("seed", 1, "seed")
-		greedy  = flag.Bool("greedy", false, "use the greedy optimizer instead of DP")
 		snap    = flag.String("snapshot", "", "load the store from this snapshot or N-Triples file instead of generating")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *dataset, *scale, *query, *mode, *snap, *groups, *n, *seed, *greedy); err != nil {
+	if err := run(os.Stdout, *dataset, *scale, *query, *mode, *snap, *groups, *n, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64, greedy bool) error {
+func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64) error {
 	st, tmpl, name, err := load(dataset, scale, query, seed, snapshot)
 	if err != nil {
 		return err
 	}
-	r := &workload.Runner{Store: st, UseGreedy: greedy}
+	r := &workload.Runner{Store: st}
 	dom, err := core.ExtractDomain(tmpl, st)
 	if err != nil {
 		return err

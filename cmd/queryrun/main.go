@@ -47,7 +47,6 @@ type config struct {
 	binds     []string
 	explain   bool
 	analyze   bool
-	greedy    bool
 	maxRows   int
 }
 
@@ -63,7 +62,6 @@ func main() {
 	flag.BoolVar(&cfg.commit, "commit", false, "with -updaterun: fold the delta into a fresh fully indexed store instead of querying the overlay")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the optimized logical and physical plan trees")
 	flag.BoolVar(&cfg.analyze, "analyze", false, "EXPLAIN ANALYZE: trace the execution and print the plan annotated with observed rows, wall time and Cout/Work/Scanned per operator")
-	flag.BoolVar(&cfg.greedy, "greedy", false, "use the greedy optimizer")
 	flag.IntVar(&cfg.maxRows, "maxrows", 50, "result rows to print (0 = all)")
 	flag.Var(&binds, "bind", "parameter binding name=term (repeatable)")
 	flag.Parse()
@@ -76,7 +74,7 @@ func main() {
 
 func run(w io.Writer, cfg config) error {
 	dataPath, queryStr, queryFile := cfg.dataPath, cfg.queryStr, cfg.queryFile
-	binds, explain, greedy, maxRows := cfg.binds, cfg.explain, cfg.greedy, cfg.maxRows
+	binds, explain, maxRows := cfg.binds, cfg.explain, cfg.maxRows
 	if dataPath == "" {
 		return fmt.Errorf("-data is required")
 	}
@@ -122,11 +120,7 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	optimize := plan.Optimize
-	if greedy {
-		optimize = plan.OptimizeGreedy
-	}
-	p, err := optimize(c, plan.NewEstimator(st))
+	p, err := plan.Optimize(c, plan.NewEstimator(st))
 	if err != nil {
 		return err
 	}
@@ -206,7 +200,7 @@ func applyUpdate(w io.Writer, st *store.Store, arg string, commit bool) (*store.
 		return nil, err
 	}
 	if commit {
-		next := d.Commit(store.BuildOptions{})
+		next := d.Commit()
 		fmt.Fprintf(w, "update: +%d -%d triples committed (store %d -> %d triples)\n",
 			d.InsertCount(), d.DeleteCount(), st.Len(), next.Len())
 		return next, nil

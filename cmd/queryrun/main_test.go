@@ -95,14 +95,12 @@ func TestQueryFileAndModes(t *testing.T) {
 	if err := os.WriteFile(qf, []byte(`SELECT * WHERE { ?a <http://x/knows> ?b . ?b <http://x/knows> ?c . }`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, greedy := range []bool{false, true} {
-		var buf bytes.Buffer
-		if err := run(&buf, config{dataPath: data, queryFile: qf, greedy: greedy}); err != nil {
-			t.Fatalf("greedy=%v: %v", greedy, err)
-		}
-		if !strings.Contains(buf.String(), "1 rows") {
-			t.Fatalf("greedy=%v: wrong rows:\n%s", greedy, buf.String())
-		}
+	var buf bytes.Buffer
+	if err := run(&buf, config{dataPath: data, queryFile: qf}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "1 rows") {
+		t.Fatalf("wrong rows:\n%s", buf.String())
 	}
 }
 

@@ -48,7 +48,7 @@ func main() {
 		overlay.Len(), d.InsertCount(), d.DeleteCount(), base.Len())
 
 	// Commit folds the same delta into a fresh fully indexed store.
-	committed := d.Commit(store.BuildOptions{})
+	committed := d.Commit()
 	fmt.Printf("committed: %d triples, pending delta gone: %v\n",
 		committed.Len(), committed.Delta() == nil)
 

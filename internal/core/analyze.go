@@ -41,15 +41,6 @@ type AnalyzeOptions struct {
 	// Seed drives the domain subsampling (not the analysis itself, which is
 	// deterministic).
 	Seed int64
-	// UseGreedy switches the per-binding optimizer from exact DP to the
-	// greedy heuristic (for the ablation study).
-	UseGreedy bool
-	// Parallelism bounds the worker pool analyzing bindings. Bindings are
-	// independent (each is compiled and optimized against the immutable
-	// store), so they fan out across workers; results are written back by
-	// binding index, making the output byte-identical to a serial run.
-	// Zero means runtime.GOMAXPROCS(0); 1 forces serial analysis.
-	Parallelism int
 }
 
 // DefaultMaxBindings caps analysis work for large cross-product domains.
@@ -77,7 +68,7 @@ func Analyze(tmpl *sparql.Query, st *store.Store, dom *Domain, opts AnalyzeOptio
 	for i, idx := range indices {
 		bindings[i] = dom.At(idx)
 	}
-	points, err := analyzeBindings(tmpl, st, bindings, opts)
+	points, err := analyzeBindings(tmpl, st, bindings)
 	if err != nil {
 		return nil, err
 	}
@@ -85,30 +76,14 @@ func Analyze(tmpl *sparql.Query, st *store.Store, dom *Domain, opts AnalyzeOptio
 	return a, nil
 }
 
-// analyzeBindings optimizes the template once per binding, fanning the
-// independent bindings out across a bounded worker pool. Point i of the
-// result always corresponds to bindings[i], so the output is byte-identical
-// regardless of scheduling — parallel and serial runs agree exactly.
-func analyzeBindings(tmpl *sparql.Query, st *store.Store, bindings []sparql.Binding, opts AnalyzeOptions) ([]Point, error) {
+// analyzeBindings optimizes the template once per binding. Bindings are
+// independent (each is compiled and optimized against the immutable
+// store), so they fan out across min(GOMAXPROCS, len(bindings)) workers.
+// Point i of the result always corresponds to bindings[i], so the output
+// is byte-identical regardless of scheduling and worker count.
+func analyzeBindings(tmpl *sparql.Query, st *store.Store, bindings []sparql.Binding) ([]Point, error) {
 	points := make([]Point, len(bindings))
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(bindings) {
-		workers = len(bindings)
-	}
-	if workers <= 1 {
-		est := plan.NewEstimator(st)
-		for i, b := range bindings {
-			p, err := analyzeOne(tmpl, st, est, b, opts.UseGreedy)
-			if err != nil {
-				return nil, fmt.Errorf("core: optimizing binding %d: %w", i, err)
-			}
-			points[i] = p
-		}
-		return points, nil
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(bindings))
 	var (
 		next   atomic.Int64
 		minErr atomic.Int64 // lowest failing binding index so far
@@ -128,12 +103,12 @@ func analyzeBindings(tmpl *sparql.Query, st *store.Store, bindings []sparql.Bind
 				i := int(next.Add(1)) - 1
 				// Workers abandon only indices at or above the lowest
 				// failure, so every lower index is still attempted and the
-				// reported error is exactly the serial run's, regardless of
-				// scheduling.
+				// reported error is the lowest failing binding's, regardless
+				// of scheduling.
 				if i >= len(bindings) || int64(i) >= minErr.Load() {
 					return
 				}
-				p, err := analyzeOne(tmpl, st, est, bindings[i], opts.UseGreedy)
+				p, err := analyzeOne(tmpl, st, est, bindings[i])
 				if err != nil {
 					errs[i] = fmt.Errorf("core: optimizing binding %d: %w", i, err)
 					for {
@@ -156,7 +131,7 @@ func analyzeBindings(tmpl *sparql.Query, st *store.Store, bindings []sparql.Bind
 }
 
 // analyzeOne compiles and optimizes the template for one binding.
-func analyzeOne(tmpl *sparql.Query, st *store.Store, est *plan.Estimator, b sparql.Binding, useGreedy bool) (Point, error) {
+func analyzeOne(tmpl *sparql.Query, st *store.Store, est *plan.Estimator, b sparql.Binding) (Point, error) {
 	bound, err := tmpl.Bind(b)
 	if err != nil {
 		return Point{}, err
@@ -165,12 +140,7 @@ func analyzeOne(tmpl *sparql.Query, st *store.Store, est *plan.Estimator, b spar
 	if err != nil {
 		return Point{}, err
 	}
-	var p *plan.Plan
-	if useGreedy {
-		p, err = plan.OptimizeGreedy(c, est)
-	} else {
-		p, err = plan.Optimize(c, est)
-	}
+	p, err := plan.Optimize(c, est)
 	if err != nil {
 		return Point{}, err
 	}

@@ -141,7 +141,7 @@ func AnalyzeBindings(tmpl *sparql.Query, st *store.Store, bindings []sparql.Bind
 		}
 	}
 	a := &Analysis{Template: tmpl, Exhaustive: exhaustive}
-	points, err := analyzeBindings(tmpl, st, use, opts)
+	points, err := analyzeBindings(tmpl, st, use)
 	if err != nil {
 		return nil, err
 	}

@@ -7,10 +7,14 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dict"
 	"repro/internal/exec"
+	"repro/internal/plan"
+	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -388,5 +392,53 @@ func TestOracleRejectsCorruptResults(t *testing.T) {
 	}
 	if checked < 10 {
 		t.Fatalf("only %d non-empty results checked", checked)
+	}
+}
+
+// TestGreedyFallbackMatchesOracle runs two queries whose BGP leaves exceed
+// plan.MaxDPPatterns, so their join order comes from the greedy fallback:
+// a flat star and the same star under OPTIONAL. Both are checked against
+// the oracle. A fifth of the subjects lack one predicate, so the flat
+// star drops them and the OPTIONAL pads them with unbound values.
+func TestGreedyFallbackMatchesOracle(t *testing.T) {
+	const subjects, preds = 20, plan.MaxDPPatterns + 1
+	iri := func(kind string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://d/%s%d", kind, i)) }
+	b := store.NewBuilder()
+	for s := 0; s < subjects; s++ {
+		triples := []rdf.Triple{rdf.NewTriple(iri("s", s), rdf.NewIRI(rdf.RDFType), iri("C", 0))}
+		for p := 0; p < preds; p++ {
+			if s%5 != 0 || p != s%preds {
+				triples = append(triples, rdf.NewTriple(iri("s", s), iri("p", p), iri("o", s*p%4)))
+			}
+		}
+		for _, tr := range triples {
+			if err := b.Add(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := b.Build()
+	var star strings.Builder
+	for p := 0; p < preds; p++ {
+		fmt.Fprintf(&star, " ?h <http://d/p%d> ?v%d .", p, p)
+	}
+	for _, src := range []string{
+		"SELECT * WHERE {" + star.String() + " FILTER(?v1 != <http://d/o0>) }",
+		"SELECT * WHERE { ?h a <http://d/C0> . OPTIONAL {" + star.String() + " } } ORDER BY ?h",
+	} {
+		q := sparql.MustParse(src)
+		res, p, err := exec.Query(q, st, exec.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if p.Method != "greedy" {
+			t.Fatalf("%s: method %s, want greedy", src, p.Method)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("%s: no rows", src)
+		}
+		if err := CheckOracle(q, st, res); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
 	}
 }

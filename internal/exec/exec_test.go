@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/dict"
-	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -327,38 +326,6 @@ func TestAgainstNaiveOracle(t *testing.T) {
 				t.Fatalf("%s: missing row %s", src, k)
 			}
 		}
-	}
-}
-
-func TestGreedyPipelineAgreesWithDP(t *testing.T) {
-	st := buildSocialStore(t)
-	src := `SELECT ?f ?post WHERE {
-  ?p <http://x/knows> ?f .
-  ?post <http://x/creator> ?f .
-  ?post <http://x/date> ?d .
-}`
-	q := sparql.MustParse(src)
-	dp, _, err := Query(q, st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := plan.Compile(q, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gplan, err := plan.OptimizeGreedy(c, plan.NewEstimator(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr, err := Run(c, gplan, st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gplan.Method != "greedy" {
-		t.Fatalf("method = %s", gplan.Method)
-	}
-	if len(dp.Rows) != len(gr.Rows) {
-		t.Fatalf("dp %d rows, greedy %d rows", len(dp.Rows), len(gr.Rows))
 	}
 }
 

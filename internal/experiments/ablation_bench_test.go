@@ -10,41 +10,6 @@ import (
 	"repro/internal/core"
 )
 
-// BenchmarkAblationGreedyVsDP compares the greedy join ordering against
-// exact DP across the Q4 domain: how often greedy picks a suboptimal plan
-// and how much cost it adds.
-func BenchmarkAblationGreedyVsDP(b *testing.B) {
-	e := sharedEnv(b)
-	q4 := bsbm.Q4()
-	dom, err := core.ExtractDomain(q4, e.BSBM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var worstRatio, mismatches, total float64
-	for i := 0; i < b.N; i++ {
-		worstRatio, mismatches, total = 1, 0, 0
-		dp, err := core.Analyze(q4, e.BSBM, dom, core.AnalyzeOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gr, err := core.Analyze(q4, e.BSBM, dom, core.AnalyzeOptions{UseGreedy: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range dp.Points {
-			total++
-			if gr.Points[j].Signature != dp.Points[j].Signature {
-				mismatches++
-			}
-			if dp.Points[j].Cost > 0 {
-				worstRatio = max(worstRatio, gr.Points[j].Cost/dp.Points[j].Cost)
-			}
-		}
-	}
-	b.ReportMetric(mismatches/total*100, "plan-mismatch-%")
-	b.ReportMetric(worstRatio, "worst-cost-ratio")
-}
-
 // BenchmarkAblationEpsilon sweeps the cost-band width ε and reports the
 // class-count sensitivity for Q4.
 func BenchmarkAblationEpsilon(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -275,9 +276,16 @@ func TestGoldenStreamingEqualsMaterializing(t *testing.T) {
 	}
 }
 
+// atProcs runs f with runtime.GOMAXPROCS set to procs, which sizes the
+// analysis worker pool, and restores the previous setting.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // TestGoldenParallelCuration: the curation pipeline returns byte-identical
-// parameter classes whether the per-binding analysis is serial or fanned
-// out across workers — on both benchmark stores.
+// parameter classes whether the per-binding analysis runs on one worker or
+// fans out across four — on both benchmark stores.
 func TestGoldenParallelCuration(t *testing.T) {
 	env := sharedEnv(t)
 	cases := []struct {
@@ -293,11 +301,13 @@ func TestGoldenParallelCuration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := core.Analyze(c.tmpl, c.st, dom, core.AnalyzeOptions{MaxBindings: 120, Seed: 3, Parallelism: 1})
+		opts := core.AnalyzeOptions{MaxBindings: 120, Seed: 3}
+		var serial, parallel *core.Analysis
+		atProcs(1, func() { serial, err = core.Analyze(c.tmpl, c.st, dom, opts) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := core.Analyze(c.tmpl, c.st, dom, core.AnalyzeOptions{MaxBindings: 120, Seed: 3})
+		atProcs(4, func() { parallel, err = core.Analyze(c.tmpl, c.st, dom, opts) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +320,7 @@ func TestGoldenParallelCuration(t *testing.T) {
 			a, b := sc.Classes[i], pc.Classes[i]
 			if a.Signature != b.Signature || a.Band != b.Band ||
 				a.CostLo != b.CostLo || a.CostHi != b.CostHi || len(a.Points) != len(b.Points) {
-				t.Fatalf("%s: class %d differs between serial and parallel", c.name, i)
+				t.Fatalf("%s: class %d differs between one and four workers", c.name, i)
 			}
 			for j := range a.Points {
 				if a.Points[j].Signature != b.Points[j].Signature || a.Points[j].Cost != b.Points[j].Cost {

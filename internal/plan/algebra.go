@@ -9,14 +9,13 @@ import (
 )
 
 // This file implements the logical algebra layer above the join-ordering
-// optimizer: queries using OPTIONAL, UNION or aggregation compile into a
-// tree whose leaves are basic graph patterns and whose interior nodes
-// are Join, LeftJoin and Union. DPsub (or the greedy fallback) runs
-// per BGP leaf exactly as it does for flat queries; the composition
-// operators above the leaves have fixed shapes dictated by the query
-// text, so there is nothing for the optimizer to enumerate there.
-// Aggregation (GROUP BY / aggregates / HAVING) always sits at the root
-// of the WHERE result and is appended by the lowering epilogue.
+// optimizer: every query compiles into a tree whose leaves are basic graph
+// patterns and whose interior nodes are Join, LeftJoin and Union. A flat
+// query is one BGP leaf. DPsub (or the greedy fallback) runs per BGP leaf;
+// the composition operators above the leaves have fixed shapes dictated by
+// the query text, so there is nothing for the optimizer to enumerate
+// there. Aggregation (GROUP BY / aggregates / HAVING) always sits at the
+// root of the WHERE result and is appended by the lowering epilogue.
 
 // AlgKind discriminates algebra node kinds.
 type AlgKind uint8
@@ -64,9 +63,10 @@ type AlgNode struct {
 	Branches []*AlgNode // AlgUnion
 
 	// Optimizer output (set on the copy stored in Plan.Alg):
-	Root *Node   // AlgBGP: the DPsub-optimized join tree over Compiled
+	Root *Node   // AlgBGP: the optimized join tree over Compiled
 	Card float64 // coarse composed cardinality estimate (informational)
 	Cost float64 // coarse composed Cout estimate (informational)
+	sig  string  // AlgBGP: Root's Signature, as the optimizer built it
 }
 
 // Vars returns the node's output schema: left/BGP columns first, then
@@ -101,19 +101,10 @@ func (a *AlgNode) Vars() []sparql.Var {
 func (a *AlgNode) Signature() string {
 	switch a.Kind {
 	case AlgBGP:
-		if a.Root != nil {
-			return a.Root.Signature()
+		if a.sig != "" {
+			return a.sig
 		}
-		var b strings.Builder
-		b.WriteString("bgp(")
-		for i := range a.Compiled {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "p%d", a.Compiled[i].Index)
-		}
-		b.WriteByte(')')
-		return b.String()
+		return a.Root.Signature()
 	case AlgJoin:
 		return "jn(" + a.Left.Signature() + "*" + a.Right.Signature() + ")"
 	case AlgLeftJoin:
@@ -192,7 +183,7 @@ func compileGroup(g *sparql.Group, st store.Source, nb *numbering) (*AlgNode, er
 	if expr == nil {
 		return nil, fmt.Errorf("plan: empty group graph pattern")
 	}
-	expr.Filters = append(expr.Filters, g.Filters...)
+	expr.Filters = g.Filters // expr was built above and has none yet
 	return expr, nil
 }
 
@@ -207,39 +198,25 @@ func compileBGP(pats []sparql.TriplePattern, st store.Source, nb *numbering) (*A
 
 // optimizeAlg runs the join-ordering optimizer over every BGP leaf and
 // composes the per-leaf plans. It returns a copy of the tree (the
-// compiled tree stays reusable across option sets) with Root/Card/Cost
-// filled in. The composition estimates are deliberately coarse — they
-// are informational; no optimization choice depends on them.
-func optimizeAlg(a *AlgNode, q *sparql.Query, est *Estimator, greedy bool) (*AlgNode, error) {
-	out := &AlgNode{Kind: a.Kind, Patterns: a.Patterns, Compiled: a.Compiled, Filters: a.Filters}
+// compiled tree stays reusable) with Root/Card/Cost filled in, and
+// whether any leaf fell back to greedy. The composition estimates are
+// deliberately coarse — they are informational; no optimization choice
+// depends on them.
+func optimizeAlg(a *AlgNode, est *Estimator) (out *AlgNode, greedy bool) {
+	out = &AlgNode{Kind: a.Kind, Patterns: a.Patterns, Compiled: a.Compiled, Filters: a.Filters}
 	switch a.Kind {
 	case AlgBGP:
-		sub := &Compiled{Query: q, Patterns: out.Compiled}
-		var (
-			p   *Plan
-			err error
-		)
-		if greedy {
-			p, err = OptimizeGreedy(sub, est)
+		if len(a.Compiled) <= MaxDPPatterns {
+			out.Root, out.sig = optimizeDP(a.Compiled, est)
 		} else {
-			p, err = Optimize(sub, est)
+			out.Root, out.sig = optimizeGreedy(a.Compiled, est)
+			greedy = true
 		}
-		if err != nil {
-			return nil, err
-		}
-		out.Root = p.Root
-		out.Card = p.EstCard
-		out.Cost = p.EstCost
+		out.Card, out.Cost = out.Root.Card, out.Root.Cost
 	case AlgJoin, AlgLeftJoin:
-		l, err := optimizeAlg(a.Left, q, est, greedy)
-		if err != nil {
-			return nil, err
-		}
-		r, err := optimizeAlg(a.Right, q, est, greedy)
-		if err != nil {
-			return nil, err
-		}
-		out.Left, out.Right = l, r
+		l, lg := optimizeAlg(a.Left, est)
+		r, rg := optimizeAlg(a.Right, est)
+		out.Left, out.Right, greedy = l, r, lg || rg
 		if a.Kind == AlgLeftJoin {
 			// Every outer row emits at least once.
 			out.Card = l.Card
@@ -251,15 +228,13 @@ func optimizeAlg(a *AlgNode, q *sparql.Query, est *Estimator, greedy bool) (*Alg
 		out.Cost = out.Card + l.Cost + r.Cost
 	case AlgUnion:
 		for _, br := range a.Branches {
-			ob, err := optimizeAlg(br, q, est, greedy)
-			if err != nil {
-				return nil, err
-			}
+			ob, g := optimizeAlg(br, est)
 			out.Branches = append(out.Branches, ob)
 			out.Card += ob.Card
 			out.Cost += ob.Cost
+			greedy = greedy || g
 		}
 		out.Cost += out.Card
 	}
-	return out, nil
+	return out, greedy
 }

@@ -1,9 +1,9 @@
 // Package plan implements the logical query-plan layer: compilation of a
 // bound SPARQL query into a join graph, cardinality estimation backed by
 // exact store statistics, the classical Cout cost function ("sum of
-// intermediate result sizes", Moerkotte), and two join-ordering optimizers —
-// an exact dynamic-programming one over pattern subsets (DPsub) and a greedy
-// one for ablation and very large queries.
+// intermediate result sizes", Moerkotte), and join ordering per basic
+// graph pattern — exact dynamic programming over pattern subsets (DPsub),
+// with a greedy fallback for patterns beyond MaxDPPatterns.
 //
 // Plan identity is captured by a canonical Signature string: the paper's
 // conditions (a) and (c) — same/different optimal plan across parameter
@@ -55,11 +55,11 @@ func (cp CompiledPattern) Vars() []sparql.Var {
 // Compiled is a query lowered to the ID space, ready for optimization and
 // execution.
 //
-// For flat BGP queries, Patterns is the WHERE clause and Alg is nil. For
-// compositional-algebra queries (Query.HasAlgebra), Alg holds the logical
-// algebra tree whose BGP leaves own the per-leaf pattern slices, and
-// Patterns is the concatenation of every leaf's patterns in global index
-// order — informational only; execution follows Alg.
+// Alg holds the logical algebra tree whose BGP leaves own the per-leaf
+// pattern slices; a flat query is one BGP leaf. Patterns is every leaf's
+// patterns in global index order — the leaf's own slice for a flat query,
+// a concatenation otherwise. It is informational only; execution follows
+// Alg.
 type Compiled struct {
 	Query    *sparql.Query
 	Patterns []CompiledPattern
@@ -69,12 +69,12 @@ type Compiled struct {
 	Vars []sparql.Var
 }
 
-// numVars returns one more than the highest variable number of c's
-// patterns: the length a Set's Distinct needs to estimate them.
-func (c *Compiled) numVars() int {
+// numVars returns one more than the highest variable number of pats:
+// the length a Set's Distinct needs to estimate them.
+func numVars(pats []CompiledPattern) int {
 	var m uint64
-	for i := range c.Patterns {
-		m |= c.Patterns[i].VarMask
+	for i := range pats {
+		m |= pats[i].VarMask
 	}
 	return bits.Len64(m)
 }
@@ -89,23 +89,17 @@ func Compile(q *sparql.Query, st store.Source) (*Compiled, error) {
 	if q.Root().Empty() {
 		return nil, fmt.Errorf("plan: empty WHERE clause")
 	}
-	c := &Compiled{Query: q}
 	var nb numbering
-	if q.HasAlgebra() {
-		alg, err := compileGroup(q.Root(), st, &nb)
-		if err != nil {
-			return nil, err
-		}
-		c.Alg = alg
-		c.Patterns = collectPatterns(alg, nil)
-	} else {
-		pats, err := compilePatterns(q.Where, st, &nb)
-		if err != nil {
-			return nil, err
-		}
-		c.Patterns = pats
+	alg, err := compileGroup(q.Root(), st, &nb)
+	if err != nil {
+		return nil, err
 	}
-	c.Vars = nb.vars
+	c := &Compiled{Query: q, Alg: alg, Vars: nb.vars}
+	if alg.Kind == AlgBGP {
+		c.Patterns = alg.Compiled
+	} else {
+		c.Patterns = collectPatterns(alg, nil)
+	}
 	return c, nil
 }
 

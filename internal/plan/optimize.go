@@ -8,33 +8,21 @@ import (
 	"strconv"
 )
 
-// MaxDPPatterns is the largest pattern count optimized with exact dynamic
-// programming; larger queries fall back to the greedy algorithm. Subset DP
+// MaxDPPatterns is the largest BGP leaf optimized with exact dynamic
+// programming; larger leaves fall back to the greedy algorithm. Subset DP
 // enumerates 3^n splits, so 13 (≈1.6M splits) is a comfortable bound.
 const MaxDPPatterns = 13
 
-// Optimize returns the Cout-optimal join tree for c, computed by exact
-// dynamic programming over connected subproblems when the query has at most
-// MaxDPPatterns patterns, and by the greedy heuristic otherwise. For
-// compositional-algebra queries the optimizer runs per BGP leaf; the tree
-// above the leaves is fixed by the query text.
+// Optimize returns the Cout-optimal plan for c. Every BGP leaf of the
+// algebra tree gets its join tree from exact dynamic programming over
+// connected subproblems when it has at most MaxDPPatterns patterns, and
+// from the greedy heuristic otherwise; the tree above the leaves is fixed
+// by the query text. A flat query is one BGP leaf.
 func Optimize(c *Compiled, est *Estimator) (*Plan, error) {
-	if c.Alg != nil {
-		return planAlg(c, est, false)
+	if c.Alg == nil {
+		return nil, fmt.Errorf("plan: query has no algebra tree")
 	}
-	if len(c.Patterns) <= MaxDPPatterns {
-		return optimizeDP(c, est)
-	}
-	return OptimizeGreedy(c, est)
-}
-
-// planAlg optimizes every BGP leaf of the algebra tree and wraps the
-// composed copy in a Plan with Root nil.
-func planAlg(c *Compiled, est *Estimator, greedy bool) (*Plan, error) {
-	alg, err := optimizeAlg(c.Alg, c.Query, est, greedy)
-	if err != nil {
-		return nil, err
-	}
+	alg, greedy := optimizeAlg(c.Alg, est)
 	method := "dp"
 	if greedy {
 		method = "greedy"
@@ -58,7 +46,7 @@ type dpEntry struct {
 }
 
 // dpTable is the state of one DPsub run, indexed by subset: bit i of a
-// subset stands for Compiled.Patterns[i].
+// subset stands for pats[i].
 type dpTable struct {
 	est     *Estimator
 	pats    []CompiledPattern
@@ -69,26 +57,24 @@ type dpTable struct {
 	candBuf, bestBuf [128]byte // tie-break scratch; longer signatures spill to the heap
 }
 
-// optimizeDP is a DPsub enumerator: for every subset of patterns, in
-// increasing bitmask order, it keeps the cheapest split, preferring splits
-// whose sides share a variable and falling back to cross products only
-// when a subset is disconnected. All state lives in flat per-subset tables
-// allocated once; the *Node tree is built only for the winner.
-func optimizeDP(c *Compiled, est *Estimator) (*Plan, error) {
-	n := len(c.Patterns)
-	if n == 0 {
-		return nil, fmt.Errorf("plan: no patterns")
-	}
-	nv := c.numVars()
+// optimizeDP is a DPsub enumerator over one basic graph pattern: for
+// every subset of pats, in increasing bitmask order, it keeps the cheapest
+// split, preferring splits whose sides share a variable and falling back
+// to cross products only when a subset is disconnected. All state lives in
+// flat per-subset tables allocated once; the *Node tree is built only for
+// the winner. It returns the winner and its Signature.
+func optimizeDP(pats []CompiledPattern, est *Estimator) (*Node, string) {
+	n := len(pats)
+	nv := numVars(pats)
 	size := 1 << n
 	rows := make([]float64, (size+1)*nv) // a Distinct row per subset, plus scratch
-	t := &dpTable{est: est, pats: c.Patterns, ent: make([]dpEntry, size), sig: make([]string, size)}
+	t := &dpTable{est: est, pats: pats, ent: make([]dpEntry, size), sig: make([]string, size)}
 	for m := range t.ent {
 		t.ent[m].set.Distinct = rows[m*nv : (m+1)*nv : (m+1)*nv]
 	}
 	t.scratch.Distinct = rows[size*nv:]
 	for i := 0; i < n; i++ {
-		est.Leaf(&t.ent[1<<i].set, &c.Patterns[i])
+		est.Leaf(&t.ent[1<<i].set, &pats[i])
 	}
 	for mask := uint32(3); mask < uint32(size); mask++ {
 		if mask&(mask-1) == 0 {
@@ -101,14 +87,7 @@ func optimizeDP(c *Compiled, est *Estimator) (*Plan, error) {
 	}
 	full := uint32(size - 1)
 	nodes := make([]Node, 0, 2*n-1)
-	root := t.node(full, &nodes)
-	return &Plan{
-		Root:      root,
-		EstCost:   root.Cost,
-		EstCard:   root.Card,
-		Signature: t.signature(full),
-		Method:    "dp",
-	}, nil
+	return t.node(full, &nodes), t.signature(full)
 }
 
 // chooseBestSplit scans every unordered split of mask into two non-empty
@@ -195,31 +174,25 @@ func (t *dpTable) node(mask uint32, nodes *[]Node) *Node {
 	return n
 }
 
-// OptimizeGreedy builds a join tree greedily: start from the
-// smallest-cardinality pattern, then repeatedly join the relation that
-// minimizes the resulting intermediate size, preferring connected joins.
-// Used directly in the greedy-vs-DP ablation and as the fallback for
-// queries beyond MaxDPPatterns.
-func OptimizeGreedy(c *Compiled, est *Estimator) (*Plan, error) {
-	if c.Alg != nil {
-		return planAlg(c, est, true)
-	}
-	n := len(c.Patterns)
-	if n == 0 {
-		return nil, fmt.Errorf("plan: no patterns")
-	}
+// optimizeGreedy builds a join tree over one basic graph pattern greedily:
+// start from the smallest-cardinality pattern, then repeatedly join the
+// relation that minimizes the resulting intermediate size, preferring
+// connected joins. It is the fallback for leaves beyond MaxDPPatterns, and
+// returns the tree and its Signature.
+func optimizeGreedy(pats []CompiledPattern, est *Estimator) (*Node, string) {
+	n := len(pats)
 	type item struct {
 		node *Node
 		set  Set
 	}
-	nv := c.numVars()
+	nv := numVars(pats)
 	rows := make([]float64, (n+1)*nv) // a Distinct row per pattern, plus scratch
 	remaining := make([]item, n)
-	for i := range c.Patterns {
+	for i := range pats {
 		it := &remaining[i]
 		it.set.Distinct = rows[i*nv : (i+1)*nv : (i+1)*nv]
-		est.Leaf(&it.set, &c.Patterns[i])
-		it.node = &Node{Leaf: &c.Patterns[i], Card: it.set.Card}
+		est.Leaf(&it.set, &pats[i])
+		it.node = &Node{Leaf: &pats[i], Card: it.set.Card}
 	}
 	scratch := Set{Distinct: rows[n*nv:]}
 	// Seed: smallest cardinality (ties: smallest pattern index).
@@ -258,11 +231,5 @@ func OptimizeGreedy(c *Compiled, est *Estimator) (*Plan, error) {
 		cur.set, scratch = scratch, cur.set
 		cur.node = node
 	}
-	return &Plan{
-		Root:      cur.node,
-		EstCost:   cur.node.Cost,
-		EstCard:   cur.node.Card,
-		Signature: cur.node.Signature(),
-		Method:    "greedy",
-	}, nil
+	return cur.node, cur.node.Signature()
 }

@@ -2,11 +2,13 @@ package plan_test
 
 // The reference optimizer: the map-based DPsub and greedy optimizers, with
 // their cardinality model, that the bitset kernel in optimize.go replaced.
-// It is kept verbatim except for one change — joins divide out shared
+// It is kept verbatim except for two changes: joins divide out shared
 // variables in ascending variable number (first appearance in the query)
 // instead of map-iteration order, which made estimates differ in their
-// last bit from run to run. TestOptimizeMatchesReference requires the
-// kernel to choose bit-for-bit the same plans.
+// last bit from run to run; and each returns its winning join tree,
+// whose Signature, Cost and Card are the plan's.
+// TestOptimizeMatchesReference requires the kernel to choose bit-for-bit
+// the same plans.
 
 import (
 	"fmt"
@@ -192,8 +194,8 @@ type refEntry struct {
 	est  refSet
 }
 
-// refOptimizeDP is the map-based DPsub enumerator.
-func refOptimizeDP(c *plan.Compiled, est *refEstimator) (*plan.Plan, error) {
+// refDP is the map-based DPsub enumerator.
+func refDP(c *plan.Compiled, est *refEstimator) (*plan.Node, error) {
 	n := len(c.Patterns)
 	if n == 0 {
 		return nil, fmt.Errorf("plan: no patterns")
@@ -246,13 +248,7 @@ func refOptimizeDP(c *plan.Compiled, est *refEstimator) (*plan.Plan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("plan: DP failed to cover all patterns")
 	}
-	return &plan.Plan{
-		Root:      root.node,
-		EstCost:   root.node.Cost,
-		EstCard:   root.node.Card,
-		Signature: root.node.Signature(),
-		Method:    "dp",
-	}, nil
+	return root.node, nil
 }
 
 func refChooseBestSplit(est *refEstimator, mask uint32, table []*refEntry, varsOf []map[sparql.Var]bool, requireShared bool) *refEntry {
@@ -293,8 +289,8 @@ func refTieBreak(l, r *plan.Node, best *refEntry) bool {
 	return cand < best.node.Signature()
 }
 
-// refOptimizeGreedy is the map-based greedy optimizer.
-func refOptimizeGreedy(c *plan.Compiled, est *refEstimator) (*plan.Plan, error) {
+// refGreedy is the map-based greedy optimizer.
+func refGreedy(c *plan.Compiled, est *refEstimator) (*plan.Node, error) {
 	n := len(c.Patterns)
 	if n == 0 {
 		return nil, fmt.Errorf("plan: no patterns")
@@ -359,47 +355,32 @@ func refOptimizeGreedy(c *plan.Compiled, est *refEstimator) (*plan.Plan, error) 
 		}
 		cur = &item{node: node, est: joined, vars: vars}
 	}
-	return &plan.Plan{
-		Root:      cur.node,
-		EstCost:   cur.node.Cost,
-		EstCard:   cur.node.Card,
-		Signature: cur.node.Signature(),
-		Method:    "greedy",
-	}, nil
+	return cur.node, nil
 }
 
 // refOptimize runs the reference on one basic graph pattern the way
-// Optimize and OptimizeGreedy do: DP up to MaxDPPatterns, greedy beyond.
-func refOptimize(c *plan.Compiled, est *refEstimator, greedy bool) (*plan.Plan, error) {
-	if greedy || len(c.Patterns) > plan.MaxDPPatterns {
-		return refOptimizeGreedy(c, est)
+// Optimize does: DP up to MaxDPPatterns, greedy beyond.
+func refOptimize(c *plan.Compiled, est *refEstimator) (*plan.Node, error) {
+	if len(c.Patterns) > plan.MaxDPPatterns {
+		return refGreedy(c, est)
 	}
-	return refOptimizeDP(c, est)
+	return refDP(c, est)
 }
 
-// bgpLeaves returns the join trees the optimizer chose for each basic
-// graph pattern of p, in tree order, and the compiled patterns of each.
-func bgpLeaves(p *plan.Plan, c *plan.Compiled) (roots []*plan.Node, pats [][]plan.CompiledPattern) {
-	if p.Alg == nil {
-		return []*plan.Node{p.Root}, [][]plan.CompiledPattern{c.Patterns}
-	}
-	var walk func(a *plan.AlgNode)
-	walk = func(a *plan.AlgNode) {
-		switch a.Kind {
-		case plan.AlgBGP:
-			roots = append(roots, a.Root)
-			pats = append(pats, a.Compiled)
-		case plan.AlgJoin, plan.AlgLeftJoin:
-			walk(a.Left)
-			walk(a.Right)
-		case plan.AlgUnion:
-			for _, br := range a.Branches {
-				walk(br)
-			}
+// bgpLeaves returns the BGP leaves of an optimized algebra tree, in tree
+// order.
+func bgpLeaves(a *plan.AlgNode) []*plan.AlgNode {
+	switch a.Kind {
+	case plan.AlgJoin, plan.AlgLeftJoin:
+		return append(bgpLeaves(a.Left), bgpLeaves(a.Right)...)
+	case plan.AlgUnion:
+		var out []*plan.AlgNode
+		for _, br := range a.Branches {
+			out = append(out, bgpLeaves(br)...)
 		}
+		return out
 	}
-	walk(p.Alg)
-	return roots, pats
+	return []*plan.AlgNode{a}
 }
 
 // refTemplate is one template of the reference corpus over its store.
@@ -445,7 +426,8 @@ const refBindingsPerTemplate = 200
 // TestOptimizeMatchesReference requires the bitset kernel to choose the
 // reference's plans bit for bit — Signature, EstCost and EstCard of every
 // basic graph pattern's join tree — for every template on 200 bindings
-// drawn from its domain, under both optimizers.
+// drawn from its domain, under Optimize and under the greedy fallback
+// forced on every leaf.
 func TestOptimizeMatchesReference(t *testing.T) {
 	for _, rt := range refCorpus(t) {
 		t.Run(rt.name, func(t *testing.T) {
@@ -473,8 +455,8 @@ func TestOptimizeMatchesReference(t *testing.T) {
 	}
 }
 
-// checkAgainstReference optimizes c with both optimizers and compares each
-// BGP's join tree with the reference's.
+// checkAgainstReference optimizes c and compares each BGP's join tree, and
+// the greedy fallback's tree for the same BGP, with the reference's.
 func checkAgainstReference(t *testing.T, c *plan.Compiled, rt refTemplate, b sparql.Binding) {
 	t.Helper()
 	num := refNumbers(c)
@@ -488,30 +470,39 @@ func checkAgainstReference(t *testing.T, c *plan.Compiled, rt refTemplate, b spa
 	}
 	ref := &refEstimator{st: rt.st, num: num}
 	est := plan.NewEstimator(rt.st)
-	for _, greedy := range []bool{false, true} {
-		optimize := plan.Optimize
-		if greedy {
-			optimize = plan.OptimizeGreedy
+	p, err := plan.Optimize(c, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := bgpLeaves(p.Alg)
+	for k, leaf := range leaves {
+		if leaf.Signature() != leaf.Root.Signature() {
+			t.Fatalf("binding %v, BGP %d: kept signature %s, root renders %s", b, k, leaf.Signature(), leaf.Root.Signature())
 		}
-		p, err := optimize(c, est)
-		if err != nil {
-			t.Fatal(err)
+		sub := &plan.Compiled{Query: c.Query, Patterns: leaf.Compiled}
+		greedy, sig := plan.GreedyJoinTree(leaf.Compiled, est)
+		if sig != greedy.Signature() {
+			t.Fatalf("binding %v, BGP %d: greedy signature %s, root renders %s", b, k, sig, greedy.Signature())
 		}
-		roots, pats := bgpLeaves(p, c)
-		for k, got := range roots {
-			want, err := refOptimize(&plan.Compiled{Query: c.Query, Patterns: pats[k]}, ref, greedy)
+		for _, cmp := range []struct {
+			name      string
+			got       *plan.Node
+			optimizer func(*plan.Compiled, *refEstimator) (*plan.Node, error)
+		}{{"Optimize", leaf.Root, refOptimize}, {"greedy", greedy, refGreedy}} {
+			want, err := cmp.optimizer(sub, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Signature() != want.Signature ||
-				math.Float64bits(got.Cost) != math.Float64bits(want.EstCost) ||
-				math.Float64bits(got.Card) != math.Float64bits(want.EstCard) {
-				t.Fatalf("greedy=%v binding %v, BGP %d:\n got  %s cost=%v card=%v\n want %s cost=%v card=%v",
-					greedy, b, k, got.Signature(), got.Cost, got.Card, want.Signature, want.EstCost, want.EstCard)
+			got := cmp.got
+			if got.Signature() != want.Signature() ||
+				math.Float64bits(got.Cost) != math.Float64bits(want.Cost) ||
+				math.Float64bits(got.Card) != math.Float64bits(want.Card) {
+				t.Fatalf("%s binding %v, BGP %d:\n got  %s cost=%v card=%v\n want %s cost=%v card=%v",
+					cmp.name, b, k, got.Signature(), got.Cost, got.Card, want.Signature(), want.Cost, want.Card)
 			}
 		}
-		if p.Alg == nil && p.Signature != roots[0].Signature() {
-			t.Fatalf("greedy=%v: Plan.Signature %s, root renders %s", greedy, p.Signature, roots[0].Signature())
-		}
+	}
+	if len(leaves) == 1 && p.Signature != leaves[0].Root.Signature() {
+		t.Fatalf("Plan.Signature %s, root renders %s", p.Signature, leaves[0].Root.Signature())
 	}
 }

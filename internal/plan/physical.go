@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the physical-plan layer: lowering of an optimized
-// logical join tree (Node) into a tree of physical operators that the
-// executor runs directly. The lowering fixes every execution decision —
+// plan (an algebra tree with a join tree of Nodes at each BGP leaf) into a
+// tree of physical operators that the executor runs directly. The lowering fixes every execution decision —
 // operator selection (index scan, index-nested-loop probe, hash or cross
 // join), output schemas, build-side choices for leaf-leaf joins, and
 // the placement of FILTER, ORDER BY, projection, DISTINCT and LIMIT — so a
@@ -178,7 +178,8 @@ func (n *PhysNode) describe(b *strings.Builder) {
 }
 
 // Lower translates the optimized logical plan p for compiled query c into a
-// physical operator tree. Operator selection follows fixed rules:
+// physical operator tree. Within a BGP leaf's join tree, operator selection
+// follows fixed rules:
 //
 //   - a leaf is an IndexScan;
 //   - a join with exactly one composite child probes the leaf child per
@@ -189,36 +190,20 @@ func (n *PhysNode) describe(b *strings.Builder) {
 //   - remaining joins are hash joins when the children share a variable
 //     and cross products otherwise.
 //
-// The epilogue appends Filter, Order, Project, Distinct and Limit, in that
-// order. Filters, ORDER BY keys and SELECT columns naming variables absent
+// Above the leaves, Join lowers like a remaining join, LeftJoin to a hash
+// left join and Union to a union; every algebra node's group filters
+// follow it as a Filter. The epilogue appends aggregation, HAVING, Order,
+// Project, Distinct and Limit, in that order. Filters, ORDER BY keys and SELECT columns naming variables absent
 // from the covering schema are lowering errors.
 func Lower(c *Compiled, p *Plan) (*Physical, error) {
-	if p == nil || (p.Root == nil && p.Alg == nil) {
+	if p == nil || p.Alg == nil {
 		return nil, fmt.Errorf("plan: nil plan")
 	}
-	if p.Alg != nil {
-		return lowerPhysicalAlg(c, p)
-	}
-	root, err := lower(p.Root)
-	if err != nil {
-		return nil, err
-	}
-	root, err = epilogue(root, c.Query)
-	if err != nil {
-		return nil, err
-	}
-	return &Physical{Root: root}, nil
-}
-
-// lowerPhysicalAlg lowers a compositional-algebra plan. Group-scoped
-// filters are applied directly above the node that produced them, then the
-// epilogue appends aggregation, HAVING and the standard tail.
-func lowerPhysicalAlg(c *Compiled, p *Plan) (*Physical, error) {
 	root, err := lowerAlg(p.Alg)
 	if err != nil {
 		return nil, err
 	}
-	root, err = epilogueAlg(root, c.Query)
+	root, err = epilogue(root, c.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -278,10 +263,10 @@ func lowerAlg(a *AlgNode) (*PhysNode, error) {
 	return filterNode(root, a.Filters)
 }
 
-// epilogueAlg appends the algebra epilogue: aggregation (grouping +
-// aggregates), HAVING, then the standard tail. Root-group filters were
-// already applied by lowerAlg, so q.Filters is not reapplied here.
-func epilogueAlg(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
+// epilogue appends aggregation (grouping + aggregates), HAVING, then the
+// tail. Group-scoped filters, the root group's included, were already
+// applied by lowerAlg, so q.Filters is not reapplied here.
+func epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
 	if len(q.GroupBy) > 0 || len(q.Aggs) > 0 {
 		for _, v := range q.GroupBy {
 			if varIndex(root.Vars, v) < 0 {
@@ -402,16 +387,6 @@ func joinNode(left, right *PhysNode, card float64) *PhysNode {
 		Vars:  joinSchema(left.Vars, right.Vars),
 		Card:  card,
 	}
-}
-
-// epilogue appends the post-join operators in order: FILTER, then the
-// tail (ORDER BY, projection, DISTINCT, LIMIT).
-func epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
-	root, err := filterNode(root, q.Filters)
-	if err != nil {
-		return nil, err
-	}
-	return tail(root, q)
 }
 
 // filterNode wraps root in a PhysFilter evaluating filters, which must be

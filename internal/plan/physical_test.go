@@ -181,7 +181,7 @@ func TestLowerProbeOfMissingLeafFallsBackToJoin(t *testing.T) {
   ?b <http://x/nonexistent> ?z .
 }`)
 	root := join(join(leaf(0), leaf(1)), leaf(2))
-	ph, err := Lower(c, &Plan{Root: root})
+	ph, err := Lower(c, &Plan{Alg: &AlgNode{Kind: AlgBGP, Root: root}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestLowerInteriorHashJoin(t *testing.T) {
   ?a <http://x/age> ?y .
 }`)
 	root := join(join(leaf(0), leaf(1)), join(leaf(2), leaf(3)))
-	ph, err := Lower(c, &Plan{Root: root})
+	ph, err := Lower(c, &Plan{Alg: &AlgNode{Kind: AlgBGP, Root: root}})
 	if err != nil {
 		t.Fatal(err)
 	}

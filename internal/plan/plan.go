@@ -83,27 +83,20 @@ func (n *Node) render(b *strings.Builder, depth int) {
 	n.Right.render(b, depth+1)
 }
 
-// Plan is the result of optimization. Exactly one of Root (flat BGP
-// queries) and Alg (compositional-algebra queries) is non-nil.
+// Plan is the result of optimization: the algebra tree with every BGP
+// leaf's join tree chosen.
 type Plan struct {
-	Root      *Node
 	Alg       *AlgNode
 	EstCost   float64 // estimated Cout of the whole plan
 	EstCard   float64 // estimated result cardinality
 	Signature string  // canonical plan identity
-	Method    string  // "dp" or "greedy"
+	Method    string  // "greedy" if any BGP leaf fell back to greedy, else "dp"
 }
 
 // String renders the plan.
 func (p *Plan) String() string {
-	var body string
-	if p.Alg != nil {
-		var b strings.Builder
-		p.Alg.render(&b, 0)
-		body = b.String()
-	} else {
-		body = p.Root.String()
-	}
-	return fmt.Sprintf("plan[%s] cost=%.1f card=%.1f sig=%s\n%s",
-		p.Method, p.EstCost, p.EstCard, p.Signature, body)
+	var b strings.Builder
+	fmt.Fprintf(&b, "plan[%s] cost=%.1f card=%.1f sig=%s\n", p.Method, p.EstCost, p.EstCard, p.Signature)
+	p.Alg.render(&b, 0)
+	return b.String()
 }

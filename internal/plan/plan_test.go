@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -183,7 +184,7 @@ func TestOptimizeSelectiveFirst(t *testing.T) {
 	}
 	// The first join must involve pattern 0 (John) and pattern 1 (China),
 	// not the huge rdf:type scan.
-	root := p.Root
+	root := p.Alg.Root
 	if root.IsLeaf() {
 		t.Fatal("root is leaf")
 	}
@@ -197,7 +198,7 @@ func TestOptimizeSelectiveFirst(t *testing.T) {
 	}
 	for _, idx := range pats {
 		if idx == 2 {
-			t.Fatalf("rdf:type scan joined first: %s", p.Root)
+			t.Fatalf("rdf:type scan joined first: %s", p)
 		}
 	}
 }
@@ -247,14 +248,11 @@ func TestGreedyProducesValidTree(t *testing.T) {
   ?p <http://x/livesIn> ?c .
   ?p a <http://x/Person> .
 }`)
-	g, err := OptimizeGreedy(c, est)
-	if err != nil {
-		t.Fatal(err)
+	g, sig := optimizeGreedy(c.Patterns, est)
+	if sig != g.Signature() {
+		t.Fatalf("signature %s, tree renders %s", sig, g.Signature())
 	}
-	if g.Method != "greedy" {
-		t.Fatalf("method = %s", g.Method)
-	}
-	pats := g.Root.Patterns()
+	pats := g.Patterns()
 	if len(pats) != 3 {
 		t.Fatalf("greedy tree covers %v", pats)
 	}
@@ -270,8 +268,8 @@ func TestGreedyProducesValidTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.EstCost < d.EstCost-1e-9 {
-		t.Fatalf("greedy %.1f beat DP %.1f", g.EstCost, d.EstCost)
+	if g.Cost < d.EstCost-1e-9 {
+		t.Fatalf("greedy %.1f beat DP %.1f", g.Cost, d.EstCost)
 	}
 }
 
@@ -286,7 +284,7 @@ func TestDisconnectedCrossProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Root.Patterns()) != 2 {
+	if len(p.Alg.Root.Patterns()) != 2 {
 		t.Fatal("cross product plan incomplete")
 	}
 	if p.EstCard <= 0 {
@@ -302,7 +300,7 @@ func TestOptimizeSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Root.IsLeaf() || p.EstCost != 0 {
+	if !p.Alg.Root.IsLeaf() || p.EstCost != 0 {
 		t.Fatalf("single-pattern plan should be a free scan: %+v", p)
 	}
 	if p.Signature != "p0" {
@@ -329,6 +327,31 @@ func TestLargeQueryFallsBackToGreedy(t *testing.T) {
 	}
 }
 
+// TestAlgebraLeafFallsBackToGreedy: a BGP leaf beyond MaxDPPatterns under
+// OPTIONAL is ordered greedily, and the plan says so, while the same query
+// with a DP-sized optional leaf reports dp.
+func TestAlgebraLeafFallsBackToGreedy(t *testing.T) {
+	st := buildIntroStore(t)
+	est := NewEstimator(st)
+	for _, tc := range []struct {
+		optional int
+		method   string
+	}{{MaxDPPatterns, "dp"}, {MaxDPPatterns + 1, "greedy"}} {
+		src := "SELECT * WHERE {\n  ?p <http://x/livesIn> ?c .\n  OPTIONAL {\n"
+		for i := 0; i < tc.optional; i++ {
+			src += fmt.Sprintf("    ?q%d <http://x/livesIn> ?c .\n", i)
+		}
+		src += "  }\n}"
+		p, err := Optimize(mustCompile(t, st, src), est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Method != tc.method || p.Alg.Kind != AlgLeftJoin || len(p.Alg.Right.Compiled) != tc.optional {
+			t.Fatalf("%d optional patterns: method %s, want %s\n%s", tc.optional, p.Method, tc.method, p)
+		}
+	}
+}
+
 func TestPlanString(t *testing.T) {
 	st := buildIntroStore(t)
 	est := NewEstimator(st)
@@ -340,8 +363,9 @@ func TestPlanString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := p.String(); s == "" {
-		t.Fatal("empty render")
+	// A flat query is one BGP leaf: its join tree renders under it.
+	if s := p.String(); !strings.Contains(s, "\nBGP card=") || !strings.Contains(s, "\n  Join card=") {
+		t.Fatalf("render:\n%s", s)
 	}
 }
 

@@ -498,7 +498,7 @@ func (s *Service) Update(ctx context.Context, text string) (res *UpdateResult, e
 	next := d.Overlay()
 	t := s.compactThresholdFor(d.Base().Len())
 	if res.Compacted = t > 0 && d.Size() >= t; res.Compacted {
-		next = d.Commit(store.BuildOptions{})
+		next = d.Commit()
 		s.compactions.Add(1)
 	}
 	res.Generation = s.swapLocked(next, updateSource(cur.source))
@@ -544,7 +544,7 @@ func (s *Service) Compact() uint64 {
 		return cur.gen
 	}
 	s.compactions.Add(1)
-	return s.swapLocked(d.Commit(store.BuildOptions{}), updateSource(cur.source))
+	return s.swapLocked(d.Commit(), updateSource(cur.source))
 }
 
 // updateSource labels a snapshot produced by updates after its origin.

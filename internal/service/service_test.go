@@ -363,8 +363,9 @@ func TestPlanCacheEviction(t *testing.T) {
 }
 
 // TestWorkloadThroughService drives a BSBM workload through the service
-// path and checks the measurements are identical (up to wall-clock) to the
-// direct workload.Runner path with the same exec options.
+// path — one prepared template, Execute per binding — and checks the
+// measurements are identical (up to wall-clock) to the direct
+// workload.Runner path with the same exec options.
 func TestWorkloadThroughService(t *testing.T) {
 	st := buildMixedStore(t)
 	tmpl := bsbm.Q4()
@@ -382,18 +383,28 @@ func TestWorkloadThroughService(t *testing.T) {
 
 	// Same exec options (EarlyStop off) so accounting is comparable.
 	svc := New(st, "", Options{Exec: exec.Options{}})
-	got, err := workload.RunWith(svc.WorkloadExecutor(nil), tmpl, bindings)
+	p, err := svc.Prepare("q4", tmpl.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d vs %d measurements", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Work != want[i].Work || got[i].Cout != want[i].Cout ||
-			got[i].Rows != want[i].Rows || got[i].Signature != want[i].Signature ||
-			got[i].EstCost != want[i].EstCost {
-			t.Fatalf("measurement %d differs: service %+v vs direct %+v", i, got[i], want[i])
+	for i, b := range bindings {
+		out, err := svc.Execute(context.Background(), p, b)
+		if err != nil {
+			t.Fatalf("binding %d: %v", i, err)
+		}
+		got := workload.Measurement{
+			Binding:   b,
+			Work:      out.Result.Work,
+			Cout:      out.Result.Cout,
+			EstCost:   out.Plan.EstCost,
+			Rows:      len(out.Result.Rows),
+			Signature: out.Plan.Signature,
+		}
+		out.Close()
+		if got.Work != want[i].Work || got.Cout != want[i].Cout ||
+			got.Rows != want[i].Rows || got.Signature != want[i].Signature ||
+			got.EstCost != want[i].EstCost {
+			t.Fatalf("measurement %d differs: service %+v vs direct %+v", i, got, want[i])
 		}
 	}
 }

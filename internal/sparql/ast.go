@@ -182,14 +182,6 @@ func (q *Query) Root() *Group {
 	return &Group{Patterns: q.Where, Filters: q.Filters, Unions: q.Unions, Optionals: q.Optionals}
 }
 
-// HasAlgebra reports whether the query uses any compositional-algebra
-// construct (OPTIONAL, UNION, GROUP BY, aggregates, HAVING) beyond the
-// flat BGP + FILTER shape.
-func (q *Query) HasAlgebra() bool {
-	return len(q.Unions) > 0 || len(q.Optionals) > 0 ||
-		len(q.GroupBy) > 0 || len(q.Aggs) > 0 || len(q.Having) > 0
-}
-
 // aggFor returns the aggregate whose alias is v, if any.
 func (q *Query) aggFor(v Var) (Aggregate, bool) {
 	for _, a := range q.Aggs {

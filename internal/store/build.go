@@ -11,54 +11,19 @@ import (
 // buildIndexes, the single shared path that turns a deduplicated triple
 // set into a fully indexed Store: the base SPO index is sorted once, the
 // other five permutations are copied up front and sorted concurrently
-// (bounded by BuildOptions.Parallelism), and each statistics pass starts
-// as soon as the one index it reads (PSO or POS) is ready instead of
-// waiting for the whole build. The parallel and serial paths produce
-// byte-identical stores: every index is a permutation of distinct triples,
-// so the unstable sort has a unique fixpoint regardless of scheduling.
-
-// BuildOptions configures store construction.
-type BuildOptions struct {
-	// Parallelism bounds the number of concurrent index-sort and
-	// statistics workers. 0 means GOMAXPROCS; 1 forces the serial path.
-	Parallelism int
-}
-
-func (o BuildOptions) workers() int {
-	if o.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
-}
+// (at most GOMAXPROCS at a time), and each statistics pass starts as soon
+// as the one index it reads (PSO or POS) is ready instead of waiting for
+// the whole build. The result is byte-identical at any GOMAXPROCS: every
+// index is a permutation of distinct triples, so the unstable sort has a
+// unique fixpoint regardless of scheduling.
 
 // buildIndexes constructs a Store over d from a set of distinct triples,
 // taking ownership of the slice (it becomes the SPO index after sorting).
-func buildIndexes(d *dict.Dict, triples []IDTriple, opts BuildOptions) *Store {
+// Statistics depend only on the PSO and POS indexes, so those two are
+// sorted first and each stats pass blocks on exactly the index it reads.
+func buildIndexes(d *dict.Dict, triples []IDTriple) *Store {
 	s := &Store{dict: d, n: len(triples), sdir: new(subjectDir)}
 	s.idx[orderSPO] = triples
-	if opts.workers() == 1 {
-		if !isSortedByOrder(triples, orderSPO) {
-			sortByOrder(triples, orderSPO)
-		}
-		for o := orderSPO + 1; o < numOrders; o++ {
-			cp := make([]IDTriple, len(triples))
-			copy(cp, triples)
-			sortByOrder(cp, o)
-			s.idx[o] = cp
-		}
-		s.computeStats()
-		return s
-	}
-	s.buildParallel(opts.workers())
-	return s
-}
-
-// buildParallel sorts all six permutations and computes statistics with at
-// most `workers` concurrent tasks. Statistics depend only on the PSO and
-// POS indexes, so those two are scheduled first and each stats pass blocks
-// on exactly the index it reads.
-func (s *Store) buildParallel(workers int) {
-	triples := s.idx[orderSPO]
 	// Copy the five derived permutations before any sorting starts so
 	// every copy sees the same (unsorted) base; the sorts then proceed
 	// independently.
@@ -67,7 +32,7 @@ func (s *Store) buildParallel(workers int) {
 		copy(cp, triples)
 		s.idx[o] = cp
 	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var ready [numOrders]chan struct{}
 	for o := range ready {
 		ready[o] = make(chan struct{})
@@ -118,6 +83,7 @@ func (s *Store) buildParallel(workers int) {
 	s.pstats = pstats
 	s.typeIdx = typeIdx
 	s.typeID = typeID
+	return s
 }
 
 func isSortedByOrder(ts []IDTriple, o order) bool {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
@@ -77,25 +79,40 @@ func equalStores(t *testing.T, a, b *Store) {
 	}
 }
 
-// The tentpole invariant: parallel construction is byte-identical to the
-// serial path at every parallelism level, including prime worker counts
-// that leave sorts queued behind the semaphore.
+// atProcs runs f with runtime.GOMAXPROCS set to procs, which bounds the
+// build's and Commit's concurrent sorts, and restores the previous setting.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// The parallel build is byte-identical to a serial reference — each
+// permutation sorted in turn, then computeStats — at every GOMAXPROCS,
+// including one worker and prime counts that leave sorts queued behind the
+// semaphore.
 func TestBuildParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		serial := randomBuilder(seed, 3000).BuildOpts(BuildOptions{Parallelism: 1})
-		for _, par := range []int{0, 2, 3, 16} {
-			parallel := serial.Rebuild(BuildOptions{Parallelism: par})
-			equalStores(t, serial, parallel)
+		b := randomBuilder(seed, 3000)
+		want := &Store{dict: b.Dict(), n: len(b.triples)}
+		for o := order(0); o < numOrders; o++ {
+			want.idx[o] = slices.Clone(b.triples)
+			sortByOrder(want.idx[o], o)
+		}
+		want.computeStats()
+		for _, procs := range []int{1, 2, 3, 16} {
+			var got *Store
+			atProcs(procs, func() { got = randomBuilder(seed, 3000).Build() })
+			equalStores(t, want, got)
 		}
 	}
 }
 
 // Rebuild over the same dictionary must reproduce the original store
-// exactly, whichever path built it.
+// exactly, whichever worker count rebuilt it.
 func TestRebuildRoundTrip(t *testing.T) {
 	st, _ := buildTestStore(t)
-	equalStores(t, st, st.Rebuild(BuildOptions{}))
-	equalStores(t, st, st.Rebuild(BuildOptions{Parallelism: 1}))
+	equalStores(t, st, st.Rebuild())
+	atProcs(1, func() { equalStores(t, st, st.Rebuild()) })
 }
 
 // Regression: SubjectsOfClass dropped members when rdf:type assignments

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -488,11 +489,11 @@ func (d *Delta) Overlay() *Store {
 // the same shared dictionary, identical to one built from the merged
 // triple set. Nothing is sorted: each of the six permutations is one
 // mergeRuns copy of the base run and the delta runs of the same order
-// (at most BuildOptions.Parallelism at a time), and the statistics and
+// (at most GOMAXPROCS at a time), and the statistics and
 // class index are the ones the delta carries. The result carries no
 // delta. Publish it through the same atomic swap as any snapshot; readers
 // pinned to the overlay keep reading it. An empty delta returns the base.
-func (d *Delta) Commit(opts BuildOptions) *Store {
+func (d *Delta) Commit() *Store {
 	if d.Empty() {
 		return d.base
 	}
@@ -505,7 +506,7 @@ func (d *Delta) Commit(opts BuildOptions) *Store {
 		typeID:  lookupType(base.dict),
 		sdir:    new(subjectDir),
 	}
-	sem := make(chan struct{}, opts.workers())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for o := order(0); o < numOrders; o++ {
 		wg.Add(1)

@@ -257,7 +257,7 @@ func TestOverlayMatchesRebuild(t *testing.T) {
 			}
 		}
 		// Commit and Rebuild fold to the same store.
-		com := d.Commit(BuildOptions{})
+		com := d.Commit()
 		if com.Delta() != nil || com.Len() != ref.Len() {
 			t.Fatalf("seed %d: Commit produced delta=%v len=%d", seed, com.Delta(), com.Len())
 		}
@@ -265,7 +265,7 @@ func TestOverlayMatchesRebuild(t *testing.T) {
 		if !equalTriples(cm, all) {
 			t.Fatalf("seed %d: Commit triple set diverges", seed)
 		}
-		rb := ov.Rebuild(BuildOptions{Parallelism: 2})
+		rb := ov.Rebuild()
 		rm2, _ := rb.Match(Pattern{})
 		if !equalTriples(rm2, all) {
 			t.Fatalf("seed %d: Rebuild over overlay diverges", seed)
@@ -324,7 +324,7 @@ func TestOverlayScanEquivalence(t *testing.T) {
 func TestOverlayEmptyDelta(t *testing.T) {
 	st := buildFrom(t, []rdf.Triple{trp("a", "p", "b")})
 	d := st.NewDelta()
-	if d.Overlay() != st || d.Commit(BuildOptions{}) != st {
+	if d.Overlay() != st || d.Commit() != st {
 		t.Fatal("empty delta should publish the base store itself")
 	}
 	// NewDelta over an overlay extends the pending delta.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -104,7 +105,7 @@ func IsShardedSnapshot(path string) bool {
 func WriteSharded(dir string, sh *Sharded) error {
 	st := sh.Store
 	if st.delta != nil {
-		st = st.delta.Commit(BuildOptions{})
+		st = st.delta.Commit()
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -207,7 +208,7 @@ func LoadSharded(dir string, heapLoad bool) (*Store, error) {
 	var (
 		wg   sync.WaitGroup
 		errs [numOrders]*ShardError
-		sem  = make(chan struct{}, BuildOptions{}.workers())
+		sem  = make(chan struct{}, runtime.GOMAXPROCS(0))
 	)
 	for o := order(0); o < numOrders; o++ {
 		runs := make([][]IDTriple, len(shards))

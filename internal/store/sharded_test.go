@@ -180,7 +180,7 @@ func TestShardedOverlayEquivalence(t *testing.T) {
 			t.Fatalf("heap=%v: pending (%d,%d) != (%d,%d)", heap, ld.InsertCount(), ld.DeleteCount(), d.InsertCount(), d.DeleteCount())
 		}
 		checkSourceEquivalence(t, ld.Overlay(), refOv)
-		checkSourceEquivalence(t, ld.Commit(BuildOptions{}), refOv)
+		checkSourceEquivalence(t, ld.Commit(), refOv)
 		checkSourceEquivalence(t, writeLoad(t, ld.Overlay(), 4, heap), refOv)
 	}
 }
@@ -442,7 +442,7 @@ func TestCheckPlacementOverlayInserts(t *testing.T) {
 		if total != ov.Len() {
 			t.Fatalf("%s: shard files hold %d triples, want the overlay's %d", tc.name, total, ov.Len())
 		}
-		equalStores(t, writeLoad(t, ov, n, true), d.Commit(BuildOptions{}))
+		equalStores(t, writeLoad(t, ov, n, true), d.Commit())
 	}
 }
 
@@ -499,7 +499,7 @@ func TestLoadShardedRejectsDuplicateTriple(t *testing.T) {
 	base := buildFrom(t, []rdf.Triple{trp("s1", "p", "o1"), trp("s2", "p", "o2"), trp("s3", "p", "o3")})
 	all, _ := base.Match(Pattern{})
 	shared := all[1]
-	other := buildIndexes(base.Dict(), []IDTriple{shared}, BuildOptions{})
+	other := buildIndexes(base.Dict(), []IDTriple{shared})
 	dir := writeShardDir(t, base, other)
 	for _, heap := range []bool{true, false} {
 		err := loadWithin(t, dir, heap)
@@ -509,7 +509,7 @@ func TestLoadShardedRejectsDuplicateTriple(t *testing.T) {
 		}
 	}
 
-	unsorted := buildIndexes(base.Dict(), all, BuildOptions{})
+	unsorted := buildIndexes(base.Dict(), all)
 	unsorted.idx[orderSPO] = []IDTriple{all[2], all[0], all[1]}
 	err := loadWithin(t, writeShardDir(t, unsorted), false)
 	var se *ShardError

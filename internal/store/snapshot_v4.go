@@ -527,5 +527,5 @@ func readV4Heap(data []byte) (*Store, error) {
 		}
 		triples[i] = t
 	}
-	return buildIndexes(d, triples, BuildOptions{}), nil
+	return buildIndexes(d, triples), nil
 }

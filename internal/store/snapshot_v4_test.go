@@ -179,7 +179,7 @@ func TestSnapshotV4FoldsOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The v4 file folds the delta: it must equal the committed store.
-	equalStoreSurface(t, d.Commit(BuildOptions{}), mapped)
+	equalStoreSurface(t, d.Commit(), mapped)
 	if mapped.Delta() != nil {
 		t.Fatal("v4 open produced an overlay store")
 	}
@@ -269,7 +269,7 @@ func TestSnapshotV4DeltaOverMapped(t *testing.T) {
 		t.Fatalf("overlay over mapped base reports %q", ovm.Backend())
 	}
 	equalStoreSurface(t, ovh, ovm)
-	ch, cm := dh.Commit(BuildOptions{}), dm.Commit(BuildOptions{})
+	ch, cm := dh.Commit(), dm.Commit()
 	if cm.Backend() != "heap" {
 		t.Fatalf("committed store backend %q, want heap", cm.Backend())
 	}

@@ -181,17 +181,13 @@ func (b *Builder) LoadNTriples(r io.Reader) error {
 
 // Build sorts the six permutation indexes, computes statistics and returns
 // the immutable store. The builder must not be used afterwards. Index
-// construction runs in parallel (see BuildOpts); the result is
-// byte-identical to a serial build.
-func (b *Builder) Build() *Store { return b.BuildOpts(BuildOptions{}) }
-
-// BuildOpts is Build with explicit construction options. The builder must
-// not be used afterwards.
-func (b *Builder) BuildOpts(opts BuildOptions) *Store {
+// construction runs in parallel (see buildIndexes); the result is the same
+// at any GOMAXPROCS.
+func (b *Builder) Build() *Store {
 	triples := b.triples
 	b.triples = nil
 	b.dedup = nil
-	return buildIndexes(b.dict, triples, opts)
+	return buildIndexes(b.dict, triples)
 }
 
 // Rebuild constructs a new Store over the same dictionary and triple set,
@@ -199,13 +195,13 @@ func (b *Builder) BuildOpts(opts BuildOptions) *Store {
 // exists so benchmarks and equivalence tests can exercise the
 // construction path in isolation from parsing and dictionary encoding.
 // Rebuilding an overlay store folds its delta in (equivalent to Commit).
-func (s *Store) Rebuild(opts BuildOptions) *Store {
+func (s *Store) Rebuild() *Store {
 	if s.delta != nil {
-		return s.delta.Commit(opts)
+		return s.delta.Commit()
 	}
 	cp := make([]IDTriple, len(s.idx[orderSPO]))
 	copy(cp, s.idx[orderSPO])
-	return buildIndexes(s.dict, cp, opts)
+	return buildIndexes(s.dict, cp)
 }
 
 // Dict returns the store's dictionary.
@@ -373,8 +369,9 @@ func firstUnboundIsPosition(o order, mask, position int) bool {
 	return false
 }
 
-// computeStats is the serial statistics path; buildParallel runs the same
-// three passes concurrently.
+// computeStats runs the three statistics passes back to back, over a store
+// whose indexes are already sorted; buildIndexes runs the same passes
+// concurrently with its sorts.
 func (s *Store) computeStats() {
 	s.pstats = statsFromPSO(s.idx[orderPSO])
 	mergeDistinctObjects(s.pstats, distinctObjectsFromPOS(s.idx[orderPOS]))

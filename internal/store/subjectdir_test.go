@@ -87,7 +87,7 @@ func TestBaseRangeMatchesSearchRange(t *testing.T) {
 		checkBaseRange(t, "overlay minted", ov, append(edges, minted[0], minted[len(minted)-1])...)
 		// The merged view still finds the inserted triples of the new
 		// subjects, exactly as a rebuilt store does.
-		committed := d.Commit(BuildOptions{})
+		committed := d.Commit()
 		p, _ := ov.Dict().Lookup(ins[0].P)
 		for _, s := range minted {
 			for _, pat := range []Pattern{{S: s}, {S: s, P: p}} {
@@ -118,7 +118,7 @@ func TestSubjectDirConcurrentBuild(t *testing.T) {
 		probes = append(probes, Pattern{S: spo[i].S}, Pattern{S: spo[i].S, P: spo[i].P})
 	}
 	probes = append(probes, Pattern{S: dict.ID(base.Dict().Len() + 1)}, Pattern{S: math.MaxUint32})
-	for name, st := range map[string]*Store{"heap": base.Rebuild(BuildOptions{}), "mapped": mapped} {
+	for name, st := range map[string]*Store{"heap": base.Rebuild(), "mapped": mapped} {
 		if st.sdir.blocks != nil {
 			t.Fatalf("%s: directory built before the first probe", name)
 		}

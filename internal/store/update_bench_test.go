@@ -136,7 +136,7 @@ func BenchmarkCommit(b *testing.B) {
 	_, d := loadUpdateFixture(b)
 	b.ReportAllocs()
 	for b.Loop() {
-		d.Commit(store.BuildOptions{})
+		d.Commit()
 	}
 }
 

@@ -266,7 +266,7 @@ func TestDeltaStatsChain(t *testing.T) {
 		if k%60 == 59 {
 			// Fold: the committed store reuses the carried statistics and
 			// the next delta starts from them.
-			w.view = d.Commit(BuildOptions{})
+			w.view = d.Commit()
 			w.d = w.view.NewDelta()
 		} else {
 			w.d, w.view = d, d.Overlay()
@@ -304,9 +304,12 @@ func TestTypeIndexAfterUnrelatedPublishes(t *testing.T) {
 func checkCommitIsBuild(t *testing.T, label string, d *Delta) {
 	t.Helper()
 	merged, _ := d.Overlay().Match(Pattern{})
-	for _, par := range []int{1, 3} {
-		want := buildIndexes(d.Base().Dict(), slices.Clone(merged), BuildOptions{Parallelism: par})
-		got := d.Commit(BuildOptions{Parallelism: par})
+	for _, procs := range []int{1, 3} {
+		var want, got *Store
+		atProcs(procs, func() {
+			want = buildIndexes(d.Base().Dict(), slices.Clone(merged))
+			got = d.Commit()
+		})
 		if got.Delta() != nil || got.Backend() != "heap" {
 			t.Fatalf("%s: commit is %s with delta %v", label, got.Backend(), got.Delta())
 		}

@@ -43,34 +43,10 @@ var (
 	MetricCout Metric = func(m Measurement) float64 { return m.Cout }
 )
 
-// Executor abstracts one way of turning a (template, binding) pair into a
-// Measurement. Runner is the direct in-process path; the query service
-// provides another implementation that goes through its prepared-template
-// and plan-cache machinery, so workloads can be driven through either path
-// for apples-to-apples comparison.
-type Executor interface {
-	ExecuteTemplate(tmpl *sparql.Query, b sparql.Binding) (Measurement, error)
-}
-
-// RunWith executes the template once per binding through ex, in order.
-func RunWith(ex Executor, tmpl *sparql.Query, bindings []sparql.Binding) ([]Measurement, error) {
-	out := make([]Measurement, 0, len(bindings))
-	for i, b := range bindings {
-		m, err := ex.ExecuteTemplate(tmpl, b)
-		if err != nil {
-			return nil, fmt.Errorf("workload: binding %d: %w", i, err)
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // Runner executes templates against one store.
 type Runner struct {
 	Store *store.Store
 	Opts  exec.Options
-	// UseGreedy switches the optimizer to the greedy heuristic (ablation).
-	UseGreedy bool
 	// Repetitions > 1 executes each binding that many times and reports the
 	// minimum wall-clock time (best-of-k de-noises Runtime; Work and Cout
 	// are deterministic and unaffected).
@@ -87,13 +63,7 @@ func (r *Runner) RunOnce(tmpl *sparql.Query, b sparql.Binding) (Measurement, err
 	if err != nil {
 		return Measurement{}, err
 	}
-	est := plan.NewEstimator(r.Store)
-	var p *plan.Plan
-	if r.UseGreedy {
-		p, err = plan.OptimizeGreedy(c, est)
-	} else {
-		p, err = plan.Optimize(c, est)
-	}
+	p, err := plan.Optimize(c, plan.NewEstimator(r.Store))
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -124,14 +94,17 @@ func (r *Runner) RunOnce(tmpl *sparql.Query, b sparql.Binding) (Measurement, err
 	}, nil
 }
 
-// ExecuteTemplate implements Executor with the direct path (RunOnce).
-func (r *Runner) ExecuteTemplate(tmpl *sparql.Query, b sparql.Binding) (Measurement, error) {
-	return r.RunOnce(tmpl, b)
-}
-
-// Run executes the template once per binding.
+// Run executes the template once per binding, in order.
 func (r *Runner) Run(tmpl *sparql.Query, bindings []sparql.Binding) ([]Measurement, error) {
-	return RunWith(r, tmpl, bindings)
+	out := make([]Measurement, 0, len(bindings))
+	for i, b := range bindings {
+		m, err := r.RunOnce(tmpl, b)
+		if err != nil {
+			return nil, fmt.Errorf("workload: binding %d: %w", i, err)
+		}
+		out = append(out, m)
+	}
+	return out, nil
 }
 
 // Values extracts the metric series from measurements.

@@ -107,22 +107,6 @@ func TestGroupStability(t *testing.T) {
 	}
 }
 
-func TestGreedyRunnerWorks(t *testing.T) {
-	r, st := testRunner(t)
-	r.UseGreedy = true
-	dom, err := core.ExtractDomain(bsbm.Q4(), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.RunOnce(bsbm.Q4(), dom.At(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows < 0 {
-		t.Fatal("impossible")
-	}
-}
-
 func TestMetricRuntimePositive(t *testing.T) {
 	r, st := testRunner(t)
 	dom, err := core.ExtractDomain(bsbm.Q4(), st)
