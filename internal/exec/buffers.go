@@ -32,21 +32,22 @@ const maxPooledCap = 1 << 17
 // putting one back does not allocate a slice header, and every buffer on a
 // shelf has capacity between batchSize and maxPooledCap.
 var (
-	idShelf  shelf[dict.ID] // column buffers
-	selShelf shelf[int32]   // selection vectors, permutations, hash chains
+	idShelf  shelf[dict.ID]  // column buffers
+	selShelf shelf[int32]    // selection vectors, permutations, hash chains
+	keyShelf shelf[orderKey] // decoded ORDER BY keys
 )
 
 // loan is one buffer an executor took: slot is where its holder keeps it,
 // so the buffer's final — possibly grown — value is what goes back, and box
 // is the carrier it came out of the pool in.
-type loan[T dict.ID | int32] struct{ slot, box *[]T }
+type loan[T any] struct{ slot, box *[]T }
 
 // loans is an executor's record of the buffers it holds.
-type loans[T dict.ID | int32] []loan[T]
+type loans[T any] []loan[T]
 
 // newBox returns a box holding an empty buffer of capacity batchSize, for
 // a shelf that has none to give.
-func newBox[T dict.ID | int32]() *[]T {
+func newBox[T any]() *[]T {
 	b := make([]T, 0, batchSize)
 	return &b
 }
@@ -117,4 +118,5 @@ func (ex *executor) newRelation(vars []sparql.Var) *colRelation {
 func (ex *executor) release() {
 	ex.ids.release(&idShelf, dict.ID(^uint32(0)))
 	ex.sels.release(&selShelf, -1)
+	ex.keys.release(&keyShelf, orderKey{})
 }

@@ -1055,7 +1055,8 @@ func (op *orderOp) next() (*colBatch, error) {
 }
 
 // sortRel permutes rel into ORDER BY order (stable, so the result is the
-// unique keys-then-input-order arrangement).
+// unique keys-then-input-order arrangement). Every key cell is decoded
+// once, into row r's keys[r*nk : (r+1)*nk], before the sort compares them.
 func (op *orderOp) sortRel(rel *colRelation) (err error) {
 	d := op.ex.st.Dict()
 	cols := make([]int, len(op.keys))
@@ -1066,19 +1067,26 @@ func (op *orderOp) sortRel(rel *colRelation) (err error) {
 		}
 		cols[i] = ci
 	}
+	nk := len(cols)
+	keys := op.ex.keys.scratch(&keyShelf, rel.n*nk)
+	defer clear(keys) // pooled keys must not hold on to decoded terms
+	for x, ci := range cols {
+		for r, id := range rel.cols[ci][:rel.n] {
+			keys[r*nk+x] = decodeOrderKey(d, id)
+		}
+	}
 	perm := op.ex.int32s(rel.n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	defer recoverSortAbort(&err)
 	sort.SliceStable(perm, op.ex.lessWithCancel(func(i, j int) bool {
-		a, b := perm[i], perm[j]
+		a, b := int(perm[i]), int(perm[j])
 		for x, ci := range cols {
-			va, vb := rel.cols[ci][a], rel.cols[ci][b]
-			if va == vb {
+			if rel.cols[ci][a] == rel.cols[ci][b] {
 				continue
 			}
-			c := compareOrder(d, va, vb)
+			c := keys[a*nk+x].compare(&keys[b*nk+x])
 			if c == 0 {
 				continue
 			}

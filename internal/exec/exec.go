@@ -104,12 +104,14 @@ type executor struct {
 	kern KernelStats
 	// trace is the run's tracing context; nil unless Options.Trace is set.
 	trace *traceState
-	// ids and sels record the pooled buffers the run holds (buffers.go),
-	// in the inline arrays below until a run needs more.
+	// ids, sels and keys record the pooled buffers the run holds
+	// (buffers.go), in the inline arrays below until a run needs more.
 	ids     loans[dict.ID]
 	sels    loans[int32]
+	keys    loans[orderKey]
 	idsBuf  [16]loan[dict.ID]
 	selsBuf [4]loan[int32]
+	keysBuf [1]loan[orderKey]
 	// rowBuf gathers the result rows before run cuts them into Result.Rows.
 	rowBuf []dict.ID
 }
@@ -117,7 +119,7 @@ type executor struct {
 // newExecutor returns an executor for one run.
 func newExecutor(st store.Source, ctx context.Context, opts Options) *executor {
 	ex := &executor{st: st, ctx: ctx, opts: opts}
-	ex.ids, ex.sels = ex.idsBuf[:0], ex.selsBuf[:0]
+	ex.ids, ex.sels, ex.keys = ex.idsBuf[:0], ex.selsBuf[:0], ex.keysBuf[:0]
 	return ex
 }
 

@@ -116,32 +116,58 @@ func compareLexical(l, r rdf.Term) int {
 	return 0
 }
 
-// compareOrder orders two dictionary IDs by their terms: numeric literals
-// numerically, everything else lexically by value. The unbound sentinel
-// (dict.None) sorts before every bound value.
+// An orderKey is one ORDER BY or MIN/MAX cell decoded once: the term, and
+// its numeric value when the term is a numeric literal. The zero value is
+// the unbound cell.
+type orderKey struct {
+	term    rdf.Term
+	num     float64
+	bound   bool
+	numeric bool
+}
+
+// decodeOrderKey decodes id's term and parses its number, once.
+func decodeOrderKey(d *dict.Dict, id dict.ID) orderKey {
+	if id == dict.None {
+		return orderKey{}
+	}
+	t := d.Decode(id)
+	f, ok := numericValue(t)
+	return orderKey{term: t, num: f, bound: true, numeric: ok}
+}
+
+// compare is the one definition of value order: numeric literals compare
+// numerically, everything else by term (kind, then lexical value). The
+// unbound cell sorts before every bound value. Two numbers that compare
+// equal — "1" and "1.0", or NaN beside any number — are equal keys, so a
+// stable sort keeps them in input order.
+func (a *orderKey) compare(b *orderKey) int {
+	if !a.bound || !b.bound {
+		switch {
+		case a.bound == b.bound:
+			return 0
+		case !a.bound:
+			return -1
+		default:
+			return 1
+		}
+	}
+	if a.numeric && b.numeric {
+		switch {
+		case a.num < b.num:
+			return -1
+		case a.num > b.num:
+			return 1
+		default:
+			return 0
+		}
+	}
+	return a.term.Compare(b.term)
+}
+
+// compareOrder orders two dictionary IDs as ORDER BY orders their decoded
+// keys.
 func compareOrder(d *dict.Dict, a, b dict.ID) int {
-	if a == dict.None || b == dict.None {
-		switch {
-		case a == b:
-			return 0
-		case a == dict.None:
-			return -1
-		default:
-			return 1
-		}
-	}
-	ta, tb := d.Decode(a), d.Decode(b)
-	fa, oka := numericValue(ta)
-	fb, okb := numericValue(tb)
-	if oka && okb {
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return ta.Compare(tb)
+	ka, kb := decodeOrderKey(d, a), decodeOrderKey(d, b)
+	return ka.compare(&kb)
 }

@@ -2,16 +2,12 @@
 
 package exec
 
-import (
-	"sync"
-
-	"repro/internal/dict"
-)
+import "sync"
 
 // shelf keeps released buffers in a sync.Pool: per-P, lock-free on the hot
 // path, and emptied by the garbage collector when buffers go unused for
 // two cycles, so an idle server gives its pool memory back.
-type shelf[T dict.ID | int32] struct{ pool sync.Pool }
+type shelf[T any] struct{ pool sync.Pool }
 
 // get returns a box from the shelf, or a fresh one.
 func (sh *shelf[T]) get() *[]T {

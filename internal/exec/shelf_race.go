@@ -2,18 +2,14 @@
 
 package exec
 
-import (
-	"sync"
-
-	"repro/internal/dict"
-)
+import "sync"
 
 // shelf, under the race detector, keeps released buffers on a locked
 // stack. The race build's sync.Pool drops a random quarter of what is put
 // into it, which would make a run's allocation count — asserted exactly by
 // tests — random; the stack reuses buffers across runs and goroutines the
 // same way, deterministically, so the detector still sees every hand-over.
-type shelf[T dict.ID | int32] struct {
+type shelf[T any] struct {
 	mu   sync.Mutex
 	free []*[]T
 }

@@ -142,68 +142,66 @@ func (a *AlgNode) render(b *strings.Builder, depth int) {
 	}
 }
 
-// compileGroup lowers a group graph pattern onto the dictionary,
-// producing the algebra expression Join(BGP, unions...) left-joined with
-// each optional, with the group's filters attached to the expression
-// root. nb numbers patterns and variables across the whole query.
-func compileGroup(g *sparql.Group, st store.Source, nb *numbering) (*AlgNode, error) {
-	var expr *AlgNode
+// compileGroup lowers a group graph pattern onto the dictionary into
+// *dst: the algebra expression Join(BGP, unions...) left-joined with each
+// optional, with the group's filters attached to the expression root. nb
+// numbers patterns and variables across the whole query.
+func compileGroup(dst *AlgNode, g *sparql.Group, st store.Source, nb *numbering) error {
+	built := false
+	// compose makes the expression built so far the left input of a new
+	// root of the given kind over right.
+	compose := func(kind AlgKind, right *AlgNode) {
+		left := new(AlgNode)
+		*left = *dst
+		*dst = AlgNode{Kind: kind, Left: left, Right: right}
+	}
 	if len(g.Patterns) > 0 {
-		leaf, err := compileBGP(g.Patterns, st, nb)
+		compiled, err := compilePatterns(g.Patterns, st, nb)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		expr = leaf
+		*dst, built = AlgNode{Kind: AlgBGP, Patterns: g.Patterns, Compiled: compiled}, true
 	}
 	for _, u := range g.Unions {
-		un := &AlgNode{Kind: AlgUnion}
+		un := AlgNode{Kind: AlgUnion}
 		for _, br := range u.Branches {
-			be, err := compileGroup(br, st, nb)
-			if err != nil {
-				return nil, err
+			be := new(AlgNode)
+			if err := compileGroup(be, br, st, nb); err != nil {
+				return err
 			}
 			un.Branches = append(un.Branches, be)
 		}
-		if expr == nil {
-			expr = un
+		if built {
+			compose(AlgJoin, &un)
 		} else {
-			expr = &AlgNode{Kind: AlgJoin, Left: expr, Right: un}
+			*dst, built = un, true
 		}
 	}
 	for _, o := range g.Optionals {
-		if expr == nil {
-			return nil, fmt.Errorf("plan: OPTIONAL requires a preceding pattern in its group")
+		if !built {
+			return fmt.Errorf("plan: OPTIONAL requires a preceding pattern in its group")
 		}
-		oe, err := compileGroup(o, st, nb)
-		if err != nil {
-			return nil, err
+		oe := new(AlgNode)
+		if err := compileGroup(oe, o, st, nb); err != nil {
+			return err
 		}
-		expr = &AlgNode{Kind: AlgLeftJoin, Left: expr, Right: oe}
+		compose(AlgLeftJoin, oe)
 	}
-	if expr == nil {
-		return nil, fmt.Errorf("plan: empty group graph pattern")
+	if !built {
+		return fmt.Errorf("plan: empty group graph pattern")
 	}
-	expr.Filters = g.Filters // expr was built above and has none yet
-	return expr, nil
-}
-
-// compileBGP compiles one basic graph pattern leaf.
-func compileBGP(pats []sparql.TriplePattern, st store.Source, nb *numbering) (*AlgNode, error) {
-	compiled, err := compilePatterns(pats, st, nb)
-	if err != nil {
-		return nil, err
-	}
-	return &AlgNode{Kind: AlgBGP, Patterns: pats, Compiled: compiled}, nil
+	dst.Filters = g.Filters // dst was built above and has none yet
+	return nil
 }
 
 // optimizeAlg runs the join-ordering optimizer over every BGP leaf and
-// composes the per-leaf plans. It returns a copy of the tree (the
-// compiled tree stays reusable) with Root/Card/Cost filled in, and
+// composes the per-leaf plans. It writes a copy of the tree (the compiled
+// tree stays reusable) with Root/Card/Cost filled in to *out, and reports
 // whether any leaf fell back to greedy. The composition estimates are
 // deliberately coarse — they are informational; no optimization choice
 // depends on them.
-func optimizeAlg(a *AlgNode, est *Estimator) (out *AlgNode, greedy bool) {
-	out = &AlgNode{Kind: a.Kind, Patterns: a.Patterns, Compiled: a.Compiled, Filters: a.Filters}
+func optimizeAlg(a, out *AlgNode, est *Estimator) (greedy bool) {
+	*out = AlgNode{Kind: a.Kind, Patterns: a.Patterns, Compiled: a.Compiled, Filters: a.Filters}
 	switch a.Kind {
 	case AlgBGP:
 		if len(a.Compiled) <= MaxDPPatterns {
@@ -214,8 +212,8 @@ func optimizeAlg(a *AlgNode, est *Estimator) (out *AlgNode, greedy bool) {
 		}
 		out.Card, out.Cost = out.Root.Card, out.Root.Cost
 	case AlgJoin, AlgLeftJoin:
-		l, lg := optimizeAlg(a.Left, est)
-		r, rg := optimizeAlg(a.Right, est)
+		l, r := new(AlgNode), new(AlgNode)
+		lg, rg := optimizeAlg(a.Left, l, est), optimizeAlg(a.Right, r, est)
 		out.Left, out.Right, greedy = l, r, lg || rg
 		if a.Kind == AlgLeftJoin {
 			// Every outer row emits at least once.
@@ -228,7 +226,8 @@ func optimizeAlg(a *AlgNode, est *Estimator) (out *AlgNode, greedy bool) {
 		out.Cost = out.Card + l.Cost + r.Cost
 	case AlgUnion:
 		for _, br := range a.Branches {
-			ob, g := optimizeAlg(br, est)
+			ob := new(AlgNode)
+			g := optimizeAlg(br, ob, est)
 			out.Branches = append(out.Branches, ob)
 			out.Card += ob.Card
 			out.Cost += ob.Cost
@@ -236,5 +235,5 @@ func optimizeAlg(a *AlgNode, est *Estimator) (out *AlgNode, greedy bool) {
 		}
 		out.Cost += out.Card
 	}
-	return out, greedy
+	return greedy
 }

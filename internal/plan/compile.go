@@ -63,10 +63,12 @@ func (cp CompiledPattern) Vars() []sparql.Var {
 type Compiled struct {
 	Query    *sparql.Query
 	Patterns []CompiledPattern
-	Alg      *AlgNode
+	Alg      *AlgNode // &root
 	// Vars names the query's pattern variables by number, in order of
 	// first appearance; CompiledPattern.VarMask indexes it.
 	Vars []sparql.Var
+
+	root AlgNode // the tree's root, allocated with the compiled query
 }
 
 // numVars returns one more than the highest variable number of pats:
@@ -90,15 +92,15 @@ func Compile(q *sparql.Query, st store.Source) (*Compiled, error) {
 		return nil, fmt.Errorf("plan: empty WHERE clause")
 	}
 	var nb numbering
-	alg, err := compileGroup(q.Root(), st, &nb)
-	if err != nil {
+	c := &Compiled{Query: q}
+	if err := compileGroup(&c.root, q.Root(), st, &nb); err != nil {
 		return nil, err
 	}
-	c := &Compiled{Query: q, Alg: alg, Vars: nb.vars}
-	if alg.Kind == AlgBGP {
-		c.Patterns = alg.Compiled
+	c.Alg, c.Vars = &c.root, nb.vars
+	if c.root.Kind == AlgBGP {
+		c.Patterns = c.root.Compiled
 	} else {
-		c.Patterns = collectPatterns(alg, nil)
+		c.Patterns = collectPatterns(&c.root, nil)
 	}
 	return c, nil
 }

@@ -22,18 +22,13 @@ func Optimize(c *Compiled, est *Estimator) (*Plan, error) {
 	if c.Alg == nil {
 		return nil, fmt.Errorf("plan: query has no algebra tree")
 	}
-	alg, greedy := optimizeAlg(c.Alg, est)
-	method := "dp"
-	if greedy {
-		method = "greedy"
+	p := &Plan{Method: "dp"}
+	if optimizeAlg(c.Alg, &p.root, est) {
+		p.Method = "greedy"
 	}
-	return &Plan{
-		Alg:       alg,
-		EstCost:   alg.Cost,
-		EstCard:   alg.Card,
-		Signature: alg.Signature(),
-		Method:    method,
-	}, nil
+	p.Alg = &p.root
+	p.EstCost, p.EstCard, p.Signature = p.root.Cost, p.root.Card, p.root.Signature()
+	return p, nil
 }
 
 // dpEntry is the cheapest plan found for one subset of patterns: its

@@ -86,11 +86,13 @@ func (n *Node) render(b *strings.Builder, depth int) {
 // Plan is the result of optimization: the algebra tree with every BGP
 // leaf's join tree chosen.
 type Plan struct {
-	Alg       *AlgNode
-	EstCost   float64 // estimated Cout of the whole plan
-	EstCard   float64 // estimated result cardinality
-	Signature string  // canonical plan identity
-	Method    string  // "greedy" if any BGP leaf fell back to greedy, else "dp"
+	Alg       *AlgNode // &root
+	EstCost   float64  // estimated Cout of the whole plan
+	EstCard   float64  // estimated result cardinality
+	Signature string   // canonical plan identity
+	Method    string   // "greedy" if any BGP leaf fell back to greedy, else "dp"
+
+	root AlgNode // the tree's root, allocated with the plan
 }
 
 // String renders the plan.

@@ -135,6 +135,44 @@ func searchRange(idx []IDTriple, o order, pat Pattern) (lo, hi int) {
 	return lo, gallop(idx, p, lo, packPrefix(k))
 }
 
+// walkLimit is the longest subject group Store.baseRange walks instead of
+// searching. The BSBM groups a probe meets hold 1 to 13 triples, where a
+// forward walk of two compares per triple beats a binary search and a
+// gallop through packKey (ARCHITECTURE.md, "The probe kernel"). It is a
+// constant, not an option: past it the search's logarithm wins.
+const walkLimit = 32
+
+// walkGroup returns what searchRange(g, o, pat) returns for g, one
+// subject's group of an SPO or SOP run, in one pass over it. pat binds S
+// and the second sort component, and maybe the third. Inside the group
+// only those two remain, packed into one uint64: (P, O) for SPO, and the
+// same word rotated to (O, P) for SOP. The range is every triple whose
+// word lies in [from, to), so lo counts the words below from and hi those
+// below to, without a branch; to is 0 when the increment carries out of
+// the word, and then nothing sorts above the prefix.
+func walkGroup(g []IDTriple, o order, pat Pattern) (lo, hi int) {
+	rot := 0
+	if o == orderSOP {
+		rot = 32
+	}
+	from := bits.RotateLeft64(uint64(pat.P)<<32|uint64(pat.O), rot)
+	to := from + 1
+	if from&math.MaxUint32 == 0 {
+		to = from + 1<<32 // the third component is unbound
+	}
+	for i := range g {
+		k := bits.RotateLeft64(uint64(g[i].P)<<32|uint64(g[i].O), rot)
+		_, below := bits.Sub64(k, from, 0)
+		lo += int(below)
+		_, below = bits.Sub64(k, to, 0)
+		hi += int(below)
+	}
+	if to == 0 {
+		hi = len(g)
+	}
+	return lo, hi
+}
+
 // A subjectDir is the offset directory of a base store's subject groups:
 // the r-th subject of the SPO run, in ID order, owns
 // idx[SPO][off[r]:off[r+1]], and because SOP is also sorted by subject
@@ -162,13 +200,19 @@ type dirBlock struct {
 
 // group returns subject s's group [lo, hi) in spo, the SPO run the
 // directory belongs to, whose subjects are IDs of d; an absent subject
-// gets the empty range where it would sort. ok is false when the
-// directory does not cover s (it was minted after the build) or spo is
-// too long for 32-bit offsets: the caller searches the whole run.
+// gets the empty range where it would sort. A subject past the
+// directory's end that is above the run's last subject — one minted after
+// the build — gets the empty range at len(spo), which is exact for any
+// sorted run. ok is false for any other subject past the end (spo is too
+// long for 32-bit offsets, or a corrupt mapped run holds subjects above
+// the dictionary): the caller searches the whole run.
 func (sd *subjectDir) group(spo []IDTriple, d *dict.Dict, s dict.ID) (lo, hi int, ok bool) {
 	sd.once.Do(func() { sd.build(spo, d) })
 	w := int(s >> 6)
 	if w >= len(sd.blocks) {
+		if n := len(spo); n == 0 || s > spo[n-1].S {
+			return n, n, true
+		}
 		return 0, 0, false
 	}
 	b := sd.blocks[w]

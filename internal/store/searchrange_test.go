@@ -88,7 +88,8 @@ func forEachProbe(idx []IDTriple, o order, extra []dict.ID, f func(pat Pattern, 
 }
 
 // checkSearchRange compares searchRange and runFor with linearRange over
-// idx (sorted by o) for every probe forEachProbe makes.
+// idx (sorted by o) for every probe forEachProbe makes, and, for a probe
+// binding S and more in SPO or SOP, walkGroup over the subject's group.
 func checkSearchRange(t *testing.T, label string, idx []IDTriple, o order, extra []dict.ID) {
 	t.Helper()
 	forEachProbe(idx, o, extra, func(pat Pattern, wantLo, wantHi int) {
@@ -99,11 +100,17 @@ func checkSearchRange(t *testing.T, label string, idx []IDTriple, o order, extra
 		if run := runFor(idx, o, pat); len(run) != wantHi-wantLo || (len(run) > 0 && run[0] != idx[wantLo]) {
 			t.Fatalf("%s %v: runFor(%v) has %d triples, want %d from %d", label, o, pat, len(run), wantHi-wantLo, wantLo)
 		}
+		if (o == orderSPO || o == orderSOP) && pat.boundMask() > 1 {
+			glo, ghi := searchRange(idx, o, Pattern{S: pat.S})
+			if lo, hi := walkGroup(idx[glo:ghi], o, pat); glo+lo != wantLo || glo+hi != wantHi {
+				t.Fatalf("%s %v: walkGroup(%v) = [%d, %d) in group [%d, %d), linear filter [%d, %d)", label, o, pat, glo+lo, glo+hi, glo, ghi, wantLo, wantHi)
+			}
+		}
 	})
 }
 
 // TestSearchRangeMatchesLinearFilter is the property test of the probe
-// kernel on raw runs, where IDs are free to sit at the edges of uint32: a
+// kernels on raw runs, where IDs are free to sit at the edges of uint32: a
 // bound component of MaxUint32 makes the exclusive upper key carry, out of
 // the packed word or out of the key altogether.
 func TestSearchRangeMatchesLinearFilter(t *testing.T) {

@@ -276,8 +276,9 @@ func (s *Store) Count(pat Pattern) int {
 // matching pat, whose bound positions must be a prefix of o's sort key:
 // the one lookup every read makes in a base run (delta runs go through
 // Delta.runs). A subject-bound probe in SPO or SOP first takes its subject's
-// group from the directory and searches only that group; the result is
-// searchRange's, empty ranges included.
+// group from the directory, then walks a group of at most walkLimit
+// triples and searches a longer one; the result is searchRange's, empty
+// ranges included.
 func (s *Store) baseRange(o order, pat Pattern) (lo, hi int) {
 	idx := s.idx[o]
 	if pat.S != dict.None && (o == orderSPO || o == orderSOP) {
@@ -285,7 +286,11 @@ func (s *Store) baseRange(o order, pat Pattern) (lo, hi int) {
 			if pat.P == dict.None && pat.O == dict.None {
 				return glo, ghi
 			}
-			lo, hi = searchRange(idx[glo:ghi], o, pat)
+			if ghi-glo <= walkLimit {
+				lo, hi = walkGroup(idx[glo:ghi], o, pat)
+			} else {
+				lo, hi = searchRange(idx[glo:ghi], o, pat)
+			}
 			return glo + lo, glo + hi
 		}
 	}

@@ -68,8 +68,8 @@ func TestBaseRangeMatchesSearchRange(t *testing.T) {
 			t.Fatal("the overlay must share its base's directory")
 		}
 		// New IDs land both in the directory's last block, as absent
-		// subjects, and past it, where lookups search the whole run: probe
-		// the first and last of each kind.
+		// subjects, and past its end: probe the first and last of each
+		// kind.
 		var minted, edges []dict.ID
 		for _, tr := range ins {
 			id, _ := ov.Dict().Lookup(tr.S)
@@ -85,6 +85,15 @@ func TestBaseRangeMatchesSearchRange(t *testing.T) {
 			t.Fatalf("minted IDs %d..%d do not straddle the directory's end %d", minted[0], minted[len(minted)-1], covered)
 		}
 		checkBaseRange(t, "overlay minted", ov, append(edges, minted[0], minted[len(minted)-1])...)
+		// Every minted subject sorts above the run's last one, so the
+		// directory answers it — past its end too — with the empty range
+		// at the end of the run, and no lookup searches the whole run.
+		spo := ov.idx[orderSPO]
+		for _, s := range append(minted, math.MaxUint32) {
+			if lo, hi, ok := ov.sdir.group(spo, ov.Dict(), s); !ok || lo != len(spo) || hi != len(spo) {
+				t.Fatalf("group(%d) = [%d, %d) ok=%v, want the empty range at %d", s, lo, hi, ok, len(spo))
+			}
+		}
 		// The merged view still finds the inserted triples of the new
 		// subjects, exactly as a rebuilt store does.
 		committed := d.Commit()
