@@ -14,12 +14,8 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/bsbm"
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/snb"
-	"repro/internal/sparql"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -42,7 +38,7 @@ func main() {
 }
 
 func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n int, seed int64) error {
-	st, tmpl, name, err := load(dataset, scale, query, seed, snapshot)
+	st, tmpl, name, err := workload.Resolve(dataset, scale, query, seed, snapshot)
 	if err != nil {
 		return err
 	}
@@ -100,75 +96,4 @@ func run(w io.Writer, dataset, scale, query, mode, snapshot string, groups, n in
 	default:
 		return fmt.Errorf("unknown mode %q", mode)
 	}
-}
-
-// load resolves the store and query template. With a snapshot path the
-// store is loaded instead of regenerated (v4 snapshots are served straight
-// from an OS file mapping), which skips dataset generation entirely; the
-// dataset flag still selects which template family the query name refers
-// to.
-func load(dataset, scale, query string, seed int64, snapshot string) (*store.Store, *sparql.Query, string, error) {
-	var st *store.Store
-	if snapshot != "" {
-		var err error
-		st, err = store.LoadAnyMapped(snapshot)
-		if err != nil {
-			return nil, nil, "", err
-		}
-	}
-	switch dataset {
-	case "bsbm":
-		if st == nil {
-			cfg := bsbm.TestConfig()
-			if scale == "default" {
-				cfg = bsbm.DefaultConfig()
-			}
-			cfg.Seed = seed
-			var err error
-			st, _, err = bsbm.BuildStore(cfg)
-			if err != nil {
-				return nil, nil, "", err
-			}
-		}
-		switch query {
-		case "q1":
-			return st, bsbm.Q1(), "Q1", nil
-		case "q2":
-			return st, bsbm.Q2(), "Q2", nil
-		case "q3":
-			return st, bsbm.Q3(), "Q3", nil
-		case "q4":
-			return st, bsbm.Q4(), "Q4", nil
-		case "q5":
-			return st, bsbm.Q5(), "Q5", nil
-		case "q6":
-			return st, bsbm.Q6(), "Q6", nil
-		}
-		return nil, nil, "", fmt.Errorf("unknown bsbm query %q", query)
-	case "snb":
-		if st == nil {
-			cfg := snb.TestConfig()
-			if scale == "default" {
-				cfg = snb.DefaultConfig()
-			}
-			cfg.Seed = seed
-			var err error
-			st, _, err = snb.BuildStore(cfg)
-			if err != nil {
-				return nil, nil, "", err
-			}
-		}
-		switch query {
-		case "q1":
-			return st, snb.Q1(), "Q1", nil
-		case "q2":
-			return st, snb.Q2(), "Q2", nil
-		case "q3":
-			return st, snb.Q3(), "Q3", nil
-		case "q4":
-			return st, snb.Q4(), "Q4", nil
-		}
-		return nil, nil, "", fmt.Errorf("unknown snb query %q", query)
-	}
-	return nil, nil, "", fmt.Errorf("unknown dataset %q", dataset)
 }

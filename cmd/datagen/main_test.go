@@ -88,8 +88,8 @@ func TestRunBadFormat(t *testing.T) {
 	}
 }
 
-// -format snapshot writes v4: the file maps in (what cmd/served does by
-// default) and heap-loads into the same store as the N-Triples output.
+// -format snapshot writes v4: the file maps in (what cmd/served does) and
+// holds the same store as the N-Triples output.
 func TestRunSnapshotVersions(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "data.snap")
@@ -105,7 +105,7 @@ func TestRunSnapshotVersions(t *testing.T) {
 		t.Fatalf("snapshot is not a mappable v4 file: %v", err)
 	}
 	defer mapped.Mapping().Release()
-	ref, err := store.LoadAny(nt)
+	ref, err := store.Open(nt)
 	if err != nil {
 		t.Fatal(err)
 	}

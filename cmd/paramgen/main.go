@@ -21,18 +21,16 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bsbm"
 	"repro/internal/core"
-	"repro/internal/snb"
 	"repro/internal/sparql"
-	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func main() {
 	var (
 		dataset = flag.String("dataset", "bsbm", "dataset: bsbm | snb")
 		scale   = flag.String("scale", "test", "scale preset: test | default")
-		query   = flag.String("query", "q4", "query template: bsbm q1|q2|q4, snb q1|q2|q3")
+		query   = flag.String("query", "q4", "query template: bsbm q1|q2|q3|q4|q5|q6, snb q1|q2|q3|q4")
 		mode    = flag.String("mode", "uniform", "sampling mode: uniform | curated")
 		n       = flag.Int("n", 100, "bindings to emit (per class in curated mode)")
 		epsilon = flag.Float64("epsilon", core.DefaultEpsilon, "cost-band width for clustering")
@@ -48,7 +46,7 @@ func main() {
 }
 
 func run(w io.Writer, dataset, scale, query, mode string, n int, epsilon float64, minSize int, seed int64, summary bool) error {
-	st, tmpl, name, err := load(dataset, scale, query, seed)
+	st, tmpl, name, err := workload.Resolve(dataset, scale, query, seed, "")
 	if err != nil {
 		return err
 	}
@@ -82,50 +80,6 @@ func run(w io.Writer, dataset, scale, query, mode string, n int, epsilon float64
 	default:
 		return fmt.Errorf("unknown mode %q (want uniform or curated)", mode)
 	}
-}
-
-func load(dataset, scale, query string, seed int64) (*store.Store, *sparql.Query, string, error) {
-	switch dataset {
-	case "bsbm":
-		cfg := bsbm.TestConfig()
-		if scale == "default" {
-			cfg = bsbm.DefaultConfig()
-		}
-		cfg.Seed = seed
-		st, _, err := bsbm.BuildStore(cfg)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		switch query {
-		case "q1":
-			return st, bsbm.Q1(), "Q1", nil
-		case "q2":
-			return st, bsbm.Q2(), "Q2", nil
-		case "q4":
-			return st, bsbm.Q4(), "Q4", nil
-		}
-		return nil, nil, "", fmt.Errorf("unknown bsbm query %q", query)
-	case "snb":
-		cfg := snb.TestConfig()
-		if scale == "default" {
-			cfg = snb.DefaultConfig()
-		}
-		cfg.Seed = seed
-		st, _, err := snb.BuildStore(cfg)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		switch query {
-		case "q1":
-			return st, snb.Q1(), "Q1", nil
-		case "q2":
-			return st, snb.Q2(), "Q2", nil
-		case "q3":
-			return st, snb.Q3(), "Q3", nil
-		}
-		return nil, nil, "", fmt.Errorf("unknown snb query %q", query)
-	}
-	return nil, nil, "", fmt.Errorf("unknown dataset %q", dataset)
 }
 
 func formatBinding(label string, b sparql.Binding) string {

@@ -59,6 +59,23 @@ func TestSNBQueries(t *testing.T) {
 	}
 }
 
+// TestEveryTemplate: paramgen resolves every template benchrun runs,
+// BSBM q3, q5 and q6 and SNB q4 included.
+func TestEveryTemplate(t *testing.T) {
+	for _, c := range []struct{ dataset, query, label string }{
+		{"bsbm", "q3", "Q3\t"}, {"bsbm", "q5", "Q5\t"}, {"bsbm", "q6", "Q6\t"}, {"snb", "q4", "Q4\t"},
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, c.dataset, "test", c.query, "uniform", 3, 1.0, 1, 1, false); err != nil {
+			t.Fatalf("%s %s: %v", c.dataset, c.query, err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		if len(lines) != 3 || !strings.HasPrefix(lines[0], c.label) || !strings.Contains(lines[0], "=") {
+			t.Fatalf("%s %s: output wrong:\n%s", c.dataset, c.query, buf.String())
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	var buf bytes.Buffer
 	cases := []struct {

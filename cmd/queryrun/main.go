@@ -43,7 +43,6 @@ type config struct {
 	queryStr  string
 	queryFile string
 	updateRun string
-	commit    bool
 	binds     []string
 	explain   bool
 	analyze   bool
@@ -55,11 +54,10 @@ func main() {
 		cfg   config
 		binds bindFlags
 	)
-	flag.StringVar(&cfg.dataPath, "data", "", "N-Triples (.nt) or snapshot file (required)")
+	flag.StringVar(&cfg.dataPath, "data", "", "N-Triples (.nt) file, snapshot or shard directory (required)")
 	flag.StringVar(&cfg.queryStr, "query", "", "query text")
 	flag.StringVar(&cfg.queryFile, "queryfile", "", "file containing the query")
 	flag.StringVar(&cfg.updateRun, "updaterun", "", "SPARQL-Update text (or @file) applied to the loaded store before the query runs; the query then sees the delta-overlaid snapshot")
-	flag.BoolVar(&cfg.commit, "commit", false, "with -updaterun: fold the delta into a fresh fully indexed store instead of querying the overlay")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the optimized logical and physical plan trees")
 	flag.BoolVar(&cfg.analyze, "analyze", false, "EXPLAIN ANALYZE: trace the execution and print the plan annotated with observed rows, wall time and Cout/Work/Scanned per operator")
 	flag.IntVar(&cfg.maxRows, "maxrows", 50, "result rows to print (0 = all)")
@@ -78,12 +76,12 @@ func run(w io.Writer, cfg config) error {
 	if dataPath == "" {
 		return fmt.Errorf("-data is required")
 	}
-	st, err := store.LoadAnyMapped(dataPath)
+	st, err := store.Open(dataPath)
 	if err != nil {
 		return err
 	}
 	if cfg.updateRun != "" {
-		st, err = applyUpdate(w, st, cfg.updateRun, cfg.commit)
+		st, err = applyUpdate(w, st, cfg.updateRun)
 		if err != nil {
 			return err
 		}
@@ -180,9 +178,8 @@ func run(w io.Writer, cfg config) error {
 }
 
 // applyUpdate runs -updaterun's SPARQL-Update (text or @file) against the
-// loaded store, returning the delta overlay (or, with -commit, the folded
-// store) the query will execute over.
-func applyUpdate(w io.Writer, st *store.Store, arg string, commit bool) (*store.Store, error) {
+// loaded store, returning the delta overlay the query will execute over.
+func applyUpdate(w io.Writer, st *store.Store, arg string) (*store.Store, error) {
 	src := arg
 	if strings.HasPrefix(arg, "@") {
 		data, err := os.ReadFile(arg[1:])
@@ -198,12 +195,6 @@ func applyUpdate(w io.Writer, st *store.Store, arg string, commit bool) (*store.
 	d, err := exec.ApplyUpdate(st, u)
 	if err != nil {
 		return nil, err
-	}
-	if commit {
-		next := d.Commit()
-		fmt.Fprintf(w, "update: +%d -%d triples committed (store %d -> %d triples)\n",
-			d.InsertCount(), d.DeleteCount(), st.Len(), next.Len())
-		return next, nil
 	}
 	next := d.Overlay()
 	fmt.Fprintf(w, "update: +%d -%d triples as delta overlay (store %d -> %d triples)\n",

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bsbm"
+	"repro/internal/store"
 )
 
 func writeTestData(t *testing.T) string {
@@ -163,5 +164,50 @@ func TestExplainPrintsPhysicalPlan(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "physical:") || !strings.Contains(out, "IndexScan") {
 		t.Fatalf("physical plan missing from explain output:\n%s", out)
+	}
+}
+
+// TestUpdateRun: -updaterun applies its SPARQL-Update before the query
+// runs, over an N-Triples file and over a v4 snapshot alike: the inserted
+// row appears and the deleted one is gone, whether the update is given as
+// text or as @file.
+func TestUpdateRun(t *testing.T) {
+	nt := writeTestData(t)
+	st, err := store.Open(nt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "data.snap")
+	f, err := os.Create(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const update = `INSERT DATA { <http://x/c> <http://x/name> "carol" . } ;
+DELETE DATA { <http://x/b> <http://x/name> "bob" . }`
+	uf := filepath.Join(dir, "u.ru")
+	if err := os.WriteFile(uf, []byte(update), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range []string{nt, snap} {
+		for _, arg := range []string{update, "@" + uf} {
+			var buf bytes.Buffer
+			err := run(&buf, config{dataPath: data, updateRun: arg,
+				queryStr: `SELECT ?n WHERE { ?p <http://x/name> ?n . } ORDER BY ?n`})
+			if err != nil {
+				t.Fatalf("%s: %v", data, err)
+			}
+			out := buf.String()
+			if !strings.Contains(out, "update: +1 -1 triples") || !strings.Contains(out, "2 rows") ||
+				!strings.Contains(out, `"alice"`) || !strings.Contains(out, `"carol"`) || strings.Contains(out, `"bob"`) {
+				t.Fatalf("%s, update %q: output wrong:\n%s", data, arg, out)
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command served runs the concurrent query service over an N-Triples file,
-// a binary store snapshot or a shard directory (opened as one store),
-// exposing the JSON HTTP API:
+// a v4 snapshot or a shard directory, opened as one store by store.Open (a
+// v4 file is served from an OS file mapping), exposing the JSON HTTP API:
 //
 //	served -data dataset.snap -addr :8080
 //
@@ -35,7 +35,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,11 +54,11 @@ func pprofMux() *http.ServeMux {
 	return mux
 }
 
-// config is the command line: where to load from and listen, what to run
-// at startup, and the service options every other flag sets.
+// config is the command line: where to load from and listen, and the
+// service options every other flag sets.
 type config struct {
-	data, addr, upRun, pprofAddr string
-	opts                         service.Options
+	data, addr, pprofAddr string
+	opts                  service.Options
 }
 
 // parseFlags parses served's command line into a config.
@@ -74,9 +73,7 @@ func parseFlags(args []string) (config, error) {
 		exact   = fs.Bool("exact-accounting", false, "drain LIMIT pipelines for paper-exact Cout/Work accounting instead of stopping early")
 		reload  = fs.Bool("allow-reload", false, "enable POST /reload (loads any server-readable path a client names)")
 		update  = fs.Bool("allow-update", false, "enable POST /update (SPARQL-Update INSERT DATA / DELETE DATA)")
-		upRun   = fs.String("updaterun", "", "SPARQL-Update text (or @file) applied once at startup before serving")
 		compact = fs.Int("compact-threshold", 0, "pending delta size that triggers auto-compaction on update (0 = adaptive max(1024, base/8), negative = never)")
-		heap    = fs.Bool("heap-load", false, "fully deserialize snapshots into heap indexes instead of serving v4 snapshots from an OS file mapping")
 
 		traceSample = fs.Int("trace-sample", 0, "trace every Nth query and retain it in the /trace/recent ring (0 = off)")
 		slowMs      = fs.Int("slow-query-ms", 0, "trace every query and retain+log any at or above this many milliseconds (0 = off)")
@@ -94,14 +91,13 @@ func parseFlags(args []string) (config, error) {
 	opts.AllowReload = *reload
 	opts.AllowUpdate = *update
 	opts.CompactThreshold = *compact
-	opts.HeapLoad = *heap
 	opts.TraceSample = *traceSample
 	opts.SlowQueryMs = *slowMs
 	opts.TraceRecent = *traceRecent
 	if *slowMs > 0 {
 		opts.SlowLog = os.Stderr
 	}
-	return config{data: *data, addr: *addr, upRun: *upRun, pprofAddr: *pprofAddr, opts: opts}, nil
+	return config{data: *data, addr: *addr, pprofAddr: *pprofAddr, opts: opts}, nil
 }
 
 func main() {
@@ -120,24 +116,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "served:", err)
 		os.Exit(1)
-	}
-	if cfg.upRun != "" {
-		src := cfg.upRun
-		if strings.HasPrefix(src, "@") {
-			data, err := os.ReadFile(src[1:])
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "served:", err)
-				os.Exit(1)
-			}
-			src = string(data)
-		}
-		res, err := svc.Update(context.Background(), src)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "served: -updaterun:", err)
-			os.Exit(1)
-		}
-		log.Printf("served: startup update applied (+%d -%d named triples, %d pending, compacted=%v)",
-			res.Inserted, res.Deleted, res.PendingInserts+res.PendingDeletes, res.Compacted)
 	}
 	l, err := net.Listen("tcp", cfg.addr)
 	if err != nil {

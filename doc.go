@@ -27,14 +27,13 @@
 // Stores persist as v4 binary snapshots (magic "RDFSNAP4"): page-aligned
 // sections holding an offset-table dictionary, all six indexes and the
 // statistics. WriteSnapshot writes them (folding a pending delta in),
-// ReadSnapshot and store.LoadAny load them onto the heap with full
-// revalidation and an index rebuild, and store.LoadAnyMapped serves them
-// straight from an OS file mapping in O(1), zero-copy (the cmd/served
-// default, see its -heap-load flag). Files in the older formats v1–v3
-// fail to load with a *store.VersionError. A shard directory
-// (store.WriteSharded: one v4 file per subject-hash shard plus a
-// manifest) is only an on-disk layout: store.LoadSharded merges its
-// shards' runs once and opens it as one store.
+// ReadSnapshot loads one onto the heap with full revalidation and an
+// index rebuild, and store.Open — the one opener of every command —
+// serves a v4 file straight from an OS file mapping in O(1), zero-copy.
+// Files in the older formats v1–v3 fail to load with a
+// *store.VersionError. A shard directory (store.WriteSharded: one v4 file
+// per subject-hash shard plus a manifest) is only an on-disk layout:
+// store.Open merges its shards' runs once and opens it as one store.
 //
 // On top of the one-shot pipeline, internal/service hosts a long-lived
 // concurrent query service — prepared templates, a shared LRU plan cache,

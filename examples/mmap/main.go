@@ -5,8 +5,8 @@
 // mapping drain.
 //
 // The standalone binaries take the same path: cmd/datagen -format
-// snapshot writes the format and cmd/served serves v4 files mapped by
-// default (-heap-load forces full deserialization).
+// snapshot writes the format, and cmd/served, cmd/queryrun and
+// cmd/benchrun open it mapped through store.Open.
 package main
 
 import (

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bsbm"
+	"repro/internal/plan"
 	"repro/internal/snb"
 )
 
@@ -72,26 +73,60 @@ func TestAnalyzeParallelSampledDomain(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBindingsParallel: the explicit-binding path (joint domains)
-// goes through the same pool.
+// TestAnalyzeBindings: analyzeBindings returns one point per binding, in
+// binding order, each the point analyzeOne gives that binding alone; an
+// empty list gives no points.
+func TestAnalyzeBindings(t *testing.T) {
+	st, _ := snbStore(t)
+	q1 := snb.Q1()
+	dom, err := ExtractDomain(q1, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindings := NewUniformSampler(dom, 5).Sample(40)
+	points, err := analyzeBindings(q1, st, bindings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != len(bindings) {
+		t.Fatalf("%d points for %d bindings", len(points), len(bindings))
+	}
+	est := plan.NewEstimator(st)
+	for i, b := range bindings {
+		want, err := analyzeOne(q1, st, est, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(points[i], want) {
+			t.Fatalf("point %d = %+v, want %+v", i, points[i], want)
+		}
+	}
+	if points, err := analyzeBindings(q1, st, nil); err != nil || len(points) != 0 {
+		t.Fatalf("no bindings: %d points, err %v", len(points), err)
+	}
+}
+
+// TestAnalyzeBindingsParallel: an explicit binding list goes through the
+// same pool and gives the same points at any worker count.
 func TestAnalyzeBindingsParallel(t *testing.T) {
 	st, _ := snbStore(t)
 	q1 := snb.Q1()
-	joint, err := ExtractJointDomain(q1, st, 80)
+	dom, err := ExtractDomain(q1, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serial, par *Analysis
-	atProcs(1, func() { serial, err = AnalyzeBindings(q1, st, joint.Bindings, AnalyzeOptions{}) })
+	bindings := NewUniformSampler(dom, 7).Sample(80)
+	var serial, par []Point
+	atProcs(1, func() { serial, err = analyzeBindings(q1, st, bindings) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	atProcs(8, func() { par, err = AnalyzeBindings(q1, st, joint.Bindings, AnalyzeOptions{}) })
+	atProcs(8, func() { par, err = analyzeBindings(q1, st, bindings) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial.Points, par.Points) {
-		t.Fatal("joint-domain points differ between one and eight workers")
+	if !reflect.DeepEqual(serial, par) {
+		t.Fatal("points differ between one and eight workers")
 	}
 }
 
@@ -108,7 +143,7 @@ func TestAnalyzeParallelErrorPropagates(t *testing.T) {
 	bad := *bsbm.Q4()
 	bad.Where = nil
 	for _, procs := range []int{1, 4} {
-		atProcs(procs, func() { _, err = AnalyzeBindings(&bad, st, bindings, AnalyzeOptions{}) })
+		atProcs(procs, func() { _, err = analyzeBindings(&bad, st, bindings) })
 		if err == nil {
 			t.Errorf("GOMAXPROCS %d: expected error for empty template", procs)
 		}

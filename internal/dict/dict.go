@@ -27,7 +27,7 @@ const None ID = 0
 // mutable tail. The mmap-backed snapshot dictionary (store.OpenMapped)
 // implements Base over its on-disk offset table and string heap; because
 // tail ids continue exactly where the base stops, a store opened mapped
-// assigns the same ids to the same new terms as its heap-loaded twin, which
+// assigns the same ids to the same new terms as its heap-backed twin, which
 // is what keeps results bit-identical across backings. Implementations must
 // be safe for concurrent use (immutable bases are trivially so).
 //

@@ -194,10 +194,11 @@ func TestDifferentialSnapshotRoundTrip(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := store.LoadAny(path)
+	restored, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Mapping().Release()
 	if restored.Delta() != nil || restored.Len() != sc.Overlay.Len() {
 		t.Fatalf("restored snapshot: delta %v, %d triples; want folded, %d",
 			restored.Delta() != nil, restored.Len(), sc.Overlay.Len())

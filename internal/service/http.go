@@ -167,11 +167,8 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if ro.Analyze && len(req.Batch) > 0 {
-		writeError(w, badInput(errors.New("explain=analyze supports single executions only")))
-		return
-	}
-	if ro.Analyze {
+	if len(req.Batch) == 0 {
+		// The single-binding form returns the bare result object.
 		b, err := parseBindingMap(req.Bindings)
 		if err != nil {
 			writeError(w, badInput(err))
@@ -185,12 +182,12 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeResults(w, []*Outcome{out}, req.MaxRows, false)
 		return
 	}
-	batch := req.Batch
-	if len(batch) == 0 {
-		batch = []map[string]string{req.Bindings}
+	if ro.Analyze {
+		writeError(w, badInput(errors.New("explain=analyze supports single executions only")))
+		return
 	}
-	bindings := make([]sparql.Binding, len(batch))
-	for i, m := range batch {
+	bindings := make([]sparql.Binding, len(req.Batch))
+	for i, m := range req.Batch {
 		b, err := parseBindingMap(m)
 		if err != nil {
 			writeError(w, badInput(fmt.Errorf("batch item %d: %w", i, err)))
@@ -203,8 +200,7 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// The single-binding form returns the bare result object.
-	writeResults(w, outs, req.MaxRows, len(req.Batch) > 0)
+	writeResults(w, outs, req.MaxRows, true)
 }
 
 func (s *Service) handleReload(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -149,6 +150,43 @@ func TestHTTPPrepareExecuteBatchAndStats(t *testing.T) {
 	}
 	if st.Pool.TokensInUse != 0 {
 		t.Fatalf("pool stats = %+v (no request in flight)", st.Pool)
+	}
+}
+
+// TestHTTPExecuteErrorItem: a single-binding /execute runs on its own, so
+// its errors name no batch item; a batch's errors name the failing item.
+func TestHTTPExecuteErrorItem(t *testing.T) {
+	_, srv := startTestServer(t, Options{})
+	if resp, body := postJSON(t, srv.URL+"/prepare", prepareRequest{
+		Name:  "friends",
+		Query: `SELECT ?f WHERE { %who <http://x/knows> ?f . }`,
+	}); resp.StatusCode != 200 {
+		t.Fatalf("prepare status %d: %s", resp.StatusCode, body)
+	}
+	alice := map[string]string{"who": "<http://x/alice>"}
+	for _, c := range []struct {
+		name, want string
+		req        executeRequest
+	}{
+		{"single unbound", "unbound parameter", executeRequest{Name: "friends"}},
+		{"single bad term", "binding who: ", executeRequest{Name: "friends", Bindings: map[string]string{"who": "not-a-term"}}},
+		{"batch unbound", "batch item 1: ", executeRequest{Name: "friends", Batch: []map[string]string{alice, {}}}},
+		{"batch bad term", "batch item 1: ", executeRequest{Name: "friends", Batch: []map[string]string{alice, {"who": "not-a-term"}}}},
+	} {
+		resp, body := postJSON(t, srv.URL+"/execute", c.req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %s", c.name, resp.StatusCode, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(e.Error, c.want) {
+			t.Fatalf("%s: error %q, want it to contain %q", c.name, e.Error, c.want)
+		}
+		if c.req.Batch == nil && strings.Contains(e.Error, "batch item") {
+			t.Fatalf("%s: single-binding error %q names a batch item", c.name, e.Error)
+		}
 	}
 }
 

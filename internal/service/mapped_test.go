@@ -35,10 +35,12 @@ func writeV4Snapshot(t *testing.T, dir, name string, st *store.Store) string {
 }
 
 // TestServiceMappedBackend loads a v4 snapshot through the service's default
-// path and checks it serves from the mapping: correct query results, mapped
-// backend surfaced in /stats and /metrics, and the HeapLoad escape hatch.
+// path and checks it serves from the mapping: the same query results as a
+// service over the built heap store, and the mapped backend surfaced in
+// /stats and /metrics.
 func TestServiceMappedBackend(t *testing.T) {
-	path := writeV4Snapshot(t, t.TempDir(), "tiny.v4.snap", buildTinyStore(t))
+	built := buildTinyStore(t)
+	path := writeV4Snapshot(t, t.TempDir(), "tiny.v4.snap", built)
 
 	svc, err := Load(path, Options{})
 	if err != nil {
@@ -48,15 +50,25 @@ func TestServiceMappedBackend(t *testing.T) {
 		t.Fatalf("backend = %q, want mapped", got)
 	}
 
-	out, err := svc.Query(context.Background(), `SELECT ?f WHERE { <http://x/alice> <http://x/knows> ?f . } ORDER BY ?f`, nil)
+	const q = `SELECT ?f WHERE { <http://x/alice> <http://x/knows> ?f . } ORDER BY ?f`
+	out, err := svc.Query(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := out.DecodedRows()
-	out.Close()
 	if len(rows) != 2 || rows[0][0] != "<http://x/bob>" || rows[1][0] != "<http://x/carol>" {
 		t.Fatalf("rows = %v", rows)
 	}
+	heap := New(built, "heap", Options{})
+	want, err := heap.Query(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonical(out) != canonical(want) {
+		t.Fatalf("mapped service diverges from the heap store's\ngot:\n%s\nwant:\n%s", canonical(out), canonical(want))
+	}
+	out.Close()
+	want.Close()
 
 	st := svc.Stats()
 	if st.Store.Backend != "mapped" {
@@ -82,17 +94,6 @@ func TestServiceMappedBackend(t *testing.T) {
 		}
 	}
 
-	// -heap-load forces the fully validating deserialization path.
-	heap, err := Load(path, Options{HeapLoad: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := heap.Store().Backend(); got != "heap" {
-		t.Fatalf("HeapLoad backend = %q, want heap", got)
-	}
-	if hs := heap.Stats(); hs.Store.MappedBytes != 0 || hs.Store.Backend != "heap" {
-		t.Fatalf("HeapLoad stats = %+v", hs.Store)
-	}
 }
 
 // TestReloadRemapDefersUnmap reloads from one mapped snapshot to another

@@ -82,12 +82,6 @@ type Options struct {
 	// Exec are the execution options every query runs with. Each query
 	// runs on one goroutine, so Workers alone bounds the CPU in use.
 	Exec exec.Options
-	// HeapLoad forces Load/Reload to fully deserialize snapshots into heap
-	// stores even when the file is in the v4 mapped layout. Default off: v4
-	// snapshots are served straight from an OS file mapping
-	// (store.OpenMapped) with O(1) open cost. cmd/served exposes this as
-	// -heap-load.
-	HeapLoad bool
 	// AllowReload enables the HTTP POST /reload endpoint, which loads any
 	// server-readable path a client names. Off by default — enable only
 	// when the listener is trusted (cmd/served -allow-reload). The
@@ -343,13 +337,12 @@ func New(st *store.Store, source string, opts Options) *Service {
 	return s
 }
 
-// Load opens path (a snapshot, a shard directory or N-Triples,
-// auto-detected) and returns a Service over it. v4 snapshots are served
-// mmap-backed unless Options.HeapLoad forces full deserialization; either
-// way the service owns the store's lifecycle (its generations hold the
-// mapping open and the last drained one unmaps it).
+// Load opens path with store.Open (a snapshot, a shard directory or
+// N-Triples, auto-detected) and returns a Service over it. The service
+// owns the store's lifecycle: its generations hold a v4 mapping open and
+// the last drained one unmaps it.
 func Load(path string, opts Options) (*Service, error) {
-	st, err := loadStore(path, opts.HeapLoad)
+	st, err := store.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -359,19 +352,6 @@ func Load(path string, opts Options) (*Service, error) {
 	// snapshot generations.
 	releaseMapping(st)
 	return s, nil
-}
-
-// loadStore opens path as one store: a shard directory through
-// store.LoadSharded, any other file through store.LoadAnyMapped, or
-// fully deserialized onto the heap when heapLoad is set.
-func loadStore(path string, heapLoad bool) (*store.Store, error) {
-	switch {
-	case store.IsShardedSnapshot(path):
-		return store.LoadSharded(path, heapLoad)
-	case heapLoad:
-		return store.LoadAny(path)
-	}
-	return store.LoadAnyMapped(path)
 }
 
 // releaseMapping drops the opener's reference on the mapping backing st,
@@ -415,14 +395,14 @@ func (s *Service) swapLocked(st *store.Store, source string) uint64 {
 	return gen
 }
 
-// Reload loads path (snapshot or N-Triples; v4 snapshots map in O(1)
-// unless Options.HeapLoad) and swaps it in, returning the new generation
-// and its triple count (from the loaded store itself, so a racing Reload
-// cannot skew the pair). The load happens outside any lock; queries are
-// served from the old snapshot until the swap point, and queries in
-// flight over a retired mapped snapshot keep it mapped until they drain.
+// Reload opens path with store.Open (v4 snapshots map in O(1)) and swaps
+// it in, returning the new generation and its triple count (from the
+// loaded store itself, so a racing Reload cannot skew the pair). The load
+// happens outside any lock; queries are served from the old snapshot until
+// the swap point, and queries in flight over a retired mapped snapshot
+// keep it mapped until they drain.
 func (s *Service) Reload(path string) (gen uint64, triples int, err error) {
-	st, err := loadStore(path, s.opts.HeapLoad)
+	st, err := store.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}

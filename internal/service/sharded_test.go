@@ -26,11 +26,12 @@ func writeShardedSnapshot(t *testing.T, dir, name string, st *store.Store, n int
 	return path
 }
 
-// TestServiceShardDirectory loads the mixed BSBM/SNB store once from its
-// v4 file and once from its 4-shard directory (mapped and heap-loaded):
-// every prepared template and binding answers identically, plan signature
-// and accounting included. On the shard-loaded service, /update, Compact
-// and /reload then behave as they do on the v4-loaded one.
+// TestServiceShardDirectory loads the mixed BSBM/SNB store from its 4-shard
+// directory and compares it with a service over the same store's v4 file
+// and with one over the built heap store itself: every prepared template
+// and binding answers identically, plan signature and accounting included.
+// On the shard-loaded service, /update, Compact and /reload then behave as
+// they do on the v4-loaded one.
 func TestServiceShardDirectory(t *testing.T) {
 	ctx := context.Background()
 	st := buildMixedStore(t)
@@ -42,28 +43,27 @@ func TestServiceShardDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := buildMixedWorkload(t, file, st, 3)
-	for _, heap := range []bool{false, true} {
-		svc, err := Load(shards, Options{Workers: 2, HeapLoad: heap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if svc.Store().Len() != st.Len() {
-			t.Fatalf("heap=%v: shard directory loaded %d triples, want %d", heap, svc.Store().Len(), st.Len())
-		}
-		got := buildMixedWorkload(t, svc, st, 3)
-		for i, it := range items {
-			want, err := file.Execute(ctx, it.prep, it.bind)
+	loaded, err := Load(shards, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Store().Len() != st.Len() {
+		t.Fatalf("shard directory loaded %d triples, want %d", loaded.Store().Len(), st.Len())
+	}
+	got := buildMixedWorkload(t, loaded, st, 3)
+	for _, ref := range []*Service{file, New(st, "heap", Options{Workers: 2})} {
+		for i, it := range buildMixedWorkload(t, ref, st, 3) {
+			want, err := ref.Execute(ctx, it.prep, it.bind)
 			if err != nil {
-				t.Fatalf("v4 %s: %v", it.key, err)
+				t.Fatalf("%s %s: %v", ref.Store().Backend(), it.key, err)
 			}
-			out, err := svc.Execute(ctx, got[i].prep, got[i].bind)
+			out, err := loaded.Execute(ctx, got[i].prep, got[i].bind)
 			if err != nil {
-				t.Fatalf("heap=%v shards %s: %v", heap, it.key, err)
+				t.Fatalf("shards %s: %v", it.key, err)
 			}
 			if canonical(out) != canonical(want) {
-				t.Fatalf("heap=%v %s: shard directory diverges from the v4 file\ngot:\n%s\nwant:\n%s",
-					heap, it.key, canonical(out), canonical(want))
+				t.Fatalf("%s: shard directory diverges from the %s store\ngot:\n%s\nwant:\n%s",
+					it.key, ref.Store().Backend(), canonical(out), canonical(want))
 			}
 			out.Close()
 			want.Close()

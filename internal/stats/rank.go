@@ -41,39 +41,3 @@ func ranks(xs []float64) []float64 {
 	}
 	return out
 }
-
-// Kendall returns Kendall's τ-b rank correlation of the paired samples —
-// the fraction of concordant minus discordant pairs, tie-corrected. O(n²);
-// intended for the modest sample sizes of benchmark experiments.
-func Kendall(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return math.NaN()
-	}
-	var concordant, discordant, tieX, tieY float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := xs[i] - xs[j]
-			dy := ys[i] - ys[j]
-			switch {
-			case dx == 0 && dy == 0:
-				tieX++
-				tieY++
-			case dx == 0:
-				tieX++
-			case dy == 0:
-				tieY++
-			case dx*dy > 0:
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	total := float64(n*(n-1)) / 2
-	den := math.Sqrt((total - tieX) * (total - tieY))
-	if den == 0 {
-		return math.NaN()
-	}
-	return (concordant - discordant) / den
-}

@@ -42,24 +42,6 @@ func TestRanksAverageTies(t *testing.T) {
 	}
 }
 
-func TestKendall(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if r := Kendall(xs, ys); !almost(r, 1, 1e-12) {
-		t.Fatalf("Kendall = %v, want 1", r)
-	}
-	rev := []float64{5, 4, 3, 2, 1}
-	if r := Kendall(xs, rev); !almost(r, -1, 1e-12) {
-		t.Fatalf("Kendall = %v, want -1", r)
-	}
-	if !math.IsNaN(Kendall([]float64{1, 1}, []float64{1, 1})) {
-		t.Fatal("all-ties should be NaN")
-	}
-	if !math.IsNaN(Kendall(xs, ys[:3])) {
-		t.Fatal("length mismatch should be NaN")
-	}
-}
-
 func TestRankCorrelationNoisy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 300
@@ -71,8 +53,5 @@ func TestRankCorrelationNoisy(t *testing.T) {
 	}
 	if r := Spearman(xs, ys); r < 0.95 {
 		t.Fatalf("noisy monotone Spearman = %v, want > 0.95", r)
-	}
-	if r := Kendall(xs, ys); r < 0.8 {
-		t.Fatalf("noisy monotone Kendall = %v, want > 0.8", r)
 	}
 }

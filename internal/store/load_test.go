@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/rdf"
 )
 
+// Open detects a file's format from its first bytes.
 func TestLoadAnyAutoDetect(t *testing.T) {
 	dir := t.TempDir()
 
@@ -20,7 +23,7 @@ func TestLoadAnyAutoDetect(t *testing.T) {
 	if err := os.WriteFile(ntPath, []byte(nt), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fromNT, err := LoadAny(ntPath)
+	fromNT, err := Open(ntPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestLoadAnyAutoDetect(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fromSnap, err := LoadAny(v4)
+	fromSnap, err := Open(v4)
 	if err != nil {
 		t.Fatalf("v4: %v", err)
 	}
@@ -49,14 +52,14 @@ func TestLoadAnyAutoDetect(t *testing.T) {
 		t.Fatalf("v4: %d triples, predicate lookup ok=%v", fromSnap.Len(), ok)
 	}
 
-	if _, err := LoadAny(filepath.Join(dir, "missing.nt")); err == nil {
+	if _, err := Open(filepath.Join(dir, "missing.nt")); err == nil {
 		t.Fatal("missing file must error")
 	}
 	bad := filepath.Join(dir, "bad.nt")
 	if err := os.WriteFile(bad, []byte("not ntriples at all\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadAny(bad); err == nil {
+	if _, err := Open(bad); err == nil {
 		t.Fatal("malformed N-Triples must error")
 	}
 }
@@ -83,7 +86,7 @@ func (r *errAfterReader) Read(p []byte) (int, error) {
 func TestLoadAnyReaderPropagatesSniffError(t *testing.T) {
 	sentinel := errors.New("disk on fire")
 	for _, prefix := range [][]byte{nil, []byte("<ht")} {
-		_, err := LoadAnyReader(&errAfterReader{data: prefix, err: sentinel})
+		_, err := loadAnyReader(&errAfterReader{data: prefix, err: sentinel})
 		if !errors.Is(err, sentinel) {
 			t.Fatalf("prefix %q: err = %v, want the sniff's I/O error", prefix, err)
 		}
@@ -93,7 +96,7 @@ func TestLoadAnyReaderPropagatesSniffError(t *testing.T) {
 // Short and empty inputs are still legal N-Triples, not errors.
 func TestLoadAnyReaderShortInput(t *testing.T) {
 	for _, in := range []string{"", "\n", "# c\n"} {
-		st, err := LoadAnyReader(&errAfterReader{data: []byte(in), err: io.EOF})
+		st, err := loadAnyReader(&errAfterReader{data: []byte(in), err: io.EOF})
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
@@ -103,11 +106,11 @@ func TestLoadAnyReaderShortInput(t *testing.T) {
 	}
 }
 
-// LoadAnyMapped sniffs and serves from a single file descriptor: a v4
-// snapshot comes back mapped, everything else heap-loaded, and the
-// mapping must survive the sniff fd being closed (LoadAnyMapped closes
-// its *os.File before returning).
-func TestLoadAnyMappedSingleFd(t *testing.T) {
+// Open sniffs and serves from a single file descriptor: a v4 snapshot
+// comes back mapped, everything else heap-backed, and the mapping must
+// survive the sniff fd being closed (Open closes its *os.File before
+// returning).
+func TestOpenSingleFd(t *testing.T) {
 	dir := t.TempDir()
 	b := NewBuilder()
 	if err := b.Add(rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/b"))); err != nil {
@@ -126,7 +129,7 @@ func TestLoadAnyMappedSingleFd(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := LoadAnyMapped(v4)
+	mapped, err := Open(v4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestLoadAnyMappedSingleFd(t *testing.T) {
 	if err := os.WriteFile(nt, []byte("<http://x/a> <http://x/p> <http://x/b> .\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	heap, err := LoadAnyMapped(nt)
+	heap, err := Open(nt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +163,39 @@ func TestLoadAnyMappedSingleFd(t *testing.T) {
 	if err := os.WriteFile(short, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadAnyMapped(short); err == nil {
+	if _, err := Open(short); err == nil {
 		t.Fatal("1-byte non-N-Triples input must error")
+	}
+}
+
+// A pipe (process substitution, /dev/stdin) can be neither rewound nor
+// mapped: Open reads it as a stream, N-Triples and v4 images alike.
+func TestOpenPipe(t *testing.T) {
+	if _, err := os.Stat("/dev/fd"); err != nil {
+		t.Skip("no /dev/fd on this system")
+	}
+	nt := []byte("<http://x/a> <http://x/p> <http://x/b> .\n<http://x/b> <http://x/p> \"c\" .\n")
+	st, err := loadAnyReader(bytes.NewReader(nt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"N-Triples": nt, "v4 image": v4Image(t, st)} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			w.Write(data)
+			w.Close()
+		}()
+		got, err := Open(fmt.Sprintf("/dev/fd/%d", r.Fd()))
+		r.Close()
+		if err != nil {
+			t.Fatalf("%s through a pipe: %v", name, err)
+		}
+		if got.Backend() != "heap" {
+			t.Fatalf("%s through a pipe: backend %q, want heap", name, got.Backend())
+		}
+		equalStoreSurface(t, st, got)
 	}
 }

@@ -118,7 +118,7 @@ const idTripleBytes = 12
 // sorted-id table that orders ids by rdf.Term.Compare for binary-search
 // Lookup. It implements dict.Base; the store's *dict.Dict wraps it via
 // dict.NewOver, so updates over a mapped store encode fresh terms into a
-// mutable tail with exactly the id sequence a heap-loaded store would
+// mutable tail with exactly the id sequence a heap-backed store would
 // assign.
 //
 // All accessors are hardened against corrupt on-disk input: offsets are

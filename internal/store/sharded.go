@@ -17,7 +17,7 @@ import (
 // statistics, next to one v4 snapshot file per shard. Shard i holds the
 // triples whose subject hashes to i (shardOf) and the full shared
 // dictionary; v4 emits terms in ID order, so every shard file assigns
-// identical IDs. LoadSharded opens a directory as one store: it merges
+// identical IDs. Open reads a directory as one store: it merges
 // the shards' sorted runs once, so every read, update and statistic is
 // the single store's.
 
@@ -89,9 +89,9 @@ func (s *Store) split(n int) []*Store {
 	return shards
 }
 
-// IsShardedSnapshot reports whether path is a shard directory (a
+// isShardedSnapshot reports whether path is a shard directory (a
 // directory containing a manifest.json).
-func IsShardedSnapshot(path string) bool {
+func isShardedSnapshot(path string) bool {
 	fi, err := os.Stat(path)
 	if err != nil || !fi.IsDir() {
 		return false
@@ -144,18 +144,17 @@ func writeShardFile(path string, s *Store) error {
 	return f.Close()
 }
 
-// LoadSharded opens a shard directory as one store. The shard files are
-// opened from OS file mappings, or deserialized onto the heap with
-// heapLoad; each of their six runs is merged once into a heap index over
-// shard 0's dictionary, and the statistics are computed from the merged
-// runs. Every shard file carries the same dictionary in the same ID
+// loadSharded opens a shard directory as one store. The shard files are
+// opened from OS file mappings; each of their six runs is merged once into
+// a heap index over shard 0's dictionary, and the statistics are computed
+// from the merged runs. Every shard file carries the same dictionary in the same ID
 // order (checked by length), so which file is shard 0 does not matter,
 // and neither does which file holds which subjects. A run that is not
 // strictly increasing, or a triple stored in two shard files, is a
-// *ShardError. With a mapped open the store's dictionary reads shard
-// 0's mapping, which the caller owns as it would a LoadAnyMapped store's;
-// the other shards' mappings are released.
-func LoadSharded(dir string, heapLoad bool) (*Store, error) {
+// *ShardError. The store's dictionary reads shard 0's mapping, which the
+// caller owns as it would any mapped store's; the other shards' mappings
+// are released.
+func loadSharded(dir string) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, shardedManifestName))
 	if err != nil {
 		return nil, err
@@ -183,11 +182,7 @@ func LoadSharded(dir string, heapLoad bool) (*Store, error) {
 		}
 	}()
 	for i := range shards {
-		load := LoadAnyMapped
-		if heapLoad {
-			load = LoadAny
-		}
-		s, err := load(filepath.Join(dir, shardFileName(i)))
+		s, err := openFile(filepath.Join(dir, shardFileName(i)))
 		if err != nil {
 			return nil, fmt.Errorf("store: sharded shard %d: %w", i, err)
 		}

@@ -108,15 +108,15 @@ func checkSourceEquivalence(t *testing.T, got, ref Source) {
 	}
 }
 
-// writeLoad writes st as an n-shard directory and opens it again, mapped
-// or heap-loaded; a mapped store's mapping is released at cleanup.
-func writeLoad(t *testing.T, st *Store, n int, heap bool) *Store {
+// writeLoad writes st as an n-shard directory and opens it again; the
+// store's mapping is released at cleanup.
+func writeLoad(t *testing.T, st *Store, n int) *Store {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "snap")
 	if err := WriteSharded(dir, NewSharded(st, n)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSharded(dir, heap)
+	got, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +140,13 @@ func sameDictIDs(t *testing.T, got, want *dict.Dict) {
 	}
 }
 
-// TestShardedReadEquivalence: a shard directory, at any shard count and
-// in both load modes, opens to a store that answers every read exactly as
-// the store it was written from.
+// TestShardedReadEquivalence: a shard directory, at any shard count, opens
+// to a store that answers every read exactly as the store it was written
+// from.
 func TestShardedReadEquivalence(t *testing.T) {
 	ref := buildFrom(t, randomTriples(rand.New(rand.NewSource(7)), 400))
 	for _, n := range append(shardCounts, 17) {
-		for _, heap := range []bool{true, false} {
-			checkSourceEquivalence(t, writeLoad(t, ref, n, heap), ref)
-		}
+		checkSourceEquivalence(t, writeLoad(t, ref, n), ref)
 	}
 }
 
@@ -170,19 +168,17 @@ func TestShardedOverlayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	refOv := d.Overlay()
-	for _, heap := range []bool{true, false} {
-		loaded := writeLoad(t, buildFrom(t, triples), 4, heap)
-		ld, err := loaded.NewDelta().ApplyOps(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ld.InsertCount() != d.InsertCount() || ld.DeleteCount() != d.DeleteCount() {
-			t.Fatalf("heap=%v: pending (%d,%d) != (%d,%d)", heap, ld.InsertCount(), ld.DeleteCount(), d.InsertCount(), d.DeleteCount())
-		}
-		checkSourceEquivalence(t, ld.Overlay(), refOv)
-		checkSourceEquivalence(t, ld.Commit(), refOv)
-		checkSourceEquivalence(t, writeLoad(t, ld.Overlay(), 4, heap), refOv)
+	loaded := writeLoad(t, buildFrom(t, triples), 4)
+	ld, err := loaded.NewDelta().ApplyOps(ops)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if ld.InsertCount() != d.InsertCount() || ld.DeleteCount() != d.DeleteCount() {
+		t.Fatalf("pending (%d,%d) != (%d,%d)", ld.InsertCount(), ld.DeleteCount(), d.InsertCount(), d.DeleteCount())
+	}
+	checkSourceEquivalence(t, ld.Overlay(), refOv)
+	checkSourceEquivalence(t, ld.Commit(), refOv)
+	checkSourceEquivalence(t, writeLoad(t, ld.Overlay(), 4), refOv)
 }
 
 // TestShardedApplyOpsNoChangeIdentity: over a store loaded from a shard
@@ -191,22 +187,20 @@ func TestShardedOverlayEquivalence(t *testing.T) {
 // subject does not grow the dictionary.
 func TestShardedApplyOpsNoChangeIdentity(t *testing.T) {
 	triples := randomTriples(rand.New(rand.NewSource(3)), 50)
-	for _, heap := range []bool{true, false} {
-		loaded := writeLoad(t, buildFrom(t, triples), 4, heap)
-		d := loaded.NewDelta()
-		got, err := d.ApplyOps([]DeltaOp{
-			{Insert: true, Triples: triples[:5]},
-			{Triples: []rdf.Triple{trp("nobody", "nothing", "nowhere")}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != d {
-			t.Fatalf("heap=%v: no-change ApplyOps must return the receiver", heap)
-		}
-		if _, ok := loaded.Dict().Lookup(iri("nobody")); ok {
-			t.Fatalf("heap=%v: deleting an unknown subject must not grow the dictionary", heap)
-		}
+	loaded := writeLoad(t, buildFrom(t, triples), 4)
+	d := loaded.NewDelta()
+	got, err := d.ApplyOps([]DeltaOp{
+		{Insert: true, Triples: triples[:5]},
+		{Triples: []rdf.Triple{trp("nobody", "nothing", "nowhere")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != d {
+		t.Fatal("no-change ApplyOps must return the receiver")
+	}
+	if _, ok := loaded.Dict().Lookup(iri("nobody")); ok {
+		t.Fatal("deleting an unknown subject must not grow the dictionary")
 	}
 }
 
@@ -230,18 +224,16 @@ func TestShardedUpdateDictOrder(t *testing.T) {
 	}
 	refOv := d.Overlay()
 	want, _ := refOv.Match(Pattern{})
-	for _, heap := range []bool{true, false} {
-		ld, err := writeLoad(t, buildFrom(t, triples), 4, heap).NewDelta().ApplyOps(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov := ld.Overlay()
-		sameDictIDs(t, ov.Dict(), refOv.Dict())
-		if got, _ := ov.Match(Pattern{}); !equalTriples(got, want) {
-			t.Fatalf("heap=%v: raw ID streams diverge: %v != %v", heap, got, want)
-		}
-		sameStats(t, "loaded overlay", ov, referenceStore(t, refOv))
+	ld, err := writeLoad(t, buildFrom(t, triples), 4).NewDelta().ApplyOps(ops)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ov := ld.Overlay()
+	sameDictIDs(t, ov.Dict(), refOv.Dict())
+	if got, _ := ov.Match(Pattern{}); !equalTriples(got, want) {
+		t.Fatalf("raw ID streams diverge: %v != %v", got, want)
+	}
+	sameStats(t, "loaded overlay", ov, referenceStore(t, refOv))
 }
 
 // TestNewShardedOneShardWrapsStore: NewSharded pairs the store itself with
@@ -282,26 +274,23 @@ func TestShardedSnapshotRoundtrip(t *testing.T) {
 		if err := WriteSharded(dir, NewSharded(base, shards)); err != nil {
 			t.Fatal(err)
 		}
-		if !IsShardedSnapshot(dir) {
+		if !isShardedSnapshot(dir) {
 			t.Fatal("written directory not recognized as a shard directory")
 		}
-		if IsShardedSnapshot(filepath.Join(dir, shardFileName(0))) {
+		if isShardedSnapshot(filepath.Join(dir, shardFileName(0))) {
 			t.Fatal("plain shard file misdetected as a shard directory")
 		}
-		for _, heap := range []bool{true, false} {
-			got := writeLoad(t, base, shards, heap)
-			if got.Delta() != nil {
-				t.Fatalf("shards=%d heap=%v: loaded store carries a delta", shards, heap)
-			}
-			equalStores(t, got, base)
-			sameDictIDs(t, got.Dict(), base.Dict())
+		got := writeLoad(t, base, shards)
+		if got.Delta() != nil {
+			t.Fatalf("shards=%d: loaded store carries a delta", shards)
 		}
+		equalStores(t, got, base)
+		sameDictIDs(t, got.Dict(), base.Dict())
 	}
 }
 
-// TestShardedBackendNaming: a shard directory opens onto heap indexes in
-// both modes; a mapped open keeps shard 0's file mapped for the
-// dictionary, a heap open keeps no mapping.
+// TestShardedBackendNaming: a shard directory opens onto heap indexes and
+// keeps shard 0's file mapped for the dictionary.
 func TestShardedBackendNaming(t *testing.T) {
 	base := buildFrom(t, randomTriples(rand.New(rand.NewSource(17)), 60))
 	dir := t.TempDir()
@@ -312,25 +301,18 @@ func TestShardedBackendNaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, heap := range []bool{true, false} {
-		got, err := LoadSharded(dir, heap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int(fi.Size())
-		if heap {
-			want = 0
-		}
-		if got.Backend() != "heap" || got.MappedBytes() != want {
-			t.Fatalf("heap=%v: backend %q with %d mapped bytes, want heap with %d", heap, got.Backend(), got.MappedBytes(), want)
-		}
-		if m := got.Mapping(); m != nil {
-			if m.Refs() != 1 {
-				t.Fatalf("mapped open: shard 0's mapping has %d references, want the caller's 1", m.Refs())
-			}
-			m.Release()
-		}
+	got, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if want := int(fi.Size()); got.Backend() != "heap" || got.MappedBytes() != want {
+		t.Fatalf("backend %q with %d mapped bytes, want heap with %d", got.Backend(), got.MappedBytes(), want)
+	}
+	m := got.Mapping()
+	if m == nil || m.Refs() != 1 {
+		t.Fatalf("shard 0's mapping %v, want one with the caller's 1 reference", m)
+	}
+	m.Release()
 }
 
 // TestLoadShardedSwappedShards swaps two shard files of a written
@@ -348,23 +330,21 @@ func TestLoadShardedSwappedShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, heap := range []bool{true, false} {
-		got, err := LoadSharded(dir, heap)
-		if err != nil {
-			t.Fatalf("heap=%v: %v", heap, err)
-		}
-		equalStores(t, got, base)
-		sameDictIDs(t, got.Dict(), base.Dict())
-		if m := got.Mapping(); m != nil {
-			m.Release()
-		}
+	got, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalStores(t, got, base)
+	sameDictIDs(t, got.Dict(), base.Dict())
+	if m := got.Mapping(); m != nil {
+		m.Release()
 	}
 }
 
 // TestLoadShardedRejectsMisplacedShards puts a shard file of another
 // directory, written from a store over a different dictionary, in place
 // of shard 1: its IDs do not name this directory's terms, so the open
-// fails on the dictionary length in both load modes.
+// fails on the dictionary length.
 func TestLoadShardedRejectsMisplacedShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	dir, foreign := t.TempDir(), t.TempDir()
@@ -381,17 +361,15 @@ func TestLoadShardedRejectsMisplacedShards(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, shardFileName(1)), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, heap := range []bool{true, false} {
-		st, err := LoadSharded(dir, heap)
-		if err == nil {
-			if m := st.Mapping(); m != nil {
-				m.Release()
-			}
-			t.Fatalf("heap=%v: LoadSharded with another directory's shard 1 succeeded", heap)
+	st, err := Open(dir)
+	if err == nil {
+		if m := st.Mapping(); m != nil {
+			m.Release()
 		}
-		if msg := err.Error(); !strings.Contains(msg, "shard 1") || !strings.Contains(msg, "dictionary length") {
-			t.Fatalf("heap=%v: LoadSharded with another directory's shard 1: %v, want a dictionary length error for shard 1", heap, err)
-		}
+		t.Fatal("open with another directory's shard 1 succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "shard 1") || !strings.Contains(msg, "dictionary length") {
+		t.Fatalf("open with another directory's shard 1: %v, want a dictionary length error for shard 1", err)
 	}
 }
 
@@ -424,10 +402,11 @@ func TestCheckPlacementOverlayInserts(t *testing.T) {
 		}
 		total := 0
 		for i := 0; i < n; i++ {
-			sh, err := LoadAny(filepath.Join(dir, shardFileName(i)))
+			sh, err := Open(filepath.Join(dir, shardFileName(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(sh.Mapping().Release)
 			if sh.Dict().Len() != ov.Dict().Len() {
 				t.Fatalf("%s: shard %d's dictionary holds %d terms, want the overlay's %d", tc.name, i, sh.Dict().Len(), ov.Dict().Len())
 			}
@@ -442,7 +421,7 @@ func TestCheckPlacementOverlayInserts(t *testing.T) {
 		if total != ov.Len() {
 			t.Fatalf("%s: shard files hold %d triples, want the overlay's %d", tc.name, total, ov.Len())
 		}
-		equalStores(t, writeLoad(t, ov, n, true), d.Commit())
+		equalStores(t, writeLoad(t, ov, n), d.Commit())
 	}
 }
 
@@ -468,13 +447,13 @@ func writeShardDir(t *testing.T, shards ...*Store) string {
 	return dir
 }
 
-// loadWithin runs LoadSharded under a deadline: a merge that stops making
+// loadWithin opens dir under a deadline: a merge that stops making
 // progress fails the test instead of hanging it.
-func loadWithin(t *testing.T, dir string, heap bool) error {
+func loadWithin(t *testing.T, dir string) error {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
-		st, err := LoadSharded(dir, heap)
+		st, err := Open(dir)
 		if err == nil {
 			if m := st.Mapping(); m != nil {
 				m.Release()
@@ -486,35 +465,32 @@ func loadWithin(t *testing.T, dir string, heap bool) error {
 	case err := <-done:
 		return err
 	case <-time.After(10 * time.Second):
-		t.Fatalf("heap=%v: LoadSharded of %s did not return", heap, dir)
+		t.Fatalf("open of %s did not return", dir)
 		return nil
 	}
 }
 
 // TestLoadShardedRejectsDuplicateTriple hand-builds a directory whose
 // shards 0 and 1 both hold one triple: the open's merge cannot order it
-// and fails with a *ShardError naming both shards, in both load modes.
-// A mapped shard whose run is out of order fails the same way.
+// and fails with a *ShardError naming both shards. A shard whose run is
+// out of order fails the same way.
 func TestLoadShardedRejectsDuplicateTriple(t *testing.T) {
 	base := buildFrom(t, []rdf.Triple{trp("s1", "p", "o1"), trp("s2", "p", "o2"), trp("s3", "p", "o3")})
 	all, _ := base.Match(Pattern{})
 	shared := all[1]
 	other := buildIndexes(base.Dict(), []IDTriple{shared})
 	dir := writeShardDir(t, base, other)
-	for _, heap := range []bool{true, false} {
-		err := loadWithin(t, dir, heap)
-		var se *ShardError
-		if !errors.As(err, &se) || se.Shard != 0 || se.Other != 1 || se.Triple != shared || se.Dir != dir {
-			t.Fatalf("heap=%v: LoadSharded of a duplicated triple: %v, want a ShardError for shards 0 and 1 holding %v", heap, err, shared)
-		}
+	err := loadWithin(t, dir)
+	var se *ShardError
+	if !errors.As(err, &se) || se.Shard != 0 || se.Other != 1 || se.Triple != shared || se.Dir != dir {
+		t.Fatalf("open of a duplicated triple: %v, want a ShardError for shards 0 and 1 holding %v", err, shared)
 	}
 
 	unsorted := buildIndexes(base.Dict(), all)
 	unsorted.idx[orderSPO] = []IDTriple{all[2], all[0], all[1]}
-	err := loadWithin(t, writeShardDir(t, unsorted), false)
-	var se *ShardError
+	err = loadWithin(t, writeShardDir(t, unsorted))
 	if !errors.As(err, &se) || se.Shard != 0 || se.Other != 0 || se.Order != "SPO" {
-		t.Fatalf("LoadSharded of an unsorted run: %v, want a ShardError for shard 0's SPO run", err)
+		t.Fatalf("open of an unsorted run: %v, want a ShardError for shard 0's SPO run", err)
 	}
 }
 
@@ -560,7 +536,7 @@ func TestMergeShardRunsSortedUnion(t *testing.T) {
 // subject directory) and object-bound.
 func TestShardedMatchBufAllocs(t *testing.T) {
 	base, _ := overlayWorld(t, 6, 4000)
-	loaded := writeLoad(t, base, 4, false)
+	loaded := writeLoad(t, base, 4)
 	all, _ := base.Match(Pattern{})
 	for _, pat := range []Pattern{{S: all[len(all)/2].S}, {O: all[len(all)/3].O}} {
 		var scratch, m []IDTriple

@@ -194,9 +194,8 @@ func TestSnapshotVersionError(t *testing.T) {
 		}
 		loads := map[string]func() (*Store, error){
 			"ReadSnapshot":  func() (*Store, error) { return ReadSnapshot(bytes.NewReader(c.data)) },
-			"LoadAnyReader": func() (*Store, error) { return LoadAnyReader(bytes.NewReader(c.data)) },
-			"LoadAny":       func() (*Store, error) { return LoadAny(path) },
-			"LoadAnyMapped": func() (*Store, error) { return LoadAnyMapped(path) },
+			"loadAnyReader": func() (*Store, error) { return loadAnyReader(bytes.NewReader(c.data)) },
+			"Open":          func() (*Store, error) { return Open(path) },
 		}
 		for entry, load := range loads {
 			_, err := load()

@@ -340,7 +340,7 @@ func OpenMapped(path string) (*Store, error) {
 
 // OpenMappedFile is OpenMapped over an already-open file. The mapping is
 // taken from f's descriptor directly, so callers that sniffed the format
-// from f (LoadAnyMapped) serve exactly the file they sniffed even if the
+// from f (Open) serve exactly the file they sniffed even if the
 // path has been rewritten since. f's read offset is irrelevant and the
 // caller keeps ownership of f (closing it does not invalidate the
 // mapping).

@@ -218,18 +218,18 @@ func TestOpenMappedFile(t *testing.T) {
 	}
 }
 
-func TestLoadAnyMapped(t *testing.T) {
+func TestOpenMapsV4(t *testing.T) {
 	st, _ := buildTestStore(t)
 	v4path := filepath.Join(t.TempDir(), "snap.v4")
 	if err := os.WriteFile(v4path, v4Image(t, st), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m4, err := LoadAnyMapped(v4path)
+	m4, err := Open(v4path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m4.Backend() != "mapped" {
-		t.Fatalf("v4 via LoadAnyMapped: backend %q", m4.Backend())
+		t.Fatalf("v4 via Open: backend %q", m4.Backend())
 	}
 	equalStoreSurface(t, st, m4)
 	if m := m4.Mapping(); m != nil {
@@ -443,11 +443,11 @@ func TestOpenMappedConstantWork(t *testing.T) {
 	}
 }
 
-// TestOpenMappedFasterThanHeapLoad pins the headline property with a wide
-// safety margin (the benchmarks measure the real ratio, typically far over
-// the 50x acceptance line): mapped open of a 50k-triple snapshot must beat
-// the full heap load of the same image by at least 10x, min-of-trials.
-func TestOpenMappedFasterThanHeapLoad(t *testing.T) {
+// TestOpenMappedFasterThanReadSnapshot pins the headline property with a
+// wide safety margin (the benchmarks measure the real ratio, typically far
+// over the 50x acceptance line): mapped open of a 50k-triple snapshot must
+// beat the full heap load of the same image by at least 10x, min-of-trials.
+func TestOpenMappedFasterThanReadSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
