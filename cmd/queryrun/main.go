@@ -124,11 +124,7 @@ func run(w io.Writer, cfg config) error {
 	}
 	var opts exec.Options
 	if explain {
-		phys, err := plan.Lower(c, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s\nphysical:\n%s", p, phys)
+		fmt.Fprintf(w, "%s\nphysical:\n%s", p, p.Phys)
 	}
 	var capture *obs.Capture
 	if cfg.analyze {

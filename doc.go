@@ -18,10 +18,12 @@
 //
 // Query execution flows logical plan → physical plan → operator
 // execution: plan.Compile and plan.Optimize produce the Cout-optimal join
-// tree, plan.Lower fixes the physical operator choices (index scans,
-// index-nested-loop probes, hash and cross joins, filter placement), and
-// exec pulls columnar batches through the operator tree on the query's own
-// goroutine, counting Cout/Work/Scanned per tuple. See ARCHITECTURE.md for the layer map and where each counter
+// tree, and Optimize lowers it at once to the physical operator tree
+// (index scans, index-nested-loop probes, hash and cross joins, filter
+// placement, output schemas), rejecting a query that names an unbound
+// variable; exec builds its operators from that tree and pulls columnar
+// batches through them on the query's own goroutine, counting
+// Cout/Work/Scanned per tuple. See ARCHITECTURE.md for the layer map and where each counter
 // is maintained.
 //
 // Stores persist as v4 binary snapshots (magic "RDFSNAP4"): page-aligned

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 
@@ -23,16 +22,17 @@ import (
 
 // --- Left outer hash join (OPTIONAL) -----------------------------------------
 
-// leftJoin is the left outer hash join: a hash table is built on the right
-// side (the OPTIONAL group), then the left rows are probed in order. A
+// leftJoin is the left outer hash join into the columns of vars (l's
+// columns, then r's new ones): a hash table is built on the right side
+// (the OPTIONAL group), then the left rows are probed in order. A
 // matching left row emits one output per match in build insertion order; a
 // non-matching one emits once with the right-only columns unbound. With no
 // shared variable the key is empty, so every left row matches every right
 // row (degenerate cross), which keeps the operator total. Accounting: +1
 // work per build row, per probe and per emitted row; the caller charges the
 // output size to Cout.
-func (ex *executor) leftJoin(l, r *colRelation) (*colRelation, error) {
-	vars, extra := joinVars(l.vars, r.vars)
+func (ex *executor) leftJoin(l, r *colRelation, vars []sparql.Var) (*colRelation, error) {
+	extra := colsOf(vars[len(l.vars):], r.vars)
 	lcols, rcols := unzipCols(sharedCols(l.vars, r.vars))
 	table, err := ex.buildJoinTable(r, rcols)
 	if err != nil {
@@ -89,12 +89,7 @@ type leftJoinOp struct {
 	buffered
 }
 
-func (op *leftJoinOp) vars() []sparql.Var {
-	if op.outVars == nil {
-		op.outVars, _ = joinVars(op.left.vars(), op.right.vars())
-	}
-	return op.outVars
-}
+func (op *leftJoinOp) vars() []sparql.Var { return op.outVars }
 
 func (op *leftJoinOp) next() (*colBatch, error) {
 	if !op.joined {
@@ -107,32 +102,17 @@ func (op *leftJoinOp) next() (*colBatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := op.ex.leftJoin(l, r)
+		out, err := op.ex.leftJoin(l, r, op.outVars)
 		if err != nil {
 			return nil, err
 		}
 		op.ex.cout += float64(out.n)
-		op.outVars = out.vars
 		op.out = out
 	}
 	return op.nextWindow(op.ex), nil
 }
 
 // --- Union -------------------------------------------------------------------
-
-// unionColMaps resolves, per branch, each union output column to the
-// branch's column index (-1 = the branch does not bind it: pad None).
-func unionColMaps(outVars []sparql.Var, kidVars [][]sparql.Var) [][]int {
-	maps := make([][]int, len(kidVars))
-	for i, kv := range kidVars {
-		m := make([]int, len(outVars))
-		for j, v := range outVars {
-			m[j] = varIndexOf(kv, v)
-		}
-		maps[i] = m
-	}
-	return maps
-}
 
 // unionOp streams each branch to exhaustion in order, gathering live
 // rows into dense batches over the union schema and padding columns the
@@ -143,7 +123,7 @@ type unionOp struct {
 	ex      *executor
 	kids    []operator
 	outVars []sparql.Var
-	maps    [][]int
+	maps    [][]int // per kid, each output column's kid column (-1: pad None)
 	cur     int
 	out     colBatch // the batch next returns; its pooled columns are reused
 }
@@ -209,20 +189,15 @@ type aggSpec struct {
 }
 
 // compileAggs resolves the aggregates' argument variables to columns.
-func compileAggs(vars []sparql.Var, aggs []sparql.Aggregate) ([]aggSpec, error) {
+func compileAggs(vars []sparql.Var, aggs []sparql.Aggregate) []aggSpec {
 	specs := make([]aggSpec, len(aggs))
 	for i, a := range aggs {
-		s := aggSpec{fn: a.Func, distinct: a.Distinct, col: -1}
+		specs[i] = aggSpec{fn: a.Func, distinct: a.Distinct, col: -1}
 		if a.Var != "" {
-			ci := varIndexOf(vars, a.Var)
-			if ci < 0 {
-				return nil, fmt.Errorf("exec: aggregate over unbound variable ?%s", a.Var)
-			}
-			s.col = ci
+			specs[i].col = slices.Index(vars, a.Var)
 		}
-		specs[i] = s
 	}
-	return specs, nil
+	return specs
 }
 
 // aggState is the running state of one aggregate over one group.

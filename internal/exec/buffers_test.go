@@ -214,12 +214,12 @@ func TestJoinTableWideKeys(t *testing.T) {
 		t.Fatal("fixture has no matches")
 	}
 	ex := &executor{st: st}
-	inner, err := ex.hashJoin(l, r, sharedCols(l.vars, r.vars))
+	inner, err := ex.hashJoin(l, r, sharedCols(l.vars, r.vars), joinSchema(l.vars, r.vars))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertRelationRows(t, "hash join", inner, wantInner)
-	left, err := ex.leftJoin(l, r)
+	left, err := ex.leftJoin(l, r, joinSchema(l.vars, r.vars))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,20 +129,13 @@ type operator interface {
 	next() (*colBatch, error)
 }
 
-// run lowers the plan and drains the operator tree into result rows. The
+// run builds the plan's operator tree and drains it into result rows. The
 // rows are gathered row-major into a pooled buffer, then cut from one
 // backing array of the result's exact size, each capped at its width so an
 // append to one row can never write into the next. Nothing in the result
 // refers to a pooled buffer.
-func (ex *executor) run(c *plan.Compiled, p *plan.Plan) ([]sparql.Var, [][]dict.ID, error) {
-	phys, err := plan.Lower(c, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	root, err := ex.build(phys.Root)
-	if err != nil {
-		return nil, nil, err
-	}
+func (ex *executor) run(p *plan.Plan) ([]sparql.Var, [][]dict.ID, error) {
+	root := ex.build(p.Phys)
 	vars := root.vars()
 	w := len(vars)
 	ex.col(&ex.rowBuf)
@@ -189,119 +182,52 @@ func (ex *executor) run(c *plan.Compiled, p *plan.Plan) ([]sparql.Var, [][]dict.
 
 // build constructs the operator for one physical node, wrapped in a
 // traced span when the run is traced.
-func (ex *executor) build(n *plan.PhysNode) (operator, error) {
+func (ex *executor) build(n *plan.PhysNode) operator {
 	if ex.trace != nil {
 		return ex.buildTraced(n)
 	}
 	return ex.buildNode(n)
 }
 
-// buildNode constructs the operator for one physical node.
-func (ex *executor) buildNode(n *plan.PhysNode) (operator, error) {
+// buildNode constructs the operator for one physical node. The node's
+// schema and its children's are the operators' schemas, and the lowering
+// has already checked that every variable an operator names is in its
+// input's schema; the tree is shared by concurrent runs and only read.
+func (ex *executor) buildNode(n *plan.PhysNode) operator {
 	switch n.Op {
 	case plan.PhysIndexScan:
-		return newScanOp(ex, n.Leaf), nil
+		return newScanOp(ex, n.Leaf, n.Vars)
 	case plan.PhysIndexProbe:
-		child, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		return &probeOp{ex: ex, child: child, plan: buildProbePlan(child.vars(), n.Leaf)}, nil
+		return &probeOp{ex: ex, child: ex.build(n.Left), outVars: n.Vars, plan: buildProbePlan(n.Left.Vars, n.Leaf)}
 	case plan.PhysHashJoin, plan.PhysCross:
-		left, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := ex.build(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &joinOp{ex: ex, op: n.Op, left: left, right: right}, nil
+		return &joinOp{ex: ex, op: n.Op, left: ex.build(n.Left), right: ex.build(n.Right), outVars: n.Vars}
 	case plan.PhysFilter:
-		child, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := compileFilters(child.vars(), n.Filters)
-		if err != nil {
-			return nil, err
-		}
-		return newFilterOp(ex, child, cs), nil
+		return newFilterOp(ex, ex.build(n.Left), compileFilters(n.Vars, n.Filters))
 	case plan.PhysOrder:
-		child, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
+		cols := make([]int, len(n.Keys))
+		for i, k := range n.Keys {
+			cols[i] = slices.Index(n.Vars, k.Var)
 		}
-		return &orderOp{ex: ex, child: child, keys: n.Keys}, nil
+		return &orderOp{ex: ex, child: ex.build(n.Left), keys: n.Keys, cols: cols}
 	case plan.PhysProject:
-		child, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		cols := make([]int, len(n.Vars))
-		for i, v := range n.Vars {
-			ci := varIndexOf(child.vars(), v)
-			if ci < 0 {
-				return nil, fmt.Errorf("exec: SELECT of unbound variable ?%s", v)
-			}
-			cols[i] = ci
-		}
-		return &projectOp{child: child, outVars: n.Vars, cols: cols}, nil
+		return &projectOp{child: ex.build(n.Left), outVars: n.Vars, cols: colsOf(n.Vars, n.Left.Vars)}
 	case plan.PhysDistinct:
-		child, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctOp{ex: ex, child: child, seen: map[string]bool{}}, nil
+		return &distinctOp{ex: ex, child: ex.build(n.Left), seen: map[string]bool{}}
 	case plan.PhysLimit:
-		child, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		return &limitOp{child: child, limit: n.Limit, offset: n.Offset, earlyStop: ex.opts.EarlyStop}, nil
+		return &limitOp{child: ex.build(n.Left), limit: n.Limit, offset: n.Offset, earlyStop: ex.opts.EarlyStop}
 	case plan.PhysLeftJoin:
-		left, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := ex.build(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &leftJoinOp{ex: ex, left: left, right: right}, nil
+		return &leftJoinOp{ex: ex, left: ex.build(n.Left), right: ex.build(n.Right), outVars: n.Vars}
 	case plan.PhysUnion:
-		kids := make([]operator, len(n.Kids))
-		kidVars := make([][]sparql.Var, len(n.Kids))
+		kids, maps := make([]operator, len(n.Kids)), make([][]int, len(n.Kids))
 		for i, k := range n.Kids {
-			kid, err := ex.build(k)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = kid
-			kidVars[i] = kid.vars()
+			kids[i], maps[i] = ex.build(k), colsOf(n.Vars, k.Vars)
 		}
-		return &unionOp{ex: ex, kids: kids, outVars: n.Vars, maps: unionColMaps(n.Vars, kidVars)}, nil
+		return &unionOp{ex: ex, kids: kids, outVars: n.Vars, maps: maps}
 	case plan.PhysAggregate:
-		child, err := ex.build(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		in := child.vars()
-		keyCols := make([]int, len(n.GroupBy))
-		for i, v := range n.GroupBy {
-			ci := varIndexOf(in, v)
-			if ci < 0 {
-				return nil, fmt.Errorf("exec: GROUP BY unbound variable ?%s", v)
-			}
-			keyCols[i] = ci
-		}
-		specs, err := compileAggs(in, n.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		return &aggOp{ex: ex, child: child, outVars: n.Vars, keyCols: keyCols, specs: specs}, nil
+		return &aggOp{ex: ex, child: ex.build(n.Left), outVars: n.Vars,
+			keyCols: colsOf(n.GroupBy, n.Left.Vars), specs: compileAggs(n.Left.Vars, n.Aggs)}
 	default:
-		return nil, fmt.Errorf("exec: unknown physical operator %v", n.Op)
+		panic(fmt.Sprintf("exec: unknown physical operator %v", n.Op))
 	}
 }
 
@@ -322,13 +248,14 @@ func (ex *executor) drain(child operator) (*colRelation, error) {
 
 // --- Shared leaf plumbing ----------------------------------------------------
 
-func varIndexOf(vars []sparql.Var, v sparql.Var) int {
-	for i, x := range vars {
-		if x == v {
-			return i
-		}
+// colsOf returns the column of schema holding each variable of vars, -1
+// where schema lacks it.
+func colsOf(vars, schema []sparql.Var) []int {
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		cols[i] = slices.Index(schema, v)
 	}
-	return -1
+	return cols
 }
 
 // tripleValue extracts position pos (0=S,1=P,2=O) of t.
@@ -383,7 +310,6 @@ func buildScanPlan(cp *plan.CompiledPattern, outVars []sparql.Var) scanPlan {
 // must agree.
 type probePlan struct {
 	pat      store.Pattern
-	outVars  []sparql.Var
 	bindings []probeBinding
 	newCols  []int    // leaf positions appended as new output columns
 	checks   [][2]int // leaf-internal repeated unshared variables
@@ -395,26 +321,22 @@ type probeBinding struct {
 }
 
 // buildProbePlan derives the probe plan of cp driven by the outer schema.
+// Its new columns follow the probe's schema (plan.PhysIndexProbe): the
+// leaf's variables not in outer, in S,P,O first-occurrence order.
 func buildProbePlan(outer []sparql.Var, cp *plan.CompiledPattern) probePlan {
 	pp := probePlan{pat: cp.Pat}
 	posVar := [3]sparql.Var{cp.VarS, cp.VarP, cp.VarO}
-	pp.outVars = append(pp.outVars, outer...)
-	firstPos := map[sparql.Var]int{}
 	for pos, v := range posVar {
 		if v == "" {
 			continue
 		}
-		if ci := varIndexOf(outer, v); ci >= 0 {
+		if ci := slices.Index(outer, v); ci >= 0 {
 			pp.bindings = append(pp.bindings, probeBinding{pos: pos, outerCol: ci})
-			continue
-		}
-		if fp, seen := firstPos[v]; seen {
+		} else if fp := slices.Index(posVar[:pos], v); fp >= 0 {
 			pp.checks = append(pp.checks, [2]int{fp, pos})
-			continue
+		} else {
+			pp.newCols = append(pp.newCols, pos)
 		}
-		firstPos[v] = pos
-		pp.outVars = append(pp.outVars, v)
-		pp.newCols = append(pp.newCols, pos)
 	}
 	return pp
 }
@@ -433,8 +355,10 @@ type scanOp struct {
 	out     colBatch // the batch next returns; its pooled columns are reused
 }
 
-func newScanOp(ex *executor, cp *plan.CompiledPattern) *scanOp {
-	op := &scanOp{ex: ex, outVars: cp.Vars()}
+// newScanOp streams cp into the columns of vars, the scan's schema:
+// cp's distinct variables.
+func newScanOp(ex *executor, cp *plan.CompiledPattern, vars []sparql.Var) *scanOp {
+	op := &scanOp{ex: ex, outVars: vars}
 	if cp.Missing {
 		return op
 	}
@@ -518,12 +442,13 @@ func (op *scanOp) next() (*colBatch, error) {
 type probeOp struct {
 	ex      *executor
 	child   operator
+	outVars []sparql.Var
 	plan    probePlan
 	scratch []store.IDTriple
 	out     colBatch // the batch next returns; its pooled columns are reused
 }
 
-func (op *probeOp) vars() []sparql.Var { return op.plan.outVars }
+func (op *probeOp) vars() []sparql.Var { return op.outVars }
 
 func (op *probeOp) next() (*colBatch, error) {
 	for {
@@ -550,7 +475,7 @@ func (op *probeOp) probeBatch(in *colBatch) *colBatch {
 	pp := &op.plan
 	nin := len(in.schema)
 	if op.out.cols == nil {
-		op.out = colBatch{schema: pp.outVars, cols: make([][]dict.ID, len(pp.outVars))}
+		op.out = colBatch{schema: op.outVars, cols: make([][]dict.ID, len(op.outVars))}
 		for j := range op.out.cols {
 			op.ex.col(&op.out.cols[j])
 		}
@@ -760,7 +685,7 @@ func (op *filterOp) next() (*colBatch, error) {
 func sharedCols(lvars, rvars []sparql.Var) [][2]int {
 	var out [][2]int
 	for li, v := range lvars {
-		if ri := varIndexOf(rvars, v); ri >= 0 {
+		if ri := slices.Index(rvars, v); ri >= 0 {
 			out = append(out, [2]int{li, ri})
 		}
 	}
@@ -776,50 +701,25 @@ func unzipCols(shared [][2]int) (left, right []int) {
 	return left, right
 }
 
-// joinVars is the output schema of a binary join: every left variable,
-// then the right variables not already present, with the right column each
-// of those comes from.
-func joinVars(l, r []sparql.Var) (vars []sparql.Var, rightExtra []int) {
-	vars = append(vars, l...)
-	for ri, v := range r {
-		if varIndexOf(l, v) < 0 {
-			vars = append(vars, v)
-			rightExtra = append(rightExtra, ri)
-		}
-	}
-	return vars, rightExtra
-}
-
 // colSrc names the source of one output column of a join.
 type colSrc struct {
 	fromBuild bool
 	col       int
 }
 
-// joinLayout computes the output schema and per-column sources of a hash
-// join whose build side may have been swapped: the schema always keeps the
-// plan's left/right orientation.
-func joinLayout(build, probe *colRelation, swapped bool) ([]sparql.Var, []colSrc) {
-	if swapped {
-		vars, extra := joinVars(probe.vars, build.vars)
-		src := make([]colSrc, 0, len(vars))
-		for i := range probe.vars {
-			src = append(src, colSrc{fromBuild: false, col: i})
-		}
-		for _, ci := range extra {
-			src = append(src, colSrc{fromBuild: true, col: ci})
-		}
-		return vars, src
-	}
-	vars, extra := joinVars(build.vars, probe.vars)
-	src := make([]colSrc, 0, len(vars))
-	for i := range build.vars {
-		src = append(src, colSrc{fromBuild: true, col: i})
+// joinLayout lists the per-column sources of a hash join's output — the
+// nl left columns, then the right columns extra — when the build side may
+// have been swapped: the schema always keeps the plan's left/right
+// orientation.
+func joinLayout(nl int, extra []int, swapped bool) []colSrc {
+	src := make([]colSrc, 0, nl+len(extra))
+	for i := 0; i < nl; i++ {
+		src = append(src, colSrc{fromBuild: !swapped, col: i})
 	}
 	for _, ci := range extra {
-		src = append(src, colSrc{fromBuild: false, col: ci})
+		src = append(src, colSrc{fromBuild: swapped, col: ci})
 	}
-	return vars, src
+	return src
 }
 
 // joinOp is the pipeline breaker for composite-composite joins: drain both
@@ -833,12 +733,7 @@ type joinOp struct {
 	buffered
 }
 
-func (op *joinOp) vars() []sparql.Var {
-	if op.outVars == nil {
-		op.outVars, _ = joinVars(op.left.vars(), op.right.vars())
-	}
-	return op.outVars
-}
+func (op *joinOp) vars() []sparql.Var { return op.outVars }
 
 func (op *joinOp) next() (*colBatch, error) {
 	if !op.joined {
@@ -852,18 +747,15 @@ func (op *joinOp) next() (*colBatch, error) {
 			return nil, err
 		}
 		var out *colRelation
-		shared := sharedCols(l.vars, r.vars)
-		switch {
-		case op.op == plan.PhysCross || len(shared) == 0:
-			out, err = op.ex.crossProduct(l, r)
-		default:
-			out, err = op.ex.hashJoin(l, r, shared)
+		if op.op == plan.PhysCross {
+			out, err = op.ex.crossProduct(l, r, op.outVars)
+		} else {
+			out, err = op.ex.hashJoin(l, r, sharedCols(l.vars, r.vars), op.outVars)
 		}
 		if err != nil {
 			return nil, err
 		}
 		op.ex.cout += float64(out.n)
-		op.outVars = out.vars
 		op.out = out
 	}
 	return op.nextWindow(op.ex), nil
@@ -948,13 +840,14 @@ func (t *joinTable) first(probe *colRelation, pcols []int, row int) int32 {
 }
 
 // hashJoin builds a hash table on the smaller input and probes it with the
-// other in input order, appending output column-wise. Accounting: +1 work
-// per build row, per probe and per emitted row.
-func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, error) {
-	swapped := false
-	if r.n < l.n {
+// other in input order, appending output column-wise into the columns of
+// vars (l's columns, then r's new ones). Accounting: +1 work per build
+// row, per probe and per emitted row.
+func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int, vars []sparql.Var) (*colRelation, error) {
+	swapped := r.n < l.n
+	srcs := joinLayout(len(l.vars), colsOf(vars[len(l.vars):], r.vars), swapped)
+	if swapped {
 		l, r = r, l
-		swapped = true
 		for i := range shared {
 			shared[i][0], shared[i][1] = shared[i][1], shared[i][0]
 		}
@@ -966,7 +859,6 @@ func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, 
 		return nil, err
 	}
 	ex.work += float64(l.n) // build cost
-	vars, srcs := joinLayout(l, r, swapped)
 	out := ex.newRelation(vars)
 	for rr := 0; rr < r.n; rr++ {
 		if (rr+1)%cancelCheckRows == 0 {
@@ -991,11 +883,12 @@ func (ex *executor) hashJoin(l, r *colRelation, shared [][2]int) (*colRelation, 
 	return out, nil
 }
 
-// crossProduct is the cross product of two inputs sharing no variable.
-func (ex *executor) crossProduct(l, r *colRelation) (*colRelation, error) {
-	vars, extra := joinVars(l.vars, r.vars)
-	out := ex.newRelation(vars)
+// crossProduct is the cross product of two inputs sharing no variable,
+// into the columns of vars (l's columns, then r's).
+func (ex *executor) crossProduct(l, r *colRelation, vars []sparql.Var) (*colRelation, error) {
 	nl := len(l.vars)
+	extra := colsOf(vars[nl:], r.vars)
+	out := ex.newRelation(vars)
 	steps := 0
 	for i := 0; i < l.n; i++ {
 		steps++
@@ -1032,6 +925,7 @@ type orderOp struct {
 	ex     *executor
 	child  operator
 	keys   []sparql.OrderKey
+	cols   []int // each key's column
 	sorted bool
 	buffered
 }
@@ -1059,14 +953,7 @@ func (op *orderOp) next() (*colBatch, error) {
 // once, into row r's keys[r*nk : (r+1)*nk], before the sort compares them.
 func (op *orderOp) sortRel(rel *colRelation) (err error) {
 	d := op.ex.st.Dict()
-	cols := make([]int, len(op.keys))
-	for i, k := range op.keys {
-		ci := varIndexOf(rel.vars, k.Var)
-		if ci < 0 {
-			return fmt.Errorf("exec: ORDER BY unbound variable ?%s", k.Var)
-		}
-		cols[i] = ci
-	}
+	cols := op.cols
 	nk := len(cols)
 	keys := op.ex.keys.scratch(&keyShelf, rel.n*nk)
 	defer clear(keys) // pooled keys must not hold on to decoded terms

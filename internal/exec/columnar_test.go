@@ -123,11 +123,11 @@ func TestColumnarProbeScratchReuse(t *testing.T) {
 	ov := d.Overlay()
 	c, _ := compilePattern(t, ov, `SELECT * WHERE { ?h <http://x/p1> ?a . ?h <http://x/p2> ?b . }`)
 	ex := &executor{st: ov}
-	outer, err := ex.drain(newScanOp(ex, &c.Patterns[0]))
+	outer, err := ex.drain(newScanOp(ex, &c.Patterns[0], c.Patterns[0].Vars()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &probeOp{ex: ex, plan: buildProbePlan(outer.vars, &c.Patterns[1])}
+	probe := &probeOp{ex: ex, outVars: joinSchema(outer.vars, c.Patterns[1].Vars()), plan: buildProbePlan(outer.vars, &c.Patterns[1])}
 	in := &colBatch{schema: outer.vars, cols: make([][]dict.ID, len(outer.cols)), n: 100}
 	for j, col := range outer.cols {
 		in.cols[j] = col[:100]

@@ -193,7 +193,7 @@ func TestHashJoinCancelsMidBuild(t *testing.T) {
 	l := bigRelation([]sparql.Var{"a", "b"}, 10*cancelCheckRows, 50)
 	r := bigRelation([]sparql.Var{"a", "c"}, 12*cancelCheckRows, 50)
 	ex := &executor{st: st, ctx: &countdownCtx{Context: context.Background(), after: 3}}
-	if _, err := ex.hashJoin(l, r, sharedCols(l.vars, r.vars)); !errors.Is(err, context.Canceled) {
+	if _, err := ex.hashJoin(l, r, sharedCols(l.vars, r.vars), joinSchema(l.vars, r.vars)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("hash join with cancelled ctx: err = %v, want Canceled", err)
 	}
 	// Sanity: a join of the same shape (but bounded fanout) completes under
@@ -202,7 +202,7 @@ func TestHashJoinCancelsMidBuild(t *testing.T) {
 	out, err := ex.hashJoin(
 		bigRelation([]sparql.Var{"a", "b"}, 5000, 5000),
 		bigRelation([]sparql.Var{"a", "c"}, 5000, 5000),
-		[][2]int{{0, 0}})
+		[][2]int{{0, 0}}, []sparql.Var{"a", "b", "c"})
 	if err != nil || out.n == 0 {
 		t.Fatalf("live hash join: %d rows, err %v", out.n, err)
 	}
@@ -214,7 +214,7 @@ func TestCrossProductCancelsMidKernel(t *testing.T) {
 	l := bigRelation([]sparql.Var{"a", "b"}, 3000, 3000)
 	r := bigRelation([]sparql.Var{"c", "d"}, 3000, 3000)
 	ex := &executor{st: st, ctx: &countdownCtx{Context: context.Background(), after: 3}}
-	if _, err := ex.crossProduct(l, r); !errors.Is(err, context.Canceled) {
+	if _, err := ex.crossProduct(l, r, joinSchema(l.vars, r.vars)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cross product with cancelled ctx: err = %v, want Canceled", err)
 	}
 }

@@ -1,10 +1,12 @@
 // Package exec evaluates optimized query plans against a store. There is
-// one engine: plan.Lower turns the logical plan into a physical operator
-// tree, and the operators pull columnar batches — dense per-variable ID
-// columns with optional selection vectors — through it. Index scans stream
-// straight out of the hexastore, index-nested-loop probes and filters are
-// pipelined, and only the blocking operators (hash, cross and left joins,
-// ORDER BY, aggregation) buffer their inputs.
+// one engine: it builds one operator per node of the physical tree that
+// plan.Optimize lowered and checked, and the operators pull columnar
+// batches — dense per-variable ID columns with optional selection vectors
+// — through it. The tree is read-only here, so concurrent runs share a
+// cached plan, and a run fails only when its context is done. Index scans
+// stream straight out of the hexastore, index-nested-loop probes and
+// filters are pipelined, and only the blocking operators (hash, cross and
+// left joins, ORDER BY, aggregation) buffer their inputs.
 //
 // Every run records the measured Cout exactly (the sizes of all join
 // outputs) and accumulates a deterministic "work" counter (tuples scanned,
@@ -32,7 +34,7 @@ import (
 // and Options.Mode survive as a single-valued shim because the frozen
 // benchmark harness (bench/main.go) assigns Options.Mode from
 // service.ParseEngineMode. The benchmark-only follow-up that may edit bench/
-// deletes both (ROADMAP item 6(f)).
+// deletes both (ROADMAP item 7(f)).
 type ExecMode uint8
 
 // Columnar is the columnar engine, and the zero value.
@@ -52,7 +54,7 @@ type Options struct {
 	// Leapfrog is ignored. It survives as a shim, like Mode, because the
 	// frozen benchmark harness (bench/main.go) assigns it from
 	// service.EngineStats.Leapfrog; the benchmark-only follow-up that may
-	// edit bench/ deletes both (ROADMAP item 6(f)).
+	// edit bench/ deletes both (ROADMAP item 7(f)).
 	Leapfrog bool
 	// Trace, when non-nil, receives the run's execution trace: every
 	// physical operator is wrapped in a span recording wall time, rows and
@@ -68,7 +70,7 @@ type Options struct {
 
 // Result is the outcome of one query execution.
 type Result struct {
-	Vars     []sparql.Var  // output column schema
+	Vars     []sparql.Var  // output column schema, shared with the plan: read-only
 	Rows     [][]dict.ID   // result tuples (projected, de-duplicated, ordered, limited)
 	Cout     float64       // measured sum of all join-output sizes (the paper's cost function)
 	Work     float64       // deterministic work units: scanned + built + probed + emitted tuples
@@ -138,14 +140,19 @@ func (ex *executor) cancelled() error {
 // cross product, sort) processes between context polls.
 const cancelCheckRows = 4096
 
-// Run executes the plan p for compiled query c against st.
+// Run executes the plan p against st. The compiled query c is not read: p
+// carries its physical operator tree. The parameter survives as a shim
+// because the frozen benchmark harness (bench/trace.go) calls RunCtx with
+// it; the benchmark-only follow-up that may edit bench/ drops it (ROADMAP
+// item 7(f)).
 func Run(c *plan.Compiled, p *plan.Plan, st store.Source, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), c, p, st, opts)
 }
 
 // RunCtx is Run under a context: cancelling ctx aborts the execution at the
-// next operator batch boundary and returns the context's error. The
-// accounting of a completed (non-cancelled) run is identical to Run's.
+// next operator batch boundary and returns the context's error, the only
+// error a run returns. The accounting of a completed (non-cancelled) run
+// is identical to Run's. Like Run, it does not read c.
 func RunCtx(ctx context.Context, c *plan.Compiled, p *plan.Plan, st store.Source, opts Options) (*Result, error) {
 	start := time.Now()
 	ex := newExecutor(st, ctx, opts)
@@ -155,7 +162,7 @@ func RunCtx(ctx context.Context, c *plan.Compiled, p *plan.Plan, st store.Source
 	// run has copied the rows out of every pooled buffer by the time it
 	// returns, whichever way it returns.
 	defer ex.release()
-	vars, rows, err := ex.run(c, p)
+	vars, rows, err := ex.run(p)
 	if err != nil {
 		return nil, err
 	}

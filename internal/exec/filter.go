@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/dict"
@@ -17,38 +17,20 @@ type compiledFilter struct {
 	op                  sparql.CompareOp
 }
 
-// compileFilters resolves filters against a schema. A filter referencing a
-// variable absent from the schema fails the query (SPARQL would treat it
-// as an error/unbound; for benchmark workloads it is a bug).
-func compileFilters(vars []sparql.Var, filters []sparql.Filter) ([]compiledFilter, error) {
-	cs := make([]compiledFilter, 0, len(filters))
-	for _, f := range filters {
-		c := compiledFilter{leftCol: -1, rightCol: -1, op: f.Op}
-		switch f.Left.Kind {
-		case sparql.NodeVar:
-			c.leftCol = varIndexOf(vars, f.Left.Var)
-			if c.leftCol < 0 {
-				return nil, fmt.Errorf("exec: filter references unbound variable ?%s", f.Left.Var)
-			}
-		case sparql.NodeTerm:
-			c.leftTerm = f.Left.Term
-		default:
-			return nil, fmt.Errorf("exec: filter contains unbound parameter %%%s", f.Left.Param)
+// compileFilters resolves filters against a schema that binds every
+// variable they name (the lowering checked it).
+func compileFilters(vars []sparql.Var, filters []sparql.Filter) []compiledFilter {
+	cs := make([]compiledFilter, len(filters))
+	for i, f := range filters {
+		cs[i] = compiledFilter{leftCol: -1, rightCol: -1, leftTerm: f.Left.Term, rightTerm: f.Right.Term, op: f.Op}
+		if f.Left.Kind == sparql.NodeVar {
+			cs[i].leftCol = slices.Index(vars, f.Left.Var)
 		}
-		switch f.Right.Kind {
-		case sparql.NodeVar:
-			c.rightCol = varIndexOf(vars, f.Right.Var)
-			if c.rightCol < 0 {
-				return nil, fmt.Errorf("exec: filter references unbound variable ?%s", f.Right.Var)
-			}
-		case sparql.NodeTerm:
-			c.rightTerm = f.Right.Term
-		default:
-			return nil, fmt.Errorf("exec: filter contains unbound parameter %%%s", f.Right.Param)
+		if f.Right.Kind == sparql.NodeVar {
+			cs[i].rightCol = slices.Index(vars, f.Right.Var)
 		}
-		cs = append(cs, c)
 	}
-	return cs, nil
+	return cs
 }
 
 // evalCompare implements the comparison semantics: equality is term

@@ -267,7 +267,7 @@ func TestScanOpUnit(t *testing.T) {
 	st := buildStreamStore(t)
 	ex := &executor{st: st}
 	_, cp := compilePattern(t, st, `SELECT * WHERE { ?s <http://x/knows> ?o . }`)
-	op := newScanOp(ex, cp)
+	op := newScanOp(ex, cp, cp.Vars())
 	if len(op.vars()) != 2 {
 		t.Fatalf("vars = %v", op.vars())
 	}
@@ -288,7 +288,7 @@ func TestScanOpRepeatedVar(t *testing.T) {
 	st := buildStreamStore(t)
 	ex := &executor{st: st}
 	_, cp := compilePattern(t, st, `SELECT * WHERE { ?x <http://x/p> ?x . }`)
-	op := newScanOp(ex, cp)
+	op := newScanOp(ex, cp, cp.Vars())
 	rows := drainOp(t, op)
 	if len(rows) != 1 {
 		t.Fatalf("self-loop rows = %d, want 1", len(rows))
@@ -305,7 +305,7 @@ func TestScanOpMissing(t *testing.T) {
 	if !cp.Missing {
 		t.Fatal("pattern should be missing")
 	}
-	op := newScanOp(ex, cp)
+	op := newScanOp(ex, cp, cp.Vars())
 	if rows := drainOp(t, op); len(rows) != 0 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -321,8 +321,8 @@ func TestProbeOpUnit(t *testing.T) {
   <http://x/alice> <http://x/knows> ?f .
   ?f <http://x/age> ?a .
 }`)
-	outer := newScanOp(ex, &c.Patterns[0])
-	probe := &probeOp{ex: ex, child: outer, plan: buildProbePlan(outer.vars(), &c.Patterns[1])}
+	outer := newScanOp(ex, &c.Patterns[0], c.Patterns[0].Vars())
+	probe := &probeOp{ex: ex, child: outer, outVars: joinSchema(outer.vars(), c.Patterns[1].Vars()), plan: buildProbePlan(outer.vars(), &c.Patterns[1])}
 	wantVars := []sparql.Var{"f", "a"}
 	got := probe.vars()
 	if len(got) != len(wantVars) || got[0] != wantVars[0] || got[1] != wantVars[1] {
@@ -344,9 +344,9 @@ func TestJoinOpUnit(t *testing.T) {
   ?q <http://x/knows> ?f .
 }`)
 	ex := &executor{st: st}
-	l := newScanOp(ex, &c.Patterns[0])
-	r := newScanOp(ex, &c.Patterns[1])
-	j := &joinOp{ex: ex, op: plan.PhysHashJoin, left: l, right: r}
+	l := newScanOp(ex, &c.Patterns[0], c.Patterns[0].Vars())
+	r := newScanOp(ex, &c.Patterns[1], c.Patterns[1].Vars())
+	j := &joinOp{ex: ex, op: plan.PhysHashJoin, left: l, right: r, outVars: joinSchema(l.vars(), r.vars())}
 	rows := drainOp(t, j)
 	// knows has 3 edges; join on ?f: bob(1×1) + carol(2×2) = 5.
 	if len(rows) != 5 {

@@ -138,7 +138,11 @@ func TestOrderByDecodedKeys(t *testing.T) {
 			for _, col := range c.cols {
 				rel.cols = append(rel.cols, slices.Clone(col))
 			}
-			op := &orderOp{ex: ex, keys: c.keys}
+			cols := make([]int, len(c.keys))
+			for i, k := range c.keys {
+				cols[i] = slices.Index(vars, k.Var)
+			}
+			op := &orderOp{ex: ex, keys: c.keys, cols: cols}
 			if err := op.sortRel(rel); err != nil {
 				t.Fatal(err)
 			}

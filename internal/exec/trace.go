@@ -48,16 +48,13 @@ func (ts *traceState) openSpan(n *plan.PhysNode) *obs.Span {
 // buildTraced is build() with tracing on: it opens a span mirroring the
 // physical node, builds the operator (children nest under the span), and
 // wraps the result so execution records into it.
-func (ex *executor) buildTraced(n *plan.PhysNode) (operator, error) {
+func (ex *executor) buildTraced(n *plan.PhysNode) operator {
 	ts := ex.trace
 	parent := ts.cur
 	span := ts.openSpan(n)
-	defer func() { ts.cur = parent }()
-	op, err := ex.buildNode(n)
-	if err != nil {
-		return nil, err
-	}
-	return &tracedOp{ex: ex, child: op, span: span}, nil
+	op := ex.buildNode(n)
+	ts.cur = parent
+	return &tracedOp{ex: ex, child: op, span: span}
 }
 
 // tracedOp wraps an operator: each next() call is timed and the run's

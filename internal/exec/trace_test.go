@@ -76,24 +76,13 @@ func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phys, err := plan.Lower(c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ex := &executor{st: st, ctx: context.Background()}
-	root, err := ex.build(phys.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertNoTraceWrappers(t, root)
+	assertNoTraceWrappers(t, ex.build(p.Phys))
 
 	// Sanity: the same build with a collector roots in a wrapper, so the
 	// walker genuinely detects them.
 	tex := &executor{st: st, ctx: context.Background(), trace: &traceState{}}
-	troot, err := tex.build(phys.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	troot := tex.build(p.Phys)
 	if _, ok := troot.(*tracedOp); !ok {
 		t.Fatalf("traced build returned %T, want *tracedOp", troot)
 	}

@@ -69,33 +69,6 @@ type AlgNode struct {
 	sig  string  // AlgBGP: Root's Signature, as the optimizer built it
 }
 
-// Vars returns the node's output schema: left/BGP columns first, then
-// the new columns each composed input introduces, mirroring the physical
-// operators' schemas exactly.
-func (a *AlgNode) Vars() []sparql.Var {
-	switch a.Kind {
-	case AlgBGP:
-		var out []sparql.Var
-		for i := range a.Compiled {
-			for _, v := range a.Compiled[i].Vars() {
-				if varIndex(out, v) < 0 {
-					out = append(out, v)
-				}
-			}
-		}
-		return out
-	case AlgJoin, AlgLeftJoin:
-		return joinSchema(a.Left.Vars(), a.Right.Vars())
-	case AlgUnion:
-		var out []sparql.Var
-		for _, br := range a.Branches {
-			out = joinSchema(out, br.Vars())
-		}
-		return out
-	}
-	return nil
-}
-
 // Signature composes a canonical identity string: BGP leaves use their
 // join-tree signature, composition nodes tag their shape.
 func (a *AlgNode) Signature() string {

@@ -13,11 +13,15 @@ import (
 // enumerates 3^n splits, so 13 (≈1.6M splits) is a comfortable bound.
 const MaxDPPatterns = 13
 
-// Optimize returns the Cout-optimal plan for c. Every BGP leaf of the
-// algebra tree gets its join tree from exact dynamic programming over
-// connected subproblems when it has at most MaxDPPatterns patterns, and
-// from the greedy heuristic otherwise; the tree above the leaves is fixed
-// by the query text. A flat query is one BGP leaf.
+// Optimize returns the Cout-optimal plan for c, lowered to the physical
+// operator tree the executor runs. Every BGP leaf of the algebra tree gets
+// its join tree from exact dynamic programming over connected subproblems
+// when it has at most MaxDPPatterns patterns, and from the greedy
+// heuristic otherwise; the tree above the leaves is fixed by the query
+// text. A flat query is one BGP leaf. A query naming a variable its
+// patterns do not bind (in SELECT, ORDER BY, FILTER, GROUP BY or an
+// aggregate), or two aggregates with one output, is an error here, so
+// every plan Optimize returns can be executed.
 func Optimize(c *Compiled, est *Estimator) (*Plan, error) {
 	if c.Alg == nil {
 		return nil, fmt.Errorf("plan: query has no algebra tree")
@@ -28,6 +32,10 @@ func Optimize(c *Compiled, est *Estimator) (*Plan, error) {
 	}
 	p.Alg = &p.root
 	p.EstCost, p.EstCard, p.Signature = p.root.Cost, p.root.Card, p.root.Signature()
+	var err error
+	if p.Phys, err = lowerPlan(p.Alg, c.Query); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 

@@ -57,10 +57,11 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 }
 
-// TestOptimizeAllocs is the hard gate on the optimizer's allocations:
-// counts are noise-free, so a regression of the DPsub kernel shows here
-// before it shows in any timing. The map-based optimizer it replaced made
-// 1 881 allocations on Q3.
+// TestOptimizeAllocs is the hard gate on the optimizer's allocations,
+// the lowering to physical operators included: counts are noise-free, so
+// a regression of the DPsub kernel or the lowering shows here before it
+// shows in any timing. The map-based optimizer it replaced made 1 881
+// allocations on Q3.
 func TestOptimizeAllocs(t *testing.T) {
 	st, _, err := bsbm.BuildStore(bsbm.TestConfig())
 	if err != nil {
@@ -73,8 +74,8 @@ func TestOptimizeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 64 {
-		t.Fatalf("Optimize(Q3) allocates %v times, want ≤ 64", allocs)
+	if allocs > 50 {
+		t.Fatalf("Optimize(Q3) allocates %v times, want ≤ 50", allocs)
 	}
 	t.Logf("Optimize(Q3): %v allocs", allocs)
 }

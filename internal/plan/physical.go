@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sparql"
@@ -9,11 +10,13 @@ import (
 
 // This file implements the physical-plan layer: lowering of an optimized
 // plan (an algebra tree with a join tree of Nodes at each BGP leaf) into a
-// tree of physical operators that the executor runs directly. The lowering fixes every execution decision —
-// operator selection (index scan, index-nested-loop probe, hash or cross
-// join), output schemas, build-side choices for leaf-leaf joins, and
-// the placement of FILTER, ORDER BY, projection, DISTINCT and LIMIT — so a
-// plan's rows, row order and accounting depend on the plan alone.
+// tree of physical operators that the executor runs directly. Optimize
+// lowers every plan it returns (Plan.Phys). The lowering fixes every
+// execution decision — operator selection (index scan, index-nested-loop
+// probe, hash or cross join), output schemas, build-side choices for
+// leaf-leaf joins, and the placement of FILTER, ORDER BY, projection,
+// DISTINCT and LIMIT — so a plan's rows, row order and accounting depend
+// on the plan alone, and it makes every check, so the executor makes none.
 
 // PhysOp identifies a physical operator kind.
 type PhysOp uint8
@@ -102,15 +105,11 @@ type PhysNode struct {
 	Aggs        []sparql.Aggregate // PhysAggregate: aggregates, in SELECT order
 }
 
-// Physical is a complete lowered plan: the operator tree.
-type Physical struct {
-	Root *PhysNode
-}
-
-// String renders the operator tree for debugging and EXPLAIN output.
-func (p *Physical) String() string {
+// String renders the operator tree rooted at n, one operator a line, for
+// debugging and EXPLAIN output.
+func (n *PhysNode) String() string {
 	var b strings.Builder
-	p.Root.render(&b, 0)
+	n.render(&b, 0)
 	return b.String()
 }
 
@@ -177,9 +176,9 @@ func (n *PhysNode) describe(b *strings.Builder) {
 	fmt.Fprintf(b, " -> %v", n.Vars)
 }
 
-// Lower translates the optimized logical plan p for compiled query c into a
-// physical operator tree. Within a BGP leaf's join tree, operator selection
-// follows fixed rules:
+// lowerPlan translates the optimized algebra tree a of query q into a
+// physical operator tree; Optimize calls it once per plan. Within a BGP
+// leaf's join tree, operator selection follows fixed rules:
 //
 //   - a leaf is an IndexScan;
 //   - a join with exactly one composite child probes the leaf child per
@@ -193,284 +192,234 @@ func (n *PhysNode) describe(b *strings.Builder) {
 // Above the leaves, Join lowers like a remaining join, LeftJoin to a hash
 // left join and Union to a union; every algebra node's group filters
 // follow it as a Filter. The epilogue appends aggregation, HAVING, Order,
-// Project, Distinct and Limit, in that order. Filters, ORDER BY keys and SELECT columns naming variables absent
-// from the covering schema are lowering errors.
-func Lower(c *Compiled, p *Plan) (*Physical, error) {
-	if p == nil || p.Alg == nil {
-		return nil, fmt.Errorf("plan: nil plan")
-	}
-	root, err := lowerAlg(p.Alg)
+// Project, Distinct and Limit, in that order. Every node's output schema
+// is fixed here, and every check the executor relies on is made here: a
+// filter, GROUP BY key, aggregate argument, ORDER BY key or SELECT column
+// naming a variable absent from the covering schema is an error, and so is
+// a duplicate aggregate output.
+func lowerPlan(a *AlgNode, q *sparql.Query) (*PhysNode, error) {
+	lw := lowering{slab: make([]PhysNode, 0, physBound(a)+epilogueOps)}
+	root, err := lw.alg(a)
 	if err != nil {
 		return nil, err
 	}
-	root, err = epilogue(root, c.Query)
-	if err != nil {
-		return nil, err
-	}
-	return &Physical{Root: root}, nil
+	return lw.epilogue(root, q)
 }
 
-// lowerAlg lowers one algebra node, its subtree, and its attached filters.
-func lowerAlg(a *AlgNode) (*PhysNode, error) {
+// epilogueOps is the most operators the epilogue appends: Aggregate, its
+// HAVING Filter, Order, Project, Distinct and Limit.
+const epilogueOps = 6
+
+// physBound bounds the number of operators a's lowering makes: at most
+// one per join-tree node (2k-1 over k patterns) and per composition node,
+// plus a Filter per node that carries filters.
+func physBound(a *AlgNode) int {
+	n := 0
+	if len(a.Filters) > 0 {
+		n++
+	}
+	switch a.Kind {
+	case AlgBGP:
+		n += 2*len(a.Compiled) - 1
+	case AlgJoin, AlgLeftJoin:
+		n += 1 + physBound(a.Left) + physBound(a.Right)
+	case AlgUnion:
+		n++
+		for _, br := range a.Branches {
+			n += physBound(br)
+		}
+	}
+	return n
+}
+
+// lowering builds one operator tree, taking its nodes from one slab.
+type lowering struct {
+	slab []PhysNode
+}
+
+// node returns a copy of n in the slab, or on the heap once the slab is
+// full.
+func (lw *lowering) node(n PhysNode) *PhysNode {
+	if len(lw.slab) == cap(lw.slab) {
+		p := new(PhysNode)
+		*p = n
+		return p
+	}
+	lw.slab = append(lw.slab, n)
+	return &lw.slab[len(lw.slab)-1]
+}
+
+// alg lowers one algebra node, its subtree, and its attached filters.
+func (lw *lowering) alg(a *AlgNode) (*PhysNode, error) {
 	var root *PhysNode
 	switch a.Kind {
 	case AlgBGP:
-		var err error
-		root, err = lower(a.Root)
+		root = lw.joinTree(a.Root)
+	case AlgJoin, AlgLeftJoin:
+		lp, err := lw.alg(a.Left)
 		if err != nil {
 			return nil, err
 		}
-	case AlgJoin:
-		lp, err := lowerAlg(a.Left)
+		rp, err := lw.alg(a.Right)
 		if err != nil {
 			return nil, err
 		}
-		rp, err := lowerAlg(a.Right)
-		if err != nil {
-			return nil, err
-		}
-		root = joinNode(lp, rp, a.Card)
-	case AlgLeftJoin:
-		lp, err := lowerAlg(a.Left)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := lowerAlg(a.Right)
-		if err != nil {
-			return nil, err
-		}
-		root = &PhysNode{
-			Op:    PhysLeftJoin,
-			Left:  lp,
-			Right: rp,
-			Vars:  joinSchema(lp.Vars, rp.Vars),
-			Card:  a.Card,
+		if a.Kind == AlgJoin {
+			root = lw.join(lp, rp, a.Card)
+		} else {
+			root = lw.node(PhysNode{Op: PhysLeftJoin, Left: lp, Right: rp, Vars: joinSchema(lp.Vars, rp.Vars), Card: a.Card})
 		}
 	case AlgUnion:
-		un := &PhysNode{Op: PhysUnion, Card: a.Card}
-		for _, br := range a.Branches {
-			kid, err := lowerAlg(br)
+		un := PhysNode{Op: PhysUnion, Card: a.Card, Kids: make([]*PhysNode, len(a.Branches))}
+		for i, br := range a.Branches {
+			kid, err := lw.alg(br)
 			if err != nil {
 				return nil, err
 			}
-			un.Kids = append(un.Kids, kid)
+			un.Kids[i] = kid
 			un.Vars = joinSchema(un.Vars, kid.Vars)
 		}
-		root = un
+		root = lw.node(un)
 	default:
-		return nil, fmt.Errorf("plan: unknown algebra node %v", a.Kind)
+		panic(fmt.Sprintf("plan: unknown algebra node %v", a.Kind))
 	}
-	return filterNode(root, a.Filters)
+	return lw.filter(root, a.Filters)
 }
 
-// epilogue appends aggregation (grouping + aggregates), HAVING, then the
-// tail. Group-scoped filters, the root group's included, were already
-// applied by lowerAlg, so q.Filters is not reapplied here.
-func epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
+// epilogue appends aggregation (grouping + aggregates), HAVING, ORDER BY,
+// projection, DISTINCT and LIMIT, in that order. Group-scoped filters, the
+// root group's included, were already applied by alg, so q.Filters is not
+// reapplied here.
+func (lw *lowering) epilogue(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
+	var err error
 	if len(q.GroupBy) > 0 || len(q.Aggs) > 0 {
 		for _, v := range q.GroupBy {
-			if varIndex(root.Vars, v) < 0 {
+			if !slices.Contains(root.Vars, v) {
 				return nil, fmt.Errorf("plan: GROUP BY unbound variable ?%s", v)
 			}
 		}
-		vars := append([]sparql.Var(nil), q.GroupBy...)
+		vars := append(make([]sparql.Var, 0, len(q.GroupBy)+len(q.Aggs)), q.GroupBy...)
 		for _, ag := range q.Aggs {
-			if ag.Var != "" && varIndex(root.Vars, ag.Var) < 0 {
+			if ag.Var != "" && !slices.Contains(root.Vars, ag.Var) {
 				return nil, fmt.Errorf("plan: aggregate over unbound variable ?%s", ag.Var)
 			}
-			if varIndex(vars, ag.As) >= 0 {
+			if slices.Contains(vars, ag.As) {
 				return nil, fmt.Errorf("plan: duplicate aggregate output ?%s", ag.As)
 			}
 			vars = append(vars, ag.As)
 		}
-		root = &PhysNode{
-			Op:      PhysAggregate,
-			Left:    root,
-			Vars:    vars,
-			GroupBy: append([]sparql.Var(nil), q.GroupBy...),
-			Aggs:    append([]sparql.Aggregate(nil), q.Aggs...),
-			Card:    root.Card,
-		}
-		var err error
-		if root, err = filterNode(root, q.Having); err != nil {
+		root = lw.node(PhysNode{Op: PhysAggregate, Left: root, Vars: vars, GroupBy: q.GroupBy, Aggs: q.Aggs, Card: root.Card})
+		if root, err = lw.filter(root, q.Having); err != nil {
 			return nil, err
 		}
 	}
-	return tail(root, q)
+	if len(q.OrderBy) > 0 {
+		for _, k := range q.OrderBy {
+			if !slices.Contains(root.Vars, k.Var) {
+				return nil, fmt.Errorf("plan: ORDER BY unbound variable ?%s", k.Var)
+			}
+		}
+		root = lw.node(PhysNode{Op: PhysOrder, Left: root, Vars: root.Vars, Keys: q.OrderBy, Card: root.Card})
+	}
+	if len(q.Select) > 0 {
+		for _, v := range q.Select {
+			if !slices.Contains(root.Vars, v) {
+				return nil, fmt.Errorf("plan: SELECT of unbound variable ?%s", v)
+			}
+		}
+		root = lw.node(PhysNode{Op: PhysProject, Left: root, Vars: q.Select, Card: root.Card})
+	}
+	if q.Distinct {
+		root = lw.node(PhysNode{Op: PhysDistinct, Left: root, Vars: root.Vars, Card: root.Card})
+	}
+	if limit, has := q.LimitCount(); has || q.Offset > 0 {
+		if !has {
+			limit = -1 // offset without limit: skip rows, emit the rest
+		}
+		root = lw.node(PhysNode{Op: PhysLimit, Left: root, Vars: root.Vars, Limit: limit, Offset: q.Offset, Card: root.Card})
+	}
+	return root, nil
 }
 
-func lower(n *Node) (*PhysNode, error) {
-	if n == nil {
-		return nil, fmt.Errorf("plan: nil logical node")
-	}
+// joinTree lowers one BGP leaf's optimized join tree.
+func (lw *lowering) joinTree(n *Node) *PhysNode {
 	if n.IsLeaf() {
-		return scan(n), nil
+		return lw.scan(n)
 	}
 	left, right := n.Left, n.Right
 	switch {
 	case right.IsLeaf() && !left.IsLeaf():
-		outer, err := lower(left)
-		if err != nil {
-			return nil, err
-		}
-		return probe(outer, right, n.Card), nil
+		return lw.probe(lw.joinTree(left), right, n.Card)
 	case left.IsLeaf() && !right.IsLeaf():
-		outer, err := lower(right)
-		if err != nil {
-			return nil, err
-		}
-		return probe(outer, left, n.Card), nil
+		return lw.probe(lw.joinTree(right), left, n.Card)
 	case left.IsLeaf() && right.IsLeaf():
 		// Scan the smaller (by estimated cardinality), probe the other.
 		if left.Card <= right.Card {
-			return probe(scan(left), right, n.Card), nil
+			return lw.probe(lw.scan(left), right, n.Card)
 		}
-		return probe(scan(right), left, n.Card), nil
+		return lw.probe(lw.scan(right), left, n.Card)
 	default:
-		lp, err := lower(left)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := lower(right)
-		if err != nil {
-			return nil, err
-		}
-		return joinNode(lp, rp, n.Card), nil
+		return lw.join(lw.joinTree(left), lw.joinTree(right), n.Card)
 	}
 }
 
-func scan(n *Node) *PhysNode {
-	return &PhysNode{
-		Op:   PhysIndexScan,
-		Leaf: n.Leaf,
-		Vars: n.Leaf.Vars(),
-		Card: n.Card,
-	}
+func (lw *lowering) scan(n *Node) *PhysNode {
+	return lw.node(PhysNode{Op: PhysIndexScan, Leaf: n.Leaf, Vars: n.Leaf.Vars(), Card: n.Card})
 }
 
 // probe lowers a join whose one child is a bare leaf. When the leaf shares
 // a variable with the outer schema (and its constants resolve), the join is
 // an index-nested-loop probe; otherwise it degrades to a regular join of
 // the outer with a full scan of the leaf.
-func probe(outer *PhysNode, leafNode *Node, card float64) *PhysNode {
+func (lw *lowering) probe(outer *PhysNode, leafNode *Node, card float64) *PhysNode {
 	cp := leafNode.Leaf
-	anyShared := false
-	for _, v := range cp.Vars() {
-		if varIndex(outer.Vars, v) >= 0 {
-			anyShared = true
-			break
-		}
+	shared := slices.ContainsFunc(outer.Vars, func(v sparql.Var) bool { return v == cp.VarS || v == cp.VarP || v == cp.VarO })
+	if !shared || cp.Missing {
+		return lw.join(outer, lw.scan(leafNode), card)
 	}
-	if !anyShared || cp.Missing {
-		return joinNode(outer, scan(leafNode), card)
-	}
-	return &PhysNode{
-		Op:   PhysIndexProbe,
-		Leaf: cp,
-		Left: outer,
-		Vars: probeSchema(outer.Vars, cp),
-		Card: card,
-	}
+	return lw.node(PhysNode{Op: PhysIndexProbe, Leaf: cp, Left: outer, Vars: probeSchema(outer.Vars, cp), Card: card})
 }
 
-// joinNode builds the physical join of two composite inputs: a cross
-// product when they share no variable, a hash join otherwise.
-func joinNode(left, right *PhysNode, card float64) *PhysNode {
+// join builds the physical join of two composite inputs: a cross product
+// when they share no variable, a hash join otherwise.
+func (lw *lowering) join(left, right *PhysNode, card float64) *PhysNode {
 	op := PhysCross
-	if schemasShareVar(left.Vars, right.Vars) {
+	if slices.ContainsFunc(right.Vars, func(v sparql.Var) bool { return slices.Contains(left.Vars, v) }) {
 		op = PhysHashJoin
 	}
-	return &PhysNode{
-		Op:    op,
-		Left:  left,
-		Right: right,
-		Vars:  joinSchema(left.Vars, right.Vars),
-		Card:  card,
-	}
+	return lw.node(PhysNode{Op: op, Left: left, Right: right, Vars: joinSchema(left.Vars, right.Vars), Card: card})
 }
 
-// filterNode wraps root in a PhysFilter evaluating filters, which must be
-// covered by root's schema; no filters leave root as it is.
-func filterNode(root *PhysNode, filters []sparql.Filter) (*PhysNode, error) {
+// filter wraps root in a PhysFilter evaluating filters, whose variables
+// must all be in root's schema; no filters leave root as it is.
+func (lw *lowering) filter(root *PhysNode, filters []sparql.Filter) (*PhysNode, error) {
 	if len(filters) == 0 {
 		return root, nil
 	}
 	for _, f := range filters {
-		if err := checkFilterCovered(f, root.Vars); err != nil {
-			return nil, err
-		}
-	}
-	return &PhysNode{Op: PhysFilter, Left: root, Vars: root.Vars, Filters: filters, Card: root.Card}, nil
-}
-
-// tail appends ORDER BY, projection, DISTINCT and LIMIT, in that order.
-func tail(root *PhysNode, q *sparql.Query) (*PhysNode, error) {
-	if len(q.OrderBy) > 0 {
-		for _, k := range q.OrderBy {
-			if varIndex(root.Vars, k.Var) < 0 {
-				return nil, fmt.Errorf("plan: ORDER BY unbound variable ?%s", k.Var)
+		for _, n := range [2]sparql.Node{f.Left, f.Right} {
+			switch n.Kind {
+			case sparql.NodeVar:
+				if !slices.Contains(root.Vars, n.Var) {
+					return nil, fmt.Errorf("plan: filter references unbound variable ?%s", n.Var)
+				}
+			case sparql.NodeParam:
+				return nil, fmt.Errorf("plan: filter contains unbound parameter %%%s", n.Param)
 			}
 		}
-		root = &PhysNode{Op: PhysOrder, Left: root, Vars: root.Vars, Keys: q.OrderBy, Card: root.Card}
 	}
-	if len(q.Select) > 0 {
-		for _, v := range q.Select {
-			if varIndex(root.Vars, v) < 0 {
-				return nil, fmt.Errorf("plan: SELECT of unbound variable ?%s", v)
-			}
-		}
-		root = &PhysNode{Op: PhysProject, Left: root, Vars: append([]sparql.Var(nil), q.Select...), Card: root.Card}
-	}
-	if q.Distinct {
-		root = &PhysNode{Op: PhysDistinct, Left: root, Vars: root.Vars, Card: root.Card}
-	}
-	if limit, has := q.LimitCount(); has || q.Offset > 0 {
-		if !has {
-			limit = -1 // offset without limit: skip rows, emit the rest
-		}
-		root = &PhysNode{Op: PhysLimit, Left: root, Vars: root.Vars, Limit: limit, Offset: q.Offset, Card: root.Card}
-	}
-	return root, nil
-}
-
-// checkFilterCovered verifies every variable of f is in the schema,
-// mirroring the executor's unbound-variable errors.
-func checkFilterCovered(f sparql.Filter, vars []sparql.Var) error {
-	for _, n := range []sparql.Node{f.Left, f.Right} {
-		switch n.Kind {
-		case sparql.NodeVar:
-			if varIndex(vars, n.Var) < 0 {
-				return fmt.Errorf("plan: filter references unbound variable ?%s", n.Var)
-			}
-		case sparql.NodeParam:
-			return fmt.Errorf("plan: filter contains unbound parameter %%%s", n.Param)
-		}
-	}
-	return nil
-}
-
-// varIndex returns the column index of v in vars, or -1.
-func varIndex(vars []sparql.Var, v sparql.Var) int {
-	for i, x := range vars {
-		if x == v {
-			return i
-		}
-	}
-	return -1
+	return lw.node(PhysNode{Op: PhysFilter, Left: root, Vars: root.Vars, Filters: filters, Card: root.Card}), nil
 }
 
 // probeSchema is the output schema of an index probe: the outer columns
 // followed by the leaf's variables not bound by the outer side, in S,P,O
 // first-occurrence order.
 func probeSchema(outer []sparql.Var, cp *CompiledPattern) []sparql.Var {
-	out := append([]sparql.Var(nil), outer...)
-	seen := map[sparql.Var]bool{}
+	out := append(make([]sparql.Var, 0, len(outer)+3), outer...)
 	for _, v := range [3]sparql.Var{cp.VarS, cp.VarP, cp.VarO} {
-		if v == "" || varIndex(outer, v) >= 0 || seen[v] {
-			continue
+		if v != "" && !slices.Contains(out, v) {
+			out = append(out, v)
 		}
-		seen[v] = true
-		out = append(out, v)
 	}
 	return out
 }
@@ -478,21 +427,11 @@ func probeSchema(outer []sparql.Var, cp *CompiledPattern) []sparql.Var {
 // joinSchema is the output schema of a binary join: all left columns, then
 // right columns not already present.
 func joinSchema(left, right []sparql.Var) []sparql.Var {
-	out := append([]sparql.Var(nil), left...)
+	out := append(make([]sparql.Var, 0, len(left)+len(right)), left...)
 	for _, v := range right {
-		if varIndex(left, v) < 0 {
+		if !slices.Contains(left, v) {
 			out = append(out, v)
 		}
 	}
 	return out
-}
-
-// schemasShareVar reports whether the schemas have a variable in common.
-func schemasShareVar(a, b []sparql.Var) bool {
-	for _, v := range a {
-		if varIndex(b, v) >= 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -32,7 +32,7 @@ func buildPhysStore(t *testing.T) *store.Store {
 	return b.Build()
 }
 
-func lowerQuery(t *testing.T, st *store.Store, src string) (*Physical, *Compiled) {
+func lowerQuery(t *testing.T, st *store.Store, src string) (*PhysNode, *Compiled) {
 	t.Helper()
 	c, err := Compile(sparql.MustParse(src), st)
 	if err != nil {
@@ -42,11 +42,7 @@ func lowerQuery(t *testing.T, st *store.Store, src string) (*Physical, *Compiled
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := Lower(c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ph, c
+	return p.Phys, c
 }
 
 // countOps returns how many nodes of each kind the tree contains.
@@ -62,11 +58,11 @@ func countOps(n *PhysNode, into map[PhysOp]int) {
 func TestLowerSingleScan(t *testing.T) {
 	st := buildPhysStore(t)
 	ph, _ := lowerQuery(t, st, `SELECT * WHERE { ?s <http://x/knows> ?o . }`)
-	if ph.Root.Op != PhysIndexScan {
-		t.Fatalf("root = %s, want IndexScan\n%s", ph.Root.Op, ph)
+	if ph.Op != PhysIndexScan {
+		t.Fatalf("root = %s, want IndexScan\n%s", ph.Op, ph)
 	}
-	if len(ph.Root.Vars) != 2 || ph.Root.Vars[0] != "s" || ph.Root.Vars[1] != "o" {
-		t.Fatalf("schema = %v", ph.Root.Vars)
+	if len(ph.Vars) != 2 || ph.Vars[0] != "s" || ph.Vars[1] != "o" {
+		t.Fatalf("schema = %v", ph.Vars)
 	}
 }
 
@@ -77,7 +73,7 @@ func TestLowerChainUsesIndexProbes(t *testing.T) {
   ?b <http://x/age> ?x .
 }`)
 	ops := map[PhysOp]int{}
-	countOps(ph.Root, ops)
+	countOps(ph, ops)
 	if ops[PhysIndexProbe] != 1 || ops[PhysIndexScan] != 1 {
 		t.Fatalf("ops = %v, want 1 probe over 1 scan\n%s", ops, ph)
 	}
@@ -105,7 +101,7 @@ func TestLowerLeafLeafProbesLargerSide(t *testing.T) {
 		walk(n.Left)
 		walk(n.Right)
 	}
-	walk(ph.Root)
+	walk(ph)
 	if probe == nil {
 		t.Fatalf("no probe\n%s", ph)
 	}
@@ -124,7 +120,7 @@ func TestLowerCrossProduct(t *testing.T) {
   <http://x/bob> <http://x/age> ?b .
 }`)
 	ops := map[PhysOp]int{}
-	countOps(ph.Root, ops)
+	countOps(ph, ops)
 	if ops[PhysCross] != 1 {
 		t.Fatalf("ops = %v, want one cross product\n%s", ops, ph)
 	}
@@ -140,11 +136,11 @@ func TestLowerMissingLeafScansEmptySide(t *testing.T) {
   ?f <http://x/nonexistent> ?z .
 }`)
 	ops := map[PhysOp]int{}
-	countOps(ph.Root, ops)
+	countOps(ph, ops)
 	if ops[PhysIndexProbe] != 1 || ops[PhysIndexScan] != 1 {
 		t.Fatalf("ops = %v\n%s", ops, ph)
 	}
-	probe := ph.Root
+	probe := ph
 	for probe != nil && probe.Op != PhysIndexProbe {
 		probe = probe.Left
 	}
@@ -181,12 +177,12 @@ func TestLowerProbeOfMissingLeafFallsBackToJoin(t *testing.T) {
   ?b <http://x/nonexistent> ?z .
 }`)
 	root := join(join(leaf(0), leaf(1)), leaf(2))
-	ph, err := Lower(c, &Plan{Alg: &AlgNode{Kind: AlgBGP, Root: root}})
+	ph, err := lowerPlan(&AlgNode{Kind: AlgBGP, Compiled: c.Patterns, Root: root}, c.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ops := map[PhysOp]int{}
-	countOps(ph.Root, ops)
+	countOps(ph, ops)
 	if ops[PhysHashJoin] != 1 {
 		t.Fatalf("ops = %v, want hash-join fallback for the missing leaf\n%s", ops, ph)
 	}
@@ -203,12 +199,12 @@ func TestLowerInteriorHashJoin(t *testing.T) {
   ?a <http://x/age> ?y .
 }`)
 	root := join(join(leaf(0), leaf(1)), join(leaf(2), leaf(3)))
-	ph, err := Lower(c, &Plan{Alg: &AlgNode{Kind: AlgBGP, Root: root}})
+	ph, err := lowerPlan(&AlgNode{Kind: AlgBGP, Compiled: c.Patterns, Root: root}, c.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ops := map[PhysOp]int{}
-	countOps(ph.Root, ops)
+	countOps(ph, ops)
 	if ops[PhysHashJoin] != 1 {
 		t.Fatalf("ops = %v, want one HashJoin\n%s", ops, ph)
 	}
@@ -221,7 +217,7 @@ func TestLowerEpilogueOrder(t *testing.T) {
   FILTER(?a > 18)
 } ORDER BY ?a LIMIT 2`)
 	var got []PhysOp
-	for n := ph.Root; n != nil; n = n.Left {
+	for n := ph; n != nil; n = n.Left {
 		got = append(got, n.Op)
 	}
 	want := []PhysOp{PhysLimit, PhysDistinct, PhysProject, PhysOrder, PhysFilter, PhysIndexScan}
@@ -235,25 +231,37 @@ func TestLowerEpilogueOrder(t *testing.T) {
 	}
 }
 
+// TestLowerErrors: Optimize rejects every query naming a variable its
+// patterns do not bind, and a duplicate aggregate output, so no plan it
+// returns fails in the executor.
 func TestLowerErrors(t *testing.T) {
 	st := buildPhysStore(t)
 	bad := []string{
 		`SELECT ?zzz WHERE { ?s <http://x/age> ?a . }`,
 		`SELECT * WHERE { ?s <http://x/age> ?a . FILTER(?nope > 1) }`,
 		`SELECT * WHERE { ?s <http://x/age> ?a . } ORDER BY ?nope`,
+		`SELECT ?nope WHERE { ?s <http://x/age> ?a . } GROUP BY ?nope`,
+		`SELECT (COUNT(?nope) AS ?n) WHERE { ?s <http://x/age> ?a . }`,
 	}
 	for _, src := range bad {
 		c, err := Compile(sparql.MustParse(src), st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := Optimize(c, NewEstimator(st))
-		if err != nil {
-			t.Fatal(err)
+		if p, err := Optimize(c, NewEstimator(st)); err == nil {
+			t.Errorf("Optimize accepted %q:\n%s", src, p.Phys)
 		}
-		if _, err := Lower(c, p); err == nil {
-			t.Errorf("expected lowering error for %q", src)
-		}
+	}
+	// The parser rejects a repeated alias, so the lowering's own check is
+	// reached only through a hand-built query.
+	q := sparql.MustParse(`SELECT (COUNT(?a) AS ?n) WHERE { ?s <http://x/age> ?a . }`)
+	q.Aggs = append(q.Aggs, q.Aggs[0])
+	c, err := Compile(q, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Optimize(c, NewEstimator(st)); err == nil || !strings.Contains(err.Error(), "duplicate aggregate output") {
+		t.Errorf("duplicate aggregate output: err = %v", err)
 	}
 }
 

@@ -84,13 +84,15 @@ func (n *Node) render(b *strings.Builder, depth int) {
 }
 
 // Plan is the result of optimization: the algebra tree with every BGP
-// leaf's join tree chosen.
+// leaf's join tree chosen, and its lowering to physical operators. A plan
+// is immutable once Optimize returns it, so concurrent runs may share it.
 type Plan struct {
-	Alg       *AlgNode // &root
-	EstCost   float64  // estimated Cout of the whole plan
-	EstCard   float64  // estimated result cardinality
-	Signature string   // canonical plan identity
-	Method    string   // "greedy" if any BGP leaf fell back to greedy, else "dp"
+	Alg       *AlgNode  // &root
+	Phys      *PhysNode // the physical operator tree the executor runs
+	EstCost   float64   // estimated Cout of the whole plan
+	EstCard   float64   // estimated result cardinality
+	Signature string    // canonical plan identity
+	Method    string    // "greedy" if any BGP leaf fell back to greedy, else "dp"
 
 	root AlgNode // the tree's root, allocated with the plan
 }

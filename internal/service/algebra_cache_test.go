@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -51,6 +53,58 @@ func TestAlgebraPlanCachePerConstruct(t *testing.T) {
 	}
 	if st.Cache.Size != len(algebraCacheQueries) {
 		t.Fatalf("cache size = %d, want one entry per construct (%d)", st.Cache.Size, len(algebraCacheQueries))
+	}
+}
+
+// TestConcurrentHitsShareOnePlan: a cached plan carries its operator
+// tree, which every hit builds from, so concurrent hits on one entry —
+// a flat query and each compositional construct — must each return the
+// serial rows and accounting (run it under -race).
+func TestConcurrentHitsShareOnePlan(t *testing.T) {
+	svc := New(buildTinyStore(t), "", Options{Workers: 4, QueueDepth: 1 << 10})
+	ctx := context.Background()
+	queries := append([]struct{ name, text string }{{"flat",
+		`SELECT ?f ?a WHERE { <http://x/alice> <http://x/knows> ?f . ?f <http://x/age> ?a . FILTER(?a > 20) } ORDER BY DESC(?a)`}},
+		algebraCacheQueries...)
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		out, err := svc.Query(ctx, q.text, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		want[i] = canonical(out)
+		out.Close()
+	}
+	const goroutines, rounds = 8, 20
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (g + r) % len(queries)
+				out, err := svc.Query(ctx, queries[i].text, nil)
+				if err != nil {
+					errs <- fmt.Errorf("%s: %v", queries[i].name, err)
+					return
+				}
+				got, hit := canonical(out), out.CacheHit
+				out.Close()
+				if !hit || got != want[i] {
+					errs <- fmt.Errorf("%s: hit %v, got\n%s\nwant\n%s", queries[i].name, hit, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := svc.Stats(); st.Cache.Size != len(queries) || st.Cache.Hits != goroutines*rounds {
+		t.Fatalf("cache = %+v, want %d entries and %d hits", st.Cache, len(queries), goroutines*rounds)
 	}
 }
 

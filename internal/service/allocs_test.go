@@ -76,8 +76,8 @@ func TestExecutePreparedAllocs(t *testing.T) {
 		b       sparql.Binding
 		allowed float64
 	}{
-		{"q4 probe chain", q4, sparql.Binding{"ProductType": bsbm.TypeIRI(21)}, 56 + 4},
-		{"q2 limit", q2, sparql.Binding{"Product": bsbm.ProductIRI(0)}, 50 + 4},
+		{"q4 probe chain", q4, sparql.Binding{"ProductType": bsbm.TypeIRI(21)}, 32 + 4},
+		{"q2 limit", q2, sparql.Binding{"Product": bsbm.ProductIRI(0)}, 31 + 4},
 	} {
 		got := testing.AllocsPerRun(50, preparedRun(t, svc, c.p, c.b))
 		if got > c.allowed {

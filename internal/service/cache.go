@@ -2,16 +2,54 @@ package service
 
 import (
 	"container/list"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/plan"
+	"repro/internal/sparql"
 )
 
+// bindingSignature returns a canonical string identity for a parameter
+// binding: the parameter names in sorted order, each with its term in
+// N-Triples syntax. Two bindings have equal signatures iff they substitute
+// the same terms for the same parameters — the binding-side analogue of
+// plan.Node.Signature's plan identity.
+func bindingSignature(b sparql.Binding) string {
+	if len(b) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(b))
+	for p := range b {
+		names = append(names, string(p))
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for i, n := range names {
+		if i > 0 {
+			sb.WriteByte('\x1f')
+		}
+		sb.WriteString(n)
+		sb.WriteByte('=')
+		sb.WriteString(b[sparql.Param(n)].Key())
+	}
+	return sb.String()
+}
+
+// cacheKey is the plan-cache key of one (template, binding) execution:
+// the canonical template text joined with the binding's signature. Against
+// an immutable store, equal keys compile to identical Compiled queries and
+// optimize to identical plans, so cached entries can be reused without
+// re-running DPsub.
+func cacheKey(templateText string, b sparql.Binding) string {
+	return templateText + "\x00" + bindingSignature(b)
+}
+
 // planEntry is one cached compilation: the compiled query and its optimized
-// plan. Both are immutable once built and may be executed concurrently
-// against the snapshot they were compiled for, so a cache hit skips parsing,
-// compilation and DPsub entirely.
+// plan, lowered and checked. Both are immutable once built and may be
+// executed concurrently against the snapshot they were compiled for, so a
+// cache hit skips parsing, compilation, DPsub and lowering entirely.
 type planEntry struct {
 	key string
 	c   *plan.Compiled
@@ -29,7 +67,7 @@ type cacheCounters struct {
 }
 
 // planCache is a concurrency-safe LRU of plan entries keyed by
-// plan.CacheKey. A non-positive capacity disables caching (every get is a
+// cacheKey. A non-positive capacity disables caching (every get is a
 // miss, every put a no-op) — used to measure the cold path.
 type planCache struct {
 	counters *cacheCounters

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -72,7 +71,7 @@ func TestColumnarService(t *testing.T) {
 
 // TestEngineVariantCacheKeys: every plan cache belongs to one service and
 // its fixed engine configuration, so services with different configurations
-// key the same query text identically, on plan.CacheKey alone, while each
+// key the same query text identically, on cacheKey alone, while each
 // still caches within itself.
 func TestEngineVariantCacheKeys(t *testing.T) {
 	st := buildStarServiceStore(t)
@@ -80,7 +79,7 @@ func TestEngineVariantCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKey := plan.CacheKey(q.String(), nil)
+	wantKey := cacheKey(q.String(), nil)
 	ctx := context.Background()
 	for _, opts := range []exec.Options{
 		{},

@@ -190,6 +190,46 @@ func TestHTTPExecuteErrorItem(t *testing.T) {
 	}
 }
 
+// TestHTTPUnboundVariableIsBadInput: a query naming a variable its
+// patterns do not bind — in SELECT, ORDER BY, FILTER or an aggregate — is
+// the request's fault, on /query and on every /execute of such a
+// template: 400, and no plan is cached for it.
+func TestHTTPUnboundVariableIsBadInput(t *testing.T) {
+	_, srv := startTestServer(t, Options{})
+	cacheSize := func() int {
+		var st Stats
+		getJSON(t, srv.URL+"/stats", &st)
+		return st.Cache.Size
+	}
+	for _, c := range []struct{ name, query string }{
+		{"select", `SELECT ?x WHERE { %who ?p ?o . }`},
+		{"order", `SELECT ?o WHERE { %who ?p ?o . } ORDER BY ?x`},
+		{"filter", `SELECT ?o WHERE { %who ?p ?o . FILTER(?x > 1) }`},
+		{"aggregate", `SELECT (COUNT(?x) AS ?n) WHERE { %who ?p ?o . }`},
+	} {
+		bindings := map[string]string{"who": "<http://x/alice>"}
+		before := cacheSize()
+		for i := 0; i < 2; i++ {
+			resp, body := postJSON(t, srv.URL+"/query", queryRequest{Query: c.query, Bindings: bindings})
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unbound variable ?x") {
+				t.Fatalf("%s: /query status %d: %s", c.name, resp.StatusCode, body)
+			}
+		}
+		if resp, body := postJSON(t, srv.URL+"/prepare", prepareRequest{Name: c.name, Query: c.query}); resp.StatusCode != 200 {
+			t.Fatalf("%s: prepare status %d: %s", c.name, resp.StatusCode, body)
+		}
+		for i := 0; i < 2; i++ {
+			resp, body := postJSON(t, srv.URL+"/execute", executeRequest{Name: c.name, Bindings: bindings})
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unbound variable ?x") {
+				t.Fatalf("%s: /execute status %d: %s", c.name, resp.StatusCode, body)
+			}
+		}
+		if after := cacheSize(); after != before {
+			t.Fatalf("%s: plan cache holds %d entries after the rejected requests, %d before", c.name, after, before)
+		}
+	}
+}
+
 func TestHTTPMaxRowsTruncation(t *testing.T) {
 	_, srv := startTestServer(t, Options{})
 	resp, body := postJSON(t, srv.URL+"/query", queryRequest{

@@ -5,9 +5,9 @@
 //   - prepared templates: a query template is parsed once and executed many
 //     times by substituting parameter bindings, never re-parsing;
 //   - a shared plan cache: an LRU keyed by canonical template text plus the
-//     binding's signature (plan.CacheKey), so repeated bindings skip
-//     compilation and DPsub join ordering entirely, with hit/miss/eviction
-//     counters;
+//     binding's signature (cacheKey), so repeated bindings skip
+//     compilation, DPsub join ordering and lowering entirely, with
+//     hit/miss/eviction counters;
 //   - admission control: a bounded token pool with a request-queue cap and
 //     fast ErrOverloaded (HTTP 429) rejection, keeping the engine's
 //     per-query allocations bounded under load;
@@ -749,12 +749,14 @@ func (s *Service) QueryWith(ctx context.Context, text string, b sparql.Binding, 
 }
 
 // run executes one (template, binding) pair against the pinned snapshot
-// state: plan-cache lookup first, full bind/compile/optimize on a miss.
+// state: plan-cache lookup first, full bind/compile/optimize on a miss. A
+// query that fails any of the three is the request's fault (400) and is
+// never cached, so every cached plan executes.
 // The run is traced when the request asked for EXPLAIN ANALYZE, when the
 // 1-in-N sampler selects it, or when slow-query capture is armed (the
 // trace is then discarded if the query comes in under the threshold).
 func (s *Service) run(ctx context.Context, st *snapState, tmpl *sparql.Query, text string, b sparql.Binding, m runMeta) (*Outcome, error) {
-	key := plan.CacheKey(text, b)
+	key := cacheKey(text, b)
 	ent, hit := st.cache.get(key)
 	if !hit {
 		bound := tmpl
@@ -771,7 +773,7 @@ func (s *Service) run(ctx context.Context, st *snapState, tmpl *sparql.Query, te
 		}
 		p, err := plan.Optimize(c, plan.NewEstimator(st.store))
 		if err != nil {
-			return nil, err
+			return nil, badInput(err)
 		}
 		ent = &planEntry{key: key, c: c, p: p}
 		st.cache.put(ent)
@@ -1021,7 +1023,7 @@ type EngineStats struct {
 	// Leapfrog is always false. It survives as a shim, like
 	// exec.Options.Leapfrog, because the frozen benchmark harness
 	// (bench/main.go) reads it; the benchmark-only follow-up that may edit
-	// bench/ deletes both (ROADMAP item 6(f)).
+	// bench/ deletes both (ROADMAP item 7(f)).
 	Leapfrog bool        `json:"leapfrog"`
 	Kernels  KernelStats `json:"kernels"`
 }

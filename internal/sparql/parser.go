@@ -633,7 +633,6 @@ func (p *parser) orderBy(q *Query) error {
 }
 
 func (p *parser) node() (Node, error) {
-	defer func() {}()
 	switch p.tok.kind {
 	case tokVar:
 		n := VarNode(Var(p.tok.text))

@@ -222,8 +222,9 @@ func (p *parser) update() (*Update, error) {
 	}
 }
 
-// dataBlock parses '{' ground triples '}' with the query grammar's
-// ';'/',' abbreviations, requiring every node to be a constant term.
+// dataBlock parses '{' ground triples '}': statements of the query
+// grammar's triples (with its ';'/',' abbreviations) whose every node must
+// be a constant term and which must each form a valid RDF triple.
 func (p *parser) dataBlock() ([]rdf.Triple, error) {
 	if p.tok.kind != tokLBrace {
 		return nil, p.errf("expected '{' after DATA")
@@ -231,52 +232,30 @@ func (p *parser) dataBlock() ([]rdf.Triple, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
+	g := &Group{}
 	var out []rdf.Triple
 	for p.tok.kind != tokRBrace {
 		if p.tok.kind == tokEOF {
 			return nil, p.errf("unterminated DATA block")
 		}
-		subj, err := p.groundNode()
-		if err != nil {
+		from := len(g.Patterns)
+		if err := p.triples(g); err != nil {
 			return nil, err
 		}
-		for {
-			pred, err := p.groundNode()
-			if err != nil {
-				return nil, err
-			}
-			for {
-				obj, err := p.groundNode()
-				if err != nil {
-					return nil, err
-				}
-				t := rdf.Triple{S: subj, P: pred, O: obj}
-				if !t.Valid() {
-					return nil, p.errf("invalid triple %s (subject must be IRI or blank, predicate an IRI)", t)
-				}
-				out = append(out, t)
-				if p.tok.kind != tokComma {
-					break
-				}
-				if err := p.advance(); err != nil {
-					return nil, err
+		for _, tp := range g.Patterns[from:] {
+			for _, n := range [3]Node{tp.S, tp.P, tp.O} {
+				switch n.Kind {
+				case NodeVar:
+					return nil, p.errf("variable ?%s not allowed in DATA block (ground triples only)", n.Var)
+				case NodeParam:
+					return nil, p.errf("parameter %%%s not allowed in DATA block (ground triples only)", n.Param)
 				}
 			}
-			if p.tok.kind != tokSemicolon {
-				break
+			t := rdf.Triple{S: tp.S.Term, P: tp.P.Term, O: tp.O.Term}
+			if !t.Valid() {
+				return nil, p.errf("invalid triple %s (subject must be IRI or blank, predicate an IRI)", t)
 			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if p.tok.kind == tokDot {
-				break
-			}
-		}
-		if p.tok.kind != tokDot {
-			return nil, p.errf("expected '.' after triple")
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
+			out = append(out, t)
 		}
 	}
 	return out, p.advance() // consume '}'
@@ -405,20 +384,4 @@ func (p *parser) templateBlock() ([]TriplePattern, error) {
 		return nil, p.errf("empty update template")
 	}
 	return g.Patterns, nil
-}
-
-// groundNode parses one node of a DATA block and requires it to be a
-// constant term.
-func (p *parser) groundNode() (rdf.Term, error) {
-	n, err := p.node()
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	switch n.Kind {
-	case NodeVar:
-		return rdf.Term{}, p.errf("variable ?%s not allowed in DATA block (ground triples only)", n.Var)
-	case NodeParam:
-		return rdf.Term{}, p.errf("parameter %%%s not allowed in DATA block (ground triples only)", n.Param)
-	}
-	return n.Term, nil
 }
